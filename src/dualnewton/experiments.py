@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InsufficientIterations, MomentInfeasible
+from .errors import DualNewtonError, InsufficientIterations, MomentInfeasible
 from .models import loglinear
 from .models.betamix import BetaMixtureModel, QuadratureRule
 from .models.loglinear import SubsetIndex
@@ -374,7 +374,7 @@ class _Problem:
                 best,
                 StopRule(grad_tol=tol, max_iters=40),
             )
-        except Exception:
+        except DualNewtonError:
             return best
         if polish.status == CONVERGED:
             return polish.iterates[-1]

@@ -221,10 +221,6 @@ class BetaMixtureModel:
         raised = solve_spd(G, first.reshape(m * m, m).T)
         return raised.T.reshape(m, m, m)
 
-    def geometry(self, xi, alpha):
-        """Metric and second-kind symbols in one call."""
-        return self.fisher_metric(xi), self.christoffel(xi, alpha)
-
     def in_domain(self, xi):
         xi = np.asarray(xi, dtype=float)
         return (

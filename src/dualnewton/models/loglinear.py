@@ -12,7 +12,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from ..errors import DimensionMismatch, MomentInfeasible, NonFiniteValue
+from ..errors import (
+    DimensionMismatch,
+    DualNewtonError,
+    MomentInfeasible,
+    NonFiniteValue,
+)
 from ..geometry import DualStructure
 from ..linalg import solve_spd
 
@@ -163,9 +168,9 @@ def christoffel_first_kind(index, theta, alpha):
 def christoffel(index, theta, alpha):
     """Second-kind symbols, entry (A, B, C) = Gamma^C_AB."""
     m = len(index)
-    first = christoffel_first_kind(index, theta, alpha)
     if alpha == 1.0:
         return np.zeros((m, m, m))
+    first = christoffel_first_kind(index, theta, alpha)
     G = fisher_metric(index, theta)
     raised = solve_spd(G, first.reshape(m * m, m).T)
     return raised.T.reshape(m, m, m)
@@ -195,7 +200,7 @@ def moment_to_natural(index, eta, theta0=None):
             return theta
         try:
             step = solve_spd(fisher_metric(index, theta), -residual)
-        except Exception as exc:
+        except DualNewtonError as exc:
             raise MomentInfeasible(f"inner Newton solve failed: {exc}") from exc
         t = 1.0
         for _ in range(60):
@@ -210,11 +215,6 @@ def moment_to_natural(index, eta, theta0=None):
     raise MomentInfeasible(
         f"no natural parameter reproduces the moments within {_INVERSION_MAX_ITERS} iterations"
     )
-
-
-def natural_to_moment(index, theta):
-    """Forward Legendre map, mirror image of moment_to_natural."""
-    return moments(index, theta)
 
 
 def in_domain(index, theta):

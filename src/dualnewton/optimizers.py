@@ -1,4 +1,13 @@
-"""Iterative methods sharing one trace format and one stopping rule.
+"""Iterative methods sharing one iteration loop, trace format and stopping rule.
+
+The four methods differ only in how they propose a step.  One loop,
+``_iterate``, owns everything around that: the start-domain check, the
+stopping test, halving a step until its point is usable, the trace and
+the iterate path.  Each method contributes a proposer: Newton solves the
+dual-Hessian system and retracts along the primal connection, natural
+gradient and mirror descent run one strong Wolfe search along their
+descent curve in the natural and the moment chart, and Adam takes its
+Euclidean update.
 
 All four methods stop when the l2 norm of the Riemannian gradient
 coordinates a = G^{-1} grad f drops below the tolerance, so iteration
@@ -166,13 +175,15 @@ def _norms(structure, xi, eucl_grad):
     return a, float(np.linalg.norm(a)), float(np.sqrt(max(a @ G @ a, 0.0)))
 
 
-def _finite_value(obj, xi):
-    """Objective value, or None when the point is unusable."""
+def _line_value(structure, obj, xi):
+    """Objective value, or inf when the point is missing or unusable."""
+    if xi is None or not structure.contains(xi):
+        return np.inf
     try:
         f = float(obj.value(xi))
     except _POINT_ERRORS:
-        return None
-    return f if np.isfinite(f) else None
+        return np.inf
+    return f if np.isfinite(f) else np.inf
 
 
 def _evaluate(structure, obj, xi):
@@ -190,6 +201,79 @@ def _evaluate(structure, obj, xi):
     return f, grad, a, l2, gnorm
 
 
+def _accept_any(evaluation):
+    return True
+
+
+def _iterate(structure, obj, xi0, stop, propose):
+    """Retraction-based descent loop shared by the four methods.
+
+    ``propose(xi, f, grad, a)`` sees the current iterate with its value
+    (None before the first step), Euclidean gradient and gradient
+    coordinates.  It returns a final status, or ``(trial, accept, spd)``:
+    ``trial(t)`` is the candidate for t = 1, 1/2, 1/4, ... (None, or a
+    DomainViolation, when that point is unusable), ``accept`` filters
+    the evaluated candidate and ``spd`` is the step's descent
+    certificate.  The first usable, accepted candidate within 30
+    halvings becomes the next iterate.
+    """
+    stop = stop or StopRule()
+    xi = np.array(xi0, dtype=float)
+    if not structure.contains(xi):
+        raise DomainViolation(f"starting point {xi} outside the model domain")
+    trace = OptimizerTrace()
+    trace.iterates.append(xi.copy())
+    start = time.perf_counter()
+
+    f = None
+    grad = np.asarray(obj.eucl_grad(xi), dtype=float)
+    a, l2, _ = _norms(structure, xi, grad)
+    if l2 < stop.grad_tol:
+        trace.status = CONVERGED
+        return trace
+
+    for it in range(1, stop.max_iters + 1):
+        proposal = propose(xi, f, grad, a)
+        if isinstance(proposal, str):
+            trace.status = proposal
+            return trace
+        trial, accept, spd = proposal
+
+        t = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            try:
+                candidate = trial(t)
+            except DomainViolation:
+                candidate = None
+            if candidate is not None:
+                evaluation = _evaluate(structure, obj, candidate)
+                if evaluation is not None and accept(evaluation):
+                    break
+            t *= 0.5
+        else:
+            trace.status = DOMAIN_FAILURE
+            return trace
+
+        f, grad, a, l2, gnorm = evaluation
+        trace.record(
+            it,
+            f,
+            l2,
+            gnorm,
+            float(np.linalg.norm(candidate - xi)),
+            spd,
+            time.perf_counter() - start,
+        )
+        xi = candidate
+        trace.iterates.append(xi.copy())
+        if l2 < stop.grad_tol:
+            trace.status = CONVERGED
+            return trace
+
+    trace.status = MAX_ITERS
+    return trace
+
+
 def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
     """Newton iteration on the dual Hessian with quadratic retraction.
 
@@ -198,74 +282,28 @@ def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
     runs a Wolfe search along the retraction curve whenever the descent
     certificate holds.
     """
-    stop = stop or StopRule()
-    xi = np.array(xi0, dtype=float)
-    if not structure.contains(xi):
-        raise DomainViolation(f"starting point {xi} outside the model domain")
     jac = getattr(obj, "grad_field_jacobian", None)
     field_fn = gradient_field(structure, obj.eucl_grad)
-    trace = OptimizerTrace()
-    trace.iterates.append(xi.copy())
-    start = time.perf_counter()
 
-    grad = np.asarray(obj.eucl_grad(xi), dtype=float)
-    a, l2, _ = _norms(structure, xi, grad)
-    if l2 < stop.grad_tol:
-        trace.status = CONVERGED
-        return trace
-
-    for it in range(1, stop.max_iters + 1):
+    def propose(xi, f, grad, a):
         try:
             hess = dual_hessian_matrix(structure, field_fn, xi, jacobian=jac)
             beta, spd = newton_direction(structure, hess, grad, xi)
         except (SingularMatrix, NotPositiveDefinite, NonFiniteValue):
-            trace.status = SINGULAR_HESSIAN
-            return trace
+            return SINGULAR_HESSIAN
         except (DomainViolation, DivergenceUndefined, QuadratureUnderflow):
             # finite-difference probes crossed the domain boundary, so
             # no local model exists at this iterate
-            trace.status = DOMAIN_FAILURE
-            return trace
-
+            return DOMAIN_FAILURE
         if damped and spd:
             beta = _damped_newton_step(structure, obj, xi, beta)
 
-        new_xi = evaluation = None
-        trial = beta
-        for _ in range(_MAX_HALVINGS + 1):
-            try:
-                candidate = second_order_retract(structure, xi, trial)
-            except DomainViolation:
-                trial = 0.5 * trial
-                continue
-            evaluation = _evaluate(structure, obj, candidate)
-            if evaluation is None:
-                trial = 0.5 * trial
-                continue
-            new_xi = candidate
-            break
-        if new_xi is None:
-            trace.status = DOMAIN_FAILURE
-            return trace
+        def retract(t):
+            return second_order_retract(structure, xi, t * beta)
 
-        f_new, grad, a, l2, gnorm = evaluation
-        trace.record(
-            it,
-            f_new,
-            l2,
-            gnorm,
-            float(np.linalg.norm(new_xi - xi)),
-            spd,
-            time.perf_counter() - start,
-        )
-        xi = new_xi
-        trace.iterates.append(xi.copy())
-        if l2 < stop.grad_tol:
-            trace.status = CONVERGED
-            return trace
+        return retract, _accept_any, spd
 
-    trace.status = MAX_ITERS
-    return trace
+    return _iterate(structure, obj, xi0, stop, propose)
 
 
 def _damped_newton_step(structure, obj, xi, beta):
@@ -277,11 +315,7 @@ def _damped_newton_step(structure, obj, xi, beta):
         return xi + s * beta - 0.5 * s * s * curve_quad
 
     def phi(s):
-        p = point(s)
-        if not structure.contains(p):
-            return np.inf
-        f = _finite_value(obj, p)
-        return np.inf if f is None else f
+        return _line_value(structure, obj, point(s))
 
     def dphi(s):
         velocity = beta - s * curve_quad
@@ -298,43 +332,33 @@ def _damped_newton_step(structure, obj, xi, beta):
     return s * beta
 
 
-def natural_gradient_run(structure, obj, xi0, stop=None):
-    """Steepest descent in the metric with a strong Wolfe step length."""
-    stop = stop or StopRule()
-    xi = np.array(xi0, dtype=float)
-    if not structure.contains(xi):
-        raise DomainViolation(f"starting point {xi} outside the model domain")
-    trace = OptimizerTrace()
-    trace.iterates.append(xi.copy())
-    start = time.perf_counter()
+def _line_proposer(structure, obj, line):
+    """Proposer for a strong Wolfe search along a descent curve.
 
-    grad = np.asarray(obj.eucl_grad(xi), dtype=float)
-    a, l2, _ = _norms(structure, xi, grad)
-    if l2 < stop.grad_tol:
-        trace.status = CONVERGED
-        return trace
-
+    ``line(xi, grad, a)`` returns ``(point, slope)``: ``point(s)`` is
+    the curve at length s (None when it cannot be formed) and
+    ``slope(p)`` the derivative of f along the curve at such a point.
+    The curve leaves xi with slope grad . (-a).
+    """
     last_s = None
-    for it in range(1, stop.max_iters + 1):
-        direction = -a
-        f0 = float(obj.value(xi))
 
-        def phi(s, xi=xi, direction=direction, f0=f0):
-            if s == 0.0:
-                return f0
-            p = xi + s * direction
-            if not structure.contains(p):
-                return np.inf
-            f = _finite_value(obj, p)
-            return np.inf if f is None else f
+    def propose(xi, f, grad, a):
+        nonlocal last_s
+        point, slope = line(xi, grad, a)
+        f0 = float(obj.value(xi)) if f is None else f
+        slope0 = float(grad @ -a)
 
-        def dphi(s, xi=xi, direction=direction, grad=grad):
+        def phi(s):
+            return f0 if s == 0.0 else _line_value(structure, obj, point(s))
+
+        def dphi(s):
             if s == 0.0:
-                return float(grad @ direction)
-            return float(np.asarray(obj.eucl_grad(xi + s * direction)) @ direction)
+                return slope0
+            p = point(s)
+            return np.inf if p is None else slope(p)
 
         f_atol = _f_noise(f0)
-        sub_noise = abs(float(grad @ direction)) <= f_atol
+        sub_noise = abs(slope0) <= f_atol
         if sub_noise:
             # slope below the value resolution: a line search cannot
             # certify progress, so continue at the last working scale
@@ -343,42 +367,33 @@ def natural_gradient_run(structure, obj, xi0, stop=None):
             try:
                 s = wolfe_line_search(phi, dphi, 1.0, f_atol=f_atol)
             except LineSearchFailure:
-                trace.status = DOMAIN_FAILURE
-                return trace
+                return DOMAIN_FAILURE
 
-        new_xi = evaluation = None
-        for _ in range(_MAX_HALVINGS + 1):
-            candidate = xi + s * direction
-            evaluation = _evaluate(structure, obj, candidate)
-            if evaluation is not None and (
-                not sub_noise or evaluation[0] <= f0 + f_atol
-            ):
-                new_xi = candidate
-                break
-            s *= 0.5
-        if new_xi is None:
-            trace.status = DOMAIN_FAILURE
-            return trace
-        last_s = s
+        def trial(t):
+            # the last trial made is the accepted one
+            nonlocal last_s
+            last_s = s * t
+            return point(last_s)
 
-        f_new, grad, a, l2, gnorm = evaluation
-        trace.record(
-            it,
-            f_new,
-            l2,
-            gnorm,
-            float(np.linalg.norm(new_xi - xi)),
-            True,
-            time.perf_counter() - start,
+        def accept(evaluation):
+            return not sub_noise or evaluation[0] <= f0 + f_atol
+
+        return trial, accept, True
+
+    return propose
+
+
+def natural_gradient_run(structure, obj, xi0, stop=None):
+    """Steepest descent in the metric with a strong Wolfe step length."""
+
+    def line(xi, grad, a):
+        direction = -a
+        return (
+            lambda s: xi + s * direction,
+            lambda p: float(np.asarray(obj.eucl_grad(p)) @ direction),
         )
-        xi = new_xi
-        trace.iterates.append(xi.copy())
-        if l2 < stop.grad_tol:
-            trace.status = CONVERGED
-            return trace
 
-    trace.status = MAX_ITERS
-    return trace
+    return _iterate(structure, obj, xi0, stop, _line_proposer(structure, obj, line))
 
 
 def wolfe_line_search(phi, dphi, s0=1.0, c1=1e-4, c2=0.9, max_evals=60, f_atol=0.0):
@@ -470,111 +485,32 @@ def mirror_descent_run(index, obj, theta0, stop=None):
     length comes from a Wolfe search on that pullback.  Infeasible
     moment vectors show up as failed inversions and shrink the step.
     """
-    stop = stop or StopRule()
-    theta = np.array(theta0, dtype=float)
     structure = loglinear.dual_structure(index, 0.0)
-    trace = OptimizerTrace()
-    trace.iterates.append(theta.copy())
-    start = time.perf_counter()
 
-    grad = np.asarray(obj.eucl_grad(theta), dtype=float)
-    a, l2, _ = _norms(structure, theta, grad)
-    if l2 < stop.grad_tol:
-        trace.status = CONVERGED
-        return trace
-
-    last_s = None
-    for it in range(1, stop.max_iters + 1):
+    def line(theta, grad, a):
+        # d theta/d eta = G^{-1}, so the pullback leaves theta with
+        # slope -grad^T G^{-1} grad = grad . (-a)
         eta = loglinear.moments(index, theta)
         direction = -grad
-        f0 = float(obj.value(theta))
         cache = {}
 
-        def pullback(s, theta=theta, eta=eta, direction=direction, cache=cache):
-            try:
-                cand = loglinear.moment_to_natural(
-                    index, eta + s * direction, theta0=theta
-                )
-            except MomentInfeasible:
-                return None
-            cache[s] = cand
-            return cand
+        def pullback(s):
+            if s not in cache:
+                try:
+                    cache[s] = loglinear.moment_to_natural(
+                        index, eta + s * direction, theta0=theta
+                    )
+                except MomentInfeasible:
+                    return None
+            return cache[s]
 
-        def phi(s, f0=f0, cache=cache):
-            if s == 0.0:
-                return f0
-            cand = cache.get(s)
-            if cand is None:
-                cand = pullback(s)
-            if cand is None:
-                return np.inf
-            f = _finite_value(obj, cand)
-            return np.inf if f is None else f
-
-        def dphi(s, theta=theta, direction=direction, grad=grad, cache=cache):
-            if s == 0.0:
-                # d theta/d eta = G^{-1}, so the pullback slope is
-                # -grad^T G^{-1} grad
-                return float(
-                    grad @ solve_spd(loglinear.fisher_metric(index, theta), direction)
-                )
-            cand = cache.get(s)
-            if cand is None:
-                cand = pullback(s)
-            if cand is None:
-                return np.inf
+        def slope(cand):
             g = np.asarray(obj.eucl_grad(cand), dtype=float)
-            return float(
-                g @ solve_spd(loglinear.fisher_metric(index, cand), direction)
-            )
+            return float(g @ solve_spd(loglinear.fisher_metric(index, cand), direction))
 
-        f_atol = _f_noise(f0)
-        sub_noise = abs(float(dphi(0.0))) <= f_atol
-        if sub_noise:
-            s = last_s if last_s is not None else 1.0
-        else:
-            try:
-                s = wolfe_line_search(phi, dphi, 1.0, f_atol=f_atol)
-            except LineSearchFailure:
-                trace.status = DOMAIN_FAILURE
-                return trace
+        return pullback, slope
 
-        new_theta = evaluation = None
-        for _ in range(_MAX_HALVINGS + 1):
-            candidate = cache.get(s)
-            if candidate is None:
-                candidate = pullback(s)
-            if candidate is not None:
-                evaluation = _evaluate(structure, obj, candidate)
-                if evaluation is not None and (
-                    not sub_noise or evaluation[0] <= f0 + f_atol
-                ):
-                    new_theta = candidate
-                    break
-            s *= 0.5
-        if new_theta is None:
-            trace.status = DOMAIN_FAILURE
-            return trace
-        last_s = s
-
-        f_new, grad, a, l2, gnorm = evaluation
-        trace.record(
-            it,
-            f_new,
-            l2,
-            gnorm,
-            float(np.linalg.norm(new_theta - theta)),
-            True,
-            time.perf_counter() - start,
-        )
-        theta = new_theta
-        trace.iterates.append(theta.copy())
-        if l2 < stop.grad_tol:
-            trace.status = CONVERGED
-            return trace
-
-    trace.status = MAX_ITERS
-    return trace
+    return _iterate(structure, obj, theta0, stop, _line_proposer(structure, obj, line))
 
 
 def adam_run(structure, obj, xi0, stop=None, hyper=None):
@@ -585,54 +521,13 @@ def adam_run(structure, obj, xi0, stop=None, hyper=None):
     by the same norm as the other methods.  Steps leaving the domain
     are halved back toward the current point.
     """
-    stop = stop or StopRule()
     state = hyper or AdamState()
-    xi = np.array(xi0, dtype=float)
-    if not structure.contains(xi):
-        raise DomainViolation(f"starting point {xi} outside the model domain")
-    trace = OptimizerTrace()
-    trace.iterates.append(xi.copy())
-    start = time.perf_counter()
 
-    grad = np.asarray(obj.eucl_grad(xi), dtype=float)
-    a, l2, _ = _norms(structure, xi, grad)
-    if l2 < stop.grad_tol:
-        trace.status = CONVERGED
-        return trace
-
-    for it in range(1, stop.max_iters + 1):
+    def propose(xi, f, grad, a):
         delta = state.step(grad)
-        new_xi = evaluation = None
-        trial = delta
-        for _ in range(_MAX_HALVINGS + 1):
-            candidate = xi + trial
-            evaluation = _evaluate(structure, obj, candidate)
-            if evaluation is not None:
-                new_xi = candidate
-                break
-            trial = 0.5 * trial
-        if new_xi is None:
-            trace.status = DOMAIN_FAILURE
-            return trace
+        return (lambda t: xi + t * delta), _accept_any, True
 
-        f_new, grad, a, l2, gnorm = evaluation
-        trace.record(
-            it,
-            f_new,
-            l2,
-            gnorm,
-            float(np.linalg.norm(new_xi - xi)),
-            True,
-            time.perf_counter() - start,
-        )
-        xi = new_xi
-        trace.iterates.append(xi.copy())
-        if l2 < stop.grad_tol:
-            trace.status = CONVERGED
-            return trace
-
-    trace.status = MAX_ITERS
-    return trace
+    return _iterate(structure, obj, xi0, stop, propose)
 
 
 _MAX_RATIO = 0.9

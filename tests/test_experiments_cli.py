@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import py_compile
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualnewton import cli
+from dualnewton import cli, experiments
 from dualnewton.experiments import (
     ConfigError,
     RunConfig,
@@ -188,6 +189,11 @@ def test_plot_script_renders_png(tmp_path):
     out = tmp_path / "run"
     cfg = RunConfig.defaults("exp2", alphas=(0.0,), methods=("newton",))
     run_experiment(cfg, out_dir=str(out))
+    assert (out / "plot.py").exists()
+    py_compile.compile(
+        str(out / "plot.py"), cfile=str(tmp_path / "plot.pyc"), doraise=True
+    )
+    pytest.importorskip("matplotlib", reason="plot extra not installed")
     env = dict(os.environ, MPLBACKEND="Agg")
     proc = subprocess.run(
         [sys.executable, str(out / "plot.py")],
@@ -197,6 +203,16 @@ def test_plot_script_renders_png(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "convergence.png").exists()
+
+
+def test_reference_polish_does_not_hide_foreign_errors(tmp_path, monkeypatch):
+    # only package errors mean "polishing cannot improve the iterate"
+    def broken(*args, **kwargs):
+        raise RuntimeError("optimizer bug")
+
+    monkeypatch.setattr(experiments, "dual_newton_run", broken)
+    with pytest.raises(RuntimeError, match="optimizer bug"):
+        run_experiment(_quick_exp1(methods=("natgrad",)), out_dir=str(tmp_path))
 
 
 def test_singular_hessian_run_exits_3(tmp_path):

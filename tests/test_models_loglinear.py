@@ -96,10 +96,17 @@ def test_fisher_positive_definite_random():
         assert np.all(np.linalg.eigvalsh(G) > 0)
 
 
-def test_christoffel_flat_at_alpha_one():
+def test_christoffel_flat_at_alpha_one(monkeypatch):
     idx = SubsetIndex.boltzmann(3)
     rng = np.random.default_rng(9)
     theta = rng.uniform(-1, 1, size=len(idx))
+    assert np.all(loglinear.christoffel(idx, theta, 1.0) == 0.0)
+
+    # the flat connection needs no third-moment tensor at all
+    def unused(*args):
+        raise AssertionError("third central moment built at alpha = 1")
+
+    monkeypatch.setattr(loglinear, "third_central_moment", unused)
     assert np.all(loglinear.christoffel(idx, theta, 1.0) == 0.0)
 
 
@@ -166,6 +173,17 @@ def test_moment_inversion_infeasible():
     idx = SubsetIndex.boltzmann(2)
     with pytest.raises(MomentInfeasible):
         loglinear.moment_to_natural(idx, np.array([0.9, 0.9, 0.05]))
+
+
+def test_moment_inversion_does_not_hide_foreign_errors(monkeypatch):
+    # only package errors in the inner solve mean "infeasible"
+    def broken(*args):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(loglinear, "solve_spd", broken)
+    idx = SubsetIndex.boltzmann(2)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        loglinear.moment_to_natural(idx, np.array([0.3, 0.4, 0.1]))
 
 
 def test_log_partition_uniform():

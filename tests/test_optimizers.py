@@ -84,6 +84,89 @@ def test_trace_summary_counts():
     json.dumps(s)
 
 
+# ---- shared iteration loop -------------------------------------------------
+
+
+def run_method(method, index, ds, obj, xi0, stop=None):
+    """Run any of the four methods; mirror descent takes the index."""
+    problem = index if method is opt.mirror_descent_run else ds
+    return method(problem, obj, xi0, stop)
+
+
+ALL_RUNS = pytest.mark.parametrize(
+    "method",
+    [
+        opt.dual_newton_run,
+        opt.natural_gradient_run,
+        opt.mirror_descent_run,
+        opt.adam_run,
+    ],
+    ids=lambda m: m.__name__,
+)
+
+
+@ALL_RUNS
+def test_stationary_start_zero_iterations(method):
+    index, obj, ds, _ = kl_problem(2)
+    tr = run_method(method, index, ds, obj, obj._theta_hat)
+    assert tr.status == opt.CONVERGED
+    assert tr.n_iterations == 0
+    assert len(tr.iterates) == 1
+
+
+@ALL_RUNS
+def test_rejects_start_outside_domain(method):
+    if method is opt.mirror_descent_run:
+        # the log-linear chart is all of R^m; only non-finite points leave it
+        index, obj, ds, _ = kl_problem(2)
+        xi0 = np.full(len(index), np.nan)
+    else:
+        index = None
+        ds = euclidean_structure(1, in_domain=lambda xi: xi[0] > 0)
+        obj = quadratic_objective([2.0])
+        xi0 = np.array([-1.0])
+    with pytest.raises(DomainViolation, match="outside the model domain"):
+        run_method(method, index, ds, obj, xi0)
+
+
+def counting_objective(obj):
+    """Wrap obj so that its value and gradient calls are counted."""
+    counts = {"value": 0, "eucl_grad": 0}
+
+    def counted(name, fn):
+        def call(x):
+            counts[name] += 1
+            return fn(x)
+
+        return call
+
+    wrapped = Objective(
+        dim=obj.dim,
+        value=counted("value", obj.value),
+        eucl_grad=counted("eucl_grad", obj.eucl_grad),
+    )
+    return wrapped, counts
+
+
+@pytest.mark.parametrize(
+    "method, expected",
+    [
+        # the line searches take the value at the iterate from the loop,
+        # which computed it when it accepted that point
+        (opt.natural_gradient_run, {"value": 29, "eucl_grad": 12}),
+        (opt.mirror_descent_run, {"value": 23, "eucl_grad": 12}),
+    ],
+    ids=["natgrad", "mirror"],
+)
+def test_line_search_runs_reuse_the_iterate_value(method, expected):
+    index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
+    counted, counts = counting_objective(obj)
+    x0 = np.full(len(index), 0.2)
+    tr = run_method(method, index, ds, counted, x0, opt.StopRule(max_iters=5))
+    assert tr.n_iterations == 5
+    assert counts == expected
+
+
 # ---- line search -----------------------------------------------------------
 
 
@@ -124,14 +207,6 @@ def test_wolfe_fails_on_unbounded_ray():
 # ---- dual newton -----------------------------------------------------------
 
 
-def test_newton_stationary_start_zero_iterations():
-    index, obj, ds, _ = kl_problem(2)
-    tr = opt.dual_newton_run(ds, obj, obj._theta_hat)
-    assert tr.status == opt.CONVERGED
-    assert tr.n_iterations == 0
-    assert len(tr.iterates) == 1
-
-
 def test_newton_scalar_first_iterate():
     # hand-checked: beta = -(grad/G) / (1 + (2 lam + G')/G) at theta=1
     _, obj, ds = scalar_problem(lam=0.5)
@@ -147,13 +222,6 @@ def test_newton_scalar_converges_quadratically():
     assert tr.status == opt.CONVERGED
     assert tr.n_iterations >= 4
     assert opt.convergence_order(tr, np.zeros(1)) >= 1.8
-
-
-def test_newton_rejects_start_outside_domain():
-    ds = euclidean_structure(1, in_domain=lambda xi: xi[0] > 0)
-    obj = quadratic_objective([2.0])
-    with pytest.raises(DomainViolation):
-        opt.dual_newton_run(ds, obj, np.array([-1.0]))
 
 
 def test_newton_projection_direction_matches_natural_gradient():
@@ -278,12 +346,6 @@ def test_mirror_descent_converges_on_projection():
     tr = opt.mirror_descent_run(index, obj, np.full(len(index), 0.2))
     assert tr.status == opt.CONVERGED
     assert tr.grad_l2[-1] < 1e-6
-
-
-def test_mirror_descent_stationary_start():
-    index, obj, _, _ = kl_problem(2)
-    tr = opt.mirror_descent_run(index, obj, obj._theta_hat)
-    assert tr.status == opt.CONVERGED and tr.n_iterations == 0
 
 
 # ---- adam ------------------------------------------------------------------
