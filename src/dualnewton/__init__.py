@@ -21,13 +21,13 @@ from .errors import (
     SingularMatrix,
 )
 from .geometry import (
+    DualPoint,
     DualStructure,
     dual_hessian_matrix,
     duality_residual,
     gradient_field,
     levi_civita_from_metric,
     newton_direction,
-    riemannian_gradient,
     second_order_retract,
 )
 from .linalg import FDScheme, fd_jacobian, is_spd, solve_general, solve_spd
@@ -69,6 +69,7 @@ __all__ = [
     "DivergenceUndefined",
     "DomainViolation",
     "DualNewtonError",
+    "DualPoint",
     "DualStructure",
     "FDScheme",
     "InsufficientIterations",
@@ -99,7 +100,6 @@ __all__ = [
     "mirror_step",
     "natural_gradient_run",
     "newton_direction",
-    "riemannian_gradient",
     "run_experiment",
     "run_validation",
     "second_order_retract",

@@ -2,10 +2,18 @@
 
 Conventions used throughout:
 
-* a metric callable maps coordinates to the SPD Gram matrix G(xi);
-* a Christoffel callable maps coordinates to a second-kind tensor with
-  entry (i, j, k) = Gamma^k_ij, upper index last;
+* ``structure.at(xi)`` evaluates the geometry once at a point and
+  returns a DualPoint: the SPD Gram matrix G(xi), solves against it,
+  and the Christoffel symbols of both connections, each built on first
+  read and kept;
+* Christoffel symbols are second-kind tensors with entry (i, j, k) =
+  Gamma^k_ij, upper index last;
 * the Riemannian gradient is stored by its coordinates a = G^{-1} grad f.
+
+The functions below take a structure and a point xi and read the
+geometry through ``structure.at(xi)``.  A DualPoint may stand in for
+its structure: at its own xi it answers from what it already holds,
+anywhere else it evaluates its structure afresh.
 
 The dual Hessian matrix of a gradient field a is
 
@@ -17,6 +25,7 @@ exactly when the step is a descent direction.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,14 +36,21 @@ from .linalg import fd_jacobian, is_spd, solve_general, solve_spd
 
 @dataclass(frozen=True)
 class DualStructure:
-    """A metric with a pair of connections dual with respect to it."""
+    """A metric with a pair of connections dual with respect to it.
+
+    ``point(structure, xi)`` is the model's hook that evaluates the
+    geometry at xi as a DualPoint; ``alpha`` selects the primal
+    connection, whose dual is the (-alpha)-connection.
+    """
 
     dim: int
-    metric: Callable
-    gamma: Callable
-    gamma_dual: Callable
+    point: Callable
     alpha: float
     in_domain: Optional[Callable] = None
+
+    def at(self, xi):
+        """The geometry at xi, evaluated once."""
+        return self.point(self, np.array(xi, dtype=float))
 
     def contains(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -42,17 +58,54 @@ class DualStructure:
             return False
         return bool(self.in_domain(xi)) if self.in_domain is not None else True
 
+    def metric(self, xi):
+        return self.at(xi).G
 
-def riemannian_gradient(structure, eucl_grad, xi):
-    """Coordinates of the metric gradient: solve G(xi) a = eucl_grad."""
-    return solve_spd(structure.metric(xi), np.asarray(eucl_grad, dtype=float))
+    def gamma(self, xi):
+        return self.at(xi).gamma
+
+    def gamma_dual(self, xi):
+        return self.at(xi).gamma_dual
+
+
+@dataclass(eq=False)
+class DualPoint:
+    """The geometry of a DualStructure at one point xi.
+
+    Holds the metric G; ``symbols(alpha)`` gives the second-kind
+    alpha-connection symbols at xi.  ``gamma`` (+alpha) and
+    ``gamma_dual`` (-alpha) call it on first read only.
+    """
+
+    structure: DualStructure
+    xi: np.ndarray
+    G: np.ndarray
+    symbols: Callable
+
+    def at(self, xi):
+        """This point at its own xi, otherwise the structure at xi."""
+        if xi is self.xi or np.array_equal(xi, self.xi):
+            return self
+        return self.structure.at(xi)
+
+    def solve(self, b):
+        """G^{-1} b, e.g. the gradient coordinates of a Euclidean gradient."""
+        return solve_spd(self.G, b)
+
+    @cached_property
+    def gamma(self):
+        return self.symbols(self.structure.alpha)
+
+    @cached_property
+    def gamma_dual(self):
+        return self.symbols(-self.structure.alpha)
 
 
 def gradient_field(structure, eucl_grad_fn):
     """Wrap a Euclidean gradient function into the field xi -> G^{-1} grad f."""
 
     def field(xi):
-        return solve_spd(structure.metric(xi), eucl_grad_fn(xi))
+        return structure.at(xi).solve(eucl_grad_fn(xi))
 
     return field
 
@@ -68,8 +121,7 @@ def dual_hessian_matrix(structure, grad_field, xi, jacobian=None, scheme=None):
     J = np.asarray(jacobian(xi)) if jacobian is not None else fd_jacobian(
         grad_field, xi, scheme
     )
-    gamma_dual = structure.gamma_dual(xi)
-    return J + np.einsum("k,ikj->ij", a, gamma_dual)
+    return J + np.einsum("k,ikj->ij", a, structure.at(xi).gamma_dual)
 
 
 def newton_direction(structure, hess, eucl_grad, xi):
@@ -81,11 +133,11 @@ def newton_direction(structure, hess, eucl_grad, xi):
     """
     xi = np.asarray(xi, dtype=float)
     eucl_grad = np.asarray(eucl_grad, dtype=float)
-    G = structure.metric(xi)
-    spd_flag = is_spd(G @ hess.T)
+    point = structure.at(xi)
+    spd_flag = is_spd(point.G @ hess.T)
     if not np.any(eucl_grad):
         return np.zeros_like(eucl_grad), spd_flag
-    a = solve_spd(G, eucl_grad)
+    a = point.solve(eucl_grad)
     beta = solve_general(hess.T, -a)
     return beta, spd_flag
 
@@ -99,9 +151,9 @@ def second_order_retract(structure, xi, beta):
     """
     xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    gamma = structure.gamma(xi)
-    new = xi + beta - 0.5 * np.einsum("jki,j,k->i", gamma, beta, beta)
-    if not structure.contains(new):
+    point = structure.at(xi)
+    new = xi + beta - 0.5 * np.einsum("jki,j,k->i", point.gamma, beta, beta)
+    if not point.structure.contains(new):
         raise DomainViolation(f"retraction left the chart domain at {new}")
     return new
 
@@ -117,13 +169,16 @@ def metric_derivatives(metric, xi, scheme=None):
 def levi_civita_from_metric(metric, xi, scheme=None):
     """Second-kind Levi-Civita symbols from finite differences of g."""
     xi = np.asarray(xi, dtype=float)
-    n = xi.size
     dg = metric_derivatives(metric, xi, scheme)
     # first kind: Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
     first = 0.5 * (dg + dg.transpose(1, 0, 2) - np.einsum("kij->ijk", dg))
-    G = np.asarray(metric(xi), dtype=float)
-    raised = solve_spd(G, first.reshape(n * n, n).T)
-    return raised.T.reshape(n, n, n)
+    return raise_index(first, np.asarray(metric(xi), dtype=float))
+
+
+def raise_index(first, G):
+    """Second-kind symbols Gamma^k_ij = sum_s g^ks Gamma_{ij,s}."""
+    n = G.shape[0]
+    return solve_spd(G, first.reshape(n * n, n).T).T.reshape(n, n, n)
 
 
 def lower_index(gamma, G):
@@ -134,9 +189,9 @@ def lower_index(gamma, G):
 def duality_residual(structure, xi, scheme=None):
     """Max violation of d_k g_ij = Gamma_{ki,j} + GammaDual_{kj,i}."""
     xi = np.asarray(xi, dtype=float)
-    G = np.asarray(structure.metric(xi), dtype=float)
-    dg = metric_derivatives(structure.metric, xi, scheme)
-    low = lower_index(structure.gamma(xi), G)
-    low_dual = lower_index(structure.gamma_dual(xi), G)
+    point = structure.at(xi)
+    dg = metric_derivatives(point.structure.metric, xi, scheme)
+    low = lower_index(point.gamma, point.G)
+    low_dual = lower_index(point.gamma_dual, point.G)
     residual = dg - low - np.transpose(low_dual, (0, 2, 1))
     return float(np.max(np.abs(residual)))

@@ -78,23 +78,26 @@ def solve_spd(A, b):
 def solve_general(A, b):
     """Solve A x = b by LU with partial pivoting.
 
-    Raises SingularMatrix when some pivot falls below
-    1e-14 * ||A||_inf, instead of returning garbage.
+    Raises NonFiniteValue when A or b holds a NaN or infinity, and
+    SingularMatrix when some pivot falls below 1e-14 * ||A||_inf,
+    instead of returning garbage.
     """
     A = _as_square(A)
     b = _check_rhs(A, b)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NonFiniteValue("solve_general received a NaN or infinite entry")
     norm = float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
     if norm == 0.0:
         raise SingularMatrix("zero matrix")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=True)
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if np.any(pivots < _SINGULAR_RTOL * norm):
         raise SingularMatrix(
             f"pivot ratio {pivots.min() / norm:.3e} below {_SINGULAR_RTOL:.0e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), b)
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def is_spd(A, tol=0.0):

@@ -15,8 +15,9 @@ import numpy as np
 from scipy.special import betaln, digamma, logsumexp, polygamma
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
-from ..geometry import DualStructure
-from ..linalg import solve_spd
+from ..geometry import DualPoint, DualStructure, raise_index
+# not called here; perfbench/test_perfbench.py checks the tracer rebinds it
+from ..linalg import solve_spd  # noqa: F401
 
 _LOG_TINY = -708.0  # below this, exp underflows to zero in float64
 
@@ -77,6 +78,18 @@ def _check_shapes(xi, n_components):
     return xi
 
 
+def _metric(ev):
+    """Fisher metric: the density-weighted mean of s s^T over the nodes."""
+    return np.einsum("n,ni,nj->ij", ev["wp"], ev["s"], ev["s"])
+
+
+def _first_kind(ev, alpha):
+    """First-kind alpha-connection symbols E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k]."""
+    c = 0.5 * (1.0 - alpha)
+    integrand = ev["second"] + c * ev["s"][:, :, None] * ev["s"][:, None, :]
+    return np.einsum("n,nij,nk->ijk", ev["wp"], integrand, ev["s"])
+
+
 @dataclass
 class BetaMixtureModel:
     """Fixed-weight Beta mixture with generating shapes for sampling."""
@@ -99,7 +112,6 @@ class BetaMixtureModel:
             raise ValueError("weights must be positive and sum to one")
         if np.any(self.alphas <= 0) or np.any(self.betas <= 0):
             raise ValueError("generating shapes must be positive")
-        self._node_cache = {}
 
     @property
     def n_components(self):
@@ -172,10 +184,9 @@ class BetaMixtureModel:
     # ---- quadrature geometry --------------------------------------------
 
     def _node_eval(self, xi):
+        """Density weights, scores and second log-derivatives at every
+        quadrature node: everything the metric and the symbols read."""
         xi = _check_shapes(xi, self.n_components)
-        key = xi.tobytes()
-        if key in self._node_cache:
-            return self._node_cache[key]
         points, w = self.quadrature.grid()
         s, resp, (u_a, u_b), logp = self.scores(xi, points)
         if float(np.max(logp)) < _LOG_TINY:
@@ -198,28 +209,22 @@ class BetaMixtureModel:
             second[:, i, i + 1] = cross
             second[:, i + 1, i] = cross
         second -= s[:, :, None] * s[:, None, :]
-        out = {"wp": wp, "s": s, "second": second}
-        if len(self._node_cache) >= 8:
-            self._node_cache.pop(next(iter(self._node_cache)))
-        self._node_cache[key] = out
-        return out
+        return {"wp": wp, "s": s, "second": second}
+
+    def point(self, structure, xi):
+        """The geometry at xi from one pass over the quadrature nodes."""
+        ev = self._node_eval(xi)
+        G = _metric(ev)
+        return DualPoint(
+            structure, xi, G, lambda alpha: raise_index(_first_kind(ev, alpha), G)
+        )
 
     def fisher_metric(self, xi):
-        ev = self._node_eval(xi)
-        return np.einsum("n,ni,nj->ij", ev["wp"], ev["s"], ev["s"])
-
-    def christoffel_first_kind(self, xi, alpha):
-        ev = self._node_eval(xi)
-        c = 0.5 * (1.0 - alpha)
-        integrand = ev["second"] + c * ev["s"][:, :, None] * ev["s"][:, None, :]
-        return np.einsum("n,nij,nk->ijk", ev["wp"], integrand, ev["s"])
+        return _metric(self._node_eval(xi))
 
     def christoffel(self, xi, alpha):
-        m = self.dim
-        first = self.christoffel_first_kind(xi, alpha)
-        G = self.fisher_metric(xi)
-        raised = solve_spd(G, first.reshape(m * m, m).T)
-        return raised.T.reshape(m, m, m)
+        """Second-kind symbols, entry (i, j, k) = Gamma^k_ij."""
+        return self.dual_structure(alpha).gamma(xi)
 
     def in_domain(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -231,12 +236,7 @@ class BetaMixtureModel:
 
     def dual_structure(self, alpha):
         return DualStructure(
-            dim=self.dim,
-            metric=self.fisher_metric,
-            gamma=lambda xi: self.christoffel(xi, alpha),
-            gamma_dual=lambda xi: self.christoffel(xi, -alpha),
-            alpha=alpha,
-            in_domain=self.in_domain,
+            dim=self.dim, point=self.point, alpha=alpha, in_domain=self.in_domain
         )
 
     # ---- sampling --------------------------------------------------------

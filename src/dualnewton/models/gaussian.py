@@ -5,10 +5,12 @@ and the alpha-connection symbols have closed forms, which makes this the
 reference model for checking the finite-difference paths elsewhere.
 """
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import DomainViolation
-from ..geometry import DualStructure
+from ..geometry import DualPoint, DualStructure
 
 
 def _check(xi):
@@ -44,15 +46,12 @@ def in_domain(xi):
     return xi.shape == (2,) and bool(np.all(np.isfinite(xi))) and xi[1] > 0
 
 
+def point(structure, xi):
+    return DualPoint(structure, xi, fisher_metric(xi), partial(christoffel, xi))
+
+
 def dual_structure(alpha):
-    return DualStructure(
-        dim=2,
-        metric=fisher_metric,
-        gamma=lambda xi: christoffel(xi, alpha),
-        gamma_dual=lambda xi: christoffel(xi, -alpha),
-        alpha=alpha,
-        in_domain=in_domain,
-    )
+    return DualStructure(dim=2, point=point, alpha=alpha, in_domain=in_domain)
 
 
 def log_density(x, xi):

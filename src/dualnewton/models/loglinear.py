@@ -7,7 +7,7 @@ expectations are exact enumerations over the 2^n states, so n stays small.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -18,7 +18,7 @@ from ..errors import (
     MomentInfeasible,
     NonFiniteValue,
 )
-from ..geometry import DualStructure
+from ..geometry import DualPoint, DualStructure, raise_index
 from ..linalg import solve_spd
 
 # Enumeration over 2^n states; keep n well below memory trouble.
@@ -171,9 +171,7 @@ def christoffel(index, theta, alpha):
     if alpha == 1.0:
         return np.zeros((m, m, m))
     first = christoffel_first_kind(index, theta, alpha)
-    G = fisher_metric(index, theta)
-    raised = solve_spd(G, first.reshape(m * m, m).T)
-    return raised.T.reshape(m, m, m)
+    return raise_index(first, fisher_metric(index, theta))
 
 
 def moment_to_natural(index, eta, theta0=None):
@@ -223,11 +221,17 @@ def in_domain(index, theta):
 
 
 def dual_structure(index, alpha):
+    def point(structure, theta):
+        return DualPoint(
+            structure,
+            theta,
+            fisher_metric(index, theta),
+            partial(christoffel, index, theta),
+        )
+
     return DualStructure(
         dim=len(index),
-        metric=lambda th: fisher_metric(index, th),
-        gamma=lambda th: christoffel(index, th, alpha),
-        gamma_dual=lambda th: christoffel(index, th, -alpha),
+        point=point,
         alpha=alpha,
         in_domain=lambda th: in_domain(index, th),
     )

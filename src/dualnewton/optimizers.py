@@ -168,11 +168,10 @@ def _f_noise(f0):
     return 32.0 * EPS * (1.0 + abs(f0))
 
 
-def _norms(structure, xi, eucl_grad):
-    """(a, l2, g-norm) of the Riemannian gradient coordinates."""
-    G = structure.metric(xi)
-    a = solve_spd(G, eucl_grad)
-    return a, float(np.linalg.norm(a)), float(np.sqrt(max(a @ G @ a, 0.0)))
+def _norms(point, eucl_grad):
+    """(a, l2, g-norm) of the Riemannian gradient coordinates at a DualPoint."""
+    a = point.solve(eucl_grad)
+    return a, float(np.linalg.norm(a)), float(np.sqrt(max(a @ point.G @ a, 0.0)))
 
 
 def _line_value(structure, obj, xi):
@@ -187,18 +186,20 @@ def _line_value(structure, obj, xi):
 
 
 def _evaluate(structure, obj, xi):
-    """(f, grad, a, l2, gnorm) at xi, or None when the point is unusable."""
+    """(f, grad, a, l2, gnorm, point) at xi, or None when the point is
+    unusable; ``point`` is the geometry at xi."""
     if not structure.contains(xi):
         return None
     try:
         f = float(obj.value(xi))
         grad = np.asarray(obj.eucl_grad(xi), dtype=float)
-        a, l2, gnorm = _norms(structure, xi, grad)
+        point = structure.at(xi)
+        a, l2, gnorm = _norms(point, grad)
     except _POINT_ERRORS:
         return None
     if not (np.isfinite(f) and np.all(np.isfinite(grad)) and np.isfinite(l2)):
         return None
-    return f, grad, a, l2, gnorm
+    return f, grad, a, l2, gnorm, point
 
 
 def _accept_any(evaluation):
@@ -208,8 +209,9 @@ def _accept_any(evaluation):
 def _iterate(structure, obj, xi0, stop, propose):
     """Retraction-based descent loop shared by the four methods.
 
-    ``propose(xi, f, grad, a)`` sees the current iterate with its value
-    (None before the first step), Euclidean gradient and gradient
+    ``propose(point, f, grad, a)`` sees the current iterate as a
+    DualPoint (its geometry, evaluated once) with its value (None
+    before the first step), Euclidean gradient and gradient
     coordinates.  It returns a final status, or ``(trial, accept, spd)``:
     ``trial(t)`` is the candidate for t = 1, 1/2, 1/4, ... (None, or a
     DomainViolation, when that point is unusable), ``accept`` filters
@@ -227,13 +229,14 @@ def _iterate(structure, obj, xi0, stop, propose):
 
     f = None
     grad = np.asarray(obj.eucl_grad(xi), dtype=float)
-    a, l2, _ = _norms(structure, xi, grad)
+    point = structure.at(xi)
+    a, l2, _ = _norms(point, grad)
     if l2 < stop.grad_tol:
         trace.status = CONVERGED
         return trace
 
     for it in range(1, stop.max_iters + 1):
-        proposal = propose(xi, f, grad, a)
+        proposal = propose(point, f, grad, a)
         if isinstance(proposal, str):
             trace.status = proposal
             return trace
@@ -254,7 +257,7 @@ def _iterate(structure, obj, xi0, stop, propose):
             trace.status = DOMAIN_FAILURE
             return trace
 
-        f, grad, a, l2, gnorm = evaluation
+        f, grad, a, l2, gnorm, point = evaluation
         trace.record(
             it,
             f,
@@ -283,12 +286,15 @@ def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
     certificate holds.
     """
     jac = getattr(obj, "grad_field_jacobian", None)
-    field_fn = gradient_field(structure, obj.eucl_grad)
 
-    def propose(xi, f, grad, a):
+    def propose(point, f, grad, a):
+        # the point stands in for the structure: G, Gamma* and Gamma at
+        # xi come from it, finite-difference probes evaluate afresh
+        xi = point.xi
         try:
-            hess = dual_hessian_matrix(structure, field_fn, xi, jacobian=jac)
-            beta, spd = newton_direction(structure, hess, grad, xi)
+            field = gradient_field(point, obj.eucl_grad)
+            hess = dual_hessian_matrix(point, field, xi, jacobian=jac)
+            beta, spd = newton_direction(point, hess, grad, xi)
         except (SingularMatrix, NotPositiveDefinite, NonFiniteValue):
             return SINGULAR_HESSIAN
         except (DomainViolation, DivergenceUndefined, QuadratureUnderflow):
@@ -296,30 +302,30 @@ def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
             # no local model exists at this iterate
             return DOMAIN_FAILURE
         if damped and spd:
-            beta = _damped_newton_step(structure, obj, xi, beta)
+            beta = _damped_newton_step(point, obj, beta)
 
         def retract(t):
-            return second_order_retract(structure, xi, t * beta)
+            return second_order_retract(point, xi, t * beta)
 
         return retract, _accept_any, spd
 
     return _iterate(structure, obj, xi0, stop, propose)
 
 
-def _damped_newton_step(structure, obj, xi, beta):
+def _damped_newton_step(point, obj, beta):
     """Scale beta by a Wolfe step length along the retraction curve."""
-    gamma = structure.gamma(xi)
-    curve_quad = np.einsum("jki,j,k->i", gamma, beta, beta)
+    xi = point.xi
+    curve_quad = np.einsum("jki,j,k->i", point.gamma, beta, beta)
 
-    def point(s):
+    def curve(s):
         return xi + s * beta - 0.5 * s * s * curve_quad
 
     def phi(s):
-        return _line_value(structure, obj, point(s))
+        return _line_value(point.structure, obj, curve(s))
 
     def dphi(s):
         velocity = beta - s * curve_quad
-        return float(np.asarray(obj.eucl_grad(point(s))) @ velocity)
+        return float(np.asarray(obj.eucl_grad(curve(s))) @ velocity)
 
     f_atol = _f_noise(phi(0.0))
     if abs(dphi(0.0)) <= f_atol:
@@ -335,26 +341,27 @@ def _damped_newton_step(structure, obj, xi, beta):
 def _line_proposer(structure, obj, line):
     """Proposer for a strong Wolfe search along a descent curve.
 
-    ``line(xi, grad, a)`` returns ``(point, slope)``: ``point(s)`` is
+    ``line(xi, grad, a)`` returns ``(curve, slope)``: ``curve(s)`` is
     the curve at length s (None when it cannot be formed) and
     ``slope(p)`` the derivative of f along the curve at such a point.
     The curve leaves xi with slope grad . (-a).
     """
     last_s = None
 
-    def propose(xi, f, grad, a):
+    def propose(point, f, grad, a):
         nonlocal last_s
-        point, slope = line(xi, grad, a)
+        xi = point.xi
+        curve, slope = line(xi, grad, a)
         f0 = float(obj.value(xi)) if f is None else f
         slope0 = float(grad @ -a)
 
         def phi(s):
-            return f0 if s == 0.0 else _line_value(structure, obj, point(s))
+            return f0 if s == 0.0 else _line_value(structure, obj, curve(s))
 
         def dphi(s):
             if s == 0.0:
                 return slope0
-            p = point(s)
+            p = curve(s)
             return np.inf if p is None else slope(p)
 
         f_atol = _f_noise(f0)
@@ -373,7 +380,7 @@ def _line_proposer(structure, obj, line):
             # the last trial made is the accepted one
             nonlocal last_s
             last_s = s * t
-            return point(last_s)
+            return curve(last_s)
 
         def accept(evaluation):
             return not sub_noise or evaluation[0] <= f0 + f_atol
@@ -523,9 +530,9 @@ def adam_run(structure, obj, xi0, stop=None, hyper=None):
     """
     state = hyper or AdamState()
 
-    def propose(xi, f, grad, a):
+    def propose(point, f, grad, a):
         delta = state.step(grad)
-        return (lambda t: xi + t * delta), _accept_any, True
+        return (lambda t: point.xi + t * delta), _accept_any, True
 
     return _iterate(structure, obj, xi0, stop, propose)
 

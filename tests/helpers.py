@@ -2,20 +2,17 @@
 
 import numpy as np
 
-from dualnewton.geometry import DualStructure
+from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import EPS
 
 
 def euclidean_structure(n, in_domain=None):
-    zero = lambda xi: np.zeros((n, n, n))
-    return DualStructure(
-        dim=n,
-        metric=lambda xi: np.eye(n),
-        gamma=zero,
-        gamma_dual=zero,
-        alpha=0.0,
-        in_domain=in_domain,
-    )
+    """Identity metric with flat connections on R^n (or a guarded part)."""
+
+    def point(structure, xi):
+        return DualPoint(structure, xi, np.eye(n), lambda alpha: np.zeros((n, n, n)))
+
+    return DualStructure(dim=n, point=point, alpha=0.0, in_domain=in_domain)
 
 
 def fd_hessian(f, x):

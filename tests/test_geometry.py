@@ -5,36 +5,29 @@ from numpy.testing import assert_allclose
 from dualnewton import geometry
 from dualnewton.errors import DomainViolation, SingularMatrix
 from dualnewton.geometry import (
-    DualStructure,
     dual_hessian_matrix,
     duality_residual,
     gradient_field,
     levi_civita_from_metric,
     newton_direction,
-    riemannian_gradient,
     second_order_retract,
 )
 from dualnewton.models import gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.models.loglinear import SubsetIndex
 
-
-def euclidean_structure(n):
-    zero = lambda xi: np.zeros((n, n, n))
-    return DualStructure(
-        dim=n, metric=lambda xi: np.eye(n), gamma=zero, gamma_dual=zero, alpha=0.0
-    )
+from helpers import euclidean_structure
 
 
 def test_riemannian_gradient_identity_metric():
     ds = euclidean_structure(3)
     g = np.array([1.0, -2.0, 0.5])
-    assert_allclose(riemannian_gradient(ds, g, np.zeros(3)), g)
+    assert_allclose(ds.at(np.zeros(3)).solve(g), g)
 
 
 def test_riemannian_gradient_gaussian_diagonal():
     ds = gaussian.dual_structure(0.0)
-    a = riemannian_gradient(ds, np.array([1.0, 2.0]), np.array([0.0, 2.0]))
+    a = ds.at(np.array([0.0, 2.0])).solve(np.array([1.0, 2.0]))
     assert_allclose(a, [2.0, 2.0], rtol=1e-14)
 
 
@@ -133,15 +126,7 @@ def test_retract_zero_step_fixed_point():
 
 
 def test_retract_domain_violation():
-    ds = euclidean_structure(2)
-    guarded = DualStructure(
-        dim=2,
-        metric=ds.metric,
-        gamma=ds.gamma,
-        gamma_dual=ds.gamma_dual,
-        alpha=0.0,
-        in_domain=lambda xi: xi[1] > 0,
-    )
+    guarded = euclidean_structure(2, in_domain=lambda xi: xi[1] > 0)
     with pytest.raises(DomainViolation):
         second_order_retract(guarded, np.array([0.0, 1.0]), np.array([0.0, -2.0]))
 

@@ -65,6 +65,15 @@ def test_solve_general_singular():
         solve_general(np.zeros((2, 2)), np.ones(2))
 
 
+def test_solve_general_nonfinite():
+    # a NaN or infinity fails as the package's NonFiniteValue, which the
+    # Newton step catches, and not as a bare ValueError from LAPACK's check
+    with pytest.raises(NonFiniteValue):
+        solve_general(np.array([[2.0, 0.0], [0.0, np.nan]]), np.ones(2))
+    with pytest.raises(NonFiniteValue):
+        solve_general(np.eye(2), np.array([1.0, np.inf]))
+
+
 @pytest.mark.parametrize("n", [2, 7, 33])
 def test_solve_general_residual_random(n):
     rng = np.random.default_rng(100 + n)

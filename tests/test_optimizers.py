@@ -10,9 +10,11 @@ from dualnewton.errors import (
     InsufficientIterations,
     LineSearchFailure,
 )
+from dualnewton.experiments import MIXTURE_INIT, gen_dataset
+from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import solve_spd
 from dualnewton.models import loglinear
-from dualnewton.objectives import KLProjectionObjective, Objective
+from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective, Objective
 
 from helpers import euclidean_structure
 
@@ -287,6 +289,59 @@ def test_newton_does_not_mutate_inputs():
     opt.dual_newton_run(ds, obj, xi0)
     np.testing.assert_array_equal(xi0, xi0_copy)
     np.testing.assert_array_equal(obj.eta_hat, eta_before)
+
+
+def test_newton_evaluates_the_quadrature_once_per_iterate(monkeypatch):
+    # the metric for the stopping norm, Gamma* for the Hessian and Gamma
+    # for the retraction all come from the point built when the iterate
+    # was accepted; finite-difference probes of the field are not iterates
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    n_nodes = model.quadrature.n_nodes**2
+    scores = model.scores
+    evaluated = []
+
+    def counting_scores(xi, x):
+        if len(x) == n_nodes:
+            evaluated.append(np.asarray(xi, dtype=float).tobytes())
+        return scores(xi, x)
+
+    monkeypatch.setattr(model, "scores", counting_scores)
+    tr = opt.dual_newton_run(
+        model.dual_structure(0.0),
+        BetaMixtureNLL(model, data),
+        np.array(MIXTURE_INIT),
+        opt.StopRule(max_iters=6),
+    )
+    assert tr.n_iterations >= 2
+    assert [evaluated.count(p.tobytes()) for p in tr.iterates] == [1] * len(
+        tr.iterates
+    )
+
+
+def test_newton_builds_each_connection_once_per_iterate_across_halvings():
+    built = []
+
+    def point(structure, xi):
+        def symbols(alpha):
+            built.append((xi.tobytes(), alpha))
+            return np.zeros((2, 2, 2))
+
+        return DualPoint(structure, xi, np.eye(2), symbols)
+
+    # the minimizer (0, 2) lies outside the domain, so every unit step
+    # overshoots and is halved several times
+    ds = DualStructure(dim=2, point=point, alpha=0.5, in_domain=lambda xi: xi[1] < 0.7)
+    center = np.array([0.0, 2.0])
+    tr = opt.dual_newton_run(
+        ds, quadratic_objective(center), np.zeros(2), opt.StopRule(max_iters=4)
+    )
+    assert tr.status == opt.MAX_ITERS
+    for p, step in zip(tr.iterates, tr.step_norms):
+        assert step <= 0.25 * np.linalg.norm(center - p) + 1e-12
+    # Gamma (+alpha) and Gamma* (-alpha) once per proposed step; the
+    # last iterate proposes nothing
+    expected = [(p.tobytes(), a) for p in tr.iterates[:-1] for a in (-0.5, 0.5)]
+    assert sorted(built) == sorted(expected)
 
 
 # ---- natural gradient ------------------------------------------------------
