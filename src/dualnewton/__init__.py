@@ -30,7 +30,7 @@ from .geometry import (
     newton_direction,
     second_order_retract,
 )
-from .linalg import FDScheme, fd_jacobian, is_spd, solve_general, solve_spd
+from .linalg import fd_jacobian, is_spd, solve_general, solve_spd
 from .objectives import (
     AlphaDivergenceObjective,
     BetaMixtureNLL,
@@ -71,7 +71,6 @@ __all__ = [
     "DualNewtonError",
     "DualPoint",
     "DualStructure",
-    "FDScheme",
     "InsufficientIterations",
     "KLProjectionObjective",
     "LineSearchFailure",

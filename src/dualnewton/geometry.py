@@ -73,8 +73,9 @@ class DualPoint:
     """The geometry of a DualStructure at one point xi.
 
     Holds the metric G; ``symbols(alpha)`` gives the second-kind
-    alpha-connection symbols at xi.  ``gamma`` (+alpha) and
-    ``gamma_dual`` (-alpha) call it on first read only.
+    alpha-connection symbols at xi, built from per-point state that the
+    model's hook keeps for as long as the point lives.  ``gamma``
+    (+alpha) and ``gamma_dual`` (-alpha) call it on first read only.
     """
 
     structure: DualStructure
@@ -110,7 +111,7 @@ def gradient_field(structure, eucl_grad_fn):
     return field
 
 
-def dual_hessian_matrix(structure, grad_field, xi, jacobian=None, scheme=None):
+def dual_hessian_matrix(structure, grad_field, xi, jacobian=None):
     """Dual Hessian H[i, j] = d a_j/d xi_i + sum_k a_k GammaDual^j_ik.
 
     The Jacobian of the gradient field comes from the ``jacobian``
@@ -118,9 +119,7 @@ def dual_hessian_matrix(structure, grad_field, xi, jacobian=None, scheme=None):
     """
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(grad_field(xi), dtype=float)
-    J = np.asarray(jacobian(xi)) if jacobian is not None else fd_jacobian(
-        grad_field, xi, scheme
-    )
+    J = fd_jacobian(grad_field, xi) if jacobian is None else np.asarray(jacobian(xi))
     return J + np.einsum("k,ikj->ij", a, structure.at(xi).gamma_dual)
 
 
@@ -158,18 +157,18 @@ def second_order_retract(structure, xi, beta):
     return new
 
 
-def metric_derivatives(metric, xi, scheme=None):
+def metric_derivatives(metric, xi):
     """Tensor dg[k, i, j] = d g_ij / d xi_k by central differences."""
     xi = np.asarray(xi, dtype=float)
     n = xi.size
     flat = lambda x: np.asarray(metric(x), dtype=float).ravel()
-    return fd_jacobian(flat, xi, scheme).reshape(n, n, n)
+    return fd_jacobian(flat, xi).reshape(n, n, n)
 
 
-def levi_civita_from_metric(metric, xi, scheme=None):
+def levi_civita_from_metric(metric, xi):
     """Second-kind Levi-Civita symbols from finite differences of g."""
     xi = np.asarray(xi, dtype=float)
-    dg = metric_derivatives(metric, xi, scheme)
+    dg = metric_derivatives(metric, xi)
     # first kind: Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
     first = 0.5 * (dg + dg.transpose(1, 0, 2) - np.einsum("kij->ijk", dg))
     return raise_index(first, np.asarray(metric(xi), dtype=float))
@@ -186,11 +185,11 @@ def lower_index(gamma, G):
     return np.einsum("ijs,sk->ijk", gamma, G)
 
 
-def duality_residual(structure, xi, scheme=None):
+def duality_residual(structure, xi):
     """Max violation of d_k g_ij = Gamma_{ki,j} + GammaDual_{kj,i}."""
     xi = np.asarray(xi, dtype=float)
     point = structure.at(xi)
-    dg = metric_derivatives(point.structure.metric, xi, scheme)
+    dg = metric_derivatives(point.structure.metric, xi)
     low = lower_index(point.gamma, point.G)
     low_dual = lower_index(point.gamma_dual, point.G)
     residual = dg - low - np.transpose(low_dual, (0, 2, 1))

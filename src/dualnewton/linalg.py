@@ -1,12 +1,13 @@
 """Dense solves and finite differences used by the geometry layer.
 
 Matrices here are small (tens of rows), so unblocked factorizations are
-fine and keep pivot handling explicit.  Everything is float64 and
-single-threaded, which makes results reproducible run to run.
+fine and keep pivot handling explicit.  Everything is float64.  The
+triangular and LU solves go through the BLAS, which picks its own thread
+count; on small systems threads cost more than they save, so pin them
+(e.g. OPENBLAS_NUM_THREADS=1) when timing.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,8 +21,8 @@ from .errors import (
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Default FD step for first derivatives: error balance of central
-# differences, scaled per coordinate.
+# FD step for first derivatives: error balance of central differences,
+# scaled per coordinate by max(1, |xi_i|).
 _FD_STEP = EPS ** (1.0 / 3.0)
 
 # An LU pivot below this fraction of the infinity norm counts as singular.
@@ -44,18 +45,17 @@ def _check_rhs(A, b):
     return b
 
 
-def cholesky_lower(A, pivot_floor=0.0):
+def cholesky_lower(A):
     """Lower Cholesky factor of A, reading only the lower triangle.
 
-    Raises NotPositiveDefinite as soon as a pivot drops to
-    ``pivot_floor`` or below.
+    Raises NotPositiveDefinite as soon as a pivot is not positive.
     """
     A = _as_square(A)
     n = A.shape[0]
     L = np.zeros_like(A)
     for j in range(n):
         pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > pivot_floor:
+        if not pivot > 0.0:
             raise NotPositiveDefinite(f"pivot {pivot} at column {j}")
         L[j, j] = np.sqrt(pivot)
         if j + 1 < n:
@@ -100,41 +100,17 @@ def solve_general(A, b):
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def is_spd(A, tol=0.0):
-    """True when the symmetrized matrix has all Cholesky pivots > tol."""
+def is_spd(A):
+    """True when the symmetrized matrix has all Cholesky pivots positive."""
     A = _as_square(A)
     try:
-        cholesky_lower(0.5 * (A + A.T), pivot_floor=tol)
+        cholesky_lower(0.5 * (A + A.T))
     except NotPositiveDefinite:
         return False
     return True
 
 
-@dataclass(frozen=True)
-class FDScheme:
-    """Central-difference configuration.
-
-    ``step=None`` selects the per-coordinate default
-    cbrt(eps) * max(1, |xi_i|).
-    """
-
-    step: float | None = None
-    order: str = "central-2"
-
-    def __post_init__(self):
-        if self.order != "central-2":
-            raise ValueError(f"unsupported FD order {self.order!r}")
-        if self.step is not None and not self.step > 0:
-            raise ValueError("FD step must be positive")
-
-    def steps(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.step is not None:
-            return np.full(xi.shape, float(self.step))
-        return _FD_STEP * np.maximum(1.0, np.abs(xi))
-
-
-def fd_jacobian(field, xi, scheme=None):
+def fd_jacobian(field, xi):
     """Jacobian of a vector field by central differences.
 
     Entry (i, j) holds d field_j / d xi_i, i.e. rows index the
@@ -143,8 +119,7 @@ def fd_jacobian(field, xi, scheme=None):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1:
         raise DimensionMismatch(f"expected a coordinate vector, got shape {xi.shape}")
-    scheme = scheme or FDScheme()
-    h = scheme.steps(xi)
+    h = _FD_STEP * np.maximum(1.0, np.abs(xi))
     rows = []
     for i in range(xi.size):
         step = np.zeros_like(xi)

@@ -3,9 +3,13 @@
 Each model exposes its Fisher metric and the one-parameter family of
 alpha-connection Christoffel symbols.  Its DualStructure evaluates them
 through one hook, ``point(structure, xi)``, which returns a DualPoint:
-the metric at xi, with the symbols for any alpha built from the same
-evaluation when first read.  The Beta mixture takes all of them from a
-single pass over its quadrature nodes.
+the metric at xi, with the symbols for any alpha built from per-point
+state when first read.  That state is built at most once per point and
+only when a symbol is read: the third central moment of the log-linear
+statistics, and the Beta mixture's second log-derivatives at its
+quadrature nodes, whose weights and scores also give the metric.  The
+log-linear and mixture ``christoffel`` functions read their symbols
+through the hook; the Gaussian hook calls its closed-form symbols.
 """
 
 from . import betamix, gaussian, loglinear

@@ -10,6 +10,7 @@ which keeps the integrand assembly analytic.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.special import betaln, digamma, logsumexp, polygamma
@@ -83,10 +84,11 @@ def _metric(ev):
     return np.einsum("n,ni,nj->ij", ev["wp"], ev["s"], ev["s"])
 
 
-def _first_kind(ev, alpha):
-    """First-kind alpha-connection symbols E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k]."""
+def _first_kind(ev, second, alpha):
+    """First-kind alpha-connection symbols E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k],
+    with ``second`` the second log-derivatives d_ij l at the nodes."""
     c = 0.5 * (1.0 - alpha)
-    integrand = ev["second"] + c * ev["s"][:, :, None] * ev["s"][:, None, :]
+    integrand = second + c * ev["s"][:, :, None] * ev["s"][:, None, :]
     return np.einsum("n,nij,nk->ijk", ev["wp"], integrand, ev["s"])
 
 
@@ -184,22 +186,24 @@ class BetaMixtureModel:
     # ---- quadrature geometry --------------------------------------------
 
     def _node_eval(self, xi):
-        """Density weights, scores and second log-derivatives at every
-        quadrature node: everything the metric and the symbols read."""
+        """Density weights and scores at every quadrature node, with the
+        responsibilities and raw component scores that the second
+        log-derivatives are assembled from."""
         xi = _check_shapes(xi, self.n_components)
         points, w = self.quadrature.grid()
-        s, resp, (u_a, u_b), logp = self.scores(xi, points)
+        s, resp, u, logp = self.scores(xi, points)
         if float(np.max(logp)) < _LOG_TINY:
             raise QuadratureUnderflow("mixture density underflowed at every node")
-        wp = w * np.exp(logp)
-        # second log-derivative at each node:
-        #   sum_k r_k (u_k u_k^T + C_k) - s s^T
-        # assembled blockwise since u_k lives on component k's two slots
-        n = points.shape[0]
-        K = self.n_components
+        return {"wp": w * np.exp(logp), "s": s, "resp": resp, "u": u}
+
+    def _second_log_derivatives(self, xi, ev):
+        """(n^2, 2K, 2K) second log-derivatives at the nodes of ``ev``:
+        sum_k r_k (u_k u_k^T + C_k) - s s^T, assembled blockwise since
+        u_k lives on component k's two slots."""
+        s, resp, (u_a, u_b) = ev["s"], ev["resp"], ev["u"]
         curv = self._component_curvature(xi)
-        second = np.zeros((n, self.dim, self.dim))
-        for k in range(K):
+        second = np.zeros((s.shape[0], self.dim, self.dim))
+        for k in range(self.n_components):
             i = 2 * k
             ua, ub = u_a[:, k], u_b[:, k]
             r = resp[:, k]
@@ -209,14 +213,20 @@ class BetaMixtureModel:
             second[:, i, i + 1] = cross
             second[:, i + 1, i] = cross
         second -= s[:, :, None] * s[:, None, :]
-        return {"wp": wp, "s": s, "second": second}
+        return second
 
     def point(self, structure, xi):
-        """The geometry at xi from one pass over the quadrature nodes."""
+        """The geometry at xi from one pass over the quadrature nodes; the
+        second log-derivatives are built on the first symbol read and
+        shared by both connections."""
         ev = self._node_eval(xi)
         G = _metric(ev)
+        second = cache(lambda: self._second_log_derivatives(xi, ev))
         return DualPoint(
-            structure, xi, G, lambda alpha: raise_index(_first_kind(ev, alpha), G)
+            structure,
+            xi,
+            G,
+            lambda alpha: raise_index(_first_kind(ev, second(), alpha), G),
         )
 
     def fisher_metric(self, xi):

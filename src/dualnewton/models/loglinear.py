@@ -7,7 +7,7 @@ expectations are exact enumerations over the 2^n states, so n stays small.
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
@@ -167,11 +167,7 @@ def christoffel_first_kind(index, theta, alpha):
 
 def christoffel(index, theta, alpha):
     """Second-kind symbols, entry (A, B, C) = Gamma^C_AB."""
-    m = len(index)
-    if alpha == 1.0:
-        return np.zeros((m, m, m))
-    first = christoffel_first_kind(index, theta, alpha)
-    return raise_index(first, fisher_metric(index, theta))
+    return dual_structure(index, alpha).gamma(theta)
 
 
 def moment_to_natural(index, eta, theta0=None):
@@ -222,12 +218,19 @@ def in_domain(index, theta):
 
 def dual_structure(index, alpha):
     def point(structure, theta):
-        return DualPoint(
-            structure,
-            theta,
-            fisher_metric(index, theta),
-            partial(christoffel, index, theta),
-        )
+        # every alpha-connection scales the same third central moment,
+        # built on the first symbol read and shared by both connections;
+        # the flat (alpha = 1) connection never builds it
+        G = fisher_metric(index, theta)
+        third = cache(lambda: third_central_moment(index, theta))
+
+        def symbols(a):
+            if a == 1.0:
+                m = len(index)
+                return np.zeros((m, m, m))
+            return raise_index(0.5 * (1.0 - a) * third(), G)
+
+        return DualPoint(structure, theta, G, symbols)
 
     return DualStructure(
         dim=len(index),

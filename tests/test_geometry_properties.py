@@ -3,19 +3,22 @@
 Each model must satisfy the duality identity d_k g_ij = Gamma_{ki,j} +
 GammaDual_{kj,i} within the acceptance tolerances, and its point
 evaluation ``structure.at(xi)`` must reproduce, bit for bit, both the
-structure's per-quantity readers and the model's own metric and
-Christoffel functions.  Examples are derandomized, so every run checks
-the same points.
+structure's per-quantity readers and a direct evaluation of the metric
+and Christoffel symbols.  On the Boltzmann family the analytic Jacobian
+of the KL gradient field is checked against finite differences as well.
+Examples are derandomized, so every run checks the same points.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualnewton.geometry import duality_residual
+from dualnewton.geometry import duality_residual, gradient_field, raise_index
+from dualnewton.linalg import fd_jacobian
 from dualnewton.models import gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.models.loglinear import SubsetIndex
+from dualnewton.objectives import KLProjectionObjective
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
@@ -53,12 +56,34 @@ BOLTZMANN3 = SubsetIndex.boltzmann(3)
 def test_loglinear_geometry(alpha, theta):
     ds = loglinear.dual_structure(BOLTZMANN3, alpha)
     assert duality_residual(ds, theta) < 1e-5
+    # loglinear.christoffel reads the point, so the symbols are rebuilt
+    # here from the third central moment and the metric
     assert_point_is_exact(
         ds,
         theta,
         lambda t: loglinear.fisher_metric(BOLTZMANN3, t),
-        lambda t, a: loglinear.christoffel(BOLTZMANN3, t, a),
+        lambda t, a: raise_index(
+            loglinear.christoffel_first_kind(BOLTZMANN3, t, a),
+            loglinear.fisher_metric(BOLTZMANN3, t),
+        ),
     )
+
+
+KL_TARGET = loglinear.moments(BOLTZMANN3, np.linspace(-0.6, 0.6, len(BOLTZMANN3)))
+
+
+@settings(max_examples=20, **FIXED)
+@given(
+    theta=coordinates(-1.0, 1.0, len(BOLTZMANN3)),
+    lam1=st.floats(0.0, 1.0),
+    lam2=st.floats(0.0, 1.0),
+)
+def test_kl_grad_field_jacobian(theta, lam1, lam2):
+    obj = KLProjectionObjective(BOLTZMANN3, KL_TARGET, lam1, lam2)
+    field = gradient_field(loglinear.dual_structure(BOLTZMANN3, 1.0), obj.eucl_grad)
+    J = obj.grad_field_jacobian(theta)
+    J_fd = fd_jacobian(field, theta)
+    assert np.max(np.abs(J - J_fd)) < 1e-7 * max(1.0, np.max(np.abs(J_fd)))
 
 
 MIXTURE = BetaMixtureModel(

@@ -8,7 +8,7 @@ from dualnewton.errors import (
     NotPositiveDefinite,
     SingularMatrix,
 )
-from dualnewton.linalg import FDScheme, fd_jacobian, is_spd, solve_general, solve_spd
+from dualnewton.linalg import fd_jacobian, is_spd, solve_general, solve_spd
 
 
 def test_solve_spd_identity():
@@ -117,15 +117,6 @@ def test_fd_jacobian_nonfinite():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteValue):
             fd_jacobian(field, np.array([0.0]))
-
-
-def test_fd_scheme_fixed_step():
-    scheme = FDScheme(step=1e-4)
-    assert_allclose(scheme.steps(np.array([0.0, 100.0])), [1e-4, 1e-4])
-    with pytest.raises(ValueError):
-        FDScheme(step=-1.0)
-    with pytest.raises(ValueError):
-        FDScheme(order="forward-1")
 
 
 def test_is_spd_cases():

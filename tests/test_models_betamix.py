@@ -157,3 +157,23 @@ def test_dual_structure_wiring():
     assert ds.dim == 6
     assert_allclose(ds.gamma_dual(xi), model.christoffel(xi, -0.25))
     assert ds.contains(xi)
+
+
+def test_metric_reads_build_no_second_derivatives(monkeypatch):
+    model = paper_mixture(16)
+    xi = model.generating_point()
+    calls = []
+    curvature = BetaMixtureModel._component_curvature
+
+    def counted(self, xi):
+        calls.append(1)
+        return curvature(self, xi)
+
+    monkeypatch.setattr(BetaMixtureModel, "_component_curvature", counted)
+    model.fisher_metric(xi)
+    point = model.dual_structure(0.5).at(xi)
+    point.G
+    assert len(calls) == 0
+    point.gamma
+    point.gamma_dual
+    assert len(calls) == 1
