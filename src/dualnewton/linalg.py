@@ -1,10 +1,20 @@
-"""Dense solves and finite differences used by the geometry layer.
+"""Dense solves, finite differences and the log-sum-exp kernel used by
+the model and geometry layers.
 
 Matrices here are small (tens of rows), so unblocked factorizations are
 fine and keep pivot handling explicit.  Everything is float64.  The
 triangular and LU solves go through the BLAS, which picks its own thread
 count; on small systems threads cost more than they save, so pin them
 (e.g. OPENBLAS_NUM_THREADS=1) when timing.
+
+``logsumexp`` is the one log-sum-exp of the package (log-partition,
+log-probabilities, the Beta mixture's log-density and scores).  It
+reproduces the arithmetic of ``scipy.special.logsumexp`` (scipy 1.17)
+bit for bit: the entries equal to the maximum are taken out of the
+shifted sum and counted, so the result is log1p(s) + log(k) + max,
+with s the sum of the other shifted exponentials divided by the count
+k.  It skips scipy's array-API dispatch, which costs several times the
+arithmetic on the short vectors used here.
 """
 
 import warnings
@@ -27,6 +37,9 @@ _FD_STEP = EPS ** (1.0 / 3.0)
 
 # An LU pivot below this fraction of the infinity norm counts as singular.
 _SINGULAR_RTOL = 1e-14
+
+# Below this length numpy's pairwise summation adds a row left to right.
+_SHORT_ROW = 8
 
 
 def _as_square(A):
@@ -98,6 +111,33 @@ def solve_general(A, b):
             f"pivot ratio {pivots.min() / norm:.3e} below {_SINGULAR_RTOL:.0e}"
         )
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def logsumexp(u, axis=None):
+    """log sum exp(u) over all entries of a nonempty u, or along ``axis``.
+
+    Same bits as ``scipy.special.logsumexp(u, axis=axis)``: the entries
+    at the maximum are zeroed out of the shifted exponentials and
+    counted, and the count enters as log(k).  A maximum of -inf gives
+    -inf, +inf gives inf and NaN gives NaN, without warnings.
+    """
+    u = np.asarray(u, dtype=float)
+    if axis in (1, -1) and u.ndim == 2 and u.shape[1] < _SHORT_ROW:
+        # numpy adds fewer than eight entries left to right, the order of
+        # a reduction across rows: on the transposed copy each reduction is
+        # one pass over whole rows instead of a short loop per row
+        u, axis = np.ascontiguousarray(u.T), 0
+    keep = axis is not None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u_max = np.max(u, axis=axis, keepdims=keep)
+        at_max = u == u_max
+        shifted = np.exp(u - u_max)
+        shifted[at_max] = 0.0
+        # k >= 1 unless the maximum is NaN, and 0 / k = 0 keeps an empty sum
+        k = np.count_nonzero(at_max, axis=axis, keepdims=keep)
+        s = np.sum(shifted, axis=axis, keepdims=keep) / k
+        out = np.log1p(s) + np.log(k) + u_max
+    return np.squeeze(out, axis=axis) if keep else out
 
 
 def is_spd(A):

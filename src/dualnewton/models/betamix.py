@@ -10,13 +10,14 @@ which keeps the integrand assembly analytic.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import betaln, digamma, logsumexp, polygamma
+from scipy.special import betaln, digamma, polygamma
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
 from ..geometry import DualPoint, DualStructure, raise_index
+from ..linalg import logsumexp
 # not called here; perfbench/test_perfbench.py checks the tracer rebinds it
 from ..linalg import solve_spd  # noqa: F401
 
@@ -66,6 +67,13 @@ class QuadratureRule:
         xx, yy = np.meshgrid(x, x, indexing="ij")
         points = np.column_stack([xx.ravel(), yy.ravel()])
         return points, np.outer(w, w).ravel()
+
+
+def log_sums(x):
+    """Row sums (log x_1 + log x_2, log(1 - x_1) + log(1 - x_2)) of points
+    in the unit square: all a product-Beta log-density reads of x."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.log(x).sum(axis=1), np.log1p(-x).sum(axis=1)
 
 
 def _check_shapes(xi, n_components):
@@ -128,14 +136,19 @@ class BetaMixtureModel:
 
     # ---- pointwise quantities -------------------------------------------
 
+    # The public readers take points x; the private ones take their
+    # ``log_sums(x)``, which callers with fixed points (the data of an
+    # objective, the quadrature grid) compute once.
+
     def component_log_density(self, xi, x):
         """Per-component product-Beta log densities, shape (N, K)."""
+        return self._component_log_density(xi, log_sums(x))
+
+    def _component_log_density(self, xi, sums):
         xi = _check_shapes(xi, self.n_components)
         a = xi[0::2]
         b = xi[1::2]
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        lx = np.log(x).sum(axis=1)
-        l1x = np.log1p(-x).sum(axis=1)
+        lx, l1x = sums
         return (
             np.outer(lx, a - 1.0)
             + np.outer(l1x, b - 1.0)
@@ -143,7 +156,10 @@ class BetaMixtureModel:
         )
 
     def log_density(self, xi, x):
-        comp = self.component_log_density(xi, x)
+        return self._log_density(xi, log_sums(x))
+
+    def _log_density(self, xi, sums):
+        comp = self._component_log_density(xi, sums)
         return logsumexp(comp + np.log(self.weights)[None, :], axis=1)
 
     def scores(self, xi, x):
@@ -153,19 +169,20 @@ class BetaMixtureModel:
         pairs, and the mixture log-density, which the geometry assembly
         reuses.
         """
+        return self._scores(xi, log_sums(x))
+
+    def _scores(self, xi, sums):
         xi = _check_shapes(xi, self.n_components)
         a = xi[0::2]
         b = xi[1::2]
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        comp = self.component_log_density(xi, x) + np.log(self.weights)[None, :]
+        lx, l1x = sums
+        comp = self._component_log_density(xi, sums) + np.log(self.weights)[None, :]
         logp = logsumexp(comp, axis=1)
         resp = np.exp(comp - logp[:, None])
-        lx = np.log(x).sum(axis=1)
-        l1x = np.log1p(-x).sum(axis=1)
         dig_ab = digamma(a + b)
         u_a = lx[:, None] - 2.0 * digamma(a)[None, :] + 2.0 * dig_ab[None, :]
         u_b = l1x[:, None] - 2.0 * digamma(b)[None, :] + 2.0 * dig_ab[None, :]
-        s = np.empty((x.shape[0], self.dim))
+        s = np.empty((lx.shape[0], self.dim))
         s[:, 0::2] = resp * u_a
         s[:, 1::2] = resp * u_b
         return s, resp, (u_a, u_b), logp
@@ -185,13 +202,20 @@ class BetaMixtureModel:
 
     # ---- quadrature geometry --------------------------------------------
 
+    @cached_property
+    def _grid(self):
+        """The quadrature weights on the square and the ``log_sums`` of
+        its nodes, computed on first use; the rule is fixed from then on."""
+        points, w = self.quadrature.grid()
+        return w, log_sums(points)
+
     def _node_eval(self, xi):
         """Density weights and scores at every quadrature node, with the
         responsibilities and raw component scores that the second
         log-derivatives are assembled from."""
         xi = _check_shapes(xi, self.n_components)
-        points, w = self.quadrature.grid()
-        s, resp, u, logp = self.scores(xi, points)
+        w, sums = self._grid
+        s, resp, u, logp = self._scores(xi, sums)
         if float(np.max(logp)) < _LOG_TINY:
             raise QuadratureUnderflow("mixture density underflowed at every node")
         return {"wp": w * np.exp(logp), "s": s, "resp": resp, "u": u}

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import (
     DimensionMismatch,
@@ -19,7 +18,7 @@ from ..errors import (
     NonFiniteValue,
 )
 from ..geometry import DualPoint, DualStructure, raise_index
-from ..linalg import solve_spd
+from ..linalg import logsumexp, solve_spd
 
 # Enumeration over 2^n states; keep n well below memory trouble.
 MAX_VARS = 16
@@ -144,10 +143,12 @@ def moments(index, theta, query=None):
 
 def fisher_metric(index, theta):
     """Covariance of the sufficient statistics at theta."""
-    p = probabilities(index, theta)
-    F = feature_matrix(index)
-    eta = p @ F
-    centered = F - eta
+    return _covariance(probabilities(index, theta), feature_matrix(index))
+
+
+def _covariance(p, F):
+    """Covariance of the columns of F under the state probabilities p."""
+    centered = F - p @ F
     return (centered * p[:, None]).T @ centered
 
 
@@ -187,13 +188,16 @@ def moment_to_natural(index, eta, theta0=None):
     def potential(t):
         return log_partition(index, t) - float(t @ eta)
 
+    F = feature_matrix(index)
     value = potential(theta)
     for _ in range(_INVERSION_MAX_ITERS):
-        residual = moments(index, theta) - eta
+        # one probability pass gives both the moments and the metric
+        p = probabilities(index, theta)
+        residual = p @ F - eta
         if float(np.max(np.abs(residual))) < _INVERSION_TOL:
             return theta
         try:
-            step = solve_spd(fisher_metric(index, theta), -residual)
+            step = solve_spd(_covariance(p, F), -residual)
         except DualNewtonError as exc:
             raise MomentInfeasible(f"inner Newton solve failed: {exc}") from exc
         t = 1.0

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DivergenceUndefined, DomainViolation, NonFiniteValue
 from .linalg import EPS, solve_spd
 from .models import loglinear
+from .models.betamix import log_sums
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,8 @@ class BetaMixtureNLL:
 
     The variable is the interleaved shape vector (a_1, b_1, ..., a_K,
     b_K); mixture weights come from the model skeleton and stay fixed.
-    The gradient is analytic via responsibilities.
+    The gradient is analytic via responsibilities.  The log-data the
+    model reads (row sums of log x and log(1 - x)) is computed once.
     """
 
     def __init__(self, model, data):
@@ -254,19 +256,20 @@ class BetaMixtureNLL:
             raise ValueError("all data points must lie strictly inside (0, 1)^2")
         self.model = model
         self.data = data
+        self._log_sums = log_sums(data)
 
     @property
     def dim(self):
         return self.model.dim
 
     def value(self, xi):
-        f = -float(np.sum(self.model.log_density(xi, self.data)))
+        f = -float(np.sum(self.model._log_density(xi, self._log_sums)))
         if not np.isfinite(f):
             raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
         return f
 
     def eucl_grad(self, xi):
-        s, _, _, _ = self.model.scores(xi, self.data)
+        s, _, _, _ = self.model._scores(xi, self._log_sums)
         return -s.sum(axis=0)
 
     grad_field_jacobian = None

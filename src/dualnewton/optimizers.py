@@ -289,10 +289,15 @@ def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
 
     def propose(point, f, grad, a):
         # the point stands in for the structure: G, Gamma* and Gamma at
-        # xi come from it, finite-difference probes evaluate afresh
+        # xi come from it, and the field at xi is the loop's a;
+        # finite-difference probes evaluate afresh
         xi = point.xi
+        probe = gradient_field(point, obj.eucl_grad)
+
+        def field(x):
+            return a if x is xi or np.array_equal(x, xi) else probe(x)
+
         try:
-            field = gradient_field(point, obj.eucl_grad)
             hess = dual_hessian_matrix(point, field, xi, jacobian=jac)
             beta, spd = newton_direction(point, hess, grad, xi)
         except (SingularMatrix, NotPositiveDefinite, NonFiniteValue):

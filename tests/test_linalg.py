@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from dualnewton.errors import (
@@ -8,7 +12,9 @@ from dualnewton.errors import (
     NotPositiveDefinite,
     SingularMatrix,
 )
-from dualnewton.linalg import fd_jacobian, is_spd, solve_general, solve_spd
+from dualnewton.linalg import fd_jacobian, is_spd, logsumexp, solve_general, solve_spd
+
+FIXED = dict(derandomize=True, deadline=None, database=None)
 
 
 def test_solve_spd_identity():
@@ -134,3 +140,62 @@ def test_is_spd_symmetrization_jitter():
     A = M @ M.T + 5 * np.eye(5)
     jitter = 1e-14 * rng.standard_normal((5, 5))
     assert is_spd(A + jitter) == is_spd(A)
+
+
+# ---- logsumexp: the same bits as scipy.special.logsumexp ----------------
+
+@st.composite
+def lse_inputs(draw, shape):
+    """Entries up to +-700 in magnitude, some tied at the maximum and some
+    -inf, with at least one finite entry per reduced slice (the last axis)."""
+    u = draw(hnp.arrays(float, shape, elements=st.floats(-700.0, 700.0)))
+    tie = draw(hnp.arrays(bool, shape))
+    drop = draw(hnp.arrays(bool, shape))
+    rows = u.reshape(-1, shape[-1])
+    keep = draw(hnp.arrays(int, rows.shape[:1], elements=st.integers(0, shape[-1] - 1)))
+    u = np.where(tie, rows.max(axis=1).reshape(shape[:-1] + (1,)), u)
+    drop.reshape(-1, shape[-1])[np.arange(rows.shape[0]), keep] = False
+    return np.where(drop, -np.inf, u)
+
+
+def assert_same_bits(ours, theirs):
+    ours = np.asarray(ours, dtype=float)
+    theirs = np.asarray(theirs, dtype=float)
+    assert ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@settings(max_examples=300, **FIXED)
+@given(data=st.data(), n=st.integers(1, 300))
+def test_logsumexp_matches_scipy_on_vectors(data, n):
+    u = data.draw(lse_inputs((n,)))
+    ours = logsumexp(u)
+    assert isinstance(ours, np.float64)
+    assert_same_bits(ours, scipy.special.logsumexp(u))
+
+
+@settings(max_examples=200, **FIXED)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 60), st.integers(1, 12)))
+def test_logsumexp_matches_scipy_along_rows(data, shape):
+    u = data.draw(lse_inputs(shape))
+    assert_same_bits(logsumexp(u, axis=1), scipy.special.logsumexp(u, axis=1))
+
+
+def test_logsumexp_ties_and_nonfinite_maxima():
+    # k entries at the maximum enter as log(k); a row whose maximum is
+    # -inf, +inf or NaN gives what scipy gives, without warnings
+    cases = [
+        [2.0, 2.0, 2.0, -1.0],
+        [-np.inf, 3.0],
+        [-np.inf, -np.inf],
+        [np.inf, 1.0],
+        [np.nan, 1.0],
+    ]
+    with np.errstate(all="raise"):
+        rows = [logsumexp(np.array(c)) for c in cases]
+    assert rows[0] == np.log1p(np.exp(-3.0) / 3.0) + np.log(3.0) + 2.0
+    for ours, c in zip(rows, cases):
+        with np.errstate(all="ignore"):
+            assert_same_bits(ours, scipy.special.logsumexp(np.array(c)))
+    table = np.array([[0.0, -np.inf], [-np.inf, -np.inf], [1.0, 1.0]])
+    assert_same_bits(logsumexp(table, axis=1), scipy.special.logsumexp(table, axis=1))

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import betaln, polygamma
+from scipy.special import betaln, digamma, polygamma
 
 from dualnewton.errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
 from dualnewton.linalg import fd_jacobian
+from dualnewton.models import betamix
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
+from dualnewton.objectives import BetaMixtureNLL
 
 
 def paper_mixture(nodes=64):
@@ -177,3 +182,97 @@ def test_metric_reads_build_no_second_derivatives(monkeypatch):
     point.gamma
     point.gamma_dual
     assert len(calls) == 1
+
+
+def test_quadrature_grid_built_once_per_model(monkeypatch):
+    built = []
+    grid = QuadratureRule.grid
+
+    def counted(rule):
+        built.append(rule.n_nodes)
+        return grid(rule)
+
+    monkeypatch.setattr(QuadratureRule, "grid", counted)
+    model = paper_mixture(16)
+    xi = model.generating_point()
+    for scale in (1.0, 1.1, 0.9):
+        model.fisher_metric(scale * xi)
+    model.dual_structure(0.5).at(xi).gamma
+    assert built == [16]
+    paper_mixture(8).fisher_metric(xi)
+    assert built == [16, 8]
+
+
+class _LogCountingNumpy:
+    """numpy, with the log and log1p calls on arrays of ``n`` rows counted."""
+
+    def __init__(self, n):
+        self.n = n
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _counted(self, fn, x, *args, **kwargs):
+        if np.ndim(x) and np.shape(x)[0] == self.n:
+            self.logs += 1
+        return fn(x, *args, **kwargs)
+
+    def log(self, x, *args, **kwargs):
+        return self._counted(np.log, x, *args, **kwargs)
+
+    def log1p(self, x, *args, **kwargs):
+        return self._counted(np.log1p, x, *args, **kwargs)
+
+
+def test_objective_takes_no_log_of_its_data(monkeypatch):
+    model = paper_mixture(16)
+    data = model.sample(300, seed=3)
+    obj = BetaMixtureNLL(model, data)
+    counting = _LogCountingNumpy(len(data))
+    monkeypatch.setattr(betamix, "np", counting)
+    xi = model.generating_point()
+    for scale in (1.0, 1.2):
+        obj.value(scale * xi)
+        obj.eucl_grad(scale * xi)
+    assert counting.logs == 0
+    # the counter does see a log of points passed to the public readers
+    model.log_density(xi, data)
+    assert counting.logs > 0
+
+
+def _reference_scores(model, xi, x):
+    """Scores and log-density from raw logs of x and scipy's logsumexp."""
+    a, b = xi[0::2], xi[1::2]
+    lx = np.log(x).sum(axis=1)
+    l1x = np.log1p(-x).sum(axis=1)
+    comp = (
+        np.outer(lx, a - 1.0) + np.outer(l1x, b - 1.0) - 2.0 * betaln(a, b)[None, :]
+    ) + np.log(model.weights)[None, :]
+    logp = scipy.special.logsumexp(comp, axis=1)
+    resp = np.exp(comp - logp[:, None])
+    dig_ab = digamma(a + b)
+    u_a = lx[:, None] - 2.0 * digamma(a)[None, :] + 2.0 * dig_ab[None, :]
+    u_b = l1x[:, None] - 2.0 * digamma(b)[None, :] + 2.0 * dig_ab[None, :]
+    s = np.empty((x.shape[0], xi.size))
+    s[:, 0::2] = resp * u_a
+    s[:, 1::2] = resp * u_b
+    return s, logp
+
+
+REFERENCE_MODEL = paper_mixture(16)
+REFERENCE_DATA = REFERENCE_MODEL.sample(400, seed=11)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(shapes=st.lists(st.floats(0.3, 12.0), min_size=6, max_size=6).map(np.array))
+def test_objective_and_metric_match_raw_log_reference(shapes):
+    model, data = REFERENCE_MODEL, REFERENCE_DATA
+    obj = BetaMixtureNLL(model, data)
+    s, logp = _reference_scores(model, shapes, data)
+    assert obj.value(shapes) == -float(np.sum(logp))
+    assert obj.eucl_grad(shapes).tobytes() == (-s.sum(axis=0)).tobytes()
+    points, w = model.quadrature.grid()
+    s, logp = _reference_scores(model, shapes, points)
+    G = np.einsum("n,ni,nj->ij", w * np.exp(logp), s, s)
+    assert model.fisher_metric(shapes).tobytes() == G.tobytes()

@@ -2,10 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dualnewton.errors import DimensionMismatch, MomentInfeasible, NonFiniteValue
-from dualnewton.linalg import fd_jacobian
+from dualnewton.errors import (
+    DimensionMismatch,
+    DualNewtonError,
+    MomentInfeasible,
+    NonFiniteValue,
+)
+from dualnewton.linalg import fd_jacobian, solve_spd
 from dualnewton.models import loglinear
 from dualnewton.models.loglinear import SubsetIndex
 
@@ -200,6 +207,94 @@ def test_moment_inversion_round_trip_at_box_corner():
     theta = np.array([1.0, 0.0, 1.0, 0.09391203880183929, 1.0, 0.0])
     back = loglinear.moment_to_natural(idx, loglinear.moments(idx, theta))
     assert_allclose(back, theta, atol=1e-9)
+
+
+def reference_moment_to_natural(index, eta, theta0=None):
+    """The damped Newton inversion written with the public primitives:
+    the residual from ``moments``, the step from ``fisher_metric`` and
+    the damping from ``log_partition``."""
+    theta = np.zeros(len(index)) if theta0 is None else np.array(theta0, dtype=float)
+
+    def potential(t):
+        return loglinear.log_partition(index, t) - float(t @ eta)
+
+    value = potential(theta)
+    for _ in range(200):
+        residual = loglinear.moments(index, theta) - eta
+        if float(np.max(np.abs(residual))) < 1e-12:
+            return theta
+        try:
+            step = solve_spd(loglinear.fisher_metric(index, theta), -residual)
+        except DualNewtonError as exc:
+            raise MomentInfeasible(str(exc)) from exc
+        t = 1.0
+        for _ in range(60):
+            candidate = theta + t * step
+            cand_value = potential(candidate)
+            if np.isfinite(cand_value) and cand_value <= value:
+                theta, value = candidate, cand_value
+                break
+            t *= 0.5
+        else:
+            raise MomentInfeasible("no progress")
+    raise MomentInfeasible("iteration budget spent")
+
+
+def _inverted(invert, *args):
+    try:
+        return invert(*args)
+    except MomentInfeasible:
+        return MomentInfeasible
+
+
+box = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(np.array)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(theta=box, start=box, shift=st.one_of(st.none(), box), scale=st.floats(0.0, 0.3))
+def test_moment_inversion_matches_reference_loop(theta, start, shift, scale):
+    # eta = moments(theta) of Boltzmann(3), or a step away from it as in
+    # mirror descent's trials, some of which leave the marginal polytope
+    idx = SubsetIndex.boltzmann(3)
+    eta = loglinear.moments(idx, theta)
+    if shift is not None:
+        eta = eta + scale * shift
+    ours = _inverted(loglinear.moment_to_natural, idx, eta, start)
+    reference = _inverted(reference_moment_to_natural, idx, eta, start)
+    if reference is MomentInfeasible:
+        assert ours is MomentInfeasible
+    else:
+        assert ours is not MomentInfeasible
+        assert ours.tobytes() == reference.tobytes()
+
+
+def test_moment_inversion_reads_probabilities_once_per_iteration(monkeypatch):
+    idx = SubsetIndex.boltzmann(3)
+    eta = loglinear.moments(idx, np.random.default_rng(8).uniform(-1, 1, size=len(idx)))
+    calls = {"probabilities": 0, "moments": 0, "fisher_metric": 0, "log_partition": 0}
+    solves = []
+
+    for name in calls:
+        original = getattr(loglinear, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(loglinear, name, counted)
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve_spd(*args)
+
+    monkeypatch.setattr(loglinear, "solve_spd", counted_solve)
+    loglinear.moment_to_natural(idx, eta)
+    # one Newton step per solve plus the final converged residual; every
+    # trial point and the start still go through the log partition
+    assert len(solves) >= 2
+    assert calls["probabilities"] == len(solves) + 1
+    assert calls["moments"] == calls["fisher_metric"] == 0
+    assert calls["log_partition"] >= len(solves) + 1
 
 
 def test_moment_inversion_scalar():

@@ -296,21 +296,42 @@ def test_newton_evaluates_the_quadrature_once_per_iterate(monkeypatch):
     # for the retraction all come from the point built when the iterate
     # was accepted; finite-difference probes of the field are not iterates
     model, data = gen_dataset(200, 0, quad_nodes=16)
-    n_nodes = model.quadrature.n_nodes**2
-    scores = model.scores
+    node_eval = model._node_eval
     evaluated = []
 
-    def counting_scores(xi, x):
-        if len(x) == n_nodes:
-            evaluated.append(np.asarray(xi, dtype=float).tobytes())
-        return scores(xi, x)
+    def counting_node_eval(xi):
+        evaluated.append(np.asarray(xi, dtype=float).tobytes())
+        return node_eval(xi)
 
-    monkeypatch.setattr(model, "scores", counting_scores)
+    monkeypatch.setattr(model, "_node_eval", counting_node_eval)
     tr = opt.dual_newton_run(
         model.dual_structure(0.0),
         BetaMixtureNLL(model, data),
         np.array(MIXTURE_INIT),
         opt.StopRule(max_iters=6),
+    )
+    assert tr.n_iterations >= 2
+    assert [evaluated.count(p.tobytes()) for p in tr.iterates] == [1] * len(
+        tr.iterates
+    )
+
+
+def test_newton_takes_the_field_at_the_iterate_from_the_loop(monkeypatch):
+    # the loop has evaluated grad f and a at the iterate; the dual
+    # Hessian's gradient field answers there from them, and only its
+    # finite-difference probes evaluate the gradient afresh
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    obj = BetaMixtureNLL(model, data)
+    eucl_grad = obj.eucl_grad
+    evaluated = []
+
+    def counting_eucl_grad(xi):
+        evaluated.append(np.asarray(xi, dtype=float).tobytes())
+        return eucl_grad(xi)
+
+    monkeypatch.setattr(obj, "eucl_grad", counting_eucl_grad)
+    tr = opt.dual_newton_run(
+        model.dual_structure(0.0), obj, np.array(MIXTURE_INIT), opt.StopRule(max_iters=6)
     )
     assert tr.n_iterations >= 2
     assert [evaluated.count(p.tobytes()) for p in tr.iterates] == [1] * len(
