@@ -6,6 +6,12 @@ Conventions used throughout:
   returns a DualPoint: the SPD Gram matrix G(xi), solves against it,
   and the Christoffel symbols of both connections, each built on first
   read and kept;
+* Newton reads the connections only contracted: the dual Hessian takes
+  ``point.dual_dot(a)``, M[i, j] = sum_k a_k GammaDual^j_ik, and the
+  retraction takes ``point.quad(beta)``, Gamma(beta, beta)^i.  By
+  default both contract the full tensors; a model whose symbols have a
+  closed form (the log-linear family, where each is a multiple of the
+  third cumulant) contracts without building them;
 * Christoffel symbols are second-kind tensors with entry (i, j, k) =
   Gamma^k_ij, upper index last;
 * the Riemannian gradient is stored by its coordinates a = G^{-1} grad f.
@@ -76,6 +82,10 @@ class DualPoint:
     alpha-connection symbols at xi, built from per-point state that the
     model's hook keeps for as long as the point lives.  ``gamma``
     (+alpha) and ``gamma_dual`` (-alpha) call it on first read only.
+
+    ``dual_dot(a)`` and ``quad(beta)`` are the two contractions Newton
+    reads.  Here they contract ``gamma_dual`` and ``gamma``; a model
+    hook may return a subclass that computes them without either tensor.
     """
 
     structure: DualStructure
@@ -101,6 +111,14 @@ class DualPoint:
     def gamma_dual(self):
         return self.symbols(-self.structure.alpha)
 
+    def dual_dot(self, a):
+        """M[i, j] = sum_k a_k GammaDual^j_ik."""
+        return np.einsum("k,ikj->ij", a, self.gamma_dual)
+
+    def quad(self, beta):
+        """Gamma(beta, beta)^i = sum_jk Gamma^i_jk beta_j beta_k."""
+        return np.einsum("jki,j,k->i", self.gamma, beta, beta)
+
 
 def gradient_field(structure, eucl_grad_fn):
     """Wrap a Euclidean gradient function into the field xi -> G^{-1} grad f."""
@@ -120,7 +138,7 @@ def dual_hessian_matrix(structure, grad_field, xi, jacobian=None):
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(grad_field(xi), dtype=float)
     J = fd_jacobian(grad_field, xi) if jacobian is None else np.asarray(jacobian(xi))
-    return J + np.einsum("k,ikj->ij", a, structure.at(xi).gamma_dual)
+    return J + structure.at(xi).dual_dot(a)
 
 
 def newton_direction(structure, hess, eucl_grad, xi):
@@ -151,7 +169,7 @@ def second_order_retract(structure, xi, beta):
     xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)
     point = structure.at(xi)
-    new = xi + beta - 0.5 * np.einsum("jki,j,k->i", point.gamma, beta, beta)
+    new = xi + beta - 0.5 * point.quad(beta)
     if not point.structure.contains(new):
         raise DomainViolation(f"retraction left the chart domain at {new}")
     return new

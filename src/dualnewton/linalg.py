@@ -21,6 +21,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -77,15 +78,28 @@ def cholesky_lower(A):
 
 
 def solve_spd(A, b):
-    """Solve A x = b for symmetric positive definite A via Cholesky."""
+    """Solve A x = b for symmetric positive definite A via Cholesky.
+
+    The two triangular solves call LAPACK's dtrtrs with the operands
+    ``scipy.linalg.solve_triangular`` would pass it, so the bits are the
+    same without that wrapper's per-call overhead.  Raises
+    NonFiniteValue on a NaN or infinity in the factor or in b.
+    """
     A = _as_square(A)
     b = _check_rhs(A, b)
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
     if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
         raise ValueError("solve_spd expects a symmetric matrix")
-    L = cholesky_lower(A)
-    y = scipy.linalg.solve_triangular(L, b, lower=True)
-    return scipy.linalg.solve_triangular(L.T, y, lower=False)
+    # U^T y = b, then U x = y, with U = L^T read in place by LAPACK
+    U = cholesky_lower(A).T
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(b))):
+        raise NonFiniteValue("solve_spd met a NaN or infinite entry")
+    y, info = lapack.dtrtrs(U, b, lower=0, trans=1)
+    if info == 0:
+        x, info = lapack.dtrtrs(U, y, lower=0)
+    if info != 0:
+        raise SingularMatrix(f"triangular solve failed with LAPACK info {info}")
+    return x
 
 
 def solve_general(A, b):

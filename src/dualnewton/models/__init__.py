@@ -10,6 +10,9 @@ statistics, and the Beta mixture's second log-derivatives at its
 quadrature nodes, whose weights and scores also give the metric.  The
 log-linear and mixture ``christoffel`` functions read their symbols
 through the hook; the Gaussian hook calls its closed-form symbols.
+The log-linear point also contracts its connections (``dual_dot``,
+``quad``) straight from the state probabilities and centred statistics,
+so a Newton step never builds the third central moment.
 """
 
 from . import betamix, gaussian, loglinear

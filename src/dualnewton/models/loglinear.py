@@ -143,21 +143,28 @@ def moments(index, theta, query=None):
 
 def fisher_metric(index, theta):
     """Covariance of the sufficient statistics at theta."""
-    return _covariance(probabilities(index, theta), feature_matrix(index))
+    p, C = centered_features(index, theta)
+    return weighted_gram(C, p)
 
 
-def _covariance(p, F):
-    """Covariance of the columns of F under the state probabilities p."""
-    centered = F - p @ F
-    return (centered * p[:, None]).T @ centered
+def centered_features(index, theta):
+    """State probabilities p and centred statistics C = F - p F at theta."""
+    p = probabilities(index, theta)
+    F = feature_matrix(index)
+    return p, F - p @ F
+
+
+def weighted_gram(C, w):
+    """C^T diag(w) C.  With C the centred statistics, w = p gives the
+    Fisher metric and w = p * (C a) the third central moment contracted
+    with a, sum_k T_ijk a_k, without building T."""
+    return (C * w[:, None]).T @ C
 
 
 def third_central_moment(index, theta):
     """Symmetric tensor E[(F_A - eta_A)(F_B - eta_B)(F_C - eta_C)]."""
-    p = probabilities(index, theta)
-    F = feature_matrix(index)
-    centered = F - p @ F
-    return np.einsum("x,xa,xb,xc->abc", p, centered, centered, centered)
+    p, C = centered_features(index, theta)
+    return np.einsum("x,xa,xb,xc->abc", p, C, C, C)
 
 
 def christoffel_first_kind(index, theta, alpha):
@@ -197,7 +204,7 @@ def moment_to_natural(index, eta, theta0=None):
         if float(np.max(np.abs(residual))) < _INVERSION_TOL:
             return theta
         try:
-            step = solve_spd(_covariance(p, F), -residual)
+            step = solve_spd(weighted_gram(F - p @ F, p), -residual)
         except DualNewtonError as exc:
             raise MomentInfeasible(f"inner Newton solve failed: {exc}") from exc
         t = 1.0
@@ -220,12 +227,38 @@ def in_domain(index, theta):
     return theta.shape == (len(index),) and bool(np.all(np.isfinite(theta)))
 
 
+@dataclass(eq=False)
+class _Point(DualPoint):
+    """A log-linear point.  Every alpha-connection is (1 - alpha)/2 times
+    the third central moment T raised by G, so both contractions come
+    from the probabilities p and centred statistics C in O(2^n m^2)
+    without building T; a contraction whose coefficient is 0 (the flat
+    connection) is exactly zero."""
+
+    p: np.ndarray
+    C: np.ndarray
+
+    def dual_dot(self, a):
+        coef = 0.5 * (1.0 + self.structure.alpha)
+        if coef == 0.0:
+            return np.zeros_like(self.G)
+        return coef * solve_spd(self.G, weighted_gram(self.C, self.p * (self.C @ a))).T
+
+    def quad(self, beta):
+        coef = 0.5 * (1.0 - self.structure.alpha)
+        if coef == 0.0:
+            return np.zeros(len(self.G))
+        return coef * solve_spd(self.G, self.C.T @ (self.p * (self.C @ beta) ** 2))
+
+
 def dual_structure(index, alpha):
     def point(structure, theta):
-        # every alpha-connection scales the same third central moment,
-        # built on the first symbol read and shared by both connections;
-        # the flat (alpha = 1) connection never builds it
-        G = fisher_metric(index, theta)
+        # one probability pass gives G and the centred statistics the
+        # contractions read; the full symbols scale the third central
+        # moment, built on the first symbol read and shared by both
+        # connections; the flat (alpha = 1) connection never builds it
+        p, C = centered_features(index, theta)
+        G = weighted_gram(C, p)
         third = cache(lambda: third_central_moment(index, theta))
 
         def symbols(a):
@@ -234,7 +267,7 @@ def dual_structure(index, alpha):
                 return np.zeros((m, m, m))
             return raise_index(0.5 * (1.0 - a) * third(), G)
 
-        return DualPoint(structure, theta, G, symbols)
+        return _Point(structure, theta, G, symbols, p, C)
 
     return DualStructure(
         dim=len(index),

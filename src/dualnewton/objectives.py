@@ -87,14 +87,15 @@ class KLProjectionObjective:
         Uses the moment-map derivative d eta / d theta = G and the
         metric derivative d G / d theta_i = T_i (third central
         moments), so the Euclidean Hessian is G + 2 diag(lam) and
-        d a / d theta_i = G^{-1} (H_f[:, i] - T_i a).
+        d a / d theta_i = G^{-1} (H_f[:, i] - T_i a).  T a is contracted
+        over the states, so T itself is never built.
         """
         theta = np.asarray(theta, dtype=float)
-        G = loglinear.fisher_metric(self.index, theta)
-        T = loglinear.third_central_moment(self.index, theta)
+        p, C = loglinear.centered_features(self.index, theta)
+        G = loglinear.weighted_gram(C, p)
         a = solve_spd(G, self.eucl_grad(theta))
         H_f = G + 2.0 * np.diag(self.lam)
-        TA = np.einsum("ijk,k->ij", T, a)
+        TA = loglinear.weighted_gram(C, p * (C @ a))
         return solve_spd(G, H_f - TA).T
 
 

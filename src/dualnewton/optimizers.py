@@ -320,7 +320,7 @@ def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
 def _damped_newton_step(point, obj, beta):
     """Scale beta by a Wolfe step length along the retraction curve."""
     xi = point.xi
-    curve_quad = np.einsum("jki,j,k->i", point.gamma, beta, beta)
+    curve_quad = point.quad(beta)
 
     def curve(s):
         return xi + s * beta - 0.5 * s * s * curve_quad
@@ -349,7 +349,10 @@ def _line_proposer(structure, obj, line):
     ``line(xi, grad, a)`` returns ``(curve, slope)``: ``curve(s)`` is
     the curve at length s (None when it cannot be formed) and
     ``slope(p)`` the derivative of f along the curve at such a point.
-    The curve leaves xi with slope grad . (-a).
+    The curve leaves xi with slope grad . (-a).  Where that slope is
+    below the value noise, or the search finds no Wolfe point after an
+    accepted step, the step keeps the last length and is accepted only
+    if f rises by no more than the noise.
     """
     last_s = None
 
@@ -371,15 +374,19 @@ def _line_proposer(structure, obj, line):
 
         f_atol = _f_noise(f0)
         sub_noise = abs(slope0) <= f_atol
+        if not sub_noise:
+            try:
+                s = wolfe_line_search(phi, dphi, 1.0, f_atol=f_atol)
+            except LineSearchFailure:
+                if last_s is None:
+                    return DOMAIN_FAILURE
+                # a slope only a few times the value noise: the zoom can
+                # collapse without a Wolfe point, so go on as below
+                sub_noise = True
         if sub_noise:
             # slope below the value resolution: a line search cannot
             # certify progress, so continue at the last working scale
             s = last_s if last_s is not None else 1.0
-        else:
-            try:
-                s = wolfe_line_search(phi, dphi, 1.0, f_atol=f_atol)
-            except LineSearchFailure:
-                return DOMAIN_FAILURE
 
         def trial(t):
             # the last trial made is the accepted one
@@ -478,14 +485,13 @@ def wolfe_line_search(phi, dphi, s0=1.0, c1=1e-4, c2=0.9, max_evals=60, f_atol=0
         first = False
 
 
-def mirror_step(index, obj, theta, s):
+def mirror_step(index, theta, eta, grad, s):
     """One moment-coordinate descent step of length s.
 
-    Subtracts s times the natural-parameter gradient from the moment
-    coordinates and maps back through the Legendre inverse.
+    Subtracts s times the natural-parameter gradient ``grad`` from the
+    moment coordinates ``eta`` of theta and maps back through the
+    Legendre inverse, starting from theta.
     """
-    eta = loglinear.moments(index, theta)
-    grad = np.asarray(obj.eucl_grad(theta), dtype=float)
     return loglinear.moment_to_natural(index, eta - s * grad, theta0=theta)
 
 
@@ -509,9 +515,7 @@ def mirror_descent_run(index, obj, theta0, stop=None):
         def pullback(s):
             if s not in cache:
                 try:
-                    cache[s] = loglinear.moment_to_natural(
-                        index, eta + s * direction, theta0=theta
-                    )
+                    cache[s] = mirror_step(index, theta, eta, grad, s)
                 except MomentInfeasible:
                     return None
             return cache[s]

@@ -4,9 +4,13 @@ Each model must satisfy the duality identity d_k g_ij = Gamma_{ki,j} +
 GammaDual_{kj,i} within the acceptance tolerances, and its point
 evaluation ``structure.at(xi)`` must reproduce, bit for bit, both the
 structure's per-quantity readers and a direct evaluation of the metric
-and Christoffel symbols.  On the Boltzmann family the analytic Jacobian
-of the KL gradient field is checked against finite differences as well.
-Examples are derandomized, so every run checks the same points.
+and Christoffel symbols.  The contractions Newton reads, ``dual_dot``
+and ``quad``, must agree with the same contractions of the full
+symbols: bit for bit where a model keeps the default, to rounding where
+the log-linear point contracts the third cumulant over the states.  On
+the Boltzmann family the analytic Jacobian of the KL gradient field is
+checked against finite differences as well.  Examples are derandomized,
+so every run checks the same points.
 """
 
 import numpy as np
@@ -39,6 +43,19 @@ def assert_point_is_exact(ds, xi, metric, christoffel):
     assert np.array_equal(point.gamma_dual, christoffel(xi, -ds.alpha))
 
 
+def einsum_dual_dot(point, a):
+    return np.einsum("k,ikj->ij", a, point.gamma_dual)
+
+
+def einsum_quad(point, beta):
+    return np.einsum("jki,j,k->i", point.gamma, beta, beta)
+
+
+def assert_default_contractions(point, a, beta):
+    assert np.array_equal(point.dual_dot(a), einsum_dual_dot(point, a))
+    assert np.array_equal(point.quad(beta), einsum_quad(point, beta))
+
+
 @settings(max_examples=50, **FIXED)
 @given(alpha=alphas, mu=st.floats(-2.0, 2.0), sigma=st.floats(0.3, 3.0))
 def test_gaussian_geometry(alpha, mu, sigma):
@@ -46,6 +63,19 @@ def test_gaussian_geometry(alpha, mu, sigma):
     xi = np.array([mu, sigma])
     assert duality_residual(ds, xi) < 1e-5
     assert_point_is_exact(ds, xi, gaussian.fisher_metric, gaussian.christoffel)
+
+
+@settings(max_examples=30, **FIXED)
+@given(
+    alpha=alphas,
+    mu=st.floats(-2.0, 2.0),
+    sigma=st.floats(0.3, 3.0),
+    a=coordinates(-3.0, 3.0, 2),
+    beta=coordinates(-3.0, 3.0, 2),
+)
+def test_gaussian_contractions_are_the_einsum(alpha, mu, sigma, a, beta):
+    point = gaussian.dual_structure(alpha).at(np.array([mu, sigma]))
+    assert_default_contractions(point, a, beta)
 
 
 BOLTZMANN3 = SubsetIndex.boltzmann(3)
@@ -67,6 +97,32 @@ def test_loglinear_geometry(alpha, theta):
             loglinear.fisher_metric(BOLTZMANN3, t),
         ),
     )
+
+
+BOLTZMANN4 = SubsetIndex.boltzmann(4)
+
+
+def relative_error(x, reference):
+    # exact zeros (a coefficient of 0, or a zero vector) must stay exact
+    return np.max(np.abs(x - reference)) / max(np.max(np.abs(reference)), 1e-300)
+
+
+@st.composite
+def boltzmann_contraction_cases(draw):
+    index = draw(st.sampled_from([BOLTZMANN3, BOLTZMANN4]))
+    m = len(index)
+    alpha = draw(st.sampled_from([-1.0, -0.3, 0.0, 0.5, 1.0]))
+    vectors = [draw(coordinates(-1.0, 1.0, m)) for _ in range(3)]
+    return index, alpha, *vectors
+
+
+@settings(max_examples=40, **FIXED)
+@given(case=boltzmann_contraction_cases())
+def test_loglinear_contractions_match_the_einsum(case):
+    index, alpha, theta, a, beta = case
+    point = loglinear.dual_structure(index, alpha).at(theta)
+    assert relative_error(point.dual_dot(a), einsum_dual_dot(point, a)) <= 1e-12
+    assert relative_error(point.quad(beta), einsum_quad(point, beta)) <= 1e-12
 
 
 KL_TARGET = loglinear.moments(BOLTZMANN3, np.linspace(-0.6, 0.6, len(BOLTZMANN3)))
@@ -105,3 +161,15 @@ def test_beta_mixture_geometry(alpha, scale):
     xi = MIXTURE.generating_point() * scale
     assert duality_residual(ds, xi) < 1e-3
     assert_point_is_exact(ds, xi, MIXTURE.fisher_metric, MIXTURE.christoffel)
+
+
+@settings(max_examples=6, **FIXED)
+@given(
+    alpha=alphas,
+    scale=coordinates(0.8, 1.25, MIXTURE.dim),
+    a=coordinates(-3.0, 3.0, MIXTURE.dim),
+    beta=coordinates(-3.0, 3.0, MIXTURE.dim),
+)
+def test_beta_mixture_contractions_are_the_einsum(alpha, scale, a, beta):
+    point = MIXTURE.dual_structure(alpha).at(MIXTURE.generating_point() * scale)
+    assert_default_contractions(point, a, beta)

@@ -119,8 +119,9 @@ def test_christoffel_flat_at_alpha_one(monkeypatch):
 
 def test_point_builds_metric_and_third_moment_once(monkeypatch):
     idx = SubsetIndex.boltzmann(3)
-    theta = np.random.default_rng(5).uniform(-1, 1, size=len(idx))
-    calls = {"fisher_metric": 0, "third_central_moment": 0}
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-1, 1, size=len(idx))
+    calls = {"probabilities": 0, "third_central_moment": 0}
 
     def counted(name):
         original = getattr(loglinear, name)
@@ -131,14 +132,19 @@ def test_point_builds_metric_and_third_moment_once(monkeypatch):
 
         monkeypatch.setattr(loglinear, name, wrapper)
 
-    counted("fisher_metric")
+    counted("probabilities")
     counted("third_central_moment")
     point = loglinear.dual_structure(idx, 0.5).at(theta)
     point.G
-    assert calls == {"fisher_metric": 1, "third_central_moment": 0}
+    assert calls == {"probabilities": 1, "third_central_moment": 0}
+    # the contractions Newton reads come from the point's probabilities
+    point.dual_dot(rng.normal(size=len(idx)))
+    point.quad(rng.normal(size=len(idx)))
+    assert calls == {"probabilities": 1, "third_central_moment": 0}
+    # the full symbols build the tensor once, from its own probability pass
     point.gamma
     point.gamma_dual
-    assert calls == {"fisher_metric": 1, "third_central_moment": 1}
+    assert calls == {"probabilities": 2, "third_central_moment": 1}
 
 
 def test_scalar_third_moment():

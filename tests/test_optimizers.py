@@ -206,6 +206,33 @@ def test_wolfe_fails_on_unbounded_ray():
         opt.wolfe_line_search(lambda s: -s, lambda s: -1.0, 1.0)
 
 
+def test_wolfe_with_slope_near_the_noise_floor():
+    # slope at 0 three times the value noise allowance f_atol, minimizer
+    # at s = 2e-4: with value noise inside the allowance the search finds
+    # a strong Wolfe point; with noise above it, value tests steer the
+    # zoom away from the minimizer and it fails, which the line-search
+    # proposers then step over (exp3 seed 2 natgrad does this)
+    f0 = 5000.0
+    f_atol = opt._f_noise(f0)
+    slope0 = -3.0 * f_atol
+    curvature = -slope0 / 2e-4
+
+    def dphi(s):
+        return slope0 + curvature * s
+
+    def phi_with_noise(amplitude):
+        def phi(s):
+            noise = amplitude * f_atol * np.sin(1e6 * s) if s else 0.0
+            return f0 + slope0 * s + 0.5 * curvature * s * s + noise
+
+        return phi
+
+    s = opt.wolfe_line_search(phi_with_noise(0.5), dphi, 1.0, f_atol=f_atol)
+    assert abs(dphi(s)) <= 0.9 * -slope0
+    with pytest.raises(LineSearchFailure, match="zoom interval degenerated"):
+        opt.wolfe_line_search(phi_with_noise(1.5), dphi, 1.0, f_atol=f_atol)
+
+
 # ---- dual newton -----------------------------------------------------------
 
 
@@ -365,6 +392,21 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     assert sorted(built) == sorted(expected)
 
 
+@pytest.mark.parametrize("alpha, damped", [(0.0, False), (0.5, True), (-1.0, False)])
+def test_newton_builds_no_third_moment_tensor(monkeypatch, alpha, damped):
+    # the dual Hessian, the KL Jacobian and the retraction read the
+    # third cumulant only contracted, so no m x m x m tensor is built
+    def unused(*args):
+        raise AssertionError("third central moment built by a Newton run")
+
+    index, obj, ds, _ = kl_problem(3, 0.5, 0.5, alpha=alpha)
+    monkeypatch.setattr(loglinear, "third_central_moment", unused)
+    tr = opt.dual_newton_run(
+        ds, obj, np.full(len(index), 0.2), opt.StopRule(), damped=damped
+    )
+    assert tr.status == opt.CONVERGED
+
+
 # ---- natural gradient ------------------------------------------------------
 
 
@@ -391,6 +433,21 @@ def test_natural_gradient_line_search_failure_is_domain_failure():
     assert tr.status == opt.DOMAIN_FAILURE
 
 
+def test_natural_gradient_continues_past_a_collapsed_line_search():
+    # near the optimum of exp3 seed 2 the slope is a few times the value
+    # noise and the Wolfe zoom collapses; after an accepted step the run
+    # goes on at the last step length under the sub-noise test
+    model, data = gen_dataset(5000, 2, 64)
+    tr = opt.natural_gradient_run(
+        model.dual_structure(0.0),
+        BetaMixtureNLL(model, data),
+        np.array(MIXTURE_INIT),
+        opt.StopRule(grad_tol=1e-8),
+    )
+    assert tr.status == opt.CONVERGED
+    assert tr.grad_l2[-1] < 1e-8
+
+
 # ---- mirror descent --------------------------------------------------------
 
 
@@ -398,7 +455,9 @@ def test_mirror_step_exact_on_scalar_problem():
     # eta(1) = sigmoid(1), grad = sigmoid(1) - 0.5, so one unit step
     # lands the moment exactly on the target
     index, obj, _ = scalar_problem(lam=0.0)
-    theta1 = opt.mirror_step(index, obj, np.array([1.0]), 1.0)
+    theta = np.array([1.0])
+    eta = loglinear.moments(index, theta)
+    theta1 = opt.mirror_step(index, theta, eta, obj.eucl_grad(theta), 1.0)
     assert abs(theta1[0]) < 1e-10
 
 
@@ -408,7 +467,8 @@ def test_mirror_step_equals_natural_gradient_in_moment_coordinates():
         theta = rng.uniform(-0.8, 0.8, len(index))
         s = 0.37
         eta = loglinear.moments(index, theta)
-        eta_mirror = loglinear.moments(index, opt.mirror_step(index, obj, theta, s))
+        step = opt.mirror_step(index, theta, eta, obj.eucl_grad(theta), s)
+        eta_mirror = loglinear.moments(index, step)
         # steepest descent in the moment chart: the metric there is the
         # inverse Fisher matrix, so the direction collapses to -grad_theta
         G = loglinear.fisher_metric(index, theta)
