@@ -367,12 +367,16 @@ class _Problem:
         if best is None:
             return None
         tol = min(self.cfg.grad_tol * 1e-4, 1e-11)
+        # from the most converged iterate, unit Newton steps reach tol
+        # within a step or two, or stall at the rounding floor of the
+        # gradient (the Beta mixture's quadrature), where further steps
+        # only delay the fallback to ``best``
         try:
             polish = dual_newton_run(
                 self.structure_for(0.0),
                 self.polish_objective,
                 best,
-                StopRule(grad_tol=tol, max_iters=40),
+                StopRule(grad_tol=tol, max_iters=3),
             )
         except DualNewtonError:
             return best

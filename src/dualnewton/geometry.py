@@ -4,14 +4,13 @@ Conventions used throughout:
 
 * ``structure.at(xi)`` evaluates the geometry once at a point and
   returns a DualPoint: the SPD Gram matrix G(xi), solves against it,
-  and the Christoffel symbols of both connections, each built on first
-  read and kept;
-* Newton reads the connections only contracted: the dual Hessian takes
-  ``point.dual_dot(a)``, M[i, j] = sum_k a_k GammaDual^j_ik, and the
-  retraction takes ``point.quad(beta)``, Gamma(beta, beta)^i.  By
-  default both contract the full tensors; a model whose symbols have a
-  closed form (the log-linear family, where each is a multiple of the
-  third cumulant) contracts without building them;
+  and the model's alpha-connection applied to a vector,
+  ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
+* Newton reads the connections only through that map: the dual Hessian
+  takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
+  and the retraction takes ``point.quad(beta)``, Gamma(beta, beta)^i.
+  The full symbol tensors are stacked from the same map, one basis
+  vector at a time, only for the readers that ask for them;
 * Christoffel symbols are second-kind tensors with entry (i, j, k) =
   Gamma^k_ij, upper index last;
 * the Riemannian gradient is stored by its coordinates a = G^{-1} grad f.
@@ -78,20 +77,18 @@ class DualStructure:
 class DualPoint:
     """The geometry of a DualStructure at one point xi.
 
-    Holds the metric G; ``symbols(alpha)`` gives the second-kind
-    alpha-connection symbols at xi, built from per-point state that the
-    model's hook keeps for as long as the point lives.  ``gamma``
-    (+alpha) and ``gamma_dual`` (-alpha) call it on first read only.
-
-    ``dual_dot(a)`` and ``quad(beta)`` are the two contractions Newton
-    reads.  Here they contract ``gamma_dual`` and ``gamma``; a model
-    hook may return a subclass that computes them without either tensor.
+    Holds the metric G and the model's connection map:
+    ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik`` applies
+    the alpha-connection at xi to a vector a, from per-point state that
+    the model's hook keeps for as long as the point lives.  Newton's two
+    reads, ``dual_dot`` and ``quad``, and the full symbols ``gamma``
+    (+alpha) and ``gamma_dual`` (-alpha) all come from it.
     """
 
     structure: DualStructure
     xi: np.ndarray
     G: np.ndarray
-    symbols: Callable
+    connection: Callable
 
     def at(self, xi):
         """This point at its own xi, otherwise the structure at xi."""
@@ -103,21 +100,26 @@ class DualPoint:
         """G^{-1} b, e.g. the gradient coordinates of a Euclidean gradient."""
         return solve_spd(self.G, b)
 
+    def _symbols(self, alpha):
+        # connection(alpha, e_k)[i, j] = Gamma^j_ik, entry (i, k, j) of the symbols
+        basis = np.eye(len(self.G))
+        return np.stack([self.connection(alpha, e) for e in basis], axis=1)
+
     @cached_property
     def gamma(self):
-        return self.symbols(self.structure.alpha)
+        return self._symbols(self.structure.alpha)
 
     @cached_property
     def gamma_dual(self):
-        return self.symbols(-self.structure.alpha)
+        return self._symbols(-self.structure.alpha)
 
     def dual_dot(self, a):
         """M[i, j] = sum_k a_k GammaDual^j_ik."""
-        return np.einsum("k,ikj->ij", a, self.gamma_dual)
+        return self.connection(-self.structure.alpha, a)
 
     def quad(self, beta):
-        """Gamma(beta, beta)^i = sum_jk Gamma^i_jk beta_j beta_k."""
-        return np.einsum("jki,j,k->i", self.gamma, beta, beta)
+        """Gamma(beta, beta)^j = sum_ik beta_i beta_k Gamma^j_ik."""
+        return beta @ self.connection(self.structure.alpha, beta)
 
 
 def gradient_field(structure, eucl_grad_fn):

@@ -3,16 +3,15 @@
 Each model exposes its Fisher metric and the one-parameter family of
 alpha-connection Christoffel symbols.  Its DualStructure evaluates them
 through one hook, ``point(structure, xi)``, which returns a DualPoint:
-the metric at xi, with the symbols for any alpha built from per-point
-state when first read.  That state is built at most once per point and
-only when a symbol is read: the third central moment of the log-linear
-statistics, and the Beta mixture's second log-derivatives at its
-quadrature nodes, whose weights and scores also give the metric.  The
-log-linear and mixture ``christoffel`` functions read their symbols
-through the hook; the Gaussian hook calls its closed-form symbols.
-The log-linear point also contracts its connections (``dual_dot``,
-``quad``) straight from the state probabilities and centred statistics,
-so a Newton step never builds the third central moment.
+the metric at xi and the alpha-connection applied to a vector,
+``connection(alpha, a)``, for any alpha.  The log-linear connection
+comes straight from the state probabilities and centred statistics of
+the metric's own pass, so no third central moment is built.  The Beta
+mixture contracts its symbols, built once per point and alpha from the
+second log-derivatives at its quadrature nodes, whose weights and scores
+also give the metric.  The Gaussian contracts its closed-form symbols.
+The log-linear and mixture ``christoffel`` functions read their symbols
+through the hook.
 """
 
 from . import betamix, gaussian, loglinear

@@ -140,10 +140,6 @@ class BetaMixtureModel:
     # ``log_sums(x)``, which callers with fixed points (the data of an
     # objective, the quadrature grid) compute once.
 
-    def component_log_density(self, xi, x):
-        """Per-component product-Beta log densities, shape (N, K)."""
-        return self._component_log_density(xi, log_sums(x))
-
     def _component_log_density(self, xi, sums):
         xi = _check_shapes(xi, self.n_components)
         a = xi[0::2]
@@ -241,17 +237,18 @@ class BetaMixtureModel:
 
     def point(self, structure, xi):
         """The geometry at xi from one pass over the quadrature nodes; the
-        second log-derivatives are built on the first symbol read and
-        shared by both connections."""
+        second log-derivatives are built on the first connection read and
+        shared by both connections, and each alpha's symbols once (at
+        alpha = 0 the primal and dual are one tensor, as -0.0 == 0.0)."""
         ev = self._node_eval(xi)
         G = _metric(ev)
         second = cache(lambda: self._second_log_derivatives(xi, ev))
-        return DualPoint(
-            structure,
-            xi,
-            G,
-            lambda alpha: raise_index(_first_kind(ev, second(), alpha), G),
-        )
+        symbols = cache(lambda alpha: raise_index(_first_kind(ev, second(), alpha), G))
+
+        def connection(alpha, a):
+            return np.einsum("k,ikj->ij", a, symbols(alpha))
+
+        return DualPoint(structure, xi, G, connection)
 
     def fisher_metric(self, xi):
         return _metric(self._node_eval(xi))

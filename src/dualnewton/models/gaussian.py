@@ -5,8 +5,6 @@ and the alpha-connection symbols have closed forms, which makes this the
 reference model for checking the finite-difference paths elsewhere.
 """
 
-from functools import partial
-
 import numpy as np
 
 from ..errors import DomainViolation
@@ -47,7 +45,10 @@ def in_domain(xi):
 
 
 def point(structure, xi):
-    return DualPoint(structure, xi, fisher_metric(xi), partial(christoffel, xi))
+    def connection(alpha, a):
+        return np.einsum("k,ikj->ij", a, christoffel(xi, alpha))
+
+    return DualPoint(structure, xi, fisher_metric(xi), connection)
 
 
 def dual_structure(alpha):

@@ -7,7 +7,7 @@ expectations are exact enumerations over the 2^n states, so n stays small.
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from ..errors import (
     MomentInfeasible,
     NonFiniteValue,
 )
-from ..geometry import DualPoint, DualStructure, raise_index
+from ..geometry import DualPoint, DualStructure
 from ..linalg import logsumexp, solve_spd
 
 # Enumeration over 2^n states; keep n well below memory trouble.
@@ -183,7 +183,8 @@ def moment_to_natural(index, eta, theta0=None):
 
     Raises MomentInfeasible when the residual cannot be driven below
     1e-12 within the iteration budget, which covers moment vectors
-    outside the marginal polytope.
+    outside the marginal polytope, and as soon as the damped iteration
+    stops moving theta.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (len(index),):
@@ -212,6 +213,10 @@ def moment_to_natural(index, eta, theta0=None):
             candidate = theta + t * step
             cand_value = potential(candidate)
             if np.isfinite(cand_value) and cand_value <= value:
+                if np.array_equal(candidate, theta):
+                    # a fixed point: every later iteration repeats this
+                    # one, so the budget would end in the same exception
+                    raise MomentInfeasible("damped Newton reached a fixed point")
                 theta, value = candidate, cand_value
                 break
             t *= 0.5
@@ -227,47 +232,23 @@ def in_domain(index, theta):
     return theta.shape == (len(index),) and bool(np.all(np.isfinite(theta)))
 
 
-@dataclass(eq=False)
-class _Point(DualPoint):
-    """A log-linear point.  Every alpha-connection is (1 - alpha)/2 times
-    the third central moment T raised by G, so both contractions come
-    from the probabilities p and centred statistics C in O(2^n m^2)
-    without building T; a contraction whose coefficient is 0 (the flat
-    connection) is exactly zero."""
-
-    p: np.ndarray
-    C: np.ndarray
-
-    def dual_dot(self, a):
-        coef = 0.5 * (1.0 + self.structure.alpha)
-        if coef == 0.0:
-            return np.zeros_like(self.G)
-        return coef * solve_spd(self.G, weighted_gram(self.C, self.p * (self.C @ a))).T
-
-    def quad(self, beta):
-        coef = 0.5 * (1.0 - self.structure.alpha)
-        if coef == 0.0:
-            return np.zeros(len(self.G))
-        return coef * solve_spd(self.G, self.C.T @ (self.p * (self.C @ beta) ** 2))
-
-
 def dual_structure(index, alpha):
     def point(structure, theta):
-        # one probability pass gives G and the centred statistics the
-        # contractions read; the full symbols scale the third central
-        # moment, built on the first symbol read and shared by both
-        # connections; the flat (alpha = 1) connection never builds it
+        # one probability pass gives G and the centred statistics; every
+        # alpha-connection is (1 - alpha)/2 times the third central
+        # moment T raised by G, so it is applied to a vector in
+        # O(2^n m^2) without building T, and is exactly zero when its
+        # coefficient is 0 (the flat connection)
         p, C = centered_features(index, theta)
         G = weighted_gram(C, p)
-        third = cache(lambda: third_central_moment(index, theta))
 
-        def symbols(a):
-            if a == 1.0:
-                m = len(index)
-                return np.zeros((m, m, m))
-            return raise_index(0.5 * (1.0 - a) * third(), G)
+        def connection(alpha, a):
+            coef = 0.5 * (1.0 - alpha)
+            if coef == 0.0:
+                return np.zeros_like(G)
+            return coef * solve_spd(G, weighted_gram(C, p * (C @ a))).T
 
-        return _Point(structure, theta, G, symbols, p, C)
+        return DualPoint(structure, theta, G, connection)
 
     return DualStructure(
         dim=len(index),

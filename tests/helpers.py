@@ -10,7 +10,7 @@ def euclidean_structure(n, in_domain=None):
     """Identity metric with flat connections on R^n (or a guarded part)."""
 
     def point(structure, xi):
-        return DualPoint(structure, xi, np.eye(n), lambda alpha: np.zeros((n, n, n)))
+        return DualPoint(structure, xi, np.eye(n), lambda alpha, a: np.zeros((n, n)))
 
     return DualStructure(dim=n, point=point, alpha=0.0, in_domain=in_domain)
 

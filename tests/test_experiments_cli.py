@@ -215,6 +215,27 @@ def test_reference_polish_does_not_hide_foreign_errors(tmp_path, monkeypatch):
         run_experiment(_quick_exp1(methods=("natgrad",)), out_dir=str(tmp_path))
 
 
+def test_reference_polish_takes_at_most_three_newton_steps(tmp_path, monkeypatch):
+    # on exp3 the polish stalls at the rounding floor of the mixture's
+    # gradient, above its 1e-12 tolerance, and falls back to the best iterate
+    polishes = []
+    newton = experiments.dual_newton_run
+
+    def recorded(structure, obj, xi0, stop=None, **kwargs):
+        trace = newton(structure, obj, xi0, stop, **kwargs)
+        if stop.grad_tol < 1e-11:
+            polishes.append(trace)
+        return trace
+
+    monkeypatch.setattr(experiments, "dual_newton_run", recorded)
+    cfg = RunConfig.defaults("exp3", alphas=(0.0,), methods=("newton",))
+    code, results = run_experiment(cfg, out_dir=str(tmp_path))
+    assert code == 0
+    assert results[0].status == "Converged"
+    assert len(polishes) == 1
+    assert polishes[0].n_iterations <= 3
+
+
 def test_singular_hessian_run_exits_3(tmp_path):
     cfg = RunConfig.defaults(
         "exp1",

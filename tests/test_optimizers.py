@@ -13,7 +13,7 @@ from dualnewton.errors import (
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset
 from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import solve_spd
-from dualnewton.models import loglinear
+from dualnewton.models import betamix, loglinear
 from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective, Objective
 
 from helpers import euclidean_structure
@@ -367,14 +367,14 @@ def test_newton_takes_the_field_at_the_iterate_from_the_loop(monkeypatch):
 
 
 def test_newton_builds_each_connection_once_per_iterate_across_halvings():
-    built = []
+    applied = []
 
     def point(structure, xi):
-        def symbols(alpha):
-            built.append((xi.tobytes(), alpha))
-            return np.zeros((2, 2, 2))
+        def connection(alpha, a):
+            applied.append((xi.tobytes(), alpha, np.array(a)))
+            return np.zeros((2, 2))
 
-        return DualPoint(structure, xi, np.eye(2), symbols)
+        return DualPoint(structure, xi, np.eye(2), connection)
 
     # the minimizer (0, 2) lies outside the domain, so every unit step
     # overshoots and is halved several times
@@ -386,10 +386,45 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     assert tr.status == opt.MAX_ITERS
     for p, step in zip(tr.iterates, tr.step_norms):
         assert step <= 0.25 * np.linalg.norm(center - p) + 1e-12
-    # Gamma (+alpha) and Gamma* (-alpha) once per proposed step; the
-    # last iterate proposes nothing
-    expected = [(p.tobytes(), a) for p in tr.iterates[:-1] for a in (-0.5, 0.5)]
-    assert sorted(built) == sorted(expected)
+    # every map is applied at an iterate's own point, never at a trial:
+    # Gamma* (-alpha) once per proposed step, to the gradient coordinates,
+    # and Gamma (+alpha) once per retraction trial, to t beta for
+    # t = 1, 1/2, ...; the last iterate proposes nothing
+    calls = 0
+    for p, nxt in zip(tr.iterates[:-1], tr.iterates[1:]):
+        here = [(alpha, a) for x, alpha, a in applied if x == p.tobytes()]
+        dual = [a for alpha, a in here if alpha == -0.5]
+        primal = [a for alpha, a in here if alpha == 0.5]
+        assert len(dual) == 1
+        np.testing.assert_allclose(dual[0], p - center)
+        assert len(primal) >= 3
+        for halvings, t_beta in enumerate(primal):
+            assert np.array_equal(t_beta, 0.5**halvings * primal[0])
+        assert np.array_equal(nxt, p + primal[-1])
+        calls += len(here)
+    assert calls == len(applied)
+
+
+def test_newton_builds_the_mixture_symbols_once_per_iterate_at_alpha_zero(monkeypatch):
+    # at alpha = 0 the primal and dual connections are one tensor, and
+    # the point builds it once for the Hessian and the retraction
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    first_kind = betamix._first_kind
+    built = []
+
+    def counted(ev, second, alpha):
+        built.append(alpha)
+        return first_kind(ev, second, alpha)
+
+    monkeypatch.setattr(betamix, "_first_kind", counted)
+    tr = opt.dual_newton_run(
+        model.dual_structure(0.0),
+        BetaMixtureNLL(model, data),
+        np.array(MIXTURE_INIT),
+        opt.StopRule(max_iters=3),
+    )
+    assert tr.n_iterations == 3
+    assert built == [0.0] * 3
 
 
 @pytest.mark.parametrize("alpha, damped", [(0.0, False), (0.5, True), (-1.0, False)])
