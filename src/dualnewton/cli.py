@@ -93,13 +93,6 @@ def build_parser():
     return parser
 
 
-_FLAG_FIELDS = (
-    "alphas", "methods", "lambda1", "lambda2", "n", "seed", "grad_tol",
-    "max_iters", "mu0", "sigma0", "adam_lr", "base_scale", "n_samples",
-    "quad_nodes", "out", "expect_failure",
-)
-
-
 def _run_config(args):
     file_values = {}
     if args.config:
@@ -110,18 +103,19 @@ def _run_config(args):
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-    experiment = args.experiment or file_values.pop("experiment", None)
-    if experiment is None:
-        raise ConfigError("an experiment id is required (--experiment or config)")
     values = {}
     for key, val in file_values.items():
         if key not in RunConfig.__dataclass_fields__:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = tuple(val) if isinstance(val, list) else val
-    for key in _FLAG_FIELDS:
+    # every run flag's dest is its RunConfig field name; flags win
+    for key in RunConfig.__dataclass_fields__:
         val = getattr(args, key)
         if val is not None:
             values[key] = tuple(val) if isinstance(val, list) else val
+    experiment = values.pop("experiment", None)
+    if experiment is None:
+        raise ConfigError("an experiment id is required (--experiment or config)")
     return RunConfig.defaults(experiment, **values)
 
 

@@ -8,8 +8,10 @@ with the same config produce byte-identical CSVs except for timings.
 """
 
 import json
+import math
+import numbers
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -126,6 +128,8 @@ def gen_target(n, base_scale=1.0, seed=0):
             f"target generation enumerates the full index; n must be in "
             f"[1, {MAX_TARGET_VARS}], got {n}"
         )
+    if not (_fits(base_scale, float) and base_scale >= 0):
+        raise ConfigError(f"base_scale must be finite and >= 0, got {base_scale!r}")
     full = SubsetIndex.full(n)
     rng = np.random.default_rng(seed)
     radii = base_scale / np.array([len(s) for s in full.subsets], dtype=float)
@@ -181,6 +185,16 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+def _fits(value, kind):
+    """True when value can fill a RunConfig field of type kind: a finite
+    number (not a bool) for int and float, a list for tuple."""
+    if kind in (int, float):
+        number = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+        return ok and abs(value) < math.inf
+    return isinstance(value, (tuple, list) if kind is tuple else kind)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce one experiment run."""
@@ -205,7 +219,7 @@ class RunConfig:
 
     @classmethod
     def defaults(cls, experiment, **overrides):
-        if experiment not in _EXPERIMENT_DEFAULTS:
+        if not isinstance(experiment, str) or experiment not in _EXPERIMENT_DEFAULTS:
             raise ConfigError(
                 f"unknown experiment {experiment!r}; expected one of "
                 f"{sorted(_EXPERIMENT_DEFAULTS)}"
@@ -217,34 +231,43 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        # each comparison below is written so that NaN fails it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise ConfigError(f"unusable {f.type.__name__} {f.name}={value!r}")
         if self.experiment not in _EXPERIMENT_DEFAULTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.alphas:
             raise ConfigError("at least one alpha is required")
         for a in self.alphas:
-            if not -1.0 <= a <= 1.0:
-                raise ConfigError(f"alpha must lie in [-1, 1], got {a}")
+            if not (_fits(a, float) and -1.0 <= a <= 1.0):
+                raise ConfigError(f"alpha must lie in [-1, 1], got {a!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         known = {"newton", "natgrad", "mirror", "adam"}
         for m in self.methods:
-            if m not in known:
+            if not isinstance(m, str) or m not in known:
                 raise ConfigError(f"unknown method {m!r}")
         if self.experiment != "exp1" and "mirror" in self.methods:
             raise ConfigError("mirror descent needs the log-linear geometry")
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise ConfigError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ConfigError("regularizer weights must be nonnegative")
         if self.experiment == "exp1" and not 1 <= self.n <= MAX_TARGET_VARS:
             raise ConfigError(f"n must be in [1, {MAX_TARGET_VARS}], got {self.n}")
-        if self.adam_lr <= 0:
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not self.adam_lr > 0:
             raise ConfigError(f"adam_lr must be positive, got {self.adam_lr}")
-        if self.n_samples < 1:
+        if not self.sigma0 > 0:
+            raise ConfigError(f"sigma0 must be positive, got {self.sigma0}")
+        if not self.n_samples >= 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.quad_nodes < 2:
+        if not self.quad_nodes >= 2:
             raise ConfigError(f"quad_nodes must be >= 2, got {self.quad_nodes}")
 
 

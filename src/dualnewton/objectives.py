@@ -232,8 +232,10 @@ class AlphaDivergenceObjective:
         """
         xi = np.asarray(xi, dtype=float)
         sigma = xi[1]
-        H = self.analytic_hessian(xi)
-        grad = self.analytic_grad(xi)
+        s, grad_s, hess_s = self._log_integral_derivs(xi)
+        scale = -4.0 / (1.0 - self.alpha_bar * self.alpha_bar) * np.exp(s)
+        grad = scale * grad_s
+        H = scale * (np.outer(grad_s, grad_s) + hess_s)
         g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
         jac = (g_inv @ H).T
         jac[1, :] += np.array([sigma, 0.5 * sigma]) * grad

@@ -60,6 +60,16 @@ _POINT_ERRORS = (
 
 _MAX_HALVINGS = 30
 
+# strong Wolfe constants (Nocedal & Wright, Numerical Optimization, ch. 3)
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
+_WOLFE_MAX_EVALS = 60
+
+# Adam decay rates and denominator guard (Kingma & Ba, 2015)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class StopRule:
@@ -75,12 +85,9 @@ class StopRule:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments plus hyperparameters."""
+    """Bias-corrected Adam moments; the learning rate is the one setting."""
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
@@ -92,11 +99,11 @@ class AdamState:
             self.m = np.zeros_like(grad)
             self.v = np.zeros_like(grad)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
+        return -self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 @dataclass
@@ -277,13 +284,13 @@ def _iterate(structure, obj, xi0, stop, propose):
     return trace
 
 
-def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
+def dual_newton_run(structure, obj, xi0, stop=None):
     """Newton iteration on the dual Hessian with quadratic retraction.
 
-    Unit steps by default.  A step whose retraction (or objective value)
-    leaves the domain is halved up to 30 times; the optional damped mode
-    runs a Wolfe search along the retraction curve whenever the descent
-    certificate holds.
+    Each step solves the Newton equation posed with the dual connection
+    and retracts along the primal one with unit length.  A step whose
+    retraction (or objective value) leaves the domain is halved up to
+    30 times.
     """
     jac = getattr(obj, "grad_field_jacobian", None)
 
@@ -306,8 +313,6 @@ def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
             # finite-difference probes crossed the domain boundary, so
             # no local model exists at this iterate
             return DOMAIN_FAILURE
-        if damped and spd:
-            beta = _damped_newton_step(point, obj, beta)
 
         def retract(t):
             return second_order_retract(point, xi, t * beta)
@@ -315,32 +320,6 @@ def dual_newton_run(structure, obj, xi0, stop=None, damped=False):
         return retract, _accept_any, spd
 
     return _iterate(structure, obj, xi0, stop, propose)
-
-
-def _damped_newton_step(point, obj, beta):
-    """Scale beta by a Wolfe step length along the retraction curve."""
-    xi = point.xi
-    curve_quad = point.quad(beta)
-
-    def curve(s):
-        return xi + s * beta - 0.5 * s * s * curve_quad
-
-    def phi(s):
-        return _line_value(point.structure, obj, curve(s))
-
-    def dphi(s):
-        velocity = beta - s * curve_quad
-        return float(np.asarray(obj.eucl_grad(curve(s))) @ velocity)
-
-    f_atol = _f_noise(phi(0.0))
-    if abs(dphi(0.0)) <= f_atol:
-        # decrease not resolvable in the value; keep the full step
-        return beta
-    try:
-        s = wolfe_line_search(phi, dphi, 1.0, f_atol=f_atol)
-    except LineSearchFailure:
-        return beta
-    return s * beta
 
 
 def _line_proposer(structure, obj, line):
@@ -376,7 +355,7 @@ def _line_proposer(structure, obj, line):
         sub_noise = abs(slope0) <= f_atol
         if not sub_noise:
             try:
-                s = wolfe_line_search(phi, dphi, 1.0, f_atol=f_atol)
+                s = wolfe_line_search(phi, dphi, f_atol=f_atol)
             except LineSearchFailure:
                 if last_s is None:
                     return DOMAIN_FAILURE
@@ -415,12 +394,13 @@ def natural_gradient_run(structure, obj, xi0, stop=None):
     return _iterate(structure, obj, xi0, stop, _line_proposer(structure, obj, line))
 
 
-def wolfe_line_search(phi, dphi, s0=1.0, c1=1e-4, c2=0.9, max_evals=60, f_atol=0.0):
+def wolfe_line_search(phi, dphi, f_atol=0.0):
     """Strong Wolfe step by bracketing and bisection zoom.
 
     ``phi`` and ``dphi`` evaluate the line restriction and its
-    derivative; ``dphi(0)`` must be negative.  Non-finite trial values
-    are treated as overshoots and bracket the step from above.
+    derivative; ``dphi(0)`` must be negative.  Trials start at step 1
+    and double; the constants are ``_WOLFE_C1`` and ``_WOLFE_C2``.
+    Non-finite trial values are overshoots and bracket from above.
 
     ``f_atol`` is the rounding noise of one phi evaluation.  Near a
     minimizer of a large-magnitude objective the true decrease can sit
@@ -438,8 +418,8 @@ def wolfe_line_search(phi, dphi, s0=1.0, c1=1e-4, c2=0.9, max_evals=60, f_atol=0
     def take(s):
         nonlocal evals
         evals += 1
-        if evals > max_evals:
-            raise LineSearchFailure(f"no Wolfe point within {max_evals} evaluations")
+        if evals > _WOLFE_MAX_EVALS:
+            raise LineSearchFailure(f"no Wolfe point in {_WOLFE_MAX_EVALS} evaluations")
         return float(phi(s))
 
     def zoom(lo, f_lo, hi):
@@ -454,29 +434,29 @@ def wolfe_line_search(phi, dphi, s0=1.0, c1=1e-4, c2=0.9, max_evals=60, f_atol=0
                 )
             s = 0.5 * (lo + hi)
             fs = take(s)
-            if not np.isfinite(fs) or fs > phi0 + c1 * s * dphi0 + f_atol or (
+            if not np.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
                 fs >= f_lo + f_atol and fs > phi0 + f_atol
             ):
                 hi = s
                 continue
             ds = float(dphi(s))
-            if abs(ds) <= -c2 * dphi0:
+            if abs(ds) <= -_WOLFE_C2 * dphi0:
                 return s
             if ds * (hi - lo) >= 0:
                 hi = lo
             lo, f_lo = s, fs
 
     prev_s, prev_f = 0.0, phi0
-    s = float(s0)
+    s = 1.0
     first = True
     while True:
         fs = take(s)
-        if not np.isfinite(fs) or fs > phi0 + c1 * s * dphi0 + f_atol or (
+        if not np.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
             not first and fs >= prev_f + f_atol and fs > phi0 + f_atol
         ):
             return zoom(prev_s, prev_f, s)
         ds = float(dphi(s))
-        if abs(ds) <= -c2 * dphi0:
+        if abs(ds) <= -_WOLFE_C2 * dphi0:
             return s
         if ds >= 0:
             return zoom(s, fs, prev_s)

@@ -352,6 +352,10 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     echo = json.loads((out / "run_config.json").read_text())
     assert echo["grad_tol"] == 1e-4
     assert echo["alphas"] == [0.2]
+    # an experiment given both ways: the flag wins, as for every field
+    rc = cli.main(["run", "--config", str(config), "--experiment", "exp2",
+                   "--out", str(out)])
+    assert rc == 0
 
 
 def test_cli_bad_inputs_exit_4(tmp_path):
@@ -363,6 +367,31 @@ def test_cli_bad_inputs_exit_4(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"experiment": "exp2", "turbo": True}))
     assert cli.main(["run", "--config", str(unknown)]) == 4
+    # values that pass a plain `<= 0` test, or have the wrong type
+    for flags in (
+        ["--experiment", "exp1", "--tol", "nan"],
+        ["--experiment", "exp1", "--adam-lr", "nan"],
+        ["--experiment", "exp1", "--lambda1", "nan"],
+        ["--experiment", "exp1", "--seed", "-1"],
+        ["--experiment", "exp2", "--sigma0", "-1"],
+        ["--experiment", "exp2", "--mu0", "inf"],
+    ):
+        assert cli.main(["run", *flags, "--out", str(tmp_path / "o")]) == 4, flags
+    for fields in (
+        {"grad_tol": "x"},
+        {"n": True},
+        {"max_iters": 2.5},
+        {"alphas": ["x"]},
+        {"alphas": 0.5},
+        {"methods": [["newton"]]},
+        {"out": 5},
+        {"experiment": {}},
+    ):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps({"experiment": "exp2", **fields}))
+        assert cli.main(["run", "--config", str(typed)]) == 4, fields
+    assert cli.main(["gen-target", "--base-scale", "nan"]) == 4
+    assert cli.main(["gen-target", "--base-scale", "-1"]) == 4
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--bogus"])
     assert exc.value.code == 4

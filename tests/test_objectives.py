@@ -205,6 +205,29 @@ def test_alpha_divergence_grad_field_jacobian_near_fd():
         assert np.max(np.abs(J - J_exact_fd)) / np.max(np.abs(J_exact_fd)) < 1e-5
 
 
+@pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
+def test_alpha_divergence_jacobian_evaluates_the_integral_once(monkeypatch, alpha_bar):
+    # one closed-form evaluation per Jacobian, and the same bits as the
+    # composition of analytic_hessian and analytic_grad
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    derivs = obj._log_integral_derivs
+    calls = []
+    monkeypatch.setattr(
+        obj, "_log_integral_derivs", lambda xi: calls.append(1) or derivs(xi)
+    )
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        xi = np.array([rng.uniform(-1.0, 3.0), rng.uniform(1.0, 3.0)])
+        sigma = xi[1]
+        g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
+        expected = (g_inv @ obj.analytic_hessian(xi)).T
+        expected[1, :] += np.array([sigma, 0.5 * sigma]) * obj.analytic_grad(xi)
+        before = len(calls)
+        J = obj.grad_field_jacobian(xi)
+        assert len(calls) - before == 1
+        np.testing.assert_array_equal(J, expected)
+
+
 def make_mixture(seed=11, n_points=200):
     model = BetaMixtureModel(
         weights=np.array([0.35, 0.4, 0.25]),

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualnewton import geometry, optimizers as opt
 from dualnewton.errors import (
@@ -17,6 +19,8 @@ from dualnewton.models import betamix, loglinear
 from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective, Objective
 
 from helpers import euclidean_structure
+
+FIXED = dict(derandomize=True, deadline=None, database=None)
 
 
 def scalar_problem(lam=0.5):
@@ -175,35 +179,51 @@ def test_line_search_runs_reuse_the_iterate_value(method, expected):
 def test_wolfe_accepts_exact_quadratic_minimum():
     phi = lambda s: 0.5 * (1.0 - s) ** 2
     dphi = lambda s: s - 1.0
-    assert opt.wolfe_line_search(phi, dphi, 1.0) == 1.0
+    assert opt.wolfe_line_search(phi, dphi) == 1.0
 
 
 def test_wolfe_quartic_satisfies_both_conditions():
     phi = lambda s: (s - 2.0) ** 4
     dphi = lambda s: 4.0 * (s - 2.0) ** 3
-    s = opt.wolfe_line_search(phi, dphi, 1.0)
+    s = opt.wolfe_line_search(phi, dphi)
     assert phi(s) < phi(0.0)
     assert phi(s) <= phi(0.0) + 1e-4 * s * dphi(0.0)
     assert abs(dphi(s)) <= 0.9 * abs(dphi(0.0))
+
+
+@settings(max_examples=200, **FIXED)
+@given(
+    b=st.floats(-10.0, -1e-3),
+    a=st.floats(0.0, 10.0),
+    d=st.floats(1e-3, 10.0),
+)
+def test_wolfe_step_meets_the_fixed_constants(b, a, d):
+    # phi(s) = b s + a s^2/2 + d s^4/4 descends at 0 and has a minimizer
+    phi = lambda s: b * s + 0.5 * a * s * s + 0.25 * d * s**4
+    dphi = lambda s: b + a * s + d * s**3
+    s = opt.wolfe_line_search(phi, dphi)
+    assert s > 0.0
+    assert phi(s) <= opt._WOLFE_C1 * s * b
+    assert abs(dphi(s)) <= opt._WOLFE_C2 * abs(b)
 
 
 def test_wolfe_handles_infinite_overshoot():
     # simulates a trial point outside the model domain
     phi = lambda s: np.inf if s > 0.75 else 0.5 * (1.0 - s) ** 2
     dphi = lambda s: s - 1.0
-    s = opt.wolfe_line_search(phi, dphi, 1.0)
+    s = opt.wolfe_line_search(phi, dphi)
     assert 0.0 < s <= 0.75
     assert phi(s) <= phi(0.0) + 1e-4 * s * dphi(0.0)
 
 
 def test_wolfe_requires_descent_direction():
     with pytest.raises(ValueError):
-        opt.wolfe_line_search(lambda s: s, lambda s: 1.0, 1.0)
+        opt.wolfe_line_search(lambda s: s, lambda s: 1.0)
 
 
 def test_wolfe_fails_on_unbounded_ray():
     with pytest.raises(LineSearchFailure):
-        opt.wolfe_line_search(lambda s: -s, lambda s: -1.0, 1.0)
+        opt.wolfe_line_search(lambda s: -s, lambda s: -1.0)
 
 
 def test_wolfe_with_slope_near_the_noise_floor():
@@ -227,10 +247,10 @@ def test_wolfe_with_slope_near_the_noise_floor():
 
         return phi
 
-    s = opt.wolfe_line_search(phi_with_noise(0.5), dphi, 1.0, f_atol=f_atol)
+    s = opt.wolfe_line_search(phi_with_noise(0.5), dphi, f_atol=f_atol)
     assert abs(dphi(s)) <= 0.9 * -slope0
     with pytest.raises(LineSearchFailure, match="zoom interval degenerated"):
-        opt.wolfe_line_search(phi_with_noise(1.5), dphi, 1.0, f_atol=f_atol)
+        opt.wolfe_line_search(phi_with_noise(1.5), dphi, f_atol=f_atol)
 
 
 # ---- dual newton -----------------------------------------------------------
@@ -298,14 +318,6 @@ def test_newton_halves_steps_at_domain_boundary():
     tr = opt.dual_newton_run(ds, obj, np.array([0.5]), opt.StopRule(max_iters=8))
     assert tr.status == opt.MAX_ITERS
     assert all(p[0] > 0.0 for p in tr.iterates)
-
-
-def test_newton_damped_mode_still_converges():
-    index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
-    tr = opt.dual_newton_run(
-        ds, obj, np.full(len(index), 0.2), opt.StopRule(), damped=True
-    )
-    assert tr.status == opt.CONVERGED
 
 
 def test_newton_does_not_mutate_inputs():
@@ -427,8 +439,8 @@ def test_newton_builds_the_mixture_symbols_once_per_iterate_at_alpha_zero(monkey
     assert built == [0.0] * 3
 
 
-@pytest.mark.parametrize("alpha, damped", [(0.0, False), (0.5, True), (-1.0, False)])
-def test_newton_builds_no_third_moment_tensor(monkeypatch, alpha, damped):
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0])
+def test_newton_builds_no_third_moment_tensor(monkeypatch, alpha):
     # the dual Hessian, the KL Jacobian and the retraction read the
     # third cumulant only contracted, so no m x m x m tensor is built
     def unused(*args):
@@ -436,9 +448,7 @@ def test_newton_builds_no_third_moment_tensor(monkeypatch, alpha, damped):
 
     index, obj, ds, _ = kl_problem(3, 0.5, 0.5, alpha=alpha)
     monkeypatch.setattr(loglinear, "third_central_moment", unused)
-    tr = opt.dual_newton_run(
-        ds, obj, np.full(len(index), 0.2), opt.StopRule(), damped=damped
-    )
+    tr = opt.dual_newton_run(ds, obj, np.full(len(index), 0.2), opt.StopRule())
     assert tr.status == opt.CONVERGED
 
 
