@@ -130,6 +130,7 @@ def gen_target(n, base_scale=1.0, seed=0):
         )
     if not (_fits(base_scale, float) and base_scale >= 0):
         raise ConfigError(f"base_scale must be finite and >= 0, got {base_scale!r}")
+    require_at_least(seed=seed)
     full = SubsetIndex.full(n)
     rng = np.random.default_rng(seed)
     radii = base_scale / np.array([len(s) for s in full.subsets], dtype=float)
@@ -142,6 +143,7 @@ def gen_target(n, base_scale=1.0, seed=0):
 
 def gen_dataset(n_samples=5000, seed=0, quad_nodes=64):
     """Sample the fixed true Beta mixture; returns (model, data)."""
+    require_at_least(seed=seed, n_samples=n_samples, quad_nodes=quad_nodes)
     model = BetaMixtureModel(
         weights=np.array(MIXTURE_WEIGHTS),
         alphas=np.array(MIXTURE_ALPHAS),
@@ -193,6 +195,18 @@ def _fits(value, kind):
         ok = isinstance(value, number) and not isinstance(value, bool)
         return ok and abs(value) < math.inf
     return isinstance(value, (tuple, list) if kind is tuple else kind)
+
+
+# least values of the integer settings that the generators read as well
+_LEAST = {"seed": 0, "n_samples": 1, "quad_nodes": 2}
+
+
+def require_at_least(**settings):
+    """Raise ConfigError unless every named setting is an integer no
+    smaller than its bound in ``_LEAST``."""
+    for name, value in settings.items():
+        if not (_fits(value, int) and value >= _LEAST[name]):
+            raise ConfigError(f"{name} must be an integer >= {_LEAST[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -259,16 +273,13 @@ class RunConfig:
             raise ConfigError("regularizer weights must be nonnegative")
         if self.experiment == "exp1" and not 1 <= self.n <= MAX_TARGET_VARS:
             raise ConfigError(f"n must be in [1, {MAX_TARGET_VARS}], got {self.n}")
-        if not self.seed >= 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.adam_lr > 0:
             raise ConfigError(f"adam_lr must be positive, got {self.adam_lr}")
         if not self.sigma0 > 0:
             raise ConfigError(f"sigma0 must be positive, got {self.sigma0}")
-        if not self.n_samples >= 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not self.quad_nodes >= 2:
-            raise ConfigError(f"quad_nodes must be >= 2, got {self.quad_nodes}")
+        require_at_least(
+            seed=self.seed, n_samples=self.n_samples, quad_nodes=self.quad_nodes
+        )
 
 
 @dataclass

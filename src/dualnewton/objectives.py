@@ -1,8 +1,11 @@
 """Objective functions for the three experiment families.
 
-Each objective exposes ``dim``, ``value``, and ``eucl_grad`` (the plain
-coordinate gradient); the optimizers turn the latter into Riemannian
-quantities through the model metric.  Where a cheap exact Jacobian of
+Each objective exposes ``dim``, ``value``, ``eucl_grad`` (the plain
+coordinate gradient) and ``value_and_grad``, the pair the optimizers
+take at every evaluated point; they turn the gradient into Riemannian
+quantities through the model metric.  ``value_and_grad`` returns the
+same bits as the two separate calls; the Beta mixture's takes both from
+one pass over the data.  Where a cheap exact Jacobian of
 the Riemannian gradient field exists it is exposed as
 ``grad_field_jacobian`` so Newton steps avoid finite differences.
 """
@@ -26,6 +29,9 @@ class Objective:
     value: Callable
     eucl_grad: Callable
     grad_field_jacobian: Optional[Callable] = None
+
+    def value_and_grad(self, x):
+        return self.value(x), self.eucl_grad(x)
 
 
 class KLProjectionObjective:
@@ -80,6 +86,10 @@ class KLProjectionObjective:
     def eucl_grad(self, theta):
         theta = np.asarray(theta, dtype=float)
         return loglinear.moments(self.index, theta) - self.eta_hat + 2.0 * self.lam * theta
+
+    def value_and_grad(self, theta):
+        # the log-partition and the moments share no measurable work
+        return self.value(theta), self.eucl_grad(theta)
 
     def grad_field_jacobian(self, theta):
         """Exact Jacobian J[i, j] = d a_j / d theta_i of a = G^{-1} grad.
@@ -167,6 +177,9 @@ class AlphaDivergenceObjective:
             grad[i] = (self.value(hi) - self.value(lo)) / (hi[i] - lo[i])
         return grad
 
+    def value_and_grad(self, xi):
+        return self.value(xi), self.eucl_grad(xi)
+
     def _log_integral_derivs(self, xi):
         """Value, gradient, and Hessian of S = log(J1 J2) in closed form."""
         mu, sigma = np.asarray(xi, dtype=float)
@@ -242,6 +255,13 @@ class AlphaDivergenceObjective:
         return jac
 
 
+def _negative_log_likelihood(logp, xi):
+    f = -float(np.sum(logp))
+    if not np.isfinite(f):
+        raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
+    return f
+
+
 class BetaMixtureNLL:
     """Negative log-likelihood of data under a fixed-weight Beta mixture.
 
@@ -266,13 +286,16 @@ class BetaMixtureNLL:
         return self.model.dim
 
     def value(self, xi):
-        f = -float(np.sum(self.model._log_density(xi, self._log_sums)))
-        if not np.isfinite(f):
-            raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
-        return f
+        return _negative_log_likelihood(self.model._log_density(xi, self._log_sums), xi)
 
     def eucl_grad(self, xi):
         s, _, _, _ = self.model._scores(xi, self._log_sums)
         return -s.sum(axis=0)
+
+    def value_and_grad(self, xi):
+        """(value(xi), eucl_grad(xi)) bit for bit, from one pass over the
+        data: the scores carry the log-density that ``value`` sums."""
+        s, _, _, logp = self.model._scores(xi, self._log_sums)
+        return _negative_log_likelihood(logp, xi), -s.sum(axis=0)
 
     grad_field_jacobian = None

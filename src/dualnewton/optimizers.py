@@ -198,8 +198,9 @@ def _evaluate(structure, obj, xi):
     if not structure.contains(xi):
         return None
     try:
-        f = float(obj.value(xi))
-        grad = np.asarray(obj.eucl_grad(xi), dtype=float)
+        f, grad = obj.value_and_grad(xi)
+        f = float(f)
+        grad = np.asarray(grad, dtype=float)
         point = structure.at(xi)
         a, l2, gnorm = _norms(point, grad)
     except _POINT_ERRORS:

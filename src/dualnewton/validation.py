@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import polygamma
 
-from .experiments import gen_dataset
+from .experiments import gen_dataset, require_at_least
 from .geometry import (
     dual_hessian_matrix,
     duality_residual,
@@ -219,6 +219,7 @@ def _quadrature_checks():
 
 def run_validation(quad_nodes=64):
     """Run every structural check; returns {"passed", "checks"}."""
+    require_at_least(quad_nodes=quad_nodes)
     checks = []
     checks.extend(_duality_checks(quad_nodes))
     checks.extend(_flatness_checks(quad_nodes))

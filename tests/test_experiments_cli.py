@@ -400,6 +400,24 @@ def test_cli_bad_inputs_exit_4(tmp_path):
     assert exc.value.code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-target", "--seed", "-1"],
+        ["gen-data", "--seed", "-1"],
+        ["gen-data", "--n-samples", "-1"],
+        ["gen-data", "--n-samples", "0"],
+        ["gen-data", "--quad-nodes", "0"],
+        ["validate", "--quad-nodes", "0"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[1][1:]}={argv[2]}",
+)
+def test_cli_generators_reject_out_of_range_counts(argv, capsys):
+    # the bounds RunConfig.validate puts on seed, n_samples and quad_nodes
+    assert cli.main(argv) == 4
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_validate_reports_and_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.main(["validate", "--out", str(out)])

@@ -276,3 +276,38 @@ def test_objective_and_metric_match_raw_log_reference(shapes):
     s, logp = _reference_scores(model, shapes, points)
     G = np.einsum("n,ni,nj->ij", w * np.exp(logp), s, s)
     assert model.fisher_metric(shapes).tobytes() == G.tobytes()
+
+
+def _three_operand_metric(ev):
+    return np.einsum("n,ni,nj->ij", ev["wp"], ev["s"], ev["s"])
+
+
+def _three_operand_first_kind(ev, second, alpha):
+    c = 0.5 * (1.0 - alpha)
+    integrand = second + c * ev["s"][:, :, None] * ev["s"][:, None, :]
+    return np.einsum("n,nij,nk->ijk", ev["wp"], integrand, ev["s"])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    k=st.integers(1, 4),
+    n_nodes=st.integers(16, 4096),
+    alpha=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_contractions_match_the_three_operand_einsums(k, n_nodes, alpha, seed):
+    # the density weights are folded into one operand before contracting;
+    # the bits must be those of the weighted three-operand sums
+    rng = np.random.default_rng(seed)
+    d = 2 * k
+    ev = {
+        "wp": rng.uniform(0.0, 1e-3, n_nodes),
+        "s": rng.normal(size=(n_nodes, d)),
+    }
+    second = rng.normal(size=(n_nodes, d, d))
+    kept = second.copy()
+    assert betamix._metric(ev).tobytes() == _three_operand_metric(ev).tobytes()
+    gamma = betamix._first_kind(ev, second, alpha)
+    assert gamma.tobytes() == _three_operand_first_kind(ev, second, alpha).tobytes()
+    # the point shares ``second`` between both connections
+    assert second.tobytes() == kept.tobytes()

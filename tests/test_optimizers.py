@@ -358,17 +358,21 @@ def test_newton_evaluates_the_quadrature_once_per_iterate(monkeypatch):
 def test_newton_takes_the_field_at_the_iterate_from_the_loop(monkeypatch):
     # the loop has evaluated grad f and a at the iterate; the dual
     # Hessian's gradient field answers there from them, and only its
-    # finite-difference probes evaluate the gradient afresh
+    # finite-difference probes evaluate the gradient afresh.  A gradient
+    # pass is a call of eucl_grad or of value_and_grad.
     model, data = gen_dataset(200, 0, quad_nodes=16)
     obj = BetaMixtureNLL(model, data)
-    eucl_grad = obj.eucl_grad
     evaluated = []
 
-    def counting_eucl_grad(xi):
-        evaluated.append(np.asarray(xi, dtype=float).tobytes())
-        return eucl_grad(xi)
+    def counting(fn):
+        def call(xi):
+            evaluated.append(np.asarray(xi, dtype=float).tobytes())
+            return fn(xi)
 
-    monkeypatch.setattr(obj, "eucl_grad", counting_eucl_grad)
+        return call
+
+    monkeypatch.setattr(obj, "eucl_grad", counting(obj.eucl_grad))
+    monkeypatch.setattr(obj, "value_and_grad", counting(obj.value_and_grad))
     tr = opt.dual_newton_run(
         model.dual_structure(0.0), obj, np.array(MIXTURE_INIT), opt.StopRule(max_iters=6)
     )
@@ -376,6 +380,29 @@ def test_newton_takes_the_field_at_the_iterate_from_the_loop(monkeypatch):
     assert [evaluated.count(p.tobytes()) for p in tr.iterates] == [1] * len(
         tr.iterates
     )
+
+
+def test_evaluating_a_mixture_point_makes_one_pass_over_the_data(monkeypatch):
+    # value and gradient at an evaluated point come from one pass of the
+    # scores over the data; the quadrature nodes make their own pass
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    obj = BetaMixtureNLL(model, data)
+    passes = []
+
+    def counting(name, fn):
+        def call(xi, sums):
+            passes.append((name, sums[0].shape[0]))
+            return fn(xi, sums)
+
+        return call
+
+    monkeypatch.setattr(model, "_scores", counting("scores", model._scores))
+    monkeypatch.setattr(model, "_log_density", counting("log_density", model._log_density))
+    xi = np.array(MIXTURE_INIT)
+    evaluation = opt._evaluate(model.dual_structure(0.0), obj, xi)
+    assert passes == [("scores", len(data)), ("scores", model.quadrature.n_nodes**2)]
+    assert evaluation[0] == obj.value(xi)
+    assert evaluation[1].tobytes() == obj.eucl_grad(xi).tobytes()
 
 
 def test_newton_builds_each_connection_once_per_iterate_across_halvings():
