@@ -7,11 +7,12 @@ triangular and LU solves go through the BLAS, which picks its own thread
 count; on small systems threads cost more than they save, so pin them
 (e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
-``logsumexp`` is the one log-sum-exp of the package (log-partition,
-log-probabilities, the Beta mixture's log-density and scores).  It
-reproduces the arithmetic of ``scipy.special.logsumexp`` (scipy 1.17)
-bit for bit: the entries equal to the maximum are taken out of the
-shifted sum and counted, so the result is log1p(s) + log(k) + max,
+``logsumexp`` is the one log-sum-exp of the package: over all entries
+for the log-partition and the log-probabilities, and along axis 0 of the
+Beta mixture's (K, N) component rows for its log-density and scores.
+It reproduces the arithmetic of ``scipy.special.logsumexp`` (scipy
+1.17) bit for bit: the entries equal to the maximum are taken out of
+the shifted sum and counted, so the result is log1p(s) + log(k) + max,
 with s the sum of the other shifted exponentials divided by the count
 k.  It skips scipy's array-API dispatch, which costs several times the
 arithmetic on the short vectors used here.
@@ -38,9 +39,6 @@ _FD_STEP = EPS ** (1.0 / 3.0)
 
 # An LU pivot below this fraction of the infinity norm counts as singular.
 _SINGULAR_RTOL = 1e-14
-
-# Below this length numpy's pairwise summation adds a row left to right.
-_SHORT_ROW = 8
 
 
 def _as_square(A):
@@ -136,11 +134,6 @@ def logsumexp(u, axis=None):
     -inf, +inf gives inf and NaN gives NaN, without warnings.
     """
     u = np.asarray(u, dtype=float)
-    if axis in (1, -1) and u.ndim == 2 and u.shape[1] < _SHORT_ROW:
-        # numpy adds fewer than eight entries left to right, the order of
-        # a reduction across rows: on the transposed copy each reduction is
-        # one pass over whole rows instead of a short loop per row
-        u, axis = np.ascontiguousarray(u.T), 0
     keep = axis is not None
     with np.errstate(invalid="ignore", divide="ignore"):
         u_max = np.max(u, axis=axis, keepdims=keep)

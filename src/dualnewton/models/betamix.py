@@ -7,6 +7,14 @@ expectations over the square are taken with a tensor-product
 Gauss-Legendre rule.  Per-component second score derivatives are
 constant in x (each component is an exponential family in its shapes),
 which keeps the integrand assembly analytic.
+
+One score pass serves a set of N points (the data or the quadrature
+nodes).  Its per-component arrays, the responsibilities and the raw
+component scores, are stored component-major as (K, N), so each
+elementwise op runs over K contiguous rows of length N.  The scores
+themselves stay (N, 2K): the sum over the data and the quadrature
+contractions take their summation order from that layout, and another
+order would change the last bits of every result.
 """
 
 from dataclasses import dataclass, field
@@ -149,31 +157,32 @@ class BetaMixtureModel:
     # objective, the quadrature grid) compute once.
 
     def _weighted_log_density(self, xi, sums):
-        """log w_k + log p_k(x), one column per component: the log-density
-        and the scores take their log-sum-exp from this one expression."""
-        xi = _check_shapes(xi, self.n_components)
+        """log w_k + log p_k(x), one row per component, shape (K, N): the
+        log-density and the scores take their log-sum-exp from this one
+        expression.  ``xi`` is a shape vector the caller has validated."""
         a = xi[0::2]
         b = xi[1::2]
         lx, l1x = sums
         return (
-            np.outer(lx, a - 1.0)
-            + np.outer(l1x, b - 1.0)
-            - 2.0 * betaln(a, b)[None, :]
-            + np.log(self.weights)[None, :]
+            (a - 1.0)[:, None] * lx
+            + (b - 1.0)[:, None] * l1x
+            - 2.0 * betaln(a, b)[:, None]
+            + np.log(self.weights)[:, None]
         )
 
     def log_density(self, xi, x):
         return self._log_density(xi, log_sums(x))
 
     def _log_density(self, xi, sums):
-        return logsumexp(self._weighted_log_density(xi, sums), axis=1)
+        xi = _check_shapes(xi, self.n_components)
+        return logsumexp(self._weighted_log_density(xi, sums), axis=0)
 
     def scores(self, xi, x):
         """Mixture log-density gradient rows, one per point, shape (N, 2K).
 
-        Also returns the responsibilities, the per-component raw score
-        pairs, and the mixture log-density, which the geometry assembly
-        reuses.
+        Also returns the responsibilities and the per-component raw
+        score pairs, each (K, N), and the mixture log-density (N,), which
+        the geometry assembly reuses.
         """
         return self._scores(xi, log_sums(x))
 
@@ -183,20 +192,21 @@ class BetaMixtureModel:
         b = xi[1::2]
         lx, l1x = sums
         comp = self._weighted_log_density(xi, sums)
-        logp = logsumexp(comp, axis=1)
-        resp = np.exp(comp - logp[:, None])
+        logp = logsumexp(comp, axis=0)
+        resp = np.exp(comp - logp)
         dig_ab = digamma(a + b)
-        u_a = lx[:, None] - 2.0 * digamma(a)[None, :] + 2.0 * dig_ab[None, :]
-        u_b = l1x[:, None] - 2.0 * digamma(b)[None, :] + 2.0 * dig_ab[None, :]
+        u_a = lx - 2.0 * digamma(a)[:, None] + 2.0 * dig_ab[:, None]
+        u_b = l1x - 2.0 * digamma(b)[:, None] + 2.0 * dig_ab[:, None]
         s = np.empty((lx.shape[0], self.dim))
-        s[:, 0::2] = resp * u_a
-        s[:, 1::2] = resp * u_b
+        s[:, 0::2] = (resp * u_a).T
+        s[:, 1::2] = (resp * u_b).T
         return s, resp, (u_a, u_b), logp
 
     def _component_curvature(self, xi):
         """Constant per-component Hessian blocks of the component
-        log-densities: trigamma combinations only."""
-        xi = _check_shapes(xi, self.n_components)
+        log-densities: trigamma combinations only.  ``xi`` has passed
+        the node evaluation's check."""
+        xi = np.asarray(xi, dtype=float)
         a = xi[0::2]
         b = xi[1::2]
         tri_ab = polygamma(1, a + b)
@@ -219,7 +229,6 @@ class BetaMixtureModel:
         """Density weights and scores at every quadrature node, with the
         responsibilities and raw component scores that the second
         log-derivatives are assembled from."""
-        xi = _check_shapes(xi, self.n_components)
         w, sums = self._grid
         s, resp, u, logp = self._scores(xi, sums)
         if float(np.max(logp)) < _LOG_TINY:
@@ -235,8 +244,8 @@ class BetaMixtureModel:
         second = np.zeros((s.shape[0], self.dim, self.dim))
         for k in range(self.n_components):
             i = 2 * k
-            ua, ub = u_a[:, k], u_b[:, k]
-            r = resp[:, k]
+            ua, ub = u_a[k], u_b[k]
+            r = resp[k]
             second[:, i, i] = r * (ua * ua + curv[k, 0, 0])
             second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1])
             cross = r * (ua * ub + curv[k, 0, 1])

@@ -139,6 +139,8 @@ class AlphaDivergenceObjective:
         self.mu_targets = np.array([float(mu1), float(mu2)])
         self.sigma_targets = np.array([float(sigma1), float(sigma2)])
         self.alpha_bar = float(alpha_bar)
+        # the target's share of log J_i, constant in (mu, sigma)
+        self._log_target = 0.5 * (1.0 - self.alpha_bar) * np.log(self.sigma_targets)
 
     def _factors(self, sigma):
         ab = self.alpha_bar
@@ -150,17 +152,19 @@ class AlphaDivergenceObjective:
             raise DomainViolation(f"sigma must be positive, got {sigma}")
         ab = self.alpha_bar
         c = self._factors(sigma)
-        if np.any(c <= 0):
+        if (c <= 0).any():
             raise DivergenceUndefined(
                 f"integrability fails at sigma={sigma}: variance factors {c}"
             )
         log_j = (
-            0.5 * (1.0 - ab) * np.log(self.sigma_targets)
+            self._log_target
             + 0.5 * (1.0 + ab) * np.log(sigma)
             - 0.5 * np.log(c)
             - 0.125 * (1.0 - ab * ab) * (self.mu_targets - mu) ** 2 / c
         )
-        integral = np.exp(log_j.sum())
+        # an overflow here ends in NonFiniteValue below, which names it
+        with np.errstate(over="ignore"):
+            integral = np.exp(log_j.sum())
         f = 4.0 / (1.0 - ab * ab) * (1.0 - integral)
         if not np.isfinite(f):
             raise NonFiniteValue(f"divergence overflowed at {xi}")
@@ -195,7 +199,7 @@ class AlphaDivergenceObjective:
         cpp = 1.0 + ab
         s = float(
             np.sum(
-                0.5 * (1.0 - ab) * np.log(self.sigma_targets)
+                self._log_target
                 + 0.5 * (1.0 + ab) * np.log(sigma)
                 - 0.5 * np.log(c)
                 + w * d**2 / c

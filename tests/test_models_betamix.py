@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import betaln, digamma, polygamma
 
-from dualnewton.errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
+from dualnewton.errors import (
+    DimensionMismatch,
+    DomainViolation,
+    DualNewtonError,
+    QuadratureUnderflow,
+)
+from dualnewton.geometry import raise_index
 from dualnewton.linalg import fd_jacobian
 from dualnewton.models import betamix
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
@@ -242,7 +248,9 @@ def test_objective_takes_no_log_of_its_data(monkeypatch):
 
 
 def _reference_scores(model, xi, x):
-    """Scores and log-density from raw logs of x and scipy's logsumexp."""
+    """The score pass in row-major arithmetic, from raw logs of x and
+    scipy's logsumexp: scores (N, 2K), responsibilities (N, K), the raw
+    component score pair, each (N, K), and the log-density (N,)."""
     a, b = xi[0::2], xi[1::2]
     lx = np.log(x).sum(axis=1)
     l1x = np.log1p(-x).sum(axis=1)
@@ -257,7 +265,7 @@ def _reference_scores(model, xi, x):
     s = np.empty((x.shape[0], xi.size))
     s[:, 0::2] = resp * u_a
     s[:, 1::2] = resp * u_b
-    return s, logp
+    return s, resp, (u_a, u_b), logp
 
 
 REFERENCE_MODEL = paper_mixture(16)
@@ -269,13 +277,148 @@ REFERENCE_DATA = REFERENCE_MODEL.sample(400, seed=11)
 def test_objective_and_metric_match_raw_log_reference(shapes):
     model, data = REFERENCE_MODEL, REFERENCE_DATA
     obj = BetaMixtureNLL(model, data)
-    s, logp = _reference_scores(model, shapes, data)
+    s, _, _, logp = _reference_scores(model, shapes, data)
     assert obj.value(shapes) == -float(np.sum(logp))
     assert obj.eucl_grad(shapes).tobytes() == (-s.sum(axis=0)).tobytes()
     points, w = model.quadrature.grid()
-    s, logp = _reference_scores(model, shapes, points)
+    s, _, _, logp = _reference_scores(model, shapes, points)
     G = np.einsum("n,ni,nj->ij", w * np.exp(logp), s, s)
     assert model.fisher_metric(shapes).tobytes() == G.tobytes()
+
+
+def _reference_connection(model, xi, alpha, a):
+    """connection(alpha, a) at xi from the row-major score pass at the
+    nodes and the row-major second log-derivatives."""
+    points, w = model.quadrature.grid()
+    s, resp, (u_a, u_b), logp = _reference_scores(model, xi, points)
+    wp = w * np.exp(logp)
+    G = np.einsum("ni,nj->ij", s * wp[:, None], s)
+    tri_ab = polygamma(1, xi[0::2] + xi[1::2])
+    c_aa = -2.0 * polygamma(1, xi[0::2]) + 2.0 * tri_ab
+    c_bb = -2.0 * polygamma(1, xi[1::2]) + 2.0 * tri_ab
+    c_ab = 2.0 * tri_ab
+    second = np.zeros((s.shape[0], xi.size, xi.size))
+    for k in range(model.n_components):
+        i = 2 * k
+        ua, ub, r = u_a[:, k], u_b[:, k], resp[:, k]
+        second[:, i, i] = r * (ua * ua + c_aa[k])
+        second[:, i + 1, i + 1] = r * (ub * ub + c_bb[k])
+        cross = r * (ua * ub + c_ab[k])
+        second[:, i, i + 1] = cross
+        second[:, i + 1, i] = cross
+    second -= s[:, :, None] * s[:, None, :]
+    integrand = second + 0.5 * (1.0 - alpha) * s[:, :, None] * s[:, None, :]
+    integrand *= wp[:, None, None]
+    first = np.einsum("nij,nk->ijk", integrand, s)
+    return np.einsum("k,ikj->ij", a, raise_index(first, G))
+
+
+# Points at the corners of the square, where a component far from the
+# others underflows to a zero responsibility.
+_CORNERS = np.array([[1e-300, 0.5], [0.5, 1e-300], [1e-150, 1e-150], [0.999999, 0.3]])
+
+
+@st.composite
+def mixtures(draw):
+    """A K = 1..4 mixture, its shape vector and its data.  With tie set,
+    components 0 and 1 are one component twice, so wherever they lead a
+    row the log-sum-exp counts two entries at the maximum."""
+    k = draw(st.integers(1, 4))
+    shapes = np.array(draw(st.lists(st.floats(0.3, 12.0), min_size=2 * k, max_size=2 * k)))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    if k >= 2 and draw(st.booleans()):
+        shapes[2:4] = shapes[0:2]
+        weights[1] = weights[0]
+    model = BetaMixtureModel(
+        weights=weights / weights.sum(),
+        alphas=np.full(k, 2.0),
+        betas=np.full(k, 3.0),
+        quadrature=QuadratureRule.gauss_legendre(12),
+    )
+    data = np.vstack([model.sample(100, seed=draw(st.integers(0, 2**16))), _CORNERS])
+    return model, shapes, data
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(mixture=mixtures())
+def test_component_major_pass_matches_row_major_reference(mixture):
+    model, shapes, data = mixture
+    s, resp, u, logp = model.scores(shapes, data)
+    ref_s, ref_resp, ref_u, ref_logp = _reference_scores(model, shapes, data)
+    assert s.shape == (len(data), model.dim) and s.flags.c_contiguous
+    assert s.tobytes() == ref_s.tobytes()
+    assert logp.tobytes() == ref_logp.tobytes()
+    assert resp.shape == (model.n_components, len(data))
+    # tobytes reads the transposed reference in C order, row by row
+    assert resp.tobytes() == ref_resp.T.tobytes()
+    assert [r.tobytes() for r in u] == [r.T.tobytes() for r in ref_u]
+    obj = BetaMixtureNLL(model, data)
+    f, grad = obj.value_and_grad(shapes)
+    assert f == obj.value(shapes) == -float(np.sum(ref_logp))
+    assert grad.tobytes() == obj.eucl_grad(shapes).tobytes()
+    assert grad.tobytes() == (-ref_s.sum(axis=0)).tobytes()
+    points, w = model.quadrature.grid()
+    ref_s, _, _, ref_logp = _reference_scores(model, shapes, points)
+    G = np.einsum("ni,nj->ij", ref_s * (w * np.exp(ref_logp))[:, None], ref_s)
+    assert model.fisher_metric(shapes).tobytes() == G.tobytes()
+    point = model.point(model.dual_structure(0.5), shapes)
+    a = np.linspace(-1.0, 1.0, model.dim)
+    for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        try:
+            expected = _reference_connection(model, shapes, alpha, a)
+        except DualNewtonError as exc:
+            # two identical components leave the metric singular
+            with pytest.raises(type(exc)):
+                point.connection(alpha, a)
+        else:
+            assert point.connection(alpha, a).tobytes() == expected.tobytes()
+
+
+def test_reference_inputs_reach_ties_and_underflow():
+    # the corner points zero a responsibility, and a doubled component
+    # puts two entries at the maximum of most rows
+    model = BetaMixtureModel(
+        weights=[0.3, 0.3, 0.4],
+        alphas=[2.0, 2.0, 9.0],
+        betas=[3.0, 3.0, 0.5],
+        quadrature=QuadratureRule.gauss_legendre(12),
+    )
+    xi = model.generating_point()
+    data = np.vstack([model.sample(100, seed=0), _CORNERS])
+    _, resp, _, _ = model.scores(xi, data)
+    assert np.any(resp == 0.0)
+    comp = model._weighted_log_density(xi, betamix.log_sums(data))
+    assert np.mean(np.count_nonzero(comp == comp.max(axis=0), axis=0) == 2) > 0.5
+
+
+def test_mixture_pass_checks_its_shapes_once(monkeypatch):
+    model = paper_mixture(16)
+    obj = BetaMixtureNLL(model, model.sample(200, seed=1))
+    checked = []
+    check = betamix._check_shapes
+
+    def counted(xi, n_components):
+        checked.append(1)
+        return check(xi, n_components)
+
+    monkeypatch.setattr(betamix, "_check_shapes", counted)
+    xi = model.generating_point()
+    obj.value_and_grad(xi)
+    assert len(checked) == 1
+    point = model.point(model.dual_structure(0.5), xi)
+    assert len(checked) == 2
+    point.dual_dot(np.ones(model.dim))
+    assert len(checked) == 2
+    for read in (obj.value, obj.eucl_grad, model.fisher_metric):
+        read(xi)
+    assert len(checked) == 5
+    # the public readers still name the cause of a bad point
+    with pytest.raises(DomainViolation):
+        model.log_density(np.array([1.0, 1.0, -0.5, 1.0, 1.0, 1.0]), obj.data)
+    with pytest.raises(DimensionMismatch):
+        model.scores(np.ones(4), obj.data)
+    with pytest.raises(DomainViolation):
+        model.point(model.dual_structure(0.5), np.array([1.0, np.inf, 1, 1, 1, 1]))
 
 
 def _three_operand_metric(ev):

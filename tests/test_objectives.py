@@ -1,10 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualnewton import geometry
-from dualnewton.errors import DivergenceUndefined, DomainViolation, MomentInfeasible
+from dualnewton.errors import (
+    DivergenceUndefined,
+    DomainViolation,
+    MomentInfeasible,
+    NonFiniteValue,
+)
 from dualnewton.linalg import fd_jacobian
 from dualnewton.models import loglinear
 from dualnewton.models.betamix import BetaMixtureModel
@@ -313,3 +320,64 @@ def test_value_and_grad_is_value_then_eucl_grad_bit_for_bit(obj, u):
     assert type(f) is float
     assert f == obj.value(xi)
     assert grad.tobytes() == obj.eucl_grad(xi).tobytes()
+
+
+def _reference_alpha_value(obj, xi):
+    """AlphaDivergenceObjective.value as first written, with the target
+    term recomputed at every call."""
+    mu, sigma = np.asarray(xi, dtype=float)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise DomainViolation(f"sigma must be positive, got {sigma}")
+    ab = obj.alpha_bar
+    c = obj._factors(sigma)
+    if np.any(c <= 0):
+        raise DivergenceUndefined(f"variance factors {c}")
+    log_j = (
+        0.5 * (1.0 - ab) * np.log(obj.sigma_targets)
+        + 0.5 * (1.0 + ab) * np.log(sigma)
+        - 0.5 * np.log(c)
+        - 0.125 * (1.0 - ab * ab) * (obj.mu_targets - mu) ** 2 / c
+    )
+    integral = np.exp(log_j.sum())
+    f = 4.0 / (1.0 - ab * ab) * (1.0 - integral)
+    if not np.isfinite(f):
+        raise NonFiniteValue(f"divergence overflowed at {xi}")
+    return float(f)
+
+
+def _outcome(fn, xi):
+    try:
+        return fn(xi)
+    except (DomainViolation, DivergenceUndefined, NonFiniteValue) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, **FIXED)
+@given(
+    alpha_bar=st.sampled_from([3.0, 0.5, -0.6]),
+    mu=st.floats(-1e3, 1e3),
+    log_sigma=st.floats(-3.0, 3.0),
+)
+def test_alpha_divergence_value_matches_reference_bit_for_bit(alpha_bar, mu, log_sigma):
+    # same bits or the same exception class; an exp that overflows ends in
+    # NonFiniteValue without a RuntimeWarning
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    xi = np.array([mu, 10.0**log_sigma])
+    with np.errstate(over="ignore"):
+        expected = _outcome(lambda x: _reference_alpha_value(obj, x), xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(obj.value, xi)
+    if isinstance(expected, float):
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    else:
+        assert got is expected
+
+
+def test_alpha_divergence_overflow_raises_without_a_warning():
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            obj.value(np.array([1000.0, 1.0]))
