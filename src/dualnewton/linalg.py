@@ -138,8 +138,7 @@ def logsumexp(u, axis=None):
     with np.errstate(invalid="ignore", divide="ignore"):
         u_max = np.max(u, axis=axis, keepdims=keep)
         at_max = u == u_max
-        shifted = np.exp(u - u_max)
-        shifted[at_max] = 0.0
+        shifted = np.where(at_max, 0.0, np.exp(u - u_max))
         # k >= 1 unless the maximum is NaN, and 0 / k = 0 keeps an empty sum
         k = np.count_nonzero(at_max, axis=axis, keepdims=keep)
         s = np.sum(shifted, axis=axis, keepdims=keep) / k

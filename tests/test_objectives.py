@@ -1,18 +1,20 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualnewton import geometry
 from dualnewton.errors import (
+    DimensionMismatch,
     DivergenceUndefined,
     DomainViolation,
     MomentInfeasible,
     NonFiniteValue,
 )
-from dualnewton.linalg import fd_jacobian
+from dualnewton.linalg import EPS, fd_jacobian
 from dualnewton.models import loglinear
 from dualnewton.models.betamix import BetaMixtureModel
 from dualnewton.models.gaussian import dual_structure as gaussian_structure
@@ -329,7 +331,7 @@ def _reference_alpha_value(obj, xi):
     if not (np.isfinite(sigma) and sigma > 0):
         raise DomainViolation(f"sigma must be positive, got {sigma}")
     ab = obj.alpha_bar
-    c = obj._factors(sigma)
+    c = 0.5 * (1.0 + ab) * sigma**2 + 0.5 * (1.0 - ab) * obj.sigma_targets**2
     if np.any(c <= 0):
         raise DivergenceUndefined(f"variance factors {c}")
     log_j = (
@@ -381,3 +383,186 @@ def test_alpha_divergence_overflow_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue):
             obj.value(np.array([1000.0, 1.0]))
+
+
+def _reference_alpha_grad(obj, xi):
+    """AlphaDivergenceObjective.eucl_grad as the per-probe loop it was:
+    four lone evaluations of the reference value."""
+    xi = np.asarray(xi, dtype=float)
+    grad = np.empty(2)
+    for i in range(2):
+        h = np.sqrt(EPS) * max(1.0, abs(xi[i]))
+        lo, hi = xi.copy(), xi.copy()
+        lo[i] -= h
+        hi[i] += h
+        f_hi = _reference_alpha_value(obj, hi)
+        f_lo = _reference_alpha_value(obj, lo)
+        grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
+    return grad
+
+
+# at abar = 3 the factor c_1 = 2 sigma^2 - 1.3^2 vanishes here
+_SIGMA_EDGE = 1.3 * np.sqrt((3.0 - 1.0) / (3.0 + 1.0))
+# a point whose value (about 8e307) is finite but whose central-difference
+# quotients overflow
+_QUOTIENT_OVERFLOW = (-4.366765459597842, 0.9352815477270064)
+
+
+def _overflow_edge_mu(sigma, log_integral):
+    """The mu < 0 at which log(J1 J2) = log_integral at abar = 3, where
+    log J_i = log_target_i + 2 log sigma - log(c_i) / 2 + (mu_i - mu)^2 / c_i.
+    Near log_integral = 710 the value f = (J1 J2 - 1) / 2 meets the
+    float64 overflow."""
+    c = 2.0 * sigma**2 - _ALPHA.sigma_targets**2
+    rest = log_integral - np.sum(_ALPHA._log_target + 2.0 * np.log(sigma) - 0.5 * np.log(c))
+    # sum (mu_i - mu)^2 / c_i = rest, a quadratic in mu
+    a, b = np.sum(1.0 / c), np.sum(_ALPHA.mu_targets / c)
+    disc = b * b - a * (np.sum(_ALPHA.mu_targets**2 / c) - rest)
+    return (b - np.sqrt(max(disc, 0.0))) / a
+
+
+def _alpha_point(family, u, v):
+    if family == "wide":
+        return np.array([-1e3 + 2e3 * u, 10.0 ** (-3.0 + 6.0 * v)])
+    if family == "zero":
+        # sigma within two steps of 0: some probes leave the domain while
+        # others fail the integrability check first (abar = 3)
+        return np.array([-5.0 + 10.0 * u, (4.0 * v - 2.0) * np.sqrt(EPS)])
+    if family == "edge":
+        # sigma within two steps h = sqrt(EPS) of the integrability edge,
+        # so the sigma probes straddle it when the offset is below one
+        # step; mu near mu_1 keeps (mu_1 - mu)^2 / c_1 from overflowing
+        return np.array(
+            [2.0 + 1e-3 * (2.0 * u - 1.0), _SIGMA_EDGE + (4.0 * v - 2.0) * np.sqrt(EPS)]
+        )
+    # values from about e^700 up to past the float64 overflow
+    sigma = 0.93 + 2.0 * v
+    return np.array([_overflow_edge_mu(sigma, 700.0 + 12.0 * u), sigma])
+
+
+def _bits(outcome):
+    """An outcome as comparable bytes, or the exception class it raised."""
+    if isinstance(outcome, type):
+        return outcome
+    if isinstance(outcome, tuple):
+        f, grad = outcome
+        assert type(f) is float
+        return np.float64(f).tobytes() + grad.tobytes()
+    if isinstance(outcome, float):
+        return np.float64(outcome).tobytes()
+    return outcome.tobytes()
+
+
+@settings(max_examples=400, **FIXED)
+@given(
+    alpha_bar=st.sampled_from([3.0, 0.5, -0.6]),
+    family=st.sampled_from(["wide", "zero", "edge", "overflow"]),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+)
+@example(alpha_bar=3.0, family="point", u=None, v=None)
+@example(alpha_bar=0.5, family="zero", u=0.5, v=0.5)
+@example(alpha_bar=3.0, family="zero", u=0.5, v=0.6)
+def test_alpha_divergence_stencil_matches_per_probe_loop(alpha_bar, family, u, v):
+    # value, eucl_grad and value_and_grad against lone reference values
+    # (four per gradient): the same bits or the same exception class, and
+    # no RuntimeWarning
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    xi = np.array(_QUOTIENT_OVERFLOW) if family == "point" else _alpha_point(family, u, v)
+    references = {
+        obj.value: lambda x: _reference_alpha_value(obj, x),
+        obj.eucl_grad: lambda x: _reference_alpha_grad(obj, x),
+        obj.value_and_grad: lambda x: (
+            _reference_alpha_value(obj, x),
+            _reference_alpha_grad(obj, x),
+        ),
+    }
+    for method, reference in references.items():
+        with np.errstate(all="ignore"):
+            expected = _bits(_outcome(reference, xi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _bits(_outcome(method, xi))
+        assert got == expected
+
+
+def test_alpha_divergence_stencil_draws_reach_every_outcome():
+    # the draws above cover the boundary and the overflow, not only the
+    # interior: each family below meets the outcome it is drawn for
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, 3.0)
+    grid = np.linspace(0.0, 1.0, 21)
+    outcomes = {
+        family: {
+            o if isinstance(o, type) else bool(np.isfinite(o).all())
+            for o in (
+                _outcome(obj.eucl_grad, _alpha_point(family, u, v)) for u in grid for v in grid
+            )
+        }
+        for family in ("zero", "edge", "overflow")
+    }
+    # near sigma = 0 the first failing probe fails integrability, a later
+    # one leaves the domain
+    assert {DivergenceUndefined, DomainViolation} <= outcomes["zero"]
+    # within two steps of the edge, some sigma probes fall below it
+    assert {DivergenceUndefined, True} <= outcomes["edge"]
+    # along the overflow edge: finite, overflowing quotients, overflowing probes
+    assert {NonFiniteValue, True, False} <= outcomes["overflow"]
+
+
+@pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
+def test_alpha_divergence_rows_square_sigma_like_a_lone_evaluation(alpha_bar):
+    # the numpy scalar sigma**2 (libm pow) and the array square x*x differ
+    # in the last bit on some sigma; at those sigma every row of one pass
+    # still has the bits of a lone reference evaluation
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    sigma = np.random.default_rng(17).uniform(1.0, 3.0, 20000)
+    sigma = sigma[np.array([s**2 for s in sigma]) != sigma * sigma]
+    assert sigma.size >= 5
+    X = np.column_stack([np.linspace(-1.0, 3.0, sigma.size), sigma])
+    expected = [_reference_alpha_value(obj, x) for x in X]
+    assert obj._values(X).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
+def test_alpha_divergence_evaluates_one_stencil_pass_per_call(monkeypatch, alpha_bar):
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    values = obj._values
+    passes = []
+    monkeypatch.setattr(obj, "_values", lambda X: passes.append(X.copy()) or values(X))
+    xi = np.array([1.75, 1.2])
+    h = np.sqrt(EPS) * np.maximum(1.0, np.abs(xi))
+    hi_lo = [
+        [xi[0] + h[0], xi[1]],
+        [xi[0] - h[0], xi[1]],
+        [xi[0], xi[1] + h[1]],
+        [xi[0], xi[1] - h[1]],
+    ]
+    obj.value(xi)
+    obj.eucl_grad(xi)
+    obj.value_and_grad(xi)
+    assert len(passes) == 3
+    np.testing.assert_array_equal(passes[0], [xi])
+    np.testing.assert_array_equal(passes[1], hi_lo)
+    np.testing.assert_array_equal(passes[2], [xi] + hi_lo)
+
+
+def test_alpha_divergence_quotient_overflow_raises_no_warning():
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
+    xi = np.array(_QUOTIENT_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = obj.value(xi)
+        grad = obj.eucl_grad(xi)
+        pair = obj.value_and_grad(xi)
+    assert 1e307 < f < np.finfo(float).max
+    np.testing.assert_array_equal(grad, [-np.inf, -np.inf])
+    assert pair[0] == f
+    np.testing.assert_array_equal(pair[1], grad)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1), ()])
+@pytest.mark.parametrize("method", ["value", "eucl_grad", "value_and_grad"])
+def test_alpha_divergence_names_a_bad_shape(method, shape):
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
+    with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+        getattr(obj, method)(np.ones(shape))
