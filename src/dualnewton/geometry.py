@@ -3,8 +3,9 @@
 Conventions used throughout:
 
 * ``structure.at(xi)`` evaluates the geometry once at a point and
-  returns a DualPoint: the SPD Gram matrix G(xi), solves against it,
-  and the model's alpha-connection applied to a vector,
+  returns a DualPoint: the SPD Gram matrix G(xi), its Cholesky factor,
+  taken once and shared by every solve against G, and the model's
+  alpha-connection applied to a vector,
   ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
 * Newton reads the connections only through that map: the dual Hessian
   takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainViolation
-from .linalg import fd_jacobian, is_spd, solve_general, solve_spd
+from .linalg import cholesky_lower, fd_jacobian, is_spd, solve_general, solve_spd
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,22 @@ class DualPoint:
     the model's hook keeps for as long as the point lives.  Newton's two
     reads, ``dual_dot`` and ``quad``, and the full symbols ``gamma``
     (+alpha) and ``gamma_dual`` (-alpha) all come from it.
+
+    ``L``, the lower Cholesky factor of G, is taken on first read and
+    kept: every solve against G at this point, in ``solve`` and in the
+    model's connection map, uses that one factor.  A model that already
+    keeps the factor passes ``factor``, a callable returning it.
     """
 
     structure: DualStructure
     xi: np.ndarray
     G: np.ndarray
     connection: Callable
+    factor: Optional[Callable] = None
+
+    @cached_property
+    def L(self):
+        return cholesky_lower(self.G) if self.factor is None else self.factor()
 
     def at(self, xi):
         """This point at its own xi, otherwise the structure at xi."""
@@ -98,7 +109,7 @@ class DualPoint:
 
     def solve(self, b):
         """G^{-1} b, e.g. the gradient coordinates of a Euclidean gradient."""
-        return solve_spd(self.G, b)
+        return solve_spd(self.G, b, L=self.L)
 
     def _symbols(self, alpha):
         # connection(alpha, e_k)[i, j] = Gamma^j_ik, entry (i, k, j) of the symbols
@@ -143,20 +154,22 @@ def dual_hessian_matrix(structure, grad_field, xi, jacobian=None):
     return J + structure.at(xi).dual_dot(a)
 
 
-def newton_direction(structure, hess, eucl_grad, xi):
-    """Solve H^T beta = -G^{-1} grad f.
+def newton_direction(structure, hess, eucl_grad, xi, a=None):
+    """Solve H^T beta = -a with a = G^{-1} grad f.
 
-    Returns (beta, spd_flag) where spd_flag reports whether G @ H^T is
-    positive definite, the certificate that beta is a descent direction.
-    A zero gradient short-circuits to beta = 0 exactly.
+    ``a`` is the gradient coordinates when the caller already holds
+    them; otherwise they are solved from ``eucl_grad``.  Returns
+    (beta, spd_flag) where spd_flag reports whether G @ H^T is positive
+    definite, the certificate that beta is a descent direction.  A zero
+    gradient short-circuits to beta = 0 exactly.
     """
     xi = np.asarray(xi, dtype=float)
-    eucl_grad = np.asarray(eucl_grad, dtype=float)
     point = structure.at(xi)
     spd_flag = is_spd(point.G @ hess.T)
-    if not np.any(eucl_grad):
-        return np.zeros_like(eucl_grad), spd_flag
-    a = point.solve(eucl_grad)
+    if a is None:
+        a = point.solve(eucl_grad)
+    if not np.any(a):
+        return np.zeros_like(a), spd_flag
     beta = solve_general(hess.T, -a)
     return beta, spd_flag
 
@@ -194,10 +207,11 @@ def levi_civita_from_metric(metric, xi):
     return raise_index(first, np.asarray(metric(xi), dtype=float))
 
 
-def raise_index(first, G):
-    """Second-kind symbols Gamma^k_ij = sum_s g^ks Gamma_{ij,s}."""
+def raise_index(first, G, L=None):
+    """Second-kind symbols Gamma^k_ij = sum_s g^ks Gamma_{ij,s}; ``L`` is
+    G's Cholesky factor when the caller holds it."""
     n = G.shape[0]
-    return solve_spd(G, first.reshape(n * n, n).T).T.reshape(n, n, n)
+    return solve_spd(G, first.reshape(n * n, n).T, L=L).T.reshape(n, n, n)
 
 
 def lower_index(gamma, G):

@@ -75,10 +75,13 @@ def cholesky_lower(A):
     return L
 
 
-def solve_spd(A, b):
+def solve_spd(A, b, L=None):
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
-    The two triangular solves call LAPACK's dtrtrs with the operands
+    ``L``, when given, is the lower Cholesky factor of A that the caller
+    already holds (``cholesky_lower(A)``); only the factorization is
+    skipped, every check below still runs.  The two triangular solves
+    call LAPACK's dtrtrs with the operands
     ``scipy.linalg.solve_triangular`` would pass it, so the bits are the
     same without that wrapper's per-call overhead.  Raises
     NonFiniteValue on a NaN or infinity in the factor or in b.
@@ -88,8 +91,14 @@ def solve_spd(A, b):
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
     if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
         raise ValueError("solve_spd expects a symmetric matrix")
+    if L is None:
+        L = cholesky_lower(A)
+    elif L.shape != A.shape:
+        raise DimensionMismatch(
+            f"factor of shape {L.shape} for a matrix of shape {A.shape}"
+        )
     # U^T y = b, then U x = y, with U = L^T read in place by LAPACK
-    U = cholesky_lower(A).T
+    U = L.T
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(b))):
         raise NonFiniteValue("solve_spd met a NaN or infinite entry")
     y, info = lapack.dtrtrs(U, b, lower=0, trans=1)

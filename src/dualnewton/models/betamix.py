@@ -25,7 +25,7 @@ from scipy.special import betaln, digamma, polygamma
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
 from ..geometry import DualPoint, DualStructure, raise_index
-from ..linalg import logsumexp
+from ..linalg import cholesky_lower, logsumexp
 # not called here; perfbench/test_perfbench.py checks the tracer rebinds it
 from ..linalg import solve_spd  # noqa: F401
 
@@ -258,16 +258,20 @@ class BetaMixtureModel:
         """The geometry at xi from one pass over the quadrature nodes; the
         second log-derivatives are built on the first connection read and
         shared by both connections, and each alpha's symbols once (at
-        alpha = 0 the primal and dual are one tensor, as -0.0 == 0.0)."""
+        alpha = 0 the primal and dual are one tensor, as -0.0 == 0.0),
+        raised with the point's one factor of G."""
         ev = self._node_eval(xi)
         G = _metric(ev)
         second = cache(lambda: self._second_log_derivatives(xi, ev))
-        symbols = cache(lambda alpha: raise_index(_first_kind(ev, second(), alpha), G))
+        factor = cache(lambda: cholesky_lower(G))
+        symbols = cache(
+            lambda alpha: raise_index(_first_kind(ev, second(), alpha), G, factor())
+        )
 
         def connection(alpha, a):
             return np.einsum("k,ikj->ij", a, symbols(alpha))
 
-        return DualPoint(structure, xi, G, connection)
+        return DualPoint(structure, xi, G, connection, factor=factor)
 
     def fisher_metric(self, xi):
         return _metric(self._node_eval(xi))

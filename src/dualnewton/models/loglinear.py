@@ -3,11 +3,20 @@
 A model is a pair (index, theta): the index fixes which interaction
 subsets carry a parameter, theta holds the natural parameters.  All
 expectations are exact enumerations over the 2^n states, so n stays small.
+
+Every quantity at a point comes from one pass over the states,
+``evaluate(index, theta)``: the log-partition, the probabilities p, the
+moments eta, the centred statistics C, the metric G and G's Cholesky
+factor L.  Each is derived on its first read and kept read-only, and
+the last few points stay in a small memo, so the readers below, the
+moment inversion, the geometry hook and the KL objective share one pass
+and one factorization per point.
 """
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,13 +27,18 @@ from ..errors import (
     NonFiniteValue,
 )
 from ..geometry import DualPoint, DualStructure
-from ..linalg import logsumexp, solve_spd
+from ..linalg import cholesky_lower, logsumexp, solve_spd
 
 # Enumeration over 2^n states; keep n well below memory trouble.
 MAX_VARS = 16
 
 _INVERSION_TOL = 1e-12
 _INVERSION_MAX_ITERS = 200
+
+# points whose pass is kept: enough that the iterate of a line search
+# outlives the inner moment inversions of its trials
+_MEMO_SIZE = 8
+_memo = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -105,20 +119,81 @@ def _check_theta(index, theta):
     return theta
 
 
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+class _Evaluation:
+    """The log-linear quantities at one theta, from one pass over the states.
+
+    The energies u = F theta and their log-sum-exp are computed at once;
+    everything else on its first read, from what is already there, and
+    kept.  Arrays are read-only, so a caller that writes into one gets
+    an error instead of corrupting the memo.
+    """
+
+    def __init__(self, index, theta):
+        self.F = feature_matrix(index)
+        self.u = _frozen(self.F @ theta)
+        self.lse = logsumexp(self.u)
+
+    @cached_property
+    def log_p(self):
+        return _frozen(self.u - self.lse)
+
+    @cached_property
+    def p(self):
+        return _frozen(np.exp(self.log_p))
+
+    @cached_property
+    def eta(self):
+        return _frozen(self.p @ self.F)
+
+    @cached_property
+    def C(self):
+        return _frozen(self.F - self.eta)
+
+    @cached_property
+    def G(self):
+        return _frozen(weighted_gram(self.C, self.p))
+
+    @cached_property
+    def L(self):
+        return _frozen(cholesky_lower(self.G))
+
+
+def evaluate(index, theta):
+    """The pass over the states at theta, memoized over the last few points.
+
+    Its attributes are the log-partition ``lse``, the log-probabilities
+    ``log_p``, the probabilities ``p``, the moments ``eta``, the centred
+    statistics ``C``, the metric ``G`` and its lower Cholesky factor
+    ``L``.  A cached point answers from what it already holds.
+    """
+    theta = _check_theta(index, theta)
+    key = (index, theta.tobytes())
+    evaluation = _memo.get(key)
+    if evaluation is None:
+        evaluation = _memo[key] = _Evaluation(index, theta)
+        while len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return evaluation
+
+
 def log_partition(index, theta):
     """log sum_x exp(theta . F(x)), stabilized."""
-    theta = _check_theta(index, theta)
-    return float(logsumexp(feature_matrix(index) @ theta))
+    return float(evaluate(index, theta).lse)
 
 
 def log_probabilities(index, theta):
-    theta = _check_theta(index, theta)
-    u = feature_matrix(index) @ theta
-    return u - logsumexp(u)
+    return evaluate(index, theta).log_p
 
 
 def probabilities(index, theta):
-    return np.exp(log_probabilities(index, theta))
+    return evaluate(index, theta).p
 
 
 def negative_entropy(probs):
@@ -134,24 +209,24 @@ def moments(index, theta, query=None):
     ``query`` defaults to the model's own index, giving the dual
     (moment) coordinates of theta.
     """
-    p = probabilities(index, theta)
-    F = feature_matrix(query if query is not None else index)
-    if F.shape[0] != p.shape[0]:
+    evaluation = evaluate(index, theta)
+    if query is None:
+        return evaluation.eta
+    F = feature_matrix(query)
+    if F.shape[0] != evaluation.p.shape[0]:
         raise DimensionMismatch("query index is over a different variable count")
-    return p @ F
+    return evaluation.p @ F
 
 
 def fisher_metric(index, theta):
     """Covariance of the sufficient statistics at theta."""
-    p, C = centered_features(index, theta)
-    return weighted_gram(C, p)
+    return evaluate(index, theta).G
 
 
 def centered_features(index, theta):
     """State probabilities p and centred statistics C = F - p F at theta."""
-    p = probabilities(index, theta)
-    F = feature_matrix(index)
-    return p, F - p @ F
+    evaluation = evaluate(index, theta)
+    return evaluation.p, evaluation.C
 
 
 def weighted_gram(C, w):
@@ -163,8 +238,9 @@ def weighted_gram(C, w):
 
 def third_central_moment(index, theta):
     """Symmetric tensor E[(F_A - eta_A)(F_B - eta_B)(F_C - eta_C)]."""
-    p, C = centered_features(index, theta)
-    return np.einsum("x,xa,xb,xc->abc", p, C, C, C)
+    evaluation = evaluate(index, theta)
+    C = evaluation.C
+    return np.einsum("x,xa,xb,xc->abc", evaluation.p, C, C, C)
 
 
 def christoffel_first_kind(index, theta, alpha):
@@ -192,32 +268,30 @@ def moment_to_natural(index, eta, theta0=None):
             f"eta shape {eta.shape} does not match index size {len(index)}"
         )
     theta = np.zeros(len(index)) if theta0 is None else np.array(theta0, dtype=float)
-
-    def potential(t):
-        return log_partition(index, t) - float(t @ eta)
-
-    F = feature_matrix(index)
-    value = potential(theta)
+    # the potential psi(theta) - theta . eta damps the steps; the pass
+    # that gives it at an accepted candidate gives the next iteration's
+    # moments, metric and factor
+    at = evaluate(index, theta)
+    value = float(at.lse) - float(theta @ eta)
     for _ in range(_INVERSION_MAX_ITERS):
-        # one probability pass gives both the moments and the metric
-        p = probabilities(index, theta)
-        residual = p @ F - eta
+        residual = at.eta - eta
         if float(np.max(np.abs(residual))) < _INVERSION_TOL:
             return theta
         try:
-            step = solve_spd(weighted_gram(F - p @ F, p), -residual)
+            step = solve_spd(at.G, -residual, L=at.L)
         except DualNewtonError as exc:
             raise MomentInfeasible(f"inner Newton solve failed: {exc}") from exc
         t = 1.0
         for _ in range(60):
             candidate = theta + t * step
-            cand_value = potential(candidate)
+            cand = evaluate(index, candidate)
+            cand_value = float(cand.lse) - float(candidate @ eta)
             if np.isfinite(cand_value) and cand_value <= value:
                 if np.array_equal(candidate, theta):
                     # a fixed point: every later iteration repeats this
                     # one, so the budget would end in the same exception
                     raise MomentInfeasible("damped Newton reached a fixed point")
-                theta, value = candidate, cand_value
+                theta, value, at = candidate, cand_value, cand
                 break
             t *= 0.5
         else:
@@ -234,21 +308,22 @@ def in_domain(index, theta):
 
 def dual_structure(index, alpha):
     def point(structure, theta):
-        # one probability pass gives G and the centred statistics; every
-        # alpha-connection is (1 - alpha)/2 times the third central
-        # moment T raised by G, so it is applied to a vector in
-        # O(2^n m^2) without building T, and is exactly zero when its
-        # coefficient is 0 (the flat connection)
-        p, C = centered_features(index, theta)
-        G = weighted_gram(C, p)
+        # the pass at theta gives G, its factor and the centred
+        # statistics; every alpha-connection is (1 - alpha)/2 times the
+        # third central moment T raised by G, so it is applied to a
+        # vector in O(2^n m^2) without building T, and is exactly zero
+        # when its coefficient is 0 (the flat connection)
+        at = evaluate(index, theta)
+        G = at.G
 
         def connection(alpha, a):
             coef = 0.5 * (1.0 - alpha)
             if coef == 0.0:
                 return np.zeros_like(G)
-            return coef * solve_spd(G, weighted_gram(C, p * (C @ a))).T
+            C = at.C
+            return coef * solve_spd(G, weighted_gram(C, at.p * (C @ a)), L=at.L).T
 
-        return DualPoint(structure, theta, G, connection)
+        return DualPoint(structure, theta, G, connection, factor=lambda: at.L)
 
     return DualStructure(
         dim=len(index),

@@ -97,7 +97,8 @@ class KLProjectionObjective:
         return loglinear.moments(self.index, theta) - self.eta_hat + 2.0 * self.lam * theta
 
     def value_and_grad(self, theta):
-        # the log-partition and the moments share no measurable work
+        # the log-partition and the moments come from one pass over the
+        # states, which the model keeps for the point's geometry
         return self.value(theta), self.eucl_grad(theta)
 
     def grad_field_jacobian(self, theta):
@@ -107,15 +108,16 @@ class KLProjectionObjective:
         metric derivative d G / d theta_i = T_i (third central
         moments), so the Euclidean Hessian is G + 2 diag(lam) and
         d a / d theta_i = G^{-1} (H_f[:, i] - T_i a).  T a is contracted
-        over the states, so T itself is never built.
+        over the states, so T itself is never built.  p, C, G and G's
+        factor come from the model's pass at theta.
         """
         theta = np.asarray(theta, dtype=float)
-        p, C = loglinear.centered_features(self.index, theta)
-        G = loglinear.weighted_gram(C, p)
-        a = solve_spd(G, self.eucl_grad(theta))
+        at = loglinear.evaluate(self.index, theta)
+        G, C = at.G, at.C
+        a = solve_spd(G, self.eucl_grad(theta), L=at.L)
         H_f = G + 2.0 * np.diag(self.lam)
-        TA = loglinear.weighted_gram(C, p * (C @ a))
-        return solve_spd(G, H_f - TA).T
+        TA = loglinear.weighted_gram(C, at.p * (C @ a))
+        return solve_spd(G, H_f - TA, L=at.L).T
 
 
 def _point(xi):
@@ -248,14 +250,16 @@ class AlphaDivergenceObjective:
         return float(f[0]), _central_difference(f[1:], X)
 
     def _log_integral_derivs(self, xi):
-        """Value, gradient, and Hessian of S = log(J1 J2) in closed form."""
-        mu, sigma = np.asarray(xi, dtype=float)
+        """Value, gradient, and Hessian of S = log(J1 J2) in closed form.
+
+        A point where ``value`` fails raises the exception ``value``
+        raises there, before any arithmetic of its own.
+        """
+        xi = _point(xi)
+        self._values(xi[None, :])
+        mu, sigma = xi
         ab = self.alpha_bar
         c = self._factors(sigma**2)
-        if sigma <= 0 or np.any(c <= 0):
-            raise DivergenceUndefined(
-                f"integrability fails at sigma={sigma}: variance factors {c}"
-            )
         w = -0.125 * (1.0 - ab * ab)
         d = self.mu_targets - mu
         cp = (1.0 + ab) * sigma
@@ -310,9 +314,8 @@ class AlphaDivergenceObjective:
         d a / d xi_i = G^{-1} H[:, i] + [i == sigma] diag(sigma, sigma/2) grad
         with H the exact Hessian of the closed-form value.
         """
-        xi = np.asarray(xi, dtype=float)
-        sigma = xi[1]
         s, grad_s, hess_s = self._log_integral_derivs(xi)
+        sigma = np.asarray(xi, dtype=float)[1]
         scale = -4.0 / (1.0 - self.alpha_bar * self.alpha_bar) * np.exp(s)
         grad = scale * grad_s
         H = scale * (np.outer(grad_s, grad_s) + hess_s)

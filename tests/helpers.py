@@ -15,6 +15,20 @@ def euclidean_structure(n, in_domain=None):
     return DualStructure(dim=n, point=point, alpha=0.0, in_domain=in_domain)
 
 
+def count_calls(monkeypatch, calls, name, *modules):
+    """Count in ``calls[name]`` the calls of function ``name`` made through
+    each of ``modules``, i.e. by the code that resolves the name there."""
+    calls.setdefault(name, 0)
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
 def fd_hessian(f, x):
     """Central second-difference Hessian with eps**(1/4) steps."""
     x = np.asarray(x, dtype=float)

@@ -19,6 +19,7 @@ from dualnewton.experiments import (
     run_experiment,
     spd_failure_probe,
 )
+from dualnewton.models import loglinear
 from dualnewton.models.loglinear import SubsetIndex
 
 
@@ -150,6 +151,33 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert len(echo["init_point"]) == len(SubsetIndex.boltzmann(3).subsets)
     target = json.loads((out / "target.json").read_text())
     assert TargetSpec.from_dict(target).n_vars == 3
+
+
+def _trace_rows(out):
+    """Every trace CSV of a run directory without its time column."""
+    rows = {}
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            with open(os.path.join(out, name), newline="") as fh:
+                rows[name] = [row[:-1] for row in csv.reader(fh)]
+    return rows
+
+
+def test_exp1_traces_do_not_depend_on_the_point_memo(tmp_path, monkeypatch):
+    # the log-linear readers share one pass per point through a memo;
+    # with the memo off every reader makes its own pass, with the same bits
+    cfg = RunConfig.defaults("exp1", seed=0)
+    assert cfg.n == 4 and set(cfg.methods) == {"newton", "natgrad", "mirror", "adam"}
+    kept = tmp_path / "kept"
+    run_experiment(cfg, out_dir=str(kept))
+    monkeypatch.setattr(loglinear, "_MEMO_SIZE", 0)
+    loglinear._memo.clear()
+    fresh = tmp_path / "fresh"
+    run_experiment(cfg, out_dir=str(fresh))
+    assert not loglinear._memo
+    expected = _trace_rows(kept)
+    assert len(expected) == 5 + 3
+    assert _trace_rows(fresh) == expected
 
 
 def test_summary_iteration_count_matches_csv_rows(tmp_path):

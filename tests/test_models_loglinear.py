@@ -6,15 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dualnewton import geometry, linalg
 from dualnewton.errors import (
     DimensionMismatch,
     DualNewtonError,
     MomentInfeasible,
     NonFiniteValue,
+    NotPositiveDefinite,
 )
-from dualnewton.linalg import fd_jacobian, solve_spd
+from dualnewton.linalg import fd_jacobian, logsumexp, solve_spd
 from dualnewton.models import loglinear
-from dualnewton.models.loglinear import SubsetIndex
+from dualnewton.models.loglinear import SubsetIndex, feature_matrix, weighted_gram
+from dualnewton.objectives import KLProjectionObjective
+
+from helpers import count_calls
+
+
+@pytest.fixture(autouse=True)
+def fresh_memo():
+    # every test starts with no point evaluated, so counts do not depend
+    # on the tests that ran before it
+    loglinear._memo.clear()
 
 
 def test_boltzmann_index_order():
@@ -118,32 +130,25 @@ def test_christoffel_flat_at_alpha_one(monkeypatch):
 
 
 def test_point_builds_metric_and_third_moment_once(monkeypatch):
+    # a pass over the states is one log-sum-exp of the energies
     idx = SubsetIndex.boltzmann(3)
     rng = np.random.default_rng(5)
     theta = rng.uniform(-1, 1, size=len(idx))
-    calls = {"probabilities": 0, "third_central_moment": 0}
-
-    def counted(name):
-        original = getattr(loglinear, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(loglinear, name, wrapper)
-
-    counted("probabilities")
-    counted("third_central_moment")
+    calls = {}
+    count_calls(monkeypatch, calls, "logsumexp", loglinear)
+    count_calls(monkeypatch, calls, "cholesky_lower", linalg, geometry, loglinear)
+    count_calls(monkeypatch, calls, "third_central_moment", loglinear)
     point = loglinear.dual_structure(idx, 0.5).at(theta)
     point.G
-    assert calls == {"probabilities": 1, "third_central_moment": 0}
+    assert calls == {"logsumexp": 1, "cholesky_lower": 0, "third_central_moment": 0}
     # the contractions Newton reads and the full symbols, stacked from
-    # the connection map, all come from the point's probabilities
+    # the connection map, all come from the point's pass and one factor
     point.dual_dot(rng.normal(size=len(idx)))
     point.quad(rng.normal(size=len(idx)))
     point.gamma
     point.gamma_dual
-    assert calls == {"probabilities": 1, "third_central_moment": 0}
+    point.solve(rng.normal(size=len(idx)))
+    assert calls == {"logsumexp": 1, "cholesky_lower": 1, "third_central_moment": 0}
 
 
 def test_scalar_third_moment():
@@ -221,17 +226,11 @@ def test_moment_inversion_stops_at_its_fixed_point(monkeypatch):
     idx = SubsetIndex.boltzmann(3)
     theta = np.array([1.0, 0.0, 1.0, 0.09391203880183929, 1.0, 0.0])
     eta = loglinear.moments(idx, theta)
-    calls = []
-    log_partition = loglinear.log_partition
-
-    def counted(*args):
-        calls.append(None)
-        return log_partition(*args)
-
-    monkeypatch.setattr(loglinear, "log_partition", counted)
+    calls = {}
+    count_calls(monkeypatch, calls, "logsumexp", loglinear)
     with pytest.raises(MomentInfeasible):
         loglinear.moment_to_natural(idx, eta)
-    assert len(calls) <= 2000
+    assert calls["logsumexp"] <= 2000
 
 
 def reference_moment_to_natural(index, eta, theta0=None):
@@ -296,30 +295,32 @@ def test_moment_inversion_matches_reference_loop(theta, start, shift, scale):
 def test_moment_inversion_reads_probabilities_once_per_iteration(monkeypatch):
     idx = SubsetIndex.boltzmann(3)
     eta = loglinear.moments(idx, np.random.default_rng(8).uniform(-1, 1, size=len(idx)))
-    calls = {"probabilities": 0, "moments": 0, "fisher_metric": 0, "log_partition": 0}
-    solves = []
+    loglinear._memo.clear()
+    calls = {}
+    for name in ("probabilities", "moments", "fisher_metric", "log_partition"):
+        count_calls(monkeypatch, calls, name, loglinear)
+    count_calls(monkeypatch, calls, "solve_spd", loglinear)
+    count_calls(monkeypatch, calls, "cholesky_lower", linalg, loglinear)
+    count_calls(monkeypatch, calls, "logsumexp", loglinear)
+    points = []
+    evaluate = loglinear.evaluate
 
-    for name in calls:
-        original = getattr(loglinear, name)
+    def recorded(index, theta):
+        points.append(np.asarray(theta).tobytes())
+        return evaluate(index, theta)
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(loglinear, name, counted)
-
-    def counted_solve(*args):
-        solves.append(1)
-        return solve_spd(*args)
-
-    monkeypatch.setattr(loglinear, "solve_spd", counted_solve)
+    monkeypatch.setattr(loglinear, "evaluate", recorded)
     loglinear.moment_to_natural(idx, eta)
-    # one Newton step per solve plus the final converged residual; every
-    # trial point and the start still go through the log partition
-    assert len(solves) >= 2
-    assert calls["probabilities"] == len(solves) + 1
-    assert calls["moments"] == calls["fisher_metric"] == 0
-    assert calls["log_partition"] >= len(solves) + 1
+    # the start and every trial point make one pass each, which gives
+    # the potential there and, once the trial is accepted, the next
+    # iteration's moments, metric and the one factor its step solves with
+    solves = calls.pop("solve_spd")
+    assert solves >= 2
+    assert calls.pop("cholesky_lower") == solves
+    assert calls.pop("logsumexp") == len(points) == len(set(points)) >= solves + 1
+    # the public readers each make their own call; the inversion reads
+    # the pass directly
+    assert calls == {"probabilities": 0, "moments": 0, "fisher_metric": 0, "log_partition": 0}
 
 
 def test_moment_inversion_scalar():
@@ -336,7 +337,7 @@ def test_moment_inversion_infeasible():
 
 def test_moment_inversion_does_not_hide_foreign_errors(monkeypatch):
     # only package errors in the inner solve mean "infeasible"
-    def broken(*args):
+    def broken(*args, **kwargs):
         raise RuntimeError("solver bug")
 
     monkeypatch.setattr(loglinear, "solve_spd", broken)
@@ -363,3 +364,140 @@ def test_theta_validation():
         loglinear.moments(idx, np.zeros(2))
     with pytest.raises(NonFiniteValue):
         loglinear.moments(idx, np.array([np.nan, 0.0, 0.0]))
+
+
+# ---- one pass per point ----------------------------------------------------
+
+
+def _reference_readers(index, theta):
+    """Every reader's result as the expressions that computed it before the
+    readers shared a pass: each reader made its own pass over the states."""
+    F = feature_matrix(index)
+    u = F @ theta
+    log_p = u - logsumexp(u)
+    p = np.exp(log_p)
+    C = F - p @ F
+    return {
+        "log_partition": float(logsumexp(F @ theta)),
+        "log_probabilities": log_p,
+        "probabilities": p,
+        "moments": p @ F,
+        "moments_full": p @ feature_matrix(SubsetIndex.full(index.n_vars)),
+        "centered_features": (p, C),
+        "fisher_metric": weighted_gram(C, p),
+        "third_central_moment": np.einsum("x,xa,xb,xc->abc", p, C, C, C),
+    }
+
+
+def _readers(index, theta):
+    full = SubsetIndex.full(index.n_vars)
+    return {
+        "log_partition": lambda: loglinear.log_partition(index, theta),
+        "log_probabilities": lambda: loglinear.log_probabilities(index, theta),
+        "probabilities": lambda: loglinear.probabilities(index, theta),
+        "moments": lambda: loglinear.moments(index, theta),
+        "moments_full": lambda: loglinear.moments(index, theta, query=full),
+        "centered_features": lambda: loglinear.centered_features(index, theta),
+        "fisher_metric": lambda: loglinear.fisher_metric(index, theta),
+        "third_central_moment": lambda: loglinear.third_central_moment(index, theta),
+    }
+
+
+def _as_bytes(value):
+    if isinstance(value, tuple):
+        return tuple(_as_bytes(v) for v in value)
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return (value.shape, value.tobytes())
+
+
+def _solve_outcome(solve):
+    try:
+        return solve().tobytes()
+    except NotPositiveDefinite:
+        return NotPositiveDefinite
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 5),
+    full=st.booleans(),
+    scale=st.sampled_from([0.5, 3.0, 800.0]),
+    data=st.data(),
+)
+def test_readers_return_the_bits_of_their_own_pass(n, full, scale, data):
+    # at scale 800 most state probabilities underflow to zero; the
+    # readers are called in a drawn order, so whichever derives a
+    # quantity first, every reader sees the same bits
+    index = SubsetIndex.full(n) if full else SubsetIndex.boltzmann(n)
+    theta = np.array(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(index), max_size=len(index)))
+    ) * scale
+    reference = _reference_readers(index, theta)
+    readers = _readers(index, theta)
+    order = data.draw(st.permutations(sorted(readers)))
+    for name in order + order:
+        assert _as_bytes(readers[name]()) == _as_bytes(reference[name]), name
+    # the point hook, its solves through the pass's one factor, and the
+    # KL objective's exact Jacobian
+    b = np.linspace(-1.0, 1.0, len(index))
+    point = loglinear.dual_structure(index, 0.0).at(theta)
+    assert point.G.tobytes() == reference["fisher_metric"].tobytes()
+    assert _solve_outcome(lambda: point.solve(b)) == _solve_outcome(
+        lambda: solve_spd(reference["fisher_metric"], b)
+    )
+    if scale < 800.0:
+        eta_hat = loglinear.moments(index, np.full(len(index), 0.1))
+        obj = KLProjectionObjective(index, eta_hat, 0.5, 0.5)
+        p, C = reference["centered_features"]
+        G = reference["fisher_metric"]
+        a = solve_spd(G, reference["moments"] - eta_hat + 2.0 * obj.lam * theta)
+        TA = weighted_gram(C, p * (C @ a))
+        expected = solve_spd(G, G + 2.0 * np.diag(obj.lam) - TA).T
+        assert obj.grad_field_jacobian(theta).tobytes() == expected.tobytes()
+
+
+def test_memo_off_gives_the_same_bits(monkeypatch):
+    idx = SubsetIndex.boltzmann(4)
+    theta = np.random.default_rng(3).uniform(-1, 1, size=len(idx))
+    kept = {name: _as_bytes(read()) for name, read in _readers(idx, theta).items()}
+    monkeypatch.setattr(loglinear, "_MEMO_SIZE", 0)
+    loglinear._memo.clear()
+    for name, read in _readers(idx, theta).items():
+        assert _as_bytes(read()) == kept[name]
+    assert not loglinear._memo
+
+
+def test_memo_keeps_the_last_points():
+    idx = SubsetIndex.boltzmann(2)
+    thetas = [np.full(len(idx), 0.1 * k) for k in range(loglinear._MEMO_SIZE + 1)]
+    for theta in thetas:
+        loglinear.evaluate(idx, theta)
+    assert len(loglinear._memo) == loglinear._MEMO_SIZE
+    first, last = (loglinear.evaluate(idx, t) for t in (thetas[1], thetas[-1]))
+    # a kept point answers from the same record, whatever array holds theta
+    assert loglinear.evaluate(idx, list(thetas[1])) is first
+    assert loglinear.evaluate(idx, thetas[-1].copy()) is last
+    assert (idx, thetas[0].tobytes()) not in loglinear._memo
+
+
+def test_returned_arrays_are_read_only():
+    idx = SubsetIndex.boltzmann(3)
+    theta = np.random.default_rng(4).uniform(-1, 1, size=len(idx))
+    p, C = loglinear.centered_features(idx, theta)
+    for array in (
+        loglinear.log_probabilities(idx, theta),
+        loglinear.probabilities(idx, theta),
+        loglinear.moments(idx, theta),
+        p,
+        C,
+        loglinear.fisher_metric(idx, theta),
+        loglinear.evaluate(idx, theta).L,
+        loglinear.dual_structure(idx, 0.0).at(theta).G,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # the arrays the memo keeps are unchanged by the attempts
+    assert loglinear.probabilities(idx, theta).tobytes() == (
+        _reference_readers(idx, theta)["probabilities"].tobytes()
+    )

@@ -566,3 +566,73 @@ def test_alpha_divergence_names_a_bad_shape(method, shape):
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
         getattr(obj, method)(np.ones(shape))
+
+
+def _analytic_outcome(fn, xi):
+    """The exception class fn raises at xi, or None when it returns."""
+    try:
+        fn(xi)
+    except (DimensionMismatch, DomainViolation, DivergenceUndefined, NonFiniteValue) as exc:
+        return type(exc)
+    return None
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300, **FIXED)
+@given(
+    alpha_bar=st.sampled_from([3.0, 0.5, -0.6]),
+    family=st.sampled_from(["wide", "zero", "edge", "overflow", "mu", "sigma", "shape"]),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+    bad=_NON_FINITE,
+    size=st.sampled_from([1, 3]),
+)
+@example(alpha_bar=3.0, family="sigma", u=0.5, v=0.5, bad=np.nan, size=1)
+@example(alpha_bar=3.0, family="sigma", u=0.5, v=0.5, bad=np.inf, size=1)
+@example(alpha_bar=3.0, family="zero", u=0.5, v=0.25, bad=np.nan, size=1)
+def test_alpha_divergence_analytics_fail_like_value(alpha_bar, family, u, v, bad, size):
+    # analytic_grad, analytic_hessian and grad_field_jacobian raise the
+    # exception class value raises at the same point, without a
+    # RuntimeWarning first, and return wherever value returns
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    if family == "mu":
+        xi = np.array([bad, 0.5 + 2.0 * v])
+    elif family == "sigma":
+        xi = np.array([-1.0 + 4.0 * u, bad])
+    elif family == "shape":
+        xi = np.full(size, 1.0 + u)
+    else:
+        xi = _alpha_point(family, u, v)
+    expected = _analytic_outcome(obj.value, xi)
+    for method in (obj.analytic_grad, obj.analytic_hessian, obj.grad_field_jacobian):
+        if expected is None:
+            # near the float64 overflow the derivatives may overflow
+            # where the value does not
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _analytic_outcome(method, xi) is None
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _analytic_outcome(method, xi) is expected
+
+
+@pytest.mark.parametrize(
+    "xi, error",
+    [
+        ([1.0, np.nan], DomainViolation),
+        ([np.nan, 1.0], NonFiniteValue),
+        ([1.0, np.inf], DomainViolation),
+        ([1.0, 1.0, 1.0], DimensionMismatch),
+        ([1.0, -1.0], DomainViolation),
+    ],
+)
+def test_alpha_divergence_jacobian_names_a_bad_point(xi, error):
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
+    with pytest.raises(error):
+        obj.value(np.array(xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            obj.grad_field_jacobian(np.array(xi))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualnewton import geometry, optimizers as opt
+from dualnewton import geometry, linalg, optimizers as opt
 from dualnewton.errors import (
     DomainViolation,
     InsufficientIterations,
@@ -18,7 +18,7 @@ from dualnewton.linalg import solve_spd
 from dualnewton.models import betamix, loglinear
 from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective, Objective
 
-from helpers import euclidean_structure
+from helpers import count_calls, euclidean_structure
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
@@ -285,7 +285,7 @@ def test_newton_projection_direction_matches_natural_gradient():
         hess = geometry.dual_hessian_matrix(
             ds, field, theta, jacobian=obj.grad_field_jacobian
         )
-        beta, spd = geometry.newton_direction(ds, hess, grad, theta)
+        beta, spd = geometry.newton_direction(ds, hess, grad, theta, a=a)
         assert spd
         assert np.linalg.norm(beta + a) <= 1e-8 * np.linalg.norm(a)
 
@@ -300,7 +300,7 @@ def test_newton_regularization_breaks_the_equivalence():
         hess = geometry.dual_hessian_matrix(
             ds, field, theta, jacobian=obj.grad_field_jacobian
         )
-        beta, _ = geometry.newton_direction(ds, hess, grad, theta)
+        beta, _ = geometry.newton_direction(ds, hess, grad, theta, a=a)
         assert np.linalg.norm(beta + a) >= 1e-3 * np.linalg.norm(a)
 
 
@@ -477,6 +477,61 @@ def test_newton_builds_no_third_moment_tensor(monkeypatch, alpha):
     monkeypatch.setattr(loglinear, "third_central_moment", unused)
     tr = opt.dual_newton_run(ds, obj, np.full(len(index), 0.2), opt.StopRule())
     assert tr.status == opt.CONVERGED
+
+
+def _factored_matrices(monkeypatch):
+    """The bytes of every matrix handed to the Cholesky factorization."""
+    factored = []
+    cholesky_lower = linalg.cholesky_lower
+
+    def recorded(A):
+        factored.append(np.asarray(A).tobytes())
+        return cholesky_lower(A)
+
+    for module in (linalg, geometry, loglinear):
+        monkeypatch.setattr(module, "cholesky_lower", recorded)
+    return factored
+
+
+def test_newton_step_on_kl_makes_one_pass_and_one_factorization(monkeypatch):
+    # the value, the gradient, G, its factor, the exact Jacobian and both
+    # connection contractions at an iterate come from one pass over the
+    # states and one factorization of G; the step's other factorization
+    # is the descent certificate's, of G H^T
+    index, obj, ds, _ = kl_problem(4, 0.5, 0.5, alpha=0.0)
+    loglinear._memo.clear()
+    calls = {}
+    count_calls(monkeypatch, calls, "logsumexp", loglinear)
+    count_calls(monkeypatch, calls, "is_spd", geometry)
+    factored = _factored_matrices(monkeypatch)
+    tr = opt.dual_newton_run(ds, obj, np.full(len(index), 0.2), opt.StopRule())
+    assert tr.status == opt.CONVERGED and tr.n_iterations >= 3
+    steps = tr.n_iterations
+    # no step is halved on this problem, so the points evaluated are the
+    # iterates: the start and one per step
+    assert calls == {"logsumexp": steps + 1, "is_spd": steps}
+    assert len(factored) == (steps + 1) + steps
+    assert len(set(factored)) == len(factored)
+    metrics = {loglinear.fisher_metric(index, p).tobytes() for p in tr.iterates}
+    assert len(metrics & set(factored)) == steps + 1
+
+
+def test_mirror_wolfe_search_factors_the_iterate_metric_once(monkeypatch):
+    # every trial's moment inversion starts at the iterate and takes its
+    # first step from the iterate's kept factor
+    index, obj, _, _ = kl_problem(4, 0.5, 0.5)
+    theta0 = np.full(len(index), 0.2)
+    loglinear._memo.clear()
+    factored = _factored_matrices(monkeypatch)
+    calls = {}
+    count_calls(monkeypatch, calls, "solve_spd", loglinear)
+    tr = opt.mirror_descent_run(index, obj, theta0, opt.StopRule(max_iters=1))
+    assert tr.n_iterations == 1
+    G0 = loglinear.fisher_metric(index, theta0).tobytes()
+    # several trials, each with its inner inversion from theta0
+    assert calls["solve_spd"] > 3
+    assert factored.count(G0) == 1
+    assert len(set(factored)) == len(factored)
 
 
 # ---- natural gradient ------------------------------------------------------
