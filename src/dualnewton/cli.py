@@ -125,8 +125,6 @@ def _cmd_run(args):
         cfg = replace(cfg, out=os.path.join("runs", cfg.experiment))
     try:
         code, results = run_experiment(cfg)
-    except ConfigError:
-        raise
     except DualNewtonError as exc:
         print(f"optimizer failure: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER

@@ -46,7 +46,9 @@ class DualStructure:
 
     ``point(structure, xi)`` is the model's hook that evaluates the
     geometry at xi as a DualPoint; ``alpha`` selects the primal
-    connection, whose dual is the (-alpha)-connection.
+    connection, whose dual is the (-alpha)-connection.  ``contains`` is
+    the one domain test: a finite vector of length ``dim`` that passes
+    the model's optional ``in_domain`` hook, called on such vectors only.
     """
 
     dim: int

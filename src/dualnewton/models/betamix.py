@@ -281,12 +281,9 @@ class BetaMixtureModel:
         return self.dual_structure(alpha).gamma(xi)
 
     def in_domain(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return (
-            xi.shape == (self.dim,)
-            and bool(np.all(np.isfinite(xi)))
-            and bool(np.all(xi > 0))
-        )
+        """Positive shapes: the domain hook ``DualStructure.contains``
+        calls with a finite vector of length ``dim``."""
+        return bool(np.all(xi > 0))
 
     def dual_structure(self, alpha):
         return DualStructure(

@@ -301,11 +301,6 @@ def moment_to_natural(index, eta, theta0=None):
     )
 
 
-def in_domain(index, theta):
-    theta = np.asarray(theta, dtype=float)
-    return theta.shape == (len(index),) and bool(np.all(np.isfinite(theta)))
-
-
 def dual_structure(index, alpha):
     def point(structure, theta):
         # the pass at theta gives G, its factor and the centred
@@ -325,9 +320,4 @@ def dual_structure(index, alpha):
 
         return DualPoint(structure, theta, G, connection, factor=lambda: at.L)
 
-    return DualStructure(
-        dim=len(index),
-        point=point,
-        alpha=alpha,
-        in_domain=lambda th: in_domain(index, th),
-    )
+    return DualStructure(dim=len(index), point=point, alpha=alpha)

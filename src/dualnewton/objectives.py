@@ -250,7 +250,9 @@ class AlphaDivergenceObjective:
         return float(f[0]), _central_difference(f[1:], X)
 
     def _log_integral_derivs(self, xi):
-        """Value, gradient, and Hessian of S = log(J1 J2) in closed form.
+        """Exact gradient -K e^S grad S and Hessian -K e^S (grad S grad
+        S^T + hess S) of f = K (1 - e^S), K = 4 / (1 - abar^2), from
+        S = log(J1 J2) in closed form.
 
         A point where ``value`` fails raises the exception ``value``
         raises there, before any arithmetic of its own.
@@ -288,24 +290,16 @@ class AlphaDivergenceObjective:
         )
         grad_s = np.array([ds_mu, ds_sigma])
         hess_s = np.array([[h_mm, h_ms], [h_ms, h_ss]])
-        return s, grad_s, hess_s
+        scale = -4.0 / (1.0 - ab * ab) * np.exp(s)
+        return scale * grad_s, scale * (np.outer(grad_s, grad_s) + hess_s)
 
     def analytic_grad(self, xi):
-        """Exact gradient of the closed form; grad f = -K e^S grad S."""
-        ab = self.alpha_bar
-        s, grad_s, _ = self._log_integral_derivs(xi)
-        return -4.0 / (1.0 - ab * ab) * np.exp(s) * grad_s
+        """Exact gradient of the closed form."""
+        return self._log_integral_derivs(xi)[0]
 
     def analytic_hessian(self, xi):
-        """Exact value Hessian: -K e^S (grad S grad S^T + hess S)."""
-        ab = self.alpha_bar
-        s, grad_s, hess_s = self._log_integral_derivs(xi)
-        return (
-            -4.0
-            / (1.0 - ab * ab)
-            * np.exp(s)
-            * (np.outer(grad_s, grad_s) + hess_s)
-        )
+        """Exact value Hessian of the closed form."""
+        return self._log_integral_derivs(xi)[1]
 
     def grad_field_jacobian(self, xi):
         """Jacobian of a = G^{-1} grad, fully analytic.
@@ -314,11 +308,8 @@ class AlphaDivergenceObjective:
         d a / d xi_i = G^{-1} H[:, i] + [i == sigma] diag(sigma, sigma/2) grad
         with H the exact Hessian of the closed-form value.
         """
-        s, grad_s, hess_s = self._log_integral_derivs(xi)
+        grad, H = self._log_integral_derivs(xi)
         sigma = np.asarray(xi, dtype=float)[1]
-        scale = -4.0 / (1.0 - self.alpha_bar * self.alpha_bar) * np.exp(s)
-        grad = scale * grad_s
-        H = scale * (np.outer(grad_s, grad_s) + hess_s)
         g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
         jac = (g_inv @ H).T
         jac[1, :] += np.array([sigma, 0.5 * sigma]) * grad

@@ -177,12 +177,6 @@ def _f_noise(f0):
     return 32.0 * EPS * (1.0 + abs(f0))
 
 
-def _norms(point, eucl_grad):
-    """(a, l2, g-norm) of the Riemannian gradient coordinates at a DualPoint."""
-    a = point.solve(eucl_grad)
-    return a, float(np.linalg.norm(a)), float(np.sqrt(max(a @ point.G @ a, 0.0)))
-
-
 def _line_value(structure, obj, xi):
     """Objective value, or inf when the point is missing or unusable."""
     if xi is None or not structure.contains(xi):
@@ -194,22 +188,31 @@ def _line_value(structure, obj, xi):
     return f if np.isfinite(f) else np.inf
 
 
+def _measure(structure, obj, xi):
+    """(f, grad, a, l2, gnorm, point) at xi from one ``value_and_grad``
+    call and one evaluation of the geometry; ``point`` is the DualPoint
+    at xi and a = G^{-1} grad.  Raises whatever those calls raise."""
+    f, grad = obj.value_and_grad(xi)
+    grad = np.asarray(grad, dtype=float)
+    point = structure.at(xi)
+    a = point.solve(grad)
+    gnorm = float(np.sqrt(max(a @ point.G @ a, 0.0)))
+    return float(f), grad, a, float(np.linalg.norm(a)), gnorm, point
+
+
 def _evaluate(structure, obj, xi):
-    """(f, grad, a, l2, gnorm, point) at xi, or None when the point is
-    unusable; ``point`` is the geometry at xi."""
+    """``_measure`` at a trial point, or None when the point is outside
+    the domain, raises a point error or gives a non-finite result."""
     if not structure.contains(xi):
         return None
     try:
-        f, grad = obj.value_and_grad(xi)
-        f = float(f)
-        grad = np.asarray(grad, dtype=float)
-        point = structure.at(xi)
-        a, l2, gnorm = _norms(point, grad)
+        evaluation = _measure(structure, obj, xi)
     except _POINT_ERRORS:
         return None
+    f, grad, _, l2 = evaluation[:4]
     if not (np.isfinite(f) and np.all(np.isfinite(grad)) and np.isfinite(l2)):
         return None
-    return f, grad, a, l2, gnorm, point
+    return evaluation
 
 
 def _accept_any(evaluation):
@@ -219,14 +222,15 @@ def _accept_any(evaluation):
 def _iterate(structure, obj, xi0, stop, propose):
     """Retraction-based descent loop shared by the four methods.
 
-    ``propose(point, f, grad, a)`` sees the current iterate as a
-    DualPoint (its geometry, evaluated once) with its value (None
-    before the first step), Euclidean gradient and gradient
-    coordinates.  It returns a final status, or ``(trial, accept, spd)``:
-    ``trial(t)`` is the candidate for t = 1, 1/2, 1/4, ... (None, or a
-    DomainViolation, when that point is unusable), ``accept`` filters
-    the evaluated candidate and ``spd`` is the step's descent
-    certificate.  The first usable, accepted candidate within 30
+    Every iterate, the start included, is measured once by ``_measure``;
+    a start that cannot be measured raises.  ``propose(point, f, grad,
+    a)`` sees the current iterate as a DualPoint (its geometry,
+    evaluated once) with its value, Euclidean gradient and gradient
+    coordinates.  It returns a final status, or ``(trial, accept,
+    spd)``: ``trial(t)`` is the candidate for t = 1, 1/2, 1/4, ...
+    (None, or a DomainViolation, when that point is unusable),
+    ``accept`` filters the evaluated candidate and ``spd`` is the step's
+    descent certificate.  The first usable, accepted candidate within 30
     halvings becomes the next iterate.
     """
     stop = stop or StopRule()
@@ -237,10 +241,7 @@ def _iterate(structure, obj, xi0, stop, propose):
     trace.iterates.append(xi.copy())
     start = time.perf_counter()
 
-    f = None
-    grad = np.asarray(obj.eucl_grad(xi), dtype=float)
-    point = structure.at(xi)
-    a, l2, _ = _norms(point, grad)
+    f, grad, a, l2, _, point = _measure(structure, obj, xi)
     if l2 < stop.grad_tol:
         trace.status = CONVERGED
         return trace
@@ -342,11 +343,10 @@ def _line_proposer(structure, obj, line):
         nonlocal last_s
         xi = point.xi
         curve, slope = line(xi, grad, a)
-        f0 = float(obj.value(xi)) if f is None else f
         slope0 = float(grad @ -a)
 
         def phi(s):
-            return f0 if s == 0.0 else _line_value(structure, obj, curve(s))
+            return f if s == 0.0 else _line_value(structure, obj, curve(s))
 
         def dphi(s):
             if s == 0.0:
@@ -354,7 +354,7 @@ def _line_proposer(structure, obj, line):
             p = curve(s)
             return np.inf if p is None else slope(p)
 
-        f_atol = _f_noise(f0)
+        f_atol = _f_noise(f)
         sub_noise = abs(slope0) <= f_atol
         if not sub_noise:
             try:
@@ -377,7 +377,7 @@ def _line_proposer(structure, obj, line):
             return curve(last_s)
 
         def accept(evaluation):
-            return not sub_noise or evaluation[0] <= f0 + f_atol
+            return not sub_noise or evaluation[0] <= f + f_atol
 
         return trial, accept, True
 
@@ -401,71 +401,52 @@ def wolfe_line_search(phi, dphi, f_atol=0.0):
     """Strong Wolfe step by bracketing and bisection zoom.
 
     ``phi`` and ``dphi`` evaluate the line restriction and its
-    derivative; ``dphi(0)`` must be negative.  Trials start at step 1
-    and double; the constants are ``_WOLFE_C1`` and ``_WOLFE_C2``.
-    Non-finite trial values are overshoots and bracket from above.
+    derivative; ``dphi(0)`` must be negative.  The constants are
+    ``_WOLFE_C1`` and ``_WOLFE_C2``.  One loop (Nocedal & Wright, Alg.
+    3.5-3.6) narrows the interval between lo, the last Armijo step, and
+    hi: the trial doubles from 1 while hi is infinite, then bisects.  A
+    trial that fails Armijo, is non-finite (an overshoot) or is worse
+    than lo becomes hi; one whose slope points back past lo turns the
+    interval around.
 
     ``f_atol`` is the rounding noise of one phi evaluation.  Near a
     minimizer of a large-magnitude objective the true decrease can sit
-    below that noise; the value comparisons then carry this allowance
-    and the zoom is steered by the derivative alone, which is still
-    computed accurately.
+    below that noise; the value comparisons then carry this allowance,
+    and a trial only counts as worse than lo when it is resolvably
+    worse than the start too, so the zoom is steered by the derivative
+    alone, which is still computed accurately.
     """
     phi0 = float(phi(0.0))
     dphi0 = float(dphi(0.0))
     if not dphi0 < 0:
         raise ValueError(f"line derivative at 0 must be negative, got {dphi0}")
 
+    lo, f_lo, hi = 0.0, phi0, np.inf
     evals = 0
-
-    def take(s):
-        nonlocal evals
+    while True:
+        if hi == np.inf:
+            s = max(2.0 * lo, 1.0)
+        elif abs(hi - lo) <= EPS * (1.0 + abs(lo)):
+            raise LineSearchFailure(
+                f"zoom interval degenerated at s={lo} without a Wolfe point"
+            )
+        else:
+            s = 0.5 * (lo + hi)
         evals += 1
         if evals > _WOLFE_MAX_EVALS:
             raise LineSearchFailure(f"no Wolfe point in {_WOLFE_MAX_EVALS} evaluations")
-        return float(phi(s))
-
-    def zoom(lo, f_lo, hi):
-        # invariant: lo satisfies Armijo, the Wolfe point lies between.
-        # a trial only shrinks toward lo on value grounds when it is
-        # resolvably worse than the start too; otherwise noise-level
-        # fluctuations would steer the interval instead of the slope.
-        while True:
-            if abs(hi - lo) <= EPS * (1.0 + abs(lo)):
-                raise LineSearchFailure(
-                    f"zoom interval degenerated at s={lo} without a Wolfe point"
-                )
-            s = 0.5 * (lo + hi)
-            fs = take(s)
-            if not np.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
-                fs >= f_lo + f_atol and fs > phi0 + f_atol
-            ):
-                hi = s
-                continue
-            ds = float(dphi(s))
-            if abs(ds) <= -_WOLFE_C2 * dphi0:
-                return s
-            if ds * (hi - lo) >= 0:
-                hi = lo
-            lo, f_lo = s, fs
-
-    prev_s, prev_f = 0.0, phi0
-    s = 1.0
-    first = True
-    while True:
-        fs = take(s)
+        fs = float(phi(s))
         if not np.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
-            not first and fs >= prev_f + f_atol and fs > phi0 + f_atol
+            fs >= f_lo + f_atol and fs > phi0 + f_atol
         ):
-            return zoom(prev_s, prev_f, s)
+            hi = s
+            continue
         ds = float(dphi(s))
         if abs(ds) <= -_WOLFE_C2 * dphi0:
             return s
-        if ds >= 0:
-            return zoom(s, fs, prev_s)
-        prev_s, prev_f = s, fs
-        s *= 2.0
-        first = False
+        if ds * (hi - lo) >= 0:
+            hi = lo
+        lo, f_lo = s, fs
 
 
 def mirror_step(index, theta, eta, grad, s):

@@ -1,6 +1,8 @@
-"""Smoke test: the demos run to completion against the package in src."""
+"""Smoke test: the demos and the README example run to completion
+against the package in src."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +17,24 @@ ROOT = Path(__file__).resolve().parents[1]
     ["01_dual_geometry.py", "03_gaussian_divergence_fit.py", "04_beta_mixture_mle.py"],
 )
 def test_demo_runs(demo, tmp_path):
+    proc = _run_python([str(ROOT / "demos" / demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_example_converges(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    proc = _run_python(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Converged"), proc.stdout
+
+
+def _run_python(args, cwd):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        cwd=tmp_path,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
     )
-    assert proc.returncode == 0, proc.stderr

@@ -428,6 +428,18 @@ def test_cli_bad_inputs_exit_4(tmp_path):
     assert exc.value.code == 4
 
 
+def test_cli_config_error_inside_a_run_exits_4(tmp_path, monkeypatch, capsys):
+    # a ConfigError is a ValueError, not an optimizer failure, so it
+    # passes the run's DualNewtonError handler and main maps it to 4
+    def rejecting(cfg):
+        raise ConfigError("rejected inside the run")
+
+    monkeypatch.setattr(cli, "run_experiment", rejecting)
+    out = str(tmp_path / "o")
+    assert cli.main(["run", "--experiment", "exp1", "--out", out]) == 4
+    assert "configuration error: rejected inside the run" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -229,3 +229,43 @@ def test_self_adjoint_certificate_symmetry():
     target = np.array([1.0, 0.8])
     gfn = lambda xi: xi - target
     check(ds, gradient_field(ds, gfn), np.array([0.5, 1.5]))
+
+
+def _domain_case(model):
+    """(structure, a point inside, points the model's inequality rejects)."""
+    if model == "loglinear":
+        idx = SubsetIndex.boltzmann(3)
+        return loglinear.dual_structure(idx, 0.5), np.full(len(idx), 0.2), []
+    if model == "gaussian":
+        return gaussian.dual_structure(0.5), np.array([0.3, 1.2]), [
+            np.array([0.3, 0.0]),
+            np.array([0.3, -1.2]),
+        ]
+    mixture = BetaMixtureModel(
+        weights=[0.35, 0.40, 0.25], alphas=[2.0, 3.0, 5.0], betas=[5.0, 2.0, 3.5]
+    )
+    inside = mixture.generating_point()
+    outside = []
+    for i, bad in ((0, 0.0), (3, -1.0), (5, -1e-300)):
+        x = inside.copy()
+        x[i] = bad
+        outside.append(x)
+    return mixture.dual_structure(0.5), inside, outside
+
+
+@pytest.mark.parametrize("model", ["loglinear", "gaussian", "betamix"])
+def test_contains_is_the_one_domain_test(model):
+    # shape and finiteness are tested by contains alone; the model's
+    # hook adds only its inequality
+    ds, inside, outside = _domain_case(model)
+    assert ds.contains(inside)
+    assert not ds.contains(inside[:-1])
+    assert not ds.contains(np.append(inside, 1.0))
+    assert not ds.contains(inside.reshape(1, -1))
+    for i in range(ds.dim):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = inside.copy()
+            x[i] = bad
+            assert not ds.contains(x), (i, bad)
+    for x in outside:
+        assert not ds.contains(x), x

@@ -173,6 +173,44 @@ def test_line_search_runs_reuse_the_iterate_value(method, expected):
     assert counts == expected
 
 
+class RecordingObjective:
+    """Wraps obj and records which entry point evaluated which point."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.dim = obj.dim
+        self.calls = []
+
+    def _record(self, name, x):
+        self.calls.append((name, np.asarray(x, dtype=float).tobytes()))
+
+    def value(self, x):
+        self._record("value", x)
+        return self.obj.value(x)
+
+    def eucl_grad(self, x):
+        self._record("eucl_grad", x)
+        return self.obj.eucl_grad(x)
+
+    def value_and_grad(self, x):
+        self._record("value_and_grad", x)
+        return self.obj.value_and_grad(x)
+
+
+@ALL_RUNS
+def test_runs_measure_the_start_with_one_value_and_grad_call(method):
+    # the start is measured like every accepted point: one value_and_grad
+    # call, whose value the line searches then read as phi(0)
+    index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
+    recorded = RecordingObjective(obj)
+    x0 = np.full(len(index), 0.2)
+    tr = run_method(method, index, ds, recorded, x0, opt.StopRule(max_iters=3))
+    assert tr.n_iterations == 3
+    assert [name for name, x in recorded.calls if x == x0.tobytes()] == [
+        "value_and_grad"
+    ]
+
+
 # ---- line search -----------------------------------------------------------
 
 
@@ -251,6 +289,153 @@ def test_wolfe_with_slope_near_the_noise_floor():
     assert abs(dphi(s)) <= 0.9 * -slope0
     with pytest.raises(LineSearchFailure, match="zoom interval degenerated"):
         opt.wolfe_line_search(phi_with_noise(1.5), dphi, f_atol=f_atol)
+
+
+_WOLFE_C1, _WOLFE_C2 = opt._WOLFE_C1, opt._WOLFE_C2
+_WOLFE_MAX_EVALS = opt._WOLFE_MAX_EVALS
+
+
+def two_phase_wolfe_line_search(phi, dphi, f_atol=0.0):
+    """Reference: the strong Wolfe search as a bracketing phase and a
+    separate zoom, Nocedal & Wright Alg. 3.5 and 3.6 taken literally."""
+    phi0 = float(phi(0.0))
+    dphi0 = float(dphi(0.0))
+    if not dphi0 < 0:
+        raise ValueError(f"line derivative at 0 must be negative, got {dphi0}")
+
+    evals = 0
+
+    def take(s):
+        nonlocal evals
+        evals += 1
+        if evals > _WOLFE_MAX_EVALS:
+            raise LineSearchFailure(f"no Wolfe point in {_WOLFE_MAX_EVALS} evaluations")
+        return float(phi(s))
+
+    def zoom(lo, f_lo, hi):
+        # invariant: lo satisfies Armijo, the Wolfe point lies between.
+        # a trial only shrinks toward lo on value grounds when it is
+        # resolvably worse than the start too; otherwise noise-level
+        # fluctuations would steer the interval instead of the slope.
+        while True:
+            if abs(hi - lo) <= linalg.EPS * (1.0 + abs(lo)):
+                raise LineSearchFailure(
+                    f"zoom interval degenerated at s={lo} without a Wolfe point"
+                )
+            s = 0.5 * (lo + hi)
+            fs = take(s)
+            if not np.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
+                fs >= f_lo + f_atol and fs > phi0 + f_atol
+            ):
+                hi = s
+                continue
+            ds = float(dphi(s))
+            if abs(ds) <= -_WOLFE_C2 * dphi0:
+                return s
+            if ds * (hi - lo) >= 0:
+                hi = lo
+            lo, f_lo = s, fs
+
+    prev_s, prev_f = 0.0, phi0
+    s = 1.0
+    first = True
+    while True:
+        fs = take(s)
+        if not np.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
+            not first and fs >= prev_f + f_atol and fs > phi0 + f_atol
+        ):
+            return zoom(prev_s, prev_f, s)
+        ds = float(dphi(s))
+        if abs(ds) <= -_WOLFE_C2 * dphi0:
+            return s
+        if ds >= 0:
+            return zoom(s, fs, prev_s)
+        prev_s, prev_f = s, fs
+        s *= 2.0
+        first = False
+
+
+def _line_problem(
+    f0, noisy, slope_exp, minimizer_exp, quartic, amplitude, freq_exp, cut, bad
+):
+    """(phi, dphi, f_atol) of a drawn line problem.
+
+    phi(s) = f0 + slope0 s + c s^2 / 2 + d s^4 / 4 + noise(s), with
+    slope0 = -10^slope_exp, in units of the value noise f_atol when
+    ``noisy``; c puts the quadratic's minimizer at 10^minimizer_exp, or
+    is 0 for an unbounded ray (minimizer_exp None); the noise is
+    amplitude f_atol sin(10^freq_exp s).  Beyond s = cut both phi and
+    dphi return ``bad``, an overshoot out of the domain.
+    """
+    f_atol = opt._f_noise(f0) if noisy else 0.0
+    slope0 = -(10.0**slope_exp) * (f_atol if noisy else 1.0)
+    c = 0.0 if minimizer_exp is None else -slope0 / 10.0**minimizer_exp
+    d = quartic * abs(slope0)
+    freq = 10.0**freq_exp
+
+    def phi(s):
+        if s > cut:
+            return bad
+        noise = amplitude * f_atol * np.sin(freq * s) if s else 0.0
+        return f0 + slope0 * s + 0.5 * c * s * s + 0.25 * d * s**4 + noise
+
+    def dphi(s):
+        return bad if s > cut else slope0 + c * s + d * s**3
+
+    return phi, dphi, f_atol
+
+
+def _search_outcome(search, phi, dphi, f_atol):
+    """(the phi/dphi call sequence, the step or the failure message)."""
+    calls = []
+
+    def logged(name, fn):
+        def call(s):
+            calls.append((name, s))
+            return fn(s)
+
+        return call
+
+    try:
+        outcome = search(logged("phi", phi), logged("dphi", dphi), f_atol=f_atol)
+    except LineSearchFailure as exc:
+        outcome = str(exc)
+    return calls, outcome
+
+
+def test_one_loop_wolfe_search_matches_the_two_phase_reference():
+    # same calls in the same order and the same step or failure message;
+    # the draws cover value noise with f_atol, overshoots to inf and NaN,
+    # unbounded rays and collapsing zooms
+    outcomes = set()
+
+    @settings(max_examples=600, **FIXED)
+    @given(
+        f0=st.sampled_from([0.0, 1.0, -1658.6, 5000.0]),
+        noisy=st.booleans(),
+        slope_exp=st.sampled_from([-3, -1, 0, 0.25, 0.5, 1, 2]),
+        minimizer_exp=st.one_of(st.none(), st.sampled_from([-6, -3.7, -1, 0, 0.5, 2])),
+        quartic=st.sampled_from([0.0, 0.0, 1e-3, 1.0]),
+        amplitude=st.sampled_from([0.0, 0.5, 1.5, 3.0]),
+        freq_exp=st.sampled_from([2, 4, 6]),
+        # a ray cut at 64 spends the whole budget at the moment its
+        # interval degenerates: the interval test comes first
+        cut=st.sampled_from([np.inf, np.inf, 1e-5, 0.1, 1.0, 3.0, 64.0, 1e3]),
+        bad=st.sampled_from([np.inf, np.nan]),
+    )
+    def check(**params):
+        phi, dphi, f_atol = _line_problem(**params)
+        reference = _search_outcome(two_phase_wolfe_line_search, phi, dphi, f_atol)
+        assert _search_outcome(opt.wolfe_line_search, phi, dphi, f_atol) == reference
+        outcome = reference[1]
+        outcomes.add(outcome.split(" at s=")[0] if isinstance(outcome, str) else "step")
+
+    check()
+    assert outcomes == {
+        "step",
+        "zoom interval degenerated",
+        f"no Wolfe point in {_WOLFE_MAX_EVALS} evaluations",
+    }
 
 
 # ---- dual newton -----------------------------------------------------------
