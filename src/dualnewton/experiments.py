@@ -467,8 +467,9 @@ print("wrote", os.path.join(here, "convergence.png"))
 def run_experiment(cfg, out_dir=None):
     """Execute every method/alpha variant and write artifacts.
 
-    Returns the exit code: 0 on success, 3 when any run ends in
-    DomainFailure or SingularHessian and failures were not expected.
+    Returns ``(code, results)``: the exit code, 0 on success and 3 when
+    any run ends in DomainFailure or SingularHessian and failures were
+    not expected, and the per-run results in the order they ran.
     """
     cfg.validate()
     problem = _Problem(cfg)

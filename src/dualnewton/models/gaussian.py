@@ -7,16 +7,19 @@ reference model for checking the finite-difference paths elsewhere.
 
 import numpy as np
 
-from ..errors import DomainViolation
+from ..errors import DimensionMismatch, DomainViolation
 from ..geometry import DualPoint, DualStructure
 
 
 def _check(xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
-        raise DomainViolation(f"expected (mu, sigma), got shape {xi.shape}")
-    if not (np.all(np.isfinite(xi)) and xi[1] > 0):
-        raise DomainViolation(f"sigma must be positive, got {xi[1]}")
+        raise DimensionMismatch(f"expected a point (mu, sigma), got shape {xi.shape}")
+    mu, sigma = xi
+    if not np.isfinite(mu):
+        raise DomainViolation(f"mu must be finite, got {mu}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise DomainViolation(f"sigma must be positive and finite, got {sigma}")
     return xi
 
 

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .geometry import (
     dual_hessian_matrix,
-    gradient_field,
     newton_direction,
     second_order_retract,
 )
@@ -177,61 +176,67 @@ def _f_noise(f0):
     return 32.0 * EPS * (1.0 + abs(f0))
 
 
-def _line_value(structure, obj, xi):
-    """Objective value, or inf when the point is missing or unusable."""
-    if xi is None or not structure.contains(xi):
-        return np.inf
-    try:
-        f = float(obj.value(xi))
-    except _POINT_ERRORS:
-        return np.inf
-    return f if np.isfinite(f) else np.inf
+class _Evaluation:
+    """Everything a run reads at one point xi, each part computed once.
 
+    The constructor makes the one ``value_and_grad`` call (``f``,
+    ``grad``).  ``measure()`` adds the geometry on first call and returns
+    the record: ``point``, the DualPoint at xi, a = G^{-1} grad and its
+    norms ``l2`` and ``gnorm``.  Both raise whatever their calls raise.
+    """
 
-def _measure(structure, obj, xi):
-    """(f, grad, a, l2, gnorm, point) at xi from one ``value_and_grad``
-    call and one evaluation of the geometry; ``point`` is the DualPoint
-    at xi and a = G^{-1} grad.  Raises whatever those calls raise."""
-    f, grad = obj.value_and_grad(xi)
-    grad = np.asarray(grad, dtype=float)
-    point = structure.at(xi)
-    a = point.solve(grad)
-    gnorm = float(np.sqrt(max(a @ point.G @ a, 0.0)))
-    return float(f), grad, a, float(np.linalg.norm(a)), gnorm, point
+    __slots__ = ("structure", "xi", "f", "grad", "point", "a", "l2", "gnorm")
+
+    def __init__(self, structure, obj, xi):
+        f, grad = obj.value_and_grad(xi)
+        self.structure, self.xi = structure, xi
+        self.f, self.grad = float(f), np.asarray(grad, dtype=float)
+        self.point = None
+
+    def measure(self):
+        if self.point is None:
+            point = self.structure.at(self.xi)
+            self.a = a = point.solve(self.grad)
+            self.l2 = float(np.linalg.norm(a))
+            self.gnorm = float(np.sqrt(max(a @ point.G @ a, 0.0)))
+            self.point = point
+        return self
 
 
 def _evaluate(structure, obj, xi):
-    """``_measure`` at a trial point, or None when the point is outside
-    the domain, raises a point error or gives a non-finite result."""
-    if not structure.contains(xi):
+    """The record at a trial point, or None when xi is missing, outside
+    the domain, raises a point error or has a non-finite value."""
+    if xi is None or not structure.contains(xi):
         return None
     try:
-        evaluation = _measure(structure, obj, xi)
+        evaluation = _Evaluation(structure, obj, xi)
     except _POINT_ERRORS:
         return None
-    f, grad, _, l2 = evaluation[:4]
-    if not (np.isfinite(f) and np.all(np.isfinite(grad)) and np.isfinite(l2)):
+    return evaluation if np.isfinite(evaluation.f) else None
+
+
+def _usable(evaluation):
+    """The record, measured; None when there is none, its gradient is
+    non-finite, or its geometry raises a point error or is non-finite."""
+    if evaluation is None or not np.all(np.isfinite(evaluation.grad)):
         return None
-    return evaluation
-
-
-def _accept_any(evaluation):
-    return True
+    try:
+        evaluation.measure()
+    except _POINT_ERRORS:
+        return None
+    return evaluation if np.isfinite(evaluation.l2) else None
 
 
 def _iterate(structure, obj, xi0, stop, propose):
     """Retraction-based descent loop shared by the four methods.
 
-    Every iterate, the start included, is measured once by ``_measure``;
-    a start that cannot be measured raises.  ``propose(point, f, grad,
-    a)`` sees the current iterate as a DualPoint (its geometry,
-    evaluated once) with its value, Euclidean gradient and gradient
-    coordinates.  It returns a final status, or ``(trial, accept,
-    spd)``: ``trial(t)`` is the candidate for t = 1, 1/2, 1/4, ...
-    (None, or a DomainViolation, when that point is unusable),
-    ``accept`` filters the evaluated candidate and ``spd`` is the step's
-    descent certificate.  The first usable, accepted candidate within 30
-    halvings becomes the next iterate.
+    Every point is evaluated once, as an ``_Evaluation`` record; a start
+    whose record cannot be measured raises.  ``propose(here)`` reads the
+    iterate's measured record and returns a final status or ``(trial,
+    spd)``: ``trial(t)`` is the record of the candidate for t = 1, 1/2,
+    1/4, ... (None, or a DomainViolation, when there is none) and
+    ``spd`` the step's descent certificate.  The first candidate that
+    ``_usable`` passes within 30 halvings becomes the next iterate.
     """
     stop = stop or StopRule()
     xi = np.array(xi0, dtype=float)
@@ -241,46 +246,37 @@ def _iterate(structure, obj, xi0, stop, propose):
     trace.iterates.append(xi.copy())
     start = time.perf_counter()
 
-    f, grad, a, l2, _, point = _measure(structure, obj, xi)
-    if l2 < stop.grad_tol:
+    here = _Evaluation(structure, obj, xi).measure()
+    if here.l2 < stop.grad_tol:
         trace.status = CONVERGED
         return trace
 
     for it in range(1, stop.max_iters + 1):
-        proposal = propose(point, f, grad, a)
+        proposal = propose(here)
         if isinstance(proposal, str):
             trace.status = proposal
             return trace
-        trial, accept, spd = proposal
+        trial, spd = proposal
 
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             try:
-                candidate = trial(t)
+                evaluation = _usable(trial(t))
             except DomainViolation:
-                candidate = None
-            if candidate is not None:
-                evaluation = _evaluate(structure, obj, candidate)
-                if evaluation is not None and accept(evaluation):
-                    break
+                evaluation = None
+            if evaluation is not None:
+                break
             t *= 0.5
         else:
             trace.status = DOMAIN_FAILURE
             return trace
 
-        f, grad, a, l2, gnorm, point = evaluation
-        trace.record(
-            it,
-            f,
-            l2,
-            gnorm,
-            float(np.linalg.norm(candidate - xi)),
-            spd,
-            time.perf_counter() - start,
-        )
-        xi = candidate
-        trace.iterates.append(xi.copy())
-        if l2 < stop.grad_tol:
+        step = float(np.linalg.norm(evaluation.xi - here.xi))
+        here = evaluation
+        elapsed = time.perf_counter() - start
+        trace.record(it, here.f, here.l2, here.gnorm, step, spd, elapsed)
+        trace.iterates.append(here.xi.copy())
+        if here.l2 < stop.grad_tol:
             trace.status = CONVERGED
             return trace
 
@@ -298,19 +294,21 @@ def dual_newton_run(structure, obj, xi0, stop=None):
     """
     jac = getattr(obj, "grad_field_jacobian", None)
 
-    def propose(point, f, grad, a):
+    def propose(here):
         # the point stands in for the structure: G, Gamma* and Gamma at
-        # xi come from it, and the field at xi is the loop's a;
-        # finite-difference probes evaluate afresh
+        # xi come from it, and the field at xi is the loop's a; each
+        # finite-difference probe is a record of its own
+        point, a = here.point, here.a
         xi = point.xi
-        probe = gradient_field(point, obj.eucl_grad)
 
         def field(x):
-            return a if x is xi or np.array_equal(x, xi) else probe(x)
+            if x is xi or np.array_equal(x, xi):
+                return a
+            return _Evaluation(point, obj, x).measure().a
 
         try:
             hess = dual_hessian_matrix(point, field, xi, jacobian=jac)
-            beta, spd = newton_direction(point, hess, grad, xi, a=a)
+            beta, spd = newton_direction(point, hess, here.grad, xi, a=a)
         except (SingularMatrix, NotPositiveDefinite, NonFiniteValue):
             return SINGULAR_HESSIAN
         except (DomainViolation, DivergenceUndefined, QuadratureUnderflow):
@@ -318,10 +316,10 @@ def dual_newton_run(structure, obj, xi0, stop=None):
             # no local model exists at this iterate
             return DOMAIN_FAILURE
 
-        def retract(t):
-            return second_order_retract(point, xi, t * beta)
+        def trial(t):
+            return _evaluate(structure, obj, second_order_retract(point, xi, t * beta))
 
-        return retract, _accept_any, spd
+        return trial, spd
 
     return _iterate(structure, obj, xi0, stop, propose)
 
@@ -329,30 +327,37 @@ def dual_newton_run(structure, obj, xi0, stop=None):
 def _line_proposer(structure, obj, line):
     """Proposer for a strong Wolfe search along a descent curve.
 
-    ``line(xi, grad, a)`` returns ``(curve, slope)``: ``curve(s)`` is
-    the curve at length s (None when it cannot be formed) and
-    ``slope(p)`` the derivative of f along the curve at such a point.
-    The curve leaves xi with slope grad . (-a).  Where that slope is
-    below the value noise, or the search finds no Wolfe point after an
-    accepted step, the step keeps the last length and is accepted only
-    if f rises by no more than the noise.
+    ``line(here)`` returns ``(curve, slope)``: ``curve(s)`` is the point
+    at length s (None when it cannot be formed) and ``slope(record)``
+    the derivative of f along the curve at that point's record.  The
+    curve leaves the iterate with slope grad . (-a).  A step keeps one
+    ``_evaluate`` record per length, which phi, phi' and the halving
+    trials all read.  Where the slope at the iterate is below the value
+    noise, or the search finds no Wolfe point after an accepted step,
+    the step keeps the last length and a trial counts only if f rises
+    by no more than the noise.
     """
     last_s = None
 
-    def propose(point, f, grad, a):
+    def propose(here):
         nonlocal last_s
-        xi = point.xi
-        curve, slope = line(xi, grad, a)
-        slope0 = float(grad @ -a)
+        f = here.f
+        curve, slope = line(here)
+        slope0 = float(here.grad @ -here.a)
+        records = {0.0: here}
+
+        def record(s):
+            if s not in records:
+                records[s] = _evaluate(structure, obj, curve(s))
+            return records[s]
 
         def phi(s):
-            return f if s == 0.0 else _line_value(structure, obj, curve(s))
+            evaluation = record(s)
+            return np.inf if evaluation is None else evaluation.f
 
         def dphi(s):
-            if s == 0.0:
-                return slope0
-            p = curve(s)
-            return np.inf if p is None else slope(p)
+            # the search reads the slope only where phi is finite
+            return slope0 if s == 0.0 else slope(record(s))
 
         f_atol = _f_noise(f)
         sub_noise = abs(slope0) <= f_atol
@@ -374,12 +379,12 @@ def _line_proposer(structure, obj, line):
             # the last trial made is the accepted one
             nonlocal last_s
             last_s = s * t
-            return curve(last_s)
+            evaluation = record(last_s)
+            if sub_noise and evaluation is not None and evaluation.f > f + f_atol:
+                return None
+            return evaluation
 
-        def accept(evaluation):
-            return not sub_noise or evaluation[0] <= f + f_atol
-
-        return trial, accept, True
+        return trial, True
 
     return propose
 
@@ -387,12 +392,9 @@ def _line_proposer(structure, obj, line):
 def natural_gradient_run(structure, obj, xi0, stop=None):
     """Steepest descent in the metric with a strong Wolfe step length."""
 
-    def line(xi, grad, a):
-        direction = -a
-        return (
-            lambda s: xi + s * direction,
-            lambda p: float(np.asarray(obj.eucl_grad(p)) @ direction),
-        )
+    def line(here):
+        xi, direction = here.xi, -here.a
+        return (lambda s: xi + s * direction), (lambda e: float(e.grad @ direction))
 
     return _iterate(structure, obj, xi0, stop, _line_proposer(structure, obj, line))
 
@@ -469,25 +471,23 @@ def mirror_descent_run(index, obj, theta0, stop=None):
     """
     structure = loglinear.dual_structure(index, 0.0)
 
-    def line(theta, grad, a):
+    def line(here):
         # d theta/d eta = G^{-1}, so the pullback leaves theta with
         # slope -grad^T G^{-1} grad = grad . (-a)
+        theta, grad = here.xi, here.grad
         eta = loglinear.moments(index, theta)
         direction = -grad
-        cache = {}
 
         def pullback(s):
-            if s not in cache:
-                try:
-                    cache[s] = mirror_step(index, theta, eta, grad, s)
-                except MomentInfeasible:
-                    return None
-            return cache[s]
+            try:
+                return mirror_step(index, theta, eta, grad, s)
+            except MomentInfeasible:
+                return None
 
-        def slope(cand):
-            # the geometry at cand, which the loop reuses if cand is accepted
-            g = np.asarray(obj.eucl_grad(cand), dtype=float)
-            return float(g @ structure.at(cand).solve(direction))
+        def slope(evaluation):
+            # the geometry at the trial, which the loop reuses if it is accepted
+            point = evaluation.measure().point
+            return float(evaluation.grad @ point.solve(direction))
 
         return pullback, slope
 
@@ -504,9 +504,9 @@ def adam_run(structure, obj, xi0, stop=None, hyper=None):
     """
     state = hyper or AdamState()
 
-    def propose(point, f, grad, a):
-        delta = state.step(grad)
-        return (lambda t: point.xi + t * delta), _accept_any, True
+    def propose(here):
+        delta = state.step(here.grad)
+        return (lambda t: _evaluate(structure, obj, here.xi + t * delta)), True
 
     return _iterate(structure, obj, xi0, stop, propose)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualnewton.errors import DomainViolation
+from dualnewton.errors import DimensionMismatch, DomainViolation
 from dualnewton.models import gaussian
 
 
@@ -22,6 +22,29 @@ def test_fisher_domain():
         gaussian.fisher_metric([0.0, 0.0])
     with pytest.raises(DomainViolation):
         gaussian.fisher_metric([0.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "xi, cause",
+    [
+        ([np.nan, 1.0], "mu must be finite, got nan"),
+        ([np.inf, 1.0], "mu must be finite, got inf"),
+        ([0.0, np.nan], "sigma must be positive and finite, got nan"),
+        ([0.0, np.inf], "sigma must be positive and finite, got inf"),
+    ],
+)
+def test_a_point_outside_the_domain_names_its_cause(xi, cause):
+    with pytest.raises(DomainViolation) as raised:
+        gaussian.fisher_metric(xi)
+    assert str(raised.value) == cause
+
+
+@pytest.mark.parametrize("xi", [[1.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
+def test_a_point_of_the_wrong_shape_is_a_dimension_mismatch(xi):
+    # as in the other models and the objectives' own shape check
+    for evaluate in (gaussian.fisher_metric, lambda x: gaussian.christoffel(x, 0.0)):
+        with pytest.raises(DimensionMismatch):
+            evaluate(xi)
 
 
 def test_christoffel_levi_civita_values():

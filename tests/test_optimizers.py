@@ -157,10 +157,11 @@ def counting_objective(obj):
 @pytest.mark.parametrize(
     "method, expected",
     [
-        # the line searches take the value at the iterate from the loop,
-        # which computed it when it accepted that point
-        (opt.natural_gradient_run, {"value": 29, "eucl_grad": 12}),
-        (opt.mirror_descent_run, {"value": 23, "eucl_grad": 12}),
+        # the line searches take the value at the iterate from the loop's
+        # record, and each trial point's value and gradient from one
+        # value_and_grad call, which Objective makes as one of each
+        (opt.natural_gradient_run, {"value": 24, "eucl_grad": 24}),
+        (opt.mirror_descent_run, {"value": 18, "eucl_grad": 18}),
     ],
     ids=["natgrad", "mirror"],
 )
@@ -209,6 +210,42 @@ def test_runs_measure_the_start_with_one_value_and_grad_call(method):
     assert [name for name, x in recorded.calls if x == x0.tobytes()] == [
         "value_and_grad"
     ]
+
+
+def _assert_each_point_evaluated_once(recorded):
+    names = [name for name, _ in recorded.calls]
+    points = [x for _, x in recorded.calls]
+    assert set(names) == {"value_and_grad"}
+    assert len(set(points)) == len(points)
+
+
+@ALL_RUNS
+def test_runs_evaluate_each_point_once_with_value_and_grad(method):
+    # Wolfe trials, halvings, the accepted iterate and, since the
+    # recording wrapper hides the exact Jacobian, Newton's
+    # finite-difference probes each read one record per point
+    index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
+    recorded = RecordingObjective(obj)
+    x0 = np.full(len(index), 0.2)
+    tr = run_method(method, index, ds, recorded, x0, opt.StopRule(max_iters=5))
+    assert tr.n_iterations >= 3
+    _assert_each_point_evaluated_once(recorded)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [opt.dual_newton_run, opt.natural_gradient_run],
+    ids=["newton", "natgrad"],
+)
+def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(method):
+    # the mixture has no exact Jacobian, so Newton probes the field by
+    # finite differences; each probe is a record of its own
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    recorded = RecordingObjective(BetaMixtureNLL(model, data))
+    ds = model.dual_structure(0.0)
+    tr = method(ds, recorded, np.array(MIXTURE_INIT), opt.StopRule(max_iters=4))
+    assert tr.n_iterations == 4
+    _assert_each_point_evaluated_once(recorded)
 
 
 # ---- line search -----------------------------------------------------------
@@ -540,6 +577,28 @@ def test_newton_evaluates_the_quadrature_once_per_iterate(monkeypatch):
     )
 
 
+def test_natural_gradient_evaluates_the_quadrature_once_per_iterate(monkeypatch):
+    # a Wolfe trial reads only the value and the gradient; the nodes are
+    # evaluated when the loop accepts a point, for its stopping norm
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    node_eval = model._node_eval
+    evaluated = []
+
+    def counting_node_eval(xi):
+        evaluated.append(np.asarray(xi, dtype=float).tobytes())
+        return node_eval(xi)
+
+    monkeypatch.setattr(model, "_node_eval", counting_node_eval)
+    tr = opt.natural_gradient_run(
+        model.dual_structure(0.0),
+        BetaMixtureNLL(model, data),
+        np.array(MIXTURE_INIT),
+        opt.StopRule(max_iters=6),
+    )
+    assert tr.n_iterations == 6
+    assert evaluated == [p.tobytes() for p in tr.iterates]
+
+
 def test_newton_takes_the_field_at_the_iterate_from_the_loop(monkeypatch):
     # the loop has evaluated grad f and a at the iterate; the dual
     # Hessian's gradient field answers there from them, and only its
@@ -584,10 +643,13 @@ def test_evaluating_a_mixture_point_makes_one_pass_over_the_data(monkeypatch):
     monkeypatch.setattr(model, "_scores", counting("scores", model._scores))
     monkeypatch.setattr(model, "_log_density", counting("log_density", model._log_density))
     xi = np.array(MIXTURE_INIT)
-    evaluation = opt._evaluate(model.dual_structure(0.0), obj, xi)
+    evaluation = opt._Evaluation(model.dual_structure(0.0), obj, xi)
+    assert passes == [("scores", len(data))]
+    # the geometry is evaluated on first need, once
+    evaluation.measure().measure()
     assert passes == [("scores", len(data)), ("scores", model.quadrature.n_nodes**2)]
-    assert evaluation[0] == obj.value(xi)
-    assert evaluation[1].tobytes() == obj.eucl_grad(xi).tobytes()
+    assert evaluation.f == obj.value(xi)
+    assert evaluation.grad.tobytes() == obj.eucl_grad(xi).tobytes()
 
 
 def test_newton_builds_each_connection_once_per_iterate_across_halvings():
