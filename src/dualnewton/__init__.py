@@ -45,7 +45,6 @@ from .optimizers import (
     convergence_order,
     dual_newton_run,
     mirror_descent_run,
-    mirror_step,
     natural_gradient_run,
     wolfe_line_search,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "is_spd",
     "levi_civita_from_metric",
     "mirror_descent_run",
-    "mirror_step",
     "natural_gradient_run",
     "newton_direction",
     "run_experiment",

@@ -108,18 +108,6 @@ class TargetSpec:
             ),
         }
 
-    @classmethod
-    def from_dict(cls, payload):
-        n = int(payload["n_vars"])
-        full = SubsetIndex.full(n)
-        theta = tuple(float(payload["theta"][key]) for key in full.keys())
-        return cls(
-            n_vars=n,
-            theta=theta,
-            base_scale=float(payload["base_scale"]),
-            seed=int(payload["seed"]),
-        )
-
 
 def gen_target(n, base_scale=1.0, seed=0):
     """Draw a full-index target with theta^A ~ U[-base_scale/|A|, base_scale/|A|]."""
@@ -265,6 +253,10 @@ class RunConfig:
                 raise ConfigError(f"unknown method {m!r}")
         if self.experiment != "exp1" and "mirror" in self.methods:
             raise ConfigError("mirror descent needs the log-linear geometry")
+        labels = [_alpha_label(method, alpha) for method, alpha in _runs(self)]
+        shared = sorted({label for label in labels if labels.count(label) > 1})
+        if shared:
+            raise ConfigError(f"runs would overwrite each other's artifacts: {shared}")
         if not self.grad_tol > 0:
             raise ConfigError(f"grad_tol must be positive, got {self.grad_tol}")
         if not self.max_iters >= 1:
@@ -298,6 +290,15 @@ class RunResult:
     @property
     def iterations(self):
         return len(self.trace.grad_l2)
+
+
+def _runs(cfg):
+    """(method, alpha) of every run, in order: Newton once per alpha, and
+    each baseline once with alpha None, as it does not depend on the
+    connection parameter."""
+    for method in cfg.methods:
+        for alpha in cfg.alphas if method == "newton" else (None,):
+            yield method, alpha
 
 
 def _alpha_label(method, alpha):
@@ -359,7 +360,6 @@ class _Problem:
         cfg = self.cfg
         self.index = None
         model, data = gen_dataset(cfg.n_samples, cfg.seed, cfg.quad_nodes)
-        self.model = model
         self.objective = BetaMixtureNLL(model, data)
         self.x0 = np.array(MIXTURE_INIT)
         self.structure_for = model.dual_structure
@@ -474,14 +474,7 @@ def run_experiment(cfg, out_dir=None):
     cfg.validate()
     problem = _Problem(cfg)
 
-    results = []
-    for method in cfg.methods:
-        if method == "newton":
-            for alpha in cfg.alphas:
-                results.append(problem.run(method, alpha))
-        else:
-            # the baselines do not depend on the connection parameter
-            results.append(problem.run(method, None))
+    results = [problem.run(method, alpha) for method, alpha in _runs(cfg)]
 
     reference = problem.reference_point(results)
     failed = [

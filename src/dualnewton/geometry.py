@@ -72,9 +72,6 @@ class DualStructure:
     def gamma(self, xi):
         return self.at(xi).gamma
 
-    def gamma_dual(self, xi):
-        return self.at(xi).gamma_dual
-
 
 @dataclass(eq=False)
 class DualPoint:

@@ -10,8 +10,8 @@ the metric's own pass, so no third central moment is built.  The Beta
 mixture contracts its symbols, built once per point and alpha from the
 second log-derivatives at its quadrature nodes, whose weights and scores
 also give the metric.  The Gaussian contracts its closed-form symbols.
-The log-linear and mixture ``christoffel`` functions read their symbols
-through the hook.
+The full symbols of any model are read through the hook, as
+``dual_structure(...).gamma(xi)``.
 """
 
 from . import betamix, gaussian, loglinear

@@ -44,8 +44,13 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise DimensionMismatch("nodes and weights must be equal-length vectors")
-        if np.any(nodes <= 0) or np.any(nodes >= 1):
+        # each comparison below is written so that NaN fails it
+        if nodes.size == 0:
+            raise ValueError("a rule needs at least one node")
+        if not np.all((0 < nodes) & (nodes < 1)):
             raise ValueError("nodes must lie strictly inside (0, 1)")
+        if not np.all((0 < weights) & (weights < np.inf)):
+            raise ValueError("weights must be positive and finite")
 
     @classmethod
     def gauss_legendre(cls, n_nodes=64):
@@ -63,10 +68,6 @@ class QuadratureRule:
         w = 0.5 * w
         x = t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
         return cls(tuple(x), tuple(w * 30.0 * t * t * (1.0 - t) ** 2))
-
-    @property
-    def n_nodes(self):
-        return len(self.nodes)
 
     def grid(self):
         """Tensor-product nodes (n^2, 2) and weights (n^2,) on the square."""
@@ -152,46 +153,27 @@ class BetaMixtureModel:
 
     # ---- pointwise quantities -------------------------------------------
 
-    # The public readers take points x; the private ones take their
-    # ``log_sums(x)``, which callers with fixed points (the data of an
-    # objective, the quadrature grid) compute once.
+    def scores(self, xi, sums):
+        """Mixture log-density gradient rows, one per point, shape (N, 2K),
+        at the points x whose ``log_sums(x)`` is ``sums``: callers with
+        fixed points (the data of an objective, the quadrature grid)
+        compute those once.
 
-    def _weighted_log_density(self, xi, sums):
-        """log w_k + log p_k(x), one row per component, shape (K, N): the
-        log-density and the scores take their log-sum-exp from this one
-        expression.  ``xi`` is a shape vector the caller has validated."""
+        Also returns the responsibilities and the per-component raw
+        score pairs, each (K, N), and the mixture log-density (N,), which
+        the objective and the geometry assembly reuse.
+        """
+        xi = _check_shapes(xi, self.n_components)
         a = xi[0::2]
         b = xi[1::2]
         lx, l1x = sums
-        return (
+        # log w_k + log p_k(x), one row per component
+        comp = (
             (a - 1.0)[:, None] * lx
             + (b - 1.0)[:, None] * l1x
             - 2.0 * betaln(a, b)[:, None]
             + np.log(self.weights)[:, None]
         )
-
-    def log_density(self, xi, x):
-        return self._log_density(xi, log_sums(x))
-
-    def _log_density(self, xi, sums):
-        xi = _check_shapes(xi, self.n_components)
-        return logsumexp(self._weighted_log_density(xi, sums), axis=0)
-
-    def scores(self, xi, x):
-        """Mixture log-density gradient rows, one per point, shape (N, 2K).
-
-        Also returns the responsibilities and the per-component raw
-        score pairs, each (K, N), and the mixture log-density (N,), which
-        the geometry assembly reuses.
-        """
-        return self._scores(xi, log_sums(x))
-
-    def _scores(self, xi, sums):
-        xi = _check_shapes(xi, self.n_components)
-        a = xi[0::2]
-        b = xi[1::2]
-        lx, l1x = sums
-        comp = self._weighted_log_density(xi, sums)
         logp = logsumexp(comp, axis=0)
         resp = np.exp(comp - logp)
         dig_ab = digamma(a + b)
@@ -230,7 +212,7 @@ class BetaMixtureModel:
         responsibilities and raw component scores that the second
         log-derivatives are assembled from."""
         w, sums = self._grid
-        s, resp, u, logp = self._scores(xi, sums)
+        s, resp, u, logp = self.scores(xi, sums)
         if float(np.max(logp)) < _LOG_TINY:
             raise QuadratureUnderflow("mixture density underflowed at every node")
         return {"wp": w * np.exp(logp), "s": s, "resp": resp, "u": u}
@@ -263,6 +245,10 @@ class BetaMixtureModel:
         ev = self._node_eval(xi)
         G = _metric(ev)
         second = cache(lambda: self._second_log_derivatives(xi, ev))
+        # the factor is shared through a cache, not read from the point:
+        # a connection that held the point would make a reference cycle,
+        # and each point's node arrays would then live until the cyclic
+        # collector runs
         factor = cache(lambda: cholesky_lower(G))
         symbols = cache(
             lambda alpha: raise_index(_first_kind(ev, second(), alpha), G, factor())
@@ -275,10 +261,6 @@ class BetaMixtureModel:
 
     def fisher_metric(self, xi):
         return _metric(self._node_eval(xi))
-
-    def christoffel(self, xi, alpha):
-        """Second-kind symbols, entry (i, j, k) = Gamma^k_ij."""
-        return self.dual_structure(alpha).gamma(xi)
 
     def in_domain(self, xi):
         """Positive shapes: the domain hook ``DualStructure.contains``

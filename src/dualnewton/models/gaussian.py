@@ -58,10 +58,3 @@ def point(structure, xi):
 def dual_structure(alpha):
     return DualStructure(dim=2, point=point, alpha=alpha, in_domain=in_domain)
 
-
-def log_density(x, xi):
-    """Model log-density at points x of shape (..., 2)."""
-    mu, sigma = _check(xi)
-    x = np.asarray(x, dtype=float)
-    quad = (x[..., 0] - mu) ** 2 + (x[..., 1] - mu) ** 2
-    return -np.log(2.0 * np.pi * sigma**2) - 0.5 * quad / sigma**2

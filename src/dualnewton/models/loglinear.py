@@ -88,10 +88,6 @@ class SubsetIndex:
         """Serialization keys, e.g. (1, 3, 4) -> "1,3,4"."""
         return [",".join(str(i) for i in A) for A in self.subsets]
 
-    @staticmethod
-    def parse_key(key):
-        return tuple(int(tok) for tok in key.split(","))
-
 
 @lru_cache(maxsize=32)
 def _states(n_vars):
@@ -188,10 +184,6 @@ def log_partition(index, theta):
     return float(evaluate(index, theta).lse)
 
 
-def log_probabilities(index, theta):
-    return evaluate(index, theta).log_p
-
-
 def probabilities(index, theta):
     return evaluate(index, theta).p
 
@@ -223,12 +215,6 @@ def fisher_metric(index, theta):
     return evaluate(index, theta).G
 
 
-def centered_features(index, theta):
-    """State probabilities p and centred statistics C = F - p F at theta."""
-    evaluation = evaluate(index, theta)
-    return evaluation.p, evaluation.C
-
-
 def weighted_gram(C, w):
     """C^T diag(w) C.  With C the centred statistics, w = p gives the
     Fisher metric and w = p * (C a) the third central moment contracted
@@ -247,11 +233,6 @@ def christoffel_first_kind(index, theta, alpha):
     """First-kind alpha-connection symbols: (1 - alpha)/2 times the
     third central moment of the sufficient statistics."""
     return 0.5 * (1.0 - alpha) * third_central_moment(index, theta)
-
-
-def christoffel(index, theta, alpha):
-    """Second-kind symbols, entry (A, B, C) = Gamma^C_AB."""
-    return dual_structure(index, alpha).gamma(theta)
 
 
 def moment_to_natural(index, eta, theta0=None):

@@ -4,9 +4,10 @@ Each objective exposes ``dim``, ``value``, ``eucl_grad`` (the plain
 coordinate gradient) and ``value_and_grad``, the pair the optimizers
 take at every evaluated point; they turn the gradient into Riemannian
 quantities through the model metric.  ``value_and_grad`` returns the
-same bits as the two separate calls; the Beta mixture's takes both from
-one pass over the data, and the alpha-divergence's takes the value and
-its four central-difference probes from one vectorized stencil pass.
+same bits as the two separate calls.  The Beta mixture's value and
+gradient are the two parts of one score pass over the data, and the
+alpha-divergence's takes the value and its four central-difference
+probes from one vectorized stencil pass.
 Where a cheap exact Jacobian of the Riemannian gradient field exists it
 is exposed as ``grad_field_jacobian`` so Newton steps avoid finite
 differences.
@@ -297,10 +298,6 @@ class AlphaDivergenceObjective:
         """Exact gradient of the closed form."""
         return self._log_integral_derivs(xi)[0]
 
-    def analytic_hessian(self, xi):
-        """Exact value Hessian of the closed form."""
-        return self._log_integral_derivs(xi)[1]
-
     def grad_field_jacobian(self, xi):
         """Jacobian of a = G^{-1} grad, fully analytic.
 
@@ -314,13 +311,6 @@ class AlphaDivergenceObjective:
         jac = (g_inv @ H).T
         jac[1, :] += np.array([sigma, 0.5 * sigma]) * grad
         return jac
-
-
-def _negative_log_likelihood(logp, xi):
-    f = -float(np.sum(logp))
-    if not np.isfinite(f):
-        raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
-    return f
 
 
 class BetaMixtureNLL:
@@ -347,16 +337,18 @@ class BetaMixtureNLL:
         return self.model.dim
 
     def value(self, xi):
-        return _negative_log_likelihood(self.model._log_density(xi, self._log_sums), xi)
+        return self.value_and_grad(xi)[0]
 
     def eucl_grad(self, xi):
-        s, _, _, _ = self.model._scores(xi, self._log_sums)
-        return -s.sum(axis=0)
+        return self.value_and_grad(xi)[1]
 
     def value_and_grad(self, xi):
-        """(value(xi), eucl_grad(xi)) bit for bit, from one pass over the
-        data: the scores carry the log-density that ``value`` sums."""
-        s, _, _, logp = self.model._scores(xi, self._log_sums)
-        return _negative_log_likelihood(logp, xi), -s.sum(axis=0)
+        """The value and the gradient from one score pass over the data,
+        which carries the log-density the value sums."""
+        s, _, _, logp = self.model.scores(xi, self._log_sums)
+        f = -float(np.sum(logp))
+        if not np.isfinite(f):
+            raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
+        return f, -s.sum(axis=0)
 
     grad_field_jacobian = None

@@ -231,12 +231,13 @@ def _iterate(structure, obj, xi0, stop, propose):
     """Retraction-based descent loop shared by the four methods.
 
     Every point is evaluated once, as an ``_Evaluation`` record; a start
-    whose record cannot be measured raises.  ``propose(here)`` reads the
-    iterate's measured record and returns a final status or ``(trial,
-    spd)``: ``trial(t)`` is the record of the candidate for t = 1, 1/2,
-    1/4, ... (None, or a DomainViolation, when there is none) and
-    ``spd`` the step's descent certificate.  The first candidate that
-    ``_usable`` passes within 30 halvings becomes the next iterate.
+    whose value or gradient is not finite, or whose record cannot be
+    measured, raises.  ``propose(here)`` reads the iterate's measured
+    record and returns a final status or ``(trial, spd)``: ``trial(t)``
+    is the record of the candidate for t = 1, 1/2, 1/4, ... (None, or a
+    DomainViolation, when there is none) and ``spd`` the step's descent
+    certificate.  The first candidate that ``_usable`` passes within 30
+    halvings becomes the next iterate.
     """
     stop = stop or StopRule()
     xi = np.array(xi0, dtype=float)
@@ -246,7 +247,13 @@ def _iterate(structure, obj, xi0, stop, propose):
     trace.iterates.append(xi.copy())
     start = time.perf_counter()
 
-    here = _Evaluation(structure, obj, xi).measure()
+    here = _Evaluation(structure, obj, xi)
+    if not (np.isfinite(here.f) and np.all(np.isfinite(here.grad))):
+        raise NonFiniteValue(
+            f"objective value {here.f} or gradient {here.grad} at the starting "
+            f"point {xi} is not finite"
+        )
+    here.measure()
     if here.l2 < stop.grad_tol:
         trace.status = CONVERGED
         return trace
@@ -451,16 +458,6 @@ def wolfe_line_search(phi, dphi, f_atol=0.0):
         lo, f_lo = s, fs
 
 
-def mirror_step(index, theta, eta, grad, s):
-    """One moment-coordinate descent step of length s.
-
-    Subtracts s times the natural-parameter gradient ``grad`` from the
-    moment coordinates ``eta`` of theta and maps back through the
-    Legendre inverse, starting from theta.
-    """
-    return loglinear.moment_to_natural(index, eta - s * grad, theta0=theta)
-
-
 def mirror_descent_run(index, obj, theta0, stop=None):
     """Bregman proximal descent for the log-linear family.
 
@@ -480,7 +477,7 @@ def mirror_descent_run(index, obj, theta0, stop=None):
 
         def pullback(s):
             try:
-                return mirror_step(index, theta, eta, grad, s)
+                return loglinear.moment_to_natural(index, eta - s * grad, theta0=theta)
             except MomentInfeasible:
                 return None
 

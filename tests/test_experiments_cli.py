@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import py_compile
+import re
 import subprocess
 import sys
 
@@ -57,7 +58,13 @@ def test_target_spec_round_trip():
     spec = gen_target(3, base_scale=0.7, seed=9)
     payload = spec.to_dict()
     assert set(payload["theta"]) == set(SubsetIndex.full(3).keys())
-    again = TargetSpec.from_dict(payload)
+    full = SubsetIndex.full(3)
+    again = TargetSpec(
+        n_vars=payload["n_vars"],
+        theta=tuple(payload["theta"][key] for key in full.keys()),
+        base_scale=payload["base_scale"],
+        seed=payload["seed"],
+    )
     assert again == spec
 
 
@@ -150,7 +157,7 @@ def test_run_writes_expected_artifacts(tmp_path):
     assert echo["experiment"] == "exp1"
     assert len(echo["init_point"]) == len(SubsetIndex.boltzmann(3).subsets)
     target = json.loads((out / "target.json").read_text())
-    assert TargetSpec.from_dict(target).n_vars == 3
+    assert target["n_vars"] == 3
 
 
 def _trace_rows(out):
@@ -426,6 +433,27 @@ def test_cli_bad_inputs_exit_4(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 4
+
+
+@pytest.mark.parametrize(
+    "overrides, shared",
+    [
+        # alpha labels carry two decimals
+        (dict(alphas=(0.001, 0.004), methods=("newton",)), "['newton_a+0.00']"),
+        (dict(alphas=(0.0,), methods=("adam", "adam")), "['adam']"),
+    ],
+)
+def test_config_rejects_runs_that_share_a_label(overrides, shared):
+    with pytest.raises(ConfigError, match=re.escape(shared)):
+        RunConfig.defaults("exp2", **overrides)
+
+
+def test_cli_runs_that_share_a_label_exit_4(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    argv = ["run", "--experiment", "exp2", "--alpha", "0.001", "--alpha", "0.004"]
+    assert cli.main([*argv, "--method", "newton", "--out", out]) == 4
+    assert "newton_a+0.00" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_config_error_inside_a_run_exits_4(tmp_path, monkeypatch, capsys):

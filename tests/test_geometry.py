@@ -158,7 +158,7 @@ def test_levi_civita_matches_scalar_boltzmann_alpha_zero():
     idx = SubsetIndex.boltzmann(1)
     theta = np.array([0.8])
     lc = levi_civita_from_metric(lambda t: loglinear.fisher_metric(idx, t), theta)
-    assert_allclose(lc, loglinear.christoffel(idx, theta, 0.0), atol=1e-7)
+    assert_allclose(lc, loglinear.dual_structure(idx, 0.0).gamma(theta), atol=1e-7)
     # closed form for one Bernoulli: T / (2 g)
     g = loglinear.fisher_metric(idx, theta)[0, 0]
     T = loglinear.third_central_moment(idx, theta)[0, 0, 0]
@@ -180,7 +180,7 @@ def test_duality_residual_gaussian_sigma_one_component():
     xi = np.array([0.0, 1.0])
     G = ds.metric(xi)
     low = geometry.lower_index(ds.gamma(xi), G)
-    low_dual = geometry.lower_index(ds.gamma_dual(xi), G)
+    low_dual = geometry.lower_index(ds.at(xi).gamma_dual, G)
     assert_allclose(low[1, 0, 0], -2.0 * (1.0 + 0.35), rtol=1e-12)
     assert_allclose(low_dual[1, 0, 0], -2.0 * (1.0 - 0.35), rtol=1e-12)
     assert duality_residual(ds, xi) < 1e-6

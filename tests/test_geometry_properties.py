@@ -43,7 +43,7 @@ def assert_point_is_exact(ds, xi, metric, christoffel, rtol=0.0):
     point = ds.at(xi)
     assert np.array_equal(point.G, ds.metric(xi))
     assert np.array_equal(point.gamma, ds.gamma(xi))
-    assert np.array_equal(point.gamma_dual, ds.gamma_dual(xi))
+    assert np.array_equal(point.gamma_dual, ds.at(xi).gamma_dual)
     assert np.array_equal(point.G, metric(xi))
     assert relative_error(point.gamma, christoffel(xi, ds.alpha)) <= rtol
     assert relative_error(point.gamma_dual, christoffel(xi, -ds.alpha)) <= rtol
@@ -92,8 +92,8 @@ BOLTZMANN3 = SubsetIndex.boltzmann(3)
 def test_loglinear_geometry(alpha, theta):
     ds = loglinear.dual_structure(BOLTZMANN3, alpha)
     assert duality_residual(ds, theta) < 1e-5
-    # loglinear.christoffel reads the point, so the symbols are rebuilt
-    # here from the third central moment and the metric
+    # the point's symbols against the third central moment raised by
+    # the metric
     assert_point_is_exact(
         ds,
         theta,
@@ -161,7 +161,9 @@ def test_beta_mixture_geometry(alpha, scale):
     ds = MIXTURE.dual_structure(alpha)
     xi = MIXTURE.generating_point() * scale
     assert duality_residual(ds, xi) < 1e-3
-    assert_point_is_exact(ds, xi, MIXTURE.fisher_metric, MIXTURE.christoffel)
+    assert_point_is_exact(
+        ds, xi, MIXTURE.fisher_metric, lambda x, a: MIXTURE.dual_structure(a).gamma(x)
+    )
 
 
 @settings(max_examples=6, **FIXED)

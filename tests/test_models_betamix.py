@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.special
@@ -59,6 +62,23 @@ def test_quadrature_validation():
         QuadratureRule(nodes=(0.5,), weights=(0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "nodes, weights, cause",
+    [
+        ((), (), "at least one node"),
+        ((0.5, np.nan), (0.5, 0.5), "inside"),
+        ((0.5, 0.7), (0.5, np.inf), "positive and finite"),
+        ((0.5, 0.7), (0.5, np.nan), "positive and finite"),
+        ((0.5, 0.7), (1.0, 0.0), "positive and finite"),
+        ((0.5, 0.7), (1.5, -0.5), "positive and finite"),
+    ],
+    ids=["empty", "nan-node", "inf-weight", "nan-weight", "zero-weight", "negative-weight"],
+)
+def test_quadrature_rejects_a_rule_that_cannot_integrate(nodes, weights, cause):
+    with pytest.raises(ValueError, match=cause):
+        QuadratureRule(nodes=nodes, weights=weights)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         BetaMixtureModel(weights=[0.5, 0.4], alphas=[1, 1], betas=[1, 1])
@@ -110,9 +130,9 @@ def test_score_expectation_vanishes():
 
 def test_christoffel_symmetry_and_doubling():
     xi = paper_mixture().generating_point()
-    gamma = paper_mixture(64).christoffel(xi, 0.5)
+    gamma = paper_mixture(64).dual_structure(0.5).gamma(xi)
     assert_allclose(gamma, np.transpose(gamma, (1, 0, 2)), atol=1e-12)
-    gamma2 = paper_mixture(96).christoffel(xi, 0.5)
+    gamma2 = paper_mixture(96).dual_structure(0.5).gamma(xi)
     assert np.max(np.abs(gamma - gamma2)) < 1e-6
 
 
@@ -121,7 +141,8 @@ def test_mixture_density_integrates_to_one():
     rng = np.random.default_rng(2)
     xi = model.generating_point() * rng.uniform(0.8, 1.2, size=6)
     points, w = model.quadrature.grid()
-    assert abs(w @ np.exp(model.log_density(xi, points)) - 1.0) < 1e-10
+    logp = model.scores(xi, betamix.log_sums(points))[3]
+    assert abs(w @ np.exp(logp) - 1.0) < 1e-10
 
 
 def test_domain_checks():
@@ -166,7 +187,7 @@ def test_dual_structure_wiring():
     ds = model.dual_structure(0.25)
     xi = model.generating_point()
     assert ds.dim == 6
-    assert_allclose(ds.gamma_dual(xi), model.christoffel(xi, -0.25))
+    assert_allclose(ds.at(xi).gamma_dual, model.dual_structure(-0.25).gamma(xi))
     assert ds.contains(xi)
 
 
@@ -190,12 +211,30 @@ def test_metric_reads_build_no_second_derivatives(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_point_is_freed_without_the_cycle_collector():
+    # a point holds its node arrays (about 1 MB at 64 nodes); a reference
+    # cycle through its connection map would keep every point a run
+    # evaluates alive until the cyclic collector runs, which raised the
+    # peak memory of exp3 by half
+    model = paper_mixture(16)
+    point = model.dual_structure(0.5).at(model.generating_point())
+    point.dual_dot(np.ones(model.dim))
+    point.solve(np.ones(model.dim))
+    freed = weakref.ref(point)
+    gc.disable()
+    try:
+        del point
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_quadrature_grid_built_once_per_model(monkeypatch):
     built = []
     grid = QuadratureRule.grid
 
     def counted(rule):
-        built.append(rule.n_nodes)
+        built.append(len(rule.nodes))
         return grid(rule)
 
     monkeypatch.setattr(QuadratureRule, "grid", counted)
@@ -242,9 +281,47 @@ def test_objective_takes_no_log_of_its_data(monkeypatch):
         obj.value(scale * xi)
         obj.eucl_grad(scale * xi)
     assert counting.logs == 0
-    # the counter does see a log of points passed to the public readers
-    model.log_density(xi, data)
+    # the counter does see the logs that log_sums takes of points
+    betamix.log_sums(data)
     assert counting.logs > 0
+
+
+def test_objective_value_is_one_score_pass(monkeypatch):
+    # a pass over the data is one log-sum-exp over its N columns; the
+    # value takes its log-density from the score pass and makes no other
+    model = paper_mixture(16)
+    data = model.sample(300, seed=3)
+    obj = BetaMixtureNLL(model, data)
+    passes = []
+    scores, logsumexp = model.scores, betamix.logsumexp
+
+    def counted_scores(xi, sums):
+        passes.append("scores")
+        return scores(xi, sums)
+
+    def counted_logsumexp(u, axis=None):
+        if np.shape(u)[-1] == len(data):
+            passes.append("logsumexp")
+        return logsumexp(u, axis=axis)
+
+    monkeypatch.setattr(model, "scores", counted_scores)
+    monkeypatch.setattr(betamix, "logsumexp", counted_logsumexp)
+    xi = model.generating_point()
+    f = obj.value(xi)
+    assert passes == ["scores", "logsumexp"]
+    assert f == obj.value_and_grad(xi)[0]
+
+
+def _reference_components(model, xi, x):
+    """Row sums of log x and log(1 - x) from raw logs, and the weighted
+    component log-densities log w_k + log p_k(x), shape (N, K)."""
+    a, b = xi[0::2], xi[1::2]
+    lx = np.log(x).sum(axis=1)
+    l1x = np.log1p(-x).sum(axis=1)
+    comp = (
+        np.outer(lx, a - 1.0) + np.outer(l1x, b - 1.0) - 2.0 * betaln(a, b)[None, :]
+    ) + np.log(model.weights)[None, :]
+    return lx, l1x, comp
 
 
 def _reference_scores(model, xi, x):
@@ -252,11 +329,7 @@ def _reference_scores(model, xi, x):
     scipy's logsumexp: scores (N, 2K), responsibilities (N, K), the raw
     component score pair, each (N, K), and the log-density (N,)."""
     a, b = xi[0::2], xi[1::2]
-    lx = np.log(x).sum(axis=1)
-    l1x = np.log1p(-x).sum(axis=1)
-    comp = (
-        np.outer(lx, a - 1.0) + np.outer(l1x, b - 1.0) - 2.0 * betaln(a, b)[None, :]
-    ) + np.log(model.weights)[None, :]
+    lx, l1x, comp = _reference_components(model, xi, x)
     logp = scipy.special.logsumexp(comp, axis=1)
     resp = np.exp(comp - logp[:, None])
     dig_ab = digamma(a + b)
@@ -343,7 +416,7 @@ def mixtures(draw):
 @given(mixture=mixtures())
 def test_component_major_pass_matches_row_major_reference(mixture):
     model, shapes, data = mixture
-    s, resp, u, logp = model.scores(shapes, data)
+    s, resp, u, logp = model.scores(shapes, betamix.log_sums(data))
     ref_s, ref_resp, ref_u, ref_logp = _reference_scores(model, shapes, data)
     assert s.shape == (len(data), model.dim) and s.flags.c_contiguous
     assert s.tobytes() == ref_s.tobytes()
@@ -385,10 +458,10 @@ def test_reference_inputs_reach_ties_and_underflow():
     )
     xi = model.generating_point()
     data = np.vstack([model.sample(100, seed=0), _CORNERS])
-    _, resp, _, _ = model.scores(xi, data)
+    _, resp, _, _ = model.scores(xi, betamix.log_sums(data))
     assert np.any(resp == 0.0)
-    comp = model._weighted_log_density(xi, betamix.log_sums(data))
-    assert np.mean(np.count_nonzero(comp == comp.max(axis=0), axis=0) == 2) > 0.5
+    comp = _reference_components(model, xi, data)[2]
+    assert np.mean(np.count_nonzero(comp.T == comp.max(axis=1), axis=0) == 2) > 0.5
 
 
 def test_mixture_pass_checks_its_shapes_once(monkeypatch):
@@ -412,11 +485,12 @@ def test_mixture_pass_checks_its_shapes_once(monkeypatch):
     for read in (obj.value, obj.eucl_grad, model.fisher_metric):
         read(xi)
     assert len(checked) == 5
-    # the public readers still name the cause of a bad point
+    # the score pass still names the cause of a bad point
+    sums = betamix.log_sums(obj.data)
     with pytest.raises(DomainViolation):
-        model.log_density(np.array([1.0, 1.0, -0.5, 1.0, 1.0, 1.0]), obj.data)
+        model.scores(np.array([1.0, 1.0, -0.5, 1.0, 1.0, 1.0]), sums)
     with pytest.raises(DimensionMismatch):
-        model.scores(np.ones(4), obj.data)
+        model.scores(np.ones(4), sums)
     with pytest.raises(DomainViolation):
         model.point(model.dual_structure(0.5), np.array([1.0, np.inf, 1, 1, 1, 1]))
 

@@ -79,17 +79,7 @@ def test_dual_structure_pairs_alphas():
     ds = gaussian.dual_structure(0.6)
     xi = np.array([0.2, 1.4])
     assert_allclose(ds.gamma(xi), gaussian.christoffel(xi, 0.6))
-    assert_allclose(ds.gamma_dual(xi), gaussian.christoffel(xi, -0.6))
+    assert_allclose(ds.at(xi).gamma_dual, gaussian.christoffel(xi, -0.6))
     assert ds.contains(xi)
     assert not ds.contains(np.array([0.2, -1.4]))
 
-
-def test_log_density_normalizes():
-    # coarse grid integration of the density over a wide box
-    xi = np.array([0.5, 0.8])
-    grid = np.linspace(-6, 7, 401)
-    xx, yy = np.meshgrid(grid, grid)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    dens = np.exp(gaussian.log_density(pts, xi))
-    h = grid[1] - grid[0]
-    assert abs(dens.sum() * h * h - 1.0) < 1e-6

@@ -59,7 +59,7 @@ def test_index_keys_round_trip():
     keys = idx.keys()
     assert keys[0] == "1"
     assert keys[4] == "1,2"
-    assert all(SubsetIndex.parse_key(k) == A for k, A in zip(keys, idx.subsets))
+    assert [tuple(int(i) for i in k.split(",")) for k in keys] == list(idx.subsets)
 
 
 def test_uniform_moments():
@@ -119,14 +119,15 @@ def test_christoffel_flat_at_alpha_one(monkeypatch):
     idx = SubsetIndex.boltzmann(3)
     rng = np.random.default_rng(9)
     theta = rng.uniform(-1, 1, size=len(idx))
-    assert np.all(loglinear.christoffel(idx, theta, 1.0) == 0.0)
+    flat = loglinear.dual_structure(idx, 1.0)
+    assert np.all(flat.gamma(theta) == 0.0)
 
     # the flat connection needs no third-moment tensor at all
     def unused(*args):
         raise AssertionError("third central moment built at alpha = 1")
 
     monkeypatch.setattr(loglinear, "third_central_moment", unused)
-    assert np.all(loglinear.christoffel(idx, theta, 1.0) == 0.0)
+    assert np.all(flat.gamma(theta) == 0.0)
 
 
 def test_point_builds_metric_and_third_moment_once(monkeypatch):
@@ -190,7 +191,7 @@ def test_christoffel_symmetric_lower_indices():
     idx = SubsetIndex.boltzmann(3)
     rng = np.random.default_rng(21)
     theta = rng.uniform(-1, 1, size=len(idx))
-    gamma = loglinear.christoffel(idx, theta, -0.5)
+    gamma = loglinear.dual_structure(idx, -0.5).gamma(theta)
     assert_allclose(gamma, np.transpose(gamma, (1, 0, 2)), atol=1e-12)
 
 
@@ -379,11 +380,11 @@ def _reference_readers(index, theta):
     C = F - p @ F
     return {
         "log_partition": float(logsumexp(F @ theta)),
-        "log_probabilities": log_p,
+        "log_p": log_p,
         "probabilities": p,
         "moments": p @ F,
         "moments_full": p @ feature_matrix(SubsetIndex.full(index.n_vars)),
-        "centered_features": (p, C),
+        "C": C,
         "fisher_metric": weighted_gram(C, p),
         "third_central_moment": np.einsum("x,xa,xb,xc->abc", p, C, C, C),
     }
@@ -393,19 +394,17 @@ def _readers(index, theta):
     full = SubsetIndex.full(index.n_vars)
     return {
         "log_partition": lambda: loglinear.log_partition(index, theta),
-        "log_probabilities": lambda: loglinear.log_probabilities(index, theta),
+        "log_p": lambda: loglinear.evaluate(index, theta).log_p,
         "probabilities": lambda: loglinear.probabilities(index, theta),
         "moments": lambda: loglinear.moments(index, theta),
         "moments_full": lambda: loglinear.moments(index, theta, query=full),
-        "centered_features": lambda: loglinear.centered_features(index, theta),
+        "C": lambda: loglinear.evaluate(index, theta).C,
         "fisher_metric": lambda: loglinear.fisher_metric(index, theta),
         "third_central_moment": lambda: loglinear.third_central_moment(index, theta),
     }
 
 
 def _as_bytes(value):
-    if isinstance(value, tuple):
-        return tuple(_as_bytes(v) for v in value)
     if isinstance(value, float):
         return np.float64(value).tobytes()
     return (value.shape, value.tobytes())
@@ -449,7 +448,7 @@ def test_readers_return_the_bits_of_their_own_pass(n, full, scale, data):
     if scale < 800.0:
         eta_hat = loglinear.moments(index, np.full(len(index), 0.1))
         obj = KLProjectionObjective(index, eta_hat, 0.5, 0.5)
-        p, C = reference["centered_features"]
+        p, C = reference["probabilities"], reference["C"]
         G = reference["fisher_metric"]
         a = solve_spd(G, reference["moments"] - eta_hat + 2.0 * obj.lam * theta)
         TA = weighted_gram(C, p * (C @ a))
@@ -484,15 +483,15 @@ def test_memo_keeps_the_last_points():
 def test_returned_arrays_are_read_only():
     idx = SubsetIndex.boltzmann(3)
     theta = np.random.default_rng(4).uniform(-1, 1, size=len(idx))
-    p, C = loglinear.centered_features(idx, theta)
+    at = loglinear.evaluate(idx, theta)
     for array in (
-        loglinear.log_probabilities(idx, theta),
+        at.log_p,
         loglinear.probabilities(idx, theta),
         loglinear.moments(idx, theta),
-        p,
-        C,
+        at.p,
+        at.C,
         loglinear.fisher_metric(idx, theta),
-        loglinear.evaluate(idx, theta).L,
+        at.L,
         loglinear.dual_structure(idx, 0.0).at(theta).G,
     ):
         with pytest.raises(ValueError, match="read-only"):

@@ -195,7 +195,7 @@ def test_alpha_divergence_analytic_hessian_matches_fd():
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     for pt in [(1.75, 1.0), (0.5, 2.0), (2.0, 1.1)]:
         xi = np.array(pt)
-        H = obj.analytic_hessian(xi)
+        H = obj._log_integral_derivs(xi)[1]
         assert H[0, 1] == H[1, 0]
         H_fd = fd_hessian(obj.value, xi)
         assert np.max(np.abs(H - H_fd)) / np.max(np.abs(H)) < 1e-5
@@ -219,7 +219,7 @@ def test_alpha_divergence_grad_field_jacobian_near_fd():
 @pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
 def test_alpha_divergence_jacobian_evaluates_the_integral_once(monkeypatch, alpha_bar):
     # one closed-form evaluation per Jacobian, and the same bits as the
-    # composition of analytic_hessian and analytic_grad
+    # composition of the closed-form Hessian and analytic_grad
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
     derivs = obj._log_integral_derivs
     calls = []
@@ -231,7 +231,7 @@ def test_alpha_divergence_jacobian_evaluates_the_integral_once(monkeypatch, alph
         xi = np.array([rng.uniform(-1.0, 3.0), rng.uniform(1.0, 3.0)])
         sigma = xi[1]
         g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
-        expected = (g_inv @ obj.analytic_hessian(xi)).T
+        expected = (g_inv @ derivs(xi)[1]).T
         expected[1, :] += np.array([sigma, 0.5 * sigma]) * obj.analytic_grad(xi)
         before = len(calls)
         J = obj.grad_field_jacobian(xi)
@@ -593,7 +593,7 @@ _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 @example(alpha_bar=3.0, family="sigma", u=0.5, v=0.5, bad=np.inf, size=1)
 @example(alpha_bar=3.0, family="zero", u=0.5, v=0.25, bad=np.nan, size=1)
 def test_alpha_divergence_analytics_fail_like_value(alpha_bar, family, u, v, bad, size):
-    # analytic_grad, analytic_hessian and grad_field_jacobian raise the
+    # analytic_grad, the closed-form Hessian and grad_field_jacobian raise the
     # exception class value raises at the same point, without a
     # RuntimeWarning first, and return wherever value returns
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
@@ -606,7 +606,8 @@ def test_alpha_divergence_analytics_fail_like_value(alpha_bar, family, u, v, bad
     else:
         xi = _alpha_point(family, u, v)
     expected = _analytic_outcome(obj.value, xi)
-    for method in (obj.analytic_grad, obj.analytic_hessian, obj.grad_field_jacobian):
+    hessian = lambda x: obj._log_integral_derivs(x)[1]
+    for method in (obj.analytic_grad, hessian, obj.grad_field_jacobian):
         if expected is None:
             # near the float64 overflow the derivatives may overflow
             # where the value does not

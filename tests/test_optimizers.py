@@ -11,6 +11,7 @@ from dualnewton.errors import (
     DomainViolation,
     InsufficientIterations,
     LineSearchFailure,
+    NonFiniteValue,
 )
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset
 from dualnewton.geometry import DualPoint, DualStructure
@@ -133,6 +134,20 @@ def test_rejects_start_outside_domain(method):
         xi0 = np.array([-1.0])
     with pytest.raises(DomainViolation, match="outside the model domain"):
         run_method(method, index, ds, obj, xi0)
+
+
+@ALL_RUNS
+@pytest.mark.parametrize("bad", ["value", "gradient"])
+def test_a_non_finite_start_names_its_cause(method, bad):
+    index, obj, ds, _ = kl_problem(2)
+    value, grad = obj.value, obj.eucl_grad
+    if bad == "value":
+        value = lambda x: np.nan
+    else:
+        grad = lambda x: np.full(len(index), np.nan)
+    broken = Objective(dim=obj.dim, value=value, eucl_grad=grad)
+    with pytest.raises(NonFiniteValue, match=r"starting point \[0.1 0.1 0.1\]"):
+        run_method(method, index, ds, broken, np.full(len(index), 0.1))
 
 
 def counting_objective(obj):
@@ -640,14 +655,13 @@ def test_evaluating_a_mixture_point_makes_one_pass_over_the_data(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(model, "_scores", counting("scores", model._scores))
-    monkeypatch.setattr(model, "_log_density", counting("log_density", model._log_density))
+    monkeypatch.setattr(model, "scores", counting("scores", model.scores))
     xi = np.array(MIXTURE_INIT)
     evaluation = opt._Evaluation(model.dual_structure(0.0), obj, xi)
     assert passes == [("scores", len(data))]
     # the geometry is evaluated on first need, once
     evaluation.measure().measure()
-    assert passes == [("scores", len(data)), ("scores", model.quadrature.n_nodes**2)]
+    assert passes == [("scores", len(data)), ("scores", len(model.quadrature.nodes) ** 2)]
     assert evaluation.f == obj.value(xi)
     assert evaluation.grad.tobytes() == obj.eucl_grad(xi).tobytes()
 
@@ -831,7 +845,7 @@ def test_mirror_step_exact_on_scalar_problem():
     index, obj, _ = scalar_problem(lam=0.0)
     theta = np.array([1.0])
     eta = loglinear.moments(index, theta)
-    theta1 = opt.mirror_step(index, theta, eta, obj.eucl_grad(theta), 1.0)
+    theta1 = loglinear.moment_to_natural(index, eta - obj.eucl_grad(theta), theta0=theta)
     assert abs(theta1[0]) < 1e-10
 
 
@@ -841,7 +855,9 @@ def test_mirror_step_equals_natural_gradient_in_moment_coordinates():
         theta = rng.uniform(-0.8, 0.8, len(index))
         s = 0.37
         eta = loglinear.moments(index, theta)
-        step = opt.mirror_step(index, theta, eta, obj.eucl_grad(theta), s)
+        step = loglinear.moment_to_natural(
+            index, eta - s * obj.eucl_grad(theta), theta0=theta
+        )
         eta_mirror = loglinear.moments(index, step)
         # steepest descent in the moment chart: the metric there is the
         # inverse Fisher matrix, so the direction collapses to -grad_theta

@@ -1,11 +1,13 @@
 """Static checks over the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import dualnewton
 
 PACKAGE = Path(dualnewton.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 # imported but not called, each marked ``# noqa: F401``: the benchmark's
 # tracer test checks that installing the tracer rebinds these names
@@ -64,3 +66,113 @@ def test_an_unused_import_is_found(tmp_path):
         "def f():\n    return np.zeros(a)\n"
     )
     assert _unused_imports(module) == [("os", 1), ("b", 3)]
+
+
+# Besides the package's own modules, the places whose code may call a
+# public name: a name that only tests call is code that nothing uses.
+CALLERS = ("demos", "perfbench", "README.md", "tests/test_acceptance.py")
+
+# public names kept although only tests call them, each with its reason
+UNCALLED_KEPT = {
+    # the reference oracle the tests hold the contracted log-linear
+    # connection to: the first-kind symbols straight from the third
+    # central moment
+    "christoffel_first_kind",
+}
+
+
+def _public_definitions(tree):
+    """(name, node, is_method) of each public top-level function and
+    class, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                        yield item.name, item, True
+
+
+def _read_names(tree):
+    """(name, line, is_attribute) for each name and attribute name the
+    code reads.  A method is only ever read as an attribute, so a local
+    variable of the same name does not count as a read of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+
+
+def _uncalled_public_names(package, callers):
+    """``module:name`` of each public name of the package that no module
+    reads outside the name's own definition and no caller file mentions.
+    An ``__init__.py`` only re-exports, so its imports do not count."""
+    mentioned = set()
+    for path in callers:
+        files = sorted(path.rglob("*")) if path.is_dir() else [path]
+        for file in files:
+            if file.suffix in (".py", ".md"):
+                mentioned.update(re.findall(r"\w+", file.read_text()))
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    reads = {path: list(_read_names(tree)) for path, tree in trees.items()}
+    uncalled = []
+    for path, tree in trees.items():
+        for name, node, is_method in _public_definitions(tree):
+            if name in mentioned:
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                read == name
+                and (attribute or not is_method)
+                and (other != path or line not in inside)
+                for other, names in reads.items()
+                for read, line, attribute in names
+            ):
+                uncalled.append(f"{path.relative_to(package).as_posix()}:{name}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller_besides_the_tests():
+    callers = [REPO / place for place in CALLERS]
+    uncalled = [
+        entry
+        for entry in _uncalled_public_names(PACKAGE, callers)
+        if entry.split(":")[1] not in UNCALLED_KEPT
+    ]
+    assert uncalled == []
+
+
+def test_the_kept_uncalled_names_are_still_uncalled():
+    callers = [REPO / place for place in CALLERS]
+    uncalled = {entry.split(":")[1] for entry in _uncalled_public_names(PACKAGE, callers)}
+    assert UNCALLED_KEPT <= uncalled
+
+
+def test_an_uncalled_public_name_is_found(tmp_path):
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .module import exported\n")
+    (package / "module.py").write_text(
+        "def exported():\n    return exported()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def _private(size):\n    return helper() + size\n\n\n"
+        "class Reader:\n"
+        "    def read(self):\n        return self.read()\n\n"
+        "    def open(self):\n        return 2\n\n"
+        "    def size(self):\n        return 3\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text("from package.module import Reader\nReader().open()\n")
+    # exported calls only itself, and the package's __init__ only
+    # re-exports it; read is called only from its own body, and size
+    # is only the name of another function's parameter
+    assert _uncalled_public_names(package, [demo]) == [
+        "module.py:exported",
+        "module.py:read",
+        "module.py:size",
+    ]
