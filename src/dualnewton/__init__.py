@@ -35,7 +35,6 @@ from .objectives import (
     AlphaDivergenceObjective,
     BetaMixtureNLL,
     KLProjectionObjective,
-    Objective,
 )
 from .optimizers import (
     AdamState,
@@ -76,7 +75,6 @@ __all__ = [
     "MomentInfeasible",
     "NonFiniteValue",
     "NotPositiveDefinite",
-    "Objective",
     "OptimizerTrace",
     "QuadratureUnderflow",
     "RunConfig",

@@ -15,16 +15,18 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DualNewtonError, InsufficientIterations, MomentInfeasible
+from .errors import (
+    DivergenceUndefined,
+    DomainViolation,
+    DualNewtonError,
+    InsufficientIterations,
+    MomentInfeasible,
+    NonFiniteValue,
+)
 from .models import loglinear
 from .models.betamix import BetaMixtureModel, QuadratureRule
 from .models.loglinear import SubsetIndex
-from .objectives import (
-    AlphaDivergenceObjective,
-    BetaMixtureNLL,
-    KLProjectionObjective,
-    Objective,
-)
+from .objectives import AlphaDivergenceObjective, BetaMixtureNLL, KLProjectionObjective
 from .optimizers import (
     CONVERGED,
     DOMAIN_FAILURE,
@@ -336,25 +338,22 @@ class _Problem:
         self.structure_for = lambda alpha: loglinear.dual_structure(
             self.index, alpha
         )
-        self.polish_objective = self.objective
         self.extra_artifacts["target.json"] = self.target.to_dict()
 
     def _build_exp2(self):
         cfg = self.cfg
         self.index = None
-        alpha_obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
-        self.objective = alpha_obj
+        self.objective = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
         self.x0 = np.array([cfg.mu0, cfg.sigma0])
+        # a start the divergence cannot evaluate is a configuration
+        # error, like an infeasible exp1 target
+        try:
+            self.objective.value(self.x0)
+        except (DomainViolation, DivergenceUndefined, NonFiniteValue) as exc:
+            raise ConfigError(f"the divergence is undefined at the start: {exc}") from exc
         from .models import gaussian
 
         self.structure_for = gaussian.dual_structure
-        # exact-gradient twin of the same function, for the reference point
-        self.polish_objective = Objective(
-            dim=2,
-            value=alpha_obj.value,
-            eucl_grad=alpha_obj.analytic_grad,
-            grad_field_jacobian=alpha_obj.grad_field_jacobian,
-        )
 
     def _build_exp3(self):
         cfg = self.cfg
@@ -363,7 +362,6 @@ class _Problem:
         self.objective = BetaMixtureNLL(model, data)
         self.x0 = np.array(MIXTURE_INIT)
         self.structure_for = model.dual_structure
-        self.polish_objective = self.objective
         self.extra_artifacts["dataset.json"] = dataset_payload(
             data, cfg.seed, cfg.n_samples
         )
@@ -408,7 +406,7 @@ class _Problem:
         try:
             polish = dual_newton_run(
                 self.structure_for(0.0),
-                self.polish_objective,
+                self.objective,
                 best,
                 StopRule(grad_tol=tol, max_iters=3),
             )

@@ -6,15 +6,14 @@ take at every evaluated point; they turn the gradient into Riemannian
 quantities through the model metric.  ``value_and_grad`` returns the
 same bits as the two separate calls.  The Beta mixture's value and
 gradient are the two parts of one score pass over the data, and the
-alpha-divergence's takes the value and its four central-difference
-probes from one vectorized stencil pass.
+alpha-divergence's value and exact gradient the two parts of one
+closed-form pass.
 Where a cheap exact Jacobian of the Riemannian gradient field exists it
 is exposed as ``grad_field_jacobian`` so Newton steps avoid finite
 differences.
 """
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+import math
 
 import numpy as np
 
@@ -24,24 +23,9 @@ from .errors import (
     DomainViolation,
     NonFiniteValue,
 )
-from .linalg import EPS, solve_spd
+from .linalg import solve_spd
 from .models import loglinear
 from .models.betamix import log_sums
-
-_SQRT_EPS = float(np.sqrt(EPS))
-
-
-@dataclass(frozen=True)
-class Objective:
-    """Generic objective: callables over coordinate vectors."""
-
-    dim: int
-    value: Callable
-    eucl_grad: Callable
-    grad_field_jacobian: Optional[Callable] = None
-
-    def value_and_grad(self, x):
-        return self.value(x), self.eucl_grad(x)
 
 
 class KLProjectionObjective:
@@ -128,35 +112,6 @@ def _point(xi):
     return xi
 
 
-def _stencil(xi):
-    """Rows xi, hi_0, lo_0, hi_1, lo_1 of the central difference, with
-    hi_i, lo_i = xi +- h_i e_i and h_i = sqrt(EPS) max(1, |xi_i|): one
-    rounded addition per probe coordinate, as when each probe was a
-    copy of xi stepped in place."""
-    mu, sigma = xi.tolist()
-    h_mu = _SQRT_EPS * max(1.0, abs(mu))
-    h_sigma = _SQRT_EPS * max(1.0, abs(sigma))
-    return np.array(
-        [
-            [mu, sigma],
-            [mu + h_mu, sigma],
-            [mu - h_mu, sigma],
-            [mu, sigma + h_sigma],
-            [mu, sigma - h_sigma],
-        ]
-    )
-
-
-def _central_difference(f_probes, X):
-    """(f(hi_i) - f(lo_i)) / (hi_i - lo_i) from the values at the probe
-    rows X[1:] of the stencil.  A quotient that overflows is -inf or
-    inf, which the optimizers reject as non-finite."""
-    with np.errstate(over="ignore"):
-        return (f_probes[0::2] - f_probes[1::2]) / (
-            X[1::2].diagonal() - X[2::2].diagonal()
-        )
-
-
 class AlphaDivergenceObjective:
     """Alpha-divergence from a fixed diagonal Gaussian target.
 
@@ -164,7 +119,7 @@ class AlphaDivergenceObjective:
     sigma^2 I); the target is N((mu1, mu2), diag(sigma1^2, sigma2^2)).
     For order parameter abar with abar^2 != 1,
 
-        f(mu, sigma) = 4 / (1 - abar^2) * (1 - J1 * J2)
+        f(mu, sigma) = K (1 - e^S),  K = 4 / (1 - abar^2),  S = log(J1 J2)
 
     where the per-coordinate Gaussian power integrals are
 
@@ -173,13 +128,11 @@ class AlphaDivergenceObjective:
         c_i = (1 + abar) / 2 * sigma^2 + (1 - abar) / 2 * sigma_i^2.
 
     The integral only converges while every c_i > 0; outside that
-    region evaluation raises DivergenceUndefined.  The gradient is a
-    central difference of the closed form with steps sqrt(EPS) max(1,
-    |xi_i|).  ``value``, ``eucl_grad`` and ``value_and_grad`` each make
-    one pass of ``_values`` over the rows of a stencil: the point, the
-    four probes hi_0, lo_0, hi_1, lo_1, or the point and the probes.
-    Every row gets the bits and the exception of a lone evaluation, and
-    the rows are checked in the order lone evaluations would run.
+    region evaluation raises DivergenceUndefined.  ``value``,
+    ``eucl_grad`` and ``value_and_grad`` read one closed-form pass over
+    Python floats, which gives f and its exact gradient -K e^S grad S;
+    ``grad_field_jacobian`` adds the closed-form Hessian of S to the
+    same pass.
     """
 
     dim = 2
@@ -191,112 +144,94 @@ class AlphaDivergenceObjective:
             raise ValueError("alpha_bar = +-1 is the KL limit, not supported here")
         self.mu_targets = np.array([float(mu1), float(mu2)])
         self.sigma_targets = np.array([float(sigma1), float(sigma2)])
-        self.alpha_bar = float(alpha_bar)
-        # the target's share of log J_i, constant in (mu, sigma)
-        self._log_target = 0.5 * (1.0 - self.alpha_bar) * np.log(self.sigma_targets)
-        # the target's share of the variance factors c_i
-        self._target_factors = 0.5 * (1.0 - self.alpha_bar) * self.sigma_targets**2
+        ab = self.alpha_bar = float(alpha_bar)
+        self._scale = 4.0 / (1.0 - ab * ab)
+        # (1 + abar) / 2, the model variance's share of c_i and of log J_i
+        self._half = 0.5 * (1.0 + ab)
+        # weight of (mu_i - mu)^2 / c_i in log J_i
+        self._w = -0.125 * (1.0 - ab * ab)
+        # per target coordinate: mu_i, the target's share of c_i, and its
+        # share of log J_i, which is constant in (mu, sigma)
+        self._targets = tuple(
+            (m, 0.5 * (1.0 - ab) * (s * s), 0.5 * (1.0 - ab) * math.log(s))
+            for m, s in zip(self.mu_targets.tolist(), self.sigma_targets.tolist())
+        )
 
-    def _factors(self, sigma_sq):
-        """The variance factors c_i from the model variance sigma^2."""
-        return 0.5 * (1.0 + self.alpha_bar) * sigma_sq + self._target_factors
+    def _pass(self, xi):
+        """(f, -K e^S, dS/dmu, dS/dsigma) at xi = (mu, sigma), one loop
+        over the target coordinates in Python floats.
 
-    def _values(self, X):
-        """f at every row (mu, sigma) of X, in one numpy pass.
-
-        Each row gets the arithmetic of a lone evaluation; sigma is
-        squared per row as a numpy scalar (libm pow), because the array
-        square x*x differs from it in the last bit on about 1 in 1000
-        sigmas.  A row that cannot be evaluated raises, checked in the
-        order DomainViolation, DivergenceUndefined, NonFiniteValue, and
-        the first such row raises what its lone evaluation would.  Each
-        of those rows ends in an exception, so the pass runs with
-        floating-point warnings off.
+        Raises DimensionMismatch for a point that is not a pair,
+        DomainViolation for a sigma that is not positive and finite,
+        DivergenceUndefined where a factor c_i <= 0 and NonFiniteValue
+        where f is not finite, in that order.  A gradient that overflows
+        is returned as it is (inf or nan), without a warning.
         """
-        ab = self.alpha_bar
-        mu, sigma = X[:, 0], X[:, 1]
-        with np.errstate(all="ignore"):
-            c = self._factors(np.array([s**2 for s in sigma])[:, None])
-            log_j = (
-                self._log_target
-                + (0.5 * (1.0 + ab) * np.log(sigma))[:, None]
-                - 0.5 * np.log(c)
-                - 0.125 * (1.0 - ab * ab) * (self.mu_targets - mu[:, None]) ** 2 / c
+        xi = _point(xi)
+        mu, sigma = xi.tolist()
+        if not 0.0 < sigma < math.inf:
+            raise DomainViolation(f"sigma must be positive, got {sigma}")
+        half, w = self._half, self._w
+        sigma_sq = sigma * sigma
+        factors = [half * sigma_sq + share for _, share, _ in self._targets]
+        if min(factors) <= 0.0:
+            raise DivergenceUndefined(
+                f"integrability fails at sigma={sigma}: variance factors {factors}"
             )
-            f = 4.0 / (1.0 - ab * ab) * (1.0 - np.exp(log_j.sum(axis=1)))
-        # a NaN or infinite sigma and a factor c_i <= 0 each make f NaN or
-        # infinite, so these two tests find every row that fails
-        failed = ~((sigma > 0) & np.isfinite(f))
-        if failed.any():
-            r = failed.argmax()
-            if not (np.isfinite(sigma[r]) and sigma[r] > 0):
-                raise DomainViolation(f"sigma must be positive, got {sigma[r]}")
-            if (c[r] <= 0).any():
-                raise DivergenceUndefined(
-                    f"integrability fails at sigma={sigma[r]}: variance factors {c[r]}"
-                )
-            raise NonFiniteValue(f"divergence overflowed at {X[r]}")
-        return f
+        log_sigma = half * math.log(sigma)
+        dc = 2.0 * half * sigma
+        s = ds_mu = ds_sigma = 0.0
+        for (mu_i, _, log_target), c in zip(self._targets, factors):
+            d = mu_i - mu
+            q = w * (d * d) / c
+            s += log_target + log_sigma - 0.5 * math.log(c) + q
+            ds_mu -= 2.0 * w * d / c
+            ds_sigma += half / sigma - 0.5 * dc / c - q * dc / c
+        try:
+            e = math.exp(s)
+        except OverflowError:
+            raise NonFiniteValue(f"divergence overflowed at {xi}") from None
+        f = self._scale * (1.0 - e)
+        if not abs(f) < math.inf:
+            raise NonFiniteValue(f"divergence overflowed at {xi}")
+        return f, -self._scale * e, ds_mu, ds_sigma
 
     def value(self, xi):
-        return float(self._values(_point(xi)[None, :])[0])
-
-    def eucl_grad(self, xi):
-        X = _stencil(_point(xi))
-        return _central_difference(self._values(X[1:]), X)
+        return self._pass(xi)[0]
 
     def value_and_grad(self, xi):
-        X = _stencil(_point(xi))
-        f = self._values(X)
-        return float(f[0]), _central_difference(f[1:], X)
+        f, scale, ds_mu, ds_sigma = self._pass(xi)
+        return f, np.array([scale * ds_mu, scale * ds_sigma])
+
+    def eucl_grad(self, xi):
+        return self.value_and_grad(xi)[1]
+
+    # the gradient is exact; the acceptance gate reads it by this name
+    analytic_grad = eucl_grad
 
     def _log_integral_derivs(self, xi):
         """Exact gradient -K e^S grad S and Hessian -K e^S (grad S grad
-        S^T + hess S) of f = K (1 - e^S), K = 4 / (1 - abar^2), from
-        S = log(J1 J2) in closed form.
-
-        A point where ``value`` fails raises the exception ``value``
-        raises there, before any arithmetic of its own.
-        """
-        xi = _point(xi)
-        self._values(xi[None, :])
-        mu, sigma = xi
-        ab = self.alpha_bar
-        c = self._factors(sigma**2)
-        w = -0.125 * (1.0 - ab * ab)
-        d = self.mu_targets - mu
-        cp = (1.0 + ab) * sigma
-        cpp = 1.0 + ab
-        s = float(
-            np.sum(
-                self._log_target
-                + 0.5 * (1.0 + ab) * np.log(sigma)
-                - 0.5 * np.log(c)
-                + w * d**2 / c
+        S^T + hess S) of f: the gradient from one pass, hess S in closed
+        form at the point the pass accepted."""
+        _, scale, ds_mu, ds_sigma = self._pass(xi)
+        mu, sigma = np.asarray(xi, dtype=float).tolist()
+        half, w = self._half, self._w
+        dc = 2.0 * half * sigma
+        h_mm = h_ms = h_ss = 0.0
+        for mu_i, share, _ in self._targets:
+            c = half * (sigma * sigma) + share
+            d = mu_i - mu
+            h_mm += 2.0 * w / c
+            h_ms += 2.0 * w * d * dc / (c * c)
+            h_ss += (
+                -half / (sigma * sigma)
+                - half / c
+                + 0.5 * dc * dc / (c * c)
+                - w * (d * d) * (2.0 * half / (c * c) - 2.0 * dc * dc / (c * c * c))
             )
-        )
-        ds_mu = float(np.sum(-2.0 * w * d / c))
-        ds_sigma = float(
-            np.sum(0.5 * (1.0 + ab) / sigma - 0.5 * cp / c - w * d**2 * cp / c**2)
-        )
-        h_mm = float(np.sum(2.0 * w / c))
-        h_ms = float(np.sum(2.0 * w * d * cp / c**2))
-        h_ss = float(
-            np.sum(
-                -0.5 * (1.0 + ab) / sigma**2
-                - 0.5 * cpp / c
-                + 0.5 * cp**2 / c**2
-                - w * d**2 * (cpp / c**2 - 2.0 * cp**2 / c**3)
-            )
-        )
         grad_s = np.array([ds_mu, ds_sigma])
         hess_s = np.array([[h_mm, h_ms], [h_ms, h_ss]])
-        scale = -4.0 / (1.0 - ab * ab) * np.exp(s)
         return scale * grad_s, scale * (np.outer(grad_s, grad_s) + hess_s)
-
-    def analytic_grad(self, xi):
-        """Exact gradient of the closed form."""
-        return self._log_integral_derivs(xi)[0]
 
     def grad_field_jacobian(self, xi):
         """Jacobian of a = G^{-1} grad, fully analytic.

@@ -1,9 +1,25 @@
 """Finite-difference oracles and tiny fixtures shared by the test modules."""
 
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import numpy as np
 
 from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import EPS
+
+
+@dataclass(frozen=True)
+class Objective:
+    """A test objective from callables over coordinate vectors."""
+
+    dim: int
+    value: Callable
+    eucl_grad: Callable
+    grad_field_jacobian: Optional[Callable] = None
+
+    def value_and_grad(self, x):
+        return self.value(x), self.eucl_grad(x)
 
 
 def euclidean_structure(n, in_domain=None):

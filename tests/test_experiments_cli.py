@@ -468,6 +468,17 @@ def test_cli_config_error_inside_a_run_exits_4(tmp_path, monkeypatch, capsys):
     assert "configuration error: rejected inside the run" in capsys.readouterr().err
 
 
+def test_cli_exp2_start_outside_the_integrable_region_exits_4(tmp_path, capsys):
+    # at sigma0 = 0.5 a variance factor of the divergence is negative, so
+    # the start is rejected like an infeasible exp1 target, before any run
+    out = str(tmp_path / "o")
+    argv = ["run", "--experiment", "exp2", "--sigma0", "0.5", "--out", out]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "integrability fails" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

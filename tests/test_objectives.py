@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -14,6 +15,7 @@ from dualnewton.errors import (
     MomentInfeasible,
     NonFiniteValue,
 )
+from dualnewton.experiments import RunConfig
 from dualnewton.linalg import EPS, fd_jacobian
 from dualnewton.models import loglinear
 from dualnewton.models.betamix import BetaMixtureModel
@@ -22,10 +24,9 @@ from dualnewton.objectives import (
     AlphaDivergenceObjective,
     BetaMixtureNLL,
     KLProjectionObjective,
-    Objective,
 )
 
-from helpers import fd_gradient, fd_hessian
+from helpers import Objective, fd_gradient, fd_hessian
 
 
 def make_kl(n=3, lam1=0.0, lam2=0.0, seed=7):
@@ -182,13 +183,14 @@ def test_alpha_divergence_gradient_matches_fd():
 
 
 def test_alpha_divergence_analytic_grad_matches_fd_grad():
-    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        xi = np.array([rng.uniform(-1.0, 3.0), rng.uniform(1.0, 3.0)])
-        g = obj.analytic_grad(xi)
-        g_fd = obj.eucl_grad(xi)
-        assert np.max(np.abs(g - g_fd)) / max(1.0, np.max(np.abs(g))) < 1e-6
+    for alpha_bar in (3.0, 0.5, -0.6):
+        obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+        for _ in range(20):
+            xi = np.array([rng.uniform(-1.0, 3.0), rng.uniform(1.1, 3.0)])
+            g = obj.analytic_grad(xi)
+            g_fd = fd_gradient(obj.value, xi)
+            assert np.max(np.abs(g - g_fd)) / max(1.0, np.max(np.abs(g))) < 1e-6
 
 
 def test_alpha_divergence_analytic_hessian_matches_fd():
@@ -202,7 +204,6 @@ def test_alpha_divergence_analytic_hessian_matches_fd():
 
 
 def test_alpha_divergence_grad_field_jacobian_near_fd():
-    # the FD-of-FD oracle itself carries ~1e-3 noise, so the bound is loose
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     ds = gaussian_structure(0.2)
     field = geometry.gradient_field(ds, obj.eucl_grad)
@@ -210,33 +211,44 @@ def test_alpha_divergence_grad_field_jacobian_near_fd():
         xi = np.array(pt)
         J = obj.grad_field_jacobian(xi)
         J_fd = fd_jacobian(field, xi)
-        assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 2e-3
-        exact_field = geometry.gradient_field(ds, obj.analytic_grad)
-        J_exact_fd = fd_jacobian(exact_field, xi)
-        assert np.max(np.abs(J - J_exact_fd)) / np.max(np.abs(J_exact_fd)) < 1e-5
+        assert np.max(np.abs(J - J_fd)) / np.max(np.abs(J_fd)) < 1e-5
 
 
 @pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
 def test_alpha_divergence_jacobian_evaluates_the_integral_once(monkeypatch, alpha_bar):
-    # one closed-form evaluation per Jacobian, and the same bits as the
+    # one closed-form pass per Jacobian, and the same bits as the
     # composition of the closed-form Hessian and analytic_grad
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
-    derivs = obj._log_integral_derivs
+    closed_form = obj._pass
     calls = []
-    monkeypatch.setattr(
-        obj, "_log_integral_derivs", lambda xi: calls.append(1) or derivs(xi)
-    )
+    monkeypatch.setattr(obj, "_pass", lambda xi: calls.append(1) or closed_form(xi))
     rng = np.random.default_rng(13)
     for _ in range(50):
         xi = np.array([rng.uniform(-1.0, 3.0), rng.uniform(1.0, 3.0)])
         sigma = xi[1]
         g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
-        expected = (g_inv @ derivs(xi)[1]).T
+        expected = (g_inv @ obj._log_integral_derivs(xi)[1]).T
         expected[1, :] += np.array([sigma, 0.5 * sigma]) * obj.analytic_grad(xi)
         before = len(calls)
         J = obj.grad_field_jacobian(xi)
         assert len(calls) - before == 1
         np.testing.assert_array_equal(J, expected)
+
+
+@pytest.mark.parametrize("alpha", RunConfig.defaults("exp2").alphas)
+def test_alpha_divergence_newton_operator_is_symmetric(alpha):
+    # with the exact gradient and its exact Jacobian, G H^T is the
+    # coordinate Hessian of f plus a symmetric connection term: symmetric
+    # to rounding at the exp2 start and elsewhere
+    cfg = RunConfig.defaults("exp2")
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
+    ds = gaussian_structure(alpha)
+    field = geometry.gradient_field(ds, obj.eucl_grad)
+    for pt in [(cfg.mu0, cfg.sigma0), (1.75, 1.0), (0.0, 1.5), (2.5, 3.0)]:
+        xi = np.array(pt)
+        H = geometry.dual_hessian_matrix(ds, field, xi, jacobian=obj.grad_field_jacobian)
+        GH = ds.at(xi).G @ H.T
+        assert np.linalg.norm(GH - GH.T) / np.linalg.norm(GH) < 1e-13
 
 
 def make_mixture(seed=11, n_points=200):
@@ -297,7 +309,7 @@ FIXED = dict(derandomize=True, deadline=None, database=None)
 _KL = make_kl(3, 0.3, 0.8)[1]
 _ALPHA = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
 _MIXTURE = make_mixture(n_points=300)[1]
-# the generic objective as experiment exp2 builds it: callables of another
+# a test objective built from another objective's callables
 _GENERIC = Objective(dim=2, value=_ALPHA.value, eucl_grad=_ALPHA.analytic_grad)
 
 
@@ -325,26 +337,33 @@ def test_value_and_grad_is_value_then_eucl_grad_bit_for_bit(obj, u):
 
 
 def _reference_alpha_value(obj, xi):
-    """AlphaDivergenceObjective.value as first written, with the target
-    term recomputed at every call."""
-    mu, sigma = np.asarray(xi, dtype=float)
+    """AlphaDivergenceObjective.value as a lone evaluation over Python
+    floats: the closed form summed per coordinate, with libm's log and
+    exp, which numpy's vectorized log and exp need not match bit for
+    bit."""
+    mu, sigma = np.asarray(xi, dtype=float).tolist()
     if not (np.isfinite(sigma) and sigma > 0):
         raise DomainViolation(f"sigma must be positive, got {sigma}")
     ab = obj.alpha_bar
-    c = 0.5 * (1.0 + ab) * sigma**2 + 0.5 * (1.0 - ab) * obj.sigma_targets**2
-    if np.any(c <= 0):
-        raise DivergenceUndefined(f"variance factors {c}")
-    log_j = (
-        0.5 * (1.0 - ab) * np.log(obj.sigma_targets)
-        + 0.5 * (1.0 + ab) * np.log(sigma)
-        - 0.5 * np.log(c)
-        - 0.125 * (1.0 - ab * ab) * (obj.mu_targets - mu) ** 2 / c
-    )
-    integral = np.exp(log_j.sum())
+    log_integral = 0.0
+    for mu_i, sigma_i in zip(obj.mu_targets.tolist(), obj.sigma_targets.tolist()):
+        c = 0.5 * (1.0 + ab) * (sigma * sigma) + 0.5 * (1.0 - ab) * (sigma_i * sigma_i)
+        if c <= 0:
+            raise DivergenceUndefined(f"variance factor {c}")
+        log_integral += (
+            0.5 * (1.0 - ab) * math.log(sigma_i)
+            + 0.5 * (1.0 + ab) * math.log(sigma)
+            - 0.5 * math.log(c)
+            - 0.125 * (1.0 - ab * ab) * (mu_i - mu) ** 2 / c
+        )
+    try:
+        integral = math.exp(log_integral)
+    except OverflowError:
+        raise NonFiniteValue(f"divergence overflowed at {xi}") from None
     f = 4.0 / (1.0 - ab * ab) * (1.0 - integral)
     if not np.isfinite(f):
         raise NonFiniteValue(f"divergence overflowed at {xi}")
-    return float(f)
+    return f
 
 
 def _outcome(fn, xi):
@@ -385,36 +404,56 @@ def test_alpha_divergence_overflow_raises_without_a_warning():
             obj.value(np.array([1000.0, 1.0]))
 
 
-def _reference_alpha_grad(obj, xi):
-    """AlphaDivergenceObjective.eucl_grad as the per-probe loop it was:
-    four lone evaluations of the reference value."""
-    xi = np.asarray(xi, dtype=float)
-    grad = np.empty(2)
-    for i in range(2):
-        h = np.sqrt(EPS) * max(1.0, abs(xi[i]))
-        lo, hi = xi.copy(), xi.copy()
-        lo[i] -= h
-        hi[i] += h
-        f_hi = _reference_alpha_value(obj, hi)
-        f_lo = _reference_alpha_value(obj, lo)
-        grad[i] = (f_hi - f_lo) / (hi[i] - lo[i])
-    return grad
+def _reference_alpha(obj, xi):
+    """f and its gradient -K e^S grad S, K = 4 / (1 - abar^2), from the
+    closed form of S = log(J1 J2) in numpy, over both target coordinates
+    at once."""
+    mu, sigma = np.asarray(xi, dtype=float)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise DomainViolation(f"sigma must be positive, got {sigma}")
+    ab = obj.alpha_bar
+    mu_t, sigma_t = obj.mu_targets, obj.sigma_targets
+    c = 0.5 * (1.0 + ab) * sigma**2 + 0.5 * (1.0 - ab) * sigma_t**2
+    if np.any(c <= 0):
+        raise DivergenceUndefined(f"variance factors {c}")
+    w = -0.125 * (1.0 - ab * ab)
+    d = mu_t - mu
+    dc = (1.0 + ab) * sigma
+    log_j = (
+        0.5 * (1.0 - ab) * np.log(sigma_t)
+        + 0.5 * (1.0 + ab) * np.log(sigma)
+        - 0.5 * np.log(c)
+        + w * d**2 / c
+    )
+    grad_s = np.array(
+        [
+            np.sum(-2.0 * w * d / c),
+            np.sum(0.5 * (1.0 + ab) / sigma - 0.5 * dc / c - w * d**2 * dc / c**2),
+        ]
+    )
+    k = 4.0 / (1.0 - ab * ab)
+    integral = np.exp(log_j.sum())
+    f = k * (1.0 - integral)
+    if not np.isfinite(f):
+        raise NonFiniteValue(f"divergence overflowed at {xi}")
+    return float(f), -k * integral * grad_s
 
 
 # at abar = 3 the factor c_1 = 2 sigma^2 - 1.3^2 vanishes here
 _SIGMA_EDGE = 1.3 * np.sqrt((3.0 - 1.0) / (3.0 + 1.0))
-# a point whose value (about 8e307) is finite but whose central-difference
-# quotients overflow
-_QUOTIENT_OVERFLOW = (-4.366765459597842, 0.9352815477270064)
+# a point whose value (about 8e307) is finite but whose gradient overflows
+_GRADIENT_OVERFLOW = (-4.366765459597842, 0.9352815477270064)
 
 
 def _overflow_edge_mu(sigma, log_integral):
     """The mu < 0 at which log(J1 J2) = log_integral at abar = 3, where
-    log J_i = log_target_i + 2 log sigma - log(c_i) / 2 + (mu_i - mu)^2 / c_i.
+    log J_i = -log sigma_i + 2 log sigma - log(c_i) / 2 + (mu_i - mu)^2 / c_i.
     Near log_integral = 710 the value f = (J1 J2 - 1) / 2 meets the
     float64 overflow."""
     c = 2.0 * sigma**2 - _ALPHA.sigma_targets**2
-    rest = log_integral - np.sum(_ALPHA._log_target + 2.0 * np.log(sigma) - 0.5 * np.log(c))
+    rest = log_integral - np.sum(
+        -np.log(_ALPHA.sigma_targets) + 2.0 * np.log(sigma) - 0.5 * np.log(c)
+    )
     # sum (mu_i - mu)^2 / c_i = rest, a quadratic in mu
     a, b = np.sum(1.0 / c), np.sum(_ALPHA.mu_targets / c)
     disc = b * b - a * (np.sum(_ALPHA.mu_targets**2 / c) - rest)
@@ -422,16 +461,19 @@ def _overflow_edge_mu(sigma, log_integral):
 
 
 def _alpha_point(family, u, v):
+    if family == "inside":
+        # mu in [-1, 3], sigma in [1.1, 3]: every c_i > 0, and f not so
+        # steep that central differences lose their sixth digit
+        return np.array([-1.0 + 4.0 * u, 1.1 + 1.9 * v])
     if family == "wide":
         return np.array([-1e3 + 2e3 * u, 10.0 ** (-3.0 + 6.0 * v)])
     if family == "zero":
-        # sigma within two steps of 0: some probes leave the domain while
-        # others fail the integrability check first (abar = 3)
+        # sigma within 2 sqrt(EPS) of 0: outside the domain, or inside it
+        # where the variance factors fail integrability (abar = 3)
         return np.array([-5.0 + 10.0 * u, (4.0 * v - 2.0) * np.sqrt(EPS)])
     if family == "edge":
-        # sigma within two steps h = sqrt(EPS) of the integrability edge,
-        # so the sigma probes straddle it when the offset is below one
-        # step; mu near mu_1 keeps (mu_1 - mu)^2 / c_1 from overflowing
+        # sigma within 2 sqrt(EPS) of the integrability edge, on either
+        # side; mu near mu_1 keeps (mu_1 - mu)^2 / c_1 from overflowing
         return np.array(
             [2.0 + 1e-3 * (2.0 * u - 1.0), _SIGMA_EDGE + (4.0 * v - 2.0) * np.sqrt(EPS)]
         )
@@ -440,115 +482,82 @@ def _alpha_point(family, u, v):
     return np.array([_overflow_edge_mu(sigma, 700.0 + 12.0 * u), sigma])
 
 
-def _bits(outcome):
-    """An outcome as comparable bytes, or the exception class it raised."""
-    if isinstance(outcome, type):
-        return outcome
-    if isinstance(outcome, tuple):
-        f, grad = outcome
-        assert type(f) is float
-        return np.float64(f).tobytes() + grad.tobytes()
-    if isinstance(outcome, float):
-        return np.float64(outcome).tobytes()
-    return outcome.tobytes()
-
-
 @settings(max_examples=400, **FIXED)
 @given(
     alpha_bar=st.sampled_from([3.0, 0.5, -0.6]),
-    family=st.sampled_from(["wide", "zero", "edge", "overflow"]),
+    family=st.sampled_from(["inside", "wide", "zero", "edge", "overflow"]),
     u=st.floats(0.0, 1.0),
     v=st.floats(0.0, 1.0),
 )
-@example(alpha_bar=3.0, family="point", u=None, v=None)
 @example(alpha_bar=0.5, family="zero", u=0.5, v=0.5)
 @example(alpha_bar=3.0, family="zero", u=0.5, v=0.6)
-def test_alpha_divergence_stencil_matches_per_probe_loop(alpha_bar, family, u, v):
-    # value, eucl_grad and value_and_grad against lone reference values
-    # (four per gradient): the same bits or the same exception class, and
-    # no RuntimeWarning
+def test_alpha_divergence_pass_matches_closed_form_reference(alpha_bar, family, u, v):
+    # value_and_grad against the numpy closed form: the same exception
+    # class, or f and the gradient to 1e-13 relative, and no RuntimeWarning;
+    # inside the integrable box the gradient is the derivative of value
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
-    xi = np.array(_QUOTIENT_OVERFLOW) if family == "point" else _alpha_point(family, u, v)
-    references = {
-        obj.value: lambda x: _reference_alpha_value(obj, x),
-        obj.eucl_grad: lambda x: _reference_alpha_grad(obj, x),
-        obj.value_and_grad: lambda x: (
-            _reference_alpha_value(obj, x),
-            _reference_alpha_grad(obj, x),
-        ),
-    }
-    for method, reference in references.items():
-        with np.errstate(all="ignore"):
-            expected = _bits(_outcome(reference, xi))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _bits(_outcome(method, xi))
-        assert got == expected
+    xi = _alpha_point(family, u, v)
+    with np.errstate(all="ignore"):
+        expected = _outcome(lambda x: _reference_alpha(obj, x), xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(obj.value_and_grad, xi)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    (f, grad), (f_ref, grad_ref) = got, expected
+    assert type(f) is float
+    assert abs(f - f_ref) <= 1e-13 * abs(f_ref)
+    # a gradient entry past the float64 range overflows as the reference's does
+    finite = np.isfinite(grad_ref)
+    scale = np.abs(grad_ref[finite]).max(initial=0.0)
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-13, atol=1e-13 * scale)
+    if family == "inside":
+        g_fd = fd_gradient(obj.value, xi)
+        assert np.abs(grad - g_fd).max() < 1e-6 * max(1.0, np.abs(g_fd).max())
 
 
-def test_alpha_divergence_stencil_draws_reach_every_outcome():
+def test_alpha_divergence_draws_reach_every_outcome():
     # the draws above cover the boundary and the overflow, not only the
     # interior: each family below meets the outcome it is drawn for
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, 3.0)
     grid = np.linspace(0.0, 1.0, 21)
     outcomes = {
         family: {
-            o if isinstance(o, type) else bool(np.isfinite(o).all())
+            o if isinstance(o, type) else bool(np.isfinite(o[1]).all())
             for o in (
-                _outcome(obj.eucl_grad, _alpha_point(family, u, v)) for u in grid for v in grid
+                _outcome(obj.value_and_grad, _alpha_point(family, u, v))
+                for u in grid
+                for v in grid
             )
         }
         for family in ("zero", "edge", "overflow")
     }
-    # near sigma = 0 the first failing probe fails integrability, a later
-    # one leaves the domain
+    # near sigma = 0: outside the domain, or inside it and not integrable
     assert {DivergenceUndefined, DomainViolation} <= outcomes["zero"]
-    # within two steps of the edge, some sigma probes fall below it
+    # within two steps of the edge, some sigma fall below it
     assert {DivergenceUndefined, True} <= outcomes["edge"]
-    # along the overflow edge: finite, overflowing quotients, overflowing probes
+    # along the overflow edge: finite, an overflowing gradient, an
+    # overflowing value
     assert {NonFiniteValue, True, False} <= outcomes["overflow"]
 
 
 @pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
-def test_alpha_divergence_rows_square_sigma_like_a_lone_evaluation(alpha_bar):
-    # the numpy scalar sigma**2 (libm pow) and the array square x*x differ
-    # in the last bit on some sigma; at those sigma every row of one pass
-    # still has the bits of a lone reference evaluation
+def test_alpha_divergence_evaluates_one_pass_per_call(monkeypatch, alpha_bar):
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
-    sigma = np.random.default_rng(17).uniform(1.0, 3.0, 20000)
-    sigma = sigma[np.array([s**2 for s in sigma]) != sigma * sigma]
-    assert sigma.size >= 5
-    X = np.column_stack([np.linspace(-1.0, 3.0, sigma.size), sigma])
-    expected = [_reference_alpha_value(obj, x) for x in X]
-    assert obj._values(X).tobytes() == np.array(expected).tobytes()
-
-
-@pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
-def test_alpha_divergence_evaluates_one_stencil_pass_per_call(monkeypatch, alpha_bar):
-    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
-    values = obj._values
+    closed_form = obj._pass
     passes = []
-    monkeypatch.setattr(obj, "_values", lambda X: passes.append(X.copy()) or values(X))
+    monkeypatch.setattr(obj, "_pass", lambda xi: passes.append(1) or closed_form(xi))
     xi = np.array([1.75, 1.2])
-    h = np.sqrt(EPS) * np.maximum(1.0, np.abs(xi))
-    hi_lo = [
-        [xi[0] + h[0], xi[1]],
-        [xi[0] - h[0], xi[1]],
-        [xi[0], xi[1] + h[1]],
-        [xi[0], xi[1] - h[1]],
-    ]
-    obj.value(xi)
-    obj.eucl_grad(xi)
-    obj.value_and_grad(xi)
-    assert len(passes) == 3
-    np.testing.assert_array_equal(passes[0], [xi])
-    np.testing.assert_array_equal(passes[1], hi_lo)
-    np.testing.assert_array_equal(passes[2], [xi] + hi_lo)
+    for method in (obj.value, obj.eucl_grad, obj.value_and_grad, obj.analytic_grad):
+        before = len(passes)
+        method(xi)
+        assert len(passes) - before == 1
 
 
-def test_alpha_divergence_quotient_overflow_raises_no_warning():
+def test_alpha_divergence_gradient_overflow_raises_no_warning():
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
-    xi = np.array(_QUOTIENT_OVERFLOW)
+    xi = np.array(_GRADIENT_OVERFLOW)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         f = obj.value(xi)
@@ -593,9 +602,10 @@ _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 @example(alpha_bar=3.0, family="sigma", u=0.5, v=0.5, bad=np.inf, size=1)
 @example(alpha_bar=3.0, family="zero", u=0.5, v=0.25, bad=np.nan, size=1)
 def test_alpha_divergence_analytics_fail_like_value(alpha_bar, family, u, v, bad, size):
-    # analytic_grad, the closed-form Hessian and grad_field_jacobian raise the
-    # exception class value raises at the same point, without a
-    # RuntimeWarning first, and return wherever value returns
+    # value_and_grad, eucl_grad, analytic_grad, the closed-form Hessian and
+    # grad_field_jacobian raise the exception class value raises at the
+    # same point, without a RuntimeWarning first, and return wherever
+    # value returns
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
     if family == "mu":
         xi = np.array([bad, 0.5 + 2.0 * v])
@@ -607,7 +617,8 @@ def test_alpha_divergence_analytics_fail_like_value(alpha_bar, family, u, v, bad
         xi = _alpha_point(family, u, v)
     expected = _analytic_outcome(obj.value, xi)
     hessian = lambda x: obj._log_integral_derivs(x)[1]
-    for method in (obj.analytic_grad, hessian, obj.grad_field_jacobian):
+    methods = (obj.value_and_grad, obj.eucl_grad, obj.analytic_grad, hessian)
+    for method in (*methods, obj.grad_field_jacobian):
         if expected is None:
             # near the float64 overflow the derivatives may overflow
             # where the value does not

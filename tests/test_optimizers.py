@@ -17,9 +17,9 @@ from dualnewton.experiments import MIXTURE_INIT, gen_dataset
 from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import solve_spd
 from dualnewton.models import betamix, loglinear
-from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective, Objective
+from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective
 
-from helpers import count_calls, euclidean_structure
+from helpers import Objective, count_calls, euclidean_structure
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
