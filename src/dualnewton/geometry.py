@@ -86,8 +86,8 @@ class DualPoint:
 
     ``L``, the lower Cholesky factor of G, is taken on first read and
     kept: every solve against G at this point, in ``solve`` and in the
-    model's connection map, uses that one factor.  A model that already
-    keeps the factor passes ``factor``, a callable returning it.
+    model's connection map, uses that one factor.  A model that keeps
+    it or has it in closed form passes ``factor``, a callable for it.
     """
 
     structure: DualStructure

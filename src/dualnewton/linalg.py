@@ -1,11 +1,12 @@
 """Dense solves, finite differences and the log-sum-exp kernel used by
 the model and geometry layers.
 
-Matrices here are small (tens of rows), so unblocked factorizations are
-fine and keep pivot handling explicit.  Everything is float64.  The
-triangular and LU solves go through the BLAS, which picks its own thread
-count; on small systems threads cost more than they save, so pin them
-(e.g. OPENBLAS_NUM_THREADS=1) when timing.
+Matrices here are small (tens of rows); everything is float64.  A
+metric G is factored by the Python loop ``cholesky_lower``, whose bits
+reach every solve against G and the pinned runs.  ``is_spd`` (dpotrf) and
+``solve_general`` (dgetrf, dgetrs) call LAPACK without scipy's wrappers.
+The BLAS picks its own thread count; on small systems threads cost more
+than they save, so pin them (e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
 ``logsumexp`` is the one log-sum-exp of the package: over all entries
 for the log-partition and the log-probabilities, and along axis 0 of the
@@ -18,10 +19,7 @@ k.  It skips scipy's array-API dispatch, which costs several times the
 arithmetic on the short vectors used here.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import (
@@ -110,11 +108,12 @@ def solve_spd(A, b, L=None):
 
 
 def solve_general(A, b):
-    """Solve A x = b by LU with partial pivoting.
+    """Solve A x = b by LU with partial pivoting, the bits of scipy's
+    ``lu_factor`` and ``lu_solve`` from the dgetrf and dgetrs they call.
 
     Raises NonFiniteValue when A or b holds a NaN or infinity, and
-    SingularMatrix when some pivot falls below 1e-14 * ||A||_inf,
-    instead of returning garbage.
+    SingularMatrix, not a warning, when some pivot falls below
+    1e-14 * ||A||_inf.
     """
     A = _as_square(A)
     b = _check_rhs(A, b)
@@ -123,15 +122,13 @@ def solve_general(A, b):
     norm = float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
     if norm == 0.0:
         raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    lu, piv, _ = lapack.dgetrf(A)
     pivots = np.abs(np.diag(lu))
     if np.any(pivots < _SINGULAR_RTOL * norm):
         raise SingularMatrix(
             f"pivot ratio {pivots.min() / norm:.3e} below {_SINGULAR_RTOL:.0e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return lapack.dgetrs(lu, piv, b)[0]
 
 
 def logsumexp(u, axis=None):
@@ -156,13 +153,12 @@ def logsumexp(u, axis=None):
 
 
 def is_spd(A):
-    """True when the symmetrized matrix has all Cholesky pivots positive."""
+    """True when LAPACK's dpotrf factors 0.5 (A + A^T): all Cholesky
+    pivots positive.  False on a NaN or infinite entry."""
     A = _as_square(A)
-    try:
-        cholesky_lower(0.5 * (A + A.T))
-    except NotPositiveDefinite:
+    if not np.all(np.isfinite(A)):
         return False
-    return True
+    return lapack.dpotrf(0.5 * (A + A.T), lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
 def fd_jacobian(field, xi):

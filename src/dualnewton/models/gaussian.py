@@ -52,7 +52,10 @@ def point(structure, xi):
     def connection(alpha, a):
         return np.einsum("k,ikj->ij", a, christoffel(xi, alpha))
 
-    return DualPoint(structure, xi, fisher_metric(xi), connection)
+    # cholesky_lower(G) bit for bit: pivots G_jj - 0.0, off-diagonals 0.0 / L_jj
+    G = fisher_metric(xi)
+    factor = lambda: np.diag(np.sqrt(np.diag(G)))
+    return DualPoint(structure, xi, G, connection, factor=factor)
 
 
 def dual_structure(alpha):

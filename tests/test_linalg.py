@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,14 @@ from dualnewton.errors import (
     NotPositiveDefinite,
     SingularMatrix,
 )
-from dualnewton.linalg import fd_jacobian, is_spd, logsumexp, solve_general, solve_spd
+from dualnewton.linalg import (
+    cholesky_lower,
+    fd_jacobian,
+    is_spd,
+    logsumexp,
+    solve_general,
+    solve_spd,
+)
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
@@ -65,10 +75,16 @@ def test_solve_general_permutation():
 
 
 def test_solve_general_singular():
-    with pytest.raises(SingularMatrix):
-        solve_general(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
-    with pytest.raises(SingularMatrix):
-        solve_general(np.zeros((2, 2)), np.ones(2))
+    # LAPACK's dgetrf reports the exact zero pivot of the first matrix
+    # (info 2), on which scipy's lu_factor would warn; the ratio test
+    # raises instead, with no warning, for a vector or a matrix b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (np.ones(2), np.ones((2, 3))):
+            with pytest.raises(SingularMatrix):
+                solve_general(np.array([[1.0, 1.0], [1.0, 1.0]]), b)
+            with pytest.raises(SingularMatrix):
+                solve_general(np.zeros((2, 2)), b)
 
 
 def test_solve_general_nonfinite():
@@ -78,6 +94,8 @@ def test_solve_general_nonfinite():
         solve_general(np.array([[2.0, 0.0], [0.0, np.nan]]), np.ones(2))
     with pytest.raises(NonFiniteValue):
         solve_general(np.eye(2), np.array([1.0, np.inf]))
+    with pytest.raises(NonFiniteValue):
+        solve_general(np.eye(2), np.array([[1.0], [np.nan]]))
 
 
 @pytest.mark.parametrize("n", [2, 7, 33])
@@ -87,6 +105,25 @@ def test_solve_general_residual_random(n):
     b = rng.standard_normal(n)
     x = solve_general(A, b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * max(1.0, np.linalg.norm(b))
+
+
+@settings(max_examples=100, **FIXED)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    n_rhs=st.sampled_from([None, 1, 3]),
+)
+def test_solve_general_has_the_bits_of_scipys_lu(n, seed, n_rhs):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    b = rng.standard_normal(n if n_rhs is None else (n, n_rhs))
+    # the Newton step solves against H^T, a transposed view
+    for M in (A, A.T):
+        lu_and_piv = scipy.linalg.lu_factor(M, check_finite=False)
+        expected = scipy.linalg.lu_solve(lu_and_piv, b, check_finite=False)
+        x = solve_general(M, b)
+        assert x.shape == expected.shape
+        assert x.tobytes() == expected.tobytes()
 
 
 def test_fd_jacobian_convention():
@@ -140,6 +177,77 @@ def test_is_spd_symmetrization_jitter():
     A = M @ M.T + 5 * np.eye(5)
     jitter = 1e-14 * rng.standard_normal((5, 5))
     assert is_spd(A + jitter) == is_spd(A)
+
+
+def _python_is_spd(A):
+    """The certificate's earlier definition: the Python Cholesky loop over
+    the symmetrized matrix."""
+    try:
+        cholesky_lower(0.5 * (A + A.T))
+    except NotPositiveDefinite:
+        return False
+    return True
+
+
+@settings(max_examples=200, **FIXED)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    symmetric=st.booleans(),
+    shift=st.floats(-2.0, 4.0),
+)
+def test_is_spd_matches_the_python_cholesky_on_random_matrices(
+    n, seed, symmetric, shift
+):
+    # Gaussian entries, shifted along the diagonal so that both outcomes occur
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = (M + M.T if symmetric else M) + shift * np.sqrt(n) * np.eye(n)
+    assert is_spd(A) == _python_is_spd(A)
+
+
+@settings(max_examples=200, **FIXED)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    definite=st.booleans(),
+    scale=st.floats(1e-100, 1e100),
+)
+def test_is_spd_matches_the_python_cholesky_off_the_rounding_band(
+    n, seed, definite, scale
+):
+    # Q diag(lam) Q^T with every |lam| in [1e-8, 1] relative to the
+    # largest, so no eigenvalue lies within rounding of zero
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** rng.uniform(-8.0, 0.0, n)
+    lam[0] = 1.0
+    if not definite:
+        lam *= rng.choice([-1.0, 1.0], n)
+        lam[0] = -1.0
+    A = scale * (Q * lam) @ Q.T
+    assert is_spd(A) == _python_is_spd(A) == bool(np.all(lam > 0))
+
+
+@settings(max_examples=100, **FIXED)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_is_spd_is_false_on_a_non_finite_entry(n, seed, bad):
+    # a NaN or an infinity anywhere, even in an otherwise SPD matrix
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    A[rng.integers(n), rng.integers(n)] = bad
+    assert is_spd(A) is False
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), (0, 1)])
+def test_is_spd_rejects_a_non_square_input(shape):
+    with pytest.raises(DimensionMismatch):
+        is_spd(np.ones(shape))
 
 
 # ---- logsumexp: the same bits as scipy.special.logsumexp ----------------

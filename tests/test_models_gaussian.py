@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dualnewton import geometry, linalg, optimizers as opt
 from dualnewton.errors import DimensionMismatch, DomainViolation
+from dualnewton.linalg import cholesky_lower
 from dualnewton.models import gaussian
+from dualnewton.objectives import AlphaDivergenceObjective
+
+from helpers import count_calls
 
 
 def test_fisher_values():
@@ -83,3 +90,29 @@ def test_dual_structure_pairs_alphas():
     assert ds.contains(xi)
     assert not ds.contains(np.array([0.2, -1.4]))
 
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    mu=st.floats(allow_nan=False, allow_infinity=False),
+    sigma=st.floats(1e-150, 1e150),
+)
+def test_the_closed_form_factor_is_the_python_cholesky_bit_for_bit(mu, sigma):
+    # G = diag(2, 4) / sigma^2: the Python loop's pivots are G_jj - 0.0
+    # and its off-diagonal entry 0.0 / L_00
+    xi = np.array([mu, sigma])
+    L = gaussian.dual_structure(0.5).at(xi).L
+    assert L.tobytes() == cholesky_lower(gaussian.fisher_metric(xi)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "run", [opt.dual_newton_run, opt.natural_gradient_run], ids=["newton", "natgrad"]
+)
+def test_exp2_runs_make_no_python_cholesky(monkeypatch, run):
+    # every solve against G reads the point's closed-form factor, and
+    # Newton's descent certificate is LAPACK's
+    calls = {}
+    count_calls(monkeypatch, calls, "cholesky_lower", linalg, geometry)
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
+    tr = run(gaussian.dual_structure(0.0), obj, np.array([0.5, 2.0]))
+    assert tr.status == opt.CONVERGED and tr.n_iterations >= 3
+    assert calls == {"cholesky_lower": 0}
