@@ -62,7 +62,7 @@ class DualStructure:
 
     def contains(self, xi):
         xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.dim,) or not np.all(np.isfinite(xi)):
+        if xi.shape != (self.dim,) or not np.isfinite(xi).all():
             return False
         return bool(self.in_domain(xi)) if self.in_domain is not None else True
 
@@ -167,7 +167,7 @@ def newton_direction(structure, hess, eucl_grad, xi, a=None):
     spd_flag = is_spd(point.G @ hess.T)
     if a is None:
         a = point.solve(eucl_grad)
-    if not np.any(a):
+    if not a.any():
         return np.zeros_like(a), spd_flag
     beta = solve_general(hess.T, -a)
     return beta, spd_flag

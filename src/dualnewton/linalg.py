@@ -41,8 +41,10 @@ _SINGULAR_RTOL = 1e-14
 
 def _as_square(A):
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DimensionMismatch(
+            f"expected a nonempty square matrix, got shape {A.shape}"
+        )
     return A
 
 
@@ -81,13 +83,18 @@ def solve_spd(A, b, L=None):
     skipped, every check below still runs.  The two triangular solves
     call LAPACK's dtrtrs with the operands
     ``scipy.linalg.solve_triangular`` would pass it, so the bits are the
-    same without that wrapper's per-call overhead.  Raises
-    NonFiniteValue on a NaN or infinity in the factor or in b.
+    same without that wrapper's per-call overhead.  Raises ValueError
+    when max|A - A^T| > 1e-12 max(1, max|A|), and NonFiniteValue on a
+    NaN or infinity in the factor or in b.
     """
     A = _as_square(A)
     b = _check_rhs(A, b)
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
+    # the scaled bound is read only where A - A^T has a nonzero (or NaN)
+    # entry; an exactly symmetric A passes it anyway
+    asymmetry = A - A.T
+    if asymmetry.any() and float(abs(asymmetry).max()) > 1e-12 * max(
+        1.0, float(abs(A).max())
+    ):
         raise ValueError("solve_spd expects a symmetric matrix")
     if L is None:
         L = cholesky_lower(A)
@@ -97,7 +104,7 @@ def solve_spd(A, b, L=None):
         )
     # U^T y = b, then U x = y, with U = L^T read in place by LAPACK
     U = L.T
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(U).all() and np.isfinite(b).all()):
         raise NonFiniteValue("solve_spd met a NaN or infinite entry")
     y, info = lapack.dtrtrs(U, b, lower=0, trans=1)
     if info == 0:
@@ -117,14 +124,14 @@ def solve_general(A, b):
     """
     A = _as_square(A)
     b = _check_rhs(A, b)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFiniteValue("solve_general received a NaN or infinite entry")
-    norm = float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
+    norm = float(abs(A).sum(axis=1).max())
     if norm == 0.0:
         raise SingularMatrix("zero matrix")
     lu, piv, _ = lapack.dgetrf(A)
-    pivots = np.abs(np.diag(lu))
-    if np.any(pivots < _SINGULAR_RTOL * norm):
+    pivots = abs(lu.diagonal())
+    if (pivots < _SINGULAR_RTOL * norm).any():
         raise SingularMatrix(
             f"pivot ratio {pivots.min() / norm:.3e} below {_SINGULAR_RTOL:.0e}"
         )
@@ -156,7 +163,7 @@ def is_spd(A):
     """True when LAPACK's dpotrf factors 0.5 (A + A^T): all Cholesky
     pivots positive.  False on a NaN or infinite entry."""
     A = _as_square(A)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         return False
     return lapack.dpotrf(0.5 * (A + A.T), lower=1, clean=0, overwrite_a=1)[1] == 0
 

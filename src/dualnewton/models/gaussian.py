@@ -5,27 +5,38 @@ and the alpha-connection symbols have closed forms, which makes this the
 reference model for checking the finite-difference paths elsewhere.
 """
 
+import math
+import sys
+
 import numpy as np
 
 from ..errors import DimensionMismatch, DomainViolation
 from ..geometry import DualPoint, DualStructure
 
+# sqrt of the largest float64: sigma^2 overflows for any sigma above it
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
+
 
 def _check(xi):
+    """(mu, sigma) as Python floats, or the error that names the cause."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
         raise DimensionMismatch(f"expected a point (mu, sigma), got shape {xi.shape}")
-    mu, sigma = xi
-    if not np.isfinite(mu):
+    mu, sigma = xi.tolist()
+    if not math.isfinite(mu):
         raise DomainViolation(f"mu must be finite, got {mu}")
-    if not (np.isfinite(sigma) and sigma > 0):
+    if not 0.0 < sigma < math.inf:
         raise DomainViolation(f"sigma must be positive and finite, got {sigma}")
-    return xi
+    if sigma > _SIGMA_MAX:
+        raise DomainViolation(f"sigma^2 overflows at sigma = {sigma}")
+    return mu, sigma
 
 
 def fisher_metric(xi):
-    sigma = _check(xi)[1]
-    return np.diag([2.0 / sigma**2, 4.0 / sigma**2])
+    # squared and divided as numpy scalars: where sigma^2 underflows to
+    # 0, G is infinite, not Python's ZeroDivisionError
+    sigma = np.float64(_check(xi)[1])
+    return np.array([[2.0 / sigma**2, 0.0], [0.0, 4.0 / sigma**2]])
 
 
 def christoffel(xi, alpha):
@@ -54,7 +65,9 @@ def point(structure, xi):
 
     # cholesky_lower(G) bit for bit: pivots G_jj - 0.0, off-diagonals 0.0 / L_jj
     G = fisher_metric(xi)
-    factor = lambda: np.diag(np.sqrt(np.diag(G)))
+    factor = lambda: np.array(
+        [[math.sqrt(G[0, 0]), 0.0], [0.0, math.sqrt(G[1, 1])]]
+    )
     return DualPoint(structure, xi, G, connection, factor=factor)
 
 

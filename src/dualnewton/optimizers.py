@@ -16,6 +16,7 @@ convergence at the starting point yields an empty trace.
 """
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -100,8 +101,11 @@ class AdamState:
             self.m = np.zeros_like(grad)
             self.v = np.zeros_like(grad)
         self.t += 1
-        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
-        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
+        # in place, each product rounded as in b1 m + (1 - b1) g
+        self.m *= _ADAM_BETA1
+        self.m += (1.0 - _ADAM_BETA1) * grad
+        self.v *= _ADAM_BETA2
+        self.v += (1.0 - _ADAM_BETA2) * grad * grad
         m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
         v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
         return -self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
@@ -197,8 +201,9 @@ class _Evaluation:
         if self.point is None:
             point = self.structure.at(self.xi)
             self.a = a = point.solve(self.grad)
-            self.l2 = float(np.linalg.norm(a))
-            self.gnorm = float(np.sqrt(max(a @ point.G @ a, 0.0)))
+            # the bits of np.linalg.norm(a): sqrt(a . a)
+            self.l2 = math.sqrt(a.dot(a))
+            self.gnorm = math.sqrt(max(a @ point.G @ a, 0.0))
             self.point = point
         return self
 
@@ -212,19 +217,19 @@ def _evaluate(structure, obj, xi):
         evaluation = _Evaluation(structure, obj, xi)
     except _POINT_ERRORS:
         return None
-    return evaluation if np.isfinite(evaluation.f) else None
+    return evaluation if math.isfinite(evaluation.f) else None
 
 
 def _usable(evaluation):
     """The record, measured; None when there is none, its gradient is
     non-finite, or its geometry raises a point error or is non-finite."""
-    if evaluation is None or not np.all(np.isfinite(evaluation.grad)):
+    if evaluation is None or not np.isfinite(evaluation.grad).all():
         return None
     try:
         evaluation.measure()
     except _POINT_ERRORS:
         return None
-    return evaluation if np.isfinite(evaluation.l2) else None
+    return evaluation if math.isfinite(evaluation.l2) else None
 
 
 def _iterate(structure, obj, xi0, stop, propose):
@@ -248,7 +253,7 @@ def _iterate(structure, obj, xi0, stop, propose):
     start = time.perf_counter()
 
     here = _Evaluation(structure, obj, xi)
-    if not (np.isfinite(here.f) and np.all(np.isfinite(here.grad))):
+    if not (math.isfinite(here.f) and np.isfinite(here.grad).all()):
         raise NonFiniteValue(
             f"objective value {here.f} or gradient {here.grad} at the starting "
             f"point {xi} is not finite"
@@ -278,7 +283,8 @@ def _iterate(structure, obj, xi0, stop, propose):
             trace.status = DOMAIN_FAILURE
             return trace
 
-        step = float(np.linalg.norm(evaluation.xi - here.xi))
+        d = evaluation.xi - here.xi
+        step = math.sqrt(d.dot(d))
         here = evaluation
         elapsed = time.perf_counter() - start
         trace.record(it, here.f, here.l2, here.gnorm, step, spd, elapsed)
@@ -445,7 +451,7 @@ def wolfe_line_search(phi, dphi, f_atol=0.0):
         if evals > _WOLFE_MAX_EVALS:
             raise LineSearchFailure(f"no Wolfe point in {_WOLFE_MAX_EVALS} evaluations")
         fs = float(phi(s))
-        if not np.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
+        if not math.isfinite(fs) or fs > phi0 + _WOLFE_C1 * s * dphi0 + f_atol or (
             fs >= f_lo + f_atol and fs > phi0 + f_atol
         ):
             hi = s
@@ -530,7 +536,8 @@ def convergence_order(trace, xi_final):
         raise InsufficientIterations(
             f"need at least 3 iterations, trace has {len(iterates) - 1}"
         )
-    errors = np.array([np.linalg.norm(p - xi_final) for p in iterates])
+    gaps = [p - xi_final for p in iterates]
+    errors = np.array([math.sqrt(d.dot(d)) for d in gaps])
     floor = 100.0 * EPS
     orders = []
     for k in range(2, len(errors) - 1):

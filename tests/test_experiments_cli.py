@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import py_compile
@@ -218,6 +219,45 @@ def test_rerun_traces_identical_except_time(tmp_path):
             assert _rows_without_time(tmp_path / "a" / name) == _rows_without_time(
                 tmp_path / "b" / name
             )
+
+
+def _trace_digest(out):
+    """SHA-256 over a run directory's trace CSVs, file names included,
+    with the last field (time_s) cut from every line."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            h.update(name.encode())
+            with open(os.path.join(out, name)) as fh:
+                for line in fh:
+                    h.update(line.rstrip("\n").rsplit(",", 1)[0].encode())
+                    h.update(b"\n")
+    return h.hexdigest()
+
+
+# The bits of every trace row: a change that keeps the arithmetic keeps
+# these.  A change that moves them on purpose declares the digest change
+# and re-derives the pin here; it does not delete it.  The digests are
+# those of float64 arithmetic with the numpy, scipy and BLAS builds the
+# suite runs on, which may round differently elsewhere.
+TRACE_DIGESTS = {
+    "exp2": (
+        RunConfig.defaults("exp2"),
+        "10160c917c576c63497021d1b49c3d3c64786e6c02d8954d56f8243e7878aa5f",
+    ),
+    "exp1_n3": (
+        RunConfig.defaults("exp1", n=3),
+        "6b8fc7445b04dc56c84da8ac67b0e352dd97331a17fb6331fe39d397bb127993",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_the_trace_digests_are_pinned(tmp_path, name):
+    cfg, digest = TRACE_DIGESTS[name]
+    code, _ = run_experiment(cfg, out_dir=str(tmp_path))
+    assert code == 0
+    assert _trace_digest(tmp_path) == digest
 
 
 def test_plot_script_renders_png(tmp_path):

@@ -58,6 +58,75 @@ def test_solve_spd_dimension_mismatch():
         solve_spd(np.ones((2, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A: solve_spd(A, np.empty(0)),
+        lambda A: solve_general(A, np.empty(0)),
+        is_spd,
+        cholesky_lower,
+    ],
+    ids=["solve_spd", "solve_general", "is_spd", "cholesky_lower"],
+)
+def test_an_empty_matrix_is_a_dimension_mismatch(call):
+    # one named error, not a reduction's ValueError, a True certificate,
+    # an empty factor or a "zero matrix"
+    with pytest.raises(DimensionMismatch, match="nonempty square"):
+        call(np.empty((0, 0)))
+
+
+def _is_asymmetric(A):
+    """The symmetry guard as a scaled bound alone:
+    max|A - A^T| > 1e-12 max(1, max|A|)."""
+    scale = max(1.0, float(np.max(np.abs(A))))
+    return float(np.max(np.abs(A - A.T))) > 1e-12 * scale
+
+
+@settings(max_examples=300, **FIXED)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.sampled_from([1e-3, 1.0, 1e3, 1e8]),
+    ratio=st.sampled_from(
+        [0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 1e6, np.inf, np.nan]
+    ),
+)
+def test_solve_spd_rejects_asymmetry_exactly_where_the_scaled_bound_does(
+    n, seed, magnitude, ratio
+):
+    # one off-diagonal entry moves by ratio times the bound, on either
+    # side of it, or becomes infinite or NaN, which the bound never rejects
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = magnitude * (M @ M.T + n * np.eye(n))
+    L = cholesky_lower(A)
+    b = rng.standard_normal(n)
+    i, j = rng.choice(n, 2, replace=False)
+    with np.errstate(invalid="ignore"):
+        A[i, j] += ratio * 1e-12 * max(1.0, float(np.max(np.abs(A))))
+        rejected = _is_asymmetric(A)
+    if rejected:
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_spd(A, b, L=L)
+        return
+    # the two triangular solves scipy would make against L, L^T
+    y = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+    x = scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
+    assert solve_spd(A, b, L=L).tobytes() == x.tobytes()
+
+
+def test_solve_spd_rejects_a_non_finite_factor_or_right_hand_side():
+    A = np.array([[4.0, 2.0], [2.0, 3.0]])
+    L = cholesky_lower(A)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteValue):
+            solve_spd(A, np.array([1.0, bad]), L=L)
+        broken = L.copy()
+        broken[1, 0] = bad
+        with pytest.raises(NonFiniteValue):
+            solve_spd(A, np.ones(2), L=broken)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
 def test_solve_spd_residual_random(n):
     rng = np.random.default_rng(n)
@@ -124,6 +193,44 @@ def test_solve_general_has_the_bits_of_scipys_lu(n, seed, n_rhs):
         x = solve_general(M, b)
         assert x.shape == expected.shape
         assert x.tobytes() == expected.tobytes()
+
+
+def _fails_the_pivot_test(A):
+    """The singularity guard on its own: the zero matrix, or an LU pivot
+    below 1e-14 times the row-sum infinity norm."""
+    norm = float(np.max(np.sum(np.abs(A), axis=1)))
+    if norm == 0.0:
+        return True
+    with warnings.catch_warnings():
+        # an exactly zero pivot, which lu_factor reports by a warning
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, _ = scipy.linalg.lu_factor(A, check_finite=False)
+    return bool(np.any(np.abs(np.diag(lu)) < 1e-14 * norm))
+
+
+@settings(max_examples=300, **FIXED)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    rank_drop=st.integers(0, 3),
+    noise=st.sampled_from([0.0, 1e-17, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12]),
+)
+def test_solve_general_raises_singular_exactly_where_the_pivot_test_fails(
+    n, seed, rank_drop, noise
+):
+    # low-rank matrices plus noise around the 1e-14 pivot ratio
+    rng = np.random.default_rng(seed)
+    rank = max(n - rank_drop, 0)
+    A = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    A += noise * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    if _fails_the_pivot_test(A):
+        with pytest.raises(SingularMatrix):
+            solve_general(A, b)
+    else:
+        lu_and_piv = scipy.linalg.lu_factor(A, check_finite=False)
+        expected = scipy.linalg.lu_solve(lu_and_piv, b, check_finite=False)
+        assert solve_general(A, b).tobytes() == expected.tobytes()
 
 
 def test_fd_jacobian_convention():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from dualnewton.linalg import cholesky_lower
 from dualnewton.models import gaussian
 from dualnewton.objectives import AlphaDivergenceObjective
 
-from helpers import count_calls
+from helpers import Objective, count_calls
 
 
 def test_fisher_values():
@@ -44,6 +46,58 @@ def test_a_point_outside_the_domain_names_its_cause(xi, cause):
     with pytest.raises(DomainViolation) as raised:
         gaussian.fisher_metric(xi)
     assert str(raised.value) == cause
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigma_is_refused_where_its_square_overflows():
+    # sqrt of the largest float64 still squares to a finite number and
+    # G keeps its formula; the next float up, or 1e155, is outside
+    edge = math.sqrt(np.finfo(float).max)
+    sigma = np.float64(edge)
+    G = gaussian.fisher_metric([0.0, edge])
+    expected = np.diag([2.0 / sigma**2, 4.0 / sigma**2])
+    assert G.tobytes() == expected.tobytes() and np.all(np.diag(G) > 0.0)
+    for beyond in (math.nextafter(edge, math.inf), 1e155):
+        for evaluate in (gaussian.fisher_metric, lambda x: gaussian.christoffel(x, 0.0)):
+            with pytest.raises(DomainViolation, match="sigma"):
+                evaluate([0.0, beyond])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(sigma=st.floats(5e-324, math.sqrt(np.finfo(float).max)))
+def test_the_metric_keeps_its_numpy_arithmetic_below_the_threshold(sigma):
+    # 2 / sigma^2 and 4 / sigma^2 as numpy scalars, down to the sigmas
+    # whose square underflows, where G is infinite
+    s = np.float64(sigma)
+    with np.errstate(all="ignore"):
+        expected = np.diag([2.0 / s**2, 4.0 / s**2])
+        G = gaussian.fisher_metric([0.0, sigma])
+    assert G.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_trial_where_sigma_squared_overflows_is_halved():
+    # f = 1 / sigma, whose gradient -1 / sigma^2 keeps G^{-1} grad near
+    # (0, -1/4) at every sigma.  Adam's first step raises sigma by its
+    # learning rate; the trials at t = 1, 1/2 and 1/4 land beyond the
+    # threshold and are halved without a warning, and t = 1/8 is taken
+    def grad(x):
+        sigma = float(x[1])
+        # Python floats: sigma * sigma overflows to inf silently
+        return np.array([0.0, -1.0 / (sigma * sigma)])
+
+    obj = Objective(dim=2, value=lambda x: 1.0 / float(x[1]), eucl_grad=grad)
+    lr = 1e155
+    assert lr / 8 < math.sqrt(np.finfo(float).max) < lr / 4
+    tr = opt.adam_run(
+        gaussian.dual_structure(0.0),
+        obj,
+        np.array([0.0, 1.0]),
+        opt.StopRule(max_iters=1),
+        hyper=opt.AdamState(lr=lr),
+    )
+    assert tr.status == opt.MAX_ITERS and tr.n_iterations == 1
+    assert tr.iterates[1][1] == pytest.approx(lr / 8)
 
 
 @pytest.mark.parametrize("xi", [[1.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])

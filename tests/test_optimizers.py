@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -899,6 +900,31 @@ def test_adam_moments_stay_nonnegative():
     assert np.all(state.v >= 0.0)
 
 
+@settings(max_examples=100, **FIXED)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    lr=st.sampled_from([1e-3, 0.01, 0.5]),
+)
+def test_adam_in_place_moments_have_the_bits_of_the_formula(seed, n, lr):
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g out of place, over
+    # gradients whose magnitudes span 1e-8 to 1e8
+    b1, b2, eps = opt._ADAM_BETA1, opt._ADAM_BETA2, opt._ADAM_EPS
+    rng = np.random.default_rng(seed)
+    state = opt.AdamState(lr=lr)
+    m = v = np.zeros(n)
+    for t in range(1, 41):
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        step = state.step(g)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert step.tobytes() == (-lr * m_hat / (np.sqrt(v_hat) + eps)).tobytes()
+
+
 def test_adam_run_descends_quadratic():
     ds = euclidean_structure(2)
     obj = quadratic_objective([0.3, -0.1])
@@ -918,6 +944,31 @@ def test_adam_respects_domain_by_halving():
     obj = quadratic_objective([-2.0])
     tr = opt.adam_run(ds, obj, np.array([0.01]), opt.StopRule(max_iters=20))
     assert all(p[0] > 0.0 for p in tr.iterates)
+
+
+# ---- norms -----------------------------------------------------------------
+
+
+@settings(max_examples=300, **FIXED)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    exponent=st.integers(-200, 200),
+    bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+)
+def test_the_loops_norm_has_the_bits_of_numpys(seed, n, exponent, bad):
+    # the record's l2, the step length and the convergence order's errors
+    # read sqrt(v . v), which is what np.linalg.norm computes for a
+    # 1-D float vector, also where the square overflows or underflows
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * 10.0**exponent
+    if bad is not None:
+        v[rng.integers(n)] = bad
+    # the dot product warns of an overflowing square in both
+    with np.errstate(over="ignore"):
+        ours = np.float64(math.sqrt(v.dot(v)))
+        theirs = np.linalg.norm(v)
+    assert ours.tobytes() == theirs.tobytes()
 
 
 # ---- convergence order -----------------------------------------------------
