@@ -141,16 +141,15 @@ def gradient_field(structure, eucl_grad_fn):
     return field
 
 
-def dual_hessian_matrix(structure, grad_field, xi, jacobian=None):
+def dual_hessian_matrix(structure, grad_field, xi, jacobian):
     """Dual Hessian H[i, j] = d a_j/d xi_i + sum_k a_k GammaDual^j_ik.
 
-    The Jacobian of the gradient field comes from the ``jacobian``
-    callback when given, otherwise from central finite differences.
+    ``grad_field(xi)`` gives a at xi and ``jacobian(xi)`` its Jacobian,
+    J[i, j] = d a_j / d xi_i.
     """
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(grad_field(xi), dtype=float)
-    J = fd_jacobian(grad_field, xi) if jacobian is None else np.asarray(jacobian(xi))
-    return J + structure.at(xi).dual_dot(a)
+    return np.asarray(jacobian(xi)) + structure.at(xi).dual_dot(a)
 
 
 def newton_direction(structure, hess, eucl_grad, xi, a=None):

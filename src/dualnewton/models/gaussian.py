@@ -54,9 +54,9 @@ def christoffel(xi, alpha):
 
 
 def in_domain(xi):
-    """Positive sigma: the domain hook ``DualStructure.contains`` calls
-    with a finite vector of length 2."""
-    return xi[1] > 0
+    """0 < sigma <= _SIGMA_MAX, as ``_check`` enforces: the domain hook
+    ``DualStructure.contains`` calls with a finite vector of length 2."""
+    return 0.0 < xi[1] <= _SIGMA_MAX
 
 
 def point(structure, xi):

@@ -1,16 +1,16 @@
 """Objective functions for the three experiment families.
 
 Each objective exposes ``dim``, ``value``, ``eucl_grad`` (the plain
-coordinate gradient) and ``value_and_grad``, the pair the optimizers
-take at every evaluated point; they turn the gradient into Riemannian
-quantities through the model metric.  ``value_and_grad`` returns the
-same bits as the two separate calls.  The Beta mixture's value and
-gradient are the two parts of one score pass over the data, and the
-alpha-divergence's value and exact gradient the two parts of one
-closed-form pass.
-Where a cheap exact Jacobian of the Riemannian gradient field exists it
-is exposed as ``grad_field_jacobian`` so Newton steps avoid finite
-differences.
+coordinate gradient), ``value_and_grad``, the pair the optimizers take
+at every evaluated point, and ``grad_field_jacobian``, the Jacobian
+J[i, j] = d a_j / d xi_i of the Riemannian gradient field
+a = G^{-1} grad f that Newton's dual Hessian reads.  ``value`` and
+``eucl_grad`` are the two parts of ``value_and_grad``, which takes both
+from one pass: over the states for the KL projection, over the data's
+scores for the Beta mixture, and one closed-form pass over Python
+floats for the alpha-divergence.  The KL projection and the
+alpha-divergence have exact Jacobians; the Beta mixture's is central
+differences of its own field.
 """
 
 import math
@@ -23,7 +23,7 @@ from .errors import (
     DomainViolation,
     NonFiniteValue,
 )
-from .linalg import solve_spd
+from .linalg import cholesky_lower, fd_jacobian, solve_spd
 from .models import loglinear
 from .models.betamix import log_sums
 
@@ -69,22 +69,20 @@ class KLProjectionObjective:
         return len(self.index)
 
     def value(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return float(
-            loglinear.log_partition(self.index, theta)
-            + self._phi_hat
-            - theta @ self.eta_hat
-            + self.lam @ (theta * theta)
-        )
+        return self.value_and_grad(theta)[0]
 
     def eucl_grad(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return loglinear.moments(self.index, theta) - self.eta_hat + 2.0 * self.lam * theta
+        return self.value_and_grad(theta)[1]
 
     def value_and_grad(self, theta):
-        # the log-partition and the moments come from one pass over the
-        # states, which the model keeps for the point's geometry
-        return self.value(theta), self.eucl_grad(theta)
+        """The value and the gradient from the log-partition and the
+        moments of one pass over the states, which the model keeps for
+        the point's geometry."""
+        theta = np.asarray(theta, dtype=float)
+        at = loglinear.evaluate(self.index, theta)
+        penalty = self.lam @ (theta * theta)
+        f = float(float(at.lse) + self._phi_hat - theta @ self.eta_hat + penalty)
+        return f, at.eta - self.eta_hat + 2.0 * self.lam * theta
 
     def grad_field_jacobian(self, theta):
         """Exact Jacobian J[i, j] = d a_j / d theta_i of a = G^{-1} grad.
@@ -103,13 +101,6 @@ class KLProjectionObjective:
         H_f = G + 2.0 * np.diag(self.lam)
         TA = loglinear.weighted_gram(C, at.p * (C @ a))
         return solve_spd(G, H_f - TA, L=at.L).T
-
-
-def _point(xi):
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2,):
-        raise DimensionMismatch(f"expected a point (mu, sigma), got shape {xi.shape}")
-    return xi
 
 
 class AlphaDivergenceObjective:
@@ -167,7 +158,11 @@ class AlphaDivergenceObjective:
         where f is not finite, in that order.  A gradient that overflows
         is returned as it is (inf or nan), without a warning.
         """
-        xi = _point(xi)
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != (2,):
+            raise DimensionMismatch(
+                f"expected a point (mu, sigma), got shape {xi.shape}"
+            )
         mu, sigma = xi.tolist()
         if not 0.0 < sigma < math.inf:
             raise DomainViolation(f"sigma must be positive, got {sigma}")
@@ -209,43 +204,46 @@ class AlphaDivergenceObjective:
     # the gradient is exact; the acceptance gate reads it by this name
     analytic_grad = eucl_grad
 
-    def _log_integral_derivs(self, xi):
-        """Exact gradient -K e^S grad S and Hessian -K e^S (grad S grad
-        S^T + hess S) of f: the gradient from one pass, hess S in closed
-        form at the point the pass accepted."""
+    def grad_field_jacobian(self, xi):
+        """Jacobian of a = G^{-1} grad in one pass over Python floats:
+        d a / d xi_i = G^{-1} H[:, i] + [i == sigma] diag(sigma, sigma/2) grad
+        with G^{-1} = diag(sigma^2/2, sigma^2/4), grad = -K e^S grad S and
+        H = -K e^S (grad S grad S^T + hess S), hess S in closed form.
+        Raises what ``_pass`` raises, then NonFiniteValue where an entry
+        is not finite."""
         _, scale, ds_mu, ds_sigma = self._pass(xi)
         mu, sigma = np.asarray(xi, dtype=float).tolist()
         half, w = self._half, self._w
         dc = 2.0 * half * sigma
         h_mm = h_ms = h_ss = 0.0
-        for mu_i, share, _ in self._targets:
-            c = half * (sigma * sigma) + share
-            d = mu_i - mu
-            h_mm += 2.0 * w / c
-            h_ms += 2.0 * w * d * dc / (c * c)
-            h_ss += (
-                -half / (sigma * sigma)
-                - half / c
-                + 0.5 * dc * dc / (c * c)
-                - w * (d * d) * (2.0 * half / (c * c) - 2.0 * dc * dc / (c * c * c))
-            )
-        grad_s = np.array([ds_mu, ds_sigma])
-        hess_s = np.array([[h_mm, h_ms], [h_ms, h_ss]])
-        return scale * grad_s, scale * (np.outer(grad_s, grad_s) + hess_s)
-
-    def grad_field_jacobian(self, xi):
-        """Jacobian of a = G^{-1} grad, fully analytic.
-
-        G^{-1} = diag(sigma^2/2, sigma^2/4) for the isotropic model, so
-        d a / d xi_i = G^{-1} H[:, i] + [i == sigma] diag(sigma, sigma/2) grad
-        with H the exact Hessian of the closed-form value.
-        """
-        grad, H = self._log_integral_derivs(xi)
-        sigma = np.asarray(xi, dtype=float)[1]
-        g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
-        jac = (g_inv @ H).T
-        jac[1, :] += np.array([sigma, 0.5 * sigma]) * grad
-        return jac
+        try:
+            for mu_i, share, _ in self._targets:
+                c = half * (sigma * sigma) + share
+                d = mu_i - mu
+                h_mm += 2.0 * w / c
+                h_ms += 2.0 * w * d * dc / (c * c)
+                h_ss += (
+                    -half / (sigma * sigma)
+                    - half / c
+                    + 0.5 * dc * dc / (c * c)
+                    - w * (d * d) * (2.0 * half / (c * c) - 2.0 * dc * dc / (c * c * c))
+                )
+            # libm's pow, as for a numpy scalar
+            g_mu, g_sigma = 0.5 * sigma**2, 0.25 * sigma**2
+        except (ZeroDivisionError, OverflowError):
+            raise NonFiniteValue(f"gradient field Jacobian overflowed at {xi}") from None
+        # G^{-1} H by entries; + 0.0 gives a zero entry the +0.0 of a
+        # matrix product, which sums from +0.0
+        cross = scale * (ds_mu * ds_sigma + h_ms)
+        m_ms = g_mu * cross + 0.0
+        m_ss = g_sigma * (scale * (ds_sigma * ds_sigma + h_ss)) + 0.0
+        jac = (
+            (g_mu * (scale * (ds_mu * ds_mu + h_mm)) + 0.0, g_sigma * cross + 0.0),
+            (m_ms + sigma * (scale * ds_mu), m_ss + 0.5 * sigma * (scale * ds_sigma)),
+        )
+        if not all(abs(v) < math.inf for row in jac for v in row):
+            raise NonFiniteValue(f"gradient field Jacobian is not finite at {xi}")
+        return np.array(jac)
 
 
 class BetaMixtureNLL:
@@ -286,4 +284,13 @@ class BetaMixtureNLL:
             raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
         return f, -s.sum(axis=0)
 
-    grad_field_jacobian = None
+    def grad_field_jacobian(self, xi):
+        """Central differences of a = G^{-1} grad: each probe makes one
+        score pass over the data and one over the quadrature nodes, and
+        solves with G's factor as an evaluated point does."""
+
+        def field(x):
+            grad, G = self.value_and_grad(x)[1], self.model.fisher_metric(x)
+            return solve_spd(G, grad, L=cholesky_lower(G))
+
+        return fd_jacobian(field, xi)

@@ -143,24 +143,22 @@ class OptimizerTrace:
         self.times.append(float(elapsed))
 
     def write_csv(self, path):
+        # csv writes a float as its repr
+        columns = (
+            self.iters,
+            self.f_values,
+            self.grad_l2,
+            self.grad_gnorm,
+            self.step_norms,
+            map(int, self.spd_flags),
+            self.times,
+        )
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["iter", "f", "grad_l2", "grad_gnorm", "step_norm", "spd", "time_s"]
             )
-            for row in zip(
-                self.iters,
-                self.f_values,
-                self.grad_l2,
-                self.grad_gnorm,
-                self.step_norms,
-                self.spd_flags,
-                self.times,
-            ):
-                it, f, l2, gn, sn, spd, t = row
-                writer.writerow(
-                    [it, repr(f), repr(l2), repr(gn), repr(sn), int(spd), repr(t)]
-                )
+            writer.writerows(zip(*columns))
 
     def summary(self):
         return {
@@ -303,30 +301,24 @@ def dual_newton_run(structure, obj, xi0, stop=None):
     Each step solves the Newton equation posed with the dual connection
     and retracts along the primal one with unit length.  A step whose
     retraction (or objective value) leaves the domain is halved up to
-    30 times.
+    30 times.  The Jacobian of the gradient field is the objective's
+    ``grad_field_jacobian``.
     """
-    jac = getattr(obj, "grad_field_jacobian", None)
 
     def propose(here):
         # the point stands in for the structure: G, Gamma* and Gamma at
-        # xi come from it, and the field at xi is the loop's a; each
-        # finite-difference probe is a record of its own
+        # xi come from it, the field at xi is the loop's a, and its
+        # Jacobian is the objective's
         point, a = here.point, here.a
         xi = point.xi
-
-        def field(x):
-            if x is xi or np.array_equal(x, xi):
-                return a
-            return _Evaluation(point, obj, x).measure().a
-
         try:
-            hess = dual_hessian_matrix(point, field, xi, jacobian=jac)
+            hess = dual_hessian_matrix(point, lambda _: a, xi, obj.grad_field_jacobian)
             beta, spd = newton_direction(point, hess, here.grad, xi, a=a)
         except (SingularMatrix, NotPositiveDefinite, NonFiniteValue):
             return SINGULAR_HESSIAN
         except (DomainViolation, DivergenceUndefined, QuadratureUnderflow):
-            # finite-difference probes crossed the domain boundary, so
-            # no local model exists at this iterate
+            # the Jacobian's evaluation (the mixture's finite-difference
+            # probes) left the domain, so no local model exists here
             return DOMAIN_FAILURE
 
         def trial(t):

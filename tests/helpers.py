@@ -1,7 +1,7 @@
 """Finite-difference oracles and tiny fixtures shared by the test modules."""
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -9,14 +9,23 @@ from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import EPS
 
 
+def _no_jacobian(x):
+    raise AssertionError("this test objective was built without a Jacobian")
+
+
 @dataclass(frozen=True)
 class Objective:
-    """A test objective from callables over coordinate vectors."""
+    """A test objective from callables over coordinate vectors.
+
+    ``grad_field_jacobian`` is the Jacobian of the gradient field
+    a = G^{-1} grad f under the structure the test runs on; only Newton
+    reads it, so a test of another method may leave it out.
+    """
 
     dim: int
     value: Callable
     eucl_grad: Callable
-    grad_field_jacobian: Optional[Callable] = None
+    grad_field_jacobian: Callable = _no_jacobian
 
     def value_and_grad(self, x):
         return self.value(x), self.eucl_grad(x)

@@ -249,6 +249,13 @@ TRACE_DIGESTS = {
         RunConfig.defaults("exp1", n=3),
         "6b8fc7445b04dc56c84da8ac67b0e352dd97331a17fb6331fe39d397bb127993",
     ),
+    # Newton on the mixture's finite-difference Jacobian, 5 steps per alpha
+    "exp3_small": (
+        RunConfig.defaults(
+            "exp3", n_samples=400, quad_nodes=16, methods=("newton", "natgrad")
+        ),
+        "f3bdbfd620ecb19453a47794e33dbbc57d7c6591e3fec6e3a9d637ca466ee590",
+    ),
 }
 
 

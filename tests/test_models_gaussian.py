@@ -80,13 +80,20 @@ def test_a_trial_where_sigma_squared_overflows_is_halved():
     # f = 1 / sigma, whose gradient -1 / sigma^2 keeps G^{-1} grad near
     # (0, -1/4) at every sigma.  Adam's first step raises sigma by its
     # learning rate; the trials at t = 1, 1/2 and 1/4 land beyond the
-    # threshold and are halved without a warning, and t = 1/8 is taken
+    # threshold, where the domain test rejects them before any
+    # evaluation, and t = 1/8 is taken
+    evaluated = []
+
+    def value(x):
+        evaluated.append(float(x[1]))
+        return 1.0 / float(x[1])
+
     def grad(x):
         sigma = float(x[1])
         # Python floats: sigma * sigma overflows to inf silently
         return np.array([0.0, -1.0 / (sigma * sigma)])
 
-    obj = Objective(dim=2, value=lambda x: 1.0 / float(x[1]), eucl_grad=grad)
+    obj = Objective(dim=2, value=value, eucl_grad=grad)
     lr = 1e155
     assert lr / 8 < math.sqrt(np.finfo(float).max) < lr / 4
     tr = opt.adam_run(
@@ -98,6 +105,22 @@ def test_a_trial_where_sigma_squared_overflows_is_halved():
     )
     assert tr.status == opt.MAX_ITERS and tr.n_iterations == 1
     assert tr.iterates[1][1] == pytest.approx(lr / 8)
+    # the start and the accepted trial, nothing beyond the threshold
+    assert evaluated == [1.0, tr.iterates[1][1]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_domain_test_and_the_point_check_agree_at_the_sigma_bound():
+    ds = gaussian.dual_structure(0.0)
+    top = math.sqrt(np.finfo(float).max)
+    for sigma in (np.nextafter(top, 0.0), top, np.nextafter(top, np.inf), 1e200):
+        xi = np.array([0.0, sigma])
+        try:
+            gaussian.fisher_metric(xi)
+        except DomainViolation:
+            assert not ds.contains(xi)
+        else:
+            assert ds.contains(xi)
 
 
 @pytest.mark.parametrize("xi", [[1.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])

@@ -26,7 +26,7 @@ from dualnewton.objectives import (
     KLProjectionObjective,
 )
 
-from helpers import Objective, fd_gradient, fd_hessian
+from helpers import Objective, count_calls, fd_gradient, fd_hessian
 
 
 def make_kl(n=3, lam1=0.0, lam2=0.0, seed=7):
@@ -37,9 +37,19 @@ def make_kl(n=3, lam1=0.0, lam2=0.0, seed=7):
 
 
 def test_generic_objective_holds_callables():
-    obj = Objective(dim=2, value=lambda x: float(x @ x), eucl_grad=lambda x: 2.0 * x)
+    obj = Objective(
+        dim=2,
+        value=lambda x: float(x @ x),
+        eucl_grad=lambda x: 2.0 * x,
+        grad_field_jacobian=lambda x: 2.0 * np.eye(2),
+    )
     assert obj.value(np.array([1.0, 2.0])) == 5.0
-    assert obj.grad_field_jacobian is None
+    assert obj.value_and_grad(np.array([1.0, 2.0]))[1].tolist() == [2.0, 4.0]
+    assert obj.grad_field_jacobian(np.zeros(2)).tolist() == [[2.0, 0.0], [0.0, 2.0]]
+    # only Newton reads the Jacobian; an objective built without one says so
+    bare = Objective(dim=2, value=obj.value, eucl_grad=obj.eucl_grad)
+    with pytest.raises(AssertionError, match="without a Jacobian"):
+        bare.grad_field_jacobian(np.zeros(2))
 
 
 def test_kl_value_zero_when_model_matches_target():
@@ -85,6 +95,33 @@ def test_kl_target_outside_polytope_rejected():
     index = loglinear.SubsetIndex.boltzmann(2)
     with pytest.raises(MomentInfeasible):
         KLProjectionObjective(index, np.array([0.9, 0.9, 0.05]))
+
+
+def test_kl_value_and_grad_reads_one_pass(monkeypatch):
+    # one loglinear.evaluate call per point, with the bits of the formula
+    # written through the model's readers log_partition and moments
+    _, obj, rng = make_kl(3, 0.3, 0.8)
+    thetas = [rng.uniform(-1.0, 1.0, obj.dim) for _ in range(20)]
+    expected = [
+        (
+            float(
+                loglinear.log_partition(obj.index, theta)
+                + obj._phi_hat
+                - theta @ obj.eta_hat
+                + obj.lam @ (theta * theta)
+            ),
+            loglinear.moments(obj.index, theta) - obj.eta_hat + 2.0 * obj.lam * theta,
+        )
+        for theta in thetas
+    ]
+    calls = {}
+    count_calls(monkeypatch, calls, "evaluate", loglinear)
+    for theta, (f, grad) in zip(thetas, expected):
+        before = calls["evaluate"]
+        got_f, got_grad = obj.value_and_grad(theta)
+        assert calls["evaluate"] - before == 1
+        assert type(got_f) is float and got_f == f
+        assert got_grad.tobytes() == grad.tobytes()
 
 
 def test_kl_gradient_matches_fd():
@@ -193,11 +230,46 @@ def test_alpha_divergence_analytic_grad_matches_fd_grad():
             assert np.max(np.abs(g - g_fd)) / max(1.0, np.max(np.abs(g))) < 1e-6
 
 
+def _reference_derivs(obj, xi):
+    """The alpha-divergence's exact gradient, Hessian and gradient-field
+    Jacobian in numpy: the closed-form Hessian -K e^S (grad S grad S^T +
+    hess S) over Python floats, then G^{-1} = diag(sigma^2/2, sigma^2/4)
+    applied as numpy 2 x 2 products, the formula that
+    ``grad_field_jacobian`` folds into one pass over Python floats."""
+    _, scale, ds_mu, ds_sigma = obj._pass(xi)
+    mu, sigma = np.asarray(xi, dtype=float).tolist()
+    half, w = obj._half, obj._w
+    dc = 2.0 * half * sigma
+    h_mm = h_ms = h_ss = 0.0
+    for mu_i, share, _ in obj._targets:
+        c = half * (sigma * sigma) + share
+        d = mu_i - mu
+        h_mm += 2.0 * w / c
+        h_ms += 2.0 * w * d * dc / (c * c)
+        h_ss += (
+            -half / (sigma * sigma)
+            - half / c
+            + 0.5 * dc * dc / (c * c)
+            - w * (d * d) * (2.0 * half / (c * c) - 2.0 * dc * dc / (c * c * c))
+        )
+    grad_s = np.array([ds_mu, ds_sigma])
+    hess_s = np.array([[h_mm, h_ms], [h_ms, h_ss]])
+    grad, H = scale * grad_s, scale * (np.outer(grad_s, grad_s) + hess_s)
+    sigma = np.float64(sigma)
+    g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
+    jac = (g_inv @ H).T
+    jac[1, :] += np.array([sigma, 0.5 * sigma]) * grad
+    return grad, H, jac
+
+
 def test_alpha_divergence_analytic_hessian_matches_fd():
+    # the reference's Hessian is the Hessian of value, and its gradient
+    # the one value_and_grad returns
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     for pt in [(1.75, 1.0), (0.5, 2.0), (2.0, 1.1)]:
         xi = np.array(pt)
-        H = obj._log_integral_derivs(xi)[1]
+        grad, H, _ = _reference_derivs(obj, xi)
+        assert grad.tobytes() == obj.eucl_grad(xi).tobytes()
         assert H[0, 1] == H[1, 0]
         H_fd = fd_hessian(obj.value, xi)
         assert np.max(np.abs(H - H_fd)) / np.max(np.abs(H)) < 1e-5
@@ -216,8 +288,8 @@ def test_alpha_divergence_grad_field_jacobian_near_fd():
 
 @pytest.mark.parametrize("alpha_bar", [3.0, 0.5, -0.6])
 def test_alpha_divergence_jacobian_evaluates_the_integral_once(monkeypatch, alpha_bar):
-    # one closed-form pass per Jacobian, and the same bits as the
-    # composition of the closed-form Hessian and analytic_grad
+    # one closed-form pass per Jacobian, with the bytes of the numpy
+    # reference inside the integrable box
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
     closed_form = obj._pass
     calls = []
@@ -225,14 +297,11 @@ def test_alpha_divergence_jacobian_evaluates_the_integral_once(monkeypatch, alph
     rng = np.random.default_rng(13)
     for _ in range(50):
         xi = np.array([rng.uniform(-1.0, 3.0), rng.uniform(1.0, 3.0)])
-        sigma = xi[1]
-        g_inv = np.diag([0.5 * sigma**2, 0.25 * sigma**2])
-        expected = (g_inv @ obj._log_integral_derivs(xi)[1]).T
-        expected[1, :] += np.array([sigma, 0.5 * sigma]) * obj.analytic_grad(xi)
+        expected = _reference_derivs(obj, xi)[2]
         before = len(calls)
         J = obj.grad_field_jacobian(xi)
         assert len(calls) - before == 1
-        np.testing.assert_array_equal(J, expected)
+        assert J.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("alpha", RunConfig.defaults("exp2").alphas)
@@ -602,10 +671,10 @@ _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 @example(alpha_bar=3.0, family="sigma", u=0.5, v=0.5, bad=np.inf, size=1)
 @example(alpha_bar=3.0, family="zero", u=0.5, v=0.25, bad=np.nan, size=1)
 def test_alpha_divergence_analytics_fail_like_value(alpha_bar, family, u, v, bad, size):
-    # value_and_grad, eucl_grad, analytic_grad, the closed-form Hessian and
-    # grad_field_jacobian raise the exception class value raises at the
-    # same point, without a RuntimeWarning first, and return wherever
-    # value returns
+    # value_and_grad, eucl_grad, analytic_grad and grad_field_jacobian
+    # raise the exception class value raises at the same point, and
+    # return wherever value returns, except that the Jacobian raises
+    # NonFiniteValue where an entry overflows; none warns first
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
     if family == "mu":
         xi = np.array([bad, 0.5 + 2.0 * v])
@@ -616,18 +685,66 @@ def test_alpha_divergence_analytics_fail_like_value(alpha_bar, family, u, v, bad
     else:
         xi = _alpha_point(family, u, v)
     expected = _analytic_outcome(obj.value, xi)
-    hessian = lambda x: obj._log_integral_derivs(x)[1]
-    methods = (obj.value_and_grad, obj.eucl_grad, obj.analytic_grad, hessian)
-    for method in (*methods, obj.grad_field_jacobian):
-        if expected is None:
-            # near the float64 overflow the derivatives may overflow
-            # where the value does not
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert _analytic_outcome(method, xi) is None
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert _analytic_outcome(method, xi) is expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in (obj.value_and_grad, obj.eucl_grad, obj.analytic_grad):
+            assert _analytic_outcome(method, xi) is expected
+        jacobian = _analytic_outcome(obj.grad_field_jacobian, xi)
+    assert jacobian is expected or (expected is None and jacobian is NonFiniteValue)
+
+
+@settings(max_examples=400, **FIXED)
+@given(
+    alpha_bar=st.sampled_from([3.0, 2.0, 0.5, -0.6, -3.0]),
+    family=st.sampled_from(["inside", "wide", "zero", "edge", "overflow"]),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+)
+@example(alpha_bar=0.5, family="wide", u=0.0, v=0.0)
+def test_alpha_divergence_jacobian_matches_numpy_reference(alpha_bar, family, u, v):
+    # the float pass against the numpy reference: the same exception
+    # class, or NonFiniteValue where the reference divides by zero or has
+    # a non-finite entry, or the same values, with no warning.  The sign
+    # of a zero entry is not compared: where a product underflows, numpy's
+    # matmul may return -0.0 where the float pass returns +0.0
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    xi = _alpha_point(family, u, v)
+    try:
+        with np.errstate(all="ignore"):
+            expected = _outcome(lambda x: _reference_derivs(obj, x)[2], xi)
+    except ZeroDivisionError:
+        expected = NonFiniteValue
+    if not isinstance(expected, type) and not np.isfinite(expected).all():
+        expected = NonFiniteValue
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(obj.grad_field_jacobian, xi)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "alpha_bar, xi",
+    [
+        # sigma^2 underflows to 0: the reference divides by zero
+        (0.5, (0.0, 1e-170)),
+        # sigma^2 overflows: the reference warns and returns NaN
+        (3.0, (0.0, 1e200)),
+        (0.5, (0.0, 1e200)),
+        # the value is finite near the float64 overflow, the Hessian is not
+        (3.0, (-3.038275290016984, 0.9291766713084724)),
+    ],
+)
+def test_alpha_divergence_jacobian_overflow_is_non_finite_value(alpha_bar, xi):
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
+    xi = np.array(xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(obj.value(xi))
+        with pytest.raises(NonFiniteValue, match="Jacobian"):
+            obj.grad_field_jacobian(xi)
 
 
 @pytest.mark.parametrize(

@@ -32,11 +32,14 @@ def scalar_problem(lam=0.5):
 
 
 def quadratic_objective(center):
+    # the Jacobian is exact under the identity metric of the structures
+    # these tests run it on, where the gradient field is x - center
     center = np.asarray(center, dtype=float)
     return Objective(
         dim=center.size,
         value=lambda x: 0.5 * float((x - center) @ (x - center)),
         eucl_grad=lambda x: x - center,
+        grad_field_jacobian=lambda x: np.eye(center.size),
     )
 
 
@@ -81,6 +84,21 @@ def test_trace_csv_round_trip(tmp_path):
     assert rows[1][0] == "1" and float(rows[1][1]) == 0.125 and rows[1][5] == "1"
     assert rows[2][5] == "0"
     assert len(rows) == 3
+
+
+def test_trace_csv_writes_each_float_as_its_repr(tmp_path):
+    tr = opt.OptimizerTrace()
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1 + 0.2]
+    for it, v in enumerate(values, start=1):
+        tr.record(it, v, v, v, v, it % 2 == 1, 0.1 * it)
+    path = tmp_path / "trace.csv"
+    tr.write_csv(path)
+    expected = ["iter,f,grad_l2,grad_gnorm,step_norm,spd,time_s"] + [
+        ",".join([str(it)] + [repr(v)] * 4 + [str(it % 2), repr(0.1 * it)])
+        for it, v in enumerate(values, start=1)
+    ]
+    with open(path, newline="") as fh:
+        assert fh.read() == "\r\n".join(expected) + "\r\n"
 
 
 def test_trace_summary_counts():
@@ -213,39 +231,54 @@ class RecordingObjective:
         self._record("value_and_grad", x)
         return self.obj.value_and_grad(x)
 
+    def grad_field_jacobian(self, x):
+        self._record("grad_field_jacobian", x)
+        return self.obj.grad_field_jacobian(x)
+
 
 @ALL_RUNS
 def test_runs_measure_the_start_with_one_value_and_grad_call(method):
     # the start is measured like every accepted point: one value_and_grad
-    # call, whose value the line searches then read as phi(0)
+    # call, whose value the line searches then read as phi(0); Newton
+    # then takes the objective's Jacobian there for its first step
     index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
     recorded = RecordingObjective(obj)
     x0 = np.full(len(index), 0.2)
     tr = run_method(method, index, ds, recorded, x0, opt.StopRule(max_iters=3))
     assert tr.n_iterations == 3
+    jacobian = ["grad_field_jacobian"] if method is opt.dual_newton_run else []
     assert [name for name, x in recorded.calls if x == x0.tobytes()] == [
         "value_and_grad"
-    ]
+    ] + jacobian
 
 
 def _assert_each_point_evaluated_once(recorded):
-    names = [name for name, _ in recorded.calls]
-    points = [x for _, x in recorded.calls]
-    assert set(names) == {"value_and_grad"}
+    """Each point is evaluated by one value_and_grad call, and Newton
+    reads the objective's Jacobian once at each iterate it steps from,
+    a point it has evaluated; returns those two lists of points."""
+    names = {name for name, _ in recorded.calls}
+    assert names <= {"value_and_grad", "grad_field_jacobian"}
+    points = [x for name, x in recorded.calls if name == "value_and_grad"]
+    jacobians = [x for name, x in recorded.calls if name == "grad_field_jacobian"]
     assert len(set(points)) == len(points)
+    assert len(set(jacobians)) == len(jacobians)
+    assert set(jacobians) <= set(points)
+    return points, jacobians
 
 
 @ALL_RUNS
 def test_runs_evaluate_each_point_once_with_value_and_grad(method):
-    # Wolfe trials, halvings, the accepted iterate and, since the
-    # recording wrapper hides the exact Jacobian, Newton's
-    # finite-difference probes each read one record per point
+    # Wolfe trials, halvings and the accepted iterate each read one
+    # record per point; Newton takes the exact Jacobian at each iterate
+    # it steps from
     index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
     recorded = RecordingObjective(obj)
     x0 = np.full(len(index), 0.2)
     tr = run_method(method, index, ds, recorded, x0, opt.StopRule(max_iters=5))
     assert tr.n_iterations >= 3
-    _assert_each_point_evaluated_once(recorded)
+    _, jacobians = _assert_each_point_evaluated_once(recorded)
+    steps = [p.tobytes() for p in tr.iterates[: tr.n_iterations]]
+    assert jacobians == (steps if method is opt.dual_newton_run else [])
 
 
 @pytest.mark.parametrize(
@@ -253,15 +286,51 @@ def test_runs_evaluate_each_point_once_with_value_and_grad(method):
     [opt.dual_newton_run, opt.natural_gradient_run],
     ids=["newton", "natgrad"],
 )
-def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(method):
-    # the mixture has no exact Jacobian, so Newton probes the field by
-    # finite differences; each probe is a record of its own
+def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(monkeypatch, method):
+    # the mixture's Jacobian is central differences of its own field:
+    # each of its 2 dim probes makes one value_and_grad call and one pass
+    # over the quadrature nodes, and is not a record of the run
     model, data = gen_dataset(200, 0, quad_nodes=16)
-    recorded = RecordingObjective(BetaMixtureNLL(model, data))
+    obj = BetaMixtureNLL(model, data)
+    calls = {}
+    count_calls(monkeypatch, calls, "value_and_grad", obj)
+    count_calls(monkeypatch, calls, "_node_eval", model)
+    recorded = RecordingObjective(obj)
     ds = model.dual_structure(0.0)
     tr = method(ds, recorded, np.array(MIXTURE_INIT), opt.StopRule(max_iters=4))
     assert tr.n_iterations == 4
-    _assert_each_point_evaluated_once(recorded)
+    points, jacobians = _assert_each_point_evaluated_once(recorded)
+    probes = 2 * obj.dim * len(jacobians)
+    assert len(jacobians) == (4 if method is opt.dual_newton_run else 0)
+    assert calls["value_and_grad"] == len(points) + probes
+    # the run's own node passes measure the iterates, here each once
+    assert calls["_node_eval"] == len(tr.iterates) + probes
+
+
+def test_mixture_jacobian_has_the_bits_of_probe_records():
+    # central differences of the field as a run evaluates it at a point:
+    # an evaluation record, measured, read for its gradient coordinates;
+    # the same bits, and the same exception where a probe leaves the domain
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    obj = BetaMixtureNLL(model, data)
+    ds = model.dual_structure(0.0)
+
+    def probed(xi):
+        point = ds.at(xi)
+        field = lambda x: opt._Evaluation(point, obj, x).measure().a
+        return linalg.fd_jacobian(field, point.xi)
+
+    rng = np.random.default_rng(5)
+    starts = [np.array(MIXTURE_INIT), model.generating_point()]
+    starts += [np.array(MIXTURE_INIT) * rng.uniform(0.5, 2.0, obj.dim) for _ in range(3)]
+    for xi in starts:
+        assert obj.grad_field_jacobian(xi).tobytes() == probed(xi).tobytes()
+    # a shape below the finite-difference step: the probe at xi - h is negative
+    edge = np.array(MIXTURE_INIT)
+    edge[2] = 1e-6
+    for jacobian in (obj.grad_field_jacobian, probed):
+        with pytest.raises(DomainViolation):
+            jacobian(edge)
 
 
 # ---- line search -----------------------------------------------------------
