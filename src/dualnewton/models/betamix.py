@@ -91,7 +91,7 @@ def _check_shapes(xi, n_components):
         raise DimensionMismatch(
             f"expected {2 * n_components} shape parameters, got shape {xi.shape}"
         )
-    if not (np.all(np.isfinite(xi)) and np.all(xi > 0)):
+    if not (np.isfinite(xi).all() and (xi > 0).all()):
         raise DomainViolation("all shape parameters must be positive and finite")
     return xi
 

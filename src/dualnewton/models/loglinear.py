@@ -110,7 +110,7 @@ def _check_theta(index, theta):
         raise DimensionMismatch(
             f"theta shape {theta.shape} does not match index size {len(index)}"
         )
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NonFiniteValue("theta must be finite")
     return theta
 

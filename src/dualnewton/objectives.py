@@ -280,7 +280,7 @@ class BetaMixtureNLL:
         which carries the log-density the value sums."""
         s, _, _, logp = self.model.scores(xi, self._log_sums)
         f = -float(np.sum(logp))
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
         return f, -s.sum(axis=0)
 

@@ -8,7 +8,6 @@ any of them turns at least one entry red.
 """
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import polygamma
 
 from .experiments import gen_dataset, require_at_least
@@ -166,6 +165,8 @@ def _retraction_check():
 
 
 def _alpha_divergence_check():
+    # imported here, not at the top: scipy.integrate loads ~250 modules no run reads
+    from scipy.integrate import quad
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
     ab = obj.alpha_bar
 

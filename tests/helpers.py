@@ -1,12 +1,18 @@
 """Finite-difference oracles and tiny fixtures shared by the test modules."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import EPS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _no_jacobian(x):
@@ -91,3 +97,16 @@ def fd_gradient(f, x):
         q[i] -= h
         g[i] = (f(p) - f(q)) / (p[i] - q[i])
     return g
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter on ``args`` in ``cwd`` against the package
+    in src, capturing its text output."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+    )

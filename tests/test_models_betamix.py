@@ -1,5 +1,6 @@
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dualnewton.errors import (
     DimensionMismatch,
     DomainViolation,
     DualNewtonError,
+    NonFiniteValue,
     QuadratureUnderflow,
 )
 from dualnewton.geometry import raise_index
@@ -67,12 +69,27 @@ def test_quadrature_validation():
     [
         ((), (), "at least one node"),
         ((0.5, np.nan), (0.5, 0.5), "inside"),
+        ((0.0, 0.5), (0.5, 0.5), "inside"),
+        ((-0.5, 0.5), (0.5, 0.5), "inside"),
+        ((0.5, -np.inf), (0.5, 0.5), "inside"),
         ((0.5, 0.7), (0.5, np.inf), "positive and finite"),
+        ((0.5, 0.7), (0.5, -np.inf), "positive and finite"),
         ((0.5, 0.7), (0.5, np.nan), "positive and finite"),
         ((0.5, 0.7), (1.0, 0.0), "positive and finite"),
         ((0.5, 0.7), (1.5, -0.5), "positive and finite"),
     ],
-    ids=["empty", "nan-node", "inf-weight", "nan-weight", "zero-weight", "negative-weight"],
+    ids=[
+        "empty",
+        "nan-node",
+        "zero-node",
+        "negative-node",
+        "-inf-node",
+        "inf-weight",
+        "-inf-weight",
+        "nan-weight",
+        "zero-weight",
+        "negative-weight",
+    ],
 )
 def test_quadrature_rejects_a_rule_that_cannot_integrate(nodes, weights, cause):
     with pytest.raises(ValueError, match=cause):
@@ -153,6 +170,34 @@ def test_domain_checks():
         model.fisher_metric(np.ones(4))
     assert model.in_domain(np.ones(6))
     assert not model.in_domain(np.array([1, 1, 1, 1, 1, -1.0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 0.0, -0.0, -0.5])
+def test_a_bad_shape_parameter_is_a_domain_violation(entry):
+    model = paper_mixture(16)
+    obj = BetaMixtureNLL(model, model.sample(20, seed=1))
+    xi = model.generating_point().copy()
+    xi[3] = entry
+    point = partial(model.point, model.dual_structure(0.5))
+    for read in (model.fisher_metric, obj.value_and_grad, point):
+        with pytest.raises(DomainViolation, match="positive and finite"):
+            read(xi)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_log_likelihood_is_named(entry, monkeypatch):
+    model = paper_mixture(16)
+    obj = BetaMixtureNLL(model, model.sample(20, seed=1))
+    scores = BetaMixtureModel.scores
+
+    def spoiled(self, xi, sums):
+        s, resp, u, logp = scores(self, xi, sums)
+        logp[0] = entry
+        return s, resp, u, logp
+
+    monkeypatch.setattr(BetaMixtureModel, "scores", spoiled)
+    with pytest.raises(NonFiniteValue, match="log-likelihood overflowed"):
+        obj.value_and_grad(model.generating_point())
 
 
 def test_quadrature_underflow():

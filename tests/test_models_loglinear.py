@@ -367,6 +367,20 @@ def test_theta_validation():
         loglinear.moments(idx, np.array([np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_theta_entry_is_refused(entry):
+    idx = SubsetIndex.boltzmann(2)
+    with pytest.raises(NonFiniteValue, match="theta must be finite"):
+        loglinear.evaluate(idx, np.array([0.1, entry, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [0.0, -0.0, -2.5])
+def test_zero_and_negative_theta_entries_are_in_the_domain(entry):
+    idx = SubsetIndex.boltzmann(2)
+    eta = loglinear.moments(idx, np.array([0.1, entry, 0.0]))
+    assert np.isfinite(eta).all()
+
+
 # ---- one pass per point ----------------------------------------------------
 
 

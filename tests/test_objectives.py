@@ -755,6 +755,9 @@ def test_alpha_divergence_jacobian_overflow_is_non_finite_value(alpha_bar, xi):
         ([1.0, np.inf], DomainViolation),
         ([1.0, 1.0, 1.0], DimensionMismatch),
         ([1.0, -1.0], DomainViolation),
+        ([-np.inf, 1.0], NonFiniteValue),
+        ([1.0, -np.inf], DomainViolation),
+        ([1.0, 0.0], DomainViolation),
     ],
 )
 def test_alpha_divergence_jacobian_names_a_bad_point(xi, error):
