@@ -31,7 +31,6 @@ from .optimizers import (
     CONVERGED,
     DOMAIN_FAILURE,
     SINGULAR_HESSIAN,
-    AdamState,
     StopRule,
     adam_run,
     convergence_order,
@@ -376,8 +375,9 @@ class _Problem:
         elif method == "mirror":
             trace = mirror_descent_run(self.index, self.objective, self.x0, stop)
         elif method == "adam":
-            hyper = AdamState(lr=self.cfg.adam_lr)
-            trace = adam_run(structure, self.objective, self.x0, stop, hyper)
+            trace = adam_run(
+                structure, self.objective, self.x0, stop, lr=self.cfg.adam_lr
+            )
         else:
             raise ConfigError(f"unknown method {method!r}")
         return RunResult(method, alpha, trace, _alpha_label(method, alpha))

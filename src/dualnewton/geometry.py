@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DimensionMismatch, DomainViolation, NonFiniteValue
 from .linalg import cholesky_lower, fd_jacobian, is_spd, solve_general, solve_spd
 
 
@@ -46,25 +46,26 @@ class DualStructure:
 
     ``point(structure, xi)`` is the model's hook that evaluates the
     geometry at xi as a DualPoint; ``alpha`` selects the primal
-    connection, whose dual is the (-alpha)-connection.  ``contains`` is
-    the one domain test: a finite vector of length ``dim`` that passes
-    the model's optional ``in_domain`` hook, called on such vectors only.
+    connection, whose dual is the (-alpha)-connection.  ``check(xi)``,
+    the model's own point check, is its one statement of the domain:
+    ``contains`` is False exactly where it raises DimensionMismatch,
+    DomainViolation or NonFiniteValue.
     """
 
-    dim: int
     point: Callable
     alpha: float
-    in_domain: Optional[Callable] = None
+    check: Callable
 
     def at(self, xi):
         """The geometry at xi, evaluated once."""
         return self.point(self, np.array(xi, dtype=float))
 
     def contains(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.dim,) or not np.isfinite(xi).all():
+        try:
+            self.check(xi)
+        except (DimensionMismatch, DomainViolation, NonFiniteValue):
             return False
-        return bool(self.in_domain(xi)) if self.in_domain is not None else True
+        return True
 
     def metric(self, xi):
         return self.at(xi).G

@@ -12,6 +12,12 @@ second log-derivatives at its quadrature nodes, whose weights and scores
 also give the metric.  The Gaussian contracts its closed-form symbols.
 The full symbols of any model are read through the hook, as
 ``dual_structure(...).gamma(xi)``.
+
+Each structure also carries the model's point check, the one statement
+of its domain: the Gaussian's ``gaussian._check``, the mixture's shape
+check bound to K, and the log-linear theta check bound to the index.
+``contains`` is True exactly where that check passes, and every
+evaluation at a point starts with it.
 """
 
 from . import betamix, gaussian, loglinear

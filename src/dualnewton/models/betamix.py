@@ -18,7 +18,7 @@ order would change the last bits of every result.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 from scipy.special import betaln, digamma, polygamma
@@ -153,6 +153,10 @@ class BetaMixtureModel:
 
     # ---- pointwise quantities -------------------------------------------
 
+    # shapes at the ends of the float range overflow these products or
+    # meet inf - inf; the non-finite results reach the callers'
+    # NonFiniteValue and QuadratureUnderflow, not a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def scores(self, xi, sums):
         """Mixture log-density gradient rows, one per point, shape (N, 2K),
         at the points x whose ``log_sums(x)`` is ``sums``: callers with
@@ -262,15 +266,9 @@ class BetaMixtureModel:
     def fisher_metric(self, xi):
         return _metric(self._node_eval(xi))
 
-    def in_domain(self, xi):
-        """Positive shapes: the domain hook ``DualStructure.contains``
-        calls with a finite vector of length ``dim``."""
-        return bool(np.all(xi > 0))
-
     def dual_structure(self, alpha):
-        return DualStructure(
-            dim=self.dim, point=self.point, alpha=alpha, in_domain=self.in_domain
-        )
+        check = partial(_check_shapes, n_components=self.n_components)
+        return DualStructure(point=self.point, alpha=alpha, check=check)
 
     # ---- sampling --------------------------------------------------------
 

@@ -33,10 +33,14 @@ def _check(xi):
 
 
 def fisher_metric(xi):
-    # squared and divided as numpy scalars: where sigma^2 underflows to
-    # 0, G is infinite, not Python's ZeroDivisionError
-    sigma = np.float64(_check(xi)[1])
-    return np.array([[2.0 / sigma**2, 0.0], [0.0, 4.0 / sigma**2]])
+    # Python floats: sigma**2 is libm's pow, as for a numpy scalar, and
+    # 2 / sigma^2 overflows to inf without a warning; where sigma^2
+    # underflows to 0, G is infinite, as IEEE division gives
+    sigma_sq = _check(xi)[1] ** 2
+    try:
+        return np.array([[2.0 / sigma_sq, 0.0], [0.0, 4.0 / sigma_sq]])
+    except ZeroDivisionError:
+        return np.array([[math.inf, 0.0], [0.0, math.inf]])
 
 
 def christoffel(xi, alpha):
@@ -53,12 +57,6 @@ def christoffel(xi, alpha):
     return gamma
 
 
-def in_domain(xi):
-    """0 < sigma <= _SIGMA_MAX, as ``_check`` enforces: the domain hook
-    ``DualStructure.contains`` calls with a finite vector of length 2."""
-    return 0.0 < xi[1] <= _SIGMA_MAX
-
-
 def point(structure, xi):
     def connection(alpha, a):
         return np.einsum("k,ikj->ij", a, christoffel(xi, alpha))
@@ -72,5 +70,5 @@ def point(structure, xi):
 
 
 def dual_structure(alpha):
-    return DualStructure(dim=2, point=point, alpha=alpha, in_domain=in_domain)
+    return DualStructure(point=point, alpha=alpha, check=_check)
 

@@ -16,7 +16,7 @@ and one factorization per point.
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -123,20 +123,21 @@ def _frozen(array):
 class _Evaluation:
     """The log-linear quantities at one theta, from one pass over the states.
 
-    The energies u = F theta and their log-sum-exp are computed at once;
-    everything else on its first read, from what is already there, and
-    kept.  Arrays are read-only, so a caller that writes into one gets
-    an error instead of corrupting the memo.
+    The energies u = F theta, their log-sum-exp and the log-probabilities
+    are computed at once; everything else on its first read, from what
+    is already there, and kept.  Arrays are read-only, so a caller that
+    writes into one gets an error instead of corrupting the memo.
     """
 
+    # a finite theta near the float range can overflow the energies; the
+    # infinite or NaN entries reach the metric's factor and the solves as
+    # NotPositiveDefinite and NonFiniteValue
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, index, theta):
         self.F = feature_matrix(index)
         self.u = _frozen(self.F @ theta)
         self.lse = logsumexp(self.u)
-
-    @cached_property
-    def log_p(self):
-        return _frozen(self.u - self.lse)
+        self.log_p = _frozen(self.u - self.lse)
 
     @cached_property
     def p(self):
@@ -177,11 +178,6 @@ def evaluate(index, theta):
     else:
         _memo.move_to_end(key)
     return evaluation
-
-
-def log_partition(index, theta):
-    """log sum_x exp(theta . F(x)), stabilized."""
-    return float(evaluate(index, theta).lse)
 
 
 def probabilities(index, theta):
@@ -301,4 +297,4 @@ def dual_structure(index, alpha):
 
         return DualPoint(structure, theta, G, connection, factor=lambda: at.L)
 
-    return DualStructure(dim=len(index), point=point, alpha=alpha)
+    return DualStructure(point=point, alpha=alpha, check=partial(_check_theta, index))

@@ -74,6 +74,9 @@ class KLProjectionObjective:
     def eucl_grad(self, theta):
         return self.value_and_grad(theta)[1]
 
+    # a theta near the float range overflows the penalty; a non-finite
+    # value or gradient is returned as it is
+    @np.errstate(over="ignore", invalid="ignore")
     def value_and_grad(self, theta):
         """The value and the gradient from the log-partition and the
         moments of one pass over the states, which the model keeps for
@@ -275,6 +278,8 @@ class BetaMixtureNLL:
     def eucl_grad(self, xi):
         return self.value_and_grad(xi)[1]
 
+    # the sums over the data overflow at shapes near the float range
+    @np.errstate(over="ignore", invalid="ignore")
     def value_and_grad(self, xi):
         """The value and the gradient from one score pass over the data,
         which carries the log-density the value sums."""

@@ -199,11 +199,38 @@ class _Evaluation:
         if self.point is None:
             point = self.structure.at(self.xi)
             self.a = a = point.solve(self.grad)
-            # the bits of np.linalg.norm(a): sqrt(a . a)
-            self.l2 = math.sqrt(a.dot(a))
-            self.gnorm = math.sqrt(max(a @ point.G @ a, 0.0))
+            squares = _squares(a, point.G)
+            if math.inf in squares:
+                self.l2, self.gnorm = _rescaled_norms(a, point.G, squares)
+            else:
+                # the bits of np.linalg.norm(a): sqrt(a . a)
+                self.l2 = math.sqrt(squares[0])
+                self.gnorm = math.sqrt(max(squares[1], 0.0))
             self.point = point
         return self
+
+
+# a solve can overflow a, and an infinite entry times a zero of G is NaN:
+# the norms are then not finite, and no warning is raised
+@np.errstate(over="ignore", invalid="ignore")
+def _squares(a, G):
+    """(a . a, a G a)."""
+    return a.dot(a), a @ G @ a
+
+
+def _rescaled_norms(a, G, squares):
+    """sqrt(a . a) and sqrt(a G a) from their ``squares``, where one of
+    them overflowed: for a finite a, that one is taken again of
+    a / max|a| and its root scaled back, so a gradient above 1e154 has a
+    finite norm."""
+    norms = [math.sqrt(max(q, 0.0)) for q in squares]
+    if np.isfinite(a).all():
+        scale = float(abs(a).max())
+        again = _squares(a / scale, G)
+        for i in (0, 1):
+            if squares[i] == math.inf:
+                norms[i] = scale * math.sqrt(max(again[i], 0.0))
+    return norms
 
 
 def _evaluate(structure, obj, xi):
@@ -489,15 +516,16 @@ def mirror_descent_run(index, obj, theta0, stop=None):
     return _iterate(structure, obj, theta0, stop, _line_proposer(structure, obj, line))
 
 
-def adam_run(structure, obj, xi0, stop=None, hyper=None):
-    """Euclidean Adam baseline.
+def adam_run(structure, obj, xi0, stop=None, lr=0.01):
+    """Euclidean Adam baseline with learning rate ``lr``.
 
-    The update is plain bias-corrected Adam on the coordinate gradient;
-    only the stopping test uses the metric, so convergence is declared
-    by the same norm as the other methods.  Steps leaving the domain
-    are halved back toward the current point.
+    The update is plain bias-corrected Adam on the coordinate gradient,
+    from moments the run starts at zero; only the stopping test uses the
+    metric, so convergence is declared by the same norm as the other
+    methods.  Steps leaving the domain are halved back toward the
+    current point.
     """
-    state = hyper or AdamState()
+    state = AdamState(lr=lr)
 
     def propose(here):
         delta = state.step(here.grad)

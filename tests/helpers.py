@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from dualnewton.errors import DimensionMismatch, DomainViolation
 from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import EPS
 
@@ -37,13 +38,29 @@ class Objective:
         return self.value(x), self.eucl_grad(x)
 
 
-def euclidean_structure(n, in_domain=None):
+def point_check(n, inside=None):
+    """A point check for R^n, or for its part where the predicate
+    ``inside`` holds: it refuses a vector of another length, a
+    non-finite one, or one outside, as a model's point check does."""
+
+    def check(xi):
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != (n,):
+            raise DimensionMismatch(f"expected a point of length {n}, got {xi.shape}")
+        if not np.isfinite(xi).all() or (inside is not None and not inside(xi)):
+            raise DomainViolation(f"{xi} is outside the domain")
+        return xi
+
+    return check
+
+
+def euclidean_structure(n, inside=None):
     """Identity metric with flat connections on R^n (or a guarded part)."""
 
     def point(structure, xi):
         return DualPoint(structure, xi, np.eye(n), lambda alpha, a: np.zeros((n, n)))
 
-    return DualStructure(dim=n, point=point, alpha=0.0, in_domain=in_domain)
+    return DualStructure(point=point, alpha=0.0, check=point_check(n, inside))
 
 
 def count_calls(monkeypatch, calls, name, *modules):

@@ -133,7 +133,7 @@ def test_retract_zero_step_fixed_point():
 
 
 def test_retract_domain_violation():
-    guarded = euclidean_structure(2, in_domain=lambda xi: xi[1] > 0)
+    guarded = euclidean_structure(2, inside=lambda xi: xi[1] > 0)
     with pytest.raises(DomainViolation):
         second_order_retract(guarded, np.array([0.0, 1.0]), np.array([0.0, -2.0]))
 
@@ -264,14 +264,14 @@ def _domain_case(model):
 
 @pytest.mark.parametrize("model", ["loglinear", "gaussian", "betamix"])
 def test_contains_is_the_one_domain_test(model):
-    # shape and finiteness are tested by contains alone; the model's
-    # hook adds only its inequality
+    # contains asks the model's own point check, which refuses a wrong
+    # shape, a non-finite entry and a point outside the chart
     ds, inside, outside = _domain_case(model)
     assert ds.contains(inside)
     assert not ds.contains(inside[:-1])
     assert not ds.contains(np.append(inside, 1.0))
     assert not ds.contains(inside.reshape(1, -1))
-    for i in range(ds.dim):
+    for i in range(len(inside)):
         for bad in (np.nan, np.inf, -np.inf):
             x = inside.copy()
             x[i] = bad

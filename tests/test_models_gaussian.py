@@ -101,7 +101,7 @@ def test_a_trial_where_sigma_squared_overflows_is_halved():
         obj,
         np.array([0.0, 1.0]),
         opt.StopRule(max_iters=1),
-        hyper=opt.AdamState(lr=lr),
+        lr=lr,
     )
     assert tr.status == opt.MAX_ITERS and tr.n_iterations == 1
     assert tr.iterates[1][1] == pytest.approx(lr / 8)

@@ -237,11 +237,11 @@ def test_moment_inversion_stops_at_its_fixed_point(monkeypatch):
 def reference_moment_to_natural(index, eta, theta0=None):
     """The damped Newton inversion written with the public primitives:
     the residual from ``moments``, the step from ``fisher_metric`` and
-    the damping from ``log_partition``."""
+    the damping from the log-partition ``evaluate(...).lse``."""
     theta = np.zeros(len(index)) if theta0 is None else np.array(theta0, dtype=float)
 
     def potential(t):
-        return loglinear.log_partition(index, t) - float(t @ eta)
+        return float(loglinear.evaluate(index, t).lse) - float(t @ eta)
 
     value = potential(theta)
     for _ in range(200):
@@ -298,7 +298,7 @@ def test_moment_inversion_reads_probabilities_once_per_iteration(monkeypatch):
     eta = loglinear.moments(idx, np.random.default_rng(8).uniform(-1, 1, size=len(idx)))
     loglinear._memo.clear()
     calls = {}
-    for name in ("probabilities", "moments", "fisher_metric", "log_partition"):
+    for name in ("probabilities", "moments", "fisher_metric"):
         count_calls(monkeypatch, calls, name, loglinear)
     count_calls(monkeypatch, calls, "solve_spd", loglinear)
     count_calls(monkeypatch, calls, "cholesky_lower", linalg, loglinear)
@@ -321,7 +321,7 @@ def test_moment_inversion_reads_probabilities_once_per_iteration(monkeypatch):
     assert calls.pop("logsumexp") == len(points) == len(set(points)) >= solves + 1
     # the public readers each make their own call; the inversion reads
     # the pass directly
-    assert calls == {"probabilities": 0, "moments": 0, "fisher_metric": 0, "log_partition": 0}
+    assert calls == {"probabilities": 0, "moments": 0, "fisher_metric": 0}
 
 
 def test_moment_inversion_scalar():
@@ -349,7 +349,7 @@ def test_moment_inversion_does_not_hide_foreign_errors(monkeypatch):
 
 def test_log_partition_uniform():
     idx = SubsetIndex.boltzmann(2)
-    assert_allclose(loglinear.log_partition(idx, np.zeros(3)), np.log(4.0), rtol=1e-14)
+    assert_allclose(loglinear.evaluate(idx, np.zeros(3)).lse, np.log(4.0), rtol=1e-14)
 
 
 def test_negative_entropy():
@@ -407,7 +407,7 @@ def _reference_readers(index, theta):
 def _readers(index, theta):
     full = SubsetIndex.full(index.n_vars)
     return {
-        "log_partition": lambda: loglinear.log_partition(index, theta),
+        "log_partition": lambda: float(loglinear.evaluate(index, theta).lse),
         "log_p": lambda: loglinear.evaluate(index, theta).log_p,
         "probabilities": lambda: loglinear.probabilities(index, theta),
         "moments": lambda: loglinear.moments(index, theta),

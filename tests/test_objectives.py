@@ -99,13 +99,13 @@ def test_kl_target_outside_polytope_rejected():
 
 def test_kl_value_and_grad_reads_one_pass(monkeypatch):
     # one loglinear.evaluate call per point, with the bits of the formula
-    # written through the model's readers log_partition and moments
+    # written through the model's log-partition and moments readers
     _, obj, rng = make_kl(3, 0.3, 0.8)
     thetas = [rng.uniform(-1.0, 1.0, obj.dim) for _ in range(20)]
     expected = [
         (
             float(
-                loglinear.log_partition(obj.index, theta)
+                float(loglinear.evaluate(obj.index, theta).lse)
                 + obj._phi_hat
                 - theta @ obj.eta_hat
                 + obj.lam @ (theta * theta)

@@ -17,10 +17,10 @@ from dualnewton.errors import (
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset
 from dualnewton.geometry import DualPoint, DualStructure
 from dualnewton.linalg import solve_spd
-from dualnewton.models import betamix, loglinear
+from dualnewton.models import betamix, gaussian, loglinear
 from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective
 
-from helpers import Objective, count_calls, euclidean_structure
+from helpers import Objective, count_calls, euclidean_structure, point_check
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
@@ -148,7 +148,7 @@ def test_rejects_start_outside_domain(method):
         xi0 = np.full(len(index), np.nan)
     else:
         index = None
-        ds = euclidean_structure(1, in_domain=lambda xi: xi[0] > 0)
+        ds = euclidean_structure(1, inside=lambda xi: xi[0] > 0)
         obj = quadratic_objective([2.0])
         xi0 = np.array([-1.0])
     with pytest.raises(DomainViolation, match="outside the model domain"):
@@ -620,7 +620,7 @@ def test_newton_trace_rows_match_iterations():
 
 
 def test_newton_halves_steps_at_domain_boundary():
-    ds = euclidean_structure(1, in_domain=lambda xi: xi[0] > 0.0)
+    ds = euclidean_structure(1, inside=lambda xi: xi[0] > 0.0)
     obj = quadratic_objective([-3.0])
     tr = opt.dual_newton_run(ds, obj, np.array([0.5]), opt.StopRule(max_iters=8))
     assert tr.status == opt.MAX_ITERS
@@ -748,7 +748,9 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
 
     # the minimizer (0, 2) lies outside the domain, so every unit step
     # overshoots and is halved several times
-    ds = DualStructure(dim=2, point=point, alpha=0.5, in_domain=lambda xi: xi[1] < 0.7)
+    ds = DualStructure(
+        point=point, alpha=0.5, check=point_check(2, lambda xi: xi[1] < 0.7)
+    )
     center = np.array([0.0, 2.0])
     tr = opt.dual_newton_run(
         ds, quadratic_objective(center), np.zeros(2), opt.StopRule(max_iters=4)
@@ -1008,8 +1010,23 @@ def test_adam_run_converges_on_projection():
     assert tr.status == opt.CONVERGED
 
 
+def test_adam_runs_start_from_zero_moments():
+    # each run makes its own moments, so a second run repeats the first
+    ds = euclidean_structure(2)
+    obj = quadratic_objective([0.3, -0.1])
+    runs = [
+        opt.adam_run(ds, obj, np.zeros(2), opt.StopRule(max_iters=30), lr=0.05)
+        for _ in range(2)
+    ]
+    assert [p.tobytes() for p in runs[0].iterates] == [
+        p.tobytes() for p in runs[1].iterates
+    ]
+    # the first step is lr times the gradient's sign
+    assert runs[0].iterates[1] == pytest.approx([0.05, -0.05], rel=1e-6)
+
+
 def test_adam_respects_domain_by_halving():
-    ds = euclidean_structure(1, in_domain=lambda xi: xi[0] > 0.0)
+    ds = euclidean_structure(1, inside=lambda xi: xi[0] > 0.0)
     obj = quadratic_objective([-2.0])
     tr = opt.adam_run(ds, obj, np.array([0.01]), opt.StopRule(max_iters=20))
     assert all(p[0] > 0.0 for p in tr.iterates)
@@ -1038,6 +1055,44 @@ def test_the_loops_norm_has_the_bits_of_numpys(seed, n, exponent, bad):
         ours = np.float64(math.sqrt(v.dot(v)))
         theirs = np.linalg.norm(v)
     assert ours.tobytes() == theirs.tobytes()
+
+
+def _record(grad, structure=None, xi=(0.0, 1.0)):
+    # by default of the Gaussian at (0, 1), where G = diag(2, 4)
+    obj = Objective(dim=2, value=lambda x: 1.0, eucl_grad=lambda x: np.array(grad))
+    structure = structure or gaussian.dual_structure(0.0)
+    return opt._Evaluation(structure, obj, np.array(xi))
+
+
+def test_a_finite_gradient_whose_squares_overflow_has_finite_norms():
+    # a = (0, -2.5e159): a . a and a G a overflow, the norms do not, and
+    # the point stays usable
+    evaluation = opt._usable(_record([0.0, -1e160]))
+    assert evaluation is not None
+    assert evaluation.a.tolist() == [0.0, -2.5e159]
+    assert evaluation.l2 == 2.5e159 and evaluation.gnorm == 5e159
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
+def test_norms_that_do_not_overflow_keep_their_bits(scale):
+    evaluation = _record(np.array([3.0, -7.0]) * scale).measure()
+    a, G = evaluation.a, evaluation.point.G
+    assert evaluation.l2 == math.sqrt(a.dot(a))
+    assert evaluation.gnorm == math.sqrt(max(a @ G @ a, 0.0))
+
+
+@pytest.mark.parametrize(
+    "grad, structure, xi",
+    [
+        # |a| = 1.5e308 sqrt(2) under the identity metric
+        ([1.5e308, 1.5e308], euclidean_structure(2), (0.0, 1.0)),
+        # G = diag(2e-300, 4e-300): the solve overflows a to (inf, 0)
+        ([1e10, 0.0], None, (0.0, 1e150)),
+    ],
+)
+def test_a_gradient_norm_beyond_the_float_range_is_not_finite(grad, structure, xi):
+    assert not math.isfinite(_record(grad, structure, xi).measure().l2)
+    assert opt._usable(_record(grad, structure, xi)) is None
 
 
 # ---- convergence order -----------------------------------------------------

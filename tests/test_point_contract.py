@@ -1,0 +1,137 @@
+"""Each model's domain contract, on vectors drawn to the edges of float64.
+
+A structure's ``contains(x)`` asks the model's own point check, so it is
+False exactly where ``at(x)`` raises DimensionMismatch or
+DomainViolation; the log-linear chart refuses a non-finite theta with
+NonFiniteValue as well.  Where ``contains(x)`` is True, the geometry
+``at(x)``, its factor ``at(x).L`` and the objective's ``value_and_grad``
+each return or raise one of the optimizers' point errors, never a numpy
+warning: every warning is an error here.  The draws mix NaN, infinities,
+signed zeros, negatives, subnormals, magnitudes up to 1.8e308 and wrong
+lengths with ordinary in-domain entries.
+"""
+
+import math
+import sys
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualnewton.errors import DimensionMismatch, DomainViolation, NonFiniteValue
+from dualnewton.models import gaussian, loglinear
+from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
+from dualnewton.objectives import (
+    AlphaDivergenceObjective,
+    BetaMixtureNLL,
+    KLProjectionObjective,
+)
+from dualnewton.optimizers import _POINT_ERRORS
+
+FIXED = dict(derandomize=True, deadline=None, database=None)
+
+_MAX = sys.float_info.max
+_SIGMA_MAX = math.sqrt(_MAX)
+EDGES = (
+    math.nan,
+    math.inf,
+    -math.inf,
+    0.0,
+    -0.0,
+    -1.0,
+    5e-324,
+    -5e-324,
+    sys.float_info.min,
+    1e-300,
+    1e-160,
+    _SIGMA_MAX,
+    math.nextafter(_SIGMA_MAX, math.inf),
+    1e300,
+    1e308,
+    -1e308,
+    _MAX,
+    -_MAX,
+)
+
+# positive finite entries, from ordinary values down to the subnormals
+# and up to the largest float; a few of them are swapped for any entry
+positive = st.one_of(
+    st.floats(0.05, 20.0),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+anything = st.one_of(st.floats(-5.0, 5.0), st.sampled_from(EDGES), st.floats())
+
+
+@st.composite
+def vectors(draw, dim):
+    """Mostly of the model's length, some one entry short or long."""
+    n = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+    x = draw(st.lists(positive, min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        x[i] = draw(anything)
+    return np.array(x)
+
+
+def assert_contract(ds, x, objective, refused=(DimensionMismatch, DomainViolation)):
+    contained = ds.contains(x)
+    reads = [lambda: objective.value_and_grad(x)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            point = ds.at(x)
+        except refused:
+            assert not contained
+            return
+        except _POINT_ERRORS:
+            pass
+        else:
+            reads.append(lambda: point.L)
+        assert contained
+        for read in reads:
+            try:
+                read()
+            except _POINT_ERRORS:
+                pass
+
+
+GAUSSIAN_TARGETS = {
+    abar: AlphaDivergenceObjective(0.5, -0.3, 1.2, 0.8, alpha_bar=abar)
+    for abar in (-0.5, 0.5, 3.0)
+}
+
+
+@settings(max_examples=400, **FIXED)
+@given(x=vectors(2), abar=st.sampled_from(sorted(GAUSSIAN_TARGETS)))
+def test_gaussian_contains_exactly_the_points_its_check_passes(x, abar):
+    assert_contract(gaussian.dual_structure(0.5), x, GAUSSIAN_TARGETS[abar])
+
+
+BOLTZMANN = loglinear.SubsetIndex.boltzmann(3)
+KL = KLProjectionObjective(
+    BOLTZMANN, loglinear.moments(BOLTZMANN, np.full(6, 0.1)), 0.5, 0.5
+)
+
+
+@settings(max_examples=300, **FIXED)
+@given(x=vectors(len(BOLTZMANN)))
+def test_loglinear_contains_exactly_the_points_its_check_passes(x):
+    ds = loglinear.dual_structure(BOLTZMANN, 1.0)
+    assert_contract(
+        ds, x, KL, refused=(DimensionMismatch, DomainViolation, NonFiniteValue)
+    )
+
+
+MIXTURE = BetaMixtureModel(
+    weights=[0.35, 0.40, 0.25],
+    alphas=[2.0, 3.0, 5.0],
+    betas=[5.0, 2.0, 3.5],
+    quadrature=QuadratureRule.gauss_legendre(16),
+)
+NLL = BetaMixtureNLL(MIXTURE, MIXTURE.sample(40, seed=3))
+
+
+@settings(max_examples=300, **FIXED)
+@given(x=vectors(MIXTURE.dim))
+def test_mixture_contains_exactly_the_points_its_check_passes(x):
+    assert_contract(MIXTURE.dual_structure(0.5), x, NLL)
