@@ -8,15 +8,23 @@ reach every solve against G and the pinned runs.  ``is_spd`` (dpotrf) and
 The BLAS picks its own thread count; on small systems threads cost more
 than they save, so pin them (e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
-``logsumexp`` is the one log-sum-exp of the package: over all entries
-for the log-partition and the log-probabilities, and along axis 0 of the
-Beta mixture's (K, N) component rows for its log-density and scores.
-It reproduces the arithmetic of ``scipy.special.logsumexp`` (scipy
-1.17) bit for bit: the entries equal to the maximum are taken out of
-the shifted sum and counted, so the result is log1p(s) + log(k) + max,
-with s the sum of the other shifted exponentials divided by the count
-k.  It skips scipy's array-API dispatch, which costs several times the
-arithmetic on the short vectors used here.
+``logsumexp`` is the one log-sum-exp of the package, with one path per
+call shape: over all entries for the log-partition, and along axis 0 of
+the Beta mixture's C-contiguous (K, N) component rows for its
+log-density and scores.  Both reproduce the arithmetic of
+``scipy.special.logsumexp`` (scipy 1.17) bit for bit: the entries equal
+to the maximum are taken out of the shifted sum and counted, so the
+result is log1p(s) + log(k) + max, with s the sum of the other shifted
+exponentials divided by the count k.  Both skip scipy's array-API
+dispatch, which costs several times the arithmetic on short vectors.
+
+The axis-0 path is a loop over the K rows, which works in place on one
+(K, N) buffer and takes the count only where a column has a tie or a
+non-finite maximum: where every k is 1, s / 1 and + log(1) change no
+bit.  The loop is exact because numpy reduces axis 0 of a C-contiguous
+array row by row, the order of a running maximum and a running +=.
+Along a contiguous axis numpy sums pairwise, with 8-way unrolling, so
+the loop would not give its bits there; no other axis is taken.
 """
 
 import numpy as np
@@ -142,23 +150,62 @@ def solve_general(A, b):
 # (about 1 against 2 us per call with numpy 2.4)
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def logsumexp(u, axis=None):
-    """log sum exp(u) over all entries of a nonempty u, or along ``axis``.
+    """log sum exp(u) over all entries of a nonempty u, or, with
+    ``axis=0``, down the columns of a 2-D u.
 
     Same bits as ``scipy.special.logsumexp(u, axis=axis)``: the entries
     at the maximum are zeroed out of the shifted exponentials and
     counted, and the count enters as log(k).  A maximum of -inf gives
-    -inf, +inf gives inf and NaN gives NaN, without warnings.
+    -inf, +inf gives inf and NaN gives NaN, without warnings.  Along
+    axis 0, u is read in C order (copied to it if need be), the layout
+    whose bits the row loop of ``_logsumexp_columns`` reproduces.
     """
-    u = np.asarray(u, dtype=float)
-    keep = axis is not None
-    u_max = np.max(u, axis=axis, keepdims=keep)
+    if axis is None:
+        u = np.asarray(u, dtype=float)
+        u_max = np.max(u)
+        at_max = u == u_max
+        shifted = np.where(at_max, 0.0, np.exp(u - u_max))
+        # k >= 1 unless the maximum is NaN, and 0 / k = 0 keeps an empty sum
+        k = np.count_nonzero(at_max)
+        s = np.sum(shifted) / k
+        return np.log1p(s) + np.log(k) + u_max
+    u = np.ascontiguousarray(u, dtype=float)
+    if axis != 0 or u.ndim != 2:
+        raise DimensionMismatch(
+            f"logsumexp reduces all entries or axis 0 of a matrix, "
+            f"not axis {axis} of shape {u.shape}"
+        )
+    return _logsumexp_columns(u)
+
+
+def _logsumexp_columns(u):
+    """``logsumexp(u, axis=0)`` of a C-contiguous (K, N) u, one pass per
+    row: the running ``maximum`` and ``+=`` give the bits of numpy's
+    ``max(axis=0)`` and ``sum(axis=0)`` (see the module notes)."""
+    u_max = u[0].copy()
+    for row in u[1:]:
+        np.maximum(u_max, row, out=u_max)
+    shifted = u - u_max
+    np.exp(shifted, out=shifted)
     at_max = u == u_max
-    shifted = np.where(at_max, 0.0, np.exp(u - u_max))
-    # k >= 1 unless the maximum is NaN, and 0 / k = 0 keeps an empty sum
-    k = np.count_nonzero(at_max, axis=axis, keepdims=keep)
-    s = np.sum(shifted, axis=axis, keepdims=keep) / k
-    out = np.log1p(s) + np.log(k) + u_max
-    return np.squeeze(out, axis=axis) if keep else out
+    finite = np.isfinite(u_max).all()
+    if finite:
+        # u - u_max is +0.0 at the maximum, whose exp is exactly 1.0, so
+        # subtracting the mask zeroes those entries: a masked store costs
+        # several times this on scattered maxima
+        shifted -= at_max
+    else:
+        shifted[at_max] = 0.0
+    total = shifted[0]
+    for row in shifted[1:]:
+        total += row
+    if finite and np.count_nonzero(at_max) == u_max.size:
+        # k = 1 in every column, where s / 1 and + log(1) change no bit
+        out = np.log1p(total)
+        out += u_max
+        return out
+    k = np.count_nonzero(at_max, axis=0)
+    return np.log1p(total / k) + np.log(k) + u_max
 
 
 def is_spd(A):

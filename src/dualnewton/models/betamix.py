@@ -11,10 +11,15 @@ which keeps the integrand assembly analytic.
 One score pass serves a set of N points (the data or the quadrature
 nodes).  Its per-component arrays, the responsibilities and the raw
 component scores, are stored component-major as (K, N), so each
-elementwise op runs over K contiguous rows of length N.  The scores
-themselves stay (N, 2K): the sum over the data and the quadrature
-contractions take their summation order from that layout, and another
-order would change the last bits of every result.
+elementwise op runs over K contiguous rows of length N.  The pass works
+in place on those rows: the component log-densities are summed into
+one (K, N) buffer that then becomes the responsibilities, and
+``linalg.logsumexp`` reduces it down its columns row by row, every
+operation in the order of the plain expression.  The scores themselves
+stay (N, 2K), filled through transposed views of their even and odd
+columns: the sum over the data and the quadrature contractions take
+their summation order from that layout, and another order would change
+the last bits of every result.
 """
 
 from dataclasses import dataclass, field
@@ -171,21 +176,24 @@ class BetaMixtureModel:
         a = xi[0::2]
         b = xi[1::2]
         lx, l1x = sums
-        # log w_k + log p_k(x), one row per component
-        comp = (
-            (a - 1.0)[:, None] * lx
-            + (b - 1.0)[:, None] * l1x
-            - 2.0 * betaln(a, b)[:, None]
-            + np.log(self.weights)[:, None]
-        )
+        # log w_k + log p_k(x), one row per component, summed left to
+        # right in place; u_b holds the l1x term until its own turn
+        comp = (a - 1.0)[:, None] * lx
+        u_b = np.multiply((b - 1.0)[:, None], l1x)
+        comp += u_b
+        comp -= 2.0 * betaln(a, b)[:, None]
+        comp += np.log(self.weights)[:, None]
         logp = logsumexp(comp, axis=0)
-        resp = np.exp(comp - logp)
-        dig_ab = digamma(a + b)
-        u_a = lx - 2.0 * digamma(a)[:, None] + 2.0 * dig_ab[:, None]
-        u_b = l1x - 2.0 * digamma(b)[:, None] + 2.0 * dig_ab[:, None]
+        comp -= logp
+        resp = np.exp(comp, out=comp)
+        dig_ab = 2.0 * digamma(a + b)[:, None]
+        u_a = lx - 2.0 * digamma(a)[:, None]
+        u_a += dig_ab
+        np.subtract(l1x, 2.0 * digamma(b)[:, None], out=u_b)
+        u_b += dig_ab
         s = np.empty((lx.shape[0], self.dim))
-        s[:, 0::2] = (resp * u_a).T
-        s[:, 1::2] = (resp * u_b).T
+        np.multiply(resp, u_a, out=s[:, 0::2].T)
+        np.multiply(resp, u_b, out=s[:, 1::2].T)
         return s, resp, (u_a, u_b), logp
 
     def _component_curvature(self, xi):

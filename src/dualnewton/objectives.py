@@ -74,17 +74,20 @@ class KLProjectionObjective:
     def eucl_grad(self, theta):
         return self.value_and_grad(theta)[1]
 
-    # a theta near the float range overflows the penalty; a non-finite
-    # value or gradient is returned as it is
+    # a theta near the float range overflows the penalty; a gradient
+    # that overflows is returned as it is
     @np.errstate(over="ignore", invalid="ignore")
     def value_and_grad(self, theta):
         """The value and the gradient from the log-partition and the
         moments of one pass over the states, which the model keeps for
-        the point's geometry."""
+        the point's geometry.  Raises NonFiniteValue where the value is
+        not finite."""
         theta = np.asarray(theta, dtype=float)
         at = loglinear.evaluate(self.index, theta)
         penalty = self.lam @ (theta * theta)
         f = float(float(at.lse) + self._phi_hat - theta @ self.eta_hat + penalty)
+        if not math.isfinite(f):
+            raise NonFiniteValue(f"KL projection value {f} is not finite at {theta}")
         return f, at.eta - self.eta_hat + 2.0 * self.lam * theta
 
     def grad_field_jacobian(self, theta):

@@ -256,6 +256,11 @@ TRACE_DIGESTS = {
         ),
         "f3bdbfd620ecb19453a47794e33dbbc57d7c6591e3fec6e3a9d637ca466ee590",
     ),
+    # Adam on the mixture: a node pass and a data pass per iteration
+    "exp3_adam_small": (
+        RunConfig.defaults("exp3", n_samples=400, quad_nodes=16, methods=("adam",)),
+        "9b8947b049460106828c0f9e7c90d89c91e817888993dbcb83a2cadde94fb5db",
+    ),
 }
 
 

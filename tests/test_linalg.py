@@ -360,10 +360,13 @@ def test_is_spd_rejects_a_non_square_input(shape):
 # ---- logsumexp: the same bits as scipy.special.logsumexp ----------------
 
 @st.composite
-def lse_inputs(draw, shape):
+def lse_inputs(draw, shape, bulk=None):
     """Entries up to +-700 in magnitude, some tied at the maximum and some
-    -inf, with at least one finite entry per reduced slice (the last axis)."""
-    u = draw(hnp.arrays(float, shape, elements=st.floats(-700.0, 700.0)))
+    -inf, with at least one finite entry per slice along the last axis.
+    ``bulk``, an array of ``shape``, stands in for the drawn entries."""
+    u = bulk
+    if u is None:
+        u = draw(hnp.arrays(float, shape, elements=st.floats(-700.0, 700.0)))
     tie = draw(hnp.arrays(bool, shape))
     drop = draw(hnp.arrays(bool, shape))
     rows = u.reshape(-1, shape[-1])
@@ -389,11 +392,51 @@ def test_logsumexp_matches_scipy_on_vectors(data, n):
     assert_same_bits(ours, scipy.special.logsumexp(u))
 
 
+@st.composite
+def lse_columns(draw):
+    """C-contiguous (K, N) inputs with K from 1 to 8 and N up to 3,000:
+    seeded normal entries at a drawn scale, with lse_inputs' ties and
+    -inf entries down each column, and +inf or NaN maxima in a few
+    columns."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3000))
+    scale = draw(st.sampled_from([0.5, 5.0, 50.0, 700.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bulk = np.clip(scale * rng.standard_normal((n, k)), -700.0, 700.0)
+    u = np.ascontiguousarray(draw(lse_inputs((n, k), bulk=bulk)).T)
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        u[draw(st.integers(0, k - 1)), j] = draw(st.sampled_from([np.inf, np.nan]))
+    return u
+
+
 @settings(max_examples=200, **FIXED)
 @given(data=st.data(), shape=st.tuples(st.integers(1, 60), st.integers(1, 12)))
 def test_logsumexp_matches_scipy_along_rows(data, shape):
-    u = data.draw(lse_inputs(shape))
-    assert_same_bits(logsumexp(u, axis=1), scipy.special.logsumexp(u, axis=1))
+    # axis 0 of the transpose, in C order: the call shape of the mixture
+    u = np.ascontiguousarray(data.draw(lse_inputs(shape)).T)
+    assert_same_bits(logsumexp(u, axis=0), scipy.special.logsumexp(u, axis=0))
+
+
+@settings(max_examples=150, **FIXED)
+@given(u=lse_columns())
+def test_logsumexp_matches_scipy_down_the_columns_of_a_c_order_matrix(u):
+    # numpy sums axis 0 of a C-contiguous array row by row, which the
+    # column path repeats; along a contiguous axis it sums pairwise
+    assert u.flags.c_contiguous
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = logsumexp(u, axis=0)
+    with np.errstate(all="ignore"):
+        assert_same_bits(ours, scipy.special.logsumexp(u, axis=0))
+
+
+def test_logsumexp_reads_a_matrix_in_c_order_and_reduces_no_other_axis():
+    u = np.arange(12.0).reshape(4, 3) % 5
+    fortran = np.asfortranarray(u)
+    assert_same_bits(logsumexp(fortran, axis=0), logsumexp(u, axis=0))
+    for bad, axis in ((u, 1), (u[0], 0), (u[None], 0)):
+        with pytest.raises(DimensionMismatch):
+            logsumexp(bad, axis=axis)
 
 
 def test_logsumexp_ties_and_nonfinite_maxima():
@@ -413,4 +456,5 @@ def test_logsumexp_ties_and_nonfinite_maxima():
         with np.errstate(all="ignore"):
             assert_same_bits(ours, scipy.special.logsumexp(np.array(c)))
     table = np.array([[0.0, -np.inf], [-np.inf, -np.inf], [1.0, 1.0]])
-    assert_same_bits(logsumexp(table, axis=1), scipy.special.logsumexp(table, axis=1))
+    table = np.ascontiguousarray(table.T)
+    assert_same_bits(logsumexp(table, axis=0), scipy.special.logsumexp(table, axis=0))

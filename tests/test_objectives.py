@@ -97,6 +97,16 @@ def test_kl_target_outside_polytope_rejected():
         KLProjectionObjective(index, np.array([0.9, 0.9, 0.05]))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_kl_value_that_is_not_finite_raises_without_a_warning(scale):
+    # the value overflows to inf at 1e200 and to NaN at 1e308
+    _, obj, _ = make_kl(3, 0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="not finite"):
+            obj.value_and_grad(np.full(obj.dim, scale))
+
+
 def test_kl_value_and_grad_reads_one_pass(monkeypatch):
     # one loglinear.evaluate call per point, with the bits of the formula
     # written through the model's log-partition and moments readers

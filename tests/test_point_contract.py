@@ -6,7 +6,8 @@ DomainViolation; the log-linear chart refuses a non-finite theta with
 NonFiniteValue as well.  Where ``contains(x)`` is True, the geometry
 ``at(x)``, its factor ``at(x).L`` and the objective's ``value_and_grad``
 each return or raise one of the optimizers' point errors, never a numpy
-warning: every warning is an error here.  The draws mix NaN, infinities,
+warning: every warning is an error here.  A ``value_and_grad`` that
+returns gives a finite value.  The draws mix NaN, infinities,
 signed zeros, negatives, subnormals, magnitudes up to 1.8e308 and wrong
 lengths with ordinary in-domain entries.
 """
@@ -75,7 +76,13 @@ def vectors(draw, dim):
 
 def assert_contract(ds, x, objective, refused=(DimensionMismatch, DomainViolation)):
     contained = ds.contains(x)
-    reads = [lambda: objective.value_and_grad(x)]
+
+    def value_and_grad():
+        # a value that is not finite is raised as NonFiniteValue
+        f, _ = objective.value_and_grad(x)
+        assert math.isfinite(f)
+
+    reads = [value_and_grad]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
