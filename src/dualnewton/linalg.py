@@ -3,10 +3,16 @@ the model and geometry layers.
 
 Matrices here are small (tens of rows); everything is float64.  A
 metric G is factored by the Python loop ``cholesky_lower``, whose bits
-reach every solve against G and the pinned runs.  ``is_spd`` (dpotrf) and
-``solve_general`` (dgetrf, dgetrs) call LAPACK without scipy's wrappers.
-The BLAS picks its own thread count; on small systems threads cost more
-than they save, so pin them (e.g. OPENBLAS_NUM_THREADS=1) when timing.
+reach every solve against G and the pinned runs.  Each column makes two
+BLAS calls, ddot for the pivot and dgemv for the column below it.  Their
+blocked, fused sums differ from a sequential sum (on random vectors, at
+every length from 2 to 40), so the loop keeps them and trims only the
+work around them: one slice of the row, ``math.sqrt`` of the pivot
+(correctly rounded, as ``np.sqrt`` is) and the column formed and divided
+in place.  ``is_spd`` (dpotrf) and ``solve_general`` (dgetrf, dgetrs)
+call LAPACK without scipy's wrappers.  The BLAS picks its own thread
+count; on small systems threads cost more than they save, so pin them
+(e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
 ``logsumexp`` is the one log-sum-exp of the package, with one path per
 call shape: over all entries for the log-partition, and along axis 0 of
@@ -18,14 +24,23 @@ result is log1p(s) + log(k) + max, with s the sum of the other shifted
 exponentials divided by the count k.  Both skip scipy's array-API
 dispatch, which costs several times the arithmetic on short vectors.
 
+Both paths take the count only where it can change a bit, at a tie or
+a non-finite maximum.  Where the maximum is finite and taken once, u -
+max is +0.0 at it and exp(+0.0) is exactly 1.0, so subtracting the mask
+zeroes that entry, and s / 1 and + log(1) change no bit.  The
+all-entries path is the log-linear pass's, 16 states at n = 4, where
+numpy's Python-level wrappers (``np.max``, ``np.sum``, ``np.where``)
+cost more than the arithmetic; it calls the array methods instead.
+
 The axis-0 path is a loop over the K rows, which works in place on one
-(K, N) buffer and takes the count only where a column has a tie or a
-non-finite maximum: where every k is 1, s / 1 and + log(1) change no
-bit.  The loop is exact because numpy reduces axis 0 of a C-contiguous
-array row by row, the order of a running maximum and a running +=.
-Along a contiguous axis numpy sums pairwise, with 8-way unrolling, so
-the loop would not give its bits there; no other axis is taken.
+(K, N) buffer.  The loop is exact because numpy reduces axis 0 of a
+C-contiguous array row by row, the order of a running maximum and a
+running +=.  Along a contiguous axis numpy sums pairwise, with 8-way
+unrolling, so the loop would not give its bits there; no other axis is
+taken.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -74,12 +89,16 @@ def cholesky_lower(A):
     n = A.shape[0]
     L = np.zeros_like(A)
     for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
+        # ddot and dgemv fix the bits (see the module notes)
+        row = L[j, :j]
+        pivot = A[j, j] - row.dot(row)
         if not pivot > 0.0:
             raise NotPositiveDefinite(f"pivot {pivot} at column {j}")
-        L[j, j] = np.sqrt(pivot)
+        d = L[j, j] = math.sqrt(pivot)
         if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+            col = L[j + 1 :, j]
+            np.subtract(A[j + 1 :, j], L[j + 1 :, :j] @ row, out=col)
+            col /= d
     return L
 
 
@@ -162,13 +181,21 @@ def logsumexp(u, axis=None):
     """
     if axis is None:
         u = np.asarray(u, dtype=float)
-        u_max = np.max(u)
+        u_max = u.max()
         at_max = u == u_max
-        shifted = np.where(at_max, 0.0, np.exp(u - u_max))
+        shifted = u - u_max
+        np.exp(shifted, out=shifted)
+        finite = math.isfinite(u_max)
+        if finite:
+            shifted -= at_max
+        else:
+            shifted[at_max] = 0.0
+        s = shifted.sum()
         # k >= 1 unless the maximum is NaN, and 0 / k = 0 keeps an empty sum
         k = np.count_nonzero(at_max)
-        s = np.sum(shifted) / k
-        return np.log1p(s) + np.log(k) + u_max
+        if finite and k == 1:
+            return np.log1p(s) + u_max
+        return np.log1p(s / k) + np.log(k) + u_max
     u = np.ascontiguousarray(u, dtype=float)
     if axis != 0 or u.ndim != 2:
         raise DimensionMismatch(
@@ -233,7 +260,7 @@ def fd_jacobian(field, xi):
         step[i] = h[i]
         f_plus = np.asarray(field(xi + step), dtype=float)
         f_minus = np.asarray(field(xi - step), dtype=float)
-        if not (np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+        if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
             raise NonFiniteValue(f"field evaluation not finite at offset {i}")
         rows.append((f_plus - f_minus) / (2.0 * h[i]))
     return np.array(rows)

@@ -52,9 +52,9 @@ class QuadratureRule:
         # each comparison below is written so that NaN fails it
         if nodes.size == 0:
             raise ValueError("a rule needs at least one node")
-        if not np.all((0 < nodes) & (nodes < 1)):
+        if not ((0 < nodes) & (nodes < 1)).all():
             raise ValueError("nodes must lie strictly inside (0, 1)")
-        if not np.all((0 < weights) & (weights < np.inf)):
+        if not ((0 < weights) & (weights < np.inf)).all():
             raise ValueError("weights must be positive and finite")
 
     @classmethod
@@ -140,9 +140,9 @@ class BetaMixtureModel:
         k = self.weights.size
         if self.alphas.shape != (k,) or self.betas.shape != (k,):
             raise DimensionMismatch("weights and shape vectors disagree on K")
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+        if (self.weights <= 0).any() or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to one")
-        if np.any(self.alphas <= 0) or np.any(self.betas <= 0):
+        if (self.alphas <= 0).any() or (self.betas <= 0).any():
             raise ValueError("generating shapes must be positive")
 
     @property
@@ -225,7 +225,7 @@ class BetaMixtureModel:
         log-derivatives are assembled from."""
         w, sums = self._grid
         s, resp, u, logp = self.scores(xi, sums)
-        if float(np.max(logp)) < _LOG_TINY:
+        if logp.max() < _LOG_TINY:
             raise QuadratureUnderflow("mixture density underflowed at every node")
         return {"wp": w * np.exp(logp), "s": s, "resp": resp, "u": u}
 
@@ -293,6 +293,6 @@ class BetaMixtureModel:
             g2 = rng.gamma(shape=b)
             cols.append(g1 / (g1 + g2))
         x = np.column_stack(cols)
-        if np.any(x <= 0) or np.any(x >= 1):
+        if (x <= 0).any() or (x >= 1).any():
             raise DomainViolation("degenerate Beta draw on the boundary")
         return x

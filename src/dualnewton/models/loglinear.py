@@ -5,15 +5,21 @@ subsets carry a parameter, theta holds the natural parameters.  All
 expectations are exact enumerations over the 2^n states, so n stays small.
 
 Every quantity at a point comes from one pass over the states,
-``evaluate(index, theta)``: the log-partition, the probabilities p, the
-moments eta, the centred statistics C, the metric G and G's Cholesky
-factor L.  Each is derived on its first read and kept read-only, and
-the last few points stay in a small memo, so the readers below, the
-moment inversion, the geometry hook and the KL objective share one pass
-and one factorization per point.
+``evaluate(index, theta)``: the log-partition, the log-probabilities,
+the probabilities p, the moments eta, the centred statistics C, the
+metric G and G's Cholesky factor L.  Building the pass takes only the
+energies and their log-sum-exp, which is all that a trial point the
+moment inversion rejects reads; every other quantity is derived on its
+first read and kept read-only.  The last few points stay in a small
+memo, so the readers below, the moment inversion, the geometry hook
+and the KL objective share one pass and one factorization per point.
+
+At n = 4 a pass is 16 states, and numpy's function wrappers cost more
+than that arithmetic, so the pass calls array methods instead.
 """
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -65,6 +71,12 @@ class SubsetIndex:
             if A in seen:
                 raise ValueError(f"duplicate subset {A}")
             seen.add(A)
+        # every pass looks its index up in the memo and in
+        # ``feature_matrix``'s cache, so the hash is taken once
+        object.__setattr__(self, "_hash", hash((self.n_vars, self.subsets)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def boltzmann(cls, n_vars):
@@ -123,10 +135,10 @@ def _frozen(array):
 class _Evaluation:
     """The log-linear quantities at one theta, from one pass over the states.
 
-    The energies u = F theta, their log-sum-exp and the log-probabilities
-    are computed at once; everything else on its first read, from what
-    is already there, and kept.  Arrays are read-only, so a caller that
-    writes into one gets an error instead of corrupting the memo.
+    The energies u = F theta and their log-sum-exp are computed at once;
+    everything else on its first read, from what is already there, and
+    kept.  Arrays are read-only, so a caller that writes into one gets
+    an error instead of corrupting the memo.
     """
 
     # a finite theta near the float range can overflow the energies; the
@@ -137,7 +149,12 @@ class _Evaluation:
         self.F = feature_matrix(index)
         self.u = _frozen(self.F @ theta)
         self.lse = logsumexp(self.u)
-        self.log_p = _frozen(self.u - self.lse)
+
+    # an overflowed energy and log-sum-exp meet as inf - inf
+    @cached_property
+    @np.errstate(invalid="ignore")
+    def log_p(self):
+        return _frozen(self.u - self.lse)
 
     @cached_property
     def p(self):
@@ -188,7 +205,7 @@ def negative_entropy(probs):
     """sum p log p with the 0 log 0 = 0 convention."""
     probs = np.asarray(probs, dtype=float)
     mask = probs > 0
-    return float(np.sum(probs[mask] * np.log(probs[mask])))
+    return float((probs[mask] * np.log(probs[mask])).sum())
 
 
 def moments(index, theta, query=None):
@@ -252,7 +269,7 @@ def moment_to_natural(index, eta, theta0=None):
     value = float(at.lse) - float(theta @ eta)
     for _ in range(_INVERSION_MAX_ITERS):
         residual = at.eta - eta
-        if float(np.max(np.abs(residual))) < _INVERSION_TOL:
+        if abs(residual).max() < _INVERSION_TOL:
             return theta
         try:
             step = solve_spd(at.G, -residual, L=at.L)
@@ -263,8 +280,8 @@ def moment_to_natural(index, eta, theta0=None):
             candidate = theta + t * step
             cand = evaluate(index, candidate)
             cand_value = float(cand.lse) - float(candidate @ eta)
-            if np.isfinite(cand_value) and cand_value <= value:
-                if np.array_equal(candidate, theta):
+            if math.isfinite(cand_value) and cand_value <= value:
+                if (candidate == theta).all():
                     # a fixed point: every later iteration repeats this
                     # one, so the budget would end in the same exception
                     raise MomentInfeasible("damped Newton reached a fixed point")

@@ -265,7 +265,7 @@ class BetaMixtureNLL:
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"data must be (N, 2), got shape {data.shape}")
-        if not np.all((data > 0.0) & (data < 1.0)):
+        if not ((data > 0.0) & (data < 1.0)).all():
             raise ValueError("all data points must lie strictly inside (0, 1)^2")
         self.model = model
         self.data = data
@@ -287,10 +287,12 @@ class BetaMixtureNLL:
         """The value and the gradient from one score pass over the data,
         which carries the log-density the value sums."""
         s, _, _, logp = self.model.scores(xi, self._log_sums)
-        f = -float(np.sum(logp))
+        f = -float(logp.sum())
         if not math.isfinite(f):
             raise NonFiniteValue(f"log-likelihood overflowed at {xi}")
-        return f, -s.sum(axis=0)
+        # einsum adds the C-order rows in order, as sum(axis=0) does, at a
+        # fraction of the cost of its reduction over short rows
+        return f, -np.einsum("nj->j", s)
 
     def grad_field_jacobian(self, xi):
         """Central differences of a = G^{-1} grad: each probe makes one

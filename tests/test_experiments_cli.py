@@ -261,6 +261,12 @@ TRACE_DIGESTS = {
         RunConfig.defaults("exp3", n_samples=400, quad_nodes=16, methods=("adam",)),
         "9b8947b049460106828c0f9e7c90d89c91e817888993dbcb83a2cadde94fb5db",
     ),
+    # mirror descent whose moment inversions stall: one spends its
+    # 200-iteration budget and three stop at a fixed point
+    "exp1_mirror_stalls": (
+        RunConfig.defaults("exp1", seed=20, methods=("mirror",)),
+        "a4e9ecb330bd8cda01d3686216f88b738ddacf22990c8ff234e4dc13fc9e27be",
+    ),
 }
 
 

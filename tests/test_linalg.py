@@ -357,6 +357,70 @@ def test_is_spd_rejects_a_non_square_input(shape):
         is_spd(np.ones(shape))
 
 
+# ---- cholesky_lower: the bits of the plain column loop -------------------
+
+def _reference_cholesky_lower(A):
+    """The column loop written plainly: both inner products read from L
+    afresh, np.sqrt of the pivot and a new quotient per column.  Its
+    ddot and dgemv fix the bits that ``cholesky_lower`` keeps."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    L = np.zeros_like(A)
+    for j in range(n):
+        pivot = A[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > 0.0:
+            raise NotPositiveDefinite(f"pivot {pivot} at column {j}")
+        L[j, j] = np.sqrt(pivot)
+        if j + 1 < n:
+            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def _spd_with_noise_above_the_diagonal(n, rng):
+    """M M^T + n I, with small noise added to the upper triangle only:
+    the factor reads only the lower triangle."""
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    A[np.triu_indices(n, 1)] += 1e-3 * rng.standard_normal(n * (n - 1) // 2)
+    return A
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cholesky_lower_has_the_bits_of_the_plain_column_loop(order):
+    # a Fortran-order input gives a Fortran-order factor, whose rows the
+    # BLAS reads with a stride
+    rng = np.random.default_rng(2)
+    for n in range(1, 41):
+        for scale in (1e-3, 1.0, 1e3):
+            A = np.asarray(scale * _spd_with_noise_above_the_diagonal(n, rng), order=order)
+            ours = cholesky_lower(A)
+            assert ours.tobytes() == _reference_cholesky_lower(A).tobytes()
+            lower = np.asarray(np.tril(A), order=order)
+            assert ours.tobytes() == cholesky_lower(lower).tobytes()
+
+
+def test_cholesky_lower_raises_at_the_column_of_the_plain_loop():
+    rng = np.random.default_rng(3)
+    for n in range(1, 41):
+        A = _spd_with_noise_above_the_diagonal(n, rng)
+        L = _reference_cholesky_lower(A)
+        k = int(rng.integers(n))
+        # a diagonal entry below the squared norm of its row of L leaves a
+        # negative pivot at column k (a zero one at column 0); a NaN at or
+        # left of the diagonal in row k reaches the pivot there
+        low = A.copy()
+        low[k, k] = rng.uniform(0.0, 1.0) * (L[k, :k] @ L[k, :k])
+        nan = A.copy()
+        nan[k, rng.integers(k + 1)] = np.nan
+        for bad, column in ((low, k), (nan, k), (-A, 0)):
+            with pytest.raises(NotPositiveDefinite) as expected:
+                _reference_cholesky_lower(bad)
+            with pytest.raises(NotPositiveDefinite) as raised:
+                cholesky_lower(bad)
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).endswith(f"at column {column}")
+
+
 # ---- logsumexp: the same bits as scipy.special.logsumexp ----------------
 
 @st.composite
@@ -458,3 +522,46 @@ def test_logsumexp_ties_and_nonfinite_maxima():
     table = np.array([[0.0, -np.inf], [-np.inf, -np.inf], [1.0, 1.0]])
     table = np.ascontiguousarray(table.T)
     assert_same_bits(logsumexp(table, axis=0), scipy.special.logsumexp(table, axis=0))
+
+
+def _lse_table():
+    """All-entries cases: one finite maximum takes the path without the
+    count of maxima; ties and non-finite maxima take the path with it."""
+    rng = np.random.default_rng(4)
+    states16 = rng.standard_normal(16)
+    states256 = 5.0 * rng.standard_normal(256)
+    tied256 = states256.copy()
+    tied256[[3, 200]] = states256.max()
+    return {
+        "one maximum": [0.5, -1.0, 2.0, 1.5],
+        "tie of 2": [2.0, -1.0, 2.0],
+        "tie of 3": [2.0, 2.0, 2.0, -1.0],
+        "-inf entries": [-np.inf, 3.0, -np.inf, 1.0],
+        "-inf entries and a tie": [-np.inf, 3.0, 3.0],
+        "all -inf": [-np.inf, -np.inf, -np.inf],
+        "+inf maximum": [np.inf, 1.0, -np.inf],
+        "+inf tie": [np.inf, 1.0, np.inf],
+        "NaN maximum": [1.0, np.nan, 2.0],
+        "length 1": [3.0],
+        "length 1, -inf": [-np.inf],
+        "length 1, +inf": [np.inf],
+        "length 1, NaN": [np.nan],
+        "16 states": states16,
+        "16 states at -700": states16 - 700.0,
+        "256 states": states256,
+        "256 states, tie of 3": tied256,
+    }
+
+
+LSE_TABLE = _lse_table()
+
+
+@pytest.mark.parametrize("case", sorted(LSE_TABLE))
+def test_logsumexp_over_all_entries_has_scipys_bits(case):
+    u = np.array(LSE_TABLE[case], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = logsumexp(u)
+    assert isinstance(ours, np.float64)
+    with np.errstate(all="ignore"):
+        assert_same_bits(ours, scipy.special.logsumexp(u))

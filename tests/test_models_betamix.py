@@ -406,6 +406,25 @@ def test_objective_and_metric_match_raw_log_reference(shapes):
     assert model.fisher_metric(shapes).tobytes() == G.tobytes()
 
 
+# the data and node counts of the tests and of exp3, one larger N, and K up to 8
+@pytest.mark.parametrize("n", [1, 2, 7, 400, 4096, 5000, 20000])
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 16])
+def test_the_data_sum_adds_the_score_rows_in_order(n, dim):
+    # the gradient sums the C-order (N, 2K) scores down their columns with
+    # einsum, which must give the bits of sum(axis=0), signed zeros,
+    # infinities and NaN included
+    rng = np.random.default_rng(n * 17 + dim)
+    s = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 8, size=(n, dim))
+    s[:, 0] = -0.0
+    s[rng.integers(n), 1] = 0.0
+    if dim >= 4:
+        s[rng.integers(n), 2] = np.inf
+        s[rng.integers(n), 2] = -np.inf
+        s[rng.integers(n), 3] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.einsum("nj->j", s).tobytes() == s.sum(axis=0).tobytes()
+
+
 def _reference_connection(model, xi, alpha, a):
     """connection(alpha, a) at xi from the row-major score pass at the
     nodes and the row-major second log-derivatives."""

@@ -68,6 +68,51 @@ def test_an_unused_import_is_found(tmp_path):
     assert _unused_imports(module) == [("os", 1), ("b", 3)]
 
 
+# The per-point path calls reductions in method form: np.max, np.sum and
+# the like dispatch through Python wrappers that cost several times the
+# reduction itself on the short arrays of a pass.
+METHOD_FORM_MODULES = (
+    "linalg.py",
+    "objectives.py",
+    "models/loglinear.py",
+    "models/betamix.py",
+)
+FUNCTION_FORM_REDUCTIONS = {"max", "min", "sum", "all", "any"}
+
+
+def _function_form_reductions(path):
+    """(name, line) of each ``np.<reduction>(...)`` call in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        (node.func.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and node.func.attr in FUNCTION_FORM_REDUCTIONS
+    )
+
+
+def test_the_per_point_modules_reduce_in_method_form():
+    found = {
+        module: calls
+        for module in METHOD_FORM_MODULES
+        if (calls := _function_form_reductions(PACKAGE / module))
+    }
+    assert found == {}
+
+
+def test_a_function_form_reduction_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n\n"
+        "def f(u):\n"
+        "    return np.max(u) + u.sum() + np.maximum(u, 0).min() + np.any(u)\n"
+    )
+    assert _function_form_reductions(module) == [("any", 4), ("max", 4)]
+
+
 # Besides the package's own modules, the places whose code may call a
 # public name: a name that only tests call is code that nothing uses.
 CALLERS = ("demos", "perfbench", "README.md", "tests/test_acceptance.py")
