@@ -31,13 +31,30 @@ exactly when the step is a descent direction.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, NonFiniteValue
 from .linalg import cholesky_lower, fd_jacobian, is_spd, solve_general, solve_spd
+
+
+class lazy:
+    """An attribute computed by the decorated method on first read and
+    stored in the instance ``__dict__``, where later reads find it before
+    this (non-data) descriptor: ``functools.cached_property`` without the
+    lock that Python 3.11 takes on every first read."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -97,7 +114,7 @@ class DualPoint:
     connection: Callable
     factor: Optional[Callable] = None
 
-    @cached_property
+    @lazy
     def L(self):
         return cholesky_lower(self.G) if self.factor is None else self.factor()
 
@@ -116,11 +133,11 @@ class DualPoint:
         basis = np.eye(len(self.G))
         return np.stack([self.connection(alpha, e) for e in basis], axis=1)
 
-    @cached_property
+    @lazy
     def gamma(self):
         return self._symbols(self.structure.alpha)
 
-    @cached_property
+    @lazy
     def gamma_dual(self):
         return self._symbols(-self.structure.alpha)
 
@@ -226,4 +243,4 @@ def duality_residual(structure, xi):
     low = lower_index(point.gamma, point.G)
     low_dual = lower_index(point.gamma_dual, point.G)
     residual = dg - low - np.transpose(low_dual, (0, 2, 1))
-    return float(np.max(np.abs(residual)))
+    return float(abs(residual).max())

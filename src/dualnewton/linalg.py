@@ -14,6 +14,22 @@ call LAPACK without scipy's wrappers.  The BLAS picks its own thread
 count; on small systems threads cost more than they save, so pin them
 (e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
+``solve_spd``'s guards cost more than its two dtrtrs calls on a 2 x 2
+system, so they are screened.  The symmetry test rejects A where
+max|A - A^T| > 1e-12 max(1, max|A|), and is read only when the bytes of
+A and A^T differ.  Where they are the same, each entry of A - A^T is
+x - x for one x: +0 for a finite x, NaN for an infinite or NaN one.
+Neither exceeds the bound, so the screen passes no A that the test
+rejects, and the test still decides every other A (a -0.0 facing a
++0.0 differs in its bytes and goes on to the test, which passes it).
+The Gaussian's closed-form metric passes the screen.  The log-linear
+and mixture metrics, each a product (w C)^T C of weighted and plain
+rows, differ from their transposes in the last bits and go on to the
+test.  The
+finiteness scan reads a vector b as Python floats, cheaper than
+``np.isfinite`` up to a few dozen entries; the factor keeps
+``np.isfinite``, which costs less from n = 6 upward.
+
 ``logsumexp`` is the one log-sum-exp of the package, with one path per
 call shape: over all entries for the log-partition, and along axis 0 of
 the Beta mixture's C-contiguous (K, N) component rows for its
@@ -80,6 +96,15 @@ def _check_rhs(A, b):
     return b
 
 
+def _all_finite(x):
+    """No NaN or infinity in x.  A vector is scanned as Python floats,
+    which costs less than ``np.isfinite`` up to a few dozen entries and
+    little beside the triangular solves above that."""
+    if x.ndim == 1:
+        return all(map(math.isfinite, x.tolist()))
+    return np.isfinite(x).all()
+
+
 def cholesky_lower(A):
     """Lower Cholesky factor of A, reading only the lower triangle.
 
@@ -116,10 +141,9 @@ def solve_spd(A, b, L=None):
     """
     A = _as_square(A)
     b = _check_rhs(A, b)
-    # the scaled bound is read only where A - A^T has a nonzero (or NaN)
-    # entry; an exactly symmetric A passes it anyway
-    asymmetry = A - A.T
-    if asymmetry.any() and float(abs(asymmetry).max()) > 1e-12 * max(
+    # the bytes screen passes exactly those A whose A - A^T holds only
+    # +0 and NaN, which the scaled bound passes too (see the module notes)
+    if A.tobytes() != A.T.tobytes() and float(abs(A - A.T).max()) > 1e-12 * max(
         1.0, float(abs(A).max())
     ):
         raise ValueError("solve_spd expects a symmetric matrix")
@@ -131,7 +155,7 @@ def solve_spd(A, b, L=None):
         )
     # U^T y = b, then U x = y, with U = L^T read in place by LAPACK
     U = L.T
-    if not (np.isfinite(U).all() and np.isfinite(b).all()):
+    if not (np.isfinite(U).all() and _all_finite(b)):
         raise NonFiniteValue("solve_spd met a NaN or infinite entry")
     y, info = lapack.dtrtrs(U, b, lower=0, trans=1)
     if info == 0:

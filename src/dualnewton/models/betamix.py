@@ -23,13 +23,13 @@ the last bits of every result.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.special import betaln, digamma, polygamma
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
-from ..geometry import DualPoint, DualStructure, raise_index
+from ..geometry import DualPoint, DualStructure, lazy, raise_index
 from ..linalg import cholesky_lower, logsumexp
 # not called here; perfbench/test_perfbench.py checks the tracer rebinds it
 from ..linalg import solve_spd  # noqa: F401
@@ -212,7 +212,7 @@ class BetaMixtureModel:
 
     # ---- quadrature geometry --------------------------------------------
 
-    @cached_property
+    @lazy
     def _grid(self):
         """The quadrature weights on the square and the ``log_sums`` of
         its nodes, computed on first use; the rule is fixed from then on."""

@@ -22,7 +22,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ..errors import (
     MomentInfeasible,
     NonFiniteValue,
 )
-from ..geometry import DualPoint, DualStructure
+from ..geometry import DualPoint, DualStructure, lazy
 from ..linalg import cholesky_lower, logsumexp, solve_spd
 
 # Enumeration over 2^n states; keep n well below memory trouble.
@@ -151,28 +151,28 @@ class _Evaluation:
         self.lse = logsumexp(self.u)
 
     # an overflowed energy and log-sum-exp meet as inf - inf
-    @cached_property
+    @lazy
     @np.errstate(invalid="ignore")
     def log_p(self):
         return _frozen(self.u - self.lse)
 
-    @cached_property
+    @lazy
     def p(self):
         return _frozen(np.exp(self.log_p))
 
-    @cached_property
+    @lazy
     def eta(self):
         return _frozen(self.p @ self.F)
 
-    @cached_property
+    @lazy
     def C(self):
         return _frozen(self.F - self.eta)
 
-    @cached_property
+    @lazy
     def G(self):
         return _frozen(weighted_gram(self.C, self.p))
 
-    @cached_property
+    @lazy
     def L(self):
         return _frozen(cholesky_lower(self.G))
 
@@ -253,8 +253,9 @@ def moment_to_natural(index, eta, theta0=None):
 
     Raises MomentInfeasible when the residual cannot be driven below
     1e-12 within the iteration budget, which covers moment vectors
-    outside the marginal polytope, and as soon as the damped iteration
-    stops moving theta.
+    outside the marginal polytope, as soon as the damped iteration
+    stops moving theta, and as soon as an accepted iterate gives some
+    state probability 0.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (len(index),):
@@ -290,6 +291,12 @@ def moment_to_natural(index, eta, theta0=None):
             t *= 0.5
         else:
             raise MomentInfeasible("damped Newton made no progress")
+        if not at.p.all():
+            # a state probability underflowed: theta has left for the
+            # boundary of the polytope, where the metric is singular
+            raise MomentInfeasible(
+                f"a state probability is 0 at max|theta| = {abs(theta).max():.6g}"
+            )
     raise MomentInfeasible(
         f"no natural parameter reproduces the moments within {_INVERSION_MAX_ITERS} iterations"
     )

@@ -15,7 +15,6 @@ counts are directly comparable.  A trace row is one completed step;
 convergence at the starting point yields an empty trace.
 """
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -71,6 +70,9 @@ _WOLFE_MAX_EVALS = 60
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# longest gradient whose Adam step runs on Python floats: the loop costs
+# less than the ufuncs below about 16 coordinates and more above
+_ADAM_LOOP_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,17 @@ class StopRule:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments; the learning rate is the one setting."""
+    """Bias-corrected Adam moments; the learning rate is the one setting.
+
+    ``step`` runs m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    -lr m_hat / (sqrt(v_hat) + eps).  Up to ``_ADAM_LOOP_MAX``
+    coordinates it runs them one coordinate at a time on Python floats,
+    where the dozen ufunc calls of the array form cost more than their
+    arithmetic.  Each operation there is one correctly rounded IEEE
+    operation, as in the ufuncs, and ``math.sqrt`` rounds as
+    ``np.sqrt`` does, so both forms give the same bits.  ``m`` and
+    ``v`` stay arrays.
+    """
 
     lr: float = 0.01
     m: np.ndarray | None = None
@@ -101,14 +113,29 @@ class AdamState:
             self.m = np.zeros_like(grad)
             self.v = np.zeros_like(grad)
         self.t += 1
-        # in place, each product rounded as in b1 m + (1 - b1) g
-        self.m *= _ADAM_BETA1
-        self.m += (1.0 - _ADAM_BETA1) * grad
-        self.v *= _ADAM_BETA2
-        self.v += (1.0 - _ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
-        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
-        return -self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
+        bias1, bias2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        if grad.size > _ADAM_LOOP_MAX:
+            # in place, each product rounded as in b1 m + (1 - b1) g
+            self.m *= b1
+            self.m += (1.0 - b1) * grad
+            self.v *= b2
+            self.v += (1.0 - b2) * grad * grad
+            return -self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + _ADAM_EPS)
+        c1, c2 = 1.0 - b1, 1.0 - b2
+        scale = -self.lr
+        m, v, delta = [], [], []
+        for mi, vi, gi in zip(self.m.tolist(), self.v.tolist(), grad.tolist()):
+            mi = mi * b1 + c1 * gi
+            vi = vi * b2 + c2 * gi * gi
+            m.append(mi)
+            v.append(vi)
+            delta.append(scale * (mi / bias1) / (math.sqrt(vi / bias2) + _ADAM_EPS))
+        self.m, self.v = np.array(m), np.array(v)
+        return np.array(delta)
+
+
+_CSV_HEADER = "iter,f,grad_l2,grad_gnorm,step_norm,spd,time_s\r\n"
 
 
 @dataclass
@@ -143,7 +170,9 @@ class OptimizerTrace:
         self.times.append(float(elapsed))
 
     def write_csv(self, path):
-        # csv writes a float as its repr
+        """The trace as CSV, with the bytes ``csv.writer`` gives it: no
+        field needs quoting, a float is written as its repr and a row
+        ends in \\r\\n."""
         columns = (
             self.iters,
             self.f_values,
@@ -153,12 +182,12 @@ class OptimizerTrace:
             map(int, self.spd_flags),
             self.times,
         )
+        rows = [
+            f"{it},{f!r},{l2!r},{gnorm!r},{step!r},{spd},{elapsed!r}\r\n"
+            for it, f, l2, gnorm, step, spd, elapsed in zip(*columns)
+        ]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iter", "f", "grad_l2", "grad_gnorm", "step_norm", "spd", "time_s"]
-            )
-            writer.writerows(zip(*columns))
+            fh.write(_CSV_HEADER + "".join(rows))
 
     def summary(self):
         return {
@@ -248,7 +277,7 @@ def _evaluate(structure, obj, xi):
 def _usable(evaluation):
     """The record, measured; None when there is none, its gradient is
     non-finite, or its geometry raises a point error or is non-finite."""
-    if evaluation is None or not np.isfinite(evaluation.grad).all():
+    if evaluation is None or not all(map(math.isfinite, evaluation.grad.tolist())):
         return None
     try:
         evaluation.measure()
@@ -550,22 +579,27 @@ def convergence_order(trace, xi_final):
     xi_final is the reference optimum; passing a point converged beyond
     the trace's own tolerance makes the last recorded steps measurable.
     """
-    xi_final = np.asarray(xi_final, dtype=float)
-    iterates = [np.asarray(p, dtype=float) for p in trace.iterates]
-    if len(iterates) < 4:
+    if len(trace.iterates) < 4:
         raise InsufficientIterations(
-            f"need at least 3 iterations, trace has {len(iterates) - 1}"
+            f"need at least 3 iterations, trace has {len(trace.iterates) - 1}"
         )
-    gaps = [p - xi_final for p in iterates]
-    errors = np.array([math.sqrt(d.dot(d)) for d in gaps])
+    # one subtraction for the path; each row's norm keeps its ddot, whose
+    # bits neither einsum nor a row sum of squares reproduces
+    gaps = np.asarray(trace.iterates, dtype=float) - np.asarray(xi_final, dtype=float)
+    norms = [math.sqrt(d.dot(d)) for d in gaps]
+    errors = np.array(norms)
     floor = 100.0 * EPS
     orders = []
-    for k in range(2, len(errors) - 1):
-        e_prev, e_k, e_next = errors[k - 1], errors[k], errors[k + 1]
+    for k in range(2, len(norms) - 1):
+        # the filters compare Python floats, as the float64 scalars would;
+        # a usable triple's ratios stay numpy divisions, which warn where
+        # Python's would raise (an error of 0 next to a NaN)
+        e_prev, e_k, e_next = norms[k - 1 : k + 2]
         if min(e_prev, e_k, e_next) <= floor:
             continue
         if e_k > _MAX_RATIO * e_prev or e_next > _MAX_RATIO * e_k:
             continue
+        e_prev, e_k, e_next = errors[k - 1], errors[k], errors[k + 1]
         orders.append(np.log(e_next / e_k) / np.log(e_k / e_prev))
     if not orders:
         raise InsufficientIterations("no usable error triples above the noise floor")

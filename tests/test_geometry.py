@@ -278,3 +278,26 @@ def test_contains_is_the_one_domain_test(model):
             assert not ds.contains(x), (i, bad)
     for x in outside:
         assert not ds.contains(x), x
+
+
+def test_a_lazy_attribute_is_computed_once_and_kept_in_the_instance():
+    calls = []
+
+    class Record:
+        @geometry.lazy
+        def value(self):
+            """the doc"""
+            calls.append(self)
+            return len(calls)
+
+    first, second = Record(), Record()
+    assert (first.value, first.value, second.value) == (1, 1, 2)
+    assert calls == [first, second]
+    assert vars(first) == {"value": 1}
+    assert Record.value.__doc__ == "the doc"
+
+
+def test_a_point_factors_its_metric_once():
+    point = gaussian.dual_structure(0.0).at(np.array([0.5, 2.0]))
+    assert point.L is point.L
+    assert point.gamma is point.gamma and point.gamma_dual is point.gamma_dual

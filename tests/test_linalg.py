@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -113,6 +114,86 @@ def test_solve_spd_rejects_asymmetry_exactly_where_the_scaled_bound_does(
     y = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
     x = scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
     assert solve_spd(A, b, L=L).tobytes() == x.tobytes()
+
+
+def _reference_solve_spd(A, b, L=None):
+    """``solve_spd`` with its guards written plainly: A - A^T formed and
+    scaled on every call, and ``np.isfinite`` over the factor and b."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    asymmetry = A - A.T
+    if asymmetry.any() and float(abs(asymmetry).max()) > 1e-12 * max(
+        1.0, float(abs(A).max())
+    ):
+        raise ValueError("solve_spd expects a symmetric matrix")
+    if L is None:
+        L = cholesky_lower(A)
+    U = L.T
+    if not (np.isfinite(U).all() and np.isfinite(b).all()):
+        raise NonFiniteValue("solve_spd met a NaN or infinite entry")
+    y, info = lapack.dtrtrs(U, b, lower=0, trans=1)
+    if info == 0:
+        x, info = lapack.dtrtrs(U, y, lower=0)
+    if info != 0:
+        raise SingularMatrix(f"triangular solve failed with LAPACK info {info}")
+    return x
+
+
+def _solve_outcome(solve, A, b, L):
+    """The solution's bytes, or the type and message of what it raised."""
+    # an infinite entry makes A - A^T warn; only the outcome is compared
+    with np.errstate(all="ignore"):
+        try:
+            return solve(A, b, L=L).tobytes()
+        except (ValueError, NonFiniteValue, NotPositiveDefinite, SingularMatrix) as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=500, **FIXED)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.sampled_from([1e-3, 1.0, 1e3, 1e8]),
+    ratio=st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, -1.0 - 1e-6]),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf, -0.0]),
+    where=st.sampled_from(["A", "A pair", "A against +0", "A diagonal", "L", "b"]),
+    order=st.sampled_from("CF"),
+    factored=st.booleans(),
+    n_rhs=st.sampled_from([None, 1, 3]),
+)
+def test_solve_spd_accepts_rejects_and_solves_as_the_plain_guards_do(
+    n, seed, magnitude, ratio, special, where, order, factored, n_rhs
+):
+    # one off-diagonal entry moves by ratio times the symmetry bound,
+    # just inside or outside it, and one entry of A, of the factor or of
+    # b may be NaN, infinite or -0.0: the bytes screen and the vector
+    # scan must accept, reject and solve exactly as the plain guards do
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = magnitude * (M @ M.T + n * np.eye(n))
+    L = cholesky_lower(A)
+    b = rng.standard_normal(n if n_rhs is None else (n, n_rhs))
+    i, j = (int(k) for k in rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
+    if i != j:
+        A[i, j] += ratio * 1e-12 * max(1.0, float(abs(A).max()))
+    if special is not None:
+        if where == "A":
+            A[i, j] = special
+        elif where == "A pair":
+            A[i, j] = A[j, i] = special
+        elif where == "A against +0":
+            A[i, j], A[j, i] = special, 0.0
+        elif where == "A diagonal":
+            A[i, i] = special
+        elif where == "L":
+            L[max(i, j), min(i, j)] = special
+        else:
+            b[i] = special
+    A = np.asarray(A, order=order)
+    factor = L if factored else None
+    assert _solve_outcome(solve_spd, A, b, factor) == _solve_outcome(
+        _reference_solve_spd, A, b, factor
+    )
 
 
 def test_solve_spd_rejects_a_non_finite_factor_or_right_hand_side():

@@ -336,6 +336,46 @@ def test_moment_inversion_infeasible():
         loglinear.moment_to_natural(idx, np.array([0.9, 0.9, 0.05]))
 
 
+def test_moment_inversion_stops_where_a_state_probability_is_zero(monkeypatch):
+    # the first accepted step for the infeasible eta above sends theta
+    # out to where a state's probability underflows to 0
+    idx = SubsetIndex.boltzmann(2)
+    loglinear._memo.clear()
+    calls = {}
+    count_calls(monkeypatch, calls, "evaluate", loglinear)
+    with pytest.raises(
+        MomentInfeasible, match=r"a state probability is 0 at max\|theta\| = \d"
+    ):
+        loglinear.moment_to_natural(idx, np.array([0.9, 0.9, 0.05]))
+    assert calls["evaluate"] <= 3
+
+
+def test_a_diverging_moment_inversion_stops_at_the_first_zero_probability(monkeypatch):
+    # a mirror-descent trial of the Boltzmann(4) benchmark: the reference
+    # loop spends its 200 iterations (6,115 passes) as theta runs off to
+    # 3e14, where some state probability has been 0 since the 5th pass
+    idx = SubsetIndex.boltzmann(4)
+    eta = np.array(
+        [0.39803171977468826, 0.49876712971940074, 0.29063865238068104,
+         0.639640192364151, 0.11438534306279596, 0.027251762346763797,
+         0.12287615480719143, 0.1910464009948904, 0.27321183801858384,
+         0.19358094609169993]
+    )
+    theta0 = np.array(
+        [-0.09811979243612212, 0.023333101909376517, 0.03606729099415325,
+         -0.1604264612963361, 0.03230510080171088, 0.05087931726256286,
+         -0.006151433952314784, -0.0001724052102059704, -0.020342836277054327,
+         -0.0486498955491379]
+    )
+    assert _inverted(reference_moment_to_natural, idx, eta, theta0) is MomentInfeasible
+    loglinear._memo.clear()
+    calls = {}
+    count_calls(monkeypatch, calls, "evaluate", loglinear)
+    with pytest.raises(MomentInfeasible, match="a state probability is 0"):
+        loglinear.moment_to_natural(idx, eta, theta0)
+    assert calls["evaluate"] <= 6
+
+
 def test_moment_inversion_does_not_hide_foreign_errors(monkeypatch):
     # only package errors in the inner solve mean "infeasible"
     def broken(*args, **kwargs):

@@ -101,6 +101,61 @@ def test_trace_csv_writes_each_float_as_its_repr(tmp_path):
         assert fh.read() == "\r\n".join(expected) + "\r\n"
 
 
+TRACE_HEADER = ["iter", "f", "grad_l2", "grad_gnorm", "step_norm", "spd", "time_s"]
+
+
+def _csv_writer_bytes(trace, path):
+    """The trace written row by row through ``csv.writer``."""
+    columns = (
+        trace.iters,
+        trace.f_values,
+        trace.grad_l2,
+        trace.grad_gnorm,
+        trace.step_norms,
+        map(int, trace.spd_flags),
+        trace.times,
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        writer.writerows(zip(*columns))
+    return path.read_bytes()
+
+
+# any float: every magnitude, subnormals, +-0.0, +-inf and NaN
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=200, **FIXED)
+@given(
+    rows=st.lists(
+        st.tuples(any_float, any_float, any_float, any_float, st.booleans(), any_float),
+        max_size=30,
+    ),
+    first=st.integers(0, 10**12),
+)
+def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path_factory, rows, first):
+    # the columns are set directly, so no value is refused by record()
+    tr = opt.OptimizerTrace()
+    tr.iters = list(range(first, first + len(rows)))
+    for name, column in zip(
+        ("f_values", "grad_l2", "grad_gnorm", "step_norms", "spd_flags", "times"),
+        zip(*rows) if rows else [()] * 6,
+    ):
+        setattr(tr, name, list(column))
+    directory = tmp_path_factory.mktemp("csv")
+    tr.write_csv(directory / "ours.csv")
+    ours = (directory / "ours.csv").read_bytes()
+    assert ours == _csv_writer_bytes(tr, directory / "theirs.csv")
+
+
+def test_an_empty_trace_writes_the_header_alone(tmp_path):
+    opt.OptimizerTrace().write_csv(tmp_path / "ours.csv")
+    ours = (tmp_path / "ours.csv").read_bytes()
+    assert ours == _csv_writer_bytes(opt.OptimizerTrace(), tmp_path / "theirs.csv")
+    assert ours == b"iter,f,grad_l2,grad_gnorm,step_norm,spd,time_s\r\n"
+
+
 def test_trace_summary_counts():
     tr = opt.OptimizerTrace()
     assert tr.summary()["iterations"] == 0
@@ -996,6 +1051,30 @@ def test_adam_in_place_moments_have_the_bits_of_the_formula(seed, n, lr):
         assert step.tobytes() == (-lr * m_hat / (np.sqrt(v_hat) + eps)).tobytes()
 
 
+@settings(max_examples=60, **FIXED)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(opt._ADAM_LOOP_MAX - 2, opt._ADAM_LOOP_MAX + 24),
+)
+def test_adam_steps_have_the_bits_of_the_formula_on_both_sides_of_the_loop_bound(
+    seed, n
+):
+    # short gradients step on Python floats, long ones on arrays
+    b1, b2, eps, lr = opt._ADAM_BETA1, opt._ADAM_BETA2, opt._ADAM_EPS, 0.01
+    rng = np.random.default_rng(seed)
+    state = opt.AdamState(lr=lr)
+    m = v = np.zeros(n)
+    for t in range(1, 21):
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        step = state.step(g)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        expected = -lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert step.tobytes() == expected.tobytes()
+
+
 def test_adam_run_descends_quadratic():
     ds = euclidean_structure(2)
     obj = quadratic_objective([0.3, -0.1])
@@ -1112,6 +1191,63 @@ def test_order_exact_quadratic_sequence():
 def test_order_exact_linear_sequence():
     tr = synthetic_trace([10.0**-k for k in range(7)])
     assert opt.convergence_order(tr, np.zeros(1)) == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_convergence_order(trace, xi_final):
+    """``convergence_order`` with one subtraction per iterate."""
+    xi_final = np.asarray(xi_final, dtype=float)
+    iterates = [np.asarray(p, dtype=float) for p in trace.iterates]
+    if len(iterates) < 4:
+        raise InsufficientIterations(
+            f"need at least 3 iterations, trace has {len(iterates) - 1}"
+        )
+    gaps = [p - xi_final for p in iterates]
+    errors = np.array([math.sqrt(d.dot(d)) for d in gaps])
+    floor = 100.0 * linalg.EPS
+    orders = []
+    for k in range(2, len(errors) - 1):
+        e_prev, e_k, e_next = errors[k - 1], errors[k], errors[k + 1]
+        if min(e_prev, e_k, e_next) <= floor:
+            continue
+        if e_k > 0.9 * e_prev or e_next > 0.9 * e_k:
+            continue
+        orders.append(np.log(e_next / e_k) / np.log(e_k / e_prev))
+    if not orders:
+        raise InsufficientIterations("no usable error triples above the noise floor")
+    return float(np.mean(orders))
+
+
+def _order_outcome(order, trace, xi_final):
+    try:
+        return np.float64(order(trace, xi_final)).tobytes()
+    except InsufficientIterations as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, **FIXED)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2, 3, 6, 10, 21, 36]),
+    length=st.integers(2, 80),
+    rate=st.sampled_from([0.05, 0.3, 0.7, 0.95]),
+    power=st.sampled_from([1.0, 1.5, 2.0]),
+)
+def test_convergence_order_has_the_bits_of_the_per_iterate_loop(
+    seed, dim, length, rate, power
+):
+    # errors that contract linearly or superlinearly, with noise, in
+    # random directions about a random optimum, down to the noise floor
+    rng = np.random.default_rng(seed)
+    xi_final = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+    tr = opt.OptimizerTrace()
+    error = 10.0 ** rng.uniform(-2, 0)
+    for _ in range(length):
+        direction = rng.standard_normal(dim)
+        tr.iterates.append(xi_final + error * direction / np.linalg.norm(direction))
+        error = min(rate * error**power * rng.uniform(0.5, 1.5), 1.0)
+    assert _order_outcome(opt.convergence_order, tr, xi_final) == _order_outcome(
+        _reference_convergence_order, tr, xi_final
+    )
 
 
 def test_order_requires_four_iterations():

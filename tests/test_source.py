@@ -74,8 +74,11 @@ def test_an_unused_import_is_found(tmp_path):
 METHOD_FORM_MODULES = (
     "linalg.py",
     "objectives.py",
+    "optimizers.py",
+    "geometry.py",
     "models/loglinear.py",
     "models/betamix.py",
+    "models/gaussian.py",
 )
 FUNCTION_FORM_REDUCTIONS = {"max", "min", "sum", "all", "any"}
 
@@ -111,6 +114,44 @@ def test_a_function_form_reduction_is_found(tmp_path):
         "    return np.max(u) + u.sum() + np.maximum(u, 0).min() + np.any(u)\n"
     )
     assert _function_form_reductions(module) == [("any", 4), ("max", 4)]
+
+
+# Python 3.11's functools.cached_property takes a lock on every first
+# read, several times the cost of the lock-free ``geometry.lazy`` that
+# the per-point records use instead.
+def _cached_property_uses(path):
+    """Lines where the module imports or reads ``cached_property``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "cached_property" for alias in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "cached_property") or (
+            isinstance(node, ast.Attribute) and node.attr == "cached_property"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_uses_functools_cached_property():
+    found = {
+        path.relative_to(PACKAGE).as_posix(): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (lines := _cached_property_uses(path))
+    }
+    assert found == {}
+
+
+def test_a_cached_property_use_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import functools\nfrom functools import cache, cached_property\n\n"
+        "class A:\n"
+        "    @functools.cached_property\n    def x(self):\n        return 1\n\n"
+        "    @cache\n    def y(self):\n        return 2\n"
+    )
+    assert _cached_property_uses(module) == [2, 5]
 
 
 # Besides the package's own modules, the places whose code may call a
