@@ -14,6 +14,16 @@ call LAPACK without scipy's wrappers.  The BLAS picks its own thread
 count; on small systems threads cost more than they save, so pin them
 (e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
+LAPACK comes from scipy's compiled ``scipy.linalg._flapack``, loaded
+from its file in scipy's directory.  ``from scipy.linalg import
+lapack`` would run the ``scipy.linalg`` package import, whose array-API
+layer imports ``numpy.f2py``, ``numpy.testing`` and ``unittest``: about
+350 modules and a quarter of a second that no run reads.  The module is
+registered under its own name, so a later ``import scipy.linalg`` takes
+the same module object, and ``scipy.linalg.lapack.dtrtrs`` is the very
+routine this module calls.  A scipy that moves the file fails at import
+with an ImportError naming it.
+
 ``solve_spd``'s guards cost more than its two dtrtrs calls on a 2 x 2
 system, so they are screened.  The symmetry test rejects A where
 max|A - A^T| > 1e-12 max(1, max|A|), and is read only when the bytes of
@@ -25,10 +35,13 @@ rejects, and the test still decides every other A (a -0.0 facing a
 The Gaussian's closed-form metric passes the screen.  The log-linear
 and mixture metrics, each a product (w C)^T C of weighted and plain
 rows, differ from their transposes in the last bits and go on to the
-test.  The
-finiteness scan reads a vector b as Python floats, cheaper than
-``np.isfinite`` up to a few dozen entries; the factor keeps
-``np.isfinite``, which costs less from n = 6 upward.
+test.  Neither path lets a NaN or infinity in A through, which the
+bound alone would (NaN > bound is False): an A that passes the screen
+is scanned, and one that fails it is finite exactly where max|A|, the
+bound's own scale, is.  The finiteness scans read A, the factor and b
+as Python floats up to 36 entries, cheaper than ``np.isfinite`` there
+(a 2 x 2 solve with its factor takes about 1 us less than with
+``np.isfinite`` on the factor and no scan of A).
 
 ``logsumexp`` is the one log-sum-exp of the package, with one path per
 call shape: over all entries for the log-partition, and along axis 0 of
@@ -56,10 +69,13 @@ unrolling, so the loop would not give its bits there; no other axis is
 taken.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -67,6 +83,30 @@ from .errors import (
     NotPositiveDefinite,
     SingularMatrix,
 )
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file without
+    running the ``scipy`` and ``scipy.linalg`` package imports (see the
+    module notes)."""
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("dualnewton needs scipy's LAPACK module", name="scipy")
+    root = scipy.submodule_search_locations[0]
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(root, "linalg", "_flapack" + suffix)
+    spec = importlib.util.spec_from_file_location(name, path)
+    # raises an ImportError naming the path where the file is missing
+    module = importlib.util.module_from_spec(spec)
+    # registered under its own name, so a later ``import scipy.linalg``
+    # finds this module object and re-exports its routines
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -97,11 +137,11 @@ def _check_rhs(A, b):
 
 
 def _all_finite(x):
-    """No NaN or infinity in x.  A vector is scanned as Python floats,
-    which costs less than ``np.isfinite`` up to a few dozen entries and
-    little beside the triangular solves above that."""
-    if x.ndim == 1:
-        return all(map(math.isfinite, x.tolist()))
+    """No NaN or infinity in x.  Up to 36 entries x is scanned as Python
+    floats, which costs less than ``np.isfinite`` there; ``ravel("K")``
+    reads a transposed factor in place."""
+    if x.size <= 36:
+        return all(map(math.isfinite, x.ravel("K").tolist()))
     return np.isfinite(x).all()
 
 
@@ -135,18 +175,24 @@ def solve_spd(A, b, L=None):
     skipped, every check below still runs.  The two triangular solves
     call LAPACK's dtrtrs with the operands
     ``scipy.linalg.solve_triangular`` would pass it, so the bits are the
-    same without that wrapper's per-call overhead.  Raises ValueError
-    when max|A - A^T| > 1e-12 max(1, max|A|), and NonFiniteValue on a
-    NaN or infinity in the factor or in b.
+    same without that wrapper's per-call overhead.  Raises
+    NonFiniteValue on a NaN or infinity in A, in the factor or in b, and
+    ValueError when max|A - A^T| > 1e-12 max(1, max|A|).
     """
     A = _as_square(A)
     b = _check_rhs(A, b)
     # the bytes screen passes exactly those A whose A - A^T holds only
     # +0 and NaN, which the scaled bound passes too (see the module notes)
-    if A.tobytes() != A.T.tobytes() and float(abs(A - A.T).max()) > 1e-12 * max(
-        1.0, float(abs(A).max())
-    ):
-        raise ValueError("solve_spd expects a symmetric matrix")
+    if A.tobytes() == A.T.tobytes():
+        finite = _all_finite(A)
+    else:
+        # max|A| propagates a NaN, so it is finite exactly where A is
+        scale = float(abs(A).max())
+        finite = math.isfinite(scale)
+        if finite and float(abs(A - A.T).max()) > 1e-12 * max(1.0, scale):
+            raise ValueError("solve_spd expects a symmetric matrix")
+    if not finite:
+        raise NonFiniteValue("solve_spd met a NaN or infinite entry in A")
     if L is None:
         L = cholesky_lower(A)
     elif L.shape != A.shape:
@@ -155,7 +201,7 @@ def solve_spd(A, b, L=None):
         )
     # U^T y = b, then U x = y, with U = L^T read in place by LAPACK
     U = L.T
-    if not (np.isfinite(U).all() and _all_finite(b)):
+    if not (_all_finite(U) and _all_finite(b)):
         raise NonFiniteValue("solve_spd met a NaN or infinite entry")
     y, info = lapack.dtrtrs(U, b, lower=0, trans=1)
     if info == 0:

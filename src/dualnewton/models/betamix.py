@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
-from scipy.special import betaln, digamma, polygamma
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
 from ..geometry import DualPoint, DualStructure, lazy, raise_index
@@ -144,6 +143,12 @@ class BetaMixtureModel:
             raise ValueError("weights must be positive and sum to one")
         if (self.alphas <= 0).any() or (self.betas <= 0).any():
             raise ValueError("generating shapes must be positive")
+        # imported by the first mixture, not with the package: only the
+        # mixture reads scipy.special, and a run builds its model before
+        # its first pass
+        from scipy.special import betaln, digamma, polygamma
+
+        self._betaln, self._digamma, self._polygamma = betaln, digamma, polygamma
 
     @property
     def n_components(self):
@@ -181,15 +186,15 @@ class BetaMixtureModel:
         comp = (a - 1.0)[:, None] * lx
         u_b = np.multiply((b - 1.0)[:, None], l1x)
         comp += u_b
-        comp -= 2.0 * betaln(a, b)[:, None]
+        comp -= 2.0 * self._betaln(a, b)[:, None]
         comp += np.log(self.weights)[:, None]
         logp = logsumexp(comp, axis=0)
         comp -= logp
         resp = np.exp(comp, out=comp)
-        dig_ab = 2.0 * digamma(a + b)[:, None]
-        u_a = lx - 2.0 * digamma(a)[:, None]
+        dig_ab = 2.0 * self._digamma(a + b)[:, None]
+        u_a = lx - 2.0 * self._digamma(a)[:, None]
         u_a += dig_ab
-        np.subtract(l1x, 2.0 * digamma(b)[:, None], out=u_b)
+        np.subtract(l1x, 2.0 * self._digamma(b)[:, None], out=u_b)
         u_b += dig_ab
         s = np.empty((lx.shape[0], self.dim))
         np.multiply(resp, u_a, out=s[:, 0::2].T)
@@ -203,10 +208,10 @@ class BetaMixtureModel:
         xi = np.asarray(xi, dtype=float)
         a = xi[0::2]
         b = xi[1::2]
-        tri_ab = polygamma(1, a + b)
+        tri_ab = self._polygamma(1, a + b)
         blocks = np.zeros((self.n_components, 2, 2))
-        blocks[:, 0, 0] = -2.0 * polygamma(1, a) + 2.0 * tri_ab
-        blocks[:, 1, 1] = -2.0 * polygamma(1, b) + 2.0 * tri_ab
+        blocks[:, 0, 0] = -2.0 * self._polygamma(1, a) + 2.0 * tri_ab
+        blocks[:, 1, 1] = -2.0 * self._polygamma(1, b) + 2.0 * tri_ab
         blocks[:, 0, 1] = blocks[:, 1, 0] = 2.0 * tri_ab
         return blocks
 

@@ -8,7 +8,6 @@ any of them turns at least one entry red.
 """
 
 import numpy as np
-from scipy.special import polygamma
 
 from .experiments import gen_dataset, require_at_least
 from .geometry import (
@@ -197,6 +196,10 @@ def _alpha_divergence_check():
 
 
 def _quadrature_checks():
+    # imported here, not at the top: the package leaves scipy.special to
+    # the Beta mixture, which imports it when it is built
+    from scipy.special import polygamma
+
     checks = []
     model64, _ = gen_dataset(n_samples=1, seed=0, quad_nodes=64)
     model128, _ = gen_dataset(n_samples=1, seed=0, quad_nodes=128)

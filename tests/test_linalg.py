@@ -96,7 +96,8 @@ def test_solve_spd_rejects_asymmetry_exactly_where_the_scaled_bound_does(
     n, seed, magnitude, ratio
 ):
     # one off-diagonal entry moves by ratio times the bound, on either
-    # side of it, or becomes infinite or NaN, which the bound never rejects
+    # side of it, or becomes infinite or NaN, which the bound never
+    # rejects and the finiteness guard does
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     A = magnitude * (M @ M.T + n * np.eye(n))
@@ -106,6 +107,11 @@ def test_solve_spd_rejects_asymmetry_exactly_where_the_scaled_bound_does(
     with np.errstate(invalid="ignore"):
         A[i, j] += ratio * 1e-12 * max(1.0, float(np.max(np.abs(A))))
         rejected = _is_asymmetric(A)
+    if not np.isfinite(A).all():
+        assert not rejected
+        with pytest.raises(NonFiniteValue, match="in A"):
+            solve_spd(A, b, L=L)
+        return
     if rejected:
         with pytest.raises(ValueError, match="symmetric"):
             solve_spd(A, b, L=L)
@@ -117,10 +123,13 @@ def test_solve_spd_rejects_asymmetry_exactly_where_the_scaled_bound_does(
 
 
 def _reference_solve_spd(A, b, L=None):
-    """``solve_spd`` with its guards written plainly: A - A^T formed and
-    scaled on every call, and ``np.isfinite`` over the factor and b."""
+    """``solve_spd`` with its guards written plainly: ``np.isfinite`` over
+    A, A - A^T formed and scaled on every call, and ``np.isfinite`` over
+    the factor and b."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not np.isfinite(A).all():
+        raise NonFiniteValue("solve_spd met a NaN or infinite entry in A")
     asymmetry = A - A.T
     if asymmetry.any() and float(abs(asymmetry).max()) > 1e-12 * max(
         1.0, float(abs(A).max())
@@ -194,6 +203,45 @@ def test_solve_spd_accepts_rejects_and_solves_as_the_plain_guards_do(
     assert _solve_outcome(solve_spd, A, b, factor) == _solve_outcome(
         _reference_solve_spd, A, b, factor
     )
+
+
+@settings(max_examples=200, **FIXED)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.sampled_from(["pair", "diagonal", "upper", "lower", "against +0"]),
+)
+def test_solve_spd_rejects_a_non_finite_matrix_with_a_finite_factor(
+    n, seed, bad, where
+):
+    # A is symmetric to the bit and its factor finite; a NaN or infinity
+    # in a mirrored pair or on the diagonal passes the bytes screen, one
+    # on a single side fails it, and the scaled bound passes both
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + n * np.eye(n)
+    A = 0.5 * (A + A.T)
+    L = cholesky_lower(A)
+    b = rng.standard_normal(n)
+    i, j = (int(k) for k in rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
+    if where == "pair":
+        A[i, j] = A[j, i] = bad
+    elif where == "diagonal":
+        A[i, i] = bad
+    elif where == "upper":
+        A[min(i, j), max(i, j)] = bad
+    elif where == "lower":
+        A[max(i, j), min(i, j)] = bad
+    else:
+        A[j, i] = 0.0
+        A[i, j] = bad
+    mirrored = where in ("pair", "diagonal") or i == j
+    assert (A.tobytes() == A.T.tobytes()) == mirrored
+    with np.errstate(invalid="ignore"):
+        assert not _is_asymmetric(A)
+    with pytest.raises(NonFiniteValue, match="in A"):
+        solve_spd(A, b, L=L)
 
 
 def test_solve_spd_rejects_a_non_finite_factor_or_right_hand_side():

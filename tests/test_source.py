@@ -116,6 +116,71 @@ def test_a_function_form_reduction_is_found(tmp_path):
     assert _function_form_reductions(module) == [("any", 4), ("max", 4)]
 
 
+# The package imports of scipy.linalg and scipy.special load hundreds of
+# modules that no exp1 or exp2 run reads: linalg loads the compiled
+# LAPACK module from its file, and the Beta mixture imports
+# scipy.special when it is built.  An import inside a function runs only
+# when it is called, so it stays allowed.
+HEAVY_PACKAGES = ("scipy.linalg", "scipy.special")
+
+
+def _module_level_imports(path):
+    """(module, line) of each import of a ``HEAVY_PACKAGES`` package or
+    one of its submodules that runs when the module itself is imported:
+    anywhere but inside a function body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def heavy(name):
+        return any(name == p or name.startswith(p + ".") for p in HEAVY_PACKAGES)
+
+    found = []
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # ``from scipy import special`` imports scipy.special
+            names = [node.module]
+            if not heavy(node.module):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+        found.extend((name, node.lineno) for name in names if heavy(name))
+        nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda entry: entry[1])
+
+
+def test_no_module_imports_scipy_linalg_or_special_at_module_level():
+    found = {
+        path.relative_to(PACKAGE).as_posix(): imports
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (imports := _module_level_imports(path))
+    }
+    assert found == {}
+
+
+def test_a_module_level_scipy_import_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\nimport scipy\nfrom scipy.linalg import lapack\n"
+        "import scipy.special as sc\nfrom scipy import special, integrate\n\n"
+        "try:\n    import scipy.linalg.blas\nexcept ImportError:\n    pass\n\n\n"
+        "def f():\n    from scipy.special import polygamma\n\n    return polygamma\n\n\n"
+        "class A:\n    from scipy.special import digamma\n\n"
+        "    def g(self):\n        import scipy.linalg\n"
+    )
+    # a class body runs on import; the imports in f and g only when called
+    assert _module_level_imports(module) == [
+        ("scipy.linalg", 3),
+        ("scipy.special", 4),
+        ("scipy.special", 5),
+        ("scipy.linalg.blas", 8),
+        ("scipy.special", 20),
+    ]
+
+
 # Python 3.11's functools.cached_property takes a lock on every first
 # read, several times the cost of the lock-free ``geometry.lazy`` that
 # the per-point records use instead.
