@@ -14,7 +14,7 @@ The full symbols of any model are read through the hook, as
 ``dual_structure(...).gamma(xi)``.
 
 Each structure also carries the model's point check, the one statement
-of its domain: the Gaussian's ``gaussian._check``, the mixture's shape
+of its domain: the Gaussian's ``gaussian.check``, the mixture's shape
 check bound to K, and the log-linear theta check bound to the index.
 ``contains`` is True exactly where that check passes, and every
 evaluation at a point starts with it.

@@ -139,10 +139,14 @@ class BetaMixtureModel:
         k = self.weights.size
         if self.alphas.shape != (k,) or self.betas.shape != (k,):
             raise DimensionMismatch("weights and shape vectors disagree on K")
-        if (self.weights <= 0).any() or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to one")
-        if (self.alphas <= 0).any() or (self.betas <= 0).any():
-            raise ValueError("generating shapes must be positive")
+        # each comparison below is written so that NaN fails it
+        w = self.weights
+        if not (((0 < w) & (w < np.inf)).all() and abs(w.sum() - 1.0) <= 1e-12):
+            raise ValueError(f"weights must be positive and sum to one, got {w}")
+        for name in ("alphas", "betas"):
+            shapes = getattr(self, name)
+            if not ((0 < shapes) & (shapes < np.inf)).all():
+                raise ValueError(f"{name} must be positive and finite, got {shapes}")
         # imported by the first mixture, not with the package: only the
         # mixture reads scipy.special, and a run builds its model before
         # its first pass

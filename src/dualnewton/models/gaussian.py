@@ -17,7 +17,7 @@ from ..geometry import DualPoint, DualStructure
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
 
 
-def _check(xi):
+def check(xi):
     """(mu, sigma) as Python floats, or the error that names the cause."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,):
@@ -36,7 +36,7 @@ def fisher_metric(xi):
     # Python floats: sigma**2 is libm's pow, as for a numpy scalar, and
     # 2 / sigma^2 overflows to inf without a warning; where sigma^2
     # underflows to 0, G is infinite, as IEEE division gives
-    sigma_sq = _check(xi)[1] ** 2
+    sigma_sq = check(xi)[1] ** 2
     try:
         return np.array([[2.0 / sigma_sq, 0.0], [0.0, 4.0 / sigma_sq]])
     except ZeroDivisionError:
@@ -49,7 +49,7 @@ def christoffel(xi, alpha):
     Only three independent entries survive: the mu-sigma mixed symbol
     and the two diagonal sigma symbols.
     """
-    sigma = _check(xi)[1]
+    sigma = check(xi)[1]
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = gamma[1, 0, 0] = -(1.0 + alpha) / sigma
     gamma[0, 0, 1] = (1.0 - alpha) / (2.0 * sigma)
@@ -70,5 +70,5 @@ def point(structure, xi):
 
 
 def dual_structure(alpha):
-    return DualStructure(point=point, alpha=alpha, check=_check)
+    return DualStructure(point=point, alpha=alpha, check=check)
 

@@ -176,6 +176,15 @@ class _Evaluation:
     def L(self):
         return _frozen(cholesky_lower(self.G))
 
+    def solve(self, b):
+        """G^{-1} b with the pass's one factor of G."""
+        return solve_spd(self.G, b, L=self.L)
+
+    def cumulant(self, a):
+        """T a, sum_k T_ijk a_k with T the third central moment."""
+        C = self.C
+        return weighted_gram(C, self.p * (C @ a))
+
 
 def evaluate(index, theta):
     """The pass over the states at theta, memoized over the last few points.
@@ -183,7 +192,8 @@ def evaluate(index, theta):
     Its attributes are the log-partition ``lse``, the log-probabilities
     ``log_p``, the probabilities ``p``, the moments ``eta``, the centred
     statistics ``C``, the metric ``G`` and its lower Cholesky factor
-    ``L``.  A cached point answers from what it already holds.
+    ``L``; ``solve(b)`` and ``cumulant(a)`` give G^{-1} b and T a.  A
+    cached point answers from what it already holds.
     """
     theta = _check_theta(index, theta)
     key = (index, theta.tobytes())
@@ -273,7 +283,7 @@ def moment_to_natural(index, eta, theta0=None):
         if abs(residual).max() < _INVERSION_TOL:
             return theta
         try:
-            step = solve_spd(at.G, -residual, L=at.L)
+            step = at.solve(-residual)
         except DualNewtonError as exc:
             raise MomentInfeasible(f"inner Newton solve failed: {exc}") from exc
         t = 1.0
@@ -304,21 +314,19 @@ def moment_to_natural(index, eta, theta0=None):
 
 def dual_structure(index, alpha):
     def point(structure, theta):
-        # the pass at theta gives G, its factor and the centred
-        # statistics; every alpha-connection is (1 - alpha)/2 times the
-        # third central moment T raised by G, so it is applied to a
-        # vector in O(2^n m^2) without building T, and is exactly zero
-        # when its coefficient is 0 (the flat connection)
+        # the pass at theta gives G, its factor and the contraction T a;
+        # every alpha-connection is (1 - alpha)/2 times the third central
+        # moment T raised by G, so it is applied to a vector in
+        # O(2^n m^2) without building T, and is exactly zero when its
+        # coefficient is 0 (the flat connection)
         at = evaluate(index, theta)
-        G = at.G
 
         def connection(alpha, a):
             coef = 0.5 * (1.0 - alpha)
             if coef == 0.0:
-                return np.zeros_like(G)
-            C = at.C
-            return coef * solve_spd(G, weighted_gram(C, at.p * (C @ a)), L=at.L).T
+                return np.zeros_like(at.G)
+            return coef * at.solve(at.cumulant(a)).T
 
-        return DualPoint(structure, theta, G, connection, factor=lambda: at.L)
+        return DualPoint(structure, theta, at.G, connection, factor=lambda: at.L)
 
     return DualStructure(point=point, alpha=alpha, check=partial(_check_theta, index))

@@ -10,25 +10,31 @@ from one pass: over the states for the KL projection, over the data's
 scores for the Beta mixture, and one closed-form pass over Python
 floats for the alpha-divergence.  The KL projection and the
 alpha-divergence have exact Jacobians; the Beta mixture's is central
-differences of its own field.
+differences of its own field.  The chart check, the solves against G
+with its one factor and the log-linear contraction T a are the model's.
 """
 
 import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DivergenceUndefined,
-    DomainViolation,
-    NonFiniteValue,
-)
-from .linalg import cholesky_lower, fd_jacobian, solve_spd
-from .models import loglinear
+from .errors import DivergenceUndefined, NonFiniteValue
+from .linalg import fd_jacobian
+from .models import gaussian, loglinear
 from .models.betamix import log_sums
 
 
-class KLProjectionObjective:
+class _Objective:
+    """``value`` and ``eucl_grad``, the two parts of ``value_and_grad``."""
+
+    def value(self, xi):
+        return self.value_and_grad(xi)[0]
+
+    def eucl_grad(self, xi):
+        return self.value_and_grad(xi)[1]
+
+
+class KLProjectionObjective(_Objective):
     """Regularized KL projection onto a log-linear family.
 
     f(theta) = psi(theta) + phi(eta_hat) - theta . eta_hat
@@ -47,8 +53,10 @@ class KLProjectionObjective:
             raise ValueError(
                 f"eta_hat must have length {len(index)}, got shape {eta_hat.shape}"
             )
-        if lam1 < 0 or lam2 < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        # each comparison below is written so that NaN fails it
+        for name, lam in (("lam1", lam1), ("lam2", lam2)):
+            if not 0.0 <= lam < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {lam}")
         self.index = index
         self.eta_hat = eta_hat
         self.lam1 = float(lam1)
@@ -67,12 +75,6 @@ class KLProjectionObjective:
     @property
     def dim(self):
         return len(self.index)
-
-    def value(self, theta):
-        return self.value_and_grad(theta)[0]
-
-    def eucl_grad(self, theta):
-        return self.value_and_grad(theta)[1]
 
     # a theta near the float range overflows the penalty; a gradient
     # that overflows is returned as it is
@@ -96,20 +98,17 @@ class KLProjectionObjective:
         Uses the moment-map derivative d eta / d theta = G and the
         metric derivative d G / d theta_i = T_i (third central
         moments), so the Euclidean Hessian is G + 2 diag(lam) and
-        d a / d theta_i = G^{-1} (H_f[:, i] - T_i a).  T a is contracted
-        over the states, so T itself is never built.  p, C, G and G's
-        factor come from the model's pass at theta.
+        d a / d theta_i = G^{-1} (H_f[:, i] - T_i a).  G, the solves
+        against it and the contraction T a come from the model's pass at
+        theta, so T itself is never built.
         """
         theta = np.asarray(theta, dtype=float)
         at = loglinear.evaluate(self.index, theta)
-        G, C = at.G, at.C
-        a = solve_spd(G, self.eucl_grad(theta), L=at.L)
-        H_f = G + 2.0 * np.diag(self.lam)
-        TA = loglinear.weighted_gram(C, at.p * (C @ a))
-        return solve_spd(G, H_f - TA, L=at.L).T
+        a = at.solve(self.eucl_grad(theta))
+        return at.solve(at.G + 2.0 * np.diag(self.lam) - at.cumulant(a)).T
 
 
-class AlphaDivergenceObjective:
+class AlphaDivergenceObjective(_Objective):
     """Alpha-divergence from a fixed diagonal Gaussian target.
 
     The model is the two-dimensional isotropic family N((mu, mu),
@@ -135,8 +134,13 @@ class AlphaDivergenceObjective:
     dim = 2
 
     def __init__(self, mu1, mu2, sigma1, sigma2, alpha_bar=3.0):
-        if sigma1 <= 0 or sigma2 <= 0:
-            raise ValueError("target standard deviations must be positive")
+        # each comparison below is written so that NaN fails it
+        for name, value in (("mu1", mu1), ("mu2", mu2), ("alpha_bar", alpha_bar)):
+            if not abs(value) < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name, value in (("sigma1", sigma1), ("sigma2", sigma2)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if alpha_bar * alpha_bar == 1.0:
             raise ValueError("alpha_bar = +-1 is the KL limit, not supported here")
         self.mu_targets = np.array([float(mu1), float(mu2)])
@@ -155,23 +159,17 @@ class AlphaDivergenceObjective:
         )
 
     def _pass(self, xi):
-        """(f, -K e^S, dS/dmu, dS/dsigma) at xi = (mu, sigma), one loop
-        over the target coordinates in Python floats.
+        """(mu, sigma, f, -K e^S, dS/dmu, dS/dsigma) at xi = (mu, sigma),
+        one loop over the target coordinates in Python floats.
 
-        Raises DimensionMismatch for a point that is not a pair,
-        DomainViolation for a sigma that is not positive and finite,
+        Raises what ``gaussian.check`` raises off the model's chart (a
+        point that is not a pair, a mu that is not finite, a sigma that
+        is not positive or whose square overflows), then
         DivergenceUndefined where a factor c_i <= 0 and NonFiniteValue
-        where f is not finite, in that order.  A gradient that overflows
-        is returned as it is (inf or nan), without a warning.
+        where f is not finite.  A gradient that overflows is returned as
+        it is (inf or nan), without a warning.
         """
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (2,):
-            raise DimensionMismatch(
-                f"expected a point (mu, sigma), got shape {xi.shape}"
-            )
-        mu, sigma = xi.tolist()
-        if not 0.0 < sigma < math.inf:
-            raise DomainViolation(f"sigma must be positive, got {sigma}")
+        mu, sigma = gaussian.check(xi)
         half, w = self._half, self._w
         sigma_sq = sigma * sigma
         factors = [half * sigma_sq + share for _, share, _ in self._targets]
@@ -195,20 +193,14 @@ class AlphaDivergenceObjective:
         f = self._scale * (1.0 - e)
         if not abs(f) < math.inf:
             raise NonFiniteValue(f"divergence overflowed at {xi}")
-        return f, -self._scale * e, ds_mu, ds_sigma
-
-    def value(self, xi):
-        return self._pass(xi)[0]
+        return mu, sigma, f, -self._scale * e, ds_mu, ds_sigma
 
     def value_and_grad(self, xi):
-        f, scale, ds_mu, ds_sigma = self._pass(xi)
+        _, _, f, scale, ds_mu, ds_sigma = self._pass(xi)
         return f, np.array([scale * ds_mu, scale * ds_sigma])
 
-    def eucl_grad(self, xi):
-        return self.value_and_grad(xi)[1]
-
     # the gradient is exact; the acceptance gate reads it by this name
-    analytic_grad = eucl_grad
+    analytic_grad = _Objective.eucl_grad
 
     def grad_field_jacobian(self, xi):
         """Jacobian of a = G^{-1} grad in one pass over Python floats:
@@ -217,8 +209,7 @@ class AlphaDivergenceObjective:
         H = -K e^S (grad S grad S^T + hess S), hess S in closed form.
         Raises what ``_pass`` raises, then NonFiniteValue where an entry
         is not finite."""
-        _, scale, ds_mu, ds_sigma = self._pass(xi)
-        mu, sigma = np.asarray(xi, dtype=float).tolist()
+        mu, sigma, _, scale, ds_mu, ds_sigma = self._pass(xi)
         half, w = self._half, self._w
         dc = 2.0 * half * sigma
         h_mm = h_ms = h_ss = 0.0
@@ -252,7 +243,7 @@ class AlphaDivergenceObjective:
         return np.array(jac)
 
 
-class BetaMixtureNLL:
+class BetaMixtureNLL(_Objective):
     """Negative log-likelihood of data under a fixed-weight Beta mixture.
 
     The variable is the interleaved shape vector (a_1, b_1, ..., a_K,
@@ -270,16 +261,12 @@ class BetaMixtureNLL:
         self.model = model
         self.data = data
         self._log_sums = log_sums(data)
+        # a solve reads only G, which does not depend on alpha
+        self._structure = model.dual_structure(0.0)
 
     @property
     def dim(self):
         return self.model.dim
-
-    def value(self, xi):
-        return self.value_and_grad(xi)[0]
-
-    def eucl_grad(self, xi):
-        return self.value_and_grad(xi)[1]
 
     # the sums over the data overflow at shapes near the float range
     @np.errstate(over="ignore", invalid="ignore")
@@ -296,11 +283,12 @@ class BetaMixtureNLL:
 
     def grad_field_jacobian(self, xi):
         """Central differences of a = G^{-1} grad: each probe makes one
-        score pass over the data and one over the quadrature nodes, and
-        solves with G's factor as an evaluated point does."""
+        score pass over the data, then solves through the model's point,
+        which makes one pass over the quadrature nodes.  A point off the
+        model's chart raises what its check raises, before any probe."""
 
         def field(x):
-            grad, G = self.value_and_grad(x)[1], self.model.fisher_metric(x)
-            return solve_spd(G, grad, L=cholesky_lower(G))
+            grad = self.value_and_grad(x)[1]
+            return self._structure.at(x).solve(grad)
 
-        return fd_jacobian(field, xi)
+        return fd_jacobian(field, self._structure.check(xi))

@@ -537,6 +537,18 @@ def test_cli_exp2_start_outside_the_integrable_region_exits_4(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cli_exp2_start_off_the_gaussian_chart_exits_4(tmp_path, capsys):
+    # sigma0 = 1e200 is positive, but its square overflows: the model's
+    # check refuses the start as a configuration error, as at sigma0 = 0.5,
+    # not as an optimizer failure inside the runs
+    out = str(tmp_path / "o")
+    argv = ["run", "--experiment", "exp2", "--sigma0", "1e200", "--out", out]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "sigma^2 overflows" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

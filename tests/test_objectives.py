@@ -219,6 +219,49 @@ def test_alpha_divergence_rejects_kl_limit_order():
         AlphaDivergenceObjective(0.0, 0.0, 1.0, 1.0, alpha_bar=1.0)
 
 
+# each constructor's parameters at a usable value, and the infinity
+# that replaces each one besides a NaN
+_USABLE = {
+    KLProjectionObjective: dict(
+        index=loglinear.SubsetIndex.boltzmann(2),
+        eta_hat=[0.5, 0.5, 0.25],
+        lam1=0.1,
+        lam2=0.1,
+    ),
+    AlphaDivergenceObjective: dict(
+        mu1=2.0, mu2=1.5, sigma1=1.3, sigma2=0.7, alpha_bar=3.0
+    ),
+    BetaMixtureModel: dict(weights=[0.4, 0.6], alphas=[2.0, 3.0], betas=[5.0, 2.0]),
+}
+_INFINITE = {
+    KLProjectionObjective: dict(lam1=np.inf, lam2=np.inf),
+    AlphaDivergenceObjective: dict(
+        mu1=-np.inf, mu2=np.inf, sigma1=np.inf, sigma2=-np.inf, alpha_bar=np.inf
+    ),
+    BetaMixtureModel: dict(weights=np.inf, alphas=-np.inf, betas=np.inf),
+}
+
+
+@pytest.mark.parametrize(
+    "build, name, bad",
+    [
+        (build, name, bad)
+        for build, infinite in _INFINITE.items()
+        for name in infinite
+        for bad in (np.nan, infinite[name])
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_constructors_reject_a_non_finite_parameter_by_name(build, name, bad):
+    # each comparison fails on NaN, so a NaN parameter is refused as an
+    # infinite one is, and the message names the parameter; a vector
+    # parameter gets the bad value in its first entry
+    usable = _USABLE[build][name]
+    value = [bad, *usable[1:]] if isinstance(usable, list) else bad
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build(**dict(_USABLE[build], **{name: value}))
+
+
 def test_alpha_divergence_gradient_matches_fd():
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     rng = np.random.default_rng(3)
@@ -246,8 +289,7 @@ def _reference_derivs(obj, xi):
     hess S) over Python floats, then G^{-1} = diag(sigma^2/2, sigma^2/4)
     applied as numpy 2 x 2 products, the formula that
     ``grad_field_jacobian`` folds into one pass over Python floats."""
-    _, scale, ds_mu, ds_sigma = obj._pass(xi)
-    mu, sigma = np.asarray(xi, dtype=float).tolist()
+    mu, sigma, _, scale, ds_mu, ds_sigma = obj._pass(xi)
     half, w = obj._half, obj._w
     dc = 2.0 * half * sigma
     h_mm = h_ms = h_ss = 0.0
@@ -740,32 +782,44 @@ def test_alpha_divergence_jacobian_matches_numpy_reference(alpha_bar, family, u,
     [
         # sigma^2 underflows to 0: the reference divides by zero
         (0.5, (0.0, 1e-170)),
-        # sigma^2 overflows: the reference warns and returns NaN
+        # sigma^2 overflows: the point is off the Gaussian chart
         (3.0, (0.0, 1e200)),
         (0.5, (0.0, 1e200)),
         # the value is finite near the float64 overflow, the Hessian is not
         (3.0, (-3.038275290016984, 0.9291766713084724)),
+        # off the chart, where a pass without the check returned the
+        # finite value -0.5 and a zero gradient
+        (3.0, (0.5, 1e155)),
     ],
 )
 def test_alpha_divergence_jacobian_overflow_is_non_finite_value(alpha_bar, xi):
+    # on the chart, a finite value whose Jacobian overflows raises
+    # NonFiniteValue; where sigma^2 overflows, the model's check refuses
+    # the point before the value is formed
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar)
     xi = np.array(xi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert math.isfinite(obj.value(xi))
-        with pytest.raises(NonFiniteValue, match="Jacobian"):
-            obj.grad_field_jacobian(xi)
+        if gaussian_structure(0.0).contains(xi):
+            assert math.isfinite(obj.value(xi))
+            with pytest.raises(NonFiniteValue, match="Jacobian"):
+                obj.grad_field_jacobian(xi)
+        else:
+            for method in (obj.value, obj.grad_field_jacobian):
+                with pytest.raises(DomainViolation, match="sigma\\^2 overflows"):
+                    method(xi)
 
 
 @pytest.mark.parametrize(
     "xi, error",
     [
         ([1.0, np.nan], DomainViolation),
-        ([np.nan, 1.0], NonFiniteValue),
+        # a mu that is not finite is off the chart, named by the check
+        ([np.nan, 1.0], DomainViolation),
         ([1.0, np.inf], DomainViolation),
         ([1.0, 1.0, 1.0], DimensionMismatch),
         ([1.0, -1.0], DomainViolation),
-        ([-np.inf, 1.0], NonFiniteValue),
+        ([-np.inf, 1.0], DomainViolation),
         ([1.0, -np.inf], DomainViolation),
         ([1.0, 0.0], DomainViolation),
     ],

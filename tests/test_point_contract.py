@@ -10,6 +10,10 @@ warning: every warning is an error here.  A ``value_and_grad`` that
 returns gives a finite value.  The draws mix NaN, infinities,
 signed zeros, negatives, subnormals, magnitudes up to 1.8e308 and wrong
 lengths with ordinary in-domain entries.
+
+Off its chart, an objective names the cause as its model does:
+``value_and_grad`` and ``grad_field_jacobian`` raise the very exception
+class that the structure's ``check`` raises at that point.
 """
 
 import math
@@ -17,6 +21,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,3 +147,47 @@ NLL = BetaMixtureNLL(MIXTURE, MIXTURE.sample(40, seed=3))
 @given(x=vectors(MIXTURE.dim))
 def test_mixture_contains_exactly_the_points_its_check_passes(x):
     assert_contract(MIXTURE.dual_structure(0.5), x, NLL)
+
+
+# one entry of an off-chart point: not finite, not positive, or a sigma
+# whose square overflows
+off_chart_entries = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(max_value=0.0),
+    st.floats(math.nextafter(_SIGMA_MAX, math.inf), 1e300),
+)
+
+
+@st.composite
+def off_chart(draw, dim):
+    """An in-domain point with one entry made bad, or of the wrong length."""
+    n = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+    x = draw(st.lists(st.floats(0.5, 5.0), min_size=n, max_size=n))
+    if n == dim:
+        x[draw(st.integers(0, n - 1))] = draw(off_chart_entries)
+    return np.array(x)
+
+
+OBJECTIVES = {
+    "alpha-divergence": (gaussian.dual_structure(0.5), GAUSSIAN_TARGETS[3.0]),
+    "kl-projection": (loglinear.dual_structure(BOLTZMANN, 1.0), KL),
+    "beta-mixture": (MIXTURE.dual_structure(0.5), NLL),
+}
+
+
+@settings(max_examples=600, **FIXED)
+@given(name=st.sampled_from(sorted(OBJECTIVES)), data=st.data())
+def test_off_its_chart_an_objective_raises_what_its_check_raises(name, data):
+    structure, objective = OBJECTIVES[name]
+    x = data.draw(off_chart(objective.dim))
+    try:
+        structure.check(x)
+    except (DimensionMismatch, DomainViolation, NonFiniteValue) as exc:
+        expected = type(exc)
+    else:
+        # on this model's chart: a large shape or theta is a point of it
+        return
+    for read in (objective.value_and_grad, objective.grad_field_jacobian):
+        with pytest.raises(expected) as raised:
+            read(x)
+        assert type(raised.value) is expected

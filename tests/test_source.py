@@ -68,6 +68,60 @@ def test_an_unused_import_is_found(tmp_path):
     assert _unused_imports(module) == [("os", 1), ("b", 3)]
 
 
+# G is factored and solved against only where the geometry is evaluated:
+# in linalg, in geometry's DualPoint and in the models' passes and
+# points.  An objective or an optimizer asks the model's point instead,
+# so each point has one factor of G, taken in one place.
+FACTOR_NAMES = {"cholesky_lower", "solve_spd"}
+
+
+def _factor_imports(path):
+    """(name, line) of each import of a ``FACTOR_NAMES`` name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(name, line) for name, line in _imported_names(tree) if name in FACTOR_NAMES]
+
+
+def _factoring_modules(package):
+    """module: (name, line) of each module outside linalg, geometry and
+    the models that imports a factor or a solve against G, apart from
+    the ``KEPT_IMPORTS``; an ``__init__`` only re-exports."""
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if path.name == "__init__.py" or module.startswith("models/"):
+            continue
+        if module in ("linalg.py", "geometry.py"):
+            continue
+        names = [
+            (name, line)
+            for name, line in _factor_imports(path)
+            if (module, name) not in KEPT_IMPORTS
+        ]
+        if names:
+            found[module] = names
+    return found
+
+
+def test_only_the_geometry_and_the_models_factor_or_solve_against_g():
+    assert _factoring_modules(PACKAGE) == {}
+
+
+def test_an_objective_module_that_solves_against_g_is_found(tmp_path):
+    package = tmp_path / "package"
+    (package / "models").mkdir(parents=True)
+    (package / "__init__.py").write_text("from .linalg import solve_spd\n")
+    (package / "linalg.py").write_text("def solve_spd(A, b):\n    return b\n")
+    (package / "models" / "gaussian.py").write_text(
+        "from ..linalg import cholesky_lower, solve_spd\n"
+    )
+    (package / "optimizers.py").write_text("from .linalg import solve_spd\n")
+    (package / "objectives.py").write_text(
+        "import numpy as np\nfrom .linalg import fd_jacobian, solve_spd\n"
+    )
+    # only the objective is named: the optimizers' import is a kept one
+    assert _factoring_modules(package) == {"objectives.py": [("solve_spd", 2)]}
+
+
 # The per-point path calls reductions in method form: np.max, np.sum and
 # the like dispatch through Python wrappers that cost several times the
 # reduction itself on the short arrays of a pass.
