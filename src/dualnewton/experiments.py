@@ -23,7 +23,7 @@ from .errors import (
     MomentInfeasible,
     NonFiniteValue,
 )
-from .models import loglinear
+from .models import gaussian, loglinear
 from .models.betamix import BetaMixtureModel, QuadratureRule
 from .models.loglinear import SubsetIndex
 from .objectives import AlphaDivergenceObjective, BetaMixtureNLL, KLProjectionObjective
@@ -95,17 +95,14 @@ class TargetSpec:
         )
 
     def to_dict(self):
-        full = self.index
+        boltzmann = SubsetIndex.boltzmann(self.n_vars)
         return {
             "n_vars": self.n_vars,
             "base_scale": self.base_scale,
             "seed": self.seed,
-            "theta": dict(zip(full.keys(), self.theta)),
+            "theta": dict(zip(self.index.keys(), self.theta)),
             "eta_boltzmann": dict(
-                zip(
-                    SubsetIndex.boltzmann(self.n_vars).keys(),
-                    self.moments_for(SubsetIndex.boltzmann(self.n_vars)).tolist(),
-                )
+                zip(boltzmann.keys(), self.moments_for(boltzmann).tolist())
             ),
         }
 
@@ -325,23 +322,20 @@ class _Problem:
     def _build_exp1(self):
         cfg = self.cfg
         self.target = gen_target(cfg.n, cfg.base_scale, cfg.seed)
-        self.index = SubsetIndex.boltzmann(cfg.n)
-        eta_hat = self.target.moments_for(self.index)
+        index = SubsetIndex.boltzmann(cfg.n)
+        eta_hat = self.target.moments_for(index)
         try:
             self.objective = KLProjectionObjective(
-                self.index, eta_hat, cfg.lambda1, cfg.lambda2
+                index, eta_hat, cfg.lambda1, cfg.lambda2
             )
         except MomentInfeasible as exc:
             raise ConfigError(f"target moments are infeasible: {exc}") from exc
-        self.x0 = _init_rng(cfg).uniform(-0.25, 0.2, size=len(self.index.subsets))
-        self.structure_for = lambda alpha: loglinear.dual_structure(
-            self.index, alpha
-        )
+        self.x0 = _init_rng(cfg).uniform(-0.25, 0.2, size=len(index.subsets))
+        self.structure_for = lambda alpha: loglinear.dual_structure(index, alpha)
         self.extra_artifacts["target.json"] = self.target.to_dict()
 
     def _build_exp2(self):
         cfg = self.cfg
-        self.index = None
         self.objective = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
         self.x0 = np.array([cfg.mu0, cfg.sigma0])
         # a start the divergence cannot evaluate is a configuration
@@ -350,13 +344,10 @@ class _Problem:
             self.objective.value(self.x0)
         except (DomainViolation, DivergenceUndefined, NonFiniteValue) as exc:
             raise ConfigError(f"the divergence is undefined at the start: {exc}") from exc
-        from .models import gaussian
-
         self.structure_for = gaussian.dual_structure
 
     def _build_exp3(self):
         cfg = self.cfg
-        self.index = None
         model, data = gen_dataset(cfg.n_samples, cfg.seed, cfg.quad_nodes)
         self.objective = BetaMixtureNLL(model, data)
         self.x0 = np.array(MIXTURE_INIT)
@@ -373,7 +364,9 @@ class _Problem:
         elif method == "natgrad":
             trace = natural_gradient_run(structure, self.objective, self.x0, stop)
         elif method == "mirror":
-            trace = mirror_descent_run(self.index, self.objective, self.x0, stop)
+            trace = mirror_descent_run(
+                self.objective.index, self.objective, self.x0, stop
+            )
         elif method == "adam":
             trace = adam_run(
                 structure, self.objective, self.x0, stop, lr=self.cfg.adam_lr

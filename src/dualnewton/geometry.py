@@ -3,9 +3,10 @@
 Conventions used throughout:
 
 * ``structure.at(xi)`` evaluates the geometry once at a point and
-  returns a DualPoint: the SPD Gram matrix G(xi), its Cholesky factor,
-  taken once and shared by every solve against G, and the model's
-  alpha-connection applied to a vector,
+  returns a DualPoint, which wraps the model's evaluation at xi.  An
+  evaluation is what a model implements: the SPD Gram matrix ``G``, its
+  lower Cholesky factor ``L``, taken once and shared by every solve
+  against G, and the model's alpha-connection applied to a vector,
   ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
 * Newton reads the connections only through that map: the dual Hessian
   takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
@@ -31,12 +32,12 @@ exactly when the step is a descent direction.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, NonFiniteValue
-from .linalg import cholesky_lower, fd_jacobian, is_spd, solve_general, solve_spd
+from .linalg import fd_jacobian, is_spd, solve_general, solve_spd
 
 
 class lazy:
@@ -61,21 +62,22 @@ class lazy:
 class DualStructure:
     """A metric with a pair of connections dual with respect to it.
 
-    ``point(structure, xi)`` is the model's hook that evaluates the
-    geometry at xi as a DualPoint; ``alpha`` selects the primal
+    ``evaluate(xi)`` is the model's evaluation at xi, with ``G``, ``L``
+    and ``connection(alpha, a)``; ``alpha`` selects the primal
     connection, whose dual is the (-alpha)-connection.  ``check(xi)``,
     the model's own point check, is its one statement of the domain:
     ``contains`` is False exactly where it raises DimensionMismatch,
     DomainViolation or NonFiniteValue.
     """
 
-    point: Callable
+    evaluate: Callable
     alpha: float
     check: Callable
 
     def at(self, xi):
         """The geometry at xi, evaluated once."""
-        return self.point(self, np.array(xi, dtype=float))
+        xi = np.array(xi, dtype=float)
+        return DualPoint(self, xi, self.evaluate(xi))
 
     def contains(self, xi):
         try:
@@ -95,28 +97,26 @@ class DualStructure:
 class DualPoint:
     """The geometry of a DualStructure at one point xi.
 
-    Holds the metric G and the model's connection map:
-    ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik`` applies
-    the alpha-connection at xi to a vector a, from per-point state that
-    the model's hook keeps for as long as the point lives.  Newton's two
+    Wraps the model's evaluation at xi: the metric ``G``, its lower
+    Cholesky factor ``L``, which every solve against G at this point
+    uses, and the connection map
+    ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``, which
+    applies the alpha-connection at xi to a vector a.  Newton's two
     reads, ``dual_dot`` and ``quad``, and the full symbols ``gamma``
-    (+alpha) and ``gamma_dual`` (-alpha) all come from it.
-
-    ``L``, the lower Cholesky factor of G, is taken on first read and
-    kept: every solve against G at this point, in ``solve`` and in the
-    model's connection map, uses that one factor.  A model that keeps
-    it or has it in closed form passes ``factor``, a callable for it.
+    (+alpha) and ``gamma_dual`` (-alpha) all come from that map.
     """
 
     structure: DualStructure
     xi: np.ndarray
-    G: np.ndarray
-    connection: Callable
-    factor: Optional[Callable] = None
+    evaluation: object
 
-    @lazy
+    @property
+    def G(self):
+        return self.evaluation.G
+
+    @property
     def L(self):
-        return cholesky_lower(self.G) if self.factor is None else self.factor()
+        return self.evaluation.L
 
     def at(self, xi):
         """This point at its own xi, otherwise the structure at xi."""
@@ -130,8 +130,8 @@ class DualPoint:
 
     def _symbols(self, alpha):
         # connection(alpha, e_k)[i, j] = Gamma^j_ik, entry (i, k, j) of the symbols
-        basis = np.eye(len(self.G))
-        return np.stack([self.connection(alpha, e) for e in basis], axis=1)
+        connection = self.evaluation.connection
+        return np.stack([connection(alpha, e) for e in np.eye(len(self.G))], axis=1)
 
     @lazy
     def gamma(self):
@@ -143,11 +143,11 @@ class DualPoint:
 
     def dual_dot(self, a):
         """M[i, j] = sum_k a_k GammaDual^j_ik."""
-        return self.connection(-self.structure.alpha, a)
+        return self.evaluation.connection(-self.structure.alpha, a)
 
     def quad(self, beta):
         """Gamma(beta, beta)^j = sum_ik beta_i beta_k Gamma^j_ik."""
-        return beta @ self.connection(self.structure.alpha, beta)
+        return beta @ self.evaluation.connection(self.structure.alpha, beta)
 
 
 def gradient_field(structure, eucl_grad_fn):

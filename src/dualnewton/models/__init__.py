@@ -1,17 +1,19 @@
 """Statistical models: discrete log-linear, isotropic Gaussian, Beta mixture.
 
 Each model exposes its Fisher metric and the one-parameter family of
-alpha-connection Christoffel symbols.  Its DualStructure evaluates them
-through one hook, ``point(structure, xi)``, which returns a DualPoint:
-the metric at xi and the alpha-connection applied to a vector,
-``connection(alpha, a)``, for any alpha.  The log-linear connection
-comes straight from the state probabilities and centred statistics of
-the metric's own pass, so no third central moment is built.  The Beta
-mixture contracts its symbols, built once per point and alpha from the
-second log-derivatives at its quadrature nodes, whose weights and scores
-also give the metric.  The Gaussian contracts its closed-form symbols.
-The full symbols of any model are read through the hook, as
-``dual_structure(...).gamma(xi)``.
+alpha-connection Christoffel symbols.  What a model implements is its
+evaluation at a point, returned by its structure's ``evaluate(xi)``:
+an object with the metric ``G``, its lower Cholesky factor ``L`` and
+``connection(alpha, a)``, the alpha-connection applied to a vector, for
+any alpha.  ``DualStructure.at`` wraps it in a DualPoint.  The
+log-linear evaluation is the memoized pass over the states, whose
+connection comes from the metric's own probabilities and centred
+statistics, so no third central moment is built.  The Beta mixture's is
+one pass over the quadrature nodes (``BetaMixtureModel.nodes``), whose
+weights and scores give the metric and, with the second log-derivatives
+there, the symbols, once per point and alpha.  The Gaussian's holds the
+closed-form symbols and factor.  The full symbols of any model are read
+through its structure, as ``dual_structure(...).gamma(xi)``.
 
 Each structure also carries the model's point check, the one statement
 of its domain: the Gaussian's ``gaussian.check``, the mixture's shape

@@ -23,12 +23,12 @@ the last bits of every result.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
-from ..geometry import DualPoint, DualStructure, lazy, raise_index
+from ..geometry import DualStructure, lazy, raise_index
 from ..linalg import cholesky_lower, logsumexp
 # not called here; perfbench/test_perfbench.py checks the tracer rebinds it
 from ..linalg import solve_spd  # noqa: F401
@@ -100,25 +100,66 @@ def _check_shapes(xi, n_components):
     return xi
 
 
-# Both contractions fold the density weights into one operand first: a
-# two-operand einsum takes about half the time of the three-operand
-# form and, for two or more coordinates, gives the same bits.
+class _NodePass:
+    """The geometry at xi from one score pass over the quadrature nodes:
+    density weights ``wp``, scores ``s``, responsibilities and raw
+    component scores.  ``G``, its factor ``L``, the second
+    log-derivatives and each alpha's symbols are built on first read, so
+    a metric-only caller builds no second log-derivatives; at alpha = 0
+    the primal and dual are one tensor, as -0.0 == 0.0."""
 
+    def __init__(self, model, xi, wp, s, resp, u):
+        self.model, self.xi = model, xi
+        self.wp, self.s, self.resp, self.u = wp, s, resp, u
+        self._symbols = {}
 
-def _metric(ev):
-    """Fisher metric: the density-weighted mean of s s^T over the nodes."""
-    s = ev["s"]
-    return np.einsum("ni,nj->ij", s * ev["wp"][:, None], s)
+    # Both contractions fold the density weights into one operand first: a
+    # two-operand einsum takes about half the time of the three-operand
+    # form and, for two or more coordinates, gives the same bits.
 
+    @lazy
+    def G(self):
+        """Fisher metric: the density-weighted mean of s s^T over the nodes."""
+        s = self.s
+        return np.einsum("ni,nj->ij", s * self.wp[:, None], s)
 
-def _first_kind(ev, second, alpha):
-    """First-kind alpha-connection symbols E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k],
-    with ``second`` the second log-derivatives d_ij l at the nodes."""
-    c = 0.5 * (1.0 - alpha)
-    s = ev["s"]
-    integrand = second + c * s[:, :, None] * s[:, None, :]
-    integrand *= ev["wp"][:, None, None]
-    return np.einsum("nij,nk->ijk", integrand, s)
+    @lazy
+    def L(self):
+        return cholesky_lower(self.G)
+
+    @lazy
+    def second(self):
+        """(n^2, 2K, 2K) second log-derivatives at the nodes:
+        sum_k r_k (u_k u_k^T + C_k) - s s^T, assembled blockwise since
+        u_k lives on component k's two slots."""
+        model, s, resp, (u_a, u_b) = self.model, self.s, self.resp, self.u
+        curv = model._component_curvature(self.xi)
+        second = np.zeros((s.shape[0], model.dim, model.dim))
+        for k in range(model.n_components):
+            i = 2 * k
+            ua, ub = u_a[k], u_b[k]
+            r = resp[k]
+            second[:, i, i] = r * (ua * ua + curv[k, 0, 0])
+            second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1])
+            cross = r * (ua * ub + curv[k, 0, 1])
+            second[:, i, i + 1] = cross
+            second[:, i + 1, i] = cross
+        second -= s[:, :, None] * s[:, None, :]
+        return second
+
+    def first_kind(self, alpha):
+        """First-kind alpha-connection symbols
+        E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k]."""
+        c = 0.5 * (1.0 - alpha)
+        s = self.s
+        integrand = self.second + c * s[:, :, None] * s[:, None, :]
+        integrand *= self.wp[:, None, None]
+        return np.einsum("nij,nk->ijk", integrand, s)
+
+    def connection(self, alpha, a):
+        if alpha not in self._symbols:
+            self._symbols[alpha] = raise_index(self.first_kind(alpha), self.G, self.L)
+        return np.einsum("k,ikj->ij", a, self._symbols[alpha])
 
 
 @dataclass
@@ -208,7 +249,7 @@ class BetaMixtureModel:
     def _component_curvature(self, xi):
         """Constant per-component Hessian blocks of the component
         log-densities: trigamma combinations only.  ``xi`` has passed
-        the node evaluation's check."""
+        the node pass's check."""
         xi = np.asarray(xi, dtype=float)
         a = xi[0::2]
         b = xi[1::2]
@@ -228,64 +269,20 @@ class BetaMixtureModel:
         points, w = self.quadrature.grid()
         return w, log_sums(points)
 
-    def _node_eval(self, xi):
-        """Density weights and scores at every quadrature node, with the
-        responsibilities and raw component scores that the second
-        log-derivatives are assembled from."""
+    def nodes(self, xi):
+        """The geometry at xi, from one score pass over the quadrature nodes."""
         w, sums = self._grid
         s, resp, u, logp = self.scores(xi, sums)
         if logp.max() < _LOG_TINY:
             raise QuadratureUnderflow("mixture density underflowed at every node")
-        return {"wp": w * np.exp(logp), "s": s, "resp": resp, "u": u}
-
-    def _second_log_derivatives(self, xi, ev):
-        """(n^2, 2K, 2K) second log-derivatives at the nodes of ``ev``:
-        sum_k r_k (u_k u_k^T + C_k) - s s^T, assembled blockwise since
-        u_k lives on component k's two slots."""
-        s, resp, (u_a, u_b) = ev["s"], ev["resp"], ev["u"]
-        curv = self._component_curvature(xi)
-        second = np.zeros((s.shape[0], self.dim, self.dim))
-        for k in range(self.n_components):
-            i = 2 * k
-            ua, ub = u_a[k], u_b[k]
-            r = resp[k]
-            second[:, i, i] = r * (ua * ua + curv[k, 0, 0])
-            second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1])
-            cross = r * (ua * ub + curv[k, 0, 1])
-            second[:, i, i + 1] = cross
-            second[:, i + 1, i] = cross
-        second -= s[:, :, None] * s[:, None, :]
-        return second
-
-    def point(self, structure, xi):
-        """The geometry at xi from one pass over the quadrature nodes; the
-        second log-derivatives are built on the first connection read and
-        shared by both connections, and each alpha's symbols once (at
-        alpha = 0 the primal and dual are one tensor, as -0.0 == 0.0),
-        raised with the point's one factor of G."""
-        ev = self._node_eval(xi)
-        G = _metric(ev)
-        second = cache(lambda: self._second_log_derivatives(xi, ev))
-        # the factor is shared through a cache, not read from the point:
-        # a connection that held the point would make a reference cycle,
-        # and each point's node arrays would then live until the cyclic
-        # collector runs
-        factor = cache(lambda: cholesky_lower(G))
-        symbols = cache(
-            lambda alpha: raise_index(_first_kind(ev, second(), alpha), G, factor())
-        )
-
-        def connection(alpha, a):
-            return np.einsum("k,ikj->ij", a, symbols(alpha))
-
-        return DualPoint(structure, xi, G, connection, factor=factor)
+        return _NodePass(self, xi, w * np.exp(logp), s, resp, u)
 
     def fisher_metric(self, xi):
-        return _metric(self._node_eval(xi))
+        return self.nodes(xi).G
 
     def dual_structure(self, alpha):
         check = partial(_check_shapes, n_components=self.n_components)
-        return DualStructure(point=self.point, alpha=alpha, check=check)
+        return DualStructure(evaluate=self.nodes, alpha=alpha, check=check)
 
     # ---- sampling --------------------------------------------------------
 

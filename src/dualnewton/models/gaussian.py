@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from ..errors import DimensionMismatch, DomainViolation
-from ..geometry import DualPoint, DualStructure
+from ..geometry import DualStructure, lazy
 
 # sqrt of the largest float64: sigma^2 overflows for any sigma above it
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
@@ -57,18 +57,21 @@ def christoffel(xi, alpha):
     return gamma
 
 
-def point(structure, xi):
-    def connection(alpha, a):
-        return np.einsum("k,ikj->ij", a, christoffel(xi, alpha))
+class _Evaluation:
+    """The closed-form geometry at xi: G, its factor and the connection."""
 
-    # cholesky_lower(G) bit for bit: pivots G_jj - 0.0, off-diagonals 0.0 / L_jj
-    G = fisher_metric(xi)
-    factor = lambda: np.array(
-        [[math.sqrt(G[0, 0]), 0.0], [0.0, math.sqrt(G[1, 1])]]
-    )
-    return DualPoint(structure, xi, G, connection, factor=factor)
+    def __init__(self, xi):
+        self.xi, self.G = xi, fisher_metric(xi)
+
+    @lazy
+    def L(self):
+        # cholesky_lower(G) bit for bit: pivots G_jj - 0.0, off-diagonals 0.0 / L_jj
+        G = self.G
+        return np.array([[math.sqrt(G[0, 0]), 0.0], [0.0, math.sqrt(G[1, 1])]])
+
+    def connection(self, alpha, a):
+        return np.einsum("k,ikj->ij", a, christoffel(self.xi, alpha))
 
 
 def dual_structure(alpha):
-    return DualStructure(point=point, alpha=alpha, check=check)
-
+    return DualStructure(evaluate=_Evaluation, alpha=alpha, check=check)

@@ -11,8 +11,9 @@ metric G and G's Cholesky factor L.  Building the pass takes only the
 energies and their log-sum-exp, which is all that a trial point the
 moment inversion rejects reads; every other quantity is derived on its
 first read and kept read-only.  The last few points stay in a small
-memo, so the readers below, the moment inversion, the geometry hook
-and the KL objective share one pass and one factorization per point.
+memo, so the readers below, the moment inversion, the structure's
+points (the pass is their evaluation) and the KL objective share one
+pass and one factorization per point.
 
 At n = 4 a pass is 16 states, and numpy's function wrappers cost more
 than that arithmetic, so the pass calls array methods instead.
@@ -32,7 +33,7 @@ from ..errors import (
     MomentInfeasible,
     NonFiniteValue,
 )
-from ..geometry import DualPoint, DualStructure, lazy
+from ..geometry import DualStructure, lazy
 from ..linalg import cholesky_lower, logsumexp, solve_spd
 
 # Enumeration over 2^n states; keep n well below memory trouble.
@@ -185,6 +186,15 @@ class _Evaluation:
         C = self.C
         return weighted_gram(C, self.p * (C @ a))
 
+    def connection(self, alpha, a):
+        """The alpha-connection applied to a: (1 - alpha)/2 times T raised
+        by G, in O(2^n m^2) without building T, and exactly zero when its
+        coefficient is 0 (the flat connection)."""
+        coef = 0.5 * (1.0 - alpha)
+        if coef == 0.0:
+            return np.zeros_like(self.G)
+        return coef * self.solve(self.cumulant(a)).T
+
 
 def evaluate(index, theta):
     """The pass over the states at theta, memoized over the last few points.
@@ -192,8 +202,9 @@ def evaluate(index, theta):
     Its attributes are the log-partition ``lse``, the log-probabilities
     ``log_p``, the probabilities ``p``, the moments ``eta``, the centred
     statistics ``C``, the metric ``G`` and its lower Cholesky factor
-    ``L``; ``solve(b)`` and ``cumulant(a)`` give G^{-1} b and T a.  A
-    cached point answers from what it already holds.
+    ``L``; ``solve(b)``, ``cumulant(a)`` and ``connection(alpha, a)``
+    give G^{-1} b, T a and the alpha-connection applied to a.  A cached
+    point answers from what it already holds.
     """
     theta = _check_theta(index, theta)
     key = (index, theta.tobytes())
@@ -313,20 +324,6 @@ def moment_to_natural(index, eta, theta0=None):
 
 
 def dual_structure(index, alpha):
-    def point(structure, theta):
-        # the pass at theta gives G, its factor and the contraction T a;
-        # every alpha-connection is (1 - alpha)/2 times the third central
-        # moment T raised by G, so it is applied to a vector in
-        # O(2^n m^2) without building T, and is exactly zero when its
-        # coefficient is 0 (the flat connection)
-        at = evaluate(index, theta)
-
-        def connection(alpha, a):
-            coef = 0.5 * (1.0 - alpha)
-            if coef == 0.0:
-                return np.zeros_like(at.G)
-            return coef * at.solve(at.cumulant(a)).T
-
-        return DualPoint(structure, theta, at.G, connection, factor=lambda: at.L)
-
-    return DualStructure(point=point, alpha=alpha, check=partial(_check_theta, index))
+    # ``evaluate`` is looked up at each call, so a rebinding of it is seen
+    at = lambda theta: evaluate(index, theta)
+    return DualStructure(evaluate=at, alpha=alpha, check=partial(_check_theta, index))

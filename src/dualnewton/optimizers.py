@@ -363,8 +363,8 @@ def dual_newton_run(structure, obj, xi0, stop=None):
 
     def propose(here):
         # the point stands in for the structure: G, Gamma* and Gamma at
-        # xi come from it, the field at xi is the loop's a, and its
-        # Jacobian is the objective's
+        # xi come from the model's evaluation that it wraps, the field at
+        # xi is the loop's a, and its Jacobian is the objective's
         point, a = here.point, here.a
         xi = point.xi
         try:

@@ -10,8 +10,8 @@ from typing import Callable
 import numpy as np
 
 from dualnewton.errors import DimensionMismatch, DomainViolation
-from dualnewton.geometry import DualPoint, DualStructure
-from dualnewton.linalg import EPS
+from dualnewton.geometry import DualStructure, lazy
+from dualnewton.linalg import EPS, cholesky_lower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,13 +54,26 @@ def point_check(n, inside=None):
     return check
 
 
+@dataclass
+class Evaluation:
+    """A model's evaluation at a point from a metric and a connection map,
+    with the factor of G taken on first read."""
+
+    G: np.ndarray
+    connection: Callable
+
+    @lazy
+    def L(self):
+        return cholesky_lower(self.G)
+
+
 def euclidean_structure(n, inside=None):
     """Identity metric with flat connections on R^n (or a guarded part)."""
 
-    def point(structure, xi):
-        return DualPoint(structure, xi, np.eye(n), lambda alpha, a: np.zeros((n, n)))
+    def evaluate(xi):
+        return Evaluation(np.eye(n), lambda alpha, a: np.zeros((n, n)))
 
-    return DualStructure(point=point, alpha=0.0, check=point_check(n, inside))
+    return DualStructure(evaluate=evaluate, alpha=0.0, check=point_check(n, inside))
 
 
 def count_calls(monkeypatch, calls, name, *modules):

@@ -1,6 +1,5 @@
 import gc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -138,11 +137,11 @@ def test_fisher_node_doubling_stable():
 def test_score_expectation_vanishes():
     model = paper_mixture()
     xi = model.generating_point()
-    ev = model._node_eval(xi)
-    mean_score = ev["wp"] @ ev["s"]
+    nodes = model.nodes(xi)
+    mean_score = nodes.wp @ nodes.s
     assert np.max(np.abs(mean_score)) < 1e-8
     # densities integrate to one on the square
-    assert abs(ev["wp"].sum() - 1.0) < 1e-10
+    assert abs(nodes.wp.sum() - 1.0) < 1e-10
 
 
 def test_christoffel_symmetry_and_doubling():
@@ -180,8 +179,8 @@ def test_a_bad_shape_parameter_is_a_domain_violation(entry):
     obj = BetaMixtureNLL(model, model.sample(20, seed=1))
     xi = model.generating_point().copy()
     xi[3] = entry
-    point = partial(model.point, model.dual_structure(0.5))
-    for read in (model.fisher_metric, obj.value_and_grad, point):
+    at = model.dual_structure(0.5).at
+    for read in (model.fisher_metric, obj.value_and_grad, at):
         with pytest.raises(DomainViolation, match="positive and finite"):
             read(xi)
 
@@ -500,7 +499,7 @@ def test_component_major_pass_matches_row_major_reference(mixture):
     ref_s, _, _, ref_logp = _reference_scores(model, shapes, points)
     G = np.einsum("ni,nj->ij", ref_s * (w * np.exp(ref_logp))[:, None], ref_s)
     assert model.fisher_metric(shapes).tobytes() == G.tobytes()
-    point = model.point(model.dual_structure(0.5), shapes)
+    nodes = model.nodes(shapes)
     a = np.linspace(-1.0, 1.0, model.dim)
     for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
         try:
@@ -508,9 +507,9 @@ def test_component_major_pass_matches_row_major_reference(mixture):
         except DualNewtonError as exc:
             # two identical components leave the metric singular
             with pytest.raises(type(exc)):
-                point.connection(alpha, a)
+                nodes.connection(alpha, a)
         else:
-            assert point.connection(alpha, a).tobytes() == expected.tobytes()
+            assert nodes.connection(alpha, a).tobytes() == expected.tobytes()
 
 
 def test_reference_inputs_reach_ties_and_underflow():
@@ -544,7 +543,7 @@ def test_mixture_pass_checks_its_shapes_once(monkeypatch):
     xi = model.generating_point()
     obj.value_and_grad(xi)
     assert len(checked) == 1
-    point = model.point(model.dual_structure(0.5), xi)
+    point = model.dual_structure(0.5).at(xi)
     assert len(checked) == 2
     point.dual_dot(np.ones(model.dim))
     assert len(checked) == 2
@@ -558,17 +557,17 @@ def test_mixture_pass_checks_its_shapes_once(monkeypatch):
     with pytest.raises(DimensionMismatch):
         model.scores(np.ones(4), sums)
     with pytest.raises(DomainViolation):
-        model.point(model.dual_structure(0.5), np.array([1.0, np.inf, 1, 1, 1, 1]))
+        model.dual_structure(0.5).at(np.array([1.0, np.inf, 1, 1, 1, 1]))
 
 
-def _three_operand_metric(ev):
-    return np.einsum("n,ni,nj->ij", ev["wp"], ev["s"], ev["s"])
+def _three_operand_metric(wp, s):
+    return np.einsum("n,ni,nj->ij", wp, s, s)
 
 
-def _three_operand_first_kind(ev, second, alpha):
+def _three_operand_first_kind(wp, s, second, alpha):
     c = 0.5 * (1.0 - alpha)
-    integrand = second + c * ev["s"][:, :, None] * ev["s"][:, None, :]
-    return np.einsum("n,nij,nk->ijk", ev["wp"], integrand, ev["s"])
+    integrand = second + c * s[:, :, None] * s[:, None, :]
+    return np.einsum("n,nij,nk->ijk", wp, integrand, s)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -583,14 +582,15 @@ def test_quadrature_contractions_match_the_three_operand_einsums(k, n_nodes, alp
     # the bits must be those of the weighted three-operand sums
     rng = np.random.default_rng(seed)
     d = 2 * k
-    ev = {
-        "wp": rng.uniform(0.0, 1e-3, n_nodes),
-        "s": rng.normal(size=(n_nodes, d)),
-    }
+    wp = rng.uniform(0.0, 1e-3, n_nodes)
+    s = rng.normal(size=(n_nodes, d))
     second = rng.normal(size=(n_nodes, d, d))
     kept = second.copy()
-    assert betamix._metric(ev).tobytes() == _three_operand_metric(ev).tobytes()
-    gamma = betamix._first_kind(ev, second, alpha)
-    assert gamma.tobytes() == _three_operand_first_kind(ev, second, alpha).tobytes()
-    # the point shares ``second`` between both connections
+    # a node pass whose second log-derivatives are given, not assembled
+    nodes = betamix._NodePass(None, None, wp, s, None, None)
+    nodes.second = second
+    assert nodes.G.tobytes() == _three_operand_metric(wp, s).tobytes()
+    gamma = nodes.first_kind(alpha)
+    assert gamma.tobytes() == _three_operand_first_kind(wp, s, second, alpha).tobytes()
+    # the pass shares ``second`` between both connections
     assert second.tobytes() == kept.tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dualnewton import geometry, linalg, optimizers as opt
+from dualnewton import linalg, optimizers as opt
 from dualnewton.errors import DimensionMismatch, DomainViolation
 from dualnewton.linalg import cholesky_lower
 from dualnewton.models import gaussian
@@ -188,7 +188,7 @@ def test_exp2_runs_make_no_python_cholesky(monkeypatch, run):
     # every solve against G reads the point's closed-form factor, and
     # Newton's descent certificate is LAPACK's
     calls = {}
-    count_calls(monkeypatch, calls, "cholesky_lower", linalg, geometry)
+    count_calls(monkeypatch, calls, "cholesky_lower", linalg)
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     tr = run(gaussian.dual_structure(0.0), obj, np.array([0.5, 2.0]))
     assert tr.status == opt.CONVERGED and tr.n_iterations >= 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dualnewton import geometry, linalg
+from dualnewton import linalg
 from dualnewton.errors import (
     DimensionMismatch,
     DualNewtonError,
@@ -137,7 +137,7 @@ def test_point_builds_metric_and_third_moment_once(monkeypatch):
     theta = rng.uniform(-1, 1, size=len(idx))
     calls = {}
     count_calls(monkeypatch, calls, "logsumexp", loglinear)
-    count_calls(monkeypatch, calls, "cholesky_lower", linalg, geometry, loglinear)
+    count_calls(monkeypatch, calls, "cholesky_lower", linalg, loglinear)
     count_calls(monkeypatch, calls, "third_central_moment", loglinear)
     point = loglinear.dual_structure(idx, 0.5).at(theta)
     point.G

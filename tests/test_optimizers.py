@@ -15,12 +15,18 @@ from dualnewton.errors import (
     NonFiniteValue,
 )
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset
-from dualnewton.geometry import DualPoint, DualStructure
+from dualnewton.geometry import DualStructure
 from dualnewton.linalg import solve_spd
 from dualnewton.models import betamix, gaussian, loglinear
 from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective
 
-from helpers import Objective, count_calls, euclidean_structure, point_check
+from helpers import (
+    Evaluation,
+    Objective,
+    count_calls,
+    euclidean_structure,
+    point_check,
+)
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
@@ -346,10 +352,11 @@ def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(monkeypatch, 
     # each of its 2 dim probes makes one value_and_grad call and one pass
     # over the quadrature nodes, and is not a record of the run
     model, data = gen_dataset(200, 0, quad_nodes=16)
-    obj = BetaMixtureNLL(model, data)
     calls = {}
+    # a structure binds the model's node pass when it is built
+    count_calls(monkeypatch, calls, "nodes", model)
+    obj = BetaMixtureNLL(model, data)
     count_calls(monkeypatch, calls, "value_and_grad", obj)
-    count_calls(monkeypatch, calls, "_node_eval", model)
     recorded = RecordingObjective(obj)
     ds = model.dual_structure(0.0)
     tr = method(ds, recorded, np.array(MIXTURE_INIT), opt.StopRule(max_iters=4))
@@ -359,7 +366,7 @@ def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(monkeypatch, 
     assert len(jacobians) == (4 if method is opt.dual_newton_run else 0)
     assert calls["value_and_grad"] == len(points) + probes
     # the run's own node passes measure the iterates, here each once
-    assert calls["_node_eval"] == len(tr.iterates) + probes
+    assert calls["nodes"] == len(tr.iterates) + probes
 
 
 def test_mixture_jacobian_has_the_bits_of_probe_records():
@@ -697,14 +704,14 @@ def test_newton_evaluates_the_quadrature_once_per_iterate(monkeypatch):
     # for the retraction all come from the point built when the iterate
     # was accepted; finite-difference probes of the field are not iterates
     model, data = gen_dataset(200, 0, quad_nodes=16)
-    node_eval = model._node_eval
+    nodes = model.nodes
     evaluated = []
 
-    def counting_node_eval(xi):
+    def counting_nodes(xi):
         evaluated.append(np.asarray(xi, dtype=float).tobytes())
-        return node_eval(xi)
+        return nodes(xi)
 
-    monkeypatch.setattr(model, "_node_eval", counting_node_eval)
+    monkeypatch.setattr(model, "nodes", counting_nodes)
     tr = opt.dual_newton_run(
         model.dual_structure(0.0),
         BetaMixtureNLL(model, data),
@@ -721,14 +728,14 @@ def test_natural_gradient_evaluates_the_quadrature_once_per_iterate(monkeypatch)
     # a Wolfe trial reads only the value and the gradient; the nodes are
     # evaluated when the loop accepts a point, for its stopping norm
     model, data = gen_dataset(200, 0, quad_nodes=16)
-    node_eval = model._node_eval
+    nodes = model.nodes
     evaluated = []
 
-    def counting_node_eval(xi):
+    def counting_nodes(xi):
         evaluated.append(np.asarray(xi, dtype=float).tobytes())
-        return node_eval(xi)
+        return nodes(xi)
 
-    monkeypatch.setattr(model, "_node_eval", counting_node_eval)
+    monkeypatch.setattr(model, "nodes", counting_nodes)
     tr = opt.natural_gradient_run(
         model.dual_structure(0.0),
         BetaMixtureNLL(model, data),
@@ -794,17 +801,17 @@ def test_evaluating_a_mixture_point_makes_one_pass_over_the_data(monkeypatch):
 def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     applied = []
 
-    def point(structure, xi):
+    def evaluate(xi):
         def connection(alpha, a):
             applied.append((xi.tobytes(), alpha, np.array(a)))
             return np.zeros((2, 2))
 
-        return DualPoint(structure, xi, np.eye(2), connection)
+        return Evaluation(np.eye(2), connection)
 
     # the minimizer (0, 2) lies outside the domain, so every unit step
     # overshoots and is halved several times
     ds = DualStructure(
-        point=point, alpha=0.5, check=point_check(2, lambda xi: xi[1] < 0.7)
+        evaluate=evaluate, alpha=0.5, check=point_check(2, lambda xi: xi[1] < 0.7)
     )
     center = np.array([0.0, 2.0])
     tr = opt.dual_newton_run(
@@ -836,14 +843,14 @@ def test_newton_builds_the_mixture_symbols_once_per_iterate_at_alpha_zero(monkey
     # at alpha = 0 the primal and dual connections are one tensor, and
     # the point builds it once for the Hessian and the retraction
     model, data = gen_dataset(200, 0, quad_nodes=16)
-    first_kind = betamix._first_kind
+    first_kind = betamix._NodePass.first_kind
     built = []
 
-    def counted(ev, second, alpha):
+    def counted(nodes, alpha):
         built.append(alpha)
-        return first_kind(ev, second, alpha)
+        return first_kind(nodes, alpha)
 
-    monkeypatch.setattr(betamix, "_first_kind", counted)
+    monkeypatch.setattr(betamix._NodePass, "first_kind", counted)
     tr = opt.dual_newton_run(
         model.dual_structure(0.0),
         BetaMixtureNLL(model, data),
@@ -876,7 +883,7 @@ def _factored_matrices(monkeypatch):
         factored.append(np.asarray(A).tobytes())
         return cholesky_lower(A)
 
-    for module in (linalg, geometry, loglinear):
+    for module in (linalg, loglinear):
         monkeypatch.setattr(module, "cholesky_lower", recorded)
     return factored
 

@@ -14,8 +14,13 @@ lengths with ordinary in-domain entries.
 Off its chart, an objective names the cause as its model does:
 ``value_and_grad`` and ``grad_field_jacobian`` raise the very exception
 class that the structure's ``check`` raises at that point.
+
+On its chart, a point has the bits of its model's public metric reader
+and of the package's Cholesky factor of that metric, and stands in for
+its structure: at its own xi it is itself, elsewhere a fresh evaluation.
 """
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -26,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualnewton.errors import DimensionMismatch, DomainViolation, NonFiniteValue
+from dualnewton.linalg import cholesky_lower
 from dualnewton.models import gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.objectives import (
@@ -191,3 +197,48 @@ def test_off_its_chart_an_objective_raises_what_its_check_raises(name, data):
         with pytest.raises(expected) as raised:
             read(x)
         assert type(raised.value) is expected
+
+
+# each model's structure, its public metric reader and a point of its chart
+POINTS = {
+    "loglinear": (
+        loglinear.dual_structure(BOLTZMANN, 0.5),
+        lambda x: loglinear.fisher_metric(BOLTZMANN, x),
+        np.linspace(-0.6, 0.4, len(BOLTZMANN)),
+    ),
+    "gaussian": (
+        gaussian.dual_structure(0.5),
+        gaussian.fisher_metric,
+        np.array([0.3, 1.7]),
+    ),
+    "beta-mixture": (
+        MIXTURE.dual_structure(0.5),
+        MIXTURE.fisher_metric,
+        MIXTURE.generating_point(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_a_point_has_the_bits_of_its_model_and_stands_in_for_its_structure(name):
+    structure, metric, xi = POINTS[name]
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(x.tobytes())
+        return structure.evaluate(x)
+
+    counted = dataclasses.replace(structure, evaluate=evaluate)
+    point = counted.at(xi)
+    assert point.G.tobytes() == metric(xi).tobytes()
+    assert point.L.tobytes() == cholesky_lower(point.G).tobytes()
+    assert evaluated == [xi.tobytes()]
+    # at a copy of its own xi the point answers itself
+    assert point.at(xi.copy()) is point
+    assert evaluated == [xi.tobytes()]
+    # anywhere else it evaluates its structure afresh
+    other = 1.25 * xi
+    moved = point.at(other)
+    assert moved is not point and moved.structure is counted
+    assert evaluated == [xi.tobytes(), other.tobytes()]
+    assert moved.G.tobytes() == metric(other).tobytes()

@@ -122,6 +122,61 @@ def test_an_objective_module_that_solves_against_g_is_found(tmp_path):
     assert _factoring_modules(package) == {"objectives.py": [("solve_spd", 2)]}
 
 
+# A DualPoint is made in one place, ``DualStructure.at``, around the
+# model's evaluation at xi; a model implements only that evaluation (G,
+# its factor L and connection(alpha, a)) and never sees the point.
+def _dual_point_uses(package):
+    """module: lines where a module other than geometry constructs a
+    DualPoint, or a model imports it."""
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module == "geometry.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "DualPoint":
+                    lines.append(node.lineno)
+            elif isinstance(node, ast.ImportFrom) and module.startswith("models/"):
+                if any(alias.name == "DualPoint" for alias in node.names):
+                    lines.append(node.lineno)
+        if lines:
+            found[module] = sorted(lines)
+    return found
+
+
+def test_only_the_geometry_makes_a_dual_point():
+    assert _dual_point_uses(PACKAGE) == {}
+
+
+def test_a_model_that_makes_a_dual_point_is_found(tmp_path):
+    package = tmp_path / "package"
+    (package / "models").mkdir(parents=True)
+    (package / "__init__.py").write_text("from .geometry import DualPoint\n")
+    (package / "geometry.py").write_text(
+        "class DualPoint:\n    pass\n\n\n"
+        "def at(structure, xi):\n    return DualPoint(structure, xi, None)\n"
+    )
+    (package / "models" / "gaussian.py").write_text(
+        "from ..geometry import DualStructure\n"
+        "from ..geometry import DualPoint as Point\n\n\n"
+        "def point(structure, xi):\n    return Point(structure, xi, None)\n"
+    )
+    (package / "optimizers.py").write_text(
+        "from . import geometry\n\n\n"
+        "def point(structure, xi):\n    return geometry.DualPoint(structure, xi, None)\n"
+    )
+    # the package re-exports DualPoint and geometry makes it; the model's
+    # import is found, and the optimizers' construction
+    assert _dual_point_uses(package) == {
+        "models/gaussian.py": [2],
+        "optimizers.py": [5],
+    }
+
+
 # The per-point path calls reductions in method form: np.max, np.sum and
 # the like dispatch through Python wrappers that cost several times the
 # reduction itself on the short arrays of a pass.
