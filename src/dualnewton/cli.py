@@ -18,6 +18,7 @@ from .experiments import (
     EXIT_OK,
     EXIT_OPTIMIZER,
     EXIT_VALIDATION,
+    METHODS,
     ConfigError,
     RunConfig,
     dataset_payload,
@@ -26,8 +27,6 @@ from .experiments import (
     run_experiment,
 )
 from .validation import run_validation
-
-_METHOD_CHOICES = ("newton", "natgrad", "mirror", "adam")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +52,7 @@ def build_parser():
         help="connection parameter; repeat for several values",
     )
     run_p.add_argument(
-        "--method", action="append", dest="methods", choices=_METHOD_CHOICES,
+        "--method", action="append", dest="methods", choices=METHODS,
         help="optimizer to run; repeat for several",
     )
     run_p.add_argument("--lambda1", type=float, help="singleton penalty weight")

@@ -46,6 +46,9 @@ EXIT_CONFIG = 4
 
 MAX_TARGET_VARS = 12
 
+# the optimizers a run can name, in the order the command line lists them
+METHODS = ("newton", "natgrad", "mirror", "adam")
+
 # fixed true mixture of the density-fitting study
 MIXTURE_WEIGHTS = (0.35, 0.4, 0.25)
 MIXTURE_ALPHAS = (2.0, 3.0, 5.0)
@@ -245,9 +248,8 @@ class RunConfig:
                 raise ConfigError(f"alpha must lie in [-1, 1], got {a!r}")
         if not self.methods:
             raise ConfigError("at least one method is required")
-        known = {"newton", "natgrad", "mirror", "adam"}
         for m in self.methods:
-            if not isinstance(m, str) or m not in known:
+            if not isinstance(m, str) or m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
         if self.experiment != "exp1" and "mirror" in self.methods:
             raise ConfigError("mirror descent needs the log-linear geometry")
@@ -367,12 +369,10 @@ class _Problem:
             trace = mirror_descent_run(
                 self.objective.index, self.objective, self.x0, stop
             )
-        elif method == "adam":
+        else:  # adam: validate admits no other method
             trace = adam_run(
                 structure, self.objective, self.x0, stop, lr=self.cfg.adam_lr
             )
-        else:
-            raise ConfigError(f"unknown method {method!r}")
         return RunResult(method, alpha, trace, _alpha_label(method, alpha))
 
     def reference_point(self, results):

@@ -194,8 +194,8 @@ def second_order_retract(structure, xi, beta):
     """Quadratic retraction xi + beta - 0.5 Gamma(beta, beta).
 
     Uses the primal connection's symbols.  Raises DomainViolation when
-    the result leaves the model's chart domain; callers shrink beta and
-    retry.
+    the result leaves the model's chart domain; the run loop's guard
+    then halves beta and retries.
     """
     xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)

@@ -272,11 +272,11 @@ def christoffel_first_kind(index, theta, alpha):
 def moment_to_natural(index, eta, theta0=None):
     """Invert the moment map by damped Newton on the log partition.
 
-    Raises MomentInfeasible when the residual cannot be driven below
-    1e-12 within the iteration budget, which covers moment vectors
-    outside the marginal polytope, as soon as the damped iteration
-    stops moving theta, and as soon as an accepted iterate gives some
-    state probability 0.
+    Returns theta or raises MomentInfeasible: when the residual cannot
+    be driven below 1e-12 within the iteration budget, which covers
+    moment vectors outside the marginal polytope, as soon as the damped
+    iteration stops moving theta, and as soon as an accepted iterate
+    gives some state probability 0.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (len(index),):
@@ -300,8 +300,13 @@ def moment_to_natural(index, eta, theta0=None):
         t = 1.0
         for _ in range(60):
             candidate = theta + t * step
-            cand = evaluate(index, candidate)
-            cand_value = float(cand.lse) - float(candidate @ eta)
+            try:
+                cand = evaluate(index, candidate)
+            except NonFiniteValue:
+                # a NaN step, or theta + t step overflowed: halve as below
+                cand_value = math.inf
+            else:
+                cand_value = float(cand.lse) - float(candidate @ eta)
             if math.isfinite(cand_value) and cand_value <= value:
                 if (candidate == theta).all():
                     # a fixed point: every later iteration repeats this

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceUndefined, NonFiniteValue
+from .geometry import gradient_field
 from .linalg import fd_jacobian
 from .models import gaussian, loglinear
 from .models.betamix import log_sums
@@ -282,13 +283,9 @@ class BetaMixtureNLL(_Objective):
         return f, -np.einsum("nj->j", s)
 
     def grad_field_jacobian(self, xi):
-        """Central differences of a = G^{-1} grad: each probe makes one
-        score pass over the data, then solves through the model's point,
-        which makes one pass over the quadrature nodes.  A point off the
-        model's chart raises what its check raises, before any probe."""
-
-        def field(x):
-            grad = self.value_and_grad(x)[1]
-            return self._structure.at(x).solve(grad)
-
+        """Central differences of the field a = G^{-1} grad: each probe
+        makes one pass over the quadrature nodes for the model's point
+        and one score pass over the data for the gradient.  A point off
+        the model's chart raises what its check raises, before any probe."""
+        field = gradient_field(self._structure, self.eucl_grad)
         return fd_jacobian(field, self._structure.check(xi))

@@ -262,14 +262,17 @@ def _rescaled_norms(a, G, squares):
     return norms
 
 
-def _evaluate(structure, obj, xi):
-    """The record at a trial point, or None when xi is missing, outside
-    the domain, raises a point error or has a non-finite value."""
-    if xi is None or not structure.contains(xi):
-        return None
+def _evaluate(structure, obj, form):
+    """The record at the trial point ``form()``, or None when forming or
+    evaluating it raises a point error or MomentInfeasible (a failed
+    pullback of mirror descent), or the point is outside the domain or
+    its value is not finite: the one guard around a candidate's making."""
     try:
+        xi = form()
+        if not structure.contains(xi):
+            return None
         evaluation = _Evaluation(structure, obj, xi)
-    except _POINT_ERRORS:
+    except (*_POINT_ERRORS, MomentInfeasible):
         return None
     return evaluation if math.isfinite(evaluation.f) else None
 
@@ -293,10 +296,10 @@ def _iterate(structure, obj, xi0, stop, propose):
     whose value or gradient is not finite, or whose record cannot be
     measured, raises.  ``propose(here)`` reads the iterate's measured
     record and returns a final status or ``(trial, spd)``: ``trial(t)``
-    is the record of the candidate for t = 1, 1/2, 1/4, ... (None, or a
-    DomainViolation, when there is none) and ``spd`` the step's descent
-    certificate.  The first candidate that ``_usable`` passes within 30
-    halvings becomes the next iterate.
+    is the ``_evaluate`` record of the candidate for t = 1, 1/2, 1/4, ...
+    or None when there is none, and never raises; ``spd`` is the step's
+    descent certificate.  The first candidate that ``_usable`` passes
+    within 30 halvings becomes the next iterate.
     """
     stop = stop or StopRule()
     xi = np.array(xi0, dtype=float)
@@ -326,10 +329,7 @@ def _iterate(structure, obj, xi0, stop, propose):
 
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            try:
-                evaluation = _usable(trial(t))
-            except DomainViolation:
-                evaluation = None
+            evaluation = _usable(trial(t))
             if evaluation is not None:
                 break
             t *= 0.5
@@ -378,7 +378,8 @@ def dual_newton_run(structure, obj, xi0, stop=None):
             return DOMAIN_FAILURE
 
         def trial(t):
-            return _evaluate(structure, obj, second_order_retract(point, xi, t * beta))
+            form = lambda: second_order_retract(point, xi, t * beta)
+            return _evaluate(structure, obj, form)
 
         return trial, spd
 
@@ -389,7 +390,7 @@ def _line_proposer(structure, obj, line):
     """Proposer for a strong Wolfe search along a descent curve.
 
     ``line(here)`` returns ``(curve, slope)``: ``curve(s)`` is the point
-    at length s (None when it cannot be formed) and ``slope(record)``
+    at length s, raising where it cannot be formed, and ``slope(record)``
     the derivative of f along the curve at that point's record.  The
     curve leaves the iterate with slope grad . (-a).  A step keeps one
     ``_evaluate`` record per length, which phi, phi' and the halving
@@ -409,7 +410,7 @@ def _line_proposer(structure, obj, line):
 
         def record(s):
             if s not in records:
-                records[s] = _evaluate(structure, obj, curve(s))
+                records[s] = _evaluate(structure, obj, lambda: curve(s))
             return records[s]
 
         def phi(s):
@@ -530,10 +531,7 @@ def mirror_descent_run(index, obj, theta0, stop=None):
         direction = -grad
 
         def pullback(s):
-            try:
-                return loglinear.moment_to_natural(index, eta - s * grad, theta0=theta)
-            except MomentInfeasible:
-                return None
+            return loglinear.moment_to_natural(index, eta - s * grad, theta0=theta)
 
         def slope(evaluation):
             # the geometry at the trial, which the loop reuses if it is accepted
@@ -558,7 +556,7 @@ def adam_run(structure, obj, xi0, stop=None, lr=0.01):
 
     def propose(here):
         delta = state.step(here.grad)
-        return (lambda t: _evaluate(structure, obj, here.xi + t * delta)), True
+        return (lambda t: _evaluate(structure, obj, lambda: here.xi + t * delta)), True
 
     return _iterate(structure, obj, xi0, stop, propose)
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -385,6 +385,56 @@ def test_moment_inversion_does_not_hide_foreign_errors(monkeypatch):
     idx = SubsetIndex.boltzmann(2)
     with pytest.raises(RuntimeError, match="solver bug"):
         loglinear.moment_to_natural(idx, np.array([0.3, 0.4, 0.1]))
+
+
+# a mirror-descent trial of a Boltzmann(4) problem whose target sits near
+# a vertex of the polytope: the third Newton step of the inversion is
+# solved against a metric with a pivot of 2e-158 and comes out NaN
+SUBNORMAL_PIVOT_ETA = np.array(
+    [0.99995199132566193, 0.99995543172612544, 7.6927806417424174e-05,
+     5.0024500460990148e-05, 0.99990964370030722, 7.6627068003422754e-05,
+     4.9737902927257337e-05, 7.6631645835578991e-05, 4.9739039292750503e-05,
+     -2.3003366751069656e-07]
+)
+SUBNORMAL_PIVOT_THETA0 = np.array(
+    [3.059323611333809, 3.143432220726458, -2.947769747412013,
+     -3.106538273906703, 6.987080502330327, -3.2880920366386968,
+     -3.4392819529310703, -3.2848188700409073, -3.4335026133742974,
+     1.7707679085162231]
+)
+
+
+def test_a_non_finite_inversion_step_ends_in_moment_infeasible():
+    # each candidate theta + t step is NaN: it is halved as a rise of the
+    # potential is, and the search ends without progress
+    idx = SubsetIndex.boltzmann(4)
+    with pytest.raises(MomentInfeasible, match="no progress"):
+        loglinear.moment_to_natural(idx, SUBNORMAL_PIVOT_ETA, SUBNORMAL_PIVOT_THETA0)
+
+
+B4 = SubsetIndex.boltzmann(4)
+wide = st.lists(st.floats(-8.0, 8.0), min_size=10, max_size=10).map(np.array)
+
+
+@st.composite
+def near_polytope(draw):
+    """The moments of a Boltzmann(4) theta, or those moments moved by up
+    to 1e-2 per coordinate, which can leave the marginal polytope."""
+    eta = loglinear.moments(B4, draw(wide))
+    shift = draw(st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
+    scale = draw(st.sampled_from([0.0, 1e-8, 1e-5, 1e-2]))
+    return eta + scale * np.array(shift)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(eta=near_polytope(), theta0=wide)
+@example(eta=SUBNORMAL_PIVOT_ETA, theta0=SUBNORMAL_PIVOT_THETA0)
+def test_moment_inversion_returns_theta_or_raises_moment_infeasible(eta, theta0):
+    try:
+        theta = loglinear.moment_to_natural(B4, eta, theta0)
+    except MomentInfeasible:
+        return
+    assert abs(loglinear.moments(B4, theta) - eta).max() < 1e-12
 
 
 def test_log_partition_uniform():

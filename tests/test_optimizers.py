@@ -12,7 +12,9 @@ from dualnewton.errors import (
     DomainViolation,
     InsufficientIterations,
     LineSearchFailure,
+    MomentInfeasible,
     NonFiniteValue,
+    NotPositiveDefinite,
 )
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset
 from dualnewton.geometry import DualStructure
@@ -393,6 +395,70 @@ def test_mixture_jacobian_has_the_bits_of_probe_records():
     for jacobian in (obj.grad_field_jacobian, probed):
         with pytest.raises(DomainViolation):
             jacobian(edge)
+
+
+# ---- the trial guard -------------------------------------------------------
+
+
+def _raising_once(fn, error, calls):
+    """``fn``, except that its first call raises ``error``; ``calls``
+    collects the positional arguments of every call."""
+
+    def call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise error("planted in the trial's formation")
+        return fn(*args, **kwargs)
+
+    return call
+
+
+TRIAL_ERRORS = pytest.mark.parametrize(
+    "error", [NotPositiveDefinite, MomentInfeasible], ids=lambda e: e.__name__
+)
+
+
+@TRIAL_ERRORS
+def test_newton_halves_a_step_whose_retraction_raises(monkeypatch, error):
+    index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
+    calls = []
+    retract = _raising_once(geometry.second_order_retract, error, calls)
+    monkeypatch.setattr(opt, "second_order_retract", retract)
+    tr = opt.dual_newton_run(ds, obj, np.full(len(index), 0.2))
+    assert tr.status == opt.CONVERGED
+    # the unit step raised while it was formed and was tried again at 1/2
+    first, second = calls[0][2], calls[1][2]
+    assert np.array_equal(second, 0.5 * first)
+    assert len(calls) == tr.n_iterations + 1
+
+
+@TRIAL_ERRORS
+def test_mirror_rejects_a_trial_whose_pullback_raises(monkeypatch, error):
+    index, obj, _, _ = kl_problem(3, 0.5, 0.5)
+    theta0 = np.full(len(index), 0.2)
+    eta, grad = loglinear.moments(index, theta0), obj.eucl_grad(theta0)
+    calls = []
+    invert = _raising_once(loglinear.moment_to_natural, error, calls)
+    monkeypatch.setattr(loglinear, "moment_to_natural", invert)
+    tr = opt.mirror_descent_run(index, obj, theta0)
+    assert tr.status == opt.CONVERGED
+    # the search's first length, 1, has no point, so it bisects to 1/2
+    assert np.array_equal(calls[0][1], eta - 1.0 * grad)
+    assert np.array_equal(calls[1][1], eta - 0.5 * grad)
+
+
+def test_a_mirror_trial_whose_inversion_step_is_not_finite_is_rejected():
+    # a Boltzmann(4) problem with its target near a vertex of the
+    # polytope: a trial's inner Newton step comes out NaN, which once
+    # escaped the run as NonFiniteValue in its first iteration
+    index = loglinear.SubsetIndex.boltzmann(4)
+    rng = np.random.default_rng(24)
+    theta = rng.uniform(-6.0, 6.0, len(index))
+    lam1, lam2 = rng.uniform(0.0, 0.5, 2)
+    theta0 = rng.uniform(-15.0, 15.0, len(index))
+    obj = KLProjectionObjective(index, loglinear.moments(index, theta), lam1, lam2)
+    tr = opt.mirror_descent_run(index, obj, theta0, opt.StopRule(max_iters=2))
+    assert tr.status == opt.MAX_ITERS and tr.n_iterations == 2
 
 
 # ---- line search -----------------------------------------------------------

@@ -177,6 +177,49 @@ def test_a_model_that_makes_a_dual_point_is_found(tmp_path):
     }
 
 
+# A trial candidate is rejected in one place: ``_evaluate`` forms the
+# point and evaluates it inside one guard.  The loop and the functions
+# that build a trial or form its point catch nothing, so an error that
+# the guard does not name stops the run instead of being taken for a
+# rejection.
+UNGUARDED_FUNCTIONS = {"_iterate", "trial", "record", "pullback"}
+
+
+def _guarded_trial_code(path):
+    """(function, line) of each ``try`` inside a function, nested or
+    not, named in ``UNGUARDED_FUNCTIONS``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in UNGUARDED_FUNCTIONS:
+            found.update(
+                (node.name, inner.lineno)
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Try, ast.TryStar))
+            )
+    return sorted(found, key=lambda entry: entry[1])
+
+
+def test_the_loop_and_the_trial_builders_hold_no_try():
+    assert _guarded_trial_code(PACKAGE / "optimizers.py") == []
+
+
+def test_a_try_in_the_loop_or_a_trial_builder_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def _iterate(trial):\n"
+        "    try:\n        return trial(1.0)\n    except ValueError:\n        return None\n\n\n"
+        "def propose(curve):\n"
+        "    def pullback(s):\n"
+        "        try:\n            return curve(s)\n        finally:\n            pass\n\n"
+        "    try:\n        return pullback\n    except ValueError:\n        return None\n\n\n"
+        "def _evaluate(form):\n"
+        "    try:\n        return form()\n    except ValueError:\n        return None\n"
+    )
+    # propose's own try and _evaluate's guard are allowed
+    assert _guarded_trial_code(module) == [("_iterate", 2), ("pullback", 10)]
+
+
 # The per-point path calls reductions in method form: np.max, np.sum and
 # the like dispatch through Python wrappers that cost several times the
 # reduction itself on the short arrays of a pass.
