@@ -11,7 +11,7 @@ probe and prints the failure counts.
 
 from dualnewton import spd_failure_probe
 
-report = spd_failure_probe(lambda1=0.3, lambda2=0.8, n=3, n_seeds=20)
+report = spd_failure_probe()
 
 print("regularized projection, 20 wide random starts per connection\n")
 print(f"{'alpha':>6s} {'failed runs':>12s} {'every step certified':>22s}")

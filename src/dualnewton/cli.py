@@ -18,6 +18,7 @@ from .experiments import (
     EXIT_OK,
     EXIT_OPTIMIZER,
     EXIT_VALIDATION,
+    EXPERIMENTS,
     METHODS,
     ConfigError,
     RunConfig,
@@ -45,7 +46,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run_p = sub.add_parser("run", help="run one experiment end to end")
-    run_p.add_argument("--experiment", choices=("exp1", "exp2", "exp3"))
+    run_p.add_argument("--experiment", choices=EXPERIMENTS)
     run_p.add_argument("--config", help="JSON file with run configuration fields")
     run_p.add_argument(
         "--alpha", action="append", type=float, dest="alphas", metavar="A",

@@ -157,7 +157,7 @@ def dataset_payload(data, seed, n_samples):
 _EXPERIMENT_DEFAULTS = {
     "exp1": dict(
         alphas=(-1.0, -0.5, 0.0, 0.5, 1.0),
-        methods=("newton", "natgrad", "mirror", "adam"),
+        methods=METHODS,
         lambda1=0.5,
         lambda2=0.5,
         n=4,
@@ -174,6 +174,9 @@ _EXPERIMENT_DEFAULTS = {
         grad_tol=1e-8,
     ),
 }
+
+# the experiment ids, in the order the command line lists them
+EXPERIMENTS = tuple(_EXPERIMENT_DEFAULTS)
 
 
 def _fits(value, kind):
@@ -222,10 +225,9 @@ class RunConfig:
 
     @classmethod
     def defaults(cls, experiment, **overrides):
-        if not isinstance(experiment, str) or experiment not in _EXPERIMENT_DEFAULTS:
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise ConfigError(
-                f"unknown experiment {experiment!r}; expected one of "
-                f"{sorted(_EXPERIMENT_DEFAULTS)}"
+                f"unknown experiment {experiment!r}; expected one of {list(EXPERIMENTS)}"
             )
         values = dict(_EXPERIMENT_DEFAULTS[experiment])
         values.update({k: v for k, v in overrides.items() if v is not None})
@@ -239,7 +241,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _fits(value, f.type):
                 raise ConfigError(f"unusable {f.type.__name__} {f.name}={value!r}")
-        if self.experiment not in _EXPERIMENT_DEFAULTS:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.alphas:
             raise ConfigError("at least one alpha is required")
@@ -499,36 +501,27 @@ def _write_artifacts(cfg, problem, results, reference, out):
         fh.write(_PLOT_SCRIPT)
 
 
-def spd_failure_probe(lambda1=0.3, lambda2=0.8, n=3, n_seeds=20, alphas=(0.0, -1.0, 1.0)):
+def spd_failure_probe():
     """Count descent-certificate failures across random starts.
 
-    For each seed, minimizes the regularized projection objective from
-    a wide random start; a failure is any run that either ends with
+    Minimizes exp1's regularized projection at n = 3 (lambda1 = 0.3,
+    lambda2 = 0.8) from 20 wide random starts for each alpha in
+    (0, -1, 1); a failure is any run that either ends with
     SingularHessian/DomainFailure status or records a non-spd step.
     Returns {alpha: {"runs", "failures", "all_spd"}}.
     """
-    target = gen_target(n, 1.0, seed=0)
-    index = SubsetIndex.boltzmann(n)
-    eta_hat = target.moments_for(index)
-    obj = KLProjectionObjective(index, eta_hat, lambda1, lambda2)
-    dim = len(index.subsets)
+    n_starts = 20
+    problem = _Problem(RunConfig.defaults("exp1", n=3, lambda1=0.3, lambda2=0.8))
     report = {}
-    for alpha in alphas:
-        structure = loglinear.dual_structure(index, alpha)
+    for alpha in (0.0, -1.0, 1.0):
+        structure = problem.structure_for(alpha)
         failures = 0
         all_spd = True
-        for i in range(n_seeds):
-            x0 = np.random.default_rng(1000 + i).uniform(-1.5, 1.5, size=dim)
-            trace = dual_newton_run(structure, obj, x0, StopRule())
-            bad_status = trace.status in (SINGULAR_HESSIAN, DOMAIN_FAILURE)
-            non_spd = any(not flag for flag in trace.spd_flags)
-            if bad_status or non_spd:
-                failures += 1
-            if non_spd:
-                all_spd = False
-        report[alpha] = {
-            "runs": n_seeds,
-            "failures": failures,
-            "all_spd": all_spd,
-        }
+        for i in range(n_starts):
+            x0 = np.random.default_rng(1000 + i).uniform(-1.5, 1.5, size=problem.x0.size)
+            trace = dual_newton_run(structure, problem.objective, x0, StopRule())
+            non_spd = not all(trace.spd_flags)
+            failures += non_spd or trace.status in (SINGULAR_HESSIAN, DOMAIN_FAILURE)
+            all_spd = all_spd and not non_spd
+        report[alpha] = {"runs": n_starts, "failures": failures, "all_spd": all_spd}
     return report

@@ -274,9 +274,9 @@ def moment_to_natural(index, eta, theta0=None):
 
     Returns theta or raises MomentInfeasible: when the residual cannot
     be driven below 1e-12 within the iteration budget, which covers
-    moment vectors outside the marginal polytope, as soon as the damped
-    iteration stops moving theta, and as soon as an accepted iterate
-    gives some state probability 0.
+    moment vectors outside the marginal polytope, as soon as a Newton
+    step is not finite or the damped iteration stops moving theta, and
+    as soon as an accepted iterate gives some state probability 0.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (len(index),):
@@ -297,13 +297,16 @@ def moment_to_natural(index, eta, theta0=None):
             step = at.solve(-residual)
         except DualNewtonError as exc:
             raise MomentInfeasible(f"inner Newton solve failed: {exc}") from exc
+        if not np.isfinite(step).all():
+            # every candidate theta + t step would be non-finite too
+            raise MomentInfeasible("the inner Newton step is not finite")
         t = 1.0
         for _ in range(60):
             candidate = theta + t * step
             try:
                 cand = evaluate(index, candidate)
             except NonFiniteValue:
-                # a NaN step, or theta + t step overflowed: halve as below
+                # theta + t step overflowed: halve as below
                 cand_value = math.inf
             else:
                 cand_value = float(cand.lse) - float(candidate @ eta)

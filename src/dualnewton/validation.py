@@ -9,7 +9,7 @@ any of them turns at least one entry red.
 
 import numpy as np
 
-from .experiments import gen_dataset, require_at_least
+from .experiments import gen_dataset
 from .geometry import (
     dual_hessian_matrix,
     duality_residual,
@@ -35,15 +35,15 @@ def _check(name, residual, tolerance):
     }
 
 
-def _loglinear_setup(lam1=0.0, lam2=0.0, alpha=1.0, seed=2):
+def _loglinear_setup(lam1, lam2, seed=2):
     rng = np.random.default_rng(seed)
     index = SubsetIndex.boltzmann(3)
     eta_hat = loglinear.moments(index, rng.uniform(-0.5, 0.5, len(index)))
     obj = KLProjectionObjective(index, eta_hat, lam1, lam2)
-    return index, obj, loglinear.dual_structure(index, alpha), rng
+    return index, obj, loglinear.dual_structure(index, 1.0), rng
 
 
-def _duality_checks(quad_nodes):
+def _duality_checks(mixture):
     checks = []
     res = 0.0
     for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
@@ -60,16 +60,15 @@ def _duality_checks(quad_nodes):
         res = max(res, duality_residual(ds, rng.uniform(-0.8, 0.8, len(index))))
     checks.append(_check("duality_loglinear", res, 1e-5))
 
-    model, _ = gen_dataset(n_samples=1, seed=0, quad_nodes=quad_nodes)
-    xi = model.generating_point()
+    xi = mixture.generating_point()
     res = max(
-        duality_residual(model.dual_structure(alpha), xi) for alpha in (0.0, 1.0)
+        duality_residual(mixture.dual_structure(alpha), xi) for alpha in (0.0, 1.0)
     )
     checks.append(_check("duality_beta_mixture", res, 1e-3))
     return checks
 
 
-def _flatness_checks(quad_nodes):
+def _flatness_checks(mixture):
     checks = []
     index = SubsetIndex.boltzmann(3)
     rng = np.random.default_rng(3)
@@ -80,63 +79,49 @@ def _flatness_checks(quad_nodes):
     )
     checks.append(_check("natural_chart_connection_vanishes", res, 1e-12))
 
-    ds = gaussian.dual_structure(0.0)
-    xi = np.array([0.4, 1.3])
-    res = float(
-        np.max(np.abs(ds.gamma(xi) - levi_civita_from_metric(ds.metric, xi)))
-    )
+    res = _levi_civita_gap(gaussian.dual_structure(0.0), np.array([0.4, 1.3]))
     checks.append(_check("levi_civita_gaussian", res, 1e-6))
 
-    ds = loglinear.dual_structure(index, 0.0)
     theta = np.random.default_rng(4).uniform(-0.7, 0.7, len(index))
-    res = float(
-        np.max(np.abs(ds.gamma(theta) - levi_civita_from_metric(ds.metric, theta)))
-    )
+    res = _levi_civita_gap(loglinear.dual_structure(index, 0.0), theta)
     checks.append(_check("levi_civita_loglinear", res, 1e-5))
 
-    model, _ = gen_dataset(n_samples=1, seed=0, quad_nodes=quad_nodes)
-    ds = model.dual_structure(0.0)
-    xi = model.generating_point()
-    res = float(
-        np.max(np.abs(ds.gamma(xi) - levi_civita_from_metric(ds.metric, xi)))
-    )
+    res = _levi_civita_gap(mixture.dual_structure(0.0), mixture.generating_point())
     checks.append(_check("levi_civita_beta_mixture", res, 1e-3))
     return checks
 
 
+def _levi_civita_gap(ds, xi):
+    """max |Gamma - LC(g)| at xi: zero when the structure's connection is
+    the metric's Levi-Civita connection (alpha = 0)."""
+    return np.max(np.abs(ds.gamma(xi) - levi_civita_from_metric(ds.metric, xi)))
+
+
+def _newton_to_natural_gradient(lam1, lam2):
+    """|beta + a| / |a| at five random points of the penalized projection:
+    the flat-chart Newton step beta against the natural gradient's -a."""
+    index, obj, ds, rng = _loglinear_setup(lam1, lam2)
+    field = gradient_field(ds, obj.eucl_grad)
+    ratios = []
+    for _ in range(5):
+        theta = rng.uniform(-1.0, 1.0, len(index))
+        grad = obj.eucl_grad(theta)
+        a = ds.at(theta).solve(grad)
+        hess = dual_hessian_matrix(ds, field, theta, jacobian=obj.grad_field_jacobian)
+        beta, _ = newton_direction(ds, hess, grad, theta, a=a)
+        ratios.append(np.linalg.norm(beta + a) / np.linalg.norm(a))
+    return ratios
+
+
 def _newton_structure_checks():
     checks = []
-    index, obj, ds, rng = _loglinear_setup(0.0, 0.0)
-    field = gradient_field(ds, obj.eucl_grad)
-    res = 0.0
-    for _ in range(5):
-        theta = rng.uniform(-1.0, 1.0, len(index))
-        grad = obj.eucl_grad(theta)
-        a = ds.at(theta).solve(grad)
-        hess = dual_hessian_matrix(ds, field, theta, jacobian=obj.grad_field_jacobian)
-        beta, _ = newton_direction(ds, hess, grad, theta, a=a)
-        res = max(res, np.linalg.norm(beta + a) / np.linalg.norm(a))
+    res = max(_newton_to_natural_gradient(0.0, 0.0))
     checks.append(_check("newton_step_is_natural_gradient_when_unregularized", res, 1e-8))
 
-    index, obj, ds, rng = _loglinear_setup(0.5, 0.5)
-    field = gradient_field(ds, obj.eucl_grad)
-    sep = np.inf
-    for _ in range(5):
-        theta = rng.uniform(-1.0, 1.0, len(index))
-        grad = obj.eucl_grad(theta)
-        a = ds.at(theta).solve(grad)
-        hess = dual_hessian_matrix(ds, field, theta, jacobian=obj.grad_field_jacobian)
-        beta, _ = newton_direction(ds, hess, grad, theta, a=a)
-        sep = min(sep, np.linalg.norm(beta + a) / np.linalg.norm(a))
+    sep = min(_newton_to_natural_gradient(0.5, 0.5))
     # inverted sense: regularization must separate the two directions
-    checks.append(
-        {
-            "name": "regularization_separates_newton_from_natural_gradient",
-            "passed": bool(sep >= 1e-3),
-            "residual": float(sep),
-            "tolerance": 1e-3,
-        }
-    )
+    check = _check("regularization_separates_newton_from_natural_gradient", sep, 1e-3)
+    checks.append(dict(check, passed=bool(sep >= 1e-3)))
 
     # the quadratic penalty shifts the flat-chart Euclidean Hessian by
     # exactly 2 diag(lam over coordinates)
@@ -223,10 +208,10 @@ def _quadrature_checks():
 
 def run_validation(quad_nodes=64):
     """Run every structural check; returns {"passed", "checks"}."""
-    require_at_least(quad_nodes=quad_nodes)
+    mixture, _ = gen_dataset(n_samples=1, seed=0, quad_nodes=quad_nodes)
     checks = []
-    checks.extend(_duality_checks(quad_nodes))
-    checks.extend(_flatness_checks(quad_nodes))
+    checks.extend(_duality_checks(mixture))
+    checks.extend(_flatness_checks(mixture))
     checks.extend(_newton_structure_checks())
     checks.extend(_retraction_check())
     checks.extend(_alpha_divergence_check())

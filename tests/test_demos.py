@@ -12,7 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_dual_geometry.py", "03_gaussian_divergence_fit.py", "04_beta_mixture_mle.py"],
+    [
+        "01_dual_geometry.py",
+        "03_gaussian_divergence_fit.py",
+        "04_beta_mixture_mle.py",
+        "02_newton_vs_first_order.py",
+        "05_descent_certificates.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     proc = run_python([str(ROOT / "demos" / demo)], tmp_path)

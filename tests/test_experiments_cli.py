@@ -381,12 +381,25 @@ def test_exp3_dataset_artifact(tmp_path):
 
 
 def test_probe_counts_certificate_failures():
-    report = spd_failure_probe(n_seeds=3, alphas=(1.0,))
-    assert report[1.0]["runs"] == 3
-    assert 0 <= report[1.0]["failures"] <= 3
+    # exp1's projection at n = 3 with lambda = (0.3, 0.8), 20 starts per alpha
+    report = spd_failure_probe()
+    assert list(report) == [0.0, -1.0, 1.0]
+    assert report == {
+        0.0: {"runs": 20, "failures": 18, "all_spd": False},
+        -1.0: {"runs": 20, "failures": 20, "all_spd": False},
+        1.0: {"runs": 20, "failures": 0, "all_spd": True},
+    }
 
 
 # ---- command line -----------------------------------------------------------
+
+
+def test_cli_choices_are_the_experiment_and_method_tuples():
+    command = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    choices = {a.dest: a.choices for a in command.choices["run"]._actions}
+    assert choices["experiment"] is experiments.EXPERIMENTS
+    assert choices["methods"] is experiments.METHODS
+    assert RunConfig.defaults("exp1").methods is experiments.METHODS
 
 
 def test_cli_gen_target_stdout(capsys):

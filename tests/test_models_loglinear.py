@@ -404,12 +404,17 @@ SUBNORMAL_PIVOT_THETA0 = np.array(
 )
 
 
-def test_a_non_finite_inversion_step_ends_in_moment_infeasible():
-    # each candidate theta + t step is NaN: it is halved as a rise of the
-    # potential is, and the search ends without progress
+def test_a_non_finite_inversion_step_ends_in_moment_infeasible(monkeypatch):
+    # no candidate theta + t step can be finite, so the inversion names
+    # the step at once instead of halving it: the start and the two
+    # accepted iterates are its only passes
     idx = SubsetIndex.boltzmann(4)
-    with pytest.raises(MomentInfeasible, match="no progress"):
+    loglinear._memo.clear()
+    calls = {}
+    count_calls(monkeypatch, calls, "evaluate", loglinear)
+    with pytest.raises(MomentInfeasible, match="inner Newton step is not finite"):
         loglinear.moment_to_natural(idx, SUBNORMAL_PIVOT_ETA, SUBNORMAL_PIVOT_THETA0)
+    assert calls["evaluate"] <= 3
 
 
 B4 = SubsetIndex.boltzmann(4)
