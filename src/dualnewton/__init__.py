@@ -10,6 +10,7 @@ mixtures with quadrature geometry.
 from .errors import (
     DimensionMismatch,
     DivergenceUndefined,
+    DomainError,
     DomainViolation,
     DualNewtonError,
     InsufficientIterations,
@@ -17,6 +18,8 @@ from .errors import (
     MomentInfeasible,
     NonFiniteValue,
     NotPositiveDefinite,
+    NumericalError,
+    PointError,
     QuadratureUnderflow,
     SingularMatrix,
 )
@@ -65,6 +68,7 @@ __all__ = [
     "BetaMixtureNLL",
     "DimensionMismatch",
     "DivergenceUndefined",
+    "DomainError",
     "DomainViolation",
     "DualNewtonError",
     "DualPoint",
@@ -75,7 +79,9 @@ __all__ = [
     "MomentInfeasible",
     "NonFiniteValue",
     "NotPositiveDefinite",
+    "NumericalError",
     "OptimizerTrace",
+    "PointError",
     "QuadratureUnderflow",
     "RunConfig",
     "SingularMatrix",

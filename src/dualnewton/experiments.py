@@ -15,22 +15,14 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    DivergenceUndefined,
-    DomainViolation,
-    DualNewtonError,
-    InsufficientIterations,
-    MomentInfeasible,
-    NonFiniteValue,
-)
+from .errors import DualNewtonError, InsufficientIterations, PointError
 from .models import gaussian, loglinear
 from .models.betamix import BetaMixtureModel, QuadratureRule
 from .models.loglinear import SubsetIndex
 from .objectives import AlphaDivergenceObjective, BetaMixtureNLL, KLProjectionObjective
 from .optimizers import (
     CONVERGED,
-    DOMAIN_FAILURE,
-    SINGULAR_HESSIAN,
+    FAILED,
     StopRule,
     adam_run,
     convergence_order,
@@ -291,7 +283,7 @@ class RunResult:
 
     @property
     def iterations(self):
-        return len(self.trace.grad_l2)
+        return self.trace.n_iterations
 
 
 def _runs(cfg):
@@ -321,19 +313,19 @@ class _Problem:
     def __init__(self, cfg):
         self.cfg = cfg
         self.extra_artifacts = {}
-        getattr(self, "_build_" + cfg.experiment)()
+        # a point error here (exp1's infeasible target moments, an exp2
+        # start where the divergence is undefined) is a bad configuration
+        try:
+            getattr(self, "_build_" + cfg.experiment)()
+        except PointError as exc:
+            raise ConfigError(f"cannot build the {cfg.experiment} problem: {exc}") from exc
 
     def _build_exp1(self):
         cfg = self.cfg
         self.target = gen_target(cfg.n, cfg.base_scale, cfg.seed)
         index = SubsetIndex.boltzmann(cfg.n)
         eta_hat = self.target.moments_for(index)
-        try:
-            self.objective = KLProjectionObjective(
-                index, eta_hat, cfg.lambda1, cfg.lambda2
-            )
-        except MomentInfeasible as exc:
-            raise ConfigError(f"target moments are infeasible: {exc}") from exc
+        self.objective = KLProjectionObjective(index, eta_hat, cfg.lambda1, cfg.lambda2)
         self.x0 = _init_rng(cfg).uniform(-0.25, 0.2, size=len(index.subsets))
         self.structure_for = lambda alpha: loglinear.dual_structure(index, alpha)
         self.extra_artifacts["target.json"] = self.target.to_dict()
@@ -342,12 +334,8 @@ class _Problem:
         cfg = self.cfg
         self.objective = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
         self.x0 = np.array([cfg.mu0, cfg.sigma0])
-        # a start the divergence cannot evaluate is a configuration
-        # error, like an infeasible exp1 target
-        try:
-            self.objective.value(self.x0)
-        except (DomainViolation, DivergenceUndefined, NonFiniteValue) as exc:
-            raise ConfigError(f"the divergence is undefined at the start: {exc}") from exc
+        # raises where the divergence cannot be evaluated at the start
+        self.objective.value(self.x0)
         self.structure_for = gaussian.dual_structure
 
     def _build_exp3(self):
@@ -470,9 +458,7 @@ def run_experiment(cfg, out_dir=None):
     results = [problem.run(method, alpha) for method, alpha in _runs(cfg)]
 
     reference = problem.reference_point(results)
-    failed = [
-        r for r in results if r.status in (DOMAIN_FAILURE, SINGULAR_HESSIAN)
-    ]
+    failed = [r for r in results if r.status in FAILED]
 
     out = out_dir if out_dir is not None else (cfg.out or None)
     if out is not None:
@@ -521,7 +507,7 @@ def spd_failure_probe():
             x0 = np.random.default_rng(1000 + i).uniform(-1.5, 1.5, size=problem.x0.size)
             trace = dual_newton_run(structure, problem.objective, x0, StopRule())
             non_spd = not all(trace.spd_flags)
-            failures += non_spd or trace.status in (SINGULAR_HESSIAN, DOMAIN_FAILURE)
+            failures += non_spd or trace.status in FAILED
             all_spd = all_spd and not non_spd
         report[alpha] = {"runs": n_starts, "failures": failures, "all_spd": all_spd}
     return report

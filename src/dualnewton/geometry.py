@@ -36,7 +36,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation, NonFiniteValue
 from .linalg import fd_jacobian, is_spd, solve_general, solve_spd
 
 
@@ -65,9 +64,9 @@ class DualStructure:
     ``evaluate(xi)`` is the model's evaluation at xi, with ``G``, ``L``
     and ``connection(alpha, a)``; ``alpha`` selects the primal
     connection, whose dual is the (-alpha)-connection.  ``check(xi)``,
-    the model's own point check, is its one statement of the domain:
-    ``contains`` is False exactly where it raises DimensionMismatch,
-    DomainViolation or NonFiniteValue.
+    the model's own point check, is its one statement of the domain: it
+    raises DimensionMismatch for a point of the wrong shape and a
+    PointError naming the cause for one off the chart.
     """
 
     evaluate: Callable
@@ -78,13 +77,6 @@ class DualStructure:
         """The geometry at xi, evaluated once."""
         xi = np.array(xi, dtype=float)
         return DualPoint(self, xi, self.evaluate(xi))
-
-    def contains(self, xi):
-        try:
-            self.check(xi)
-        except (DimensionMismatch, DomainViolation, NonFiniteValue):
-            return False
-        return True
 
     def metric(self, xi):
         return self.at(xi).G
@@ -193,16 +185,15 @@ def newton_direction(structure, hess, eucl_grad, xi, a=None):
 def second_order_retract(structure, xi, beta):
     """Quadratic retraction xi + beta - 0.5 Gamma(beta, beta).
 
-    Uses the primal connection's symbols.  Raises DomainViolation when
-    the result leaves the model's chart domain; the run loop's guard
-    then halves beta and retries.
+    Uses the primal connection's symbols.  Where the result leaves the
+    model's chart, raises what the model's point check raises there; the
+    run loop's guard then halves beta and retries.
     """
     xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)
     point = structure.at(xi)
     new = xi + beta - 0.5 * point.quad(beta)
-    if not point.structure.contains(new):
-        raise DomainViolation(f"retraction left the chart domain at {new}")
+    point.structure.check(new)
     return new
 
 

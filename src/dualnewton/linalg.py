@@ -38,10 +38,10 @@ rows, differ from their transposes in the last bits and go on to the
 test.  Neither path lets a NaN or infinity in A through, which the
 bound alone would (NaN > bound is False): an A that passes the screen
 is scanned, and one that fails it is finite exactly where max|A|, the
-bound's own scale, is.  The finiteness scans read A, the factor and b
-as Python floats up to 36 entries, cheaper than ``np.isfinite`` there
-(a 2 x 2 solve with its factor takes about 1 us less than with
-``np.isfinite`` on the factor and no scan of A).
+bound's own scale, is.  The finiteness scans read A, the factor, b and
+the solution as Python floats up to 36 entries, cheaper than
+``np.isfinite`` there (a 2 x 2 solve with its factor takes about 1 us
+less than with ``np.isfinite`` on the factor and no scan of A).
 
 ``logsumexp`` is the one log-sum-exp of the package, with one path per
 call shape: over all entries for the log-partition, and along axis 0 of
@@ -176,8 +176,9 @@ def solve_spd(A, b, L=None):
     call LAPACK's dtrtrs with the operands
     ``scipy.linalg.solve_triangular`` would pass it, so the bits are the
     same without that wrapper's per-call overhead.  Raises
-    NonFiniteValue on a NaN or infinity in A, in the factor or in b, and
-    ValueError when max|A - A^T| > 1e-12 max(1, max|A|).
+    NonFiniteValue on a NaN or infinity in A, in the factor, in b or in
+    the solution x, and ValueError when max|A - A^T| > 1e-12 max(1,
+    max|A|).
     """
     A = _as_square(A)
     b = _check_rhs(A, b)
@@ -208,6 +209,9 @@ def solve_spd(A, b, L=None):
         x, info = lapack.dtrtrs(U, y, lower=0)
     if info != 0:
         raise SingularMatrix(f"triangular solve failed with LAPACK info {info}")
+    if not _all_finite(x):
+        # a factor with a tiny pivot can overflow the solution
+        raise NonFiniteValue("solve_spd produced a NaN or infinite solution")
     return x
 
 

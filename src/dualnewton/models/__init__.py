@@ -18,8 +18,10 @@ through its structure, as ``dual_structure(...).gamma(xi)``.
 Each structure also carries the model's point check, the one statement
 of its domain: the Gaussian's ``gaussian.check``, the mixture's shape
 check bound to K, and the log-linear theta check bound to the index.
-``contains`` is True exactly where that check passes, and every
-evaluation at a point starts with it.
+Every evaluation at a point starts with it, and the optimizers call it
+on each start and trial point.  Off the chart it raises a PointError
+that names the cause (a sigma whose square overflows, a non-finite
+theta, a shape parameter that is not positive).
 """
 
 from . import betamix, gaussian, loglinear

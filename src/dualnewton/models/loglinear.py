@@ -294,12 +294,11 @@ def moment_to_natural(index, eta, theta0=None):
         if abs(residual).max() < _INVERSION_TOL:
             return theta
         try:
+            # a step that is not finite raises: every candidate
+            # theta + t step would be non-finite too
             step = at.solve(-residual)
         except DualNewtonError as exc:
             raise MomentInfeasible(f"inner Newton solve failed: {exc}") from exc
-        if not np.isfinite(step).all():
-            # every candidate theta + t step would be non-finite too
-            raise MomentInfeasible("the inner Newton step is not finite")
         t = 1.0
         for _ in range(60):
             candidate = theta + t * step

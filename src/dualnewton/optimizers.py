@@ -1,7 +1,7 @@
 """Iterative methods sharing one iteration loop, trace format and stopping rule.
 
 The four methods differ only in how they propose a step.  One loop,
-``_iterate``, owns everything around that: the start-domain check, the
+``_iterate``, owns everything around that: the start's point check, the
 stopping test, halving a step until its point is usable, the trace and
 the iterate path.  Each method contributes a proposer: Newton solves the
 dual-Hessian system and retracts along the primal connection, natural
@@ -22,15 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainViolation,
-    DivergenceUndefined,
+    DomainError,
     InsufficientIterations,
     LineSearchFailure,
-    MomentInfeasible,
     NonFiniteValue,
-    NotPositiveDefinite,
-    QuadratureUnderflow,
-    SingularMatrix,
+    NumericalError,
+    PointError,
 )
 from .geometry import (
     dual_hessian_matrix,
@@ -46,18 +43,8 @@ CONVERGED = "Converged"
 MAX_ITERS = "MaxIters"
 SINGULAR_HESSIAN = "SingularHessian"
 DOMAIN_FAILURE = "DomainFailure"
-
-# exceptions that mean "this trial point is unusable, back off"; the
-# metric errors cover points so extreme the Fisher matrix degenerates
-# numerically even though it is positive definite in exact arithmetic
-_POINT_ERRORS = (
-    DomainViolation,
-    DivergenceUndefined,
-    NonFiniteValue,
-    NotPositiveDefinite,
-    QuadratureUnderflow,
-    SingularMatrix,
-)
+# the statuses of a run that ended without a local model at its iterate
+FAILED = (SINGULAR_HESSIAN, DOMAIN_FAILURE)
 
 _MAX_HALVINGS = 30
 
@@ -239,8 +226,9 @@ class _Evaluation:
         return self
 
 
-# a solve can overflow a, and an infinite entry times a zero of G is NaN:
-# the norms are then not finite, and no warning is raised
+# a finite a can overflow a . a and a G a, and an infinite entry of a G
+# times a zero of a is NaN: the norms are then not finite, and no
+# warning is raised
 @np.errstate(over="ignore", invalid="ignore")
 def _squares(a, G):
     """(a . a, a G a)."""
@@ -249,42 +237,40 @@ def _squares(a, G):
 
 def _rescaled_norms(a, G, squares):
     """sqrt(a . a) and sqrt(a G a) from their ``squares``, where one of
-    them overflowed: for a finite a, that one is taken again of
-    a / max|a| and its root scaled back, so a gradient above 1e154 has a
-    finite norm."""
+    them overflowed: that one is taken again of a / max|a| (a solve
+    returns only a finite a) and its root scaled back, so a gradient
+    above 1e154 has a finite norm."""
     norms = [math.sqrt(max(q, 0.0)) for q in squares]
-    if np.isfinite(a).all():
-        scale = float(abs(a).max())
-        again = _squares(a / scale, G)
-        for i in (0, 1):
-            if squares[i] == math.inf:
-                norms[i] = scale * math.sqrt(max(again[i], 0.0))
+    scale = float(abs(a).max())
+    again = _squares(a / scale, G)
+    for i in (0, 1):
+        if squares[i] == math.inf:
+            norms[i] = scale * math.sqrt(max(again[i], 0.0))
     return norms
 
 
 def _evaluate(structure, obj, form):
-    """The record at the trial point ``form()``, or None when forming or
-    evaluating it raises a point error or MomentInfeasible (a failed
-    pullback of mirror descent), or the point is outside the domain or
-    its value is not finite: the one guard around a candidate's making."""
+    """The record at the trial point ``form()``, or None when forming it
+    (a retraction, or mirror descent's pullback), the model's point
+    check or the objective raises a PointError, or its value is not
+    finite: the one guard around a candidate's making."""
     try:
         xi = form()
-        if not structure.contains(xi):
-            return None
+        structure.check(xi)
         evaluation = _Evaluation(structure, obj, xi)
-    except (*_POINT_ERRORS, MomentInfeasible):
+    except PointError:
         return None
     return evaluation if math.isfinite(evaluation.f) else None
 
 
 def _usable(evaluation):
     """The record, measured; None when there is none, its gradient is
-    non-finite, or its geometry raises a point error or is non-finite."""
+    non-finite, or its geometry raises a PointError or is non-finite."""
     if evaluation is None or not all(map(math.isfinite, evaluation.grad.tolist())):
         return None
     try:
         evaluation.measure()
-    except _POINT_ERRORS:
+    except PointError:
         return None
     return evaluation if math.isfinite(evaluation.l2) else None
 
@@ -292,9 +278,10 @@ def _usable(evaluation):
 def _iterate(structure, obj, xi0, stop, propose):
     """Retraction-based descent loop shared by the four methods.
 
-    Every point is evaluated once, as an ``_Evaluation`` record; a start
-    whose value or gradient is not finite, or whose record cannot be
-    measured, raises.  ``propose(here)`` reads the iterate's measured
+    Every point is evaluated once, as an ``_Evaluation`` record.  A
+    start off the chart raises the model's point check error; one whose
+    value or gradient is not finite, or whose record cannot be measured,
+    raises too.  ``propose(here)`` reads the iterate's measured
     record and returns a final status or ``(trial, spd)``: ``trial(t)``
     is the ``_evaluate`` record of the candidate for t = 1, 1/2, 1/4, ...
     or None when there is none, and never raises; ``spd`` is the step's
@@ -303,8 +290,7 @@ def _iterate(structure, obj, xi0, stop, propose):
     """
     stop = stop or StopRule()
     xi = np.array(xi0, dtype=float)
-    if not structure.contains(xi):
-        raise DomainViolation(f"starting point {xi} outside the model domain")
+    structure.check(xi)
     trace = OptimizerTrace()
     trace.iterates.append(xi.copy())
     start = time.perf_counter()
@@ -370,9 +356,9 @@ def dual_newton_run(structure, obj, xi0, stop=None):
         try:
             hess = dual_hessian_matrix(point, lambda _: a, xi, obj.grad_field_jacobian)
             beta, spd = newton_direction(point, hess, here.grad, xi, a=a)
-        except (SingularMatrix, NotPositiveDefinite, NonFiniteValue):
+        except NumericalError:
             return SINGULAR_HESSIAN
-        except (DomainViolation, DivergenceUndefined, QuadratureUnderflow):
+        except DomainError:
             # the Jacobian's evaluation (the mixture's finite-difference
             # probes) left the domain, so no local model exists here
             return DOMAIN_FAILURE
@@ -469,9 +455,9 @@ def wolfe_line_search(phi, dphi, f_atol=0.0):
     ``_WOLFE_C1`` and ``_WOLFE_C2``.  One loop (Nocedal & Wright, Alg.
     3.5-3.6) narrows the interval between lo, the last Armijo step, and
     hi: the trial doubles from 1 while hi is infinite, then bisects.  A
-    trial that fails Armijo, is non-finite (an overshoot) or is worse
-    than lo becomes hi; one whose slope points back past lo turns the
-    interval around.
+    trial that fails Armijo, whose value or slope is non-finite (an
+    overshoot) or that is worse than lo becomes hi; one whose slope
+    points back past lo turns the interval around.
 
     ``f_atol`` is the rounding noise of one phi evaluation.  Near a
     minimizer of a large-magnitude objective the true decrease can sit
@@ -506,6 +492,9 @@ def wolfe_line_search(phi, dphi, f_atol=0.0):
             hi = s
             continue
         ds = float(dphi(s))
+        if not math.isfinite(ds):
+            hi = s
+            continue
         if abs(ds) <= -_WOLFE_C2 * dphi0:
             return s
         if ds * (hi - lo) >= 0:
@@ -534,9 +523,14 @@ def mirror_descent_run(index, obj, theta0, stop=None):
             return loglinear.moment_to_natural(index, eta - s * grad, theta0=theta)
 
         def slope(evaluation):
-            # the geometry at the trial, which the loop reuses if it is accepted
-            point = evaluation.measure().point
-            return float(evaluation.grad @ point.solve(direction))
+            # the geometry at the trial, which the loop reuses if it is
+            # accepted; where it cannot be read the slope is NaN, which
+            # the search takes for an overshoot
+            try:
+                point = evaluation.measure().point
+                return float(evaluation.grad @ point.solve(direction))
+            except PointError:
+                return math.nan
 
         return pullback, slope
 

@@ -21,6 +21,7 @@ from dualnewton.experiments import (
     run_experiment,
     spd_failure_probe,
 )
+from dualnewton.errors import DivergenceUndefined, MomentInfeasible, QuadratureUnderflow
 from dualnewton.models import loglinear
 from dualnewton.models.loglinear import SubsetIndex
 
@@ -560,6 +561,27 @@ def test_cli_exp2_start_off_the_gaussian_chart_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and "sigma^2 overflows" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "experiment, builder, error",
+    [
+        ("exp1", "KLProjectionObjective", MomentInfeasible),
+        ("exp2", "AlphaDivergenceObjective", DivergenceUndefined),
+        ("exp3", "BetaMixtureNLL", QuadratureUnderflow),
+    ],
+)
+def test_a_point_error_while_a_problem_is_built_is_a_config_error(
+    monkeypatch, experiment, builder, error
+):
+    # the problem has no usable point, so the configuration cannot run
+    def refusing(*args, **kwargs):
+        raise error("planted in the problem's set-up")
+
+    monkeypatch.setattr(experiments, builder, refusing)
+    with pytest.raises(ConfigError, match=f"{experiment} problem: planted") as raised:
+        run_experiment(RunConfig.defaults(experiment, n_samples=10))
+    assert isinstance(raised.value.__cause__, error)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualnewton import geometry
-from dualnewton.errors import DomainViolation, SingularMatrix
+from dualnewton.errors import (
+    DimensionMismatch,
+    DomainViolation,
+    PointError,
+    SingularMatrix,
+)
 from dualnewton.geometry import (
     dual_hessian_matrix,
     duality_residual,
@@ -133,9 +138,15 @@ def test_retract_zero_step_fixed_point():
 
 
 def test_retract_domain_violation():
+    # the retraction raises what the model's check raises at the new point
     guarded = euclidean_structure(2, inside=lambda xi: xi[1] > 0)
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match="outside the domain"):
         second_order_retract(guarded, np.array([0.0, 1.0]), np.array([0.0, -2.0]))
+    # at alpha = -1/2 the symbol Gamma^sigma_sigma,sigma is 0, so the step
+    # lands at sigma = 1e200, where sigma^2 overflows
+    ds = gaussian.dual_structure(-0.5)
+    with pytest.raises(DomainViolation, match="sigma\\^2 overflows"):
+        second_order_retract(ds, np.array([0.0, 1.0]), np.array([0.0, 1e200]))
 
 
 def test_retract_tangency():
@@ -264,20 +275,23 @@ def _domain_case(model):
 
 @pytest.mark.parametrize("model", ["loglinear", "gaussian", "betamix"])
 def test_contains_is_the_one_domain_test(model):
-    # contains asks the model's own point check, which refuses a wrong
-    # shape, a non-finite entry and a point outside the chart
+    # the model's own point check refuses a wrong shape as a
+    # DimensionMismatch, and a non-finite entry and a point outside the
+    # chart as a PointError
     ds, inside, outside = _domain_case(model)
-    assert ds.contains(inside)
-    assert not ds.contains(inside[:-1])
-    assert not ds.contains(np.append(inside, 1.0))
-    assert not ds.contains(inside.reshape(1, -1))
+    ds.check(inside)
+    for x in (inside[:-1], np.append(inside, 1.0), inside.reshape(1, -1)):
+        with pytest.raises(DimensionMismatch):
+            ds.check(x)
     for i in range(len(inside)):
         for bad in (np.nan, np.inf, -np.inf):
             x = inside.copy()
             x[i] = bad
-            assert not ds.contains(x), (i, bad)
+            with pytest.raises(PointError):
+                ds.check(x)
     for x in outside:
-        assert not ds.contains(x), x
+        with pytest.raises(DomainViolation):
+            ds.check(x)
 
 
 def test_a_lazy_attribute_is_computed_once_and_kept_in_the_instance():

@@ -167,10 +167,11 @@ def test_domain_checks():
         model.fisher_metric(np.array([1.0, 1.0, -0.5, 1.0, 1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         model.fisher_metric(np.ones(4))
-    ds = model.dual_structure(0.0)
-    assert ds.contains(np.ones(6))
-    assert not ds.contains(np.array([1, 1, 1, 1, 1, -1.0]))
-    assert not ds.contains(np.array([1, 1, 1, np.inf, 1, 1]))
+    check = model.dual_structure(0.0).check
+    check(np.ones(6))
+    for xi in ([1, 1, 1, 1, 1, -1.0], [1, 1, 1, np.inf, 1, 1]):
+        with pytest.raises(DomainViolation, match="positive and finite"):
+            check(np.array(xi))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 0.0, -0.0, -0.5])
@@ -232,9 +233,10 @@ def test_dual_structure_wiring():
     model = paper_mixture()
     ds = model.dual_structure(0.25)
     xi = model.generating_point()
-    assert not ds.contains(xi[:-2])
+    with pytest.raises(DimensionMismatch):
+        ds.check(xi[:-2])
     assert_allclose(ds.at(xi).gamma_dual, model.dual_structure(-0.25).gamma(xi))
-    assert ds.contains(xi)
+    ds.check(xi)
 
 
 def test_metric_reads_build_no_second_derivatives(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,16 +112,21 @@ def test_a_trial_where_sigma_squared_overflows_is_halved():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_the_domain_test_and_the_point_check_agree_at_the_sigma_bound():
+    # the structure's check and the metric refuse the same sigmas, with
+    # the same message
     ds = gaussian.dual_structure(0.0)
     top = math.sqrt(np.finfo(float).max)
     for sigma in (np.nextafter(top, 0.0), top, np.nextafter(top, np.inf), 1e200):
         xi = np.array([0.0, sigma])
         try:
             gaussian.fisher_metric(xi)
-        except DomainViolation:
-            assert not ds.contains(xi)
+        except DomainViolation as exc:
+            assert sigma > top
+            with pytest.raises(DomainViolation, match=re.escape(str(exc))):
+                ds.check(xi)
         else:
-            assert ds.contains(xi)
+            assert sigma <= top
+            ds.check(xi)
 
 
 @pytest.mark.parametrize("xi", [[1.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
@@ -164,8 +170,9 @@ def test_dual_structure_pairs_alphas():
     xi = np.array([0.2, 1.4])
     assert_allclose(ds.gamma(xi), gaussian.christoffel(xi, 0.6))
     assert_allclose(ds.at(xi).gamma_dual, gaussian.christoffel(xi, -0.6))
-    assert ds.contains(xi)
-    assert not ds.contains(np.array([0.2, -1.4]))
+    ds.check(xi)
+    with pytest.raises(DomainViolation, match="sigma must be positive"):
+        ds.check(np.array([0.2, -1.4]))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

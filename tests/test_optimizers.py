@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 
 from dualnewton import geometry, linalg, optimizers as opt
 from dualnewton.errors import (
+    DimensionMismatch,
+    DivergenceUndefined,
     DomainViolation,
     InsufficientIterations,
     LineSearchFailure,
     MomentInfeasible,
     NonFiniteValue,
     NotPositiveDefinite,
+    QuadratureUnderflow,
+    SingularMatrix,
 )
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset
 from dualnewton.geometry import DualStructure
@@ -205,17 +209,63 @@ def test_stationary_start_zero_iterations(method):
 
 @ALL_RUNS
 def test_rejects_start_outside_domain(method):
+    # the start raises what the model's point check raises there
     if method is opt.mirror_descent_run:
         # the log-linear chart is all of R^m; only non-finite points leave it
         index, obj, ds, _ = kl_problem(2)
-        xi0 = np.full(len(index), np.nan)
+        xi0, error, cause = np.full(len(index), np.nan), NonFiniteValue, "finite"
     else:
         index = None
         ds = euclidean_structure(1, inside=lambda xi: xi[0] > 0)
         obj = quadratic_objective([2.0])
-        xi0 = np.array([-1.0])
-    with pytest.raises(DomainViolation, match="outside the model domain"):
+        xi0, error, cause = np.array([-1.0]), DomainViolation, "outside the domain"
+    with pytest.raises(error, match=cause):
         run_method(method, index, ds, obj, xi0)
+
+
+@ALL_RUNS
+def test_a_start_of_the_wrong_length_is_a_dimension_mismatch(method):
+    index, obj, ds, _ = kl_problem(2)
+    with pytest.raises(DimensionMismatch):
+        run_method(method, index, ds, obj, np.zeros(len(index) + 1))
+
+
+@pytest.mark.parametrize(
+    "method",
+    [opt.dual_newton_run, opt.natural_gradient_run, opt.adam_run],
+    ids=lambda m: m.__name__,
+)
+def test_a_start_off_the_gaussian_chart_names_its_cause(method):
+    obj = Objective(dim=2, value=lambda x: 0.0, eucl_grad=lambda x: np.zeros(2))
+    start = np.array([0.0, 1e200])
+    with pytest.raises(DomainViolation, match="sigma\\^2 overflows at sigma = 1e\\+200"):
+        method(gaussian.dual_structure(0.0), obj, start)
+
+
+# the third inner iterate of a moment inversion near a vertex of the
+# Boltzmann(4) polytope: f and grad are finite there, but the solve
+# against G overflows a = G^{-1} grad
+NON_FINITE_SOLVE_THETA = np.array(
+    [3.1885503287566275, 3.2671012681152867, -1.5856652817161927,
+     -1.4427850784689826, 6.809746741020713, -3.918662015565969,
+     -4.190757740179853, -3.974144625577956, -4.277764279445162,
+     -710.1431617234756]
+)
+
+
+@ALL_RUNS
+def test_a_start_whose_gradient_coordinates_overflow_raises(method):
+    # each method raises the solve's NonFiniteValue at the start; Newton
+    # once ended there as SingularHessian, Adam as DomainFailure, and the
+    # line searches raised a ValueError of their own
+    index = loglinear.SubsetIndex.boltzmann(4)
+    eta_hat = loglinear.moments(index, np.full(len(index), 0.1))
+    obj = KLProjectionObjective(index, eta_hat, 0.0, 0.0)
+    f, grad = obj.value_and_grad(NON_FINITE_SOLVE_THETA)
+    assert math.isfinite(f) and np.isfinite(grad).all()
+    ds = loglinear.dual_structure(index, 0.0)
+    with pytest.raises(NonFiniteValue, match="infinite solution"):
+        run_method(method, index, ds, obj, NON_FINITE_SOLVE_THETA)
 
 
 @ALL_RUNS
@@ -447,6 +497,58 @@ def test_mirror_rejects_a_trial_whose_pullback_raises(monkeypatch, error):
     assert np.array_equal(calls[1][1], eta - 0.5 * grad)
 
 
+@pytest.mark.parametrize("call, iterations", [(4, 147), (10, 95)])
+def test_mirror_takes_a_probe_whose_geometry_raises_for_an_overshoot(
+    monkeypatch, call, iterations
+):
+    # the slope at a Wolfe probe reads its geometry; where that raises a
+    # point error the probe becomes the search's upper end, and the run
+    # goes on instead of ending with the error
+    index = loglinear.SubsetIndex.boltzmann(3)
+    eta_hat = loglinear.moments(index, np.full(len(index), 0.3))
+    obj = KLProjectionObjective(index, eta_hat, 0.5, 0.5)
+    at, calls = DualStructure.at, []
+
+    def spoiled(self, xi):
+        calls.append(xi)
+        if len(calls) == call:
+            raise NotPositiveDefinite("planted in a probe's geometry")
+        return at(self, xi)
+
+    monkeypatch.setattr(DualStructure, "at", spoiled)
+    stop = opt.StopRule(grad_tol=1e-8)
+    tr = opt.mirror_descent_run(index, obj, np.zeros(len(index)), stop)
+    assert tr.status == opt.CONVERGED and tr.n_iterations == iterations
+
+
+@pytest.mark.parametrize(
+    "error, status",
+    [
+        (DomainViolation, opt.DOMAIN_FAILURE),
+        (DivergenceUndefined, opt.DOMAIN_FAILURE),
+        (QuadratureUnderflow, opt.DOMAIN_FAILURE),
+        (MomentInfeasible, opt.DOMAIN_FAILURE),
+        (NonFiniteValue, opt.SINGULAR_HESSIAN),
+        (NotPositiveDefinite, opt.SINGULAR_HESSIAN),
+        (SingularMatrix, opt.SINGULAR_HESSIAN),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_newton_ends_in_the_status_of_its_jacobians_error(error, status):
+    # a local model that cannot be built ends the run: in DomainFailure
+    # for a point outside the model, in SingularHessian where the
+    # arithmetic degenerates
+    index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
+
+    def jacobian(xi):
+        raise error("planted in the Jacobian")
+
+    broken = Objective(obj.dim, obj.value, obj.eucl_grad, jacobian)
+    tr = opt.dual_newton_run(ds, broken, np.full(len(index), 0.2))
+    assert tr.status == status and tr.status in opt.FAILED
+    assert tr.n_iterations == 0
+
+
 def test_a_mirror_trial_whose_inversion_step_is_not_finite_is_rejected():
     # a Boltzmann(4) problem with its target near a vertex of the
     # polytope: a trial's inner Newton step comes out NaN, which once
@@ -502,6 +604,16 @@ def test_wolfe_handles_infinite_overshoot():
     s = opt.wolfe_line_search(phi, dphi)
     assert 0.0 < s <= 0.75
     assert phi(s) <= phi(0.0) + 1e-4 * s * dphi(0.0)
+
+
+def test_wolfe_takes_a_non_finite_slope_for_an_overshoot():
+    # the slope at a probe whose geometry cannot be read is NaN: the
+    # probe at 1 becomes the upper end, and the search bisects below it
+    phi = lambda s: 0.5 * (1.0 - s) ** 2
+    dphi = lambda s: math.nan if s >= 1.0 else s - 1.0
+    s = opt.wolfe_line_search(phi, dphi)
+    assert 0.0 < s < 1.0
+    assert abs(dphi(s)) <= opt._WOLFE_C2 * abs(dphi(0.0))
 
 
 def test_wolfe_requires_descent_direction():
@@ -1238,12 +1350,18 @@ def test_norms_that_do_not_overflow_keep_their_bits(scale):
     [
         # |a| = 1.5e308 sqrt(2) under the identity metric
         ([1.5e308, 1.5e308], euclidean_structure(2), (0.0, 1.0)),
-        # G = diag(2e-300, 4e-300): the solve overflows a to (inf, 0)
+        # G = diag(2e-300, 4e-300): the solve overflows a to (inf, 0),
+        # which it refuses, so the record has no norm
         ([1e10, 0.0], None, (0.0, 1e150)),
     ],
 )
 def test_a_gradient_norm_beyond_the_float_range_is_not_finite(grad, structure, xi):
-    assert not math.isfinite(_record(grad, structure, xi).measure().l2)
+    record = _record(grad, structure, xi)
+    if structure is None:
+        with pytest.raises(NonFiniteValue, match="infinite solution"):
+            record.measure()
+    else:
+        assert not math.isfinite(record.measure().l2)
     assert opt._usable(_record(grad, structure, xi)) is None
 
 

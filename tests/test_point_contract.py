@@ -1,12 +1,12 @@
 """Each model's domain contract, on vectors drawn to the edges of float64.
 
-A structure's ``contains(x)`` asks the model's own point check, so it is
-False exactly where ``at(x)`` raises DimensionMismatch or
-DomainViolation; the log-linear chart refuses a non-finite theta with
-NonFiniteValue as well.  Where ``contains(x)`` is True, the geometry
-``at(x)``, its factor ``at(x).L`` and the objective's ``value_and_grad``
-each return or raise one of the optimizers' point errors, never a numpy
-warning: every warning is an error here.  A ``value_and_grad`` that
+A structure's ``at(x)`` starts with the model's own point check, so it
+raises DimensionMismatch or DomainViolation exactly where ``check(x)``
+does, and the same class; the log-linear chart refuses a non-finite
+theta with NonFiniteValue as well.  Where ``check(x)`` passes, the
+geometry ``at(x)``, its factor ``at(x).L`` and the objective's
+``value_and_grad`` each return or raise one of the six point errors
+below, never a numpy warning: every warning is an error here.  A ``value_and_grad`` that
 returns gives a finite value.  The draws mix NaN, infinities,
 signed zeros, negatives, subnormals, magnitudes up to 1.8e308 and wrong
 lengths with ordinary in-domain entries.
@@ -30,7 +30,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualnewton.errors import DimensionMismatch, DomainViolation, NonFiniteValue
+from dualnewton.errors import (
+    DimensionMismatch,
+    DivergenceUndefined,
+    DomainViolation,
+    NonFiniteValue,
+    NotPositiveDefinite,
+    QuadratureUnderflow,
+    SingularMatrix,
+)
 from dualnewton.linalg import cholesky_lower
 from dualnewton.models import gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
@@ -39,8 +47,17 @@ from dualnewton.objectives import (
     BetaMixtureNLL,
     KLProjectionObjective,
 )
-from dualnewton.optimizers import _POINT_ERRORS
 
+# what a point on the chart may raise: the PointError classes apart from
+# MomentInfeasible, which only the moment inversion raises
+POINT_ERRORS = (
+    DomainViolation,
+    DivergenceUndefined,
+    NonFiniteValue,
+    NotPositiveDefinite,
+    QuadratureUnderflow,
+    SingularMatrix,
+)
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
 _MAX = sys.float_info.max
@@ -86,7 +103,12 @@ def vectors(draw, dim):
 
 
 def assert_contract(ds, x, objective, refused=(DimensionMismatch, DomainViolation)):
-    contained = ds.contains(x)
+    try:
+        ds.check(x)
+    except refused as exc:
+        checked = type(exc)
+    else:
+        checked = None
 
     def value_and_grad():
         # a value that is not finite is raised as NonFiniteValue
@@ -98,18 +120,18 @@ def assert_contract(ds, x, objective, refused=(DimensionMismatch, DomainViolatio
         warnings.simplefilter("error")
         try:
             point = ds.at(x)
-        except refused:
-            assert not contained
+        except refused as exc:
+            assert type(exc) is checked
             return
-        except _POINT_ERRORS:
+        except POINT_ERRORS:
             pass
         else:
             reads.append(lambda: point.L)
-        assert contained
+        assert checked is None
         for read in reads:
             try:
                 read()
-            except _POINT_ERRORS:
+            except POINT_ERRORS:
                 pass
 
 

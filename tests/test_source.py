@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import dualnewton
+from dualnewton import errors
 
 PACKAGE = Path(dualnewton.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
@@ -218,6 +219,61 @@ def test_a_try_in_the_loop_or_a_trial_builder_is_found(tmp_path):
     )
     # propose's own try and _evaluate's guard are allowed
     assert _guarded_trial_code(module) == [("_iterate", 2), ("pullback", 10)]
+
+
+# The failure policy is stated once, by the exceptions' categories in
+# errors.py: a guard in the run loop or the drivers catches PointError,
+# DomainError or NumericalError, never a list of concrete classes that
+# has to be kept in step with the models.
+CATEGORY_GUARDED = ("optimizers.py", "experiments.py")
+CATEGORIES = (errors.PointError, errors.DomainError, errors.NumericalError)
+CONCRETE_POINT_ERRORS = {
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type)
+    and issubclass(value, errors.PointError)
+    and value not in CATEGORIES
+}
+
+
+def _concrete_point_error_handlers(path):
+    """(name, line) of each concrete PointError class that an ``except``
+    clause of the module names, bare or as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for inner in ast.walk(node.type):
+                name = getattr(inner, "id", getattr(inner, "attr", None))
+                if name in CONCRETE_POINT_ERRORS:
+                    found.append((name, node.lineno))
+    return sorted(found, key=lambda entry: entry[1])
+
+
+def test_the_guards_catch_the_point_error_categories():
+    found = {
+        module: names
+        for module in CATEGORY_GUARDED
+        if (names := _concrete_point_error_handlers(PACKAGE / module))
+    }
+    assert found == {}
+
+
+def test_a_guard_that_names_a_concrete_point_error_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from . import errors\n"
+        "from .errors import DimensionMismatch, DomainViolation, PointError\n\n\n"
+        "def f(g):\n"
+        "    try:\n        return g()\n    except PointError:\n        return None\n"
+        "    except (errors.SingularMatrix, DimensionMismatch):\n        raise\n"
+        "    except DomainViolation as exc:\n        raise ValueError() from exc\n"
+    )
+    # the category and an error outside PointError are allowed
+    assert _concrete_point_error_handlers(module) == [
+        ("SingularMatrix", 10),
+        ("DomainViolation", 12),
+    ]
 
 
 # The per-point path calls reductions in method form: np.max, np.sum and
