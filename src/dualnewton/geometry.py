@@ -5,9 +5,9 @@ Conventions used throughout:
 * ``structure.at(xi)`` evaluates the geometry once at a point and
   returns a DualPoint, which wraps the model's evaluation at xi.  An
   evaluation is what a model implements: the SPD Gram matrix ``G``, its
-  lower Cholesky factor ``L``, taken once and shared by every solve
-  against G, and the model's alpha-connection applied to a vector,
-  ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
+  lower Cholesky factor ``L``, made once with G's one check and shared
+  by every solve against G, and the model's alpha-connection applied to
+  a vector, ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
 * Newton reads the connections only through that map: the dual Hessian
   takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
   and the retraction takes ``point.quad(beta)``, Gamma(beta, beta)^i.
@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import fd_jacobian, is_spd, solve_general, solve_spd
+from .linalg import cho_solve, fd_jacobian, is_spd, solve_general, spd_factor
+from .linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 
 
 class lazy:
@@ -117,8 +118,8 @@ class DualPoint:
         return self.structure.at(xi)
 
     def solve(self, b):
-        """G^{-1} b, e.g. the gradient coordinates of a Euclidean gradient."""
-        return solve_spd(self.G, b, L=self.L)
+        """G^{-1} b from the point's factor, e.g. gradient coordinates."""
+        return cho_solve(self.L, b)
 
     def _symbols(self, alpha):
         # connection(alpha, e_k)[i, j] = Gamma^j_ik, entry (i, k, j) of the symbols
@@ -211,14 +212,13 @@ def levi_civita_from_metric(metric, xi):
     dg = metric_derivatives(metric, xi)
     # first kind: Gamma_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
     first = 0.5 * (dg + dg.transpose(1, 0, 2) - np.einsum("kij->ijk", dg))
-    return raise_index(first, np.asarray(metric(xi), dtype=float))
+    return raise_index(first, spd_factor(metric(xi)))
 
 
-def raise_index(first, G, L=None):
-    """Second-kind symbols Gamma^k_ij = sum_s g^ks Gamma_{ij,s}; ``L`` is
-    G's Cholesky factor when the caller holds it."""
-    n = G.shape[0]
-    return solve_spd(G, first.reshape(n * n, n).T, L=L).T.reshape(n, n, n)
+def raise_index(first, L):
+    """Second-kind symbols Gamma^k_ij = sum_s g^ks Gamma_{ij,s}; L = spd_factor(G)."""
+    n = L.shape[0]
+    return cho_solve(L, first.reshape(n * n, n).T).T.reshape(n, n, n)
 
 
 def lower_index(gamma, G):

@@ -24,24 +24,12 @@ the same module object, and ``scipy.linalg.lapack.dtrtrs`` is the very
 routine this module calls.  A scipy that moves the file fails at import
 with an ImportError naming it.
 
-``solve_spd``'s guards cost more than its two dtrtrs calls on a 2 x 2
-system, so they are screened.  The symmetry test rejects A where
-max|A - A^T| > 1e-12 max(1, max|A|), and is read only when the bytes of
-A and A^T differ.  Where they are the same, each entry of A - A^T is
-x - x for one x: +0 for a finite x, NaN for an infinite or NaN one.
-Neither exceeds the bound, so the screen passes no A that the test
-rejects, and the test still decides every other A (a -0.0 facing a
-+0.0 differs in its bytes and goes on to the test, which passes it).
-The Gaussian's closed-form metric passes the screen.  The log-linear
-and mixture metrics, each a product (w C)^T C of weighted and plain
-rows, differ from their transposes in the last bits and go on to the
-test.  Neither path lets a NaN or infinity in A through, which the
-bound alone would (NaN > bound is False): an A that passes the screen
-is scanned, and one that fails it is finite exactly where max|A|, the
-bound's own scale, is.  The finiteness scans read A, the factor, b and
-the solution as Python floats up to 36 entries, cheaper than
-``np.isfinite`` there (a 2 x 2 solve with its factor takes about 1 us
-less than with ``np.isfinite`` on the factor and no scan of A).
+A metric is checked once, where ``spd_factor`` makes its factor.
+``cho_solve`` reads nothing of A: it scans b, makes the two dtrtrs
+calls and scans x.  A point keeps its factor, so its solves make only
+these; ``solve_spd`` runs both steps for a caller with no factor.  The
+scans read up to 36 entries as Python floats, cheaper than
+``np.isfinite`` there.
 
 ``logsumexp`` is the one log-sum-exp of the package, with one path per
 call shape: over all entries for the log-partition, and along axis 0 of
@@ -139,7 +127,7 @@ def _check_rhs(A, b):
 def _all_finite(x):
     """No NaN or infinity in x.  Up to 36 entries x is scanned as Python
     floats, which costs less than ``np.isfinite`` there; ``ravel("K")``
-    reads a transposed factor in place."""
+    reads x in its memory order, without a copy."""
     if x.size <= 36:
         return all(map(math.isfinite, x.ravel("K").tolist()))
     return np.isfinite(x).all()
@@ -167,43 +155,23 @@ def cholesky_lower(A):
     return L
 
 
-def solve_spd(A, b, L=None):
-    """Solve A x = b for symmetric positive definite A via Cholesky.
+def _factor(A):
+    # max|A| propagates a NaN, so it is finite exactly where A is
+    scale = float(abs(A).max())
+    if not math.isfinite(scale):
+        raise NonFiniteValue("met a NaN or infinite entry in A")
+    if float(abs(A - A.T).max()) > 1e-12 * max(1.0, scale):
+        raise ValueError("expected a symmetric matrix")
+    # a finite A gives a finite factor: a NaN or infinity in row i of L
+    # makes pivot i NaN or -inf, which cholesky_lower refuses
+    return cholesky_lower(A)
 
-    ``L``, when given, is the lower Cholesky factor of A that the caller
-    already holds (``cholesky_lower(A)``); only the factorization is
-    skipped, every check below still runs.  The two triangular solves
-    call LAPACK's dtrtrs with the operands
-    ``scipy.linalg.solve_triangular`` would pass it, so the bits are the
-    same without that wrapper's per-call overhead.  Raises
-    NonFiniteValue on a NaN or infinity in A, in the factor, in b or in
-    the solution x, and ValueError when max|A - A^T| > 1e-12 max(1,
-    max|A|).
-    """
-    A = _as_square(A)
-    b = _check_rhs(A, b)
-    # the bytes screen passes exactly those A whose A - A^T holds only
-    # +0 and NaN, which the scaled bound passes too (see the module notes)
-    if A.tobytes() == A.T.tobytes():
-        finite = _all_finite(A)
-    else:
-        # max|A| propagates a NaN, so it is finite exactly where A is
-        scale = float(abs(A).max())
-        finite = math.isfinite(scale)
-        if finite and float(abs(A - A.T).max()) > 1e-12 * max(1.0, scale):
-            raise ValueError("solve_spd expects a symmetric matrix")
-    if not finite:
-        raise NonFiniteValue("solve_spd met a NaN or infinite entry in A")
-    if L is None:
-        L = cholesky_lower(A)
-    elif L.shape != A.shape:
-        raise DimensionMismatch(
-            f"factor of shape {L.shape} for a matrix of shape {A.shape}"
-        )
+
+def _solve(L, b):
+    if not _all_finite(b):
+        raise NonFiniteValue("met a NaN or infinite entry in b")
     # U^T y = b, then U x = y, with U = L^T read in place by LAPACK
     U = L.T
-    if not (_all_finite(U) and _all_finite(b)):
-        raise NonFiniteValue("solve_spd met a NaN or infinite entry")
     y, info = lapack.dtrtrs(U, b, lower=0, trans=1)
     if info == 0:
         x, info = lapack.dtrtrs(U, y, lower=0)
@@ -211,8 +179,29 @@ def solve_spd(A, b, L=None):
         raise SingularMatrix(f"triangular solve failed with LAPACK info {info}")
     if not _all_finite(x):
         # a factor with a tiny pivot can overflow the solution
-        raise NonFiniteValue("solve_spd produced a NaN or infinite solution")
+        raise NonFiniteValue("produced a NaN or infinite solution")
     return x
+
+
+def spd_factor(A):
+    """The lower Cholesky factor of a metric A, checked once: NonFiniteValue
+    on a NaN or infinity in A, ValueError where max|A - A^T| > 1e-12
+    max(1, max|A|), NotPositiveDefinite at a pivot that is not positive."""
+    return _factor(_as_square(A))
+
+
+def cho_solve(L, b):
+    """x with A x = b from L = ``spd_factor(A)``, by dtrtrs with the bits of
+    ``scipy.linalg.solve_triangular``; NonFiniteValue on a non-finite b or x."""
+    return _solve(L, _check_rhs(L, b))
+
+
+def solve_spd(A, b):
+    """Solve A x = b for symmetric positive definite A: ``spd_factor``,
+    then ``cho_solve``, with b's shape checked first."""
+    A = _as_square(A)
+    b = _check_rhs(A, b)
+    return _solve(_factor(A), b)
 
 
 def solve_general(A, b):

@@ -29,9 +29,8 @@ import numpy as np
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
 from ..geometry import DualStructure, lazy, raise_index
-from ..linalg import cholesky_lower, logsumexp
-# not called here; perfbench/test_perfbench.py checks the tracer rebinds it
-from ..linalg import solve_spd  # noqa: F401
+from ..linalg import logsumexp, spd_factor
+from ..linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 
 _LOG_TINY = -708.0  # below this, exp underflows to zero in float64
 
@@ -103,10 +102,10 @@ def _check_shapes(xi, n_components):
 class _NodePass:
     """The geometry at xi from one score pass over the quadrature nodes:
     density weights ``wp``, scores ``s``, responsibilities and raw
-    component scores.  ``G``, its factor ``L``, the second
-    log-derivatives and each alpha's symbols are built on first read, so
-    a metric-only caller builds no second log-derivatives; at alpha = 0
-    the primal and dual are one tensor, as -0.0 == 0.0."""
+    component scores.  ``G``, its factor ``L`` (G's one check), the
+    second log-derivatives and each alpha's symbols are built on first
+    read, so a metric-only caller builds no second log-derivatives; at
+    alpha = 0 the primal and dual are one tensor, as -0.0 == 0.0."""
 
     def __init__(self, model, xi, wp, s, resp, u):
         self.model, self.xi = model, xi
@@ -125,7 +124,7 @@ class _NodePass:
 
     @lazy
     def L(self):
-        return cholesky_lower(self.G)
+        return spd_factor(self.G)
 
     @lazy
     def second(self):
@@ -158,7 +157,7 @@ class _NodePass:
 
     def connection(self, alpha, a):
         if alpha not in self._symbols:
-            self._symbols[alpha] = raise_index(self.first_kind(alpha), self.G, self.L)
+            self._symbols[alpha] = raise_index(self.first_kind(alpha), self.L)
         return np.einsum("k,ikj->ij", a, self._symbols[alpha])
 
 

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from ..errors import DimensionMismatch, DomainViolation
+from ..errors import DimensionMismatch, DomainViolation, NonFiniteValue
 from ..geometry import DualStructure, lazy
 
 # sqrt of the largest float64: sigma^2 overflows for any sigma above it
@@ -65,9 +65,12 @@ class _Evaluation:
 
     @lazy
     def L(self):
-        # cholesky_lower(G) bit for bit: pivots G_jj - 0.0, off-diagonals 0.0 / L_jj
-        G = self.G
-        return np.array([[math.sqrt(G[0, 0]), 0.0], [0.0, math.sqrt(G[1, 1])]])
+        # G's one check: G is diagonal, infinite where sigma^2 underflows;
+        # then cholesky_lower(G) bit for bit (pivots G_jj - 0.0, 0.0 / L_jj)
+        g0, g1 = self.G[0, 0], self.G[1, 1]
+        if not (math.isfinite(g0) and math.isfinite(g1)):
+            raise NonFiniteValue(f"Fisher metric not finite at sigma = {self.xi[1]}")
+        return np.array([[math.sqrt(g0), 0.0], [0.0, math.sqrt(g1)]])
 
     def connection(self, alpha, a):
         return np.einsum("k,ikj->ij", a, christoffel(self.xi, alpha))

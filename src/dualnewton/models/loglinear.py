@@ -7,7 +7,7 @@ expectations are exact enumerations over the 2^n states, so n stays small.
 Every quantity at a point comes from one pass over the states,
 ``evaluate(index, theta)``: the log-partition, the log-probabilities,
 the probabilities p, the moments eta, the centred statistics C, the
-metric G and G's Cholesky factor L.  Building the pass takes only the
+metric G and its checked factor L.  Building the pass takes only the
 energies and their log-sum-exp, which is all that a trial point the
 moment inversion rejects reads; every other quantity is derived on its
 first read and kept read-only.  The last few points stay in a small
@@ -34,7 +34,8 @@ from ..errors import (
     NonFiniteValue,
 )
 from ..geometry import DualStructure, lazy
-from ..linalg import cholesky_lower, logsumexp, solve_spd
+from ..linalg import cho_solve, logsumexp, spd_factor
+from ..linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 
 # Enumeration over 2^n states; keep n well below memory trouble.
 MAX_VARS = 16
@@ -138,13 +139,12 @@ class _Evaluation:
 
     The energies u = F theta and their log-sum-exp are computed at once;
     everything else on its first read, from what is already there, and
-    kept.  Arrays are read-only, so a caller that writes into one gets
-    an error instead of corrupting the memo.
+    kept; G is checked once, where L is made.  Arrays are read-only, so a
+    caller that writes into one gets an error, not a corrupted memo.
     """
 
     # a finite theta near the float range can overflow the energies; the
-    # infinite or NaN entries reach the metric's factor and the solves as
-    # NotPositiveDefinite and NonFiniteValue
+    # infinite or NaN entries reach the metric's factor as NonFiniteValue
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, index, theta):
         self.F = feature_matrix(index)
@@ -175,11 +175,11 @@ class _Evaluation:
 
     @lazy
     def L(self):
-        return _frozen(cholesky_lower(self.G))
+        return _frozen(spd_factor(self.G))
 
     def solve(self, b):
-        """G^{-1} b with the pass's one factor of G."""
-        return solve_spd(self.G, b, L=self.L)
+        """G^{-1} b with the pass's one checked factor of G."""
+        return cho_solve(self.L, b)
 
     def cumulant(self, a):
         """T a, sum_k T_ijk a_k with T the third central moment."""

@@ -77,16 +77,18 @@ class KLProjectionObjective(_Objective):
     def dim(self):
         return len(self.index)
 
-    # a theta near the float range overflows the penalty; a gradient
-    # that overflows is returned as it is
-    @np.errstate(over="ignore", invalid="ignore")
     def value_and_grad(self, theta):
         """The value and the gradient from the log-partition and the
         moments of one pass over the states, which the model keeps for
         the point's geometry.  Raises NonFiniteValue where the value is
         not finite."""
         theta = np.asarray(theta, dtype=float)
-        at = loglinear.evaluate(self.index, theta)
+        return self._value_and_grad(loglinear.evaluate(self.index, theta), theta)
+
+    # ``value_and_grad`` from the pass at theta.  A theta near the float
+    # range overflows the penalty; a gradient that overflows is returned
+    @np.errstate(over="ignore", invalid="ignore")
+    def _value_and_grad(self, at, theta):
         penalty = self.lam @ (theta * theta)
         f = float(float(at.lse) + self._phi_hat - theta @ self.eta_hat + penalty)
         if not math.isfinite(f):
@@ -105,7 +107,7 @@ class KLProjectionObjective(_Objective):
         """
         theta = np.asarray(theta, dtype=float)
         at = loglinear.evaluate(self.index, theta)
-        a = at.solve(self.eucl_grad(theta))
+        a = at.solve(self._value_and_grad(at, theta)[1])
         return at.solve(at.G + 2.0 * np.diag(self.lam) - at.cumulant(a)).T
 
 

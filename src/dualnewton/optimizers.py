@@ -35,8 +35,7 @@ from .geometry import (
     second_order_retract,
 )
 from .linalg import EPS
-# not called here; perfbench/test_perfbench.py checks the tracer rebinds it
-from .linalg import solve_spd  # noqa: F401
+from .linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 from .models import loglinear
 
 CONVERGED = "Converged"
@@ -235,6 +234,12 @@ def _squares(a, G):
     return a.dot(a), a @ G @ a
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _slope(grad, direction):
+    """grad . direction, not finite (and no warning) where it overflows."""
+    return float(grad @ direction)
+
+
 def _rescaled_norms(a, G, squares):
     """sqrt(a . a) and sqrt(a G a) from their ``squares``, where one of
     them overflowed: that one is taken again of a / max|a| (a solve
@@ -378,20 +383,23 @@ def _line_proposer(structure, obj, line):
     ``line(here)`` returns ``(curve, slope)``: ``curve(s)`` is the point
     at length s, raising where it cannot be formed, and ``slope(record)``
     the derivative of f along the curve at that point's record.  The
-    curve leaves the iterate with slope grad . (-a).  A step keeps one
-    ``_evaluate`` record per length, which phi, phi' and the halving
-    trials all read.  Where the slope at the iterate is below the value
-    noise, or the search finds no Wolfe point after an accepted step,
-    the step keeps the last length and a trial counts only if f rises
-    by no more than the noise.
+    curve leaves the iterate with slope grad . (-a), and where that is not
+    finite the step ends DomainFailure.  A step keeps one ``_evaluate``
+    record per length, which phi, phi' and the halving trials all read.
+    Where the slope at the iterate is below the value noise, or the
+    search finds no Wolfe point after an accepted step, the step keeps
+    the last length and a trial counts only if f rises by no more than
+    the noise.
     """
     last_s = None
 
     def propose(here):
         nonlocal last_s
         f = here.f
+        slope0 = _slope(here.grad, -here.a)
+        if not math.isfinite(slope0):
+            return DOMAIN_FAILURE
         curve, slope = line(here)
-        slope0 = float(here.grad @ -here.a)
         records = {0.0: here}
 
         def record(s):
@@ -442,7 +450,7 @@ def natural_gradient_run(structure, obj, xi0, stop=None):
 
     def line(here):
         xi, direction = here.xi, -here.a
-        return (lambda s: xi + s * direction), (lambda e: float(e.grad @ direction))
+        return (lambda s: xi + s * direction), (lambda e: _slope(e.grad, direction))
 
     return _iterate(structure, obj, xi0, stop, _line_proposer(structure, obj, line))
 
@@ -516,7 +524,7 @@ def mirror_descent_run(index, obj, theta0, stop=None):
         # d theta/d eta = G^{-1}, so the pullback leaves theta with
         # slope -grad^T G^{-1} grad = grad . (-a)
         theta, grad = here.xi, here.grad
-        eta = loglinear.moments(index, theta)
+        eta = here.point.evaluation.eta
         direction = -grad
 
         def pullback(s):
@@ -528,7 +536,7 @@ def mirror_descent_run(index, obj, theta0, stop=None):
             # the search takes for an overshoot
             try:
                 point = evaluation.measure().point
-                return float(evaluation.grad @ point.solve(direction))
+                return _slope(evaluation.grad, point.solve(direction))
             except PointError:
                 return math.nan
 

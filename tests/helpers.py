@@ -11,7 +11,7 @@ import numpy as np
 
 from dualnewton.errors import DimensionMismatch, DomainViolation
 from dualnewton.geometry import DualStructure, lazy
-from dualnewton.linalg import EPS, cholesky_lower
+from dualnewton.linalg import EPS, spd_factor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,14 +57,14 @@ def point_check(n, inside=None):
 @dataclass
 class Evaluation:
     """A model's evaluation at a point from a metric and a connection map,
-    with the factor of G taken on first read."""
+    with the checked factor of G taken on first read."""
 
     G: np.ndarray
     connection: Callable
 
     @lazy
     def L(self):
-        return cholesky_lower(self.G)
+        return spd_factor(self.G)
 
 
 def euclidean_structure(n, inside=None):

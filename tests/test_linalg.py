@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from dualnewton import linalg
 from dualnewton.errors import (
     DimensionMismatch,
     NonFiniteValue,
@@ -17,12 +18,14 @@ from dualnewton.errors import (
     SingularMatrix,
 )
 from dualnewton.linalg import (
+    cho_solve,
     cholesky_lower,
     fd_jacobian,
     is_spd,
     logsumexp,
     solve_general,
     solve_spd,
+    spd_factor,
 )
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
@@ -66,8 +69,9 @@ def test_solve_spd_dimension_mismatch():
         lambda A: solve_general(A, np.empty(0)),
         is_spd,
         cholesky_lower,
+        spd_factor,
     ],
-    ids=["solve_spd", "solve_general", "is_spd", "cholesky_lower"],
+    ids=["solve_spd", "solve_general", "is_spd", "cholesky_lower", "spd_factor"],
 )
 def test_an_empty_matrix_is_a_dimension_mismatch(call):
     # one named error, not a reduction's ValueError, a True certificate,
@@ -81,6 +85,12 @@ def _is_asymmetric(A):
     max|A - A^T| > 1e-12 max(1, max|A|)."""
     scale = max(1.0, float(np.max(np.abs(A))))
     return float(np.max(np.abs(A - A.T))) > 1e-12 * scale
+
+
+def _kernel_solve(A, b):
+    """``solve_spd`` as a point makes it: the checked factor of A, then
+    the solve against that factor."""
+    return cho_solve(spd_factor(A), b)
 
 
 @settings(max_examples=300, **FIXED)
@@ -97,35 +107,38 @@ def test_solve_spd_rejects_asymmetry_exactly_where_the_scaled_bound_does(
 ):
     # one off-diagonal entry moves by ratio times the bound, on either
     # side of it, or becomes infinite or NaN, which the bound never
-    # rejects and the finiteness guard does
+    # rejects and the finiteness guard does; the checked factor decides
+    # for both solve forms
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     A = magnitude * (M @ M.T + n * np.eye(n))
-    L = cholesky_lower(A)
     b = rng.standard_normal(n)
     i, j = rng.choice(n, 2, replace=False)
     with np.errstate(invalid="ignore"):
         A[i, j] += ratio * 1e-12 * max(1.0, float(np.max(np.abs(A))))
         rejected = _is_asymmetric(A)
-    if not np.isfinite(A).all():
-        assert not rejected
-        with pytest.raises(NonFiniteValue, match="in A"):
-            solve_spd(A, b, L=L)
-        return
-    if rejected:
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_spd(A, b, L=L)
-        return
-    # the two triangular solves scipy would make against L, L^T
-    y = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
-    x = scipy.linalg.solve_triangular(L, y, lower=True, trans="T", check_finite=False)
-    assert solve_spd(A, b, L=L).tobytes() == x.tobytes()
+    for solve in (solve_spd, _kernel_solve):
+        if not np.isfinite(A).all():
+            assert not rejected
+            with pytest.raises(NonFiniteValue, match="in A"):
+                solve(A, b)
+        elif rejected:
+            with pytest.raises(ValueError, match="symmetric"):
+                solve(A, b)
+        else:
+            # the two triangular solves scipy would make against L, L^T
+            L = cholesky_lower(A)
+            y = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+            x = scipy.linalg.solve_triangular(
+                L, y, lower=True, trans="T", check_finite=False
+            )
+            assert solve(A, b).tobytes() == x.tobytes()
 
 
-def _reference_solve_spd(A, b, L=None):
-    """``solve_spd`` with its guards written plainly: ``np.isfinite`` over
-    A, A - A^T formed and scaled on every call, and ``np.isfinite`` over
-    the factor and b."""
+def _reference_solve_spd(A, b):
+    """A solve against ``L = cholesky_lower(A)`` with every guard written
+    plainly: ``np.isfinite`` over A, A - A^T formed and scaled, A
+    factored only after both, and ``np.isfinite`` over the factor and b."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if not np.isfinite(A).all():
@@ -135,8 +148,7 @@ def _reference_solve_spd(A, b, L=None):
         1.0, float(abs(A).max())
     ):
         raise ValueError("solve_spd expects a symmetric matrix")
-    if L is None:
-        L = cholesky_lower(A)
+    L = cholesky_lower(A)
     U = L.T
     if not (np.isfinite(U).all() and np.isfinite(b).all()):
         raise NonFiniteValue("solve_spd met a NaN or infinite entry")
@@ -148,14 +160,14 @@ def _reference_solve_spd(A, b, L=None):
     return x
 
 
-def _solve_outcome(solve, A, b, L):
-    """The solution's bytes, or the type and message of what it raised."""
+def _solve_outcome(solve, A, b):
+    """The solution's bytes, or the type of what it raised."""
     # an infinite entry makes A - A^T warn; only the outcome is compared
     with np.errstate(all="ignore"):
         try:
-            return solve(A, b, L=L).tobytes()
+            return solve(A, b).tobytes()
         except (ValueError, NonFiniteValue, NotPositiveDefinite, SingularMatrix) as exc:
-            return type(exc), str(exc)
+            return type(exc)
 
 
 @settings(max_examples=500, **FIXED)
@@ -165,22 +177,21 @@ def _solve_outcome(solve, A, b, L):
     magnitude=st.sampled_from([1e-3, 1.0, 1e3, 1e8]),
     ratio=st.sampled_from([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, -1.0 - 1e-6]),
     special=st.sampled_from([None, np.nan, np.inf, -np.inf, -0.0]),
-    where=st.sampled_from(["A", "A pair", "A against +0", "A diagonal", "L", "b"]),
+    where=st.sampled_from(["A", "A pair", "A against +0", "A diagonal", "b"]),
     order=st.sampled_from("CF"),
-    factored=st.booleans(),
     n_rhs=st.sampled_from([None, 1, 3]),
 )
 def test_solve_spd_accepts_rejects_and_solves_as_the_plain_guards_do(
-    n, seed, magnitude, ratio, special, where, order, factored, n_rhs
+    n, seed, magnitude, ratio, special, where, order, n_rhs
 ):
     # one off-diagonal entry moves by ratio times the symmetry bound,
-    # just inside or outside it, and one entry of A, of the factor or of
-    # b may be NaN, infinite or -0.0: the bytes screen and the vector
-    # scan must accept, reject and solve exactly as the plain guards do
+    # just inside or outside it, and one entry of A or of b may be NaN,
+    # infinite or -0.0: the checked factor and the solve against it,
+    # run in turn or inside solve_spd, must accept, reject and solve
+    # exactly as the plain guards do
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     A = magnitude * (M @ M.T + n * np.eye(n))
-    L = cholesky_lower(A)
     b = rng.standard_normal(n if n_rhs is None else (n, n_rhs))
     i, j = (int(k) for k in rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
     if i != j:
@@ -194,15 +205,12 @@ def test_solve_spd_accepts_rejects_and_solves_as_the_plain_guards_do(
             A[i, j], A[j, i] = special, 0.0
         elif where == "A diagonal":
             A[i, i] = special
-        elif where == "L":
-            L[max(i, j), min(i, j)] = special
         else:
             b[i] = special
     A = np.asarray(A, order=order)
-    factor = L if factored else None
-    assert _solve_outcome(solve_spd, A, b, factor) == _solve_outcome(
-        _reference_solve_spd, A, b, factor
-    )
+    expected = _solve_outcome(_reference_solve_spd, A, b)
+    assert _solve_outcome(solve_spd, A, b) == expected
+    assert _solve_outcome(_kernel_solve, A, b) == expected
 
 
 @settings(max_examples=200, **FIXED)
@@ -215,14 +223,13 @@ def test_solve_spd_accepts_rejects_and_solves_as_the_plain_guards_do(
 def test_solve_spd_rejects_a_non_finite_matrix_with_a_finite_factor(
     n, seed, bad, where
 ):
-    # A is symmetric to the bit and its factor finite; a NaN or infinity
-    # in a mirrored pair or on the diagonal passes the bytes screen, one
-    # on a single side fails it, and the scaled bound passes both
+    # A is symmetric to the bit before one entry, or a mirrored pair,
+    # turns NaN or infinite; the factor refuses it before factoring,
+    # also where its lower triangle alone would factor ("upper")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     A = M @ M.T + n * np.eye(n)
     A = 0.5 * (A + A.T)
-    L = cholesky_lower(A)
     b = rng.standard_normal(n)
     i, j = (int(k) for k in rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
     if where == "pair":
@@ -236,24 +243,65 @@ def test_solve_spd_rejects_a_non_finite_matrix_with_a_finite_factor(
     else:
         A[j, i] = 0.0
         A[i, j] = bad
-    mirrored = where in ("pair", "diagonal") or i == j
-    assert (A.tobytes() == A.T.tobytes()) == mirrored
     with np.errstate(invalid="ignore"):
         assert not _is_asymmetric(A)
-    with pytest.raises(NonFiniteValue, match="in A"):
-        solve_spd(A, b, L=L)
+
+    def unused(A):
+        raise AssertionError("a non-finite matrix reached the factorization")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "cholesky_lower", unused)
+        for refuse in (spd_factor, lambda A: solve_spd(A, b)):
+            with pytest.raises(NonFiniteValue, match="in A"):
+                refuse(A)
 
 
-def test_solve_spd_rejects_a_non_finite_factor_or_right_hand_side():
+def test_solve_spd_and_cho_solve_reject_a_non_finite_right_hand_side():
     A = np.array([[4.0, 2.0], [2.0, 3.0]])
-    L = cholesky_lower(A)
+    L = spd_factor(A)
     for bad in (np.nan, np.inf):
+        b = np.array([1.0, bad])
         with pytest.raises(NonFiniteValue):
-            solve_spd(A, np.array([1.0, bad]), L=L)
-        broken = L.copy()
-        broken[1, 0] = bad
+            solve_spd(A, b)
         with pytest.raises(NonFiniteValue):
-            solve_spd(A, np.ones(2), L=broken)
+            cho_solve(L, b)
+
+
+def test_cho_solve_rejects_a_right_hand_side_of_another_length():
+    with pytest.raises(DimensionMismatch):
+        cho_solve(spd_factor(np.eye(3)), np.ones(2))
+
+
+@settings(max_examples=300, **FIXED)
+@given(
+    A=hnp.arrays(
+        float,
+        st.integers(1, 5).map(lambda n: (n, n)),
+        elements=st.one_of(
+            st.floats(-1e308, 1e308),
+            st.sampled_from([1e-300, 1e-160, 5e-324, 1e154, 1e200, 1.7e308]),
+        ),
+    )
+)
+def test_a_finite_matrix_factors_to_a_finite_factor_or_is_refused(A):
+    # so spd_factor, which refuses a non-finite A, need not scan its
+    # factor: a NaN or infinity in row i of L reaches pivot i
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            L = cholesky_lower(A)
+        except NotPositiveDefinite:
+            return
+    assert np.isfinite(L).all()
+
+
+def test_spd_factor_is_the_factor_of_the_plain_loop():
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((6, 6))
+    A = M @ M.T + 6 * np.eye(6)
+    assert spd_factor(A).tobytes() == cholesky_lower(A).tobytes()
+    with pytest.raises(NotPositiveDefinite):
+        spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])

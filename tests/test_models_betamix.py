@@ -17,7 +17,7 @@ from dualnewton.errors import (
     QuadratureUnderflow,
 )
 from dualnewton.geometry import raise_index
-from dualnewton.linalg import fd_jacobian
+from dualnewton.linalg import fd_jacobian, spd_factor
 from dualnewton.models import betamix
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.objectives import BetaMixtureNLL
@@ -450,7 +450,7 @@ def _reference_connection(model, xi, alpha, a):
     integrand = second + 0.5 * (1.0 - alpha) * s[:, :, None] * s[:, None, :]
     integrand *= wp[:, None, None]
     first = np.einsum("nij,nk->ijk", integrand, s)
-    return np.einsum("k,ikj->ij", a, raise_index(first, G))
+    return np.einsum("k,ikj->ij", a, raise_index(first, spd_factor(G)))
 
 
 # Points at the corners of the square, where a component far from the

@@ -137,19 +137,25 @@ def test_point_builds_metric_and_third_moment_once(monkeypatch):
     theta = rng.uniform(-1, 1, size=len(idx))
     calls = {}
     count_calls(monkeypatch, calls, "logsumexp", loglinear)
-    count_calls(monkeypatch, calls, "cholesky_lower", linalg, loglinear)
+    count_calls(monkeypatch, calls, "spd_factor", loglinear)
+    count_calls(monkeypatch, calls, "cholesky_lower", linalg)
     count_calls(monkeypatch, calls, "third_central_moment", loglinear)
     point = loglinear.dual_structure(idx, 0.5).at(theta)
     point.G
-    assert calls == {"logsumexp": 1, "cholesky_lower": 0, "third_central_moment": 0}
+    assert calls == {
+        "logsumexp": 1, "spd_factor": 0, "cholesky_lower": 0, "third_central_moment": 0
+    }
     # the contractions Newton reads and the full symbols, stacked from
-    # the connection map, all come from the point's pass and one factor
+    # the connection map, all come from the point's pass and one checked
+    # factor
     point.dual_dot(rng.normal(size=len(idx)))
     point.quad(rng.normal(size=len(idx)))
     point.gamma
     point.gamma_dual
     point.solve(rng.normal(size=len(idx)))
-    assert calls == {"logsumexp": 1, "cholesky_lower": 1, "third_central_moment": 0}
+    assert calls == {
+        "logsumexp": 1, "spd_factor": 1, "cholesky_lower": 1, "third_central_moment": 0
+    }
 
 
 def test_scalar_third_moment():
@@ -300,8 +306,9 @@ def test_moment_inversion_reads_probabilities_once_per_iteration(monkeypatch):
     calls = {}
     for name in ("probabilities", "moments", "fisher_metric"):
         count_calls(monkeypatch, calls, name, loglinear)
-    count_calls(monkeypatch, calls, "solve_spd", loglinear)
-    count_calls(monkeypatch, calls, "cholesky_lower", linalg, loglinear)
+    count_calls(monkeypatch, calls, "cho_solve", loglinear)
+    count_calls(monkeypatch, calls, "spd_factor", loglinear)
+    count_calls(monkeypatch, calls, "cholesky_lower", linalg)
     count_calls(monkeypatch, calls, "logsumexp", loglinear)
     points = []
     evaluate = loglinear.evaluate
@@ -314,10 +321,11 @@ def test_moment_inversion_reads_probabilities_once_per_iteration(monkeypatch):
     loglinear.moment_to_natural(idx, eta)
     # the start and every trial point make one pass each, which gives
     # the potential there and, once the trial is accepted, the next
-    # iteration's moments, metric and the one factor its step solves with
-    solves = calls.pop("solve_spd")
+    # iteration's moments, metric and the one checked factor its step
+    # solves with
+    solves = calls.pop("cho_solve")
     assert solves >= 2
-    assert calls.pop("cholesky_lower") == solves
+    assert calls.pop("spd_factor") == calls.pop("cholesky_lower") == solves
     assert calls.pop("logsumexp") == len(points) == len(set(points)) >= solves + 1
     # the public readers each make their own call; the inversion reads
     # the pass directly
@@ -381,7 +389,7 @@ def test_moment_inversion_does_not_hide_foreign_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("solver bug")
 
-    monkeypatch.setattr(loglinear, "solve_spd", broken)
+    monkeypatch.setattr(loglinear, "cho_solve", broken)
     idx = SubsetIndex.boltzmann(2)
     with pytest.raises(RuntimeError, match="solver bug"):
         loglinear.moment_to_natural(idx, np.array([0.3, 0.4, 0.1]))

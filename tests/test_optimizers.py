@@ -24,7 +24,11 @@ from dualnewton.experiments import MIXTURE_INIT, gen_dataset
 from dualnewton.geometry import DualStructure
 from dualnewton.linalg import solve_spd
 from dualnewton.models import betamix, gaussian, loglinear
-from dualnewton.objectives import BetaMixtureNLL, KLProjectionObjective
+from dualnewton.objectives import (
+    AlphaDivergenceObjective,
+    BetaMixtureNLL,
+    KLProjectionObjective,
+)
 
 from helpers import (
     Evaluation,
@@ -409,6 +413,7 @@ def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(monkeypatch, 
     count_calls(monkeypatch, calls, "nodes", model)
     obj = BetaMixtureNLL(model, data)
     count_calls(monkeypatch, calls, "value_and_grad", obj)
+    count_calls(monkeypatch, calls, "_factor", linalg)
     recorded = RecordingObjective(obj)
     ds = model.dual_structure(0.0)
     tr = method(ds, recorded, np.array(MIXTURE_INIT), opt.StopRule(max_iters=4))
@@ -419,6 +424,9 @@ def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(monkeypatch, 
     assert calls["value_and_grad"] == len(points) + probes
     # the run's own node passes measure the iterates, here each once
     assert calls["nodes"] == len(tr.iterates) + probes
+    # and each pass checks its metric once, where its factor is made,
+    # however many solves and connections it then serves
+    assert calls["_factor"] == calls["nodes"]
 
 
 def test_mixture_jacobian_has_the_bits_of_probe_records():
@@ -1053,7 +1061,8 @@ def test_newton_builds_no_third_moment_tensor(monkeypatch, alpha):
 
 
 def _factored_matrices(monkeypatch):
-    """The bytes of every matrix handed to the Cholesky factorization."""
+    """The bytes of every matrix handed to the Cholesky factorization,
+    which only linalg's checked factor calls."""
     factored = []
     cholesky_lower = linalg.cholesky_lower
 
@@ -1061,8 +1070,7 @@ def _factored_matrices(monkeypatch):
         factored.append(np.asarray(A).tobytes())
         return cholesky_lower(A)
 
-    for module in (linalg, loglinear):
-        monkeypatch.setattr(module, "cholesky_lower", recorded)
+    monkeypatch.setattr(linalg, "cholesky_lower", recorded)
     return factored
 
 
@@ -1096,12 +1104,12 @@ def test_mirror_wolfe_search_factors_the_iterate_metric_once(monkeypatch):
     loglinear._memo.clear()
     factored = _factored_matrices(monkeypatch)
     calls = {}
-    count_calls(monkeypatch, calls, "solve_spd", loglinear)
+    count_calls(monkeypatch, calls, "cho_solve", loglinear)
     tr = opt.mirror_descent_run(index, obj, theta0, opt.StopRule(max_iters=1))
     assert tr.n_iterations == 1
     G0 = loglinear.fisher_metric(index, theta0).tobytes()
     # several trials, each with its inner inversion from theta0
-    assert calls["solve_spd"] > 3
+    assert calls["cho_solve"] > 3
     assert factored.count(G0) == 1
     assert len(set(factored)) == len(factored)
 
@@ -1130,6 +1138,31 @@ def test_natural_gradient_line_search_failure_is_domain_failure():
     obj = Objective(dim=1, value=lambda x: -float(x[0]), eucl_grad=lambda x: -np.ones(1))
     tr = opt.natural_gradient_run(ds, obj, np.zeros(1), opt.StopRule(max_iters=5))
     assert tr.status == opt.DOMAIN_FAILURE
+
+
+@pytest.mark.filterwarnings("error")
+def test_natural_gradient_ends_where_the_line_slope_overflows(monkeypatch):
+    # at this start f = 1.06e232, grad ~ 8.7e234 and a ~ 2.3e231 are
+    # finite, but grad . a overflows: the step ends DomainFailure with no
+    # warning and no line search, after the start's one evaluation
+    obj = AlphaDivergenceObjective(
+        -2.5742981355335544,
+        -2.5533686616320486,
+        0.1374612919794091,
+        0.15129951409674902,
+        alpha_bar=-3.0,
+    )
+    calls = {}
+    count_calls(monkeypatch, calls, "value_and_grad", obj)
+    count_calls(monkeypatch, calls, "wolfe_line_search", opt)
+    tr = opt.natural_gradient_run(
+        gaussian.dual_structure(0.0),
+        obj,
+        np.array([0.7123330206538334, 0.032684064523833364]),
+        opt.StopRule(grad_tol=1e-8),
+    )
+    assert tr.status == opt.DOMAIN_FAILURE and tr.n_iterations == 0
+    assert calls == {"value_and_grad": 1, "wolfe_line_search": 0}
 
 
 def test_natural_gradient_continues_past_a_collapsed_line_search():

@@ -18,6 +18,8 @@ class that the structure's ``check`` raises at that point.
 On its chart, a point has the bits of its model's public metric reader
 and of the package's Cholesky factor of that metric, and stands in for
 its structure: at its own xi it is itself, elsewhere a fresh evaluation.
+It checks its metric once, where its factor is made, and every solve
+there reads only that factor.
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualnewton import linalg
 from dualnewton.errors import (
     DimensionMismatch,
     DivergenceUndefined,
@@ -47,6 +50,8 @@ from dualnewton.objectives import (
     BetaMixtureNLL,
     KLProjectionObjective,
 )
+
+from helpers import count_calls
 
 # what a point on the chart may raise: the PointError classes apart from
 # MomentInfeasible, which only the moment inversion raises
@@ -264,3 +269,43 @@ def test_a_point_has_the_bits_of_its_model_and_stands_in_for_its_structure(name)
     assert moved is not point and moved.structure is counted
     assert evaluated == [xi.tobytes(), other.tobytes()]
     assert moved.G.tobytes() == metric(other).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_a_point_checks_its_metric_once_and_solves_with_its_factor(name, monkeypatch):
+    # linalg checks a metric only where it makes the checked factor; the
+    # Gaussian checks its closed-form G where it makes its own factor
+    structure, _, xi = POINTS[name]
+    calls = {}
+    count_calls(monkeypatch, calls, "_factor", linalg)
+    count_calls(monkeypatch, calls, "_solve", linalg)
+    rng = np.random.default_rng(4)
+    # a fresh log-linear pass, not one an earlier test left in the memo
+    loglinear._memo.clear()
+    point = structure.at(xi)
+    n = len(xi)
+    point.solve(rng.normal(size=n))
+    # G is not read again: a metric spoiled after its factor is made
+    # changes no solve or connection at the point
+    monkeypatch.setitem(point.evaluation.__dict__, "G", np.full((n, n), math.nan))
+    b = rng.normal(size=n)
+    first = point.solve(b)
+    assert point.solve(b).tobytes() == first.tobytes()
+    point.dual_dot(rng.normal(size=n))
+    point.quad(rng.normal(size=n))
+    point.gamma
+    point.gamma_dual
+    assert calls["_factor"] == (0 if name == "gaussian" else 1)
+    assert calls["_solve"] >= 3
+
+
+def test_a_gaussian_point_whose_sigma_squared_underflows_refuses_its_factor():
+    # G = diag(2, 4) / sigma^2 is infinite; the factor's check names it
+    point = gaussian.dual_structure(0.5).at(np.array([0.3, 1e-160]))
+    assert np.isinf(np.diag(point.G)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="not finite"):
+            point.L
+        with pytest.raises(NonFiniteValue):
+            point.solve(np.ones(2))

@@ -13,8 +13,10 @@ REPO = Path(__file__).resolve().parents[1]
 # imported but not called, each marked ``# noqa: F401``: the benchmark's
 # tracer test checks that installing the tracer rebinds these names
 KEPT_IMPORTS = {
+    ("geometry.py", "solve_spd"),
     ("optimizers.py", "solve_spd"),
     ("models/betamix.py", "solve_spd"),
+    ("models/loglinear.py", "solve_spd"),
 }
 
 
@@ -73,7 +75,7 @@ def test_an_unused_import_is_found(tmp_path):
 # in linalg, in geometry's DualPoint and in the models' passes and
 # points.  An objective or an optimizer asks the model's point instead,
 # so each point has one factor of G, taken in one place.
-FACTOR_NAMES = {"cholesky_lower", "solve_spd"}
+FACTOR_NAMES = {"cholesky_lower", "solve_spd", "spd_factor", "cho_solve"}
 
 
 def _factor_imports(path):
@@ -121,6 +123,53 @@ def test_an_objective_module_that_solves_against_g_is_found(tmp_path):
     )
     # only the objective is named: the optimizers' import is a kept one
     assert _factoring_modules(package) == {"objectives.py": [("solve_spd", 2)]}
+
+
+# Every factor of G is a checked one: only linalg calls the bare
+# ``cholesky_lower``, inside ``spd_factor``, which checks G once first.
+def _bare_factor_calls(package):
+    """module: lines where a module other than linalg calls
+    ``cholesky_lower``, by its name or as an attribute."""
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = sorted(
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "cholesky_lower"
+        )
+        if lines:
+            found[module] = lines
+    return found
+
+
+def test_only_linalg_calls_the_bare_cholesky_factor():
+    assert _bare_factor_calls(PACKAGE) == {}
+
+
+def test_a_model_that_factors_g_unchecked_is_found(tmp_path):
+    package = tmp_path / "package"
+    (package / "models").mkdir(parents=True)
+    (package / "linalg.py").write_text(
+        "def cholesky_lower(A):\n    return A\n\n\n"
+        "def spd_factor(A):\n    return cholesky_lower(A)\n"
+    )
+    (package / "models" / "betamix.py").write_text(
+        "from ..linalg import spd_factor\n\n\n"
+        "def L(G):\n    return spd_factor(G)\n"
+    )
+    (package / "models" / "loglinear.py").write_text(
+        "from .. import linalg\nfrom ..linalg import cholesky_lower\n\n\n"
+        "def L(G):\n    return cholesky_lower(G)\n\n\n"
+        "def again(G):\n    return linalg.cholesky_lower(G)\n"
+    )
+    # linalg's own call and the checked factor pass; both bare calls are found
+    assert _bare_factor_calls(package) == {"models/loglinear.py": [6, 10]}
 
 
 # A DualPoint is made in one place, ``DualStructure.at``, around the
