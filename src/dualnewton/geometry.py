@@ -20,7 +20,8 @@ Conventions used throughout:
 The functions below take a structure and a point xi and read the
 geometry through ``structure.at(xi)``.  A DualPoint may stand in for
 its structure: at its own xi it answers from what it already holds,
-anywhere else it evaluates its structure afresh.
+anywhere else it evaluates its structure afresh.  None of them checks
+a point: the model's evaluation does, before anything else.
 
 The dual Hessian matrix of a gradient field a is
 
@@ -64,15 +65,14 @@ class DualStructure:
 
     ``evaluate(xi)`` is the model's evaluation at xi, with ``G``, ``L``
     and ``connection(alpha, a)``; ``alpha`` selects the primal
-    connection, whose dual is the (-alpha)-connection.  ``check(xi)``,
-    the model's own point check, is its one statement of the domain: it
-    raises DimensionMismatch for a point of the wrong shape and a
-    PointError naming the cause for one off the chart.
+    connection, whose dual is the (-alpha)-connection.  The evaluation
+    starts with the model's point check, the one statement of its
+    domain: it raises DimensionMismatch for a point of the wrong shape
+    and a PointError naming the cause for one off the chart.
     """
 
     evaluate: Callable
     alpha: float
-    check: Callable
 
     def at(self, xi):
         """The geometry at xi, evaluated once."""
@@ -186,16 +186,14 @@ def newton_direction(structure, hess, eucl_grad, xi, a=None):
 def second_order_retract(structure, xi, beta):
     """Quadratic retraction xi + beta - 0.5 Gamma(beta, beta).
 
-    Uses the primal connection's symbols.  Where the result leaves the
-    model's chart, raises what the model's point check raises there; the
-    run loop's guard then halves beta and retries.
+    Uses the primal connection's symbols.  The formula's point is
+    returned wherever it lands: off the model's chart, the first pass
+    at it raises the model's point check error, and the run loop's
+    guard then halves beta and retries.
     """
     xi = np.asarray(xi, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    point = structure.at(xi)
-    new = xi + beta - 0.5 * point.quad(beta)
-    point.structure.check(new)
-    return new
+    return xi + beta - 0.5 * structure.at(xi).quad(beta)
 
 
 def metric_derivatives(metric, xi):

@@ -14,15 +14,15 @@ call LAPACK without scipy's wrappers.  The BLAS picks its own thread
 count; on small systems threads cost more than they save, so pin them
 (e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
-LAPACK comes from scipy's compiled ``scipy.linalg._flapack``, loaded
-from its file in scipy's directory.  ``from scipy.linalg import
-lapack`` would run the ``scipy.linalg`` package import, whose array-API
-layer imports ``numpy.f2py``, ``numpy.testing`` and ``unittest``: about
-350 modules and a quarter of a second that no run reads.  The module is
-registered under its own name, so a later ``import scipy.linalg`` takes
-the same module object, and ``scipy.linalg.lapack.dtrtrs`` is the very
-routine this module calls.  A scipy that moves the file fails at import
-with an ImportError naming it.
+``load_compiled`` loads scipy's compiled ``scipy.linalg._flapack`` (and
+the mixture's ``scipy.special._special_ufuncs``) from its file.  ``from
+scipy.linalg import lapack`` would run the package import, whose
+array-API layer imports ``numpy.f2py``, ``numpy.testing`` and
+``unittest``: about 350 modules and a quarter of a second that no run
+reads.  A loaded module is registered under its own name, so a later
+``import scipy.linalg`` takes the same module object, and
+``scipy.linalg.lapack.dtrtrs`` is the very routine this module calls.
+A scipy that moves the file fails with an ImportError naming it.
 
 A metric is checked once, where ``spd_factor`` makes its factor.
 ``cho_solve`` reads nothing of A: it scans b, makes the two dtrtrs
@@ -73,17 +73,19 @@ from .errors import (
 )
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK module, loaded from its file without
-    running the ``scipy`` and ``scipy.linalg`` package imports (see the
-    module notes)."""
-    name = "scipy.linalg._flapack"
+def load_compiled(name):
+    """scipy's compiled module of dotted ``name``, e.g.
+    ``scipy.linalg._flapack``, loaded from its file without running the
+    package imports above it (see the module notes); a module already
+    imported is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
-        raise ImportError("dualnewton needs scipy's LAPACK module", name="scipy")
-    root = scipy.submodule_search_locations[0]
+        raise ImportError(f"dualnewton needs {name}", name="scipy")
+    *packages, leaf = name.split(".")[1:]
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    path = os.path.join(root, "linalg", "_flapack" + suffix)
+    path = os.path.join(scipy.submodule_search_locations[0], *packages, leaf + suffix)
     spec = importlib.util.spec_from_file_location(name, path)
     # raises an ImportError naming the path where the file is missing
     module = importlib.util.module_from_spec(spec)
@@ -94,7 +96,7 @@ def _load_flapack():
     return module
 
 
-lapack = _load_flapack()
+lapack = load_compiled("scipy.linalg._flapack")
 
 EPS = float(np.finfo(np.float64).eps)
 

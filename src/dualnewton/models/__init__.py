@@ -13,13 +13,12 @@ gives the metric and each alpha's symbols once per point.  The
 Gaussian's holds the closed-form symbols and factor.  The full symbols
 of any model are read as ``dual_structure(...).gamma(xi)``.
 
-Each structure also carries the model's point check, the one statement
-of its domain: the Gaussian's ``gaussian.check``, the mixture's shape
-check bound to K, and the log-linear theta check bound to the index.
-Every evaluation at a point starts with it, and the optimizers call it
-on each start and trial point.  Off the chart it raises a PointError
-that names the cause (a sigma whose square overflows, a non-finite
-theta, a shape parameter that is not positive).
+Each model states its domain once, in its point check (``gaussian.check``,
+the mixture's shape check, the log-linear theta check), which every pass
+at a point runs first: ``evaluate(xi)``, each objective's
+``value_and_grad`` and the mixture's ``grad_field_jacobian``.  Off the
+chart it raises a PointError that names the cause (a sigma whose square
+overflows, a non-finite theta, a shape parameter that is not positive).
 """
 
 from . import betamix, gaussian, loglinear

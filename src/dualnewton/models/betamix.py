@@ -23,13 +23,12 @@ the last bits of every result.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
 from ..geometry import DualStructure, lazy, raise_index
-from ..linalg import logsumexp, spd_factor
+from ..linalg import load_compiled, logsumexp, spd_factor
 from ..linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 
 _LOG_TINY = -708.0  # below this, exp underflows to zero in float64
@@ -187,12 +186,12 @@ class BetaMixtureModel:
             shapes = getattr(self, name)
             if not ((0 < shapes) & (shapes < np.inf)).all():
                 raise ValueError(f"{name} must be positive and finite, got {shapes}")
-        # imported by the first mixture, not with the package: only the
-        # mixture reads scipy.special, and a run builds its model before
-        # its first pass
-        from scipy.special import betaln, digamma, polygamma
-
-        self._betaln, self._digamma, self._polygamma = betaln, digamma, polygamma
+        # loaded by the first mixture, not with the package: only the
+        # mixture reads these.  psi is scipy.special.digamma; trigamma is
+        # _zeta(2.0, x), the bits of polygamma(1, x), whose other factors are 1.0
+        special = load_compiled("scipy.special._special_ufuncs")
+        self._betaln, self._digamma = special.betaln, special.psi
+        self._zeta = special._zeta
 
     @property
     def n_components(self):
@@ -252,10 +251,10 @@ class BetaMixtureModel:
         xi = np.asarray(xi, dtype=float)
         a = xi[0::2]
         b = xi[1::2]
-        tri_ab = self._polygamma(1, a + b)
+        tri_ab = self._zeta(2.0, a + b)
         blocks = np.zeros((self.n_components, 2, 2))
-        blocks[:, 0, 0] = -2.0 * self._polygamma(1, a) + 2.0 * tri_ab
-        blocks[:, 1, 1] = -2.0 * self._polygamma(1, b) + 2.0 * tri_ab
+        blocks[:, 0, 0] = -2.0 * self._zeta(2.0, a) + 2.0 * tri_ab
+        blocks[:, 1, 1] = -2.0 * self._zeta(2.0, b) + 2.0 * tri_ab
         blocks[:, 0, 1] = blocks[:, 1, 0] = 2.0 * tri_ab
         return blocks
 
@@ -280,8 +279,7 @@ class BetaMixtureModel:
         return self.nodes(xi).G
 
     def dual_structure(self, alpha):
-        check = partial(_check_shapes, n_components=self.n_components)
-        return DualStructure(evaluate=self.nodes, alpha=alpha, check=check)
+        return DualStructure(evaluate=self.nodes, alpha=alpha)
 
     # ---- sampling --------------------------------------------------------
 

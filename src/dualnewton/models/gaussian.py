@@ -49,7 +49,10 @@ def christoffel(xi, alpha):
     Only three independent entries survive: the mu-sigma mixed symbol
     and the two diagonal sigma symbols.
     """
-    sigma = check(xi)[1]
+    return _christoffel(check(xi)[1], alpha)
+
+
+def _christoffel(sigma, alpha):
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = gamma[1, 0, 0] = -(1.0 + alpha) / sigma
     gamma[0, 0, 1] = (1.0 - alpha) / (2.0 * sigma)
@@ -73,8 +76,9 @@ class _Evaluation:
         return np.array([[math.sqrt(g0), 0.0], [0.0, math.sqrt(g1)]])
 
     def connection(self, alpha, a):
-        return np.einsum("k,ikj->ij", a, christoffel(self.xi, alpha))
+        # xi has passed the metric's check, which gave sigma as this float
+        return np.einsum("k,ikj->ij", a, _christoffel(float(self.xi[1]), alpha))
 
 
 def dual_structure(alpha):
-    return DualStructure(evaluate=_Evaluation, alpha=alpha, check=check)
+    return DualStructure(evaluate=_Evaluation, alpha=alpha)

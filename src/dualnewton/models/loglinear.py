@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -333,4 +333,4 @@ def moment_to_natural(index, eta, theta0=None):
 def dual_structure(index, alpha):
     # ``evaluate`` is looked up at each call, so a rebinding of it is seen
     at = lambda theta: evaluate(index, theta)
-    return DualStructure(evaluate=at, alpha=alpha, check=partial(_check_theta, index))
+    return DualStructure(evaluate=at, alpha=alpha)

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DivergenceUndefined, NonFiniteValue
 from .geometry import gradient_field
 from .linalg import fd_jacobian
-from .models import gaussian, loglinear
-from .models.betamix import log_sums
+from .models import betamix, gaussian, loglinear
 
 
 class _Objective:
@@ -263,7 +262,7 @@ class BetaMixtureNLL(_Objective):
             raise ValueError("all data points must lie strictly inside (0, 1)^2")
         self.model = model
         self.data = data
-        self._log_sums = log_sums(data)
+        self._log_sums = betamix.log_sums(data)
         # a solve reads only G, which does not depend on alpha
         self._structure = model.dual_structure(0.0)
 
@@ -287,7 +286,8 @@ class BetaMixtureNLL(_Objective):
     def grad_field_jacobian(self, xi):
         """Central differences of the field a = G^{-1} grad: each probe
         makes one pass over the quadrature nodes for the model's point
-        and one score pass over the data for the gradient.  A point off
-        the model's chart raises what its check raises, before any probe."""
+        and one score pass over the data for the gradient.  The model's
+        shape check runs first, since a probe of a point off the chart
+        may lie on it."""
         field = gradient_field(self._structure, self.eucl_grad)
-        return fd_jacobian(field, self._structure.check(xi))
+        return fd_jacobian(field, betamix._check_shapes(xi, self.model.n_components))

@@ -1,13 +1,14 @@
 """Iterative methods sharing one iteration loop, trace format and stopping rule.
 
 The four methods differ only in how they propose a step.  One loop,
-``_iterate``, owns everything around that: the start's point check, the
-stopping test, halving a step until its point is usable, the trace and
-the iterate path.  Each method contributes a proposer: Newton solves the
-dual-Hessian system and retracts along the primal connection, natural
-gradient and mirror descent run one strong Wolfe search along their
-descent curve in the natural and the moment chart, and Adam takes its
-Euclidean update.
+``_iterate``, owns everything around that: the stopping test, halving
+a step until its point is usable, the trace and the iterate path.
+Each method contributes a proposer: Newton solves the dual-Hessian
+system and retracts along the primal connection, natural gradient and
+mirror descent run one strong Wolfe search along their descent curve
+in the natural and the moment chart, and Adam takes its Euclidean
+update.  Nothing here checks a point: the model's own passes do, and
+off the chart they raise the model's point check error.
 
 All four methods stop when the l2 norm of the Riemannian gradient
 coordinates a = G^{-1} grad f drops below the tolerance, so iteration
@@ -256,12 +257,12 @@ def _rescaled_norms(a, G, squares):
 
 def _evaluate(structure, obj, form):
     """The record at the trial point ``form()``, or None when forming it
-    (a retraction, or mirror descent's pullback), the model's point
-    check or the objective raises a PointError, or its value is not
-    finite: the one guard around a candidate's making."""
+    (a retraction, or mirror descent's pullback) or the objective's pass
+    raises a PointError, or its value is not finite: the one guard
+    around a candidate's making.  The pass starts with the model's point
+    check, so a trial off the chart is refused here, by its error."""
     try:
         xi = form()
-        structure.check(xi)
         evaluation = _Evaluation(structure, obj, xi)
     except PointError:
         return None
@@ -284,18 +285,18 @@ def _iterate(structure, obj, xi0, stop, propose):
     """Retraction-based descent loop shared by the four methods.
 
     Every point is evaluated once, as an ``_Evaluation`` record.  A
-    start off the chart raises the model's point check error; one whose
-    value or gradient is not finite, or whose record cannot be measured,
-    raises too.  ``propose(here)`` reads the iterate's measured
-    record and returns a final status or ``(trial, spd)``: ``trial(t)``
-    is the ``_evaluate`` record of the candidate for t = 1, 1/2, 1/4, ...
-    or None when there is none, and never raises; ``spd`` is the step's
-    descent certificate.  The first candidate that ``_usable`` passes
-    within 30 halvings becomes the next iterate.
+    start off the chart raises the model's point check error from its
+    first pass; one whose value or gradient is not finite, or whose
+    record cannot be measured, raises too.  ``propose(here)`` reads the
+    iterate's measured record and returns a final status or
+    ``(trial, spd)``: ``trial(t)`` is the ``_evaluate`` record of the
+    candidate for t = 1, 1/2, 1/4, ... or None when there is none, and
+    never raises; ``spd`` is the step's descent certificate.  The first
+    candidate that ``_usable`` passes within 30 halvings becomes the next
+    iterate.
     """
     stop = stop or StopRule()
     xi = np.array(xi0, dtype=float)
-    structure.check(xi)
     trace = OptimizerTrace()
     trace.iterates.append(xi.copy())
     start = time.perf_counter()

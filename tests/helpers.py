@@ -68,12 +68,15 @@ class Evaluation:
 
 
 def euclidean_structure(n, inside=None):
-    """Identity metric with flat connections on R^n (or a guarded part)."""
+    """Identity metric with flat connections on R^n (or a guarded part),
+    whose evaluation starts with the point check, as a model's does."""
+    check = point_check(n, inside)
 
     def evaluate(xi):
+        check(xi)
         return Evaluation(np.eye(n), lambda alpha, a: np.zeros((n, n)))
 
-    return DualStructure(evaluate=evaluate, alpha=0.0, check=point_check(n, inside))
+    return DualStructure(evaluate=evaluate, alpha=0.0)
 
 
 def count_calls(monkeypatch, calls, name, *modules):

@@ -21,8 +21,10 @@ from dualnewton.linalg import fd_jacobian
 from dualnewton.models import gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.models.loglinear import SubsetIndex
+from dualnewton.objectives import AlphaDivergenceObjective
+from dualnewton.optimizers import _evaluate
 
-from helpers import euclidean_structure
+from helpers import Objective, euclidean_structure, point_check
 
 
 def test_riemannian_gradient_identity_metric():
@@ -138,15 +140,34 @@ def test_retract_zero_step_fixed_point():
 
 
 def test_retract_domain_violation():
-    # the retraction raises what the model's check raises at the new point
-    guarded = euclidean_structure(2, inside=lambda xi: xi[1] > 0)
+    # the retraction returns its formula's point off the chart too; the
+    # trial's objective pass raises the model's check error there, and
+    # the run loop's guard refuses the trial
+    inside = lambda xi: xi[1] > 0
+    check = point_check(2, inside)
+    guarded = euclidean_structure(2, inside=inside)
+    # an objective whose pass starts with the model's check, as the
+    # package's objectives do
+    obj = Objective(
+        dim=2,
+        value=lambda x: float(check(x) @ x),
+        eucl_grad=lambda x: 2.0 * check(x),
+    )
+    xi = np.array([0.0, 1.0])
+    form = lambda: second_order_retract(guarded, xi, np.array([0.0, -2.0]))
+    assert form().tolist() == [0.0, -1.0]
     with pytest.raises(DomainViolation, match="outside the domain"):
-        second_order_retract(guarded, np.array([0.0, 1.0]), np.array([0.0, -2.0]))
+        obj.value_and_grad(form())
+    assert _evaluate(guarded, obj, form) is None
     # at alpha = -1/2 the symbol Gamma^sigma_sigma,sigma is 0, so the step
     # lands at sigma = 1e200, where sigma^2 overflows
     ds = gaussian.dual_structure(-0.5)
+    divergence = AlphaDivergenceObjective(0.5, -0.3, 1.2, 0.8)
+    form = lambda: second_order_retract(ds, xi, np.array([0.0, 1e200]))
+    assert form().tolist() == [0.0, 1e200]
     with pytest.raises(DomainViolation, match="sigma\\^2 overflows"):
-        second_order_retract(ds, np.array([0.0, 1.0]), np.array([0.0, 1e200]))
+        divergence.value_and_grad(form())
+    assert _evaluate(ds, divergence, form) is None
 
 
 def test_retract_tangency():
@@ -275,23 +296,23 @@ def _domain_case(model):
 
 @pytest.mark.parametrize("model", ["loglinear", "gaussian", "betamix"])
 def test_contains_is_the_one_domain_test(model):
-    # the model's own point check refuses a wrong shape as a
-    # DimensionMismatch, and a non-finite entry and a point outside the
-    # chart as a PointError
+    # the structure's evaluation starts with the model's own point check,
+    # which refuses a wrong shape as a DimensionMismatch, and a non-finite
+    # entry and a point outside the chart as a PointError
     ds, inside, outside = _domain_case(model)
-    ds.check(inside)
+    ds.at(inside)
     for x in (inside[:-1], np.append(inside, 1.0), inside.reshape(1, -1)):
         with pytest.raises(DimensionMismatch):
-            ds.check(x)
+            ds.at(x)
     for i in range(len(inside)):
         for bad in (np.nan, np.inf, -np.inf):
             x = inside.copy()
             x[i] = bad
             with pytest.raises(PointError):
-                ds.check(x)
+                ds.at(x)
     for x in outside:
         with pytest.raises(DomainViolation):
-            ds.check(x)
+            ds.at(x)
 
 
 def test_a_lazy_attribute_is_computed_once_and_kept_in_the_instance():

@@ -3,11 +3,13 @@
 from its file: importing the package, or running exp1 or exp2, loads
 that one module of scipy and none of the ``scipy`` and ``scipy.linalg``
 package imports, whose array-API layer would bring in ``numpy.f2py``,
-``numpy.testing`` and ``unittest``.  The Beta mixture imports
-``scipy.special`` when it is built, so an exp3 run loads it; only the
-validation suite's quadrature check loads ``scipy.integrate``.  Each
-case runs in a fresh interpreter, since this process has imported
-whatever the other tests needed."""
+``numpy.testing`` and ``unittest``.  The Beta mixture loads
+``scipy.special._special_ufuncs`` the same way when it is built, so an
+exp3 run loads that one module more and not the ``scipy.special``
+package; a later ``import scipy.special`` exports the very functions
+the mixture binds.  Only the validation suite's quadrature check loads
+``scipy.integrate``.  Each case runs in a fresh interpreter, since this
+process has imported whatever the other tests needed."""
 
 import json
 
@@ -65,7 +67,28 @@ def test_an_exp3_run_loads_the_special_functions_of_its_mixture(tmp_path):
         "--experiment", "exp3", "--method", "adam", "--max-iters", "3",
         "--n-samples", "200", "--quad-nodes", "16",
     )
-    assert "scipy.special" in _loaded_modules(body, tmp_path)
+    loaded = _loaded_modules(body, tmp_path)
+    assert _scipy_modules(loaded) == {
+        "scipy.linalg._flapack",
+        "scipy.special._special_ufuncs",
+    }
+    assert loaded.isdisjoint(UNREAD), sorted(loaded & UNREAD)
+
+
+def test_the_mixture_binds_the_functions_scipy_special_exports(tmp_path):
+    # scipy.special, imported after a mixture is built, takes the module
+    # object the mixture loaded: its digamma and betaln are the bound ones
+    body = (
+        "import sys\nfrom dualnewton.experiments import gen_dataset\n"
+        "model, _ = gen_dataset(n_samples=10, quad_nodes=4)\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "import scipy.special\n"
+        "assert model._digamma is scipy.special.digamma\n"
+        "assert model._betaln is scipy.special.betaln\n"
+        "assert model._zeta is sys.modules['scipy.special._special_ufuncs']._zeta\n"
+    )
+    proc = run_python(["-c", body], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validation_loads_the_quadrature_it_checks_against(tmp_path):

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import betaln, digamma, polygamma
@@ -112,6 +112,31 @@ def test_uniform_component_fisher_trigamma():
     assert_allclose(G, expected, atol=1e-4)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+# and 10^5 points across the shapes the mixture meets
+@example(x=np.linspace(0.05, 50.0, 100_000).tolist())
+@given(
+    x=st.lists(
+        st.one_of(
+            st.floats(0.05, 50.0),
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_the_mixtures_special_functions_have_the_bits_of_scipy_special(x):
+    # trigamma as zeta(2, x), as polygamma(1, x) computes it with the
+    # factors (-1)^2 gamma(2) = 1.0; psi and betaln are scipy's own
+    model = single_beta(4)
+    x = np.array(x)
+    for at in (x, x[0]):
+        assert np.asarray(model._zeta(2.0, at)).tobytes() == np.asarray(
+            polygamma(1, at)
+        ).tobytes()
+    assert model._digamma is digamma and model._betaln is betaln
+
+
 def test_single_component_fisher_matches_log_normalizer_hessian():
     # K=1 is an exponential family: Fisher = Hessian of 2 log B(a, b)
     model = single_beta()
@@ -167,11 +192,12 @@ def test_domain_checks():
         model.fisher_metric(np.array([1.0, 1.0, -0.5, 1.0, 1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
         model.fisher_metric(np.ones(4))
-    check = model.dual_structure(0.0).check
-    check(np.ones(6))
+    # the structure's evaluation starts with the model's shape check
+    at = model.dual_structure(0.0).at
+    at(np.ones(6))
     for xi in ([1, 1, 1, 1, 1, -1.0], [1, 1, 1, np.inf, 1, 1]):
         with pytest.raises(DomainViolation, match="positive and finite"):
-            check(np.array(xi))
+            at(np.array(xi))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 0.0, -0.0, -0.5])
@@ -234,9 +260,10 @@ def test_dual_structure_wiring():
     ds = model.dual_structure(0.25)
     xi = model.generating_point()
     with pytest.raises(DimensionMismatch):
-        ds.check(xi[:-2])
+        ds.at(xi[:-2])
     assert_allclose(ds.at(xi).gamma_dual, model.dual_structure(-0.25).gamma(xi))
-    ds.check(xi)
+    # the structure is the model's node pass and alpha, nothing more
+    assert (ds.evaluate, ds.alpha) == (model.nodes, 0.25)
 
 
 def test_metric_reads_build_no_second_derivatives(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -81,9 +82,9 @@ def test_a_trial_where_sigma_squared_overflows_is_halved():
     # f = 1 / sigma, whose gradient -1 / sigma^2 keeps G^{-1} grad near
     # (0, -1/4) at every sigma.  Adam's first step raises sigma by its
     # learning rate; the trials at t = 1, 1/2 and 1/4 land beyond the
-    # threshold, where the domain test rejects them before any
-    # evaluation, and t = 1/8 is taken
-    evaluated = []
+    # threshold, where the objective (which holds no check) is finite
+    # but the structure's evaluation refuses them, and t = 1/8 is taken
+    evaluated, refused = [], []
 
     def value(x):
         evaluated.append(float(x[1]))
@@ -94,11 +95,20 @@ def test_a_trial_where_sigma_squared_overflows_is_halved():
         # Python floats: sigma * sigma overflows to inf silently
         return np.array([0.0, -1.0 / (sigma * sigma)])
 
+    ds = gaussian.dual_structure(0.0)
+
+    def evaluate(xi):
+        try:
+            return ds.evaluate(xi)
+        except DomainViolation as exc:
+            refused.append((float(xi[1]), str(exc)))
+            raise
+
     obj = Objective(dim=2, value=value, eucl_grad=grad)
     lr = 1e155
     assert lr / 8 < math.sqrt(np.finfo(float).max) < lr / 4
     tr = opt.adam_run(
-        gaussian.dual_structure(0.0),
+        dataclasses.replace(ds, evaluate=evaluate),
         obj,
         np.array([0.0, 1.0]),
         opt.StopRule(max_iters=1),
@@ -106,15 +116,20 @@ def test_a_trial_where_sigma_squared_overflows_is_halved():
     )
     assert tr.status == opt.MAX_ITERS and tr.n_iterations == 1
     assert tr.iterates[1][1] == pytest.approx(lr / 8)
-    # the start and the accepted trial, nothing beyond the threshold
-    assert evaluated == [1.0, tr.iterates[1][1]]
+    # the start, the three trials beyond the threshold and the accepted one
+    beyond = [pytest.approx(lr / 2**k) for k in range(3)]
+    assert evaluated == [1.0, *beyond, tr.iterates[1][1]]
+    # each of the three was refused by its geometry, with the model's cause
+    assert [sigma for sigma, _ in refused] == beyond
+    assert all("sigma^2 overflows" in message for _, message in refused)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_the_domain_test_and_the_point_check_agree_at_the_sigma_bound():
-    # the structure's check and the metric refuse the same sigmas, with
-    # the same message
+    # the structure's evaluation, the objective's pass and the metric
+    # refuse the same sigmas, with the model's check's message
     ds = gaussian.dual_structure(0.0)
+    obj = AlphaDivergenceObjective(0.5, -0.3, 1.2, 0.8)
     top = math.sqrt(np.finfo(float).max)
     for sigma in (np.nextafter(top, 0.0), top, np.nextafter(top, np.inf), 1e200):
         xi = np.array([0.0, sigma])
@@ -122,11 +137,12 @@ def test_the_domain_test_and_the_point_check_agree_at_the_sigma_bound():
             gaussian.fisher_metric(xi)
         except DomainViolation as exc:
             assert sigma > top
-            with pytest.raises(DomainViolation, match=re.escape(str(exc))):
-                ds.check(xi)
+            for read in (ds.at, obj.value_and_grad):
+                with pytest.raises(DomainViolation, match=re.escape(str(exc))):
+                    read(xi)
         else:
             assert sigma <= top
-            ds.check(xi)
+            ds.at(xi)
 
 
 @pytest.mark.parametrize("xi", [[1.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
@@ -170,9 +186,9 @@ def test_dual_structure_pairs_alphas():
     xi = np.array([0.2, 1.4])
     assert_allclose(ds.gamma(xi), gaussian.christoffel(xi, 0.6))
     assert_allclose(ds.at(xi).gamma_dual, gaussian.christoffel(xi, -0.6))
-    ds.check(xi)
+    assert (ds.evaluate(xi).G == gaussian.fisher_metric(xi)).all()
     with pytest.raises(DomainViolation, match="sigma must be positive"):
-        ds.check(np.array([0.2, -1.4]))
+        ds.at(np.array([0.2, -1.4]))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

@@ -986,8 +986,11 @@ def test_evaluating_a_mixture_point_makes_one_pass_over_the_data(monkeypatch):
 
 def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     applied = []
+    check = point_check(2, lambda xi: xi[1] < 0.7)
 
     def evaluate(xi):
+        check(xi)
+
         def connection(alpha, a):
             applied.append((xi.tobytes(), alpha, np.array(a)))
             return np.zeros((2, 2))
@@ -996,9 +999,7 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
 
     # the minimizer (0, 2) lies outside the domain, so every unit step
     # overshoots and is halved several times
-    ds = DualStructure(
-        evaluate=evaluate, alpha=0.5, check=point_check(2, lambda xi: xi[1] < 0.7)
-    )
+    ds = DualStructure(evaluate=evaluate, alpha=0.5)
     center = np.array([0.0, 2.0])
     tr = opt.dual_newton_run(
         ds, quadratic_objective(center), np.zeros(2), opt.StopRule(max_iters=4)

@@ -1,19 +1,25 @@
 """Each model's domain contract, on vectors drawn to the edges of float64.
 
-A structure's ``at(x)`` starts with the model's own point check, so it
-raises DimensionMismatch or DomainViolation exactly where ``check(x)``
-does, and the same class; the log-linear chart refuses a non-finite
-theta with NonFiniteValue as well.  Where ``check(x)`` passes, the
-geometry ``at(x)``, its factor ``at(x).L`` and the objective's
-``value_and_grad`` each return or raise one of the six point errors
-below, never a numpy warning: every warning is an error here.  A ``value_and_grad`` that
-returns gives a finite value.  The draws mix NaN, infinities,
-signed zeros, negatives, subnormals, magnitudes up to 1.8e308 and wrong
-lengths with ordinary in-domain entries.
+A model states its domain once, in its point check (``gaussian.check``,
+the log-linear theta check, the mixture's shape check).  A structure's
+``at(x)`` starts with it, so it raises DimensionMismatch or
+DomainViolation exactly where ``check(x)`` does, and the same class; the
+log-linear chart refuses a non-finite theta with NonFiniteValue as
+well.  Where ``check(x)`` passes, the geometry ``at(x)``, its factor
+``at(x).L`` and the objective's ``value_and_grad`` each return or raise
+one of the six point errors below, never a numpy warning: every warning
+is an error here.  A ``value_and_grad`` that returns gives a finite
+value.  The draws mix NaN, infinities, signed zeros, negatives,
+subnormals, magnitudes up to 1.8e308 and wrong lengths with ordinary
+in-domain entries.
 
 Off its chart, an objective names the cause as its model does:
 ``value_and_grad`` and ``grad_field_jacobian`` raise the very exception
-class that the structure's ``check`` raises at that point.
+class that the model's check raises at that point.
+
+Each pass checks its point once, and nothing else checks it: a run of
+each method makes exactly one point check per model pass, and none
+from the optimizers or the geometry.
 
 On its chart, a point has the bits of its model's public metric reader
 and of the package's Cholesky factor of that metric, and stands in for
@@ -23,6 +29,7 @@ there reads only that factor.
 """
 
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -33,6 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualnewton import linalg
+from dualnewton import optimizers as opt
 from dualnewton.errors import (
     DimensionMismatch,
     DivergenceUndefined,
@@ -43,7 +51,7 @@ from dualnewton.errors import (
     SingularMatrix,
 )
 from dualnewton.linalg import cholesky_lower
-from dualnewton.models import gaussian, loglinear
+from dualnewton.models import betamix, gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.objectives import (
     AlphaDivergenceObjective,
@@ -107,9 +115,12 @@ def vectors(draw, dim):
     return np.array(x)
 
 
-def assert_contract(ds, x, objective, refused=(DimensionMismatch, DomainViolation)):
+REFUSED = (DimensionMismatch, DomainViolation)
+
+
+def assert_contract(ds, check, x, objective, refused=REFUSED):
     try:
-        ds.check(x)
+        check(x)
     except refused as exc:
         checked = type(exc)
     else:
@@ -149,22 +160,22 @@ GAUSSIAN_TARGETS = {
 @settings(max_examples=400, **FIXED)
 @given(x=vectors(2), abar=st.sampled_from(sorted(GAUSSIAN_TARGETS)))
 def test_gaussian_contains_exactly_the_points_its_check_passes(x, abar):
-    assert_contract(gaussian.dual_structure(0.5), x, GAUSSIAN_TARGETS[abar])
+    ds = gaussian.dual_structure(0.5)
+    assert_contract(ds, gaussian.check, x, GAUSSIAN_TARGETS[abar])
 
 
 BOLTZMANN = loglinear.SubsetIndex.boltzmann(3)
 KL = KLProjectionObjective(
     BOLTZMANN, loglinear.moments(BOLTZMANN, np.full(6, 0.1)), 0.5, 0.5
 )
+THETA_CHECK = functools.partial(loglinear._check_theta, BOLTZMANN)
 
 
 @settings(max_examples=300, **FIXED)
 @given(x=vectors(len(BOLTZMANN)))
 def test_loglinear_contains_exactly_the_points_its_check_passes(x):
     ds = loglinear.dual_structure(BOLTZMANN, 1.0)
-    assert_contract(
-        ds, x, KL, refused=(DimensionMismatch, DomainViolation, NonFiniteValue)
-    )
+    assert_contract(ds, THETA_CHECK, x, KL, refused=(*REFUSED, NonFiniteValue))
 
 
 MIXTURE = BetaMixtureModel(
@@ -174,12 +185,13 @@ MIXTURE = BetaMixtureModel(
     quadrature=QuadratureRule.gauss_legendre(16),
 )
 NLL = BetaMixtureNLL(MIXTURE, MIXTURE.sample(40, seed=3))
+SHAPE_CHECK = functools.partial(betamix._check_shapes, n_components=MIXTURE.dim // 2)
 
 
 @settings(max_examples=300, **FIXED)
 @given(x=vectors(MIXTURE.dim))
 def test_mixture_contains_exactly_the_points_its_check_passes(x):
-    assert_contract(MIXTURE.dual_structure(0.5), x, NLL)
+    assert_contract(MIXTURE.dual_structure(0.5), SHAPE_CHECK, x, NLL)
 
 
 # one entry of an off-chart point: not finite, not positive, or a sigma
@@ -201,20 +213,21 @@ def off_chart(draw, dim):
     return np.array(x)
 
 
+# each objective with its model's point check
 OBJECTIVES = {
-    "alpha-divergence": (gaussian.dual_structure(0.5), GAUSSIAN_TARGETS[3.0]),
-    "kl-projection": (loglinear.dual_structure(BOLTZMANN, 1.0), KL),
-    "beta-mixture": (MIXTURE.dual_structure(0.5), NLL),
+    "alpha-divergence": (gaussian.check, GAUSSIAN_TARGETS[3.0]),
+    "kl-projection": (THETA_CHECK, KL),
+    "beta-mixture": (SHAPE_CHECK, NLL),
 }
 
 
 @settings(max_examples=600, **FIXED)
 @given(name=st.sampled_from(sorted(OBJECTIVES)), data=st.data())
 def test_off_its_chart_an_objective_raises_what_its_check_raises(name, data):
-    structure, objective = OBJECTIVES[name]
+    check, objective = OBJECTIVES[name]
     x = data.draw(off_chart(objective.dim))
     try:
-        structure.check(x)
+        check(x)
     except (DimensionMismatch, DomainViolation, NonFiniteValue) as exc:
         expected = type(exc)
     else:
@@ -309,3 +322,78 @@ def test_a_gaussian_point_whose_sigma_squared_underflows_refuses_its_factor():
             point.L
         with pytest.raises(NonFiniteValue):
             point.solve(np.ones(2))
+
+
+# The per-method ledger.  Each model pass is counted where it starts, so
+# the counts do not overlap: the Gaussian's objective pass (its
+# ``value_and_grad`` and its Jacobian) and its evaluation (the metric);
+# the log-linear pass over the states, which every objective pass,
+# evaluation and moment-inversion probe is; and the mixture's score pass
+# (each ``value_and_grad`` and evaluation) and its Jacobian, whose one
+# check comes before its probes' passes.  A run's structure is built
+# after the counters are in place, so it holds no uncounted function.
+MIXTURE_START = np.array([2.0, 4.0, 3.0, 2.0, 4.0, 3.0])
+LEDGER = {
+    "gaussian": (
+        lambda: gaussian.dual_structure(0.5),
+        GAUSSIAN_TARGETS[3.0],
+        np.array([0.3, 1.5]),
+        (gaussian, "check"),
+        [(AlphaDivergenceObjective, "_pass"), (gaussian, "fisher_metric")],
+    ),
+    "loglinear": (
+        lambda: loglinear.dual_structure(BOLTZMANN, 0.5),
+        KL,
+        np.full(len(BOLTZMANN), 0.8),
+        (loglinear, "_check_theta"),
+        [(loglinear, "evaluate")],
+    ),
+    "beta-mixture": (
+        lambda: MIXTURE.dual_structure(0.5),
+        NLL,
+        MIXTURE_START,
+        (betamix, "_check_shapes"),
+        [(BetaMixtureModel, "scores"), (BetaMixtureNLL, "grad_field_jacobian")],
+    ),
+}
+RUNS = {
+    "newton": opt.dual_newton_run,
+    "natgrad": opt.natural_gradient_run,
+    "adam": opt.adam_run,
+    "mirror": lambda structure, obj, x0, stop: opt.mirror_descent_run(
+        obj.index, obj, x0, stop
+    ),
+}
+LEDGER_CASES = [
+    (model, method)
+    for model in sorted(LEDGER)
+    for method in sorted(RUNS)
+    if method != "mirror" or model == "loglinear"
+]
+
+
+def _count(monkeypatch, owner, name, calls):
+    """Append to ``calls`` the module of the caller of each call of
+    ``owner.name``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_globals["__name__"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("model, method", LEDGER_CASES)
+def test_a_run_checks_each_point_once_per_model_pass(model, method, monkeypatch):
+    build, objective, x0, (module, check), starts = LEDGER[model]
+    loglinear._memo.clear()
+    checks, passes = [], []
+    _count(monkeypatch, module, check, checks)
+    for owner, name in starts:
+        _count(monkeypatch, owner, name, passes)
+    trace = RUNS[method](build(), objective, x0, opt.StopRule(max_iters=4))
+    assert trace.n_iterations >= 1
+    assert len(checks) == len(passes) > 0
+    # only the model and the objectives check a point
+    assert set(checks) <= {module.__name__, "dualnewton.objectives"}

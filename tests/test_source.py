@@ -374,10 +374,10 @@ def test_a_function_form_reduction_is_found(tmp_path):
 
 
 # The package imports of scipy.linalg and scipy.special load hundreds of
-# modules that no exp1 or exp2 run reads: linalg loads the compiled
-# LAPACK module from its file, and the Beta mixture imports
-# scipy.special when it is built.  An import inside a function runs only
-# when it is called, so it stays allowed.
+# modules that no run reads: linalg loads the compiled LAPACK module,
+# and the Beta mixture its special functions' compiled module, from its
+# file.  An import inside a function runs only when it is called, so it
+# stays allowed.
 HEAVY_PACKAGES = ("scipy.linalg", "scipy.special")
 
 
@@ -583,4 +583,78 @@ def test_an_uncalled_public_name_is_found(tmp_path):
         "module.py:exported",
         "module.py:read",
         "module.py:size",
+    ]
+
+
+# A model states its domain once, in its point check, and each of its
+# passes at a point starts with it.  A structure is only the model's
+# evaluation and alpha, and neither the optimizers nor the geometry call
+# a point check, so no point is checked again around the passes.
+MODEL_CHECKS = {
+    "models/gaussian.py": "check",
+    "models/loglinear.py": "_check_theta",
+    "models/betamix.py": "_check_shapes",
+}
+UNCHECKING = ("optimizers.py", "geometry.py")
+
+
+def _structure_fields(path):
+    """The annotated fields of the module's ``DualStructure`` class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "DualStructure":
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            return [item.target.id for item in fields]
+    return None
+
+
+def _point_check_calls(path):
+    """(name, line) of each call of a model's point check in the module,
+    by its name or as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in MODEL_CHECKS.values():
+                found.append((name, node.lineno))
+    return sorted(found, key=lambda entry: entry[1])
+
+
+def test_a_structure_holds_no_check_and_the_run_code_calls_none():
+    # each name is its model's top-level point check
+    for module, name in MODEL_CHECKS.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        assert name in {
+            node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        }
+    assert _structure_fields(PACKAGE / "geometry.py") == ["evaluate", "alpha"]
+    found = {
+        module: calls
+        for module in UNCHECKING
+        if (calls := _point_check_calls(PACKAGE / module))
+    }
+    assert found == {}
+
+
+def test_a_structure_check_and_a_point_check_call_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from dataclasses import dataclass\n\n"
+        "from .models import betamix, gaussian\n\n\n"
+        "@dataclass\nclass DualStructure:\n"
+        "    evaluate: object\n    alpha: float\n    check: object\n\n"
+        "    def at(self, xi):\n"
+        "        self.check(xi)\n        return self.evaluate(xi)\n\n\n"
+        "def retract(structure, xi):\n"
+        "    gaussian.check(xi)\n    betamix._check_shapes(xi, 3)\n"
+        "    return structure.checked(xi)\n"
+    )
+    # the field is found, and the three calls; a name that only starts
+    # like a check is not one
+    assert _structure_fields(module) == ["evaluate", "alpha", "check"]
+    assert _point_check_calls(module) == [
+        ("check", 13),
+        ("check", 18),
+        ("_check_shapes", 19),
     ]
