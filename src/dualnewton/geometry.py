@@ -11,14 +11,14 @@ Conventions used throughout:
 * Newton reads the connections only through that map: the dual Hessian
   takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
   and the retraction takes ``point.quad(beta)``, Gamma(beta, beta)^i.
-  The full symbol tensors are stacked from the same map, one basis
-  vector at a time, only for the readers that ask for them;
+  The full symbol tensors, which only the structural checks read, have
+  one reader, ``structure.gamma(xi)``, which stacks them from that map;
 * Christoffel symbols are second-kind tensors with entry (i, j, k) =
   Gamma^k_ij, upper index last;
 * the Riemannian gradient is stored by its coordinates a = G^{-1} grad f.
 
-The functions below take a structure and a point xi and read the
-geometry through ``structure.at(xi)``.  A DualPoint may stand in for
+The Newton functions below take a structure and a point xi and read
+the geometry through ``structure.at(xi)``.  A DualPoint may stand in for
 its structure: at its own xi it answers from what it already holds,
 anywhere else it evaluates its structure afresh.  None of them checks
 a point: the model's evaluation does, before anything else.
@@ -83,7 +83,11 @@ class DualStructure:
         return self.at(xi).G
 
     def gamma(self, xi):
-        return self.at(xi).gamma
+        """The second-kind symbols at xi; the dual ones are those at -alpha."""
+        point = self.at(xi)
+        # connection(alpha, e_k)[i, j] = Gamma^j_ik, entry (i, k, j) of the symbols
+        connection = point.evaluation.connection
+        return np.stack([connection(self.alpha, e) for e in np.eye(len(point.G))], axis=1)
 
 
 @dataclass(eq=False)
@@ -94,9 +98,9 @@ class DualPoint:
     Cholesky factor ``L``, which every solve against G at this point
     uses, and the connection map
     ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``, which
-    applies the alpha-connection at xi to a vector a.  Newton's two
-    reads, ``dual_dot`` and ``quad``, and the full symbols ``gamma``
-    (+alpha) and ``gamma_dual`` (-alpha) all come from that map.
+    applies the alpha-connection at xi to a vector a.  A point holds
+    only what a run reads: ``G``, ``L``, ``at``, ``solve`` and Newton's
+    two contractions of that map, ``dual_dot`` and ``quad``.
     """
 
     structure: DualStructure
@@ -120,19 +124,6 @@ class DualPoint:
     def solve(self, b):
         """G^{-1} b from the point's factor, e.g. gradient coordinates."""
         return cho_solve(self.L, b)
-
-    def _symbols(self, alpha):
-        # connection(alpha, e_k)[i, j] = Gamma^j_ik, entry (i, k, j) of the symbols
-        connection = self.evaluation.connection
-        return np.stack([connection(alpha, e) for e in np.eye(len(self.G))], axis=1)
-
-    @lazy
-    def gamma(self):
-        return self._symbols(self.structure.alpha)
-
-    @lazy
-    def gamma_dual(self):
-        return self._symbols(-self.structure.alpha)
 
     def dual_dot(self, a):
         """M[i, j] = sum_k a_k GammaDual^j_ik."""
@@ -225,11 +216,13 @@ def lower_index(gamma, G):
 
 
 def duality_residual(structure, xi):
-    """Max violation of d_k g_ij = Gamma_{ki,j} + GammaDual_{kj,i}."""
+    """Max violation of d_k g_ij = Gamma_{ki,j} + GammaDual_{kj,i}, read from
+    the structure's metric and its symbols at alpha and at -alpha."""
     xi = np.asarray(xi, dtype=float)
-    point = structure.at(xi)
-    dg = metric_derivatives(point.structure.metric, xi)
-    low = lower_index(point.gamma, point.G)
-    low_dual = lower_index(point.gamma_dual, point.G)
+    G = structure.metric(xi)
+    dg = metric_derivatives(structure.metric, xi)
+    low = lower_index(structure.gamma(xi), G)
+    dual = DualStructure(structure.evaluate, -structure.alpha)
+    low_dual = lower_index(dual.gamma(xi), G)
     residual = dg - low - np.transpose(low_dual, (0, 2, 1))
     return float(abs(residual).max())

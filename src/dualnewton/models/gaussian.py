@@ -43,16 +43,8 @@ def fisher_metric(xi):
         return np.array([[math.inf, 0.0], [0.0, math.inf]])
 
 
-def christoffel(xi, alpha):
-    """Second-kind symbols, entry (i, j, k) = Gamma^k_ij.
-
-    Only three independent entries survive: the mu-sigma mixed symbol
-    and the two diagonal sigma symbols.
-    """
-    return _christoffel(check(xi)[1], alpha)
-
-
 def _christoffel(sigma, alpha):
+    # Gamma^k_ij at (i, j, k): the mixed mu-sigma and two diagonal sigma symbols
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = gamma[1, 0, 0] = -(1.0 + alpha) / sigma
     gamma[0, 0, 1] = (1.0 - alpha) / (2.0 * sigma)

@@ -60,7 +60,7 @@ def test_sigma_is_refused_where_its_square_overflows():
     expected = np.diag([2.0 / sigma**2, 4.0 / sigma**2])
     assert G.tobytes() == expected.tobytes() and np.all(np.diag(G) > 0.0)
     for beyond in (math.nextafter(edge, math.inf), 1e155):
-        for evaluate in (gaussian.fisher_metric, lambda x: gaussian.christoffel(x, 0.0)):
+        for evaluate in (gaussian.fisher_metric, gaussian.dual_structure(0.0).gamma):
             with pytest.raises(DomainViolation, match="sigma"):
                 evaluate([0.0, beyond])
 
@@ -148,14 +148,14 @@ def test_the_domain_test_and_the_point_check_agree_at_the_sigma_bound():
 @pytest.mark.parametrize("xi", [[1.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
 def test_a_point_of_the_wrong_shape_is_a_dimension_mismatch(xi):
     # as in the other models and the objectives' own shape check
-    for evaluate in (gaussian.fisher_metric, lambda x: gaussian.christoffel(x, 0.0)):
+    for evaluate in (gaussian.fisher_metric, gaussian.dual_structure(0.0).gamma):
         with pytest.raises(DimensionMismatch):
             evaluate(xi)
 
 
 def test_christoffel_levi_civita_values():
     # alpha = 0 at sigma = 1: mixed mu symbol -1, sigma symbols (1/2, -1)
-    gamma = gaussian.christoffel([0.3, 1.0], 0.0)
+    gamma = gaussian.dual_structure(0.0).gamma([0.3, 1.0])
     plane_mu = np.array([[0.0, -1.0], [-1.0, 0.0]])
     plane_sigma = np.array([[0.5, 0.0], [0.0, -1.0]])
     assert_allclose(gamma[:, :, 0], plane_mu)
@@ -164,28 +164,29 @@ def test_christoffel_levi_civita_values():
 
 def test_christoffel_mixture_connection_values():
     # alpha = -1 kills the mixed symbol and flips the sigma ones
-    gamma = gaussian.christoffel([0.0, 1.0], -1.0)
+    gamma = gaussian.dual_structure(-1.0).gamma([0.0, 1.0])
     assert_allclose(gamma[:, :, 0], np.zeros((2, 2)))
     assert_allclose(gamma[:, :, 1], np.eye(2))
 
 
 def test_christoffel_scaling_in_sigma():
-    g1 = gaussian.christoffel([0.0, 1.0], 0.4)
-    g2 = gaussian.christoffel([0.0, 2.0], 0.4)
+    ds = gaussian.dual_structure(0.4)
+    g1, g2 = ds.gamma([0.0, 1.0]), ds.gamma([0.0, 2.0])
     assert_allclose(g2, g1 / 2.0)
 
 
 def test_christoffel_symmetric_lower_indices():
     for alpha in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        gamma = gaussian.christoffel([1.0, 0.5], alpha)
+        gamma = gaussian.dual_structure(alpha).gamma([1.0, 0.5])
         assert_allclose(gamma, np.transpose(gamma, (1, 0, 2)))
 
 
 def test_dual_structure_pairs_alphas():
     ds = gaussian.dual_structure(0.6)
     xi = np.array([0.2, 1.4])
-    assert_allclose(ds.gamma(xi), gaussian.christoffel(xi, 0.6))
-    assert_allclose(ds.at(xi).gamma_dual, gaussian.christoffel(xi, -0.6))
+    dual = dataclasses.replace(ds, alpha=-ds.alpha)
+    assert_allclose(ds.gamma(xi), gaussian._christoffel(1.4, 0.6))
+    assert_allclose(dual.gamma(xi), gaussian._christoffel(1.4, -0.6))
     assert (ds.evaluate(xi).G == gaussian.fisher_metric(xi)).all()
     with pytest.raises(DomainViolation, match="sigma must be positive"):
         ds.at(np.array([0.2, -1.4]))

@@ -145,13 +145,13 @@ def test_point_builds_metric_and_third_moment_once(monkeypatch):
     assert calls == {
         "logsumexp": 1, "spd_factor": 0, "cholesky_lower": 0, "third_central_moment": 0
     }
-    # the contractions Newton reads and the full symbols, stacked from
-    # the connection map, all come from the point's pass and one checked
-    # factor
+    # the contractions Newton reads and the structure's full symbols,
+    # stacked from the connection map, all come from the memoized pass
+    # and one checked factor
     point.dual_dot(rng.normal(size=len(idx)))
     point.quad(rng.normal(size=len(idx)))
-    point.gamma
-    point.gamma_dual
+    loglinear.dual_structure(idx, 0.5).gamma(theta)
+    loglinear.dual_structure(idx, -0.5).gamma(theta)
     point.solve(rng.normal(size=len(idx)))
     assert calls == {
         "logsumexp": 1, "spd_factor": 1, "cholesky_lower": 1, "third_central_moment": 0

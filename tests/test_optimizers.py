@@ -505,13 +505,9 @@ def test_mirror_rejects_a_trial_whose_pullback_raises(monkeypatch, error):
     assert np.array_equal(calls[1][1], eta - 0.5 * grad)
 
 
-@pytest.mark.parametrize("call, iterations", [(4, 147), (10, 95)])
-def test_mirror_takes_a_probe_whose_geometry_raises_for_an_overshoot(
-    monkeypatch, call, iterations
-):
-    # the slope at a Wolfe probe reads its geometry; where that raises a
-    # point error the probe becomes the search's upper end, and the run
-    # goes on instead of ending with the error
+def _mirror_with_one_refused_geometry(monkeypatch, call, stop):
+    """Mirror descent on Boltzmann(3) from 0, its target the moments at
+    theta = 0.3, with the ``call``-th geometry raising NotPositiveDefinite."""
     index = loglinear.SubsetIndex.boltzmann(3)
     eta_hat = loglinear.moments(index, np.full(len(index), 0.3))
     obj = KLProjectionObjective(index, eta_hat, 0.5, 0.5)
@@ -524,9 +520,34 @@ def test_mirror_takes_a_probe_whose_geometry_raises_for_an_overshoot(
         return at(self, xi)
 
     monkeypatch.setattr(DualStructure, "at", spoiled)
+    return opt.mirror_descent_run(index, obj, np.zeros(len(index)), stop)
+
+
+@pytest.mark.parametrize("call, iterations", [(4, 147), (10, 95)])
+def test_mirror_takes_a_probe_whose_geometry_raises_for_an_overshoot(
+    monkeypatch, call, iterations
+):
+    # the slope at a Wolfe probe reads its geometry; where that raises a
+    # point error the probe becomes the search's upper end, and the run
+    # goes on instead of ending with the error
     stop = opt.StopRule(grad_tol=1e-8)
-    tr = opt.mirror_descent_run(index, obj, np.zeros(len(index)), stop)
+    tr = _mirror_with_one_refused_geometry(monkeypatch, call, stop)
     assert tr.status == opt.CONVERGED and tr.n_iterations == iterations
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="below the value noise the line search accepts a trial equal to "
+    "the iterate, so the run stalls with zero-length steps",
+)
+def test_mirror_does_not_stall_after_a_probe_whose_geometry_raises(monkeypatch):
+    # the same run with the 3rd geometry refused sits at grad_l2 3.45e-8,
+    # and 1,803 of its 2,000 steps have zero length; a sub-noise rule
+    # that refuses a trial equal to the iterate must make it converge
+    stop = opt.StopRule(grad_tol=1e-8, max_iters=2000)
+    tr = _mirror_with_one_refused_geometry(monkeypatch, 3, stop)
+    assert tr.status == opt.CONVERGED
 
 
 @pytest.mark.parametrize(

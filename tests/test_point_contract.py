@@ -306,8 +306,6 @@ def test_a_point_checks_its_metric_once_and_solves_with_its_factor(name, monkeyp
     assert point.solve(b).tobytes() == first.tobytes()
     point.dual_dot(rng.normal(size=n))
     point.quad(rng.normal(size=n))
-    point.gamma
-    point.gamma_dual
     assert calls["_factor"] == (0 if name == "gaussian" else 1)
     assert calls["_solve"] >= 3
 

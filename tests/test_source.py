@@ -227,6 +227,50 @@ def test_a_model_that_makes_a_dual_point_is_found(tmp_path):
     }
 
 
+# A point holds only what a run reads: its metric, its factor, the point
+# at its own xi, the solve against G and Newton's two contractions of the
+# connection, ``dual_dot`` and ``quad``.  The full symbols, which only the
+# structural checks read, are the structure's ``gamma``.
+POINT_SURFACE = {"G", "L", "at", "solve", "dual_dot", "quad"}
+
+
+def _class_methods(path, name):
+    """The methods and properties, private ones too, that the module's
+    class ``name`` defines in its body, by ``def`` or by assignment."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            defined = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    defined.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            return defined
+    return None
+
+
+def test_a_point_holds_only_what_a_run_reads():
+    assert _class_methods(PACKAGE / "geometry.py", "DualPoint") == POINT_SURFACE
+
+
+def test_a_point_method_beyond_the_run_reads_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass DualPoint:\n"
+        "    xi: object\n\n"
+        "    @property\n    def G(self):\n        return self.xi\n\n"
+        "    def _symbols(self, alpha):\n        return alpha\n\n"
+        "    @lazy\n    def gamma(self):\n        return self._symbols(1.0)\n\n"
+        "    gamma_dual = property(lambda self: self._symbols(-1.0))\n"
+    )
+    # the field is not a method; the property, the private helper, the
+    # lazy attribute and the assigned property are
+    assert _class_methods(module, "DualPoint") == {"G", "_symbols", "gamma", "gamma_dual"}
+    assert _class_methods(module, "DualStructure") is None
+
+
 # A trial candidate is rejected in one place: ``_evaluate`` forms the
 # point and evaluates it inside one guard.  The loop and the functions
 # that build a trial or form its point catch nothing, so an error that
@@ -512,16 +556,39 @@ def _read_names(tree):
             yield node.attr, node.lineno, True
 
 
-def _uncalled_public_names(package, callers):
-    """``module:name`` of each public name of the package that no module
-    reads outside the name's own definition and no caller file mentions.
-    An ``__init__.py`` only re-exports, so its imports do not count."""
-    mentioned = set()
+# a line that imports names, ``import a`` or ``from a import b, c`` or
+# ``from a import (b, c)``
+_IMPORT_LINE = re.compile(
+    r"^[ \t]*(?:from[ \t]+[\w.]+[ \t]+)?import[ \t]+(\([^)]*\)|[^\n]*)", re.M
+)
+
+
+def _caller_mentions(callers):
+    """What the caller files mention: each word, each ``module.name``
+    pair of words, each attribute name and each name an import names."""
+    words, pairs, attributes, imported = set(), set(), set(), set()
     for path in callers:
         files = sorted(path.rglob("*")) if path.is_dir() else [path]
         for file in files:
             if file.suffix in (".py", ".md"):
-                mentioned.update(re.findall(r"\w+", file.read_text()))
+                text = file.read_text()
+                words.update(re.findall(r"\w+", text))
+                pairs.update(re.findall(r"\b(?=(\w+)\.(\w+))", text))
+                attributes.update(re.findall(r"\.(\w+)", text))
+                for names in _IMPORT_LINE.findall(text):
+                    imported.update(re.findall(r"\w+", names))
+    return words, pairs, attributes, imported
+
+
+def _uncalled_public_names(package, callers):
+    """``module:name`` of each public name of the package that no module
+    reads outside the name's own definition and no caller file mentions.
+    A caller file mentions a module-level function by ``module.name`` or
+    by importing it, so another module's function of the same name does
+    not count; a method by reading it as an attribute; a class by its
+    name.  An ``__init__.py`` only re-exports, so its imports do not
+    count."""
+    words, pairs, attributes, imported = _caller_mentions(callers)
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(package.rglob("*.py"))
@@ -531,7 +598,13 @@ def _uncalled_public_names(package, callers):
     uncalled = []
     for path, tree in trees.items():
         for name, node, is_method in _public_definitions(tree):
-            if name in mentioned:
+            if is_method:
+                mentioned = name in attributes
+            elif isinstance(node, ast.ClassDef):
+                mentioned = name in words
+            else:
+                mentioned = (path.stem, name) in pairs or name in imported
+            if mentioned:
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(
@@ -569,20 +642,37 @@ def test_an_uncalled_public_name_is_found(tmp_path):
         "def exported():\n    return exported()\n\n\n"
         "def helper():\n    return 1\n\n\n"
         "def _private(size):\n    return helper() + size\n\n\n"
+        "def symbols():\n    return 0\n\n\n"
         "class Reader:\n"
         "    def read(self):\n        return self.read()\n\n"
         "    def open(self):\n        return 2\n\n"
         "    def size(self):\n        return 3\n"
     )
+    (package / "other.py").write_text(
+        "def symbols():\n    return 4\n\n\n"
+        "def loaded():\n    return 5\n\n\n"
+        "def mentioned():\n    return 6\n"
+    )
     demo = tmp_path / "demo.py"
-    demo.write_text("from package.module import Reader\nReader().open()\n")
+    demo.write_text(
+        "from package import module\n"
+        "from package.module import Reader\n"
+        "from package.other import (\n    loaded,\n)\n\n"
+        "Reader().open()\nmodule.symbols(loaded())\n"
+    )
+    notes = tmp_path / "notes.md"
+    notes.write_text("`other` has `symbols` and `mentioned`, and `Reader` has `size`.\n")
     # exported calls only itself, and the package's __init__ only
     # re-exports it; read is called only from its own body, and size
-    # is only the name of another function's parameter
-    assert _uncalled_public_names(package, [demo]) == [
+    # is only the name of another function's parameter and a bare word.
+    # The demo names module.symbols and imports loaded: other's symbols
+    # and mentioned are only bare words in the notes
+    assert _uncalled_public_names(package, [demo, notes]) == [
         "module.py:exported",
         "module.py:read",
         "module.py:size",
+        "other.py:symbols",
+        "other.py:mentioned",
     ]
 
 
