@@ -20,6 +20,20 @@ stay (N, 2K), filled through transposed views of their even and odd
 columns: the sum over the data and the quadrature contractions take
 their summation order from that layout, and another order would change
 the last bits of every result.
+
+The symbols are assembled node by node.  The second log-derivatives
+start from -s s^T, every entry written as 0 - s_i s_j: that is the
+entry of the plain "zeros, then subtract" expression, +0.0 where the
+product is +0.0.  Each component's 2 x 2 block is then written as its
+term minus s_i s_j, never as the sum of the negated product and the
+term: where an underflowed responsibility makes the term -0.0 and
+s_i s_j is +0.0, only the difference keeps the sign.  The first-kind
+symbols contract the integrand's (N, d^2) view with s.  The view is the
+C-order integrand itself, so the nodes stay the outer loop and each
+output entry still adds one product per node in node order, the bits of
+the (N, d, d) contraction; the inner loop runs d^2 entries long instead
+of d, which makes the contraction about three times faster at 64^2
+nodes and six coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -113,7 +127,9 @@ class _NodePass:
 
     # Both contractions fold the density weights into one operand first: a
     # two-operand einsum takes about half the time of the three-operand
-    # form and, for two or more coordinates, gives the same bits.
+    # form and, for two or more coordinates, gives the same bits.  The
+    # symbols' contraction reads the integrand as (N, d^2): node order,
+    # and so the bits, are those of the (N, d, d) form (module notes).
 
     @lazy
     def G(self):
@@ -128,31 +144,35 @@ class _NodePass:
     @lazy
     def second(self):
         """(n^2, 2K, 2K) second log-derivatives at the nodes:
-        sum_k r_k (u_k u_k^T + C_k) - s s^T, assembled blockwise since
-        u_k lives on component k's two slots."""
+        sum_k r_k (u_k u_k^T + C_k) - s s^T.  Every entry starts as
+        0 - s_i s_j, then each component's 2 x 2 block, where u_k lives,
+        is written as its term minus s_i s_j."""
         model, s, resp, (u_a, u_b) = self.model, self.s, self.resp, self.u
         curv = model._component_curvature(self.xi)
-        second = np.zeros((s.shape[0], model.dim, model.dim))
+        second = np.einsum("ni,nj->nij", s, s)
+        np.subtract(0.0, second, out=second)
         for k in range(model.n_components):
             i = 2 * k
             ua, ub = u_a[k], u_b[k]
+            sa, sb = s[:, i], s[:, i + 1]
             r = resp[k]
-            second[:, i, i] = r * (ua * ua + curv[k, 0, 0])
-            second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1])
-            cross = r * (ua * ub + curv[k, 0, 1])
+            second[:, i, i] = r * (ua * ua + curv[k, 0, 0]) - sa * sa
+            second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1]) - sb * sb
+            cross = r * (ua * ub + curv[k, 0, 1]) - sa * sb
             second[:, i, i + 1] = cross
             second[:, i + 1, i] = cross
-        second -= s[:, :, None] * s[:, None, :]
         return second
 
     def first_kind(self, alpha):
         """First-kind alpha-connection symbols
-        E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k]."""
-        c = 0.5 * (1.0 - alpha)
+        E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k], indexed (i, j, k)."""
         s = self.s
-        integrand = self.second + c * s[:, :, None] * s[:, None, :]
+        n, d = s.shape
+        integrand = np.einsum("ni,nj->nij", 0.5 * (1.0 - alpha) * s, s)
+        integrand += self.second
         integrand *= self.wp[:, None, None]
-        return np.einsum("nij,nk->ijk", integrand, s)
+        symbols = np.einsum("nm,nk->km", integrand.reshape(n, d * d), s)
+        return symbols.reshape(d, d, d).transpose(1, 2, 0)
 
     def connection(self, alpha, a):
         if alpha not in self._symbols:

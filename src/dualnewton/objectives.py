@@ -10,11 +10,13 @@ from one pass: over the states for the KL projection, over the data's
 scores for the Beta mixture, and one closed-form pass over Python
 floats for the alpha-divergence.  The KL projection and the
 alpha-divergence have exact Jacobians; the Beta mixture's is central
-differences of its own field.  The chart check, the solves against G
-with its one factor and the log-linear contraction T a are the model's.
+differences of its own field, kept for the last few points it was
+asked at.  The chart check, the solves against G with its one factor
+and the log-linear contraction T a are the model's.
 """
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -22,6 +24,10 @@ from .errors import DivergenceUndefined, NonFiniteValue
 from .geometry import gradient_field
 from .linalg import fd_jacobian
 from .models import betamix, gaussian, loglinear
+
+# points whose mixture Jacobian is kept: the start that Newton shares
+# across alphas outlives the few iterates of one run
+_JACOBIAN_MEMO_SIZE = 8
 
 
 class _Objective:
@@ -265,6 +271,8 @@ class BetaMixtureNLL(_Objective):
         self._log_sums = betamix.log_sums(data)
         # a solve reads only G, which does not depend on alpha
         self._structure = model.dual_structure(0.0)
+        # point bytes -> read-only Jacobian, the most recent last
+        self._jacobians = OrderedDict()
 
     @property
     def dim(self):
@@ -288,6 +296,22 @@ class BetaMixtureNLL(_Objective):
         makes one pass over the quadrature nodes for the model's point
         and one score pass over the data for the gradient.  The model's
         shape check runs first, since a probe of a point off the chart
-        may lie on it."""
-        field = gradient_field(self._structure, self.eucl_grad)
-        return fd_jacobian(field, betamix._check_shapes(xi, self.model.n_components))
+        may lie on it.
+
+        The field, and so its Jacobian, does not depend on alpha, and
+        Newton at each alpha starts from one point: the Jacobians of the
+        last ``_JACOBIAN_MEMO_SIZE`` points asked for are kept, read-only,
+        and a point asked for again is answered from them.
+        """
+        xi = betamix._check_shapes(xi, self.model.n_components)
+        key = xi.tobytes()
+        jacobian = self._jacobians.get(key)
+        if jacobian is None:
+            field = gradient_field(self._structure, self.eucl_grad)
+            jacobian = self._jacobians[key] = fd_jacobian(field, xi)
+            jacobian.flags.writeable = False
+            while len(self._jacobians) > _JACOBIAN_MEMO_SIZE:
+                self._jacobians.popitem(last=False)
+        else:
+            self._jacobians.move_to_end(key)
+        return jacobian

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualnewton import cli, experiments
+from dualnewton import cli, experiments, objectives
 from dualnewton.experiments import (
     ConfigError,
     RunConfig,
@@ -328,6 +328,30 @@ def test_reference_polish_takes_at_most_three_newton_steps(tmp_path, monkeypatch
     assert results[0].status == "Converged"
     assert len(polishes) == 1
     assert polishes[0].n_iterations <= 3
+
+
+def test_exp3_computes_one_jacobian_per_point(tmp_path, monkeypatch):
+    # Newton at each of the five alphas starts from MIXTURE_INIT, and the
+    # objective's Jacobian there does not depend on alpha: seed 0 asks
+    # for 26 Jacobians, the polish's included, at 22 distinct points
+    asked, computed = [], []
+    jacobian = objectives.BetaMixtureNLL.grad_field_jacobian
+    fd = objectives.fd_jacobian
+
+    def asked_for(obj, xi):
+        asked.append(xi.tobytes())
+        return jacobian(obj, xi)
+
+    def computed_at(field, xi):
+        computed.append(xi.tobytes())
+        return fd(field, xi)
+
+    monkeypatch.setattr(objectives.BetaMixtureNLL, "grad_field_jacobian", asked_for)
+    monkeypatch.setattr(objectives, "fd_jacobian", computed_at)
+    code, _ = run_experiment(RunConfig.defaults("exp3", seed=0), out_dir=str(tmp_path))
+    assert code == 0
+    assert len(asked) == 26
+    assert len(computed) == len(set(computed)) == len(set(asked)) == 22
 
 
 def test_singular_hessian_run_exits_3(tmp_path):

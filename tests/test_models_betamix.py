@@ -624,3 +624,66 @@ def test_quadrature_contractions_match_the_three_operand_einsums(k, n_nodes, alp
     assert gamma.tobytes() == _three_operand_first_kind(wp, s, second, alpha).tobytes()
     # the pass shares ``second`` between both connections
     assert second.tobytes() == kept.tobytes()
+
+
+def _blockwise_second(model, xi, s, resp, u):
+    """Second log-derivatives as zeros, each component's block assigned,
+    then s s^T subtracted from the whole tensor."""
+    u_a, u_b = u
+    curv = model._component_curvature(xi)
+    second = np.zeros((s.shape[0], model.dim, model.dim))
+    for k in range(model.n_components):
+        i = 2 * k
+        ua, ub, r = u_a[k], u_b[k], resp[k]
+        second[:, i, i] = r * (ua * ua + curv[k, 0, 0])
+        second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1])
+        cross = r * (ua * ub + curv[k, 0, 1])
+        second[:, i, i + 1] = cross
+        second[:, i + 1, i] = cross
+    second -= s[:, :, None] * s[:, None, :]
+    return second
+
+
+def _node_pass_draw(k, n_nodes, seed):
+    """A node pass over n_nodes synthetic nodes: responsibilities of which
+    about a fifth underflow to exactly zero, raw scores of both signs,
+    and scores filled as the score pass fills them."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.0, k)
+    model = BetaMixtureModel(
+        weights=weights / weights.sum(),
+        alphas=rng.uniform(0.5, 8.0, k),
+        betas=rng.uniform(0.5, 8.0, k),
+    )
+    xi = rng.uniform(0.3, 12.0, 2 * k)
+    comp = rng.normal(scale=3.0, size=(k, n_nodes))
+    comp[rng.random((k, n_nodes)) < 0.2] = -800.0
+    comp[0, comp.max(axis=0) == -800.0] = 0.0
+    resp = np.exp(comp - np.log(np.exp(comp).sum(axis=0)))
+    u_a, u_b = rng.normal(size=(2, k, n_nodes))
+    s = np.empty((n_nodes, 2 * k))
+    np.multiply(resp, u_a, out=s[:, 0::2].T)
+    np.multiply(resp, u_b, out=s[:, 1::2].T)
+    wp = rng.uniform(0.0, 1e-3, n_nodes)
+    return betamix._NodePass(model, xi, wp, s, resp, (u_a, u_b))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(k=st.integers(1, 4), n_nodes=st.integers(16, 4096), seed=st.integers(0, 2**32 - 1))
+def test_second_log_derivatives_have_the_bits_of_the_blockwise_form(k, n_nodes, seed):
+    # -s s^T first, then each block as its term minus s_i s_j: every
+    # entry, signed zeros included, as the blockwise-then-subtract form
+    nodes = _node_pass_draw(k, n_nodes, seed)
+    expected = _blockwise_second(nodes.model, nodes.xi, nodes.s, nodes.resp, nodes.u)
+    assert nodes.second.tobytes() == expected.tobytes()
+
+
+def test_second_log_derivative_draws_reach_both_signed_zeros():
+    # an underflowed responsibility zeroes its scores, -0.0 where the raw
+    # score is negative; a block whose term is then -0.0 keeps it, every
+    # other zero product gives +0.0
+    nodes = _node_pass_draw(3, 256, 0)
+    assert np.any((nodes.resp == 0.0) & (nodes.u[0] < 0.0))
+    second = nodes.second
+    zeros = second == 0.0
+    assert np.any(zeros & np.signbit(second)) and np.any(zeros & ~np.signbit(second))

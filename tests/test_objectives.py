@@ -1,13 +1,15 @@
 import math
 import re
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualnewton import geometry
+from dualnewton import geometry, objectives
+from dualnewton import optimizers as opt
 from dualnewton.errors import (
     DimensionMismatch,
     DivergenceUndefined,
@@ -15,10 +17,10 @@ from dualnewton.errors import (
     MomentInfeasible,
     NonFiniteValue,
 )
-from dualnewton.experiments import RunConfig
+from dualnewton.experiments import MIXTURE_INIT, RunConfig
 from dualnewton.linalg import EPS, fd_jacobian
 from dualnewton.models import gaussian, loglinear
-from dualnewton.models.betamix import BetaMixtureModel
+from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.models.gaussian import dual_structure as gaussian_structure
 from dualnewton.objectives import (
     AlphaDivergenceObjective,
@@ -424,6 +426,119 @@ def test_beta_nll_rejects_boundary_data():
         BetaMixtureNLL(model, np.array([[0.5, 1.0]]))
     with pytest.raises(ValueError):
         BetaMixtureNLL(model, np.array([[0.0, 0.5]]))
+
+
+
+# ---- the mixture's Jacobian memo ---------------------------------------------
+
+
+def small_mixture():
+    model = BetaMixtureModel(
+        weights=np.array([0.35, 0.4, 0.25]),
+        alphas=np.array([2.0, 3.0, 5.0]),
+        betas=np.array([5.0, 2.0, 3.5]),
+        quadrature=QuadratureRule.gauss_legendre(16),
+    )
+    return BetaMixtureNLL(model, model.sample(200, seed=11))
+
+
+def _computed_jacobians(monkeypatch):
+    """The bytes of each point at which the objectives compute a
+    finite-difference Jacobian, in order."""
+    computed = []
+    fd = objectives.fd_jacobian
+
+    def recorded(field, xi):
+        computed.append(xi.tobytes())
+        return fd(field, xi)
+
+    monkeypatch.setattr(objectives, "fd_jacobian", recorded)
+    return computed
+
+
+def test_newton_at_two_alphas_from_one_start_computes_its_jacobian_once(monkeypatch):
+    # the field a = G^{-1} grad f does not depend on alpha, so the second
+    # run's Jacobian at the shared start is the first run's
+    obj = small_mixture()
+    computed = _computed_jacobians(monkeypatch)
+    start = np.array(MIXTURE_INIT)
+    for alpha in (0.0, 0.5):
+        tr = opt.dual_newton_run(
+            obj.model.dual_structure(alpha), obj, start, opt.StopRule(max_iters=3)
+        )
+        assert tr.n_iterations >= 1
+    assert computed.count(start.tobytes()) == 1
+    assert len(computed) == len(set(computed))
+
+
+def test_a_memoized_jacobian_is_read_only_with_the_bits_of_a_fresh_one(monkeypatch):
+    obj = small_mixture()
+    xi = obj.model.generating_point()
+    fresh = BetaMixtureNLL(obj.model, obj.data).grad_field_jacobian(xi)
+    first = obj.grad_field_jacobian(xi)
+    computed = _computed_jacobians(monkeypatch)
+    hit = obj.grad_field_jacobian(xi.copy())
+    assert computed == []
+    assert hit.tobytes() == first.tobytes() == fresh.tobytes()
+    assert not hit.flags.writeable
+    with pytest.raises(ValueError):
+        hit[0, 0] = 0.0
+
+
+def test_the_jacobian_memo_keeps_the_last_eight_points_asked_for(monkeypatch):
+    obj = small_mixture()
+    computed = _computed_jacobians(monkeypatch)
+    points = [obj.model.generating_point() * (1.0 + 0.05 * i) for i in range(10)]
+    for xi in points:
+        obj.grad_field_jacobian(xi)
+    assert len(computed) == 10
+    # the last eight answer from the memo, each then the most recent
+    for xi in points[2:]:
+        obj.grad_field_jacobian(xi)
+    assert len(computed) == 10
+    # the first two were dropped; asking for one again drops points[2]
+    obj.grad_field_jacobian(points[0])
+    assert computed[-1] == points[0].tobytes()
+    obj.grad_field_jacobian(points[3])
+    assert len(computed) == 11
+    obj.grad_field_jacobian(points[2])
+    assert computed[-1] == points[2].tobytes()
+    assert len(computed) == 12
+
+
+class _RecordedMemo(OrderedDict):
+    """A memo that records each key it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.ones(5), DimensionMismatch),
+        (np.ones(7), DimensionMismatch),
+        (np.ones((2, 3)), DimensionMismatch),
+        (np.array([2.0, 4.0, 3.0, 0.0, 4.0, 3.0]), DomainViolation),
+        (np.array([2.0, 4.0, -3.0, 2.0, 4.0, 3.0]), DomainViolation),
+        (np.array([2.0, 4.0, 3.0, 2.0, np.nan, 3.0]), DomainViolation),
+        (np.array([np.inf, 4.0, 3.0, 2.0, 4.0, 3.0]), DomainViolation),
+    ],
+)
+def test_a_point_off_the_chart_is_refused_before_the_jacobian_memo_is_read(bad, error):
+    obj = small_mixture()
+    obj._jacobians = memo = _RecordedMemo()
+    obj.grad_field_jacobian(np.array(MIXTURE_INIT))
+    assert memo.asked == [np.array(MIXTURE_INIT).tobytes()]
+    with pytest.raises(error) as raised:
+        obj.grad_field_jacobian(bad)
+    assert type(raised.value) is error
+    assert memo.asked == [np.array(MIXTURE_INIT).tobytes()]
 
 
 FIXED = dict(derandomize=True, deadline=None, database=None)

@@ -19,7 +19,8 @@ class that the model's check raises at that point.
 
 Each pass checks its point once, and nothing else checks it: a run of
 each method makes exactly one point check per model pass, and none
-from the optimizers or the geometry.
+from the optimizers or the geometry.  A mixture Jacobian that its
+objective's memo answers still makes its one check.
 
 On its chart, a point has the bits of its model's public metric reader
 and of the package's Cholesky factor of that metric, and stands in for
@@ -39,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualnewton import linalg
+from dualnewton import linalg, objectives
 from dualnewton import optimizers as opt
 from dualnewton.errors import (
     DimensionMismatch,
@@ -328,8 +329,9 @@ def test_a_gaussian_point_whose_sigma_squared_underflows_refuses_its_factor():
 # the log-linear pass over the states, which every objective pass,
 # evaluation and moment-inversion probe is; and the mixture's score pass
 # (each ``value_and_grad`` and evaluation) and its Jacobian, whose one
-# check comes before its probes' passes.  A run's structure is built
-# after the counters are in place, so it holds no uncounted function.
+# check comes before its probes' passes or its memo's answer.  A run's
+# structure is built after the counters are in place, so it holds no
+# uncounted function.
 MIXTURE_START = np.array([2.0, 4.0, 3.0, 2.0, 4.0, 3.0])
 LEDGER = {
     "gaussian": (
@@ -386,12 +388,22 @@ def _count(monkeypatch, owner, name, calls):
 def test_a_run_checks_each_point_once_per_model_pass(model, method, monkeypatch):
     build, objective, x0, (module, check), starts = LEDGER[model]
     loglinear._memo.clear()
-    checks, passes = [], []
+    NLL._jacobians.clear()
+    checks, passes, jacobians = [], [], []
     _count(monkeypatch, module, check, checks)
     for owner, name in starts:
         _count(monkeypatch, owner, name, passes)
-    trace = RUNS[method](build(), objective, x0, opt.StopRule(max_iters=4))
-    assert trace.n_iterations >= 1
-    assert len(checks) == len(passes) > 0
+    _count(monkeypatch, objectives, "fd_jacobian", jacobians)
+    # the second run asks again at the first run's points: the mixture's
+    # Jacobians are then memo hits, and each still makes its one check
+    computed = []
+    for _ in range(2):
+        trace = RUNS[method](build(), objective, x0, opt.StopRule(max_iters=4))
+        assert trace.n_iterations >= 1
+        assert len(checks) == len(passes) > 0
+        computed.append(len(jacobians))
+    # the mixture's Newton computes one Jacobian per step, all in the first run
+    mixture_newton = (model, method) == ("beta-mixture", "newton")
+    assert computed == [trace.n_iterations if mixture_newton else 0] * 2
     # only the model and the objectives check a point
     assert set(checks) <= {module.__name__, "dualnewton.objectives"}
