@@ -6,10 +6,11 @@ point, its structure's ``evaluate(xi)``: the metric ``G``, its lower
 Cholesky factor ``L``, made with G's one check (every solve at the point
 reads only L), and ``connection(alpha, a)``, the alpha-connection
 applied to a vector.  ``DualStructure.at`` wraps it in a DualPoint.  The
-log-linear evaluation is the memoized pass over the states, whose
-connection needs no third central moment tensor.  The Beta mixture's is
-one pass over the quadrature nodes (``BetaMixtureModel.nodes``), which
-gives the metric and each alpha's symbols once per point.  The
+log-linear evaluation is the pass over the states, an ``lru_cache`` of
+the last eight points, whose connection needs no third central moment
+tensor.  The Beta mixture's is one pass over the quadrature nodes
+(``BetaMixtureModel.nodes``), which gives the metric and each alpha's
+symbols once per point.  The
 Gaussian's holds the closed-form symbols and factor.  The full symbols
 of any model are read as ``dual_structure(...).gamma(xi)``.
 

@@ -10,10 +10,10 @@ the probabilities p, the moments eta, the centred statistics C, the
 metric G and its checked factor L.  Building the pass takes only the
 energies and their log-sum-exp, which is all that a trial point the
 moment inversion rejects reads; every other quantity is derived on its
-first read and kept read-only.  The last few points stay in a small
-memo, so the readers below, the moment inversion, the structure's
-points (the pass is their evaluation) and the KL objective share one
-pass and one factorization per point.
+first read and kept read-only.  The passes of the last eight points
+stay in the ``lru_cache`` ``_pass``, so the readers below, the moment
+inversion, the structure's points (the pass is their evaluation) and
+the KL objective share one pass and one factorization per point.
 
 At n = 4 a pass is 16 states, and numpy's function wrappers cost more
 than that arithmetic, so the pass calls array methods instead.
@@ -21,7 +21,6 @@ than that arithmetic, so the pass calls array methods instead.
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,11 +41,6 @@ MAX_VARS = 16
 
 _INVERSION_TOL = 1e-12
 _INVERSION_MAX_ITERS = 200
-
-# points whose pass is kept: enough that the iterate of a line search
-# outlives the inner moment inversions of its trials
-_MEMO_SIZE = 8
-_memo = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class SubsetIndex:
             if A in seen:
                 raise ValueError(f"duplicate subset {A}")
             seen.add(A)
-        # every pass looks its index up in the memo and in
+        # every pass looks its index up in the point cache and in
         # ``feature_matrix``'s cache, so the hash is taken once
         object.__setattr__(self, "_hash", hash((self.n_vars, self.subsets)))
 
@@ -140,7 +134,7 @@ class _Evaluation:
     The energies u = F theta and their log-sum-exp are computed at once;
     everything else on its first read, from what is already there, and
     kept; G is checked once, where L is made.  Arrays are read-only, so a
-    caller that writes into one gets an error, not a corrupted memo.
+    caller that writes into one gets an error, not a corrupted cache.
     """
 
     # a finite theta near the float range can overflow the energies; the
@@ -197,7 +191,7 @@ class _Evaluation:
 
 
 def evaluate(index, theta):
-    """The pass over the states at theta, memoized over the last few points.
+    """The pass over the states at theta, cached over the last eight points.
 
     Its attributes are the log-partition ``lse``, the log-probabilities
     ``log_p``, the probabilities ``p``, the moments ``eta``, the centred
@@ -206,16 +200,15 @@ def evaluate(index, theta):
     give G^{-1} b, T a and the alpha-connection applied to a.  A cached
     point answers from what it already holds.
     """
-    theta = _check_theta(index, theta)
-    key = (index, theta.tobytes())
-    evaluation = _memo.get(key)
-    if evaluation is None:
-        evaluation = _memo[key] = _Evaluation(index, theta)
-        while len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
-    else:
-        _memo.move_to_end(key)
-    return evaluation
+    return _pass(index, _check_theta(index, theta).tobytes())
+
+
+# enough points that the iterate of a line search outlives the inner
+# moment inversions of its trials.  theta's bytes keep -0.0 apart from
+# 0.0, and the read-only theta rebuilt from them gives the same bits
+@lru_cache(maxsize=8)
+def _pass(index, key):
+    return _Evaluation(index, np.frombuffer(key))
 
 
 def probabilities(index, theta):

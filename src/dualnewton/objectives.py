@@ -10,13 +10,15 @@ from one pass: over the states for the KL projection, over the data's
 scores for the Beta mixture, and one closed-form pass over Python
 floats for the alpha-divergence.  The KL projection and the
 alpha-divergence have exact Jacobians; the Beta mixture's is central
-differences of its own field, kept for the last few points it was
-asked at.  The chart check, the solves against G with its one factor
-and the log-linear contraction T a are the model's.
+differences of its own field, kept for the last eight points it was
+asked at by the ``lru_cache`` ``_mixture_jacobian``.  The chart check,
+the solves against G with its one factor and the log-linear
+contraction T a are the model's.
 """
 
 import math
-from collections import OrderedDict
+import weakref
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,11 +26,6 @@ from .errors import DivergenceUndefined, NonFiniteValue
 from .geometry import gradient_field
 from .linalg import fd_jacobian
 from .models import betamix, gaussian, loglinear
-
-# points whose mixture Jacobian is kept: the start that Newton shares
-# across alphas outlives the few iterates of one run
-_JACOBIAN_MEMO_SIZE = 8
-
 
 class _Objective:
     """``value`` and ``eucl_grad``, the two parts of ``value_and_grad``."""
@@ -271,8 +268,6 @@ class BetaMixtureNLL(_Objective):
         self._log_sums = betamix.log_sums(data)
         # a solve reads only G, which does not depend on alpha
         self._structure = model.dual_structure(0.0)
-        # point bytes -> read-only Jacobian, the most recent last
-        self._jacobians = OrderedDict()
 
     @property
     def dim(self):
@@ -300,18 +295,22 @@ class BetaMixtureNLL(_Objective):
 
         The field, and so its Jacobian, does not depend on alpha, and
         Newton at each alpha starts from one point: the Jacobians of the
-        last ``_JACOBIAN_MEMO_SIZE`` points asked for are kept, read-only,
-        and a point asked for again is answered from them.
+        last eight points asked for are kept, read-only, by
+        ``_mixture_jacobian``, and a point asked for again is answered
+        from them.
         """
         xi = betamix._check_shapes(xi, self.model.n_components)
-        key = xi.tobytes()
-        jacobian = self._jacobians.get(key)
-        if jacobian is None:
-            field = gradient_field(self._structure, self.eucl_grad)
-            jacobian = self._jacobians[key] = fd_jacobian(field, xi)
-            jacobian.flags.writeable = False
-            while len(self._jacobians) > _JACOBIAN_MEMO_SIZE:
-                self._jacobians.popitem(last=False)
-        else:
-            self._jacobians.move_to_end(key)
-        return jacobian
+        return _mixture_jacobian(weakref.ref(self), xi.tobytes())
+
+
+# Module-level, as a cache on the instance would make a reference cycle,
+# and keyed by a weak reference, so that no objective (its model and
+# data) outlives its last user.  The read-only xi rebuilt from the key's
+# bytes holds the same values, so the Jacobian has the same bits
+@lru_cache(maxsize=8)
+def _mixture_jacobian(objective_ref, key):
+    objective = objective_ref()
+    field = gradient_field(objective._structure, objective.eucl_grad)
+    jacobian = fd_jacobian(field, np.frombuffer(key))
+    jacobian.flags.writeable = False
+    return jacobian

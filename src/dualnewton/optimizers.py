@@ -17,6 +17,7 @@ convergence at the starting point yields an empty trace.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -70,8 +71,10 @@ class StopRule:
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        # range() takes no float, and a bool is no count
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"max_iters must be a nonnegative integer, got {n!r}")
 
 
 @dataclass
@@ -92,6 +95,12 @@ class AdamState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
+
+    def __post_init__(self):
+        # written so that NaN fails it: a zero rate stalls, a negative
+        # one climbs and NaN ends the run at its first step
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
 
     def step(self, grad):
         """Advance the moments and return the raw update direction."""

@@ -173,17 +173,19 @@ def _trace_rows(out):
 
 
 def test_exp1_traces_do_not_depend_on_the_point_memo(tmp_path, monkeypatch):
-    # the log-linear readers share one pass per point through a memo;
-    # with the memo off every reader makes its own pass, with the same bits
+    # the log-linear readers share one pass per point through a cache;
+    # with the cache off every reader makes its own pass, with the same bits
     cfg = RunConfig.defaults("exp1", seed=0)
     assert cfg.n == 4 and set(cfg.methods) == {"newton", "natgrad", "mirror", "adam"}
     kept = tmp_path / "kept"
     run_experiment(cfg, out_dir=str(kept))
-    monkeypatch.setattr(loglinear, "_MEMO_SIZE", 0)
-    loglinear._memo.clear()
+    cache = loglinear._pass
+    cached = cache.cache_info()
+    assert cached.hits > 0
+    monkeypatch.setattr(loglinear, "_pass", cache.__wrapped__)
     fresh = tmp_path / "fresh"
     run_experiment(cfg, out_dir=str(fresh))
-    assert not loglinear._memo
+    assert cache.cache_info() == cached
     expected = _trace_rows(kept)
     assert len(expected) == 5 + 3
     assert _trace_rows(fresh) == expected
@@ -352,6 +354,8 @@ def test_exp3_computes_one_jacobian_per_point(tmp_path, monkeypatch):
     assert code == 0
     assert len(asked) == 26
     assert len(computed) == len(set(computed)) == len(set(asked)) == 22
+    cached = objectives._mixture_jacobian.cache_info()
+    assert (cached.hits, cached.misses) == (4, 22)
 
 
 def test_singular_hessian_run_exits_3(tmp_path):

@@ -22,13 +22,6 @@ from dualnewton.objectives import KLProjectionObjective
 from helpers import count_calls
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    # every test starts with no point evaluated, so counts do not depend
-    # on the tests that ran before it
-    loglinear._memo.clear()
-
-
 def test_boltzmann_index_order():
     idx = SubsetIndex.boltzmann(3)
     assert idx.subsets == ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
@@ -302,7 +295,6 @@ def test_moment_inversion_matches_reference_loop(theta, start, shift, scale):
 def test_moment_inversion_reads_probabilities_once_per_iteration(monkeypatch):
     idx = SubsetIndex.boltzmann(3)
     eta = loglinear.moments(idx, np.random.default_rng(8).uniform(-1, 1, size=len(idx)))
-    loglinear._memo.clear()
     calls = {}
     for name in ("probabilities", "moments", "fisher_metric"):
         count_calls(monkeypatch, calls, name, loglinear)
@@ -348,7 +340,6 @@ def test_moment_inversion_stops_where_a_state_probability_is_zero(monkeypatch):
     # the first accepted step for the infeasible eta above sends theta
     # out to where a state's probability underflows to 0
     idx = SubsetIndex.boltzmann(2)
-    loglinear._memo.clear()
     calls = {}
     count_calls(monkeypatch, calls, "evaluate", loglinear)
     with pytest.raises(
@@ -376,7 +367,6 @@ def test_a_diverging_moment_inversion_stops_at_the_first_zero_probability(monkey
          -0.0486498955491379]
     )
     assert _inverted(reference_moment_to_natural, idx, eta, theta0) is MomentInfeasible
-    loglinear._memo.clear()
     calls = {}
     count_calls(monkeypatch, calls, "evaluate", loglinear)
     with pytest.raises(MomentInfeasible, match="a state probability is 0"):
@@ -418,7 +408,6 @@ def test_a_non_finite_inversion_step_ends_in_moment_infeasible(monkeypatch):
     # solution, and the start and the two accepted iterates are the
     # inversion's only passes
     idx = SubsetIndex.boltzmann(4)
-    loglinear._memo.clear()
     calls = {}
     count_calls(monkeypatch, calls, "evaluate", loglinear)
     with pytest.raises(MomentInfeasible, match="solve failed: .* infinite solution"):
@@ -577,25 +566,32 @@ def test_readers_return_the_bits_of_their_own_pass(n, full, scale, data):
 def test_memo_off_gives_the_same_bits(monkeypatch):
     idx = SubsetIndex.boltzmann(4)
     theta = np.random.default_rng(3).uniform(-1, 1, size=len(idx))
+    cache = loglinear._pass
     kept = {name: _as_bytes(read()) for name, read in _readers(idx, theta).items()}
-    monkeypatch.setattr(loglinear, "_MEMO_SIZE", 0)
-    loglinear._memo.clear()
+    cached = cache.cache_info()
+    assert cached.misses == 1 and cached.hits == len(kept) - 1
+    # the pass without its cache: every reader makes its own
+    monkeypatch.setattr(loglinear, "_pass", cache.__wrapped__)
     for name, read in _readers(idx, theta).items():
         assert _as_bytes(read()) == kept[name]
-    assert not loglinear._memo
+    assert cache.cache_info() == cached
 
 
 def test_memo_keeps_the_last_points():
     idx = SubsetIndex.boltzmann(2)
-    thetas = [np.full(len(idx), 0.1 * k) for k in range(loglinear._MEMO_SIZE + 1)]
+    thetas = [np.full(len(idx), 0.1 * k) for k in range(9)]
     for theta in thetas:
         loglinear.evaluate(idx, theta)
-    assert len(loglinear._memo) == loglinear._MEMO_SIZE
+    info = loglinear._pass.cache_info()
+    assert (info.maxsize, info.currsize, info.misses, info.hits) == (8, 8, 9, 0)
     first, last = (loglinear.evaluate(idx, t) for t in (thetas[1], thetas[-1]))
     # a kept point answers from the same record, whatever array holds theta
     assert loglinear.evaluate(idx, list(thetas[1])) is first
     assert loglinear.evaluate(idx, thetas[-1].copy()) is last
-    assert (idx, thetas[0].tobytes()) not in loglinear._memo
+    assert loglinear._pass.cache_info().misses == 9
+    # the first point was dropped: asking for it again makes a new pass
+    loglinear.evaluate(idx, thetas[0])
+    assert loglinear._pass.cache_info().misses == 10
 
 
 def test_returned_arrays_are_read_only():

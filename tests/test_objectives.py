@@ -1,7 +1,8 @@
+import gc
 import math
 import re
 import warnings
-from collections import OrderedDict
+import weakref
 
 import numpy as np
 import pytest
@@ -487,35 +488,45 @@ def test_a_memoized_jacobian_is_read_only_with_the_bits_of_a_fresh_one(monkeypat
 
 def test_the_jacobian_memo_keeps_the_last_eight_points_asked_for(monkeypatch):
     obj = small_mixture()
+    cache = objectives._mixture_jacobian
     computed = _computed_jacobians(monkeypatch)
     points = [obj.model.generating_point() * (1.0 + 0.05 * i) for i in range(10)]
     for xi in points:
         obj.grad_field_jacobian(xi)
     assert len(computed) == 10
-    # the last eight answer from the memo, each then the most recent
+    info = cache.cache_info()
+    assert (info.maxsize, info.currsize, info.misses, info.hits) == (8, 8, 10, 0)
+    # the last eight answer from the cache, each then the most recent
     for xi in points[2:]:
         obj.grad_field_jacobian(xi)
-    assert len(computed) == 10
+    assert len(computed) == 10 and cache.cache_info().hits == 8
     # the first two were dropped; asking for one again drops points[2]
     obj.grad_field_jacobian(points[0])
     assert computed[-1] == points[0].tobytes()
     obj.grad_field_jacobian(points[3])
-    assert len(computed) == 11
+    assert len(computed) == 11 and cache.cache_info().hits == 9
     obj.grad_field_jacobian(points[2])
     assert computed[-1] == points[2].tobytes()
-    assert len(computed) == 12
+    assert len(computed) == cache.cache_info().misses == 12
 
 
-class _RecordedMemo(OrderedDict):
-    """A memo that records each key it is asked for."""
-
-    def __init__(self):
-        super().__init__()
-        self.asked = []
-
-    def get(self, key, default=None):
-        self.asked.append(key)
-        return super().get(key, default)
+def test_an_objective_is_freed_while_its_jacobians_stay_cached():
+    # the cache holds the objective by a weak reference, so its model and
+    # data go with its last reference, without the cycle collector
+    obj = small_mixture()
+    obj.grad_field_jacobian(np.array(MIXTURE_INIT))
+    freed = weakref.ref(obj)
+    gc.disable()
+    try:
+        del obj
+        assert freed() is None
+    finally:
+        gc.enable()
+    assert objectives._mixture_jacobian.cache_info().currsize == 1
+    # a new objective, perhaps at the freed one's address, is not answered
+    # from the freed one's entry
+    small_mixture().grad_field_jacobian(np.array(MIXTURE_INIT))
+    assert objectives._mixture_jacobian.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(
@@ -532,13 +543,15 @@ class _RecordedMemo(OrderedDict):
 )
 def test_a_point_off_the_chart_is_refused_before_the_jacobian_memo_is_read(bad, error):
     obj = small_mixture()
-    obj._jacobians = memo = _RecordedMemo()
+    cache = objectives._mixture_jacobian
     obj.grad_field_jacobian(np.array(MIXTURE_INIT))
-    assert memo.asked == [np.array(MIXTURE_INIT).tobytes()]
+    asked = cache.cache_info()
+    assert (asked.misses, asked.hits) == (1, 0)
     with pytest.raises(error) as raised:
         obj.grad_field_jacobian(bad)
     assert type(raised.value) is error
-    assert memo.asked == [np.array(MIXTURE_INIT).tobytes()]
+    # the refused point neither hit nor missed the cache
+    assert cache.cache_info() == asked
 
 
 FIXED = dict(derandomize=True, deadline=None, database=None)

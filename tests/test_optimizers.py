@@ -75,8 +75,28 @@ def test_stop_rule_validation():
         opt.StopRule(grad_tol=0.0)
     with pytest.raises(ValueError):
         opt.StopRule(max_iters=-1)
+    # range() in the loop takes no float, and a bool is no count
+    for count in (2.5, 3.0, math.nan, math.inf, True, False, "4", None):
+        with pytest.raises(ValueError, match="max_iters must be a nonnegative integer"):
+            opt.StopRule(max_iters=count)
+    assert opt.StopRule(max_iters=np.int64(3)).max_iters == 3
+    assert opt.StopRule(max_iters=0).max_iters == 0
     rule = opt.StopRule()
     assert rule.grad_tol == 1e-6 and rule.max_iters == 10000
+
+
+def test_adam_state_refuses_a_rate_that_is_not_positive_and_finite():
+    # a zero rate stalls, a negative one climbs and NaN ends the run at
+    # its first step
+    for lr in (0.0, -0.0, -0.01, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            opt.AdamState(lr=lr)
+    # the run refuses the rate before its first step
+    ds, obj = euclidean_structure(2), quadratic_objective([0.3, -0.1])
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        opt.adam_run(ds, obj, np.zeros(2), lr=0.0)
+    assert opt.AdamState(lr=np.float64(0.5)).lr == 0.5
+    assert opt.AdamState().lr == 0.01
 
 
 def test_trace_rejects_nonincreasing_iters():
@@ -1102,7 +1122,6 @@ def test_newton_step_on_kl_makes_one_pass_and_one_factorization(monkeypatch):
     # states and one Python factorization of G; the descent certificate
     # of G H^T is LAPACK's and never reaches cholesky_lower
     index, obj, ds, _ = kl_problem(4, 0.5, 0.5, alpha=0.0)
-    loglinear._memo.clear()
     calls = {}
     count_calls(monkeypatch, calls, "logsumexp", loglinear)
     count_calls(monkeypatch, calls, "is_spd", geometry)
@@ -1123,7 +1142,6 @@ def test_mirror_wolfe_search_factors_the_iterate_metric_once(monkeypatch):
     # first step from the iterate's kept factor
     index, obj, _, _ = kl_problem(4, 0.5, 0.5)
     theta0 = np.full(len(index), 0.2)
-    loglinear._memo.clear()
     factored = _factored_matrices(monkeypatch)
     calls = {}
     count_calls(monkeypatch, calls, "cho_solve", loglinear)

@@ -20,7 +20,7 @@ class that the model's check raises at that point.
 Each pass checks its point once, and nothing else checks it: a run of
 each method makes exactly one point check per model pass, and none
 from the optimizers or the geometry.  A mixture Jacobian that its
-objective's memo answers still makes its one check.
+objective's cache answers still makes its one check.
 
 On its chart, a point has the bits of its model's public metric reader
 and of the package's Cholesky factor of that metric, and stands in for
@@ -294,8 +294,6 @@ def test_a_point_checks_its_metric_once_and_solves_with_its_factor(name, monkeyp
     count_calls(monkeypatch, calls, "_factor", linalg)
     count_calls(monkeypatch, calls, "_solve", linalg)
     rng = np.random.default_rng(4)
-    # a fresh log-linear pass, not one an earlier test left in the memo
-    loglinear._memo.clear()
     point = structure.at(xi)
     n = len(xi)
     point.solve(rng.normal(size=n))
@@ -387,23 +385,25 @@ def _count(monkeypatch, owner, name, calls):
 @pytest.mark.parametrize("model, method", LEDGER_CASES)
 def test_a_run_checks_each_point_once_per_model_pass(model, method, monkeypatch):
     build, objective, x0, (module, check), starts = LEDGER[model]
-    loglinear._memo.clear()
-    NLL._jacobians.clear()
     checks, passes, jacobians = [], [], []
     _count(monkeypatch, module, check, checks)
     for owner, name in starts:
         _count(monkeypatch, owner, name, passes)
     _count(monkeypatch, objectives, "fd_jacobian", jacobians)
     # the second run asks again at the first run's points: the mixture's
-    # Jacobians are then memo hits, and each still makes its one check
+    # Jacobians are then cache hits, and each still makes its one check
     computed = []
     for _ in range(2):
         trace = RUNS[method](build(), objective, x0, opt.StopRule(max_iters=4))
         assert trace.n_iterations >= 1
         assert len(checks) == len(passes) > 0
-        computed.append(len(jacobians))
-    # the mixture's Newton computes one Jacobian per step, all in the first run
+        cached = objectives._mixture_jacobian.cache_info()
+        assert cached.misses == len(jacobians)
+        computed.append((cached.misses, cached.hits))
+    # the mixture's Newton computes one Jacobian per step, all in the
+    # first run, and the second run's are all answered from the cache
     mixture_newton = (model, method) == ("beta-mixture", "newton")
-    assert computed == [trace.n_iterations if mixture_newton else 0] * 2
+    n = trace.n_iterations if mixture_newton else 0
+    assert computed == [(n, 0), (n, n)]
     # only the model and the objectives check a point
     assert set(checks) <= {module.__name__, "dualnewton.objectives"}

@@ -520,6 +520,59 @@ def test_a_cached_property_use_is_found(tmp_path):
     assert _cached_property_uses(module) == [2, 5]
 
 
+# A point memo is a ``functools.lru_cache`` keyed by the point's bytes,
+# whose ``cache_info()`` counts its hits and misses: no module keeps an
+# ``OrderedDict`` of points and evicts from it by hand.
+HAND_EVICTION = {"popitem", "move_to_end"}
+
+
+def _hand_written_memos(path):
+    """Lines where the module imports or reads ``OrderedDict`` or calls
+    ``.popitem(...)`` or ``.move_to_end(...)``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "OrderedDict" for alias in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "OrderedDict") or (
+            isinstance(node, ast.Attribute) and node.attr == "OrderedDict"
+        ):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in HAND_EVICTION
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_keeps_a_hand_written_point_memo():
+    found = {
+        path.relative_to(PACKAGE).as_posix(): lines
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (lines := _hand_written_memos(path))
+    }
+    assert found == {}
+
+
+def test_a_hand_written_point_memo_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import collections\nfrom collections import OrderedDict, deque\n"
+        "from functools import lru_cache\n\n"
+        "_memo = collections.OrderedDict()\n\n\n"
+        "def get(key):\n"
+        "    if key in _memo:\n        _memo.move_to_end(key)\n"
+        "    elif len(_memo) > 8:\n        _memo.popitem(last=False)\n"
+        "    return _memo.get(key)\n\n\n"
+        "@lru_cache(maxsize=8)\ndef cached(key):\n    return {}.pop(key, None)\n"
+    )
+    # the cache, the plain dict's pop and deque's import pass
+    assert _hand_written_memos(module) == [2, 5, 10, 12]
+
+
 # Besides the package's own modules, the places whose code may call a
 # public name: a name that only tests call is code that nothing uses.
 CALLERS = ("demos", "perfbench", "README.md", "tests/test_acceptance.py")
