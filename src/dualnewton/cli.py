@@ -87,7 +87,6 @@ def build_parser():
     dat_p = sub.add_parser("gen-data", help="sample the Beta-mixture dataset")
     dat_p.add_argument("--n-samples", type=int, default=5000)
     dat_p.add_argument("--seed", type=int, default=0)
-    dat_p.add_argument("--quad-nodes", type=int, default=64)
     dat_p.add_argument("--out", help="JSON path (default stdout)")
 
     return parser
@@ -172,7 +171,7 @@ def _cmd_gen_target(args):
 
 
 def _cmd_gen_data(args):
-    _, data = gen_dataset(args.n_samples, args.seed, args.quad_nodes)
+    _, data = gen_dataset(args.n_samples, args.seed)
     _emit_json(dataset_payload(data, args.seed, args.n_samples), args.out)
     return EXIT_OK
 

@@ -7,8 +7,10 @@ Each method contributes a proposer: Newton solves the dual-Hessian
 system and retracts along the primal connection, natural gradient and
 mirror descent run one strong Wolfe search along their descent curve
 in the natural and the moment chart, and Adam takes its Euclidean
-update.  Nothing here checks a point: the model's own passes do, and
-off the chart they raise the model's point check error.
+update.  Nothing here checks a point's domain: the model's own passes
+do, and off the chart they raise the model's point check error.  The
+per-point record raises NonFiniteValue where a value, gradient or norm
+is not finite, so each refusal is a PointError raised at its record.
 
 All four methods stop when the l2 norm of the Riemannian gradient
 coordinates a = G^{-1} grad f drops below the tolerance, so iteration
@@ -69,8 +71,8 @@ class StopRule:
     max_iters: int = 10000
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         # range() takes no float, and a bool is no count
         n = self.max_iters
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
@@ -209,15 +211,19 @@ class _Evaluation:
     The constructor makes the one ``value_and_grad`` call (``f``,
     ``grad``).  ``measure()`` adds the geometry on first call and returns
     the record: ``point``, the DualPoint at xi, a = G^{-1} grad and its
-    norms ``l2`` and ``gnorm``.  Both raise whatever their calls raise.
+    norms ``l2`` and ``gnorm``.  Both raise whatever their calls raise,
+    and NonFiniteValue naming xi where the value, the gradient or ``l2``
+    is not finite; a record that raised stays unmeasured.
     """
 
     __slots__ = ("structure", "xi", "f", "grad", "point", "a", "l2", "gnorm")
 
     def __init__(self, structure, obj, xi):
         f, grad = obj.value_and_grad(xi)
-        self.structure, self.xi = structure, xi
-        self.f, self.grad = float(f), np.asarray(grad, dtype=float)
+        f, grad = float(f), np.asarray(grad, dtype=float)
+        if not (math.isfinite(f) and all(map(math.isfinite, grad.tolist()))):
+            raise NonFiniteValue(f"value {f} or gradient {grad} at {xi} is not finite")
+        self.structure, self.xi, self.f, self.grad = structure, xi, f, grad
         self.point = None
 
     def measure(self):
@@ -231,6 +237,8 @@ class _Evaluation:
                 # the bits of np.linalg.norm(a): sqrt(a . a)
                 self.l2 = math.sqrt(squares[0])
                 self.gnorm = math.sqrt(max(squares[1], 0.0))
+            if not math.isfinite(self.l2):
+                raise NonFiniteValue(f"gradient norm at {self.xi} is not finite")
             self.point = point
         return self
 
@@ -265,44 +273,40 @@ def _rescaled_norms(a, G, squares):
 
 
 def _evaluate(structure, obj, form):
-    """The record at the trial point ``form()``, or None when forming it
-    (a retraction, or mirror descent's pullback) or the objective's pass
-    raises a PointError, or its value is not finite: the one guard
-    around a candidate's making.  The pass starts with the model's point
-    check, so a trial off the chart is refused here, by its error."""
+    """The record at the trial point ``form()``, or None where forming it
+    (a retraction, or mirror descent's pullback) or making its record
+    raises a PointError: the one guard around a candidate's making.  A
+    trial off the chart is refused by the objective pass's point check,
+    one with a non-finite value or gradient by the record."""
     try:
-        xi = form()
-        evaluation = _Evaluation(structure, obj, xi)
+        return _Evaluation(structure, obj, form())
     except PointError:
         return None
-    return evaluation if math.isfinite(evaluation.f) else None
 
 
 def _usable(evaluation):
-    """The record, measured; None when there is none, its gradient is
-    non-finite, or its geometry raises a PointError or is non-finite."""
-    if evaluation is None or not all(map(math.isfinite, evaluation.grad.tolist())):
-        return None
+    """The record, measured; None where there is none or measuring it
+    raises a PointError: its geometry cannot be read, or its norm is
+    not finite."""
     try:
-        evaluation.measure()
+        return None if evaluation is None else evaluation.measure()
     except PointError:
         return None
-    return evaluation if math.isfinite(evaluation.l2) else None
 
 
 def _iterate(structure, obj, xi0, stop, propose):
     """Retraction-based descent loop shared by the four methods.
 
-    Every point is evaluated once, as an ``_Evaluation`` record.  A
-    start off the chart raises the model's point check error from its
-    first pass; one whose value or gradient is not finite, or whose
-    record cannot be measured, raises too.  ``propose(here)`` reads the
-    iterate's measured record and returns a final status or
-    ``(trial, spd)``: ``trial(t)`` is the ``_evaluate`` record of the
-    candidate for t = 1, 1/2, 1/4, ... or None when there is none, and
-    never raises; ``spd`` is the step's descent certificate.  The first
-    candidate that ``_usable`` passes within 30 halvings becomes the next
-    iterate.
+    Every point is evaluated once, as an ``_Evaluation`` record, and the
+    start and the trials follow the record's one rule.  At the start
+    the record's error ends the run: the model's point check error off
+    the chart, or NonFiniteValue where the value, the gradient or its
+    norm is not finite.  ``propose(here)`` reads the iterate's measured
+    record and returns a final status or ``(trial, spd)``: ``trial(t)``
+    is the ``_evaluate`` record of the candidate for t = 1, 1/2, 1/4,
+    ... or None when there is none, and never raises; ``spd`` is the
+    step's descent certificate.  The first candidate that ``_usable``
+    measures within 30 halvings becomes the next iterate.
     """
     stop = stop or StopRule()
     xi = np.array(xi0, dtype=float)
@@ -310,13 +314,7 @@ def _iterate(structure, obj, xi0, stop, propose):
     trace.iterates.append(xi.copy())
     start = time.perf_counter()
 
-    here = _Evaluation(structure, obj, xi)
-    if not (math.isfinite(here.f) and np.isfinite(here.grad).all()):
-        raise NonFiniteValue(
-            f"objective value {here.f} or gradient {here.grad} at the starting "
-            f"point {xi} is not finite"
-        )
-    here.measure()
+    here = _Evaluation(structure, obj, xi).measure()
     if here.l2 < stop.grad_tol:
         trace.status = CONVERGED
         return trace
@@ -542,8 +540,8 @@ def mirror_descent_run(index, obj, theta0, stop=None):
 
         def slope(evaluation):
             # the geometry at the trial, which the loop reuses if it is
-            # accepted; where it cannot be read the slope is NaN, which
-            # the search takes for an overshoot
+            # accepted; where it cannot be measured the slope is NaN,
+            # which the search takes for an overshoot
             try:
                 point = evaluation.measure().point
                 return _slope(evaluation.grad, point.solve(direction))

@@ -440,8 +440,7 @@ def test_cli_gen_target_stdout(capsys):
 def test_cli_gen_data_writes_file(tmp_path):
     out = tmp_path / "data.json"
     rc = cli.main(
-        ["gen-data", "--n-samples", "8", "--seed", "2", "--quad-nodes", "24",
-         "--out", str(out)]
+        ["gen-data", "--n-samples", "8", "--seed", "2", "--out", str(out)]
     )
     assert rc == 0
     payload = json.loads(out.read_text())
@@ -619,7 +618,6 @@ def test_a_point_error_while_a_problem_is_built_is_a_config_error(
         ["gen-data", "--seed", "-1"],
         ["gen-data", "--n-samples", "-1"],
         ["gen-data", "--n-samples", "0"],
-        ["gen-data", "--quad-nodes", "0"],
         ["validate", "--quad-nodes", "0"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[1][1:]}={argv[2]}",

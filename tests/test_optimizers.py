@@ -71,8 +71,10 @@ def kl_problem(n=3, lam1=0.0, lam2=0.0, alpha=1.0, seed=2):
 
 
 def test_stop_rule_validation():
-    with pytest.raises(ValueError):
-        opt.StopRule(grad_tol=0.0)
+    # an infinite tolerance would declare any start converged
+    for tol in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            opt.StopRule(grad_tol=tol)
     with pytest.raises(ValueError):
         opt.StopRule(max_iters=-1)
     # range() in the loop takes no float, and a bool is no count
@@ -302,8 +304,23 @@ def test_a_non_finite_start_names_its_cause(method, bad):
     else:
         grad = lambda x: np.full(len(index), np.nan)
     broken = Objective(dim=obj.dim, value=value, eucl_grad=grad)
-    with pytest.raises(NonFiniteValue, match=r"starting point \[0.1 0.1 0.1\]"):
+    with pytest.raises(NonFiniteValue, match=r"at \[0.1 0.1 0.1\] is not finite"):
         run_method(method, index, ds, broken, np.full(len(index), 0.1))
+
+
+@pytest.mark.parametrize(
+    "method",
+    [opt.dual_newton_run, opt.natural_gradient_run, opt.adam_run],
+    ids=lambda m: m.__name__,
+)
+def test_a_start_whose_gradient_norm_overflows_names_its_cause(method):
+    # value and gradient are finite, but |a| = 1.5e308 sqrt(2) under the
+    # identity metric is not: the start is refused by the rule that
+    # refuses such a trial
+    grad = np.array([1.5e308, 1.5e308])
+    obj = Objective(dim=2, value=lambda x: 1.0, eucl_grad=lambda x: grad)
+    with pytest.raises(NonFiniteValue, match=r"gradient norm at \[0.5 2. \]"):
+        method(euclidean_structure(2), obj, np.array([0.5, 2.0]))
 
 
 def counting_objective(obj):
@@ -1430,12 +1447,24 @@ def test_norms_that_do_not_overflow_keep_their_bits(scale):
 )
 def test_a_gradient_norm_beyond_the_float_range_is_not_finite(grad, structure, xi):
     record = _record(grad, structure, xi)
-    if structure is None:
-        with pytest.raises(NonFiniteValue, match="infinite solution"):
-            record.measure()
-    else:
-        assert not math.isfinite(record.measure().l2)
+    match = "infinite solution" if structure is None else "gradient norm at"
+    with pytest.raises(NonFiniteValue, match=match):
+        record.measure()
+    # the record stays unmeasured, and raises again
+    with pytest.raises(NonFiniteValue, match=match):
+        record.measure()
     assert opt._usable(_record(grad, structure, xi)) is None
+
+
+def test_a_trial_with_a_finite_value_and_a_nan_gradient_has_no_record():
+    # a record needs a finite gradient as well as a finite value
+    obj = Objective(
+        dim=2, value=lambda x: 1.0, eucl_grad=lambda x: np.array([0.0, np.nan])
+    )
+    structure = gaussian.dual_structure(0.0)
+    assert opt._evaluate(structure, obj, lambda: np.array([0.0, 1.0])) is None
+    with pytest.raises(NonFiniteValue, match=r"gradient \[ 0. nan\] at \[0. 1.\]"):
+        opt._Evaluation(structure, obj, np.array([0.0, 1.0]))
 
 
 # ---- convergence order -----------------------------------------------------

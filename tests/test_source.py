@@ -314,6 +314,68 @@ def test_a_try_in_the_loop_or_a_trial_builder_is_found(tmp_path):
     assert _guarded_trial_code(module) == [("_iterate", 2), ("pullback", 10)]
 
 
+# A point is usable by one finiteness rule, the loop's per-point
+# record's: ``_Evaluation`` refuses a non-finite value or gradient where
+# it is made and a non-finite norm where it is measured.  No other code
+# in the loop tests a record's value, gradient or norm for finiteness,
+# so the start and the trials cannot disagree on a point.
+RECORD_FIELDS = {"f", "grad", "l2"}
+
+
+def _finiteness_reads_outside_the_record(path):
+    """(field, line) of each ``isfinite`` call, or call that passes
+    ``isfinite`` on, outside the ``_Evaluation`` class that reads a
+    ``RECORD_FIELDS`` attribute in its arguments."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name == "_Evaluation":
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            names = {
+                getattr(named, "id", getattr(named, "attr", None))
+                for named in (node.func, *node.args)
+            }
+            if "isfinite" not in names:
+                continue
+            found.update(
+                (inner.attr, node.lineno)
+                for arg in node.args
+                for inner in ast.walk(arg)
+                if isinstance(inner, ast.Attribute) and inner.attr in RECORD_FIELDS
+            )
+    return sorted(found, key=lambda entry: (entry[1], entry[0]))
+
+
+def test_only_the_record_tests_a_records_finiteness():
+    assert _finiteness_reads_outside_the_record(PACKAGE / "optimizers.py") == []
+
+
+def test_a_finiteness_test_of_a_record_outside_it_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import math\n\nimport numpy as np\n\n\n"
+        "class _Evaluation:\n"
+        "    def __init__(self, f):\n"
+        "        self.f = f\n        assert math.isfinite(self.f)\n\n\n"
+        "def usable(record, slope):\n"
+        "    if not all(map(math.isfinite, record.grad.tolist())):\n"
+        "        return None\n"
+        "    if math.isfinite(slope) and np.isfinite(record.a).all():\n"
+        "        return record\n"
+        "    return record if math.isfinite(record.l2 + record.f) else None\n"
+    )
+    # the record's own test, a plain value and a field outside the rule
+    # pass
+    assert _finiteness_reads_outside_the_record(module) == [
+        ("grad", 13),
+        ("f", 17),
+        ("l2", 17),
+    ]
+
+
 # The failure policy is stated once, by the exceptions' categories in
 # errors.py: a guard in the run loop or the drivers catches PointError,
 # DomainError or NumericalError, never a list of concrete classes that
