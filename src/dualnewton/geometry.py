@@ -5,9 +5,11 @@ Conventions used throughout:
 * ``structure.at(xi)`` evaluates the geometry once at a point and
   returns a DualPoint, which wraps the model's evaluation at xi.  An
   evaluation is what a model implements: the SPD Gram matrix ``G``, its
-  lower Cholesky factor ``L``, made once with G's one check and shared
-  by every solve against G, and the model's alpha-connection applied to
-  a vector, ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
+  lower Cholesky factor ``L``, made once with G's one check, the solve
+  ``solve(b)`` = G^{-1} b, which reads that factor and never G again
+  (``cho_solve(L, b)``, or the Gaussian's two divisions per entry with
+  its bits), and the model's alpha-connection applied to a vector,
+  ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
 * Newton reads the connections only through that map: the dual Hessian
   takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
   and the retraction takes ``point.quad(beta)``, Gamma(beta, beta)^i.
@@ -63,8 +65,8 @@ class lazy:
 class DualStructure:
     """A metric with a pair of connections dual with respect to it.
 
-    ``evaluate(xi)`` is the model's evaluation at xi, with ``G``, ``L``
-    and ``connection(alpha, a)``; ``alpha`` selects the primal
+    ``evaluate(xi)`` is the model's evaluation at xi, with ``G``, ``L``,
+    ``solve(b)`` and ``connection(alpha, a)``; ``alpha`` selects the primal
     connection, whose dual is the (-alpha)-connection.  The evaluation
     starts with the model's point check, the one statement of its
     domain: it raises DimensionMismatch for a point of the wrong shape
@@ -95,8 +97,8 @@ class DualPoint:
     """The geometry of a DualStructure at one point xi.
 
     Wraps the model's evaluation at xi: the metric ``G``, its lower
-    Cholesky factor ``L``, which every solve against G at this point
-    uses, and the connection map
+    Cholesky factor ``L``, the solve against G from that factor, and the
+    connection map
     ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``, which
     applies the alpha-connection at xi to a vector a.  A point holds
     only what a run reads: ``G``, ``L``, ``at``, ``solve`` and Newton's
@@ -123,7 +125,7 @@ class DualPoint:
 
     def solve(self, b):
         """G^{-1} b from the point's factor, e.g. gradient coordinates."""
-        return cho_solve(self.L, b)
+        return self.evaluation.solve(b)
 
     def dual_dot(self, a):
         """M[i, j] = sum_k a_k GammaDual^j_ik."""

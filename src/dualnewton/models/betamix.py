@@ -42,7 +42,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
 from ..geometry import DualStructure, lazy, raise_index
-from ..linalg import load_compiled, logsumexp, spd_factor
+from ..linalg import cho_solve, load_compiled, logsumexp, spd_factor
 from ..linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 
 _LOG_TINY = -708.0  # below this, exp underflows to zero in float64
@@ -115,10 +115,11 @@ def _check_shapes(xi, n_components):
 class _NodePass:
     """The geometry at xi from one score pass over the quadrature nodes:
     density weights ``wp``, scores ``s``, responsibilities and raw
-    component scores.  ``G``, its factor ``L`` (G's one check), the
-    second log-derivatives and each alpha's symbols are built on first
-    read, so a metric-only caller builds no second log-derivatives; at
-    alpha = 0 the primal and dual are one tensor, as -0.0 == 0.0."""
+    component scores.  ``G``, its factor ``L`` (G's one check, which
+    every ``solve(b)`` against G reads), the second log-derivatives and
+    each alpha's symbols are built on first read, so a metric-only caller
+    builds no second log-derivatives; at alpha = 0 the primal and dual
+    are one tensor, as -0.0 == 0.0."""
 
     def __init__(self, model, xi, wp, s, resp, u):
         self.model, self.xi = model, xi
@@ -140,6 +141,9 @@ class _NodePass:
     @lazy
     def L(self):
         return spd_factor(self.G)
+
+    def solve(self, b):
+        return cho_solve(self.L, b)
 
     @lazy
     def second(self):

@@ -11,7 +11,7 @@ import numpy as np
 
 from dualnewton.errors import DimensionMismatch, DomainViolation
 from dualnewton.geometry import DualStructure, lazy
-from dualnewton.linalg import EPS, spd_factor
+from dualnewton.linalg import EPS, cho_solve, spd_factor
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,7 +57,8 @@ def point_check(n, inside=None):
 @dataclass
 class Evaluation:
     """A model's evaluation at a point from a metric and a connection map,
-    with the checked factor of G taken on first read."""
+    with the checked factor of G taken on first read and every solve
+    against G made with it."""
 
     G: np.ndarray
     connection: Callable
@@ -65,6 +66,9 @@ class Evaluation:
     @lazy
     def L(self):
         return spd_factor(self.G)
+
+    def solve(self, b):
+        return cho_solve(self.L, b)
 
 
 def euclidean_structure(n, inside=None):
@@ -132,14 +136,15 @@ def fd_gradient(f, x):
     return g
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, **env):
     """Run a fresh interpreter on ``args`` in ``cwd`` against the package
-    in src, capturing its text output."""
+    in src, with ``env`` added to its environment, capturing its text
+    output."""
     paths = [str(SRC), os.environ.get("PYTHONPATH")]
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env),
     )

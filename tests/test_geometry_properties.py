@@ -11,25 +11,39 @@ the log-linear map contracts the third cumulant over the states.  The
 contractions a point gives Newton, ``dual_dot`` and ``quad``, must agree
 to rounding with the same contractions of those full symbols.  On the
 Boltzmann family the analytic Jacobian of the KL gradient field is
-checked against finite differences as well.  Examples are derandomized,
-so every run checks the same points.
+checked against finite differences as well.
+
+The paper's pairing, a retraction by the alpha-connection and a Newton
+equation posed with its dual, is checked where it bites: at every point
+near each experiment's start, beta^T (G H^T) beta is the second
+derivative of f along the second-order retraction R(t beta) at t = 0.
+The mismatched pairing, whose Hessian reads the retraction's own
+connection, misses it.  Examples are derandomized, so every run checks
+the same points.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dualnewton.experiments import MIXTURE_INIT, gen_dataset, gen_target
 from dualnewton.geometry import (
     DualStructure,
+    dual_hessian_matrix,
     duality_residual,
     gradient_field,
     raise_index,
+    second_order_retract,
 )
 from dualnewton.linalg import fd_jacobian, spd_factor
 from dualnewton.models import gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.models.loglinear import SubsetIndex
-from dualnewton.objectives import KLProjectionObjective
+from dualnewton.objectives import (
+    AlphaDivergenceObjective,
+    BetaMixtureNLL,
+    KLProjectionObjective,
+)
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
@@ -182,3 +196,105 @@ def test_beta_mixture_geometry(alpha, scale):
 def test_beta_mixture_contractions_are_the_einsum(alpha, scale, a, beta):
     ds = MIXTURE.dual_structure(alpha)
     assert_contractions_match_the_einsum(ds, MIXTURE.generating_point() * scale, a, beta)
+
+
+# ---- the certificate is the curvature of f along the retraction ----------
+#
+# By duality g(nabla*_X grad f, Y) = XYf - (nabla_X Y)f, and the retraction
+# R(t beta) = xi + t beta - t^2/2 Gamma(beta, beta) has d^2/dt^2 f(R(t beta))
+# = beta^T Hess f beta - df Gamma(beta, beta) at t = 0: the same form.
+# The second derivative is a central difference with h = 1e-4, and the gap
+# is measured against the form's size, ||G H^T||_2, for a unit beta.  The
+# mixture's Jacobian is a finite difference, hence its wider tolerance.
+
+EXP1_INDEX = SubsetIndex.boltzmann(3)
+EXP3_MODEL, EXP3_DATA = gen_dataset()
+# each experiment's objective, its structure at alpha, a box around its
+# start, and the tolerance of the identity there
+PAIRING = {
+    "exp1": (
+        KLProjectionObjective(
+            EXP1_INDEX, gen_target(3).moments_for(EXP1_INDEX), 0.5, 0.5
+        ),
+        lambda alpha: loglinear.dual_structure(EXP1_INDEX, alpha),
+        (np.full(len(EXP1_INDEX), -0.25), np.full(len(EXP1_INDEX), 0.2)),
+        1e-6,
+    ),
+    "exp2": (
+        AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0),
+        gaussian.dual_structure,
+        (np.array([0.0, 1.5]), np.array([1.0, 2.5])),
+        1e-6,
+    ),
+    "exp3": (
+        BetaMixtureNLL(EXP3_MODEL, EXP3_DATA),
+        EXP3_MODEL.dual_structure,
+        (0.9 * np.array(MIXTURE_INIT), 1.1 * np.array(MIXTURE_INIT)),
+        1e-4,
+    ),
+}
+
+
+def curvature_gap(structure, objective, xi, beta, h=1e-4):
+    """|beta^T (G H^T) beta - d^2/dt^2 f(R(t beta))| / ||G H^T||_2 at t = 0."""
+    point = structure.at(xi)
+    a = point.solve(objective.eucl_grad(xi))
+    hess = dual_hessian_matrix(point, lambda _: a, xi, objective.grad_field_jacobian)
+    form = point.G @ hess.T
+    along = lambda t: objective.value(second_order_retract(structure, xi, t * beta))
+    second = (along(h) - 2.0 * along(0.0) + along(-h)) / h**2
+    return abs(beta @ form @ beta - second) / np.linalg.norm(form, 2)
+
+
+class RetractionsConnection:
+    """A model's evaluation whose connection answers the structure's own
+    alpha whatever alpha it is asked for: the dual Hessian then reads the
+    retraction's connection instead of its dual."""
+
+    def __init__(self, evaluation, alpha):
+        self.evaluation, self.alpha = evaluation, alpha
+
+    def __getattr__(self, name):
+        return getattr(self.evaluation, name)
+
+    def connection(self, alpha, a):
+        return self.evaluation.connection(self.alpha, a)
+
+
+def mismatched(structure):
+    evaluate = lambda xi: RetractionsConnection(structure.evaluate(xi), structure.alpha)
+    return DualStructure(evaluate, structure.alpha)
+
+
+@st.composite
+def pairing_cases(draw):
+    name = draw(st.sampled_from(sorted(PAIRING)))
+    lo, hi = PAIRING[name][2]
+    xi = lo + (hi - lo) * draw(coordinates(0.0, 1.0, lo.size))
+    beta = draw(coordinates(-1.0, 1.0, lo.size))
+    assume(np.linalg.norm(beta) > 0.1)
+    return name, draw(alphas), xi, beta / np.linalg.norm(beta)
+
+
+@settings(max_examples=90, **FIXED)
+@given(case=pairing_cases())
+def test_the_certificate_is_the_curvature_of_f_along_the_retraction(case):
+    name, alpha, xi, beta = case
+    objective, structure_at, _, tol = PAIRING[name]
+    assert curvature_gap(structure_at(alpha), objective, xi, beta) <= tol
+
+
+def test_the_mismatched_pairing_misses_the_curvature():
+    # the same identity with the Hessian from the retraction's own
+    # connection; at alpha = 0 the two are one, so alpha is away from it
+    rng = np.random.default_rng(19)
+    for name, (objective, structure_at, (lo, hi), _) in sorted(PAIRING.items()):
+        gaps = []
+        for alpha in (-1.0, 0.5, 1.0):
+            xi = lo + (hi - lo) * rng.uniform(size=lo.size)
+            beta = rng.normal(size=lo.size)
+            beta /= np.linalg.norm(beta)
+            structure = structure_at(alpha)
+            gaps.append(curvature_gap(mismatched(structure), objective, xi, beta))
+            assert curvature_gap(structure, objective, xi, beta) <= 1e-4
+        assert max(gaps) > 1e-2, name

@@ -4,12 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dualnewton import linalg, optimizers as opt
-from dualnewton.errors import DimensionMismatch, DomainViolation
+from dualnewton.errors import DimensionMismatch, DomainViolation, NonFiniteValue
 from dualnewton.linalg import cholesky_lower
 from dualnewton.models import gaussian
 from dualnewton.objectives import AlphaDivergenceObjective
@@ -203,6 +203,78 @@ def test_the_closed_form_factor_is_the_python_cholesky_bit_for_bit(mu, sigma):
     xi = np.array([mu, sigma])
     L = gaussian.dual_structure(0.5).at(xi).L
     assert L.tobytes() == cholesky_lower(gaussian.fisher_metric(xi)).tobytes()
+
+
+_SIGMA_MAX = math.sqrt(np.finfo(float).max)
+# b's entries: either sign, magnitudes 1e-300..1e300, signed zeros
+rhs_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300, 300)
+    ),
+)
+# sigma across the chart: ordinary, up to the bound where sigma^2 still
+# fits, and down where sigma^2 underflows and G overflows to infinity
+chart_sigmas = st.one_of(
+    st.floats(0.05, 20.0),
+    st.floats(1e-150, 1e150),
+    st.floats(_SIGMA_MAX / 4.0, _SIGMA_MAX),
+    st.floats(1e-170, 1e-150),
+)
+
+
+def _solved(solve, b):
+    """The bytes of ``solve(b)``, or the class and message it raised."""
+    try:
+        return solve(b).tobytes()
+    except (DimensionMismatch, NonFiniteValue) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(
+    mu=st.floats(allow_nan=False, allow_infinity=False),
+    sigma=chart_sigmas,
+    b=st.lists(rhs_entries, min_size=2, max_size=2),
+)
+@example(mu=0.3, sigma=1.7, b=[-0.0, -2.0])  # back substitution: -0.0 turns 0.0
+@example(mu=0.3, sigma=1.7, b=[-0.0, -0.0])
+def test_the_closed_form_solve_is_cho_solve_bit_for_bit(mu, sigma, b):
+    # dtrtrs on the diagonal factor: U^T y = b, then U x = y, is two
+    # divisions per entry, and its errors are cho_solve's.  A BLAS whose
+    # one-column triangular solve multiplies by 1 / l instead fails here.
+    point = gaussian.dual_structure(0.5).at(np.array([mu, sigma]))
+    b = np.array(b)
+    expected = _solved(lambda b: linalg.cho_solve(point.L, b), b)
+    assert _solved(point.solve, b) == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "sigma, b",
+    [
+        (1.7, [math.nan, 1.0]),
+        (1.7, [1.0, -math.inf]),
+        (1e150, [1e300, 1.0]),
+        (1e150, [-1.0, 1e300]),
+        (1e-160, [1.0, 1.0]),
+    ],
+    ids=["nan-b", "infinite-b", "x0-overflows", "x1-overflows", "infinite-G"],
+)
+def test_the_closed_form_solve_raises_what_cho_solve_raises(sigma, b):
+    point = gaussian.dual_structure(0.5).at(np.array([0.3, sigma]))
+    expected = _solved(lambda b: linalg.cho_solve(point.L, b), np.array(b))
+    assert expected[0] is NonFiniteValue
+    assert _solved(point.solve, np.array(b)) == expected
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 1), ()])
+def test_the_closed_form_solve_takes_a_vector_of_two(shape):
+    # several right-hand sides would round as b * (1/l) * (1/l) in the BLAS
+    point = gaussian.dual_structure(0.5).at(np.array([0.3, 1.7]))
+    with pytest.raises(DimensionMismatch):
+        point.solve(np.ones(shape))
 
 
 @pytest.mark.parametrize(

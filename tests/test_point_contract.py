@@ -26,7 +26,8 @@ On its chart, a point has the bits of its model's public metric reader
 and of the package's Cholesky factor of that metric, and stands in for
 its structure: at its own xi it is itself, elsewhere a fresh evaluation.
 It checks its metric once, where its factor is made, and every solve
-there reads only that factor.
+there reads only that factor and has the bits of ``cho_solve`` on it;
+the Gaussian's solve is two divisions per entry on its factor's roots.
 """
 
 import dataclasses
@@ -287,8 +288,9 @@ def test_a_point_has_the_bits_of_its_model_and_stands_in_for_its_structure(name)
 
 @pytest.mark.parametrize("name", sorted(POINTS))
 def test_a_point_checks_its_metric_once_and_solves_with_its_factor(name, monkeypatch):
-    # linalg checks a metric only where it makes the checked factor; the
-    # Gaussian checks its closed-form G where it makes its own factor
+    # linalg checks a metric only where it makes the checked factor, and
+    # solves with that factor; the Gaussian checks its closed-form G where
+    # it takes the roots of G's two entries, and solves with those alone
     structure, _, xi = POINTS[name]
     calls = {}
     count_calls(monkeypatch, calls, "_factor", linalg)
@@ -296,17 +298,29 @@ def test_a_point_checks_its_metric_once_and_solves_with_its_factor(name, monkeyp
     rng = np.random.default_rng(4)
     point = structure.at(xi)
     n = len(xi)
-    point.solve(rng.normal(size=n))
-    # G is not read again: a metric spoiled after its factor is made
-    # changes no solve or connection at the point
-    monkeypatch.setitem(point.evaluation.__dict__, "G", np.full((n, n), math.nan))
     b = rng.normal(size=n)
     first = point.solve(b)
+    # G is not read again: a metric spoiled after the first solve changes
+    # no solve, factor or connection at the point
+    monkeypatch.setitem(point.evaluation.__dict__, "G", np.full((n, n), math.nan))
     assert point.solve(b).tobytes() == first.tobytes()
+    assert np.isfinite(point.L).all()
     point.dual_dot(rng.normal(size=n))
     point.quad(rng.normal(size=n))
-    assert calls["_factor"] == (0 if name == "gaussian" else 1)
-    assert calls["_solve"] >= 3
+    if name == "gaussian":
+        assert calls == {"_factor": 0, "_solve": 0}
+    else:
+        assert calls["_factor"] == 1 and calls["_solve"] >= 3
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_a_point_solves_with_the_bits_of_cho_solve_on_its_factor(name):
+    structure, _, xi = POINTS[name]
+    point = structure.at(xi)
+    rng = np.random.default_rng(7)
+    for b in rng.normal(size=(5, len(xi))) * 10.0 ** rng.integers(-8, 9, size=(5, 1)):
+        expected = linalg.cho_solve(point.L, b)
+        assert point.solve(b).tobytes() == expected.tobytes()
 
 
 def test_a_gaussian_point_whose_sigma_squared_underflows_refuses_its_factor():

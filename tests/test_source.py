@@ -174,7 +174,7 @@ def test_a_model_that_factors_g_unchecked_is_found(tmp_path):
 
 # A DualPoint is made in one place, ``DualStructure.at``, around the
 # model's evaluation at xi; a model implements only that evaluation (G,
-# its factor L and connection(alpha, a)) and never sees the point.
+# its factor L, solve(b) and connection(alpha, a)) and never sees the point.
 def _dual_point_uses(package):
     """module: lines where a module other than geometry constructs a
     DualPoint, or a model imports it."""
