@@ -129,12 +129,10 @@ def _cmd_run(args):
         return EXIT_OPTIMIZER
     for res in results:
         s = res.trace.summary()
-        print(
-            f"{res.label:18s} {s['status']:15s} iters={s['iterations']:5d} "
-            f"grad_l2={s['final_grad_l2']:.3e}"
-            if s["final_grad_l2"] is not None
-            else f"{res.label:18s} {s['status']:15s} iters={s['iterations']:5d}"
-        )
+        line = f"{res.label:18s} {s['status']:15s} iters={s['iterations']:5d}"
+        if s["final_grad_l2"] is not None:
+            line += f" grad_l2={s['final_grad_l2']:.3e}"
+        print(line)
     print(f"artifacts written to {cfg.out}")
     return code
 

@@ -4,11 +4,11 @@ Conventions used throughout:
 
 * ``structure.at(xi)`` evaluates the geometry once at a point and
   returns a DualPoint, which wraps the model's evaluation at xi.  An
-  evaluation is what a model implements: the SPD Gram matrix ``G``, its
-  lower Cholesky factor ``L``, made once with G's one check, the solve
-  ``solve(b)`` = G^{-1} b, which reads that factor and never G again
-  (``cho_solve(L, b)``, or the Gaussian's two divisions per entry with
-  its bits), and the model's alpha-connection applied to a vector,
+  evaluation is what a model implements: the SPD Gram matrix ``G``, the
+  solve ``solve(b)`` = G^{-1} b, which checks G once and then never
+  reads it again (a ``cho_solve`` on the pass's own factor, or the
+  Gaussian's two divisions per entry with its bits), and the model's
+  alpha-connection applied to a vector,
   ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
 * Newton reads the connections only through that map: the dual Hessian
   takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
@@ -65,7 +65,7 @@ class lazy:
 class DualStructure:
     """A metric with a pair of connections dual with respect to it.
 
-    ``evaluate(xi)`` is the model's evaluation at xi, with ``G``, ``L``,
+    ``evaluate(xi)`` is the model's evaluation at xi, with ``G``,
     ``solve(b)`` and ``connection(alpha, a)``; ``alpha`` selects the primal
     connection, whose dual is the (-alpha)-connection.  The evaluation
     starts with the model's point check, the one statement of its
@@ -96,13 +96,12 @@ class DualStructure:
 class DualPoint:
     """The geometry of a DualStructure at one point xi.
 
-    Wraps the model's evaluation at xi: the metric ``G``, its lower
-    Cholesky factor ``L``, the solve against G from that factor, and the
-    connection map
+    Wraps the model's evaluation at xi: the metric ``G``, the solve
+    against G, and the connection map
     ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``, which
     applies the alpha-connection at xi to a vector a.  A point holds
-    only what a run reads: ``G``, ``L``, ``at``, ``solve`` and Newton's
-    two contractions of that map, ``dual_dot`` and ``quad``.
+    only what a run reads: ``G``, ``at``, ``solve`` and Newton's two
+    contractions of that map, ``dual_dot`` and ``quad``.
     """
 
     structure: DualStructure
@@ -113,10 +112,6 @@ class DualPoint:
     def G(self):
         return self.evaluation.G
 
-    @property
-    def L(self):
-        return self.evaluation.L
-
     def at(self, xi):
         """This point at its own xi, otherwise the structure at xi."""
         if xi is self.xi or np.array_equal(xi, self.xi):
@@ -124,7 +119,7 @@ class DualPoint:
         return self.structure.at(xi)
 
     def solve(self, b):
-        """G^{-1} b from the point's factor, e.g. gradient coordinates."""
+        """G^{-1} b, e.g. gradient coordinates, by the model's solve."""
         return self.evaluation.solve(b)
 
     def dual_dot(self, a):

@@ -119,7 +119,8 @@ def _as_square(A):
 
 def _check_rhs(A, b):
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != A.shape[0]:
+    # a vector or a matrix of right-hand sides, n rows either way
+    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise DimensionMismatch(
             f"matrix of size {A.shape[0]} against right-hand side of shape {b.shape}"
         )

@@ -2,17 +2,19 @@
 
 Each model exposes its Fisher metric and the alpha-connection
 Christoffel symbols.  What a model implements is its evaluation at a
-point, its structure's ``evaluate(xi)``: the metric ``G``, its lower
-Cholesky factor ``L``, made with G's one check (every solve at the point
-reads only L), and ``connection(alpha, a)``, the alpha-connection
-applied to a vector.  ``DualStructure.at`` wraps it in a DualPoint.  The
+point, its structure's ``evaluate(xi)``: the metric ``G``,
+``solve(b)`` = G^{-1} b, which checks G once and then never reads it
+again, and ``connection(alpha, a)``, the alpha-connection applied to a
+vector.  How a model solves is its own: the log-linear and mixture
+passes keep the checked Cholesky factor ``L`` of G.
+``DualStructure.at`` wraps the evaluation in a DualPoint.  The
 log-linear evaluation is the pass over the states, an ``lru_cache`` of
 the last eight points, whose connection needs no third central moment
 tensor.  The Beta mixture's is one pass over the quadrature nodes
 (``BetaMixtureModel.nodes``), which gives the metric and each alpha's
-symbols once per point.  The
-Gaussian's holds the closed-form symbols and factor.  The full symbols
-of any model are read as ``dual_structure(...).gamma(xi)``.
+symbols once per point.  The Gaussian's holds the closed-form metric
+and symbols and solves with the roots of its diagonal G.  The full
+symbols of any model are read as ``dual_structure(...).gamma(xi)``.
 
 Each model states its domain once, in its point check (``gaussian.check``,
 the mixture's shape check, the log-linear theta check), which every pass

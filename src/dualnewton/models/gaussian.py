@@ -7,8 +7,9 @@ reference model for checking the finite-difference paths elsewhere.
 G = diag(2, 4) / sigma^2 is diagonal, so the evaluation keeps the roots
 of its two entries as Python floats, checked once, and solves against G
 with two divisions per entry on them: the bits of ``linalg.cho_solve``
-on the factor, at a fraction of its cost, for the one right-hand side
-that every caller of a Gaussian point passes.
+on G's Cholesky factor, whose diagonal the roots are, at a fraction of
+its cost, for the one right-hand side that every caller of a Gaussian
+point passes.
 """
 
 import math
@@ -59,8 +60,8 @@ def _christoffel(sigma, alpha):
 
 
 class _Evaluation:
-    """The closed-form geometry at xi: G, its factor, the solve against G
-    and the connection."""
+    """The closed-form geometry at xi: G, the solve against G and the
+    connection."""
 
     def __init__(self, xi):
         self.xi, self.G = xi, fisher_metric(xi)
@@ -74,19 +75,14 @@ class _Evaluation:
             raise NonFiniteValue(f"Fisher metric not finite at sigma = {self.xi[1]}")
         return math.sqrt(g0), math.sqrt(g1)
 
-    @lazy
-    def L(self):
-        # cholesky_lower(G) bit for bit: its off-diagonal entry is 0.0 / L_00
-        l0, l1 = self.roots
-        return np.array([[l0, 0.0], [0.0, l1]])
-
     def solve(self, b):
         """G^{-1} b for a vector b, with the bits and errors of
-        ``cho_solve(L, b)``: dtrtrs's two triangular solves on the diagonal
-        factor are two divisions per entry, and its back substitution adds
-        the zero term -x1 * 0.0 to the first entry, which can turn its
-        -0.0 into 0.0.  Vectors only: with several right-hand sides the
-        BLAS multiplies by 1 / l instead, which rounds differently."""
+        ``cho_solve(cholesky_lower(G), b)``: dtrtrs's two triangular
+        solves on that diagonal factor are two divisions per entry on the
+        roots, and its back substitution adds the zero term -x1 * 0.0 to
+        the first entry, which can turn its -0.0 into 0.0.  Vectors only:
+        with several right-hand sides the BLAS multiplies by 1 / l
+        instead, which rounds differently."""
         l0, l1 = self.roots
         b = np.asarray(b, dtype=float)
         if b.shape != (2,):

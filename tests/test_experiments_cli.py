@@ -492,6 +492,23 @@ def test_cli_run_success(tmp_path):
     assert (tmp_path / "out" / "newton_a+0.00.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "tol, line",
+    [
+        ("1e6", "newton_a+0.00      Converged       iters=    0"),
+        ("1e-8", "newton_a+0.00      Converged       iters=    6 grad_l2=3.988e-10"),
+    ],
+    ids=["converged-at-start", "converged"],
+)
+def test_cli_run_prints_one_line_per_run(tmp_path, capsys, tol, line):
+    # a run that converges at its start has an empty trace and no grad_l2
+    out = tmp_path / "out"
+    argv = ["run", "--experiment", "exp2", "--alpha", "0.0", "--method", "newton",
+            "--tol", tol, "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"{line}\nartifacts written to {out}\n"
+
+
 def test_cli_run_failure_and_expectation(tmp_path):
     argv = [
         "run", "--experiment", "exp1", "--alpha", "-1.0", "--method", "newton",

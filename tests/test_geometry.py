@@ -333,5 +333,8 @@ def test_a_lazy_attribute_is_computed_once_and_kept_in_the_instance():
 
 
 def test_a_point_factors_its_metric_once():
+    # the Gaussian's roots are G's one check and the diagonal of its factor
     point = gaussian.dual_structure(0.0).at(np.array([0.5, 2.0]))
-    assert point.L is point.L
+    roots = point.evaluation.roots
+    point.solve(np.ones(2))
+    assert point.evaluation.roots is roots

@@ -55,11 +55,24 @@ def test_solve_spd_rejects_asymmetric():
         solve_spd(A, np.ones(2))
 
 
-def test_solve_spd_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve_spd(np.eye(3), np.ones(2))
-    with pytest.raises(DimensionMismatch):
-        solve_spd(np.ones((2, 3)), np.ones(2))
+SOLVES = {"solve_spd": solve_spd, "solve_general": solve_general, "cho_solve": cho_solve}
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (2, 2), (), (3, 3, 3)])
+@pytest.mark.parametrize("name", sorted(SOLVES))
+def test_solve_spd_dimension_mismatch(name, shape):
+    # b is a vector or a matrix of right-hand sides, with A's n rows
+    solve = SOLVES[name]
+    with pytest.raises(DimensionMismatch, match="right-hand side"):
+        solve(np.eye(3), np.ones(shape))
+    for rows in ((3,), (3, 2)):
+        assert solve(np.eye(3), np.ones(rows)).shape == rows
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_general], ids=["spd", "general"])
+def test_a_non_square_matrix_is_a_dimension_mismatch(solve):
+    with pytest.raises(DimensionMismatch, match="square"):
+        solve(np.ones((2, 3)), np.ones(2))
 
 
 @pytest.mark.parametrize(

@@ -192,19 +192,6 @@ def test_dual_structure_pairs_alphas():
         ds.at(np.array([0.2, -1.4]))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(
-    mu=st.floats(allow_nan=False, allow_infinity=False),
-    sigma=st.floats(1e-150, 1e150),
-)
-def test_the_closed_form_factor_is_the_python_cholesky_bit_for_bit(mu, sigma):
-    # G = diag(2, 4) / sigma^2: the Python loop's pivots are G_jj - 0.0
-    # and its off-diagonal entry 0.0 / L_00
-    xi = np.array([mu, sigma])
-    L = gaussian.dual_structure(0.5).at(xi).L
-    assert L.tobytes() == cholesky_lower(gaussian.fisher_metric(xi)).tobytes()
-
-
 _SIGMA_MAX = math.sqrt(np.finfo(float).max)
 # b's entries: either sign, magnitudes 1e-300..1e300, signed zeros
 rhs_entries = st.one_of(
@@ -231,6 +218,16 @@ def _solved(solve, b):
         return type(exc), str(exc)
 
 
+def _cho_solved(point, b):
+    """``_solved`` for ``cho_solve`` on the Python Cholesky factor of the
+    point's G, whose pivots are G_jj - 0.0 and whose off-diagonal entry
+    is 0.0 / L_00; where sigma^2 underflows and G is infinite, the
+    closed form's own refusal of G."""
+    if not np.isfinite(point.G).all():
+        return NonFiniteValue, f"Fisher metric not finite at sigma = {point.xi[1]}"
+    return _solved(lambda b: linalg.cho_solve(cholesky_lower(point.G), b), b)
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
 @given(
@@ -246,8 +243,7 @@ def test_the_closed_form_solve_is_cho_solve_bit_for_bit(mu, sigma, b):
     # one-column triangular solve multiplies by 1 / l instead fails here.
     point = gaussian.dual_structure(0.5).at(np.array([mu, sigma]))
     b = np.array(b)
-    expected = _solved(lambda b: linalg.cho_solve(point.L, b), b)
-    assert _solved(point.solve, b) == expected
+    assert _solved(point.solve, b) == _cho_solved(point, b)
 
 
 @pytest.mark.filterwarnings("error")
@@ -264,7 +260,7 @@ def test_the_closed_form_solve_is_cho_solve_bit_for_bit(mu, sigma, b):
 )
 def test_the_closed_form_solve_raises_what_cho_solve_raises(sigma, b):
     point = gaussian.dual_structure(0.5).at(np.array([0.3, sigma]))
-    expected = _solved(lambda b: linalg.cho_solve(point.L, b), np.array(b))
+    expected = _cho_solved(point, np.array(b))
     assert expected[0] is NonFiniteValue
     assert _solved(point.solve, np.array(b)) == expected
 
@@ -281,7 +277,7 @@ def test_the_closed_form_solve_takes_a_vector_of_two(shape):
     "run", [opt.dual_newton_run, opt.natural_gradient_run], ids=["newton", "natgrad"]
 )
 def test_exp2_runs_make_no_python_cholesky(monkeypatch, run):
-    # every solve against G reads the point's closed-form factor, and
+    # every solve against G reads the roots of the point's diagonal G, and
     # Newton's descent certificate is LAPACK's
     calls = {}
     count_calls(monkeypatch, calls, "cholesky_lower", linalg)

@@ -5,9 +5,9 @@ the log-linear theta check, the mixture's shape check).  A structure's
 ``at(x)`` starts with it, so it raises DimensionMismatch or
 DomainViolation exactly where ``check(x)`` does, and the same class; the
 log-linear chart refuses a non-finite theta with NonFiniteValue as
-well.  Where ``check(x)`` passes, the geometry ``at(x)``, its factor
-``at(x).L`` and the objective's ``value_and_grad`` each return or raise
-one of the six point errors below, never a numpy warning: every warning
+well.  Where ``check(x)`` passes, the geometry ``at(x)``, its solve
+``at(x).solve(b)`` and the objective's ``value_and_grad`` each return or
+raise one of the six point errors below, never a numpy warning: every warning
 is an error here.  A ``value_and_grad`` that returns gives a finite
 value.  The draws mix NaN, infinities, signed zeros, negatives,
 subnormals, magnitudes up to 1.8e308 and wrong lengths with ordinary
@@ -22,12 +22,13 @@ each method makes exactly one point check per model pass, and none
 from the optimizers or the geometry.  A mixture Jacobian that its
 objective's cache answers still makes its one check.
 
-On its chart, a point has the bits of its model's public metric reader
-and of the package's Cholesky factor of that metric, and stands in for
-its structure: at its own xi it is itself, elsewhere a fresh evaluation.
-It checks its metric once, where its factor is made, and every solve
-there reads only that factor and has the bits of ``cho_solve`` on it;
-the Gaussian's solve is two divisions per entry on its factor's roots.
+On its chart, a point has the bits of its model's public metric reader,
+and stands in for its structure: at its own xi it is itself, elsewhere a
+fresh evaluation.  It checks its metric once, and every solve there
+never reads G again and has the bits of ``cho_solve`` on the package's
+Cholesky factor of G: the log-linear and mixture passes solve with
+their checked factor ``L``, the Gaussian with two divisions per entry
+on the roots of its diagonal G.
 """
 
 import dataclasses
@@ -52,6 +53,7 @@ from dualnewton.errors import (
     QuadratureUnderflow,
     SingularMatrix,
 )
+from dualnewton.experiments import MIXTURE_INIT
 from dualnewton.linalg import cholesky_lower
 from dualnewton.models import betamix, gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
@@ -144,7 +146,7 @@ def assert_contract(ds, check, x, objective, refused=REFUSED):
         except POINT_ERRORS:
             pass
         else:
-            reads.append(lambda: point.L)
+            reads.append(lambda: point.solve(np.ones(len(x))))
         assert checked is None
         for read in reads:
             try:
@@ -273,7 +275,9 @@ def test_a_point_has_the_bits_of_its_model_and_stands_in_for_its_structure(name)
     counted = dataclasses.replace(structure, evaluate=evaluate)
     point = counted.at(xi)
     assert point.G.tobytes() == metric(xi).tobytes()
-    assert point.L.tobytes() == cholesky_lower(point.G).tobytes()
+    b = np.linspace(-1.0, 2.0, len(xi))
+    expected = linalg.cho_solve(cholesky_lower(point.G), b)
+    assert point.solve(b).tobytes() == expected.tobytes()
     assert evaluated == [xi.tobytes()]
     # at a copy of its own xi the point answers itself
     assert point.at(xi.copy()) is point
@@ -304,7 +308,8 @@ def test_a_point_checks_its_metric_once_and_solves_with_its_factor(name, monkeyp
     # no solve, factor or connection at the point
     monkeypatch.setitem(point.evaluation.__dict__, "G", np.full((n, n), math.nan))
     assert point.solve(b).tobytes() == first.tobytes()
-    assert np.isfinite(point.L).all()
+    if name != "gaussian":
+        assert np.isfinite(point.evaluation.L).all()
     point.dual_dot(rng.normal(size=n))
     point.quad(rng.normal(size=n))
     if name == "gaussian":
@@ -313,25 +318,51 @@ def test_a_point_checks_its_metric_once_and_solves_with_its_factor(name, monkeyp
         assert calls["_factor"] == 1 and calls["_solve"] >= 3
 
 
-@pytest.mark.parametrize("name", sorted(POINTS))
-def test_a_point_solves_with_the_bits_of_cho_solve_on_its_factor(name):
-    structure, _, xi = POINTS[name]
-    point = structure.at(xi)
-    rng = np.random.default_rng(7)
-    for b in rng.normal(size=(5, len(xi))) * 10.0 ** rng.integers(-8, 9, size=(5, 1)):
-        expected = linalg.cho_solve(point.L, b)
-        assert point.solve(b).tobytes() == expected.tobytes()
+def _near(x0):
+    """x0 with each entry moved by up to half of itself."""
+    moves = st.lists(st.floats(-0.5, 0.5), min_size=len(x0), max_size=len(x0))
+    return moves.map(lambda u: x0 * (1.0 + np.array(u)))
+
+
+EXP1_INDEX = loglinear.SubsetIndex.boltzmann(4)
+# each experiment's model (exp3's mixture on a coarser rule) and points
+# near its start: exp1 draws theta from U(-0.25, 0.2), exp2 starts at
+# (mu, sigma) = (0.5, 2.0) and exp3 at the shapes MIXTURE_INIT
+NEAR_STARTS = {
+    "loglinear": (
+        loglinear.dual_structure(EXP1_INDEX, 0.5),
+        st.lists(
+            st.floats(-0.25, 0.2), min_size=len(EXP1_INDEX), max_size=len(EXP1_INDEX)
+        ).map(np.array),
+    ),
+    "gaussian": (gaussian.dual_structure(0.5), _near(np.array([0.5, 2.0]))),
+    "beta-mixture": (MIXTURE.dual_structure(0.5), _near(np.array(MIXTURE_INIT))),
+}
+# right-hand side entries of either sign and magnitudes 1e-8..1e8
+rhs_entries = st.builds(
+    lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-8.0, 8.0)
+)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_STARTS))
+@settings(max_examples=100, **FIXED)
+@given(data=st.data())
+def test_a_point_solves_with_the_bits_of_cho_solve_on_its_factor(name, data):
+    structure, near_start = NEAR_STARTS[name]
+    point = structure.at(data.draw(near_start))
+    n = len(point.G)
+    b = np.array(data.draw(st.lists(rhs_entries, min_size=n, max_size=n)))
+    expected = linalg.cho_solve(cholesky_lower(point.G), b)
+    assert point.solve(b).tobytes() == expected.tobytes()
 
 
 def test_a_gaussian_point_whose_sigma_squared_underflows_refuses_its_factor():
-    # G = diag(2, 4) / sigma^2 is infinite; the factor's check names it
+    # G = diag(2, 4) / sigma^2 is infinite; the solve's check of G names it
     point = gaussian.dual_structure(0.5).at(np.array([0.3, 1e-160]))
     assert np.isinf(np.diag(point.G)).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteValue, match="not finite"):
-            point.L
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="Fisher metric not finite"):
             point.solve(np.ones(2))
 
 

@@ -174,7 +174,7 @@ def test_a_model_that_factors_g_unchecked_is_found(tmp_path):
 
 # A DualPoint is made in one place, ``DualStructure.at``, around the
 # model's evaluation at xi; a model implements only that evaluation (G,
-# its factor L, solve(b) and connection(alpha, a)) and never sees the point.
+# solve(b) and connection(alpha, a)) and never sees the point.
 def _dual_point_uses(package):
     """module: lines where a module other than geometry constructs a
     DualPoint, or a model imports it."""
@@ -227,11 +227,11 @@ def test_a_model_that_makes_a_dual_point_is_found(tmp_path):
     }
 
 
-# A point holds only what a run reads: its metric, its factor, the point
-# at its own xi, the solve against G and Newton's two contractions of the
+# A point holds only what a run reads: its metric, the point at its own
+# xi, the solve against G and Newton's two contractions of the
 # connection, ``dual_dot`` and ``quad``.  The full symbols, which only the
 # structural checks read, are the structure's ``gamma``.
-POINT_SURFACE = {"G", "L", "at", "solve", "dual_dot", "quad"}
+POINT_SURFACE = {"G", "at", "solve", "dual_dot", "quad"}
 
 
 def _class_methods(path, name):
@@ -269,6 +269,55 @@ def test_a_point_method_beyond_the_run_reads_is_found(tmp_path):
     # lazy attribute and the assigned property are
     assert _class_methods(module, "DualPoint") == {"G", "_symbols", "gamma", "gamma_dual"}
     assert _class_methods(module, "DualStructure") is None
+
+
+# G's Cholesky factor ``L`` is no part of the evaluation contract: it is
+# a detail of the two passes that solve with it, the log-linear pass and
+# the mixture's node pass, and no other module reads or defines it.
+FACTOR_OWNERS = {"models/loglinear.py", "models/betamix.py"}
+
+
+def _factor_uses(package):
+    """module: lines where a module outside FACTOR_OWNERS reads an
+    attribute ``.L`` or defines a function or property named ``L``."""
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if module in FACTOR_OWNERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "L")
+            or (isinstance(node, ast.FunctionDef) and node.name == "L")
+        ]
+        if lines:
+            found[module] = sorted(lines)
+    return found
+
+
+def test_only_the_passes_that_solve_with_it_hold_a_factor_of_g():
+    assert _factor_uses(PACKAGE) == {}
+
+
+def test_a_factor_read_or_defined_outside_its_passes_is_found(tmp_path):
+    package = tmp_path / "package"
+    (package / "models").mkdir(parents=True)
+    (package / "models" / "loglinear.py").write_text(
+        "class Pass:\n    @lazy\n    def L(self):\n        return self.G\n\n"
+        "    def solve(self, b):\n        return cho_solve(self.L, b)\n"
+    )
+    (package / "models" / "gaussian.py").write_text(
+        "class Evaluation:\n    @lazy\n    def L(self):\n        return self.G\n"
+    )
+    (package / "geometry.py").write_text(
+        "def factor(point):\n    return point.evaluation.L\n\n\n"
+        "def lower(A):\n    L = A.copy()\n    return L, A.Lx\n"
+    )
+    # the owner's factor, a local name L and another attribute pass; the
+    # Gaussian's definition and the geometry's read are found
+    assert _factor_uses(package) == {"geometry.py": [2], "models/gaussian.py": [3]}
 
 
 # A trial candidate is rejected in one place: ``_evaluate`` forms the
