@@ -25,7 +25,7 @@ for alpha in (-0.4, -0.2, 0.0, 0.2, 0.4):
     mu, sigma = tr.iterates[-1]
     print(
         f"newton alpha={alpha:+.1f}   {tr.n_iterations:5d} {mu:10.6f} "
-        f"{sigma:10.6f} {tr.f_values[-1]:12.8f}"
+        f"{sigma:10.6f} {tr.steps[-1].f:12.8f}"
     )
 
 tr = natural_gradient_run(gaussian.dual_structure(0.0), obj, x0, stop)

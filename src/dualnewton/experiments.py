@@ -506,7 +506,7 @@ def spd_failure_probe():
         for i in range(n_starts):
             x0 = np.random.default_rng(1000 + i).uniform(-1.5, 1.5, size=problem.x0.size)
             trace = dual_newton_run(structure, problem.objective, x0, StopRule())
-            non_spd = not all(trace.spd_flags)
+            non_spd = not all(s.spd for s in trace.steps)
             failures += non_spd or trace.status in FAILED
             all_spd = all_spd and not non_spd
         report[alpha] = {"runs": n_starts, "failures": failures, "all_spd": all_spd}

@@ -21,11 +21,13 @@ convergence at the starting point yields an empty trace.
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DomainError,
     InsufficientIterations,
     LineSearchFailure,
@@ -105,11 +107,20 @@ class AdamState:
             raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
 
     def step(self, grad):
-        """Advance the moments and return the raw update direction."""
+        """Advance the moments and return the raw update direction.
+
+        A gradient whose shape is not the moments' raises
+        DimensionMismatch and leaves the state as it was.
+        """
         grad = np.asarray(grad, dtype=float)
         if self.m is None:
             self.m = np.zeros_like(grad)
             self.v = np.zeros_like(grad)
+        elif grad.shape != self.m.shape:
+            # the loop would zip the shorter, the ufuncs broadcast
+            raise DimensionMismatch(
+                f"gradient shape {grad.shape} is not the moments' {self.m.shape}"
+            )
         self.t += 1
         b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         bias1, bias2 = 1.0 - b1**self.t, 1.0 - b2**self.t
@@ -133,70 +144,58 @@ class AdamState:
         return np.array(delta)
 
 
-_CSV_HEADER = "iter,f,grad_l2,grad_gnorm,step_norm,spd,time_s\r\n"
+# one completed step; the fields are the trace CSV's columns, in order
+Step = namedtuple("Step", "iter f grad_l2 grad_gnorm step_norm spd time_s")
+
+_CSV_HEADER = ",".join(Step._fields) + "\r\n"
 
 
 @dataclass
 class OptimizerTrace:
-    """Per-step records plus the retained iterate path."""
+    """A run's ending status, one ``Step`` row per completed step, and the
+    iterate path: the start, then the point each row stepped to."""
 
     status: str = MAX_ITERS
-    iters: list = field(default_factory=list)
-    f_values: list = field(default_factory=list)
-    grad_l2: list = field(default_factory=list)
-    grad_gnorm: list = field(default_factory=list)
-    step_norms: list = field(default_factory=list)
-    spd_flags: list = field(default_factory=list)
-    times: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
 
     @property
     def n_iterations(self):
-        return len(self.iters)
+        return len(self.steps)
+
+    @property
+    def grad_l2(self):
+        """The rows' gradient norms, first step first."""
+        return [s.grad_l2 for s in self.steps]
 
     def record(self, it, f, l2, gnorm, step_norm, spd, elapsed):
-        if self.iters and it <= self.iters[-1]:
+        if self.steps and it <= self.steps[-1].iter:
             raise ValueError("iteration numbers must increase strictly")
-        if self.times and elapsed < self.times[-1]:
+        if self.steps and elapsed < self.steps[-1].time_s:
             raise ValueError("times must be nondecreasing")
-        self.iters.append(int(it))
-        self.f_values.append(float(f))
-        self.grad_l2.append(float(l2))
-        self.grad_gnorm.append(float(gnorm))
-        self.step_norms.append(float(step_norm))
-        self.spd_flags.append(bool(spd))
-        self.times.append(float(elapsed))
+        values = float(f), float(l2), float(gnorm), float(step_norm)
+        self.steps.append(Step(int(it), *values, bool(spd), float(elapsed)))
 
     def write_csv(self, path):
         """The trace as CSV, with the bytes ``csv.writer`` gives it: no
         field needs quoting, a float is written as its repr and a row
         ends in \\r\\n."""
-        columns = (
-            self.iters,
-            self.f_values,
-            self.grad_l2,
-            self.grad_gnorm,
-            self.step_norms,
-            map(int, self.spd_flags),
-            self.times,
-        )
         rows = [
-            f"{it},{f!r},{l2!r},{gnorm!r},{step!r},{spd},{elapsed!r}\r\n"
-            for it, f, l2, gnorm, step, spd, elapsed in zip(*columns)
+            f"{it},{f!r},{l2!r},{gnorm!r},{step!r},{int(spd)},{elapsed!r}\r\n"
+            for it, f, l2, gnorm, step, spd, elapsed in self.steps
         ]
         with open(path, "w", newline="") as fh:
             fh.write(_CSV_HEADER + "".join(rows))
 
     def summary(self):
+        last = self.steps[-1] if self.steps else None
         return {
             "status": self.status,
             "iterations": self.n_iterations,
-            "final_f": self.f_values[-1] if self.f_values else None,
-            "final_grad_l2": self.grad_l2[-1] if self.grad_l2 else None,
-            "total_time_s": self.times[-1] if self.times else 0.0,
-            "mean_iter_time_s": (
-                self.times[-1] / self.n_iterations if self.n_iterations else None
-            ),
+            "final_f": last.f if last else None,
+            "final_grad_l2": last.grad_l2 if last else None,
+            "total_time_s": last.time_s if last else 0.0,
+            "mean_iter_time_s": last.time_s / self.n_iterations if last else None,
         }
 
 
@@ -582,7 +581,9 @@ def convergence_order(trace, xi_final):
     when all three errors sit above 100 machine epsilons, the first
     step (whose length reflects the starting point, not the local map)
     is not involved, and both legs contract by at least ten percent so
-    the log ratios carry information rather than plateau noise.
+    the log ratios carry information rather than plateau noise.  Each
+    step is one array operation with the bits of a loop over the
+    triples; a NaN error fails no filter, so a NaN xi_final gives NaN.
 
     xi_final is the reference optimum; passing a point converged beyond
     the trace's own tolerance makes the last recorded steps measurable.
@@ -591,24 +592,18 @@ def convergence_order(trace, xi_final):
         raise InsufficientIterations(
             f"need at least 3 iterations, trace has {len(trace.iterates) - 1}"
         )
-    # one subtraction for the path; each row's norm keeps its ddot, whose
-    # bits neither einsum nor a row sum of squares reproduces
     gaps = np.asarray(trace.iterates, dtype=float) - np.asarray(xi_final, dtype=float)
-    norms = [math.sqrt(d.dot(d)) for d in gaps]
-    errors = np.array(norms)
-    floor = 100.0 * EPS
-    orders = []
-    for k in range(2, len(norms) - 1):
-        # the filters compare Python floats, as the float64 scalars would;
-        # a usable triple's ratios stay numpy divisions, which warn where
-        # Python's would raise (an error of 0 next to a NaN)
-        e_prev, e_k, e_next = norms[k - 1 : k + 2]
-        if min(e_prev, e_k, e_next) <= floor:
-            continue
-        if e_k > _MAX_RATIO * e_prev or e_next > _MAX_RATIO * e_k:
-            continue
-        e_prev, e_k, e_next = errors[k - 1], errors[k], errors[k + 1]
-        orders.append(np.log(e_next / e_k) / np.log(e_k / e_prev))
-    if not orders:
+    # each stacked 1 x n by n x 1 product is one ddot: the bits of d.dot(d)
+    errors = np.sqrt(np.matmul(gaps[:, None, :], gaps[:, :, None]).ravel())
+    e_prev, e_k, e_next = errors[1:-2], errors[2:-1], errors[3:]  # k >= 2
+    # the loop's senses, so a NaN passes, and Python's first-biased min
+    least = np.where(e_k < e_prev, e_k, e_prev)
+    least = np.where(e_next < least, e_next, least)
+    usable = ~(least <= 100.0 * EPS) & ~(e_k > _MAX_RATIO * e_prev)
+    usable &= ~(e_next > _MAX_RATIO * e_k)
+    # the usable triples' ratios, which warn only where a NaN meets a 0
+    e_prev, e_k, e_next = e_prev[usable], e_k[usable], e_next[usable]
+    orders = np.log(e_next / e_k) / np.log(e_k / e_prev)
+    if not orders.size:
         raise InsufficientIterations("no usable error triples above the noise floor")
     return float(np.mean(orders))

@@ -22,7 +22,18 @@ from .linalg import fd_jacobian, load_compiled
 from .models import gaussian, loglinear
 from .models.betamix import BetaMixtureModel, QuadratureRule
 from .models.loglinear import SubsetIndex
-from .objectives import AlphaDivergenceObjective, KLProjectionObjective
+from .objectives import (
+    AlphaDivergenceObjective,
+    BetaMixtureNLL,
+    KLProjectionObjective,
+)
+
+# the closed-form divergence to two Gaussian targets, and points of its domain
+_DIVERGENCE_POINTS = ((0.5, 2.0), (1.5, 1.4), (2.0, 1.8))
+
+
+def _divergence_objective():
+    return AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
 
 
 def _check(name, residual, tolerance):
@@ -148,10 +159,59 @@ def _retraction_check():
     return [_check("retraction_first_order_tangency", res, 1e-3)]
 
 
+def curvature_gap(structure, objective, xi, beta, h=1e-4):
+    """|beta^T (G H^T) beta - d^2/dt^2 f(R(t beta))| / ||G H^T||_2 at t = 0.
+
+    H is Newton's dual Hessian, which reads the dual of the connection
+    that defines the retraction R, and the second derivative is a
+    central difference of step h.  Duality makes the two curvatures one,
+    so the gap is rounding and the difference's truncation.
+    """
+    point = structure.at(xi)
+    a = point.solve(objective.eucl_grad(xi))
+    hess = dual_hessian_matrix(point, lambda _: a, xi, objective.grad_field_jacobian)
+    form = point.G @ hess.T
+    along = lambda t: objective.value(second_order_retract(structure, xi, t * beta))
+    second = (along(h) - 2.0 * along(0.0) + along(-h)) / h**2
+    return abs(beta @ form @ beta - second) / np.linalg.norm(form, 2)
+
+
+def _certificate_checks(mixture, data):
+    """The certificate's form along a seeded unit beta is the curvature of
+    f along the retraction, at alpha -1, 1/2 and 1 and fixed points of
+    each model."""
+    rng = np.random.default_rng(5)
+
+    def worst(structure_at, objective, points):
+        gaps = []
+        for alpha in (-1.0, 0.5, 1.0):
+            for xi in points:
+                beta = rng.normal(size=len(xi))
+                beta /= np.linalg.norm(beta)
+                gaps.append(curvature_gap(structure_at(alpha), objective, xi, beta))
+        return max(gaps)
+
+    name = "certificate_is_curvature_along_retraction_"
+    points = [np.array(xi) for xi in _DIVERGENCE_POINTS]
+    res = worst(gaussian.dual_structure, _divergence_objective(), points)
+    checks = [_check(name + "gaussian", res, 1e-6)]
+
+    index, obj, _, rng_theta = _loglinear_setup(0.5, 0.5)
+    theta = [rng_theta.uniform(-1.0, 1.0, len(index))]
+    res = worst(lambda alpha: loglinear.dual_structure(index, alpha), obj, theta)
+    checks.append(_check(name + "loglinear", res, 1e-6))
+
+    nll = BetaMixtureNLL(mixture, data)
+    res = worst(mixture.dual_structure, nll, [mixture.generating_point()])
+    # the mixture's field Jacobian is a finite difference
+    checks.append(_check(name + "beta_mixture", res, 1e-4))
+    return checks
+
+
 def _alpha_divergence_check():
     # imported here, not at the top: scipy.integrate loads ~250 modules no run reads
     from scipy.integrate import quad
-    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7, alpha_bar=3.0)
+    obj = _divergence_objective()
     ab = obj.alpha_bar
 
     def coordinate_integral(mu_t, sigma_t, mu, sigma):
@@ -170,7 +230,7 @@ def _alpha_divergence_check():
         return value
 
     res = 0.0
-    for mu, sigma in ((0.5, 2.0), (1.5, 1.4), (2.0, 1.8)):
+    for mu, sigma in _DIVERGENCE_POINTS:
         j = 1.0
         for mu_t, sigma_t in zip(obj.mu_targets, obj.sigma_targets):
             j *= coordinate_integral(mu_t, sigma_t, mu, sigma)
@@ -206,12 +266,13 @@ def _quadrature_checks():
 
 def run_validation(quad_nodes=64):
     """Run every structural check; returns {"passed", "checks"}."""
-    mixture, _ = gen_dataset(n_samples=1, seed=0, quad_nodes=quad_nodes)
+    mixture, data = gen_dataset(n_samples=1, seed=0, quad_nodes=quad_nodes)
     checks = []
     checks.extend(_duality_checks(mixture))
     checks.extend(_flatness_checks(mixture))
     checks.extend(_newton_structure_checks())
     checks.extend(_retraction_check())
+    checks.extend(_certificate_checks(mixture, data))
     checks.extend(_alpha_divergence_check())
     checks.extend(_quadrature_checks())
     return {"passed": all(c["passed"] for c in checks), "checks": checks}

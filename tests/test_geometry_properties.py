@@ -29,11 +29,9 @@ from hypothesis import strategies as st
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset, gen_target
 from dualnewton.geometry import (
     DualStructure,
-    dual_hessian_matrix,
     duality_residual,
     gradient_field,
     raise_index,
-    second_order_retract,
 )
 from dualnewton.linalg import fd_jacobian, spd_factor
 from dualnewton.models import gaussian, loglinear
@@ -44,6 +42,7 @@ from dualnewton.objectives import (
     BetaMixtureNLL,
     KLProjectionObjective,
 )
+from dualnewton.validation import curvature_gap
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
 
@@ -233,17 +232,6 @@ PAIRING = {
         1e-4,
     ),
 }
-
-
-def curvature_gap(structure, objective, xi, beta, h=1e-4):
-    """|beta^T (G H^T) beta - d^2/dt^2 f(R(t beta))| / ||G H^T||_2 at t = 0."""
-    point = structure.at(xi)
-    a = point.solve(objective.eucl_grad(xi))
-    hess = dual_hessian_matrix(point, lambda _: a, xi, objective.grad_field_jacobian)
-    form = point.G @ hess.T
-    along = lambda t: objective.value(second_order_retract(structure, xi, t * beta))
-    second = (along(h) - 2.0 * along(0.0) + along(-h)) / h**2
-    return abs(beta @ form @ beta - second) / np.linalg.norm(form, 2)
 
 
 class RetractionsConnection:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,19 +145,10 @@ TRACE_HEADER = ["iter", "f", "grad_l2", "grad_gnorm", "step_norm", "spd", "time_
 
 def _csv_writer_bytes(trace, path):
     """The trace written row by row through ``csv.writer``."""
-    columns = (
-        trace.iters,
-        trace.f_values,
-        trace.grad_l2,
-        trace.grad_gnorm,
-        trace.step_norms,
-        map(int, trace.spd_flags),
-        trace.times,
-    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        writer.writerows(zip(*columns))
+        writer.writerows(step._replace(spd=int(step.spd)) for step in trace.steps)
     return path.read_bytes()
 
 
@@ -173,14 +165,9 @@ any_float = st.floats(allow_nan=True, allow_infinity=True)
     first=st.integers(0, 10**12),
 )
 def test_trace_csv_has_the_bytes_of_csv_writer(tmp_path_factory, rows, first):
-    # the columns are set directly, so no value is refused by record()
+    # the rows are set directly, so no value is refused by record()
     tr = opt.OptimizerTrace()
-    tr.iters = list(range(first, first + len(rows)))
-    for name, column in zip(
-        ("f_values", "grad_l2", "grad_gnorm", "step_norms", "spd_flags", "times"),
-        zip(*rows) if rows else [()] * 6,
-    ):
-        setattr(tr, name, list(column))
+    tr.steps = [opt.Step(it, *row) for it, row in enumerate(rows, start=first)]
     directory = tmp_path_factory.mktemp("csv")
     tr.write_csv(directory / "ours.csv")
     ours = (directory / "ours.csv").read_bytes()
@@ -192,6 +179,12 @@ def test_an_empty_trace_writes_the_header_alone(tmp_path):
     ours = (tmp_path / "ours.csv").read_bytes()
     assert ours == _csv_writer_bytes(opt.OptimizerTrace(), tmp_path / "theirs.csv")
     assert ours == b"iter,f,grad_l2,grad_gnorm,step_norm,spd,time_s\r\n"
+
+
+def test_the_step_fields_are_the_csv_header(tmp_path):
+    opt.OptimizerTrace().write_csv(tmp_path / "trace.csv")
+    header = ",".join(opt.Step._fields) + "\r\n"
+    assert (tmp_path / "trace.csv").read_bytes() == header.encode()
 
 
 def test_trace_summary_counts():
@@ -921,8 +914,9 @@ def test_newton_trace_rows_match_iterations():
     _, obj, ds = scalar_problem(lam=0.5)
     tr = opt.dual_newton_run(ds, obj, np.array([1.0]))
     assert tr.n_iterations == len(tr.iterates) - 1
-    assert tr.iters == list(range(1, tr.n_iterations + 1))
-    assert all(t2 >= t1 for t1, t2 in zip(tr.times, tr.times[1:]))
+    assert [s.iter for s in tr.steps] == list(range(1, tr.n_iterations + 1))
+    times = [s.time_s for s in tr.steps]
+    assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
 
 
 def test_newton_halves_steps_at_domain_boundary():
@@ -1063,7 +1057,7 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
         ds, quadratic_objective(center), np.zeros(2), opt.StopRule(max_iters=4)
     )
     assert tr.status == opt.MAX_ITERS
-    for p, step in zip(tr.iterates, tr.step_norms):
+    for p, step in zip(tr.iterates, (s.step_norm for s in tr.steps)):
         assert step <= 0.25 * np.linalg.norm(center - p) + 1e-12
     # every map is applied at an iterate's own point, never at a trial:
     # Gamma* (-alpha) once per proposed step, to the gradient coordinates,
@@ -1301,6 +1295,24 @@ def test_adam_moments_stay_nonnegative():
     assert np.all(state.v >= 0.0)
 
 
+@pytest.mark.parametrize(
+    "first, then",
+    [(3, 2), (3, 4), (20, 1), (20, 21)],
+    ids=["loop_shorter", "loop_longer", "ufunc_broadcast", "ufunc_longer"],
+)
+def test_adam_refuses_a_gradient_of_another_shape(first, then):
+    # up to _ADAM_LOOP_MAX entries the step zips (it would drop entries),
+    # above it the ufuncs broadcast (a 1-entry gradient over all 20)
+    state = opt.AdamState()
+    state.step(np.linspace(-1.0, 1.0, first))
+    m, v = state.m.copy(), state.v.copy()
+    message = rf"gradient shape \({then},\) is not the moments' \({first},\)"
+    with pytest.raises(DimensionMismatch, match=message):
+        state.step(np.ones(then))
+    assert state.t == 1
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
 @settings(max_examples=100, **FIXED)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1354,7 +1366,7 @@ def test_adam_run_descends_quadratic():
     ds = euclidean_structure(2)
     obj = quadratic_objective([0.3, -0.1])
     tr = opt.adam_run(ds, obj, np.zeros(2), opt.StopRule(max_iters=200))
-    assert tr.f_values[-1] < obj.value(np.zeros(2))
+    assert tr.steps[-1].f < obj.value(np.zeros(2))
     assert tr.n_iterations == 200 or tr.status == opt.CONVERGED
 
 
@@ -1511,22 +1523,28 @@ def _reference_convergence_order(trace, xi_final):
 
 
 def _order_outcome(order, trace, xi_final):
-    try:
-        return np.float64(order(trace, xi_final)).tobytes()
-    except InsufficientIterations as exc:
-        return str(exc)
+    """The order's bytes or its InsufficientIterations message, and
+    whether it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = np.float64(order(trace, xi_final)).tobytes()
+        except InsufficientIterations as exc:
+            outcome = str(exc)
+    return outcome, bool(caught)
 
 
-@settings(max_examples=200, **FIXED)
+@settings(max_examples=300, **FIXED)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.sampled_from([1, 2, 3, 6, 10, 21, 36]),
     length=st.integers(2, 80),
     rate=st.sampled_from([0.05, 0.3, 0.7, 0.95]),
     power=st.sampled_from([1.0, 1.5, 2.0]),
+    edits=st.sets(st.sampled_from(["nan_final", "nan_iterate", "zeros", "repeats"])),
 )
 def test_convergence_order_has_the_bits_of_the_per_iterate_loop(
-    seed, dim, length, rate, power
+    seed, dim, length, rate, power, edits
 ):
     # errors that contract linearly or superlinearly, with noise, in
     # random directions about a random optimum, down to the noise floor
@@ -1538,6 +1556,21 @@ def test_convergence_order_has_the_bits_of_the_per_iterate_loop(
         direction = rng.standard_normal(dim)
         tr.iterates.append(xi_final + error * direction / np.linalg.norm(direction))
         error = min(rate * error**power * rng.uniform(0.5, 1.5), 1.0)
+    path = tr.iterates
+    if "zeros" in edits:
+        # iterates on the optimum: errors of exactly 0
+        for k in rng.integers(0, len(path), size=3):
+            path[k] = xi_final.copy()
+    if "repeats" in edits:
+        # an iterate kept for a step: the same error twice in a row
+        for k in sorted(rng.integers(0, len(path), size=3), reverse=True):
+            path.insert(k, path[k].copy())
+    if "nan_iterate" in edits:
+        # a NaN error, which with an error of 0 beside it makes 0/0
+        k = rng.integers(0, len(path))
+        path[k] = np.where(np.arange(dim) == 0, np.nan, path[k])
+    if "nan_final" in edits:
+        xi_final = np.where(np.arange(dim) == dim - 1, np.nan, xi_final)
     assert _order_outcome(opt.convergence_order, tr, xi_final) == _order_outcome(
         _reference_convergence_order, tr, xi_final
     )

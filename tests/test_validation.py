@@ -21,3 +21,10 @@ def test_names_are_unique():
     report = run_validation()
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names))
+
+
+def test_the_certificate_is_the_curvature_along_each_models_retraction():
+    checks = {c["name"]: c for c in run_validation()["checks"]}
+    for model in ("gaussian", "loglinear", "beta_mixture"):
+        check = checks["certificate_is_curvature_along_retraction_" + model]
+        assert check["passed"], check
