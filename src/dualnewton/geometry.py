@@ -6,32 +6,27 @@ Conventions used throughout:
   returns a DualPoint, which wraps the model's evaluation at xi.  An
   evaluation is what a model implements: the SPD Gram matrix ``G``, the
   solve ``solve(b)`` = G^{-1} b, which checks G once and then never
-  reads it again (a ``cho_solve`` on the pass's own factor, or the
-  Gaussian's two divisions per entry with its bits), and the model's
-  alpha-connection applied to a vector,
-  ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``;
-* Newton reads the connections only through that map: the dual Hessian
-  takes ``point.dual_dot(a)``, the (-alpha)-connection applied to a,
-  and the retraction takes ``point.quad(beta)``, Gamma(beta, beta)^i.
-  The full symbol tensors, which only the structural checks read, have
-  one reader, ``structure.gamma(xi)``, which stacks them from that map;
-* Christoffel symbols are second-kind tensors with entry (i, j, k) =
-  Gamma^k_ij, upper index last;
+  reads it again, and the alpha-connection applied to a vector, raised,
+  ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``, and
+  lowered, ``lowered(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)_{ij,k}``;
+* a run reads the connection only through a point's ``lowered(a)``
+  and ``quad(beta)`` = Gamma(beta, beta)^i; ``structure.gamma(xi)``
+  stacks the full symbols, indexed (i, j, k) = Gamma^k_ij, from the map;
 * the Riemannian gradient is stored by its coordinates a = G^{-1} grad f.
 
-The Newton functions below take a structure and a point xi and read
-the geometry through ``structure.at(xi)``.  A DualPoint may stand in for
-its structure: at its own xi it answers from what it already holds,
-anywhere else it evaluates its structure afresh.  None of them checks
-a point: the model's evaluation does, before anything else.
+A DualPoint may stand in for its structure: at its own xi it answers
+from what it holds, elsewhere it evaluates its structure afresh.  The
+model's evaluation checks a point, and a point each vector it contracts.
 
-The dual Hessian matrix of a gradient field a is
-
-    H[i, j] = d a_j / d xi_i + sum_k a_k GammaDual^j_ik,
-
-so the Newton system reads H^T beta = -a, and G @ H^T is the
-self-adjointness certificate: symmetric always, positive definite
-exactly when the step is a descent direction.
+The paper poses Newton's equation H^T beta = -a with the dual Hessian
+H[i, j] = d a_j / d xi_i + sum_k a_k GammaDual^j_ik, whose certificate
+G H^T is positive definite exactly when beta is a descent direction.
+By the duality relation (Amari & Nagaoka 2000, section 3.1), G H^T is
+the Hessian of f for the retraction's own connection,
+K = hess f - sum_k (d_k f) Gamma^(alpha)k_ij = hess f - lowered(a),
+which is symmetric.  A run solves K beta = -grad f by ``newton_step``;
+the paper form, ``dual_hessian_matrix`` and ``newton_direction``, is the
+reference it is checked against.
 """
 
 from dataclasses import dataclass
@@ -39,7 +34,9 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .linalg import cho_solve, fd_jacobian, is_spd, solve_general, spd_factor
+from .linalg import symmetric_factor
 from .linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 
 
@@ -65,12 +62,12 @@ class lazy:
 class DualStructure:
     """A metric with a pair of connections dual with respect to it.
 
-    ``evaluate(xi)`` is the model's evaluation at xi, with ``G``,
-    ``solve(b)`` and ``connection(alpha, a)``; ``alpha`` selects the primal
-    connection, whose dual is the (-alpha)-connection.  The evaluation
-    starts with the model's point check, the one statement of its
-    domain: it raises DimensionMismatch for a point of the wrong shape
-    and a PointError naming the cause for one off the chart.
+    ``evaluate(xi)`` is the model's evaluation at xi (module notes);
+    ``alpha`` selects the primal connection, whose dual is the
+    (-alpha)-connection.  The evaluation starts with the model's point
+    check, the one statement of its domain: it raises DimensionMismatch
+    for a point of the wrong shape and a PointError naming the cause for
+    one off the chart.
     """
 
     evaluate: Callable
@@ -92,16 +89,22 @@ class DualStructure:
         return np.stack([connection(self.alpha, e) for e in np.eye(len(point.G))], axis=1)
 
 
+def _tangent(xi, v):
+    """v as a float array; DimensionMismatch naming both shapes unless it
+    has xi's shape."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != xi.shape:
+        raise DimensionMismatch(
+            f"a tangent vector of shape {v.shape} at a point of shape {xi.shape}"
+        )
+    return v
+
+
 @dataclass(eq=False)
 class DualPoint:
-    """The geometry of a DualStructure at one point xi.
-
-    Wraps the model's evaluation at xi: the metric ``G``, the solve
-    against G, and the connection map
-    ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``, which
-    applies the alpha-connection at xi to a vector a.  A point holds
-    only what a run reads: ``G``, ``at``, ``solve`` and Newton's two
-    contractions of that map, ``dual_dot`` and ``quad``.
+    """The geometry of a DualStructure at one point xi, from the model's
+    evaluation there.  A point holds only what a run reads, ``G``, ``at``,
+    ``solve``, ``lowered`` and ``quad``, and the paper form's ``dual_dot``.
     """
 
     structure: DualStructure
@@ -124,10 +127,15 @@ class DualPoint:
 
     def dual_dot(self, a):
         """M[i, j] = sum_k a_k GammaDual^j_ik."""
-        return self.evaluation.connection(-self.structure.alpha, a)
+        return self.evaluation.connection(-self.structure.alpha, _tangent(self.xi, a))
+
+    def lowered(self, a):
+        """L[i, j] = sum_k a_k Gamma_{ij,k} = sum_k (G a)_k Gamma^k_ij."""
+        return self.evaluation.lowered(self.structure.alpha, _tangent(self.xi, a))
 
     def quad(self, beta):
         """Gamma(beta, beta)^j = sum_ik beta_i beta_k Gamma^j_ik."""
+        beta = _tangent(self.xi, beta)
         return beta @ self.evaluation.connection(self.structure.alpha, beta)
 
 
@@ -158,9 +166,15 @@ def newton_direction(structure, hess, eucl_grad, xi, a=None):
     them; otherwise they are solved from ``eucl_grad``.  Returns
     (beta, spd_flag) where spd_flag reports whether G @ H^T is positive
     definite, the certificate that beta is a descent direction.  A zero
-    gradient short-circuits to beta = 0 exactly.
+    gradient short-circuits to beta = 0 exactly.  A ``hess`` that is not
+    square of xi's size raises DimensionMismatch naming both shapes.
     """
     xi = np.asarray(xi, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    if hess.shape != (xi.size, xi.size):
+        raise DimensionMismatch(
+            f"a dual Hessian of shape {hess.shape} at a point of shape {xi.shape}"
+        )
     point = structure.at(xi)
     spd_flag = is_spd(point.G @ hess.T)
     if a is None:
@@ -169,6 +183,22 @@ def newton_direction(structure, hess, eucl_grad, xi, a=None):
         return np.zeros_like(a), spd_flag
     beta = solve_general(hess.T, -a)
     return beta, spd_flag
+
+
+def newton_step(point, hessian, grad, a):
+    """Newton's step (beta, spd) at a point from K = hessian - lowered(a),
+    a = G^{-1} grad (module notes).  One ``symmetric_factor`` of K is the
+    certificate and solves K beta = -grad; where it fails, H^T = G^{-1} K,
+    solved column by column, goes to ``solve_general`` with -a, which
+    refuses it near singular.  A zero gradient gives beta = 0 exactly."""
+    K = hessian - point.lowered(a)
+    factor = symmetric_factor(K)
+    if not a.any():
+        return np.zeros_like(a), factor is not None
+    if factor is not None:
+        return cho_solve(factor, -grad), True
+    hess_t = np.column_stack([point.solve(column) for column in K.T])
+    return solve_general(hess_t, -a), False
 
 
 def second_order_retract(structure, xi, beta):
@@ -180,8 +210,8 @@ def second_order_retract(structure, xi, beta):
     guard then halves beta and retries.
     """
     xi = np.asarray(xi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    return xi + beta - 0.5 * structure.at(xi).quad(beta)
+    bend = structure.at(xi).quad(beta)  # checks beta before xi + beta
+    return xi + beta - 0.5 * bend
 
 
 def metric_derivatives(metric, xi):

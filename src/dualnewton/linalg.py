@@ -9,8 +9,8 @@ blocked, fused sums differ from a sequential sum (on random vectors, at
 every length from 2 to 40), so the loop keeps them and trims only the
 work around them: one slice of the row, ``math.sqrt`` of the pivot
 (correctly rounded, as ``np.sqrt`` is) and the column formed and divided
-in place.  ``is_spd`` (dpotrf) and ``solve_general`` (dgetrf, dgetrs)
-call LAPACK without scipy's wrappers.  The BLAS picks its own thread
+in place.  ``symmetric_factor`` (dpotrf) and ``solve_general`` (dgetrf,
+dgetrs) call LAPACK without scipy's wrappers.  The BLAS picks its own thread
 count; on small systems threads cost more than they save, so pin them
 (e.g. OPENBLAS_NUM_THREADS=1) when timing.
 
@@ -194,7 +194,8 @@ def spd_factor(A):
 
 
 def cho_solve(L, b):
-    """x with A x = b from L = ``spd_factor(A)``, by dtrtrs with the bits of
+    """x with A x = b from the lower triangle of L = ``spd_factor(A)`` (or
+    ``symmetric_factor(A)``), by dtrtrs with the bits of
     ``scipy.linalg.solve_triangular``; NonFiniteValue on a non-finite b or x."""
     return _solve(L, _check_rhs(L, b))
 
@@ -301,13 +302,23 @@ def _logsumexp_columns(u):
     return np.log1p(total / k) + np.log(k) + u_max
 
 
-def is_spd(A):
-    """True when LAPACK's dpotrf factors 0.5 (A + A^T): all Cholesky
-    pivots positive.  False on a NaN or infinite entry."""
+def symmetric_factor(A):
+    """dpotrf's lower factor of 0.5 (A + A^T), for ``cho_solve``, or None at
+    a pivot that is not positive; NonFiniteValue, before the sum would
+    warn, on a NaN or infinity in A."""
     A = _as_square(A)
-    if not np.isfinite(A).all():
+    if not _all_finite(A):
+        raise NonFiniteValue("met a NaN or infinite entry in A")
+    factor, info = lapack.dpotrf(0.5 * (A + A.T), lower=1, clean=0, overwrite_a=1)
+    return factor if info == 0 else None
+
+
+def is_spd(A):
+    """True when ``symmetric_factor`` factors A; False on a NaN or infinity."""
+    try:
+        return symmetric_factor(A) is not None
+    except NonFiniteValue:
         return False
-    return lapack.dpotrf(0.5 * (A + A.T), lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
 def fd_jacobian(field, xi):

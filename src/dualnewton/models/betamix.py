@@ -112,18 +112,39 @@ def _check_shapes(xi, n_components):
     return xi
 
 
+def _second_derivatives(s, resp, u, curv):
+    """(N, 2K, 2K) second log-derivatives sum_k r_k (u_k u_k^T + C_k) - s s^T
+    of the density at N points, from their score pass and the component
+    curvature blocks ``curv``, assembled as the module notes say."""
+    u_a, u_b = u
+    second = np.einsum("ni,nj->nij", s, s)
+    np.subtract(0.0, second, out=second)
+    for k in range(curv.shape[0]):
+        i = 2 * k
+        ua, ub = u_a[k], u_b[k]
+        sa, sb = s[:, i], s[:, i + 1]
+        r = resp[k]
+        second[:, i, i] = r * (ua * ua + curv[k, 0, 0]) - sa * sa
+        second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1]) - sb * sb
+        cross = r * (ua * ub + curv[k, 0, 1]) - sa * sb
+        second[:, i, i + 1] = cross
+        second[:, i + 1, i] = cross
+    return second
+
+
 class _NodePass:
     """The geometry at xi from one score pass over the quadrature nodes:
     density weights ``wp``, scores ``s``, responsibilities and raw
     component scores.  ``G``, its factor ``L`` (G's one check, which
     every ``solve(b)`` against G reads), the second log-derivatives and
-    each alpha's symbols are built on first read, so a metric-only caller
-    builds no second log-derivatives; at alpha = 0 the primal and dual
-    are one tensor, as -0.0 == 0.0."""
+    each alpha's symbols, lowered and raised, are built on first read, so
+    a metric-only caller builds no second log-derivatives; at alpha = 0
+    the primal and dual are one tensor, as -0.0 == 0.0."""
 
     def __init__(self, model, xi, wp, s, resp, u):
         self.model, self.xi = model, xi
         self.wp, self.s, self.resp, self.u = wp, s, resp, u
+        self._first = {}
         self._symbols = {}
 
     # Both contractions fold the density weights into one operand first: a
@@ -147,41 +168,30 @@ class _NodePass:
 
     @lazy
     def second(self):
-        """(n^2, 2K, 2K) second log-derivatives at the nodes:
-        sum_k r_k (u_k u_k^T + C_k) - s s^T.  Every entry starts as
-        0 - s_i s_j, then each component's 2 x 2 block, where u_k lives,
-        is written as its term minus s_i s_j."""
-        model, s, resp, (u_a, u_b) = self.model, self.s, self.resp, self.u
-        curv = model._component_curvature(self.xi)
-        second = np.einsum("ni,nj->nij", s, s)
-        np.subtract(0.0, second, out=second)
-        for k in range(model.n_components):
-            i = 2 * k
-            ua, ub = u_a[k], u_b[k]
-            sa, sb = s[:, i], s[:, i + 1]
-            r = resp[k]
-            second[:, i, i] = r * (ua * ua + curv[k, 0, 0]) - sa * sa
-            second[:, i + 1, i + 1] = r * (ub * ub + curv[k, 1, 1]) - sb * sb
-            cross = r * (ua * ub + curv[k, 0, 1]) - sa * sb
-            second[:, i, i + 1] = cross
-            second[:, i + 1, i] = cross
-        return second
+        """(n^2, 2K, 2K) second log-derivatives at the nodes."""
+        curv = self.model._component_curvature(self.xi)
+        return _second_derivatives(self.s, self.resp, self.u, curv)
 
     def first_kind(self, alpha):
         """First-kind alpha-connection symbols
         E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k], indexed (i, j, k)."""
-        s = self.s
-        n, d = s.shape
-        integrand = np.einsum("ni,nj->nij", 0.5 * (1.0 - alpha) * s, s)
-        integrand += self.second
-        integrand *= self.wp[:, None, None]
-        symbols = np.einsum("nm,nk->km", integrand.reshape(n, d * d), s)
-        return symbols.reshape(d, d, d).transpose(1, 2, 0)
+        if alpha not in self._first:
+            s = self.s
+            n, d = s.shape
+            integrand = np.einsum("ni,nj->nij", 0.5 * (1.0 - alpha) * s, s)
+            integrand += self.second
+            integrand *= self.wp[:, None, None]
+            symbols = np.einsum("nm,nk->km", integrand.reshape(n, d * d), s)
+            self._first[alpha] = symbols.reshape(d, d, d).transpose(1, 2, 0)
+        return self._first[alpha]
 
     def connection(self, alpha, a):
         if alpha not in self._symbols:
             self._symbols[alpha] = raise_index(self.first_kind(alpha), self.L)
         return np.einsum("k,ikj->ij", a, self._symbols[alpha])
+
+    def lowered(self, alpha, a):
+        return self.first_kind(alpha) @ a
 
 
 @dataclass
@@ -267,6 +277,11 @@ class BetaMixtureModel:
         np.multiply(resp, u_a, out=s[:, 0::2].T)
         np.multiply(resp, u_b, out=s[:, 1::2].T)
         return s, resp, (u_a, u_b), logp
+
+    def second_log_derivatives(self, xi, sums):
+        """The second log-derivatives at the points of ``sums``, one pass."""
+        s, resp, u, _ = self.scores(xi, sums)
+        return _second_derivatives(s, resp, u, self._component_curvature(xi))
 
     def _component_curvature(self, xi):
         """Constant per-component Hessian blocks of the component

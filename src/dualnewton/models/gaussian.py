@@ -61,7 +61,7 @@ def _christoffel(sigma, alpha):
 
 class _Evaluation:
     """The closed-form geometry at xi: G, the solve against G and the
-    connection."""
+    connection, raised and lowered."""
 
     def __init__(self, xi):
         self.xi, self.G = xi, fisher_metric(xi)
@@ -99,6 +99,10 @@ class _Evaluation:
     def connection(self, alpha, a):
         # xi has passed the metric's check, which gave sigma as this float
         return np.einsum("k,ikj->ij", a, _christoffel(float(self.xi[1]), alpha))
+
+    def lowered(self, alpha, a):
+        # sum_k Gamma^k_ij (G a)_k: the symbols lowered by G, contracted with a
+        return _christoffel(float(self.xi[1]), alpha) @ (self.G @ a)
 
 
 def dual_structure(alpha):

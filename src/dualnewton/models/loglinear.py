@@ -189,6 +189,14 @@ class _Evaluation:
             return np.zeros_like(self.G)
         return coef * self.solve(self.cumulant(a)).T
 
+    def lowered(self, alpha, a):
+        """The first-kind symbols contracted with a, (1 - alpha)/2 T a: no
+        solve, and exactly zero at alpha = 1 (the flat connection)."""
+        coef = 0.5 * (1.0 - alpha)
+        if coef == 0.0:
+            return np.zeros_like(self.G)
+        return coef * self.cumulant(a)
+
 
 def evaluate(index, theta):
     """The pass over the states at theta, cached over the last eight points.
@@ -196,9 +204,10 @@ def evaluate(index, theta):
     Its attributes are the log-partition ``lse``, the log-probabilities
     ``log_p``, the probabilities ``p``, the moments ``eta``, the centred
     statistics ``C``, the metric ``G`` and its lower Cholesky factor
-    ``L``; ``solve(b)``, ``cumulant(a)`` and ``connection(alpha, a)``
-    give G^{-1} b, T a and the alpha-connection applied to a.  A cached
-    point answers from what it already holds.
+    ``L``; ``solve(b)``, ``cumulant(a)``, ``connection(alpha, a)`` and
+    ``lowered(alpha, a)`` give G^{-1} b, T a and the alpha-connection
+    applied to a, raised and lowered.  A cached point answers from what
+    it already holds.
     """
     return _pass(index, _check_theta(index, theta).tobytes())
 

@@ -2,29 +2,20 @@
 
 Each objective exposes ``dim``, ``value``, ``eucl_grad`` (the plain
 coordinate gradient), ``value_and_grad``, the pair the optimizers take
-at every evaluated point, and ``grad_field_jacobian``, the Jacobian
-J[i, j] = d a_j / d xi_i of the Riemannian gradient field
-a = G^{-1} grad f that Newton's dual Hessian reads.  ``value`` and
-``eucl_grad`` are the two parts of ``value_and_grad``, which takes both
-from one pass: over the states for the KL projection, over the data's
-scores for the Beta mixture, and one closed-form pass over Python
-floats for the alpha-divergence.  The KL projection and the
-alpha-divergence have exact Jacobians; the Beta mixture's is central
-differences of its own field, kept for the last eight points it was
-asked at by the ``lru_cache`` ``_mixture_jacobian``.  The chart check,
-the solves against G with its one factor and the log-linear
-contraction T a are the model's.
+at every evaluated point, and ``hessian``, the exact Euclidean Hessian
+that Newton's symmetric system K = hess f - lowered(a) reads.  Each of
+``value_and_grad`` and ``hessian`` makes one pass: over the states for
+the KL projection, over the data's scores for the Beta mixture, and
+one closed-form pass over Python floats for the alpha-divergence.  The
+chart check, the solves against G with its one factor and the
+log-linear contraction T a are the model's.
 """
 
 import math
-import weakref
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DivergenceUndefined, NonFiniteValue
-from .geometry import gradient_field
-from .linalg import fd_jacobian
 from .models import betamix, gaussian, loglinear
 
 class _Objective:
@@ -97,20 +88,19 @@ class KLProjectionObjective(_Objective):
             raise NonFiniteValue(f"KL projection value {f} is not finite at {theta}")
         return f, at.eta - self.eta_hat + 2.0 * self.lam * theta
 
-    def grad_field_jacobian(self, theta):
-        """Exact Jacobian J[i, j] = d a_j / d theta_i of a = G^{-1} grad.
+    def hessian(self, theta):
+        """G + 2 diag(lam), as d eta / d theta = G, from the pass at theta."""
+        theta = np.asarray(theta, dtype=float)
+        return loglinear.evaluate(self.index, theta).G + 2.0 * np.diag(self.lam)
 
-        Uses the moment-map derivative d eta / d theta = G and the
-        metric derivative d G / d theta_i = T_i (third central
-        moments), so the Euclidean Hessian is G + 2 diag(lam) and
-        d a / d theta_i = G^{-1} (H_f[:, i] - T_i a).  G, the solves
-        against it and the contraction T a come from the model's pass at
-        theta, so T itself is never built.
-        """
+    def grad_field_jacobian(self, theta):
+        """Exact J[i, j] = d a_j / d theta_i of a = G^{-1} grad: as d G /
+        d theta_i = T_i, the third central moments, J^T = G^{-1} (hess - T a),
+        all from the model's pass at theta, which builds no T."""
         theta = np.asarray(theta, dtype=float)
         at = loglinear.evaluate(self.index, theta)
         a = at.solve(self._value_and_grad(at, theta)[1])
-        return at.solve(at.G + 2.0 * np.diag(self.lam) - at.cumulant(a)).T
+        return at.solve(self.hessian(theta) - at.cumulant(a)).T
 
 
 class AlphaDivergenceObjective(_Objective):
@@ -132,8 +122,7 @@ class AlphaDivergenceObjective(_Objective):
     region evaluation raises DivergenceUndefined.  ``value``,
     ``eucl_grad`` and ``value_and_grad`` read one closed-form pass over
     Python floats, which gives f and its exact gradient -K e^S grad S;
-    ``grad_field_jacobian`` adds the closed-form Hessian of S to the
-    same pass.
+    ``hessian`` adds the closed-form Hessian of S to the same pass.
     """
 
     dim = 2
@@ -207,13 +196,9 @@ class AlphaDivergenceObjective(_Objective):
     # the gradient is exact; the acceptance gate reads it by this name
     analytic_grad = _Objective.eucl_grad
 
-    def grad_field_jacobian(self, xi):
-        """Jacobian of a = G^{-1} grad in one pass over Python floats:
-        d a / d xi_i = G^{-1} H[:, i] + [i == sigma] diag(sigma, sigma/2) grad
-        with G^{-1} = diag(sigma^2/2, sigma^2/4), grad = -K e^S grad S and
-        H = -K e^S (grad S grad S^T + hess S), hess S in closed form.
-        Raises what ``_pass`` raises, then NonFiniteValue where an entry
-        is not finite."""
+    def hessian(self, xi):
+        """-K e^S (grad S grad S^T + hess S) in one pass over Python floats;
+        raises what ``_pass`` raises, then NonFiniteValue on an overflow."""
         mu, sigma, _, scale, ds_mu, ds_sigma = self._pass(xi)
         half, w = self._half, self._w
         dc = 2.0 * half * sigma
@@ -230,22 +215,16 @@ class AlphaDivergenceObjective(_Objective):
                     + 0.5 * dc * dc / (c * c)
                     - w * (d * d) * (2.0 * half / (c * c) - 2.0 * dc * dc / (c * c * c))
                 )
-            # libm's pow, as for a numpy scalar
-            g_mu, g_sigma = 0.5 * sigma**2, 0.25 * sigma**2
-        except (ZeroDivisionError, OverflowError):
-            raise NonFiniteValue(f"gradient field Jacobian overflowed at {xi}") from None
-        # G^{-1} H by entries; + 0.0 gives a zero entry the +0.0 of a
-        # matrix product, which sums from +0.0
+        except ZeroDivisionError:
+            raise NonFiniteValue(f"divergence Hessian overflowed at {xi}") from None
         cross = scale * (ds_mu * ds_sigma + h_ms)
-        m_ms = g_mu * cross + 0.0
-        m_ss = g_sigma * (scale * (ds_sigma * ds_sigma + h_ss)) + 0.0
-        jac = (
-            (g_mu * (scale * (ds_mu * ds_mu + h_mm)) + 0.0, g_sigma * cross + 0.0),
-            (m_ms + sigma * (scale * ds_mu), m_ss + 0.5 * sigma * (scale * ds_sigma)),
+        hess = (
+            (scale * (ds_mu * ds_mu + h_mm), cross),
+            (cross, scale * (ds_sigma * ds_sigma + h_ss)),
         )
-        if not all(abs(v) < math.inf for row in jac for v in row):
-            raise NonFiniteValue(f"gradient field Jacobian is not finite at {xi}")
-        return np.array(jac)
+        if not all(abs(v) < math.inf for row in hess for v in row):
+            raise NonFiniteValue(f"divergence Hessian is not finite at {xi}")
+        return np.array(hess)
 
 
 class BetaMixtureNLL(_Objective):
@@ -253,8 +232,8 @@ class BetaMixtureNLL(_Objective):
 
     The variable is the interleaved shape vector (a_1, b_1, ..., a_K,
     b_K); mixture weights come from the model skeleton and stay fixed.
-    The gradient is analytic via responsibilities.  The log-data the
-    model reads (row sums of log x and log(1 - x)) is computed once.
+    The gradient and Hessian are analytic via responsibilities.  The
+    log-data the model reads (row sums of log x and log(1 - x)) is computed once.
     """
 
     def __init__(self, model, data):
@@ -266,8 +245,6 @@ class BetaMixtureNLL(_Objective):
         self.model = model
         self.data = data
         self._log_sums = betamix.log_sums(data)
-        # a solve reads only G, which does not depend on alpha
-        self._structure = model.dual_structure(0.0)
 
     @property
     def dim(self):
@@ -286,31 +263,12 @@ class BetaMixtureNLL(_Objective):
         # fraction of the cost of its reduction over short rows
         return f, -np.einsum("nj->j", s)
 
-    def grad_field_jacobian(self, xi):
-        """Central differences of the field a = G^{-1} grad: each probe
-        makes one pass over the quadrature nodes for the model's point
-        and one score pass over the data for the gradient.  The model's
-        shape check runs first, since a probe of a point off the chart
-        may lie on it.
-
-        The field, and so its Jacobian, does not depend on alpha, and
-        Newton at each alpha starts from one point: the Jacobians of the
-        last eight points asked for are kept, read-only, by
-        ``_mixture_jacobian``, and a point asked for again is answered
-        from them.
-        """
-        xi = betamix._check_shapes(xi, self.model.n_components)
-        return _mixture_jacobian(weakref.ref(self), xi.tobytes())
-
-
-# Module-level, as a cache on the instance would make a reference cycle,
-# and keyed by a weak reference, so that no objective (its model and
-# data) outlives its last user.  The read-only xi rebuilt from the key's
-# bytes holds the same values, so the Jacobian has the same bits
-@lru_cache(maxsize=8)
-def _mixture_jacobian(objective_ref, key):
-    objective = objective_ref()
-    field = gradient_field(objective._structure, objective.eucl_grad)
-    jacobian = fd_jacobian(field, np.frombuffer(key))
-    jacobian.flags.writeable = False
-    return jacobian
+    @np.errstate(over="ignore", invalid="ignore")
+    def hessian(self, xi):
+        """Minus the data sum of the second log-derivatives, from one score
+        pass over the data; NonFiniteValue where an entry is not finite."""
+        second = self.model.second_log_derivatives(xi, self._log_sums)
+        hess = -np.einsum("nij->ij", second)
+        if not np.isfinite(hess).all():
+            raise NonFiniteValue(f"log-likelihood Hessian overflowed at {xi}")
+        return hess

@@ -35,11 +35,7 @@ from .errors import (
     NumericalError,
     PointError,
 )
-from .geometry import (
-    dual_hessian_matrix,
-    newton_direction,
-    second_order_retract,
-)
+from .geometry import newton_step, second_order_retract
 from .linalg import EPS
 from .linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 from .models import loglinear
@@ -352,27 +348,23 @@ def _iterate(structure, obj, xi0, stop, propose):
 def dual_newton_run(structure, obj, xi0, stop=None):
     """Newton iteration on the dual Hessian with quadratic retraction.
 
-    Each step solves the Newton equation posed with the dual connection
-    and retracts along the primal one with unit length.  A step whose
-    retraction (or objective value) leaves the domain is halved up to
-    30 times.  The Jacobian of the gradient field is the objective's
-    ``grad_field_jacobian``.
+    Each step solves the Newton equation posed with the dual connection,
+    in its symmetric form (``geometry.newton_step``) from the objective's
+    ``hessian``, and retracts along the primal one with unit length.  A
+    step whose retraction (or objective value) leaves the domain is
+    halved up to 30 times.
     """
 
     def propose(here):
-        # the point stands in for the structure: G, Gamma* and Gamma at
-        # xi come from the model's evaluation that it wraps, the field at
-        # xi is the loop's a, and its Jacobian is the objective's
-        point, a = here.point, here.a
+        # the point stands in for the structure at its xi
+        point = here.point
         xi = point.xi
         try:
-            hess = dual_hessian_matrix(point, lambda _: a, xi, obj.grad_field_jacobian)
-            beta, spd = newton_direction(point, hess, here.grad, xi, a=a)
+            beta, spd = newton_step(point, obj.hessian(xi), here.grad, here.a)
         except NumericalError:
             return SINGULAR_HESSIAN
         except DomainError:
-            # the Jacobian's evaluation (the mixture's finite-difference
-            # probes) left the domain, so no local model exists here
+            # the Hessian's pass left the domain: no local model here
             return DOMAIN_FAILURE
 
         def trial(t):

@@ -160,17 +160,17 @@ def _retraction_check():
 
 
 def curvature_gap(structure, objective, xi, beta, h=1e-4):
-    """|beta^T (G H^T) beta - d^2/dt^2 f(R(t beta))| / ||G H^T||_2 at t = 0.
+    """|beta^T K beta - d^2/dt^2 f(R(t beta))| / ||K||_2 at t = 0.
 
-    H is Newton's dual Hessian, which reads the dual of the connection
-    that defines the retraction R, and the second derivative is a
-    central difference of step h.  Duality makes the two curvatures one,
-    so the gap is rounding and the difference's truncation.
+    K = hess f - lowered(a) is the certificate G H^T of Newton's dual
+    Hessian H, which reads the dual of the connection that defines the
+    retraction R, and the second derivative is a central difference of
+    step h.  Duality makes the two curvatures one, so the gap is
+    rounding and the difference's truncation.
     """
     point = structure.at(xi)
     a = point.solve(objective.eucl_grad(xi))
-    hess = dual_hessian_matrix(point, lambda _: a, xi, objective.grad_field_jacobian)
-    form = point.G @ hess.T
+    form = objective.hessian(xi) - point.lowered(a)
     along = lambda t: objective.value(second_order_retract(structure, xi, t * beta))
     second = (along(h) - 2.0 * along(0.0) + along(-h)) / h**2
     return abs(beta @ form @ beta - second) / np.linalg.norm(form, 2)
@@ -203,7 +203,7 @@ def _certificate_checks(mixture, data):
 
     nll = BetaMixtureNLL(mixture, data)
     res = worst(mixture.dual_structure, nll, [mixture.generating_point()])
-    # the mixture's field Jacobian is a finite difference
+    # the mixture's symbols are quadratures
     checks.append(_check(name + "beta_mixture", res, 1e-4))
     return checks
 

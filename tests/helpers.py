@@ -16,23 +16,22 @@ from dualnewton.linalg import EPS, cho_solve, spd_factor
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _no_jacobian(x):
-    raise AssertionError("this test objective was built without a Jacobian")
+def _no_hessian(x):
+    raise AssertionError("this test objective was built without a Hessian")
 
 
 @dataclass(frozen=True)
 class Objective:
     """A test objective from callables over coordinate vectors.
 
-    ``grad_field_jacobian`` is the Jacobian of the gradient field
-    a = G^{-1} grad f under the structure the test runs on; only Newton
-    reads it, so a test of another method may leave it out.
+    ``hessian`` is the Euclidean Hessian of f; only Newton reads it, so a
+    test of another method may leave it out.
     """
 
     dim: int
     value: Callable
     eucl_grad: Callable
-    grad_field_jacobian: Callable = _no_jacobian
+    hessian: Callable = _no_hessian
 
     def value_and_grad(self, x):
         return self.value(x), self.eucl_grad(x)
@@ -58,7 +57,8 @@ def point_check(n, inside=None):
 class Evaluation:
     """A model's evaluation at a point from a metric and a connection map,
     with the checked factor of G taken on first read and every solve
-    against G made with it."""
+    against G made with it.  The lowered map is the connection map's
+    symbols lowered by G, sum_k (G a)_k Gamma^k_ij."""
 
     G: np.ndarray
     connection: Callable
@@ -69,6 +69,13 @@ class Evaluation:
 
     def solve(self, b):
         return cho_solve(self.L, b)
+
+    def lowered(self, alpha, a):
+        # connection(alpha, e_k)[i, j] = Gamma^j_ik, so row k of the
+        # stack below, contracted with G a on its last index, is
+        # sum_j Gamma^j_ik (G a)_j
+        gamma = np.stack([self.connection(alpha, e) for e in np.eye(len(self.G))])
+        return gamma @ (self.G @ a)
 
 
 def euclidean_structure(n, inside=None):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from dualnewton import geometry
 from dualnewton.errors import (
     DimensionMismatch,
     DomainViolation,
+    NonFiniteValue,
     PointError,
     SingularMatrix,
 )
@@ -21,7 +24,7 @@ from dualnewton.linalg import fd_jacobian
 from dualnewton.models import gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.models.loglinear import SubsetIndex
-from dualnewton.objectives import AlphaDivergenceObjective
+from dualnewton.objectives import AlphaDivergenceObjective, KLProjectionObjective
 from dualnewton.optimizers import _evaluate
 
 from helpers import Objective, euclidean_structure, point_check
@@ -116,6 +119,103 @@ def test_newton_direction_singular_hessian():
     H = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularMatrix):
         newton_direction(ds, H, np.array([1.0, 0.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("shift, certified", [(5.0, True), (-5.0, False), (0.3, None)])
+def test_newton_step_solves_the_symmetric_system(shift, certified):
+    # K = hessian - lowered(a) is shift I plus a small symmetric term: the
+    # factor of a positive definite K solves K beta = -grad, and where it
+    # fails, H^T = G^{-1} K is solved instead, which is the same system
+    ds = gaussian.dual_structure(0.5)
+    point = ds.at(np.array([0.3, 0.8]))
+    rng = np.random.default_rng(4)
+    grad = rng.normal(size=2)
+    a = point.solve(grad)
+    M = rng.normal(size=(2, 2))
+    K = shift * np.eye(2) + 0.1 * (M + M.T)
+    if certified is None:
+        # indefinite: one eigenvalue of each sign
+        K = np.diag([1.0, -1.0]) + 0.1 * (M + M.T)
+    beta, spd = geometry.newton_step(point, K + point.lowered(a), grad, a)
+    assert spd is (certified is True)
+    assert_allclose(K @ beta, -grad, rtol=1e-12, atol=1e-12)
+    assert spd == bool(np.all(np.linalg.eigvalsh(K) > 0))
+
+
+def test_newton_step_matches_the_paper_form():
+    # on the KL projection, whose field Jacobian is exact, the symmetric
+    # system and the paper's dual Hessian give one step and one certificate
+    idx = SubsetIndex.boltzmann(3)
+    rng = np.random.default_rng(6)
+    eta_hat = loglinear.moments(idx, rng.uniform(-0.5, 0.5, len(idx)))
+    obj = KLProjectionObjective(idx, eta_hat, 0.3, 0.8)
+    for alpha in (-1.0, 0.0, 0.5, 1.0):
+        ds = loglinear.dual_structure(idx, alpha)
+        for _ in range(4):
+            theta = rng.uniform(-2.0, 2.0, len(idx))
+            point = ds.at(theta)
+            grad = obj.eucl_grad(theta)
+            a = point.solve(grad)
+            field = lambda _: a
+            H = dual_hessian_matrix(point, field, theta, obj.grad_field_jacobian)
+            expected, expected_spd = newton_direction(point, H, grad, theta, a=a)
+            beta, spd = geometry.newton_step(point, obj.hessian(theta), grad, a)
+            assert spd == expected_spd
+            assert_allclose(beta, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_newton_step_zero_gradient_is_exactly_zero():
+    ds = euclidean_structure(3)
+    beta, spd = geometry.newton_step(ds.at(np.zeros(3)), np.eye(3), np.zeros(3), np.zeros(3))
+    assert spd
+    assert np.all(beta == 0.0) and not np.signbit(beta).any()
+
+
+def test_newton_step_refuses_a_singular_or_non_finite_system():
+    point = euclidean_structure(2).at(np.zeros(2))
+    grad = np.array([1.0, 0.0])
+    with pytest.raises(SingularMatrix):
+        geometry.newton_step(point, np.array([[1.0, 1.0], [1.0, 1.0]]), grad, grad)
+    # checked before it is symmetrized, where inf - inf would warn
+    with pytest.raises(NonFiniteValue):
+        geometry.newton_step(point, np.array([[1.0, np.inf], [-np.inf, 1.0]]), grad, grad)
+
+
+# each model's structure and a point of its chart
+SHAPE_CASES = {
+    "gaussian": (gaussian.dual_structure(0.5), np.array([0.0, 1.0])),
+    "loglinear": (loglinear.dual_structure(SubsetIndex.boltzmann(3), 0.5), np.zeros(6)),
+    "beta-mixture": (
+        BetaMixtureModel(
+            weights=[0.5, 0.5],
+            alphas=[2.0, 3.0],
+            betas=[3.0, 2.0],
+            quadrature=QuadratureRule.gauss_legendre(8),
+        ).dual_structure(0.5),
+        np.array([2.0, 3.0, 3.0, 2.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SHAPE_CASES))
+@pytest.mark.parametrize("wrong", [-1, 1])
+def test_a_vector_of_the_wrong_length_is_named_at_a_point(model, wrong):
+    # each contraction and the retraction refuse it with both shapes,
+    # not with numpy's broadcast or matmul error
+    ds, xi = SHAPE_CASES[model]
+    point = ds.at(xi)
+    v = np.ones(xi.size + wrong)
+    named = f"{re.escape(str(v.shape))}.*{re.escape(str(xi.shape))}"
+    for contract in (point.dual_dot, point.lowered, point.quad):
+        with pytest.raises(DimensionMismatch, match=named):
+            contract(v)
+    with pytest.raises(DimensionMismatch, match=named):
+        second_order_retract(ds, xi, v)
+    H = np.eye(xi.size + wrong)
+    with pytest.raises(DimensionMismatch, match=re.escape(str(H.shape))):
+        newton_direction(ds, H, np.ones(xi.size), xi)
+    with pytest.raises(DimensionMismatch, match=re.escape(str((2, 3)))):
+        newton_direction(ds, np.ones((2, 3)), np.ones(xi.size), xi)
 
 
 def test_retract_flat_is_translation():

@@ -8,18 +8,20 @@ structure's metric reader.  The full symbols, which the structure's
 equal a direct evaluation of the Christoffel symbols: bit for bit where
 the map contracts a tensor (Gaussian, Beta mixture), to rounding where
 the log-linear map contracts the third cumulant over the states.  The
-contractions a point gives Newton, ``dual_dot`` and ``quad``, must agree
-to rounding with the same contractions of those full symbols.  On the
-Boltzmann family the analytic Jacobian of the KL gradient field is
-checked against finite differences as well.
+contractions a point gives Newton, ``dual_dot``, ``lowered`` and
+``quad``, must agree to rounding with the same contractions of those
+full symbols.  On the Boltzmann family the analytic Jacobian of the KL
+gradient field is checked against finite differences as well.
 
 The paper's pairing, a retraction by the alpha-connection and a Newton
 equation posed with its dual, is checked where it bites: at every point
-near each experiment's start, beta^T (G H^T) beta is the second
+near each experiment's start, the paper form G H^T is the symmetric K =
+hess f - lowered(a) that a run solves, and beta^T K beta is the second
 derivative of f along the second-order retraction R(t beta) at t = 0.
-The mismatched pairing, whose Hessian reads the retraction's own
-connection, misses it.  Examples are derandomized, so every run checks
-the same points.
+The mismatched pairing, whose dual Hessian reads the retraction's own
+connection, is hess f - lowered(-alpha, a), and it misses the
+curvature.  Examples are derandomized, so every run checks the same
+points.
 """
 
 import numpy as np
@@ -29,8 +31,10 @@ from hypothesis import strategies as st
 from dualnewton.experiments import MIXTURE_INIT, gen_dataset, gen_target
 from dualnewton.geometry import (
     DualStructure,
+    dual_hessian_matrix,
     duality_residual,
     gradient_field,
+    lower_index,
     raise_index,
 )
 from dualnewton.linalg import fd_jacobian, spd_factor
@@ -74,8 +78,10 @@ def assert_point_is_exact(ds, xi, metric, christoffel, rtol=0.0):
 def assert_contractions_match_the_einsum(ds, xi, a, beta):
     point = ds.at(xi)
     dual_dot = np.einsum("k,ikj->ij", a, dual(ds).gamma(xi))
+    lowered = lower_index(ds.gamma(xi), point.G) @ a
     quad = np.einsum("jki,j,k->i", ds.gamma(xi), beta, beta)
     assert relative_error(point.dual_dot(a), dual_dot) <= 1e-12
+    assert relative_error(point.lowered(a), lowered) <= 1e-12
     assert relative_error(point.quad(beta), quad) <= 1e-12
 
 
@@ -203,8 +209,9 @@ def test_beta_mixture_contractions_are_the_einsum(alpha, scale, a, beta):
 # R(t beta) = xi + t beta - t^2/2 Gamma(beta, beta) has d^2/dt^2 f(R(t beta))
 # = beta^T Hess f beta - df Gamma(beta, beta) at t = 0: the same form.
 # The second derivative is a central difference with h = 1e-4, and the gap
-# is measured against the form's size, ||G H^T||_2, for a unit beta.  The
-# mixture's Jacobian is a finite difference, hence its wider tolerance.
+# is measured against the form's size, ||K||_2, for a unit beta.  The
+# mixture's value sums 5,000 data points, whose rounding the difference
+# divides by h^2, hence its wider tolerance.
 
 EXP1_INDEX = SubsetIndex.boltzmann(3)
 EXP3_MODEL, EXP3_DATA = gen_dataset()
@@ -234,10 +241,38 @@ PAIRING = {
 }
 
 
-class RetractionsConnection:
-    """A model's evaluation whose connection answers the structure's own
-    alpha whatever alpha it is asked for: the dual Hessian then reads the
-    retraction's connection instead of its dual."""
+def paper_form(objective, structure, xi, dual_alpha):
+    """G H^T with H the dual Hessian J + connection(dual_alpha, a) at xi:
+    the paper's pairing at dual_alpha = -alpha, the mismatched one at
+    alpha.  J is the KL objective's exact Jacobian, or else central
+    differences of the gradient field."""
+    point = structure.at(xi)
+    field = gradient_field(structure, objective.eucl_grad)
+    if isinstance(objective, KLProjectionObjective):
+        jacobian = objective.grad_field_jacobian
+    else:
+        jacobian = lambda x: fd_jacobian(field, x)
+    paired = DualStructure(structure.evaluate, -dual_alpha)
+    return point.G @ dual_hessian_matrix(paired, field, xi, jacobian).T
+
+
+def symmetric_form(objective, structure, xi, alpha):
+    """hess f - lowered(alpha, a) at xi."""
+    point = structure.at(xi)
+    a = point.solve(objective.eucl_grad(xi))
+    return objective.hessian(xi) - point.evaluation.lowered(alpha, a)
+
+
+# the identity's tolerance, relative to max|K|: J is exact on exp1 and
+# a central difference elsewhere
+IDENTITY_RTOL = {"exp1": 1e-12, "exp2": 1e-7, "exp3": 1e-7}
+
+
+class DualLowered:
+    """A model's evaluation whose lowered connection answers the dual's,
+    at -alpha, whatever alpha it is asked for: K is then the paper form
+    of the mismatched pairing, whose dual Hessian reads the retraction's
+    own connection instead of its dual."""
 
     def __init__(self, evaluation, alpha):
         self.evaluation, self.alpha = evaluation, alpha
@@ -245,12 +280,12 @@ class RetractionsConnection:
     def __getattr__(self, name):
         return getattr(self.evaluation, name)
 
-    def connection(self, alpha, a):
-        return self.evaluation.connection(self.alpha, a)
+    def lowered(self, alpha, a):
+        return self.evaluation.lowered(-self.alpha, a)
 
 
 def mismatched(structure):
-    evaluate = lambda xi: RetractionsConnection(structure.evaluate(xi), structure.alpha)
+    evaluate = lambda xi: DualLowered(structure.evaluate(xi), structure.alpha)
     return DualStructure(evaluate, structure.alpha)
 
 
@@ -264,6 +299,17 @@ def pairing_cases(draw):
     return name, draw(alphas), xi, beta / np.linalg.norm(beta)
 
 
+@settings(max_examples=45, **FIXED)
+@given(case=pairing_cases())
+def test_the_paper_form_is_the_symmetric_system(case):
+    # G H^T = K = hess f - lowered(a), the system a run solves
+    name, alpha, xi, _ = case
+    objective, structure_at, _, _ = PAIRING[name]
+    structure = structure_at(alpha)
+    K = symmetric_form(objective, structure, xi, alpha)
+    assert relative_error(paper_form(objective, structure, xi, -alpha), K) <= IDENTITY_RTOL[name]
+
+
 @settings(max_examples=90, **FIXED)
 @given(case=pairing_cases())
 def test_the_certificate_is_the_curvature_of_f_along_the_retraction(case):
@@ -273,8 +319,9 @@ def test_the_certificate_is_the_curvature_of_f_along_the_retraction(case):
 
 
 def test_the_mismatched_pairing_misses_the_curvature():
-    # the same identity with the Hessian from the retraction's own
-    # connection; at alpha = 0 the two are one, so alpha is away from it
+    # the same identity with the dual Hessian from the retraction's own
+    # connection, which in the symmetric form lowers the dual connection;
+    # at alpha = 0 the two are one, so alpha is away from it
     rng = np.random.default_rng(19)
     for name, (objective, structure_at, (lo, hi), _) in sorted(PAIRING.items()):
         gaps = []
@@ -283,6 +330,9 @@ def test_the_mismatched_pairing_misses_the_curvature():
             beta = rng.normal(size=lo.size)
             beta /= np.linalg.norm(beta)
             structure = structure_at(alpha)
+            K = symmetric_form(objective, structure, xi, -alpha)
+            paper = paper_form(objective, structure, xi, alpha)
+            assert relative_error(paper, K) <= IDENTITY_RTOL[name]
             gaps.append(curvature_gap(mismatched(structure), objective, xi, beta))
             assert curvature_gap(structure, objective, xi, beta) <= 1e-4
         assert max(gaps) > 1e-2, name

@@ -49,14 +49,12 @@ def scalar_problem(lam=0.5):
 
 
 def quadratic_objective(center):
-    # the Jacobian is exact under the identity metric of the structures
-    # these tests run it on, where the gradient field is x - center
     center = np.asarray(center, dtype=float)
     return Objective(
         dim=center.size,
         value=lambda x: 0.5 * float((x - center) @ (x - center)),
         eucl_grad=lambda x: x - center,
-        grad_field_jacobian=lambda x: np.eye(center.size),
+        hessian=lambda x: np.eye(center.size),
     )
 
 
@@ -378,54 +376,54 @@ class RecordingObjective:
         self._record("value_and_grad", x)
         return self.obj.value_and_grad(x)
 
-    def grad_field_jacobian(self, x):
-        self._record("grad_field_jacobian", x)
-        return self.obj.grad_field_jacobian(x)
+    def hessian(self, x):
+        self._record("hessian", x)
+        return self.obj.hessian(x)
 
 
 @ALL_RUNS
 def test_runs_measure_the_start_with_one_value_and_grad_call(method):
     # the start is measured like every accepted point: one value_and_grad
     # call, whose value the line searches then read as phi(0); Newton
-    # then takes the objective's Jacobian there for its first step
+    # then takes the objective's Hessian there for its first step
     index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
     recorded = RecordingObjective(obj)
     x0 = np.full(len(index), 0.2)
     tr = run_method(method, index, ds, recorded, x0, opt.StopRule(max_iters=3))
     assert tr.n_iterations == 3
-    jacobian = ["grad_field_jacobian"] if method is opt.dual_newton_run else []
+    hessian = ["hessian"] if method is opt.dual_newton_run else []
     assert [name for name, x in recorded.calls if x == x0.tobytes()] == [
         "value_and_grad"
-    ] + jacobian
+    ] + hessian
 
 
 def _assert_each_point_evaluated_once(recorded):
     """Each point is evaluated by one value_and_grad call, and Newton
-    reads the objective's Jacobian once at each iterate it steps from,
+    reads the objective's Hessian once at each iterate it steps from,
     a point it has evaluated; returns those two lists of points."""
     names = {name for name, _ in recorded.calls}
-    assert names <= {"value_and_grad", "grad_field_jacobian"}
+    assert names <= {"value_and_grad", "hessian"}
     points = [x for name, x in recorded.calls if name == "value_and_grad"]
-    jacobians = [x for name, x in recorded.calls if name == "grad_field_jacobian"]
+    hessians = [x for name, x in recorded.calls if name == "hessian"]
     assert len(set(points)) == len(points)
-    assert len(set(jacobians)) == len(jacobians)
-    assert set(jacobians) <= set(points)
-    return points, jacobians
+    assert len(set(hessians)) == len(hessians)
+    assert set(hessians) <= set(points)
+    return points, hessians
 
 
 @ALL_RUNS
 def test_runs_evaluate_each_point_once_with_value_and_grad(method):
     # Wolfe trials, halvings and the accepted iterate each read one
-    # record per point; Newton takes the exact Jacobian at each iterate
-    # it steps from
+    # record per point; Newton takes the exact Hessian at each iterate it
+    # steps from
     index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
     recorded = RecordingObjective(obj)
     x0 = np.full(len(index), 0.2)
     tr = run_method(method, index, ds, recorded, x0, opt.StopRule(max_iters=5))
     assert tr.n_iterations >= 3
-    _, jacobians = _assert_each_point_evaluated_once(recorded)
+    _, hessians = _assert_each_point_evaluated_once(recorded)
     steps = [p.tobytes() for p in tr.iterates[: tr.n_iterations]]
-    assert jacobians == (steps if method is opt.dual_newton_run else [])
+    assert hessians == (steps if method is opt.dual_newton_run else [])
 
 
 @pytest.mark.parametrize(
@@ -434,13 +432,15 @@ def test_runs_evaluate_each_point_once_with_value_and_grad(method):
     ids=["newton", "natgrad"],
 )
 def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(monkeypatch, method):
-    # the mixture's Jacobian is central differences of its own field:
-    # each of its 2 dim probes makes one value_and_grad call and one pass
-    # over the quadrature nodes, and is not a record of the run
+    # the mixture's Hessian is one score pass over the data at the
+    # iterate, with no node pass and no value_and_grad call: the run's
+    # node passes measure the iterates, and its data passes are the
+    # records' and the Hessians'
     model, data = gen_dataset(200, 0, quad_nodes=16)
     calls = {}
     # a structure binds the model's node pass when it is built
     count_calls(monkeypatch, calls, "nodes", model)
+    count_calls(monkeypatch, calls, "scores", model)
     obj = BetaMixtureNLL(model, data)
     count_calls(monkeypatch, calls, "value_and_grad", obj)
     count_calls(monkeypatch, calls, "_factor", linalg)
@@ -448,41 +448,15 @@ def test_mixture_runs_evaluate_each_point_once_with_value_and_grad(monkeypatch, 
     ds = model.dual_structure(0.0)
     tr = method(ds, recorded, np.array(MIXTURE_INIT), opt.StopRule(max_iters=4))
     assert tr.n_iterations == 4
-    points, jacobians = _assert_each_point_evaluated_once(recorded)
-    probes = 2 * obj.dim * len(jacobians)
-    assert len(jacobians) == (4 if method is opt.dual_newton_run else 0)
-    assert calls["value_and_grad"] == len(points) + probes
+    points, hessians = _assert_each_point_evaluated_once(recorded)
+    assert len(hessians) == (4 if method is opt.dual_newton_run else 0)
+    assert calls["value_and_grad"] == len(points)
     # the run's own node passes measure the iterates, here each once
-    assert calls["nodes"] == len(tr.iterates) + probes
+    assert calls["nodes"] == len(tr.iterates)
+    assert calls["scores"] == calls["nodes"] + len(points) + len(hessians)
     # and each pass checks its metric once, where its factor is made,
     # however many solves and connections it then serves
     assert calls["_factor"] == calls["nodes"]
-
-
-def test_mixture_jacobian_has_the_bits_of_probe_records():
-    # central differences of the field as a run evaluates it at a point:
-    # an evaluation record, measured, read for its gradient coordinates;
-    # the same bits, and the same exception where a probe leaves the domain
-    model, data = gen_dataset(200, 0, quad_nodes=16)
-    obj = BetaMixtureNLL(model, data)
-    ds = model.dual_structure(0.0)
-
-    def probed(xi):
-        point = ds.at(xi)
-        field = lambda x: opt._Evaluation(point, obj, x).measure().a
-        return linalg.fd_jacobian(field, point.xi)
-
-    rng = np.random.default_rng(5)
-    starts = [np.array(MIXTURE_INIT), model.generating_point()]
-    starts += [np.array(MIXTURE_INIT) * rng.uniform(0.5, 2.0, obj.dim) for _ in range(3)]
-    for xi in starts:
-        assert obj.grad_field_jacobian(xi).tobytes() == probed(xi).tobytes()
-    # a shape below the finite-difference step: the probe at xi - h is negative
-    edge = np.array(MIXTURE_INIT)
-    edge[2] = 1e-6
-    for jacobian in (obj.grad_field_jacobian, probed):
-        with pytest.raises(DomainViolation):
-            jacobian(edge)
 
 
 # ---- the trial guard -------------------------------------------------------
@@ -593,16 +567,16 @@ def test_mirror_does_not_stall_after_a_probe_whose_geometry_raises(monkeypatch):
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
-def test_newton_ends_in_the_status_of_its_jacobians_error(error, status):
+def test_newton_ends_in_the_status_of_its_hessians_error(error, status):
     # a local model that cannot be built ends the run: in DomainFailure
     # for a point outside the model, in SingularHessian where the
     # arithmetic degenerates
     index, obj, ds, _ = kl_problem(3, 0.5, 0.5)
 
-    def jacobian(xi):
-        raise error("planted in the Jacobian")
+    def hessian(xi):
+        raise error("planted in the Hessian")
 
-    broken = Objective(obj.dim, obj.value, obj.eucl_grad, jacobian)
+    broken = Objective(obj.dim, obj.value, obj.eucl_grad, hessian)
     tr = opt.dual_newton_run(ds, broken, np.full(len(index), 0.2))
     assert tr.status == status and tr.status in opt.FAILED
     assert tr.n_iterations == 0
@@ -938,9 +912,9 @@ def test_newton_does_not_mutate_inputs():
 
 
 def test_newton_evaluates_the_quadrature_once_per_iterate(monkeypatch):
-    # the metric for the stopping norm, Gamma* for the Hessian and Gamma
-    # for the retraction all come from the point built when the iterate
-    # was accepted; finite-difference probes of the field are not iterates
+    # the metric for the stopping norm, the lowered connection for K and
+    # the connection for the retraction all come from the point built
+    # when the iterate was accepted; the Hessian makes no node pass
     model, data = gen_dataset(200, 0, quad_nodes=16)
     nodes = model.nodes
     evaluated = []
@@ -985,10 +959,9 @@ def test_natural_gradient_evaluates_the_quadrature_once_per_iterate(monkeypatch)
 
 
 def test_newton_takes_the_field_at_the_iterate_from_the_loop(monkeypatch):
-    # the loop has evaluated grad f and a at the iterate; the dual
-    # Hessian's gradient field answers there from them, and only its
-    # finite-difference probes evaluate the gradient afresh.  A gradient
-    # pass is a call of eucl_grad or of value_and_grad.
+    # the loop has evaluated grad f and a at the iterate, and Newton's
+    # step reads them there: the Hessian evaluates no gradient.  A
+    # gradient pass is a call of eucl_grad or of value_and_grad.
     model, data = gen_dataset(200, 0, quad_nodes=16)
     obj = BetaMixtureNLL(model, data)
     evaluated = []
@@ -1043,11 +1016,16 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     def evaluate(xi):
         check(xi)
 
-        def connection(alpha, a):
-            applied.append((xi.tobytes(), alpha, np.array(a)))
-            return np.zeros((2, 2))
+        def applying(name):
+            def apply(alpha, a):
+                applied.append((xi.tobytes(), name, alpha, np.array(a)))
+                return np.zeros((2, 2))
 
-        return Evaluation(np.eye(2), connection)
+            return apply
+
+        evaluation = Evaluation(np.eye(2), applying("connection"))
+        evaluation.lowered = applying("lowered")
+        return evaluation
 
     # the minimizer (0, 2) lies outside the domain, so every unit step
     # overshoots and is halved several times
@@ -1059,17 +1037,19 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     assert tr.status == opt.MAX_ITERS
     for p, step in zip(tr.iterates, (s.step_norm for s in tr.steps)):
         assert step <= 0.25 * np.linalg.norm(center - p) + 1e-12
-    # every map is applied at an iterate's own point, never at a trial:
-    # Gamma* (-alpha) once per proposed step, to the gradient coordinates,
-    # and Gamma (+alpha) once per retraction trial, to t beta for
-    # t = 1, 1/2, ...; the last iterate proposes nothing
+    # every map is applied at an iterate's own point, never at a trial,
+    # and only at the structure's alpha: the lowered connection once per
+    # proposed step, to the gradient coordinates, and the connection once
+    # per retraction trial, to t beta for t = 1, 1/2, ...; the last
+    # iterate proposes nothing
     calls = 0
     for p, nxt in zip(tr.iterates[:-1], tr.iterates[1:]):
-        here = [(alpha, a) for x, alpha, a in applied if x == p.tobytes()]
-        dual = [a for alpha, a in here if alpha == -0.5]
-        primal = [a for alpha, a in here if alpha == 0.5]
-        assert len(dual) == 1
-        np.testing.assert_allclose(dual[0], p - center)
+        here = [(name, alpha, a) for x, name, alpha, a in applied if x == p.tobytes()]
+        assert {alpha for _, alpha, _ in here} == {0.5}
+        lowered = [a for name, _, a in here if name == "lowered"]
+        primal = [a for name, _, a in here if name == "connection"]
+        assert len(lowered) == 1
+        np.testing.assert_allclose(lowered[0], p - center)
         assert len(primal) >= 3
         for halvings, t_beta in enumerate(primal):
             assert np.array_equal(t_beta, 0.5**halvings * primal[0])
@@ -1078,18 +1058,26 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     assert calls == len(applied)
 
 
-def test_newton_builds_the_mixture_symbols_once_per_iterate_at_alpha_zero(monkeypatch):
-    # at alpha = 0 the primal and dual connections are one tensor, and
-    # the point builds it once for the Hessian and the retraction
-    model, data = gen_dataset(200, 0, quad_nodes=16)
+def _first_kind_builds(monkeypatch):
+    """The alpha of each first-kind symbol tensor a node pass builds, in
+    order: a read that the pass answers from its own is not a build."""
     first_kind = betamix._NodePass.first_kind
     built = []
 
     def counted(nodes, alpha):
-        built.append(alpha)
+        if alpha not in nodes._first:
+            built.append(alpha)
         return first_kind(nodes, alpha)
 
     monkeypatch.setattr(betamix._NodePass, "first_kind", counted)
+    return built
+
+
+def test_newton_builds_the_mixture_symbols_once_per_iterate_at_alpha_zero(monkeypatch):
+    # at alpha = 0 the primal and dual connections are one tensor, and
+    # the point builds it once for the Hessian and the retraction
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    built = _first_kind_builds(monkeypatch)
     tr = opt.dual_newton_run(
         model.dual_structure(0.0),
         BetaMixtureNLL(model, data),
@@ -1098,6 +1086,22 @@ def test_newton_builds_the_mixture_symbols_once_per_iterate_at_alpha_zero(monkey
     )
     assert tr.n_iterations == 3
     assert built == [0.0] * 3
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_newton_builds_only_the_retractions_mixture_symbols(monkeypatch, alpha):
+    # K lowers the retraction's own connection, so away from alpha = 0 a
+    # step builds one tensor too, and never the dual's
+    model, data = gen_dataset(200, 0, quad_nodes=16)
+    built = _first_kind_builds(monkeypatch)
+    tr = opt.dual_newton_run(
+        model.dual_structure(alpha),
+        BetaMixtureNLL(model, data),
+        np.array(MIXTURE_INIT),
+        opt.StopRule(max_iters=3),
+    )
+    assert tr.n_iterations == 3
+    assert built == [alpha] * 3
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0])
@@ -1128,21 +1132,24 @@ def _factored_matrices(monkeypatch):
 
 
 def test_newton_step_on_kl_makes_one_pass_and_one_factorization(monkeypatch):
-    # the value, the gradient, G, its factor, the exact Jacobian and both
+    # the value, the gradient, G, its factor, the Hessian and both
     # connection contractions at an iterate come from one pass over the
-    # states and one Python factorization of G; the descent certificate
-    # of G H^T is LAPACK's and never reaches cholesky_lower
+    # states and one Python factorization of G; K's one factor, the
+    # descent certificate and the solve, is LAPACK's and never reaches
+    # cholesky_lower, and a step whose certificate holds makes no LU
     index, obj, ds, _ = kl_problem(4, 0.5, 0.5, alpha=0.0)
     calls = {}
     count_calls(monkeypatch, calls, "logsumexp", loglinear)
-    count_calls(monkeypatch, calls, "is_spd", geometry)
+    count_calls(monkeypatch, calls, "symmetric_factor", geometry)
+    count_calls(monkeypatch, calls, "solve_general", geometry)
     factored = _factored_matrices(monkeypatch)
     tr = opt.dual_newton_run(ds, obj, np.full(len(index), 0.2), opt.StopRule())
     assert tr.status == opt.CONVERGED and tr.n_iterations >= 3
+    assert all(step.spd for step in tr.steps)
     steps = tr.n_iterations
     # no step is halved on this problem, so the points evaluated are the
     # iterates: the start and one per step
-    assert calls == {"logsumexp": steps + 1, "is_spd": steps}
+    assert calls == {"logsumexp": steps + 1, "symmetric_factor": steps, "solve_general": 0}
     assert len(factored) == steps + 1
     metrics = {loglinear.fisher_metric(index, p).tobytes() for p in tr.iterates}
     assert set(factored) == metrics and len(metrics) == steps + 1

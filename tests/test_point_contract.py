@@ -14,13 +14,13 @@ subnormals, magnitudes up to 1.8e308 and wrong lengths with ordinary
 in-domain entries.
 
 Off its chart, an objective names the cause as its model does:
-``value_and_grad`` and ``grad_field_jacobian`` raise the very exception
+``value_and_grad`` and ``hessian`` raise the very exception
 class that the model's check raises at that point.
 
 Each pass checks its point once, and nothing else checks it: a run of
 each method makes exactly one point check per model pass, and none
-from the optimizers or the geometry.  A mixture Jacobian that its
-objective's cache answers still makes its one check.
+from the optimizers or the geometry.  The mixture's Hessian is one
+more score pass over the data, with its one check.
 
 On its chart, a point has the bits of its model's public metric reader,
 and stands in for its structure: at its own xi it is itself, elsewhere a
@@ -42,7 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualnewton import linalg, objectives
+from dualnewton import linalg
 from dualnewton import optimizers as opt
 from dualnewton.errors import (
     DimensionMismatch,
@@ -237,7 +237,7 @@ def test_off_its_chart_an_objective_raises_what_its_check_raises(name, data):
     else:
         # on this model's chart: a large shape or theta is a point of it
         return
-    for read in (objective.value_and_grad, objective.grad_field_jacobian):
+    for read in (objective.value_and_grad, objective.hessian):
         with pytest.raises(expected) as raised:
             read(x)
         assert type(raised.value) is expected
@@ -368,11 +368,10 @@ def test_a_gaussian_point_whose_sigma_squared_underflows_refuses_its_factor():
 
 # The per-method ledger.  Each model pass is counted where it starts, so
 # the counts do not overlap: the Gaussian's objective pass (its
-# ``value_and_grad`` and its Jacobian) and its evaluation (the metric);
+# ``value_and_grad`` and its Hessian) and its evaluation (the metric);
 # the log-linear pass over the states, which every objective pass,
-# evaluation and moment-inversion probe is; and the mixture's score pass
-# (each ``value_and_grad`` and evaluation) and its Jacobian, whose one
-# check comes before its probes' passes or its memo's answer.  A run's
+# evaluation and moment-inversion probe is; and the mixture's score pass,
+# which each ``value_and_grad``, Hessian and evaluation makes.  A run's
 # structure is built after the counters are in place, so it holds no
 # uncounted function.
 MIXTURE_START = np.array([2.0, 4.0, 3.0, 2.0, 4.0, 3.0])
@@ -396,7 +395,7 @@ LEDGER = {
         NLL,
         MIXTURE_START,
         (betamix, "_check_shapes"),
-        [(BetaMixtureModel, "scores"), (BetaMixtureNLL, "grad_field_jacobian")],
+        [(BetaMixtureModel, "scores")],
     ),
 }
 RUNS = {
@@ -430,25 +429,12 @@ def _count(monkeypatch, owner, name, calls):
 @pytest.mark.parametrize("model, method", LEDGER_CASES)
 def test_a_run_checks_each_point_once_per_model_pass(model, method, monkeypatch):
     build, objective, x0, (module, check), starts = LEDGER[model]
-    checks, passes, jacobians = [], [], []
+    checks, passes = [], []
     _count(monkeypatch, module, check, checks)
     for owner, name in starts:
         _count(monkeypatch, owner, name, passes)
-    _count(monkeypatch, objectives, "fd_jacobian", jacobians)
-    # the second run asks again at the first run's points: the mixture's
-    # Jacobians are then cache hits, and each still makes its one check
-    computed = []
-    for _ in range(2):
-        trace = RUNS[method](build(), objective, x0, opt.StopRule(max_iters=4))
-        assert trace.n_iterations >= 1
-        assert len(checks) == len(passes) > 0
-        cached = objectives._mixture_jacobian.cache_info()
-        assert cached.misses == len(jacobians)
-        computed.append((cached.misses, cached.hits))
-    # the mixture's Newton computes one Jacobian per step, all in the
-    # first run, and the second run's are all answered from the cache
-    mixture_newton = (model, method) == ("beta-mixture", "newton")
-    n = trace.n_iterations if mixture_newton else 0
-    assert computed == [(n, 0), (n, n)]
+    trace = RUNS[method](build(), objective, x0, opt.StopRule(max_iters=4))
+    assert trace.n_iterations >= 1
+    assert len(checks) == len(passes) > 0
     # only the model and the objectives check a point
     assert set(checks) <= {module.__name__, "dualnewton.objectives"}

@@ -229,9 +229,12 @@ def test_a_model_that_makes_a_dual_point_is_found(tmp_path):
 
 # A point holds only what a run reads: its metric, the point at its own
 # xi, the solve against G and Newton's two contractions of the
-# connection, ``dual_dot`` and ``quad``.  The full symbols, which only the
-# structural checks read, are the structure's ``gamma``.
-POINT_SURFACE = {"G", "at", "solve", "dual_dot", "quad"}
+# connection, ``lowered`` for K and ``quad`` for the retraction; besides
+# them, only the paper form's ``dual_dot``, which ``dual_hessian_matrix``
+# reads.  The full symbols, which only the structural checks read, are
+# the structure's ``gamma``.
+POINT_SURFACE = {"G", "at", "solve", "lowered", "quad"}
+PAPER_FORM_POINT = {"dual_dot"}
 
 
 def _class_methods(path, name):
@@ -251,7 +254,112 @@ def _class_methods(path, name):
 
 
 def test_a_point_holds_only_what_a_run_reads():
-    assert _class_methods(PACKAGE / "geometry.py", "DualPoint") == POINT_SURFACE
+    methods = _class_methods(PACKAGE / "geometry.py", "DualPoint")
+    assert methods == POINT_SURFACE | PAPER_FORM_POINT
+
+
+# Newton's equation as the paper poses it, the dual Hessian and its LU
+# solve with the certificate G H^T, is the reference that the tests and
+# validate hold the symmetric system to; no run reads it.
+PAPER_FORM = {
+    "dual_dot",
+    "dual_hessian_matrix",
+    "newton_direction",
+    "is_spd",
+    "grad_field_jacobian",
+}
+
+
+def _paper_form_reads(path):
+    """(name, line) of each read of a ``PAPER_FORM`` name in the module,
+    bare or as an attribute."""
+    return sorted(
+        (name, line)
+        for name, line, _ in _read_names(ast.parse(path.read_text(), filename=str(path)))
+        if name in PAPER_FORM
+    )
+
+
+def test_a_run_reads_none_of_the_paper_form():
+    assert _paper_form_reads(PACKAGE / "optimizers.py") == []
+
+
+def test_a_paper_form_read_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .geometry import dual_hessian_matrix, newton_step\n\n\n"
+        "def propose(point, obj, a):\n"
+        "    hess = dual_hessian_matrix(point, a, point.xi, obj.grad_field_jacobian)\n"
+        "    return newton_step(point, hess, a, point.dual_dot(a))\n"
+    )
+    # the import binds no read; the call, the method and the contraction are found
+    assert _paper_form_reads(module) == [
+        ("dual_dot", 6),
+        ("dual_hessian_matrix", 5),
+        ("grad_field_jacobian", 5),
+    ]
+
+
+# Finite differences stay off the run path: the objectives, the
+# optimizers and the models take no derivative by differences, which
+# amplify the rounding of what they difference.  ``fd_jacobian`` and
+# ``gradient_field`` are the oracles of validation and the tests.
+FINITE_DIFFERENCES = {"fd_jacobian", "gradient_field"}
+RUN_PATH = ("objectives.py", "optimizers.py", "models/")
+
+
+def _finite_difference_imports(package):
+    """module: (name, line) of each import of a ``FINITE_DIFFERENCES``
+    name, under any alias, or read of one as an attribute, in the run
+    path's modules."""
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if not module.startswith(RUN_PATH):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names += [(a.name, node.lineno) for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names.append((node.attr, node.lineno))
+        names = sorted(
+            (name, line) for name, line in names if name in FINITE_DIFFERENCES
+        )
+        if names:
+            found[module] = sorted(names, key=lambda entry: entry[1])
+    return found
+
+
+def test_the_run_path_takes_no_finite_difference():
+    assert _finite_difference_imports(PACKAGE) == {}
+
+
+def test_a_finite_difference_on_the_run_path_is_found(tmp_path):
+    package = tmp_path / "package"
+    (package / "models").mkdir(parents=True)
+    # the imports of objectives.py when the mixture's Jacobian was central
+    # differences of its gradient field
+    (package / "objectives.py").write_text(
+        "import math\nimport weakref\nfrom functools import lru_cache\n\n"
+        "import numpy as np\n\n"
+        "from .errors import DivergenceUndefined, NonFiniteValue\n"
+        "from .geometry import gradient_field\n"
+        "from .linalg import fd_jacobian\n"
+        "from .models import betamix, gaussian, loglinear\n"
+    )
+    (package / "models" / "betamix.py").write_text(
+        "from .. import linalg\nfrom ..linalg import fd_jacobian as jacobian\n\n\n"
+        "def second(field, xi):\n    return linalg.fd_jacobian(field, xi)\n"
+    )
+    # the oracles' own modules may import them
+    (package / "validation.py").write_text("from .linalg import fd_jacobian\n")
+    (package / "geometry.py").write_text("from .linalg import fd_jacobian\n")
+    assert _finite_difference_imports(package) == {
+        "models/betamix.py": [("fd_jacobian", 2), ("fd_jacobian", 6)],
+        "objectives.py": [("gradient_field", 8), ("fd_jacobian", 9)],
+    }
 
 
 def test_a_point_method_beyond_the_run_reads_is_found(tmp_path):
