@@ -10,10 +10,11 @@ and mixture passes keep the checked Cholesky factor ``L`` of G.
 log-linear evaluation is the pass over the states, an ``lru_cache`` of
 the last eight points, whose connection needs no third central moment
 tensor, and whose lowered one no solve.  The Beta mixture's is one pass
-over the quadrature nodes (``BetaMixtureModel.nodes``), which builds each
-alpha's first-kind symbols once per point.  The Gaussian's holds the
-closed-form metric and symbols and solves with the roots of its diagonal
-G.  The full symbols are read as ``dual_structure(...).gamma(xi)``.
+over the quadrature nodes (``BetaMixtureModel.nodes``), whose connection,
+lowered and raised, is a sum over the nodes with no symbol tensor.  The
+Gaussian's holds the closed-form metric and symbols and solves with the
+roots of its diagonal G.  The full symbols are read as
+``dual_structure(...).gamma(xi)``.
 
 Each model states its domain once, in its point check (``gaussian.check``,
 the mixture's shape check, the log-linear theta check), which every pass

@@ -17,23 +17,30 @@ one (K, N) buffer that then becomes the responsibilities, and
 ``linalg.logsumexp`` reduces it down its columns row by row, every
 operation in the order of the plain expression.  The scores themselves
 stay (N, 2K), filled through transposed views of their even and odd
-columns: the sum over the data and the quadrature contractions take
-their summation order from that layout, and another order would change
-the last bits of every result.
+columns: the sum over the data and the metric's contraction take their
+summation order from that layout, and another order would change the
+last bits of every result.
 
-The symbols are assembled node by node.  The second log-derivatives
-start from -s s^T, every entry written as 0 - s_i s_j: that is the
-entry of the plain "zeros, then subtract" expression, +0.0 where the
-product is +0.0.  Each component's 2 x 2 block is then written as its
-term minus s_i s_j, never as the sum of the negated product and the
-term: where an underflowed responsibility makes the term -0.0 and
-s_i s_j is +0.0, only the difference keeps the sign.  The first-kind
-symbols contract the integrand's (N, d^2) view with s.  The view is the
-C-order integrand itself, so the nodes stay the outer loop and each
-output entry still adds one product per node in node order, the bits of
-the (N, d, d) contraction; the inner loop runs d^2 entries long instead
-of d, which makes the contraction about three times faster at 64^2
-nodes and six coordinates.
+The second log-derivatives, which the data Hessian sums, start from
+-s s^T, every entry written as 0 - s_i s_j: that is the entry of the
+plain "zeros, then subtract" expression, +0.0 where the product is
++0.0.  Each component's 2 x 2 block is then written as its term minus
+s_i s_j, never as the sum of the negated product and the term: where an
+underflowed responsibility makes the term -0.0 and s_i s_j is +0.0,
+only the difference keeps the sign.
+
+The connection is contracted node by node; no symbol is assembled.  At
+node n the second log-derivatives are blocks_n - s_n s_n^T, where
+blocks_n is block diagonal with blocks r_kn (u_kn u_kn^T + C_k), so with
+c = (1 - alpha)/2 and w = wp (s a),
+
+    lowered(alpha, a) = B(w) + (c - 1) (s w)^T s,
+    B(w) = blockdiag_k(sum_n w_n r_kn (u_kn u_kn^T + C_k)),
+    connection(alpha, a) = M G^{-1},  M = sum_n wp_n t_n s_n^T,
+    t_n = blocks_n a + (c - 1) s_n (s_n . a),
+
+sums of O(N d^2) work over the nodes, with no (N, d, d) array and no
+d^3 tensor.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DimensionMismatch, DomainViolation, QuadratureUnderflow
-from ..geometry import DualStructure, lazy, raise_index
+from ..geometry import DualStructure, lazy
 from ..linalg import cho_solve, load_compiled, logsumexp, spd_factor
 from ..linalg import solve_spd  # noqa: F401 (perfbench's tracer rebinds it)
 
@@ -136,22 +143,19 @@ class _NodePass:
     """The geometry at xi from one score pass over the quadrature nodes:
     density weights ``wp``, scores ``s``, responsibilities and raw
     component scores.  ``G``, its factor ``L`` (G's one check, which
-    every ``solve(b)`` against G reads), the second log-derivatives and
-    each alpha's symbols, lowered and raised, are built on first read, so
-    a metric-only caller builds no second log-derivatives; at alpha = 0
-    the primal and dual are one tensor, as -0.0 == 0.0."""
+    every ``solve(b)`` against G reads) and the component curvature
+    blocks are built on first read, so a metric-only caller builds no
+    curvature.  The connection is contracted with its vector node by
+    node (module notes): no symbol tensor is built."""
 
     def __init__(self, model, xi, wp, s, resp, u):
         self.model, self.xi = model, xi
         self.wp, self.s, self.resp, self.u = wp, s, resp, u
-        self._first = {}
-        self._symbols = {}
 
-    # Both contractions fold the density weights into one operand first: a
-    # two-operand einsum takes about half the time of the three-operand
-    # form and, for two or more coordinates, gives the same bits.  The
-    # symbols' contraction reads the integrand as (N, d^2): node order,
-    # and so the bits, are those of the (N, d, d) form (module notes).
+    # G folds the density weights into one operand first: a two-operand
+    # einsum takes about half the time of the three-operand form and, for
+    # two or more coordinates, gives the same bits.  No contraction goes
+    # through BLAS, whose summation order may depend on its thread count.
 
     @lazy
     def G(self):
@@ -167,31 +171,49 @@ class _NodePass:
         return cho_solve(self.L, b)
 
     @lazy
-    def second(self):
-        """(n^2, 2K, 2K) second log-derivatives at the nodes."""
-        curv = self.model._component_curvature(self.xi)
-        return _second_derivatives(self.s, self.resp, self.u, curv)
-
-    def first_kind(self, alpha):
-        """First-kind alpha-connection symbols
-        E[(d_ij l + (1 - alpha)/2 s_i s_j) s_k], indexed (i, j, k)."""
-        if alpha not in self._first:
-            s = self.s
-            n, d = s.shape
-            integrand = np.einsum("ni,nj->nij", 0.5 * (1.0 - alpha) * s, s)
-            integrand += self.second
-            integrand *= self.wp[:, None, None]
-            symbols = np.einsum("nm,nk->km", integrand.reshape(n, d * d), s)
-            self._first[alpha] = symbols.reshape(d, d, d).transpose(1, 2, 0)
-        return self._first[alpha]
-
-    def connection(self, alpha, a):
-        if alpha not in self._symbols:
-            self._symbols[alpha] = raise_index(self.first_kind(alpha), self.L)
-        return np.einsum("k,ikj->ij", a, self._symbols[alpha])
+    def curv(self):
+        """The component curvature blocks C_k, (K, 2, 2)."""
+        return self.model._component_curvature(self.xi)
 
     def lowered(self, alpha, a):
-        return self.first_kind(alpha) @ a
+        """sum_k a_k Gamma_{ij,k} = B(w) + (c - 1) (s w)^T s (module notes):
+        (s w)^T s is G's contraction with w in place of wp."""
+        s = self.s
+        w = self.wp * np.einsum("ni,i->n", s, a)
+        sw = s * w[:, None]
+        out = np.einsum("ni,nj->ij", sw, s)
+        out *= -0.5 * (1.0 + alpha)
+        # block k of sw is w r_k u_k, so B(w) is sum_n (sw u^T + w r C)
+        blocks = np.einsum("k,kij->kij", np.einsum("kn,n->k", self.resp, w), self.curv)
+        for i in range(2):
+            for j, u in enumerate(self.u):
+                blocks[:, i, j] += np.einsum("kn,kn->k", sw[:, i::2].T, u)
+        for k, block in enumerate(blocks):
+            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += block
+        return out
+
+    def connection(self, alpha, a):
+        """sum_k a_k Gamma^j_ik = (M G^{-1})_ij, M = sum_n wp_n t_n s_n^T
+        (module notes).  t is built coordinate-major, (2K, N), from the
+        component-major rows of the pass, and M contracts it with the
+        scores laid out the same way."""
+        rows = np.ascontiguousarray(self.s.T)
+        t = rows * (-0.5 * (1.0 + alpha) * np.einsum("i,in->n", a, rows))
+        # block k of blocks_n a is r_kn (u_kn proj_kn + bent_k), with
+        # proj = u . a_k and bent = C_k a_k
+        pairs = a.reshape(-1, 2)
+        u_a, u_b = self.u
+        proj = u_a * pairs[:, :1]
+        block = u_b * pairs[:, 1:]
+        proj += block
+        bent = np.einsum("kij,kj->ki", self.curv, pairs)
+        for j, u in enumerate(self.u):
+            np.multiply(u, proj, out=block)
+            block += bent[:, j : j + 1]
+            block *= self.resp
+            t[j::2] += block
+        t *= self.wp
+        return cho_solve(self.L, np.einsum("in,jn->ij", rows, t)).T
 
 
 @dataclass

@@ -199,10 +199,30 @@ def _openblas():
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-@pytest.mark.skipif(
+two_blas_threads = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2 or not _openblas(),
     reason="needs OpenBLAS and two CPUs to run it on two threads",
 )
+
+
+def _traces_at_one_and_two_blas_threads(tmp_path, args):
+    """The trace rows of ``dualnewton run ARGS`` in two fresh interpreters,
+    at one and at two OpenBLAS threads."""
+    rows = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        proc = run_python(
+            ["-m", "dualnewton", "run", *args, "--out", str(out)],
+            tmp_path,
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        # a failed run is an error, not the expected failure
+        proc.check_returncode()
+        rows.append(_trace_rows(out))
+    return rows
+
+
+@two_blas_threads
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -212,18 +232,22 @@ def _openblas():
     "bits, depend on the thread count",
 )
 def test_exp1_traces_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # exp1 n = 9, Newton at alpha = 1 (5 steps), in two fresh interpreters
-    rows = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        args = ["--experiment", "exp1", "--n", "9", "--method", "newton"]
-        args += ["--alpha", "1", "--seed", "0", "--out", str(out)]
-        proc = run_python(
-            ["-m", "dualnewton", "run", *args], tmp_path, OPENBLAS_NUM_THREADS=threads
-        )
-        # a failed run is an error, not the expected failure
-        proc.check_returncode()
-        rows.append(_trace_rows(out))
+    # exp1 n = 9, Newton at alpha = 1 (5 steps)
+    args = ["--experiment", "exp1", "--n", "9", "--method", "newton"]
+    args += ["--alpha", "1", "--seed", "0"]
+    rows = _traces_at_one_and_two_blas_threads(tmp_path, args)
+    assert rows[0] == rows[1]
+
+
+@two_blas_threads
+def test_exp3_newton_traces_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # exp3 at its default sizes, Newton at alpha = 1/2: the node pass's
+    # metric and connection contractions and the data Hessian are einsums,
+    # whose summation order no BLAS thread count changes
+    args = ["--experiment", "exp3", "--method", "newton"]
+    args += ["--alpha", "0.5", "--seed", "0"]
+    rows = _traces_at_one_and_two_blas_threads(tmp_path, args)
+    assert list(rows[0]) == ["newton_a+0.50.csv"]
     assert rows[0] == rows[1]
 
 
@@ -293,7 +317,7 @@ TRACE_DIGESTS = {
         RunConfig.defaults(
             "exp3", n_samples=400, quad_nodes=16, methods=("newton", "natgrad")
         ),
-        "dad9de615be840c8ca3a69145daa9b39225afac6cf1573d4aadd565b3cac5ab2",
+        "7bc76f40f035b68b0fb90f3abc4f93c5077e18d8f99fe3dc16008b635a9b1f7d",
     ),
     # Adam on the mixture: a node pass and a data pass per iteration
     "exp3_adam_small": (

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,7 +18,7 @@ from dualnewton.errors import (
     QuadratureUnderflow,
 )
 from dualnewton.geometry import DualStructure, raise_index
-from dualnewton.linalg import fd_jacobian, spd_factor
+from dualnewton.linalg import cho_solve, fd_jacobian, spd_factor
 from dualnewton.models import betamix
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.objectives import BetaMixtureNLL
@@ -282,7 +283,7 @@ def test_metric_reads_build_no_second_derivatives(monkeypatch):
     ds = model.dual_structure(0.5)
     ds.at(xi).G
     assert len(calls) == 0
-    # the symbols read the second derivatives once per evaluation
+    # the connection reads the curvature blocks once per evaluation
     ds.gamma(xi)
     assert len(calls) == 1
 
@@ -454,13 +455,11 @@ def test_the_data_sum_adds_the_score_rows_in_order(n, dim):
         assert np.einsum("nj->j", s).tobytes() == s.sum(axis=0).tobytes()
 
 
-def _reference_connection(model, xi, alpha, a):
-    """connection(alpha, a) at xi from the row-major score pass at the
-    nodes and the row-major second log-derivatives."""
+def _reference_second(model, xi):
+    """Density weights, scores and the second log-derivatives at the
+    nodes, from the row-major score pass and row-major blocks."""
     points, w = model.quadrature.grid()
     s, resp, (u_a, u_b), logp = _reference_scores(model, xi, points)
-    wp = w * np.exp(logp)
-    G = np.einsum("ni,nj->ij", s * wp[:, None], s)
     tri_ab = polygamma(1, xi[0::2] + xi[1::2])
     c_aa = -2.0 * polygamma(1, xi[0::2]) + 2.0 * tri_ab
     c_bb = -2.0 * polygamma(1, xi[1::2]) + 2.0 * tri_ab
@@ -475,10 +474,38 @@ def _reference_connection(model, xi, alpha, a):
         second[:, i, i + 1] = cross
         second[:, i + 1, i] = cross
     second -= s[:, :, None] * s[:, None, :]
-    integrand = second + 0.5 * (1.0 - alpha) * s[:, :, None] * s[:, None, :]
-    integrand *= wp[:, None, None]
-    first = np.einsum("nij,nk->ijk", integrand, s)
-    return np.einsum("k,ikj->ij", a, raise_index(first, spd_factor(G)))
+    return w * np.exp(logp), s, second
+
+
+def _term_scales(wp, s, second, a):
+    """Node sums of absolute terms that bound, for every alpha in [-1, 1]
+    and in either form, the node terms of lowered(alpha, a) and of
+    M = connection(alpha, a) G: two sums that cancel differ at the scale
+    of their terms, not of their value."""
+    terms = np.abs(second) + 2.0 * np.abs(s)[:, :, None] * np.abs(s)[:, None, :]
+    terms *= wp[:, None, None]
+    lowered = np.einsum("nij,n->ij", terms, np.abs(s) @ np.abs(a))
+    m = np.einsum("nik,k,nj->ij", terms, np.abs(a), np.abs(s))
+    return lowered, m
+
+
+def _assert_lowered_matches_the_symbols(nodes, wp, s, second, alpha, a):
+    """The pass's lowered(alpha, a) against the d^3 first-kind symbols of
+    the (N, d, d) second log-derivatives, contracted with a, to 1e-12 of
+    its term scale."""
+    first = _three_operand_first_kind(wp, s, second, alpha)
+    scale = _term_scales(wp, s, second, a)[0]
+    assert np.abs(nodes.lowered(alpha, a) - first @ a).max() <= 1e-12 * scale.max()
+
+
+def _assert_connection_matches_the_symbols(nodes, wp, s, second, alpha, a):
+    """The pass's connection(alpha, a) against the same symbols raised by
+    G: an error in M reaches the connection M G^{-1} through |G^{-1}|."""
+    first = _three_operand_first_kind(wp, s, second, alpha)
+    L = spd_factor(_three_operand_metric(wp, s))
+    expected = np.einsum("k,ikj->ij", a, raise_index(first, L))
+    scale = _term_scales(wp, s, second, a)[1] @ np.abs(cho_solve(L, np.eye(len(L))))
+    assert np.abs(nodes.connection(alpha, a) - expected).max() <= 1e-12 * scale.max()
 
 
 # Points at the corners of the square, where a component far from the
@@ -529,17 +556,25 @@ def test_component_major_pass_matches_row_major_reference(mixture):
     ref_s, _, _, ref_logp = _reference_scores(model, shapes, points)
     G = np.einsum("ni,nj->ij", ref_s * (w * np.exp(ref_logp))[:, None], ref_s)
     assert model.fisher_metric(shapes).tobytes() == G.tobytes()
+    # the connection contracts the nodes in its own order: the symbols of
+    # the row-major pass, contracted, to rounding
     nodes = model.nodes(shapes)
+    wp, s, second = _reference_second(model, shapes)
     a = np.linspace(-1.0, 1.0, model.dim)
+    try:
+        spd_factor(G)
+    except DualNewtonError as exc:
+        # two identical components leave the metric singular
+        singular = type(exc)
+    else:
+        singular = None
     for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        try:
-            expected = _reference_connection(model, shapes, alpha, a)
-        except DualNewtonError as exc:
-            # two identical components leave the metric singular
-            with pytest.raises(type(exc)):
+        _assert_lowered_matches_the_symbols(nodes, wp, s, second, alpha, a)
+        if singular:
+            with pytest.raises(singular):
                 nodes.connection(alpha, a)
         else:
-            assert nodes.connection(alpha, a).tobytes() == expected.tobytes()
+            _assert_connection_matches_the_symbols(nodes, wp, s, second, alpha, a)
 
 
 def test_reference_inputs_reach_ties_and_underflow():
@@ -600,32 +635,6 @@ def _three_operand_first_kind(wp, s, second, alpha):
     return np.einsum("n,nij,nk->ijk", wp, integrand, s)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(
-    k=st.integers(1, 4),
-    n_nodes=st.integers(16, 4096),
-    alpha=st.floats(-1.0, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_quadrature_contractions_match_the_three_operand_einsums(k, n_nodes, alpha, seed):
-    # the density weights are folded into one operand before contracting;
-    # the bits must be those of the weighted three-operand sums
-    rng = np.random.default_rng(seed)
-    d = 2 * k
-    wp = rng.uniform(0.0, 1e-3, n_nodes)
-    s = rng.normal(size=(n_nodes, d))
-    second = rng.normal(size=(n_nodes, d, d))
-    kept = second.copy()
-    # a node pass whose second log-derivatives are given, not assembled
-    nodes = betamix._NodePass(None, None, wp, s, None, None)
-    nodes.second = second
-    assert nodes.G.tobytes() == _three_operand_metric(wp, s).tobytes()
-    gamma = nodes.first_kind(alpha)
-    assert gamma.tobytes() == _three_operand_first_kind(wp, s, second, alpha).tobytes()
-    # the pass shares ``second`` between both connections
-    assert second.tobytes() == kept.tobytes()
-
-
 def _blockwise_second(model, xi, s, resp, u):
     """Second log-derivatives as zeros, each component's block assigned,
     then s s^T subtracted from the whole tensor."""
@@ -669,13 +678,90 @@ def _node_pass_draw(k, n_nodes, seed):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    k=st.integers(1, 4),
+    n_nodes=st.integers(16, 4096),
+    alpha=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_contractions_match_the_three_operand_einsums(k, n_nodes, alpha, seed):
+    # the metric folds the density weights into one operand before
+    # contracting, with the bits of the weighted three-operand sum; the
+    # connection, lowered and raised, is a node contraction that meets
+    # the d^3 symbols of the (N, d, d) second log-derivatives to rounding
+    nodes = _node_pass_draw(k, n_nodes, seed)
+    wp, s = nodes.wp, nodes.s
+    assert nodes.G.tobytes() == _three_operand_metric(wp, s).tobytes()
+    second = _blockwise_second(nodes.model, nodes.xi, s, nodes.resp, nodes.u)
+    a = np.random.default_rng(seed).normal(size=2 * k)
+    _assert_lowered_matches_the_symbols(nodes, wp, s, second, alpha, a)
+    _assert_connection_matches_the_symbols(nodes, wp, s, second, alpha, a)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    k=st.integers(1, 4),
+    shapes=st.lists(st.floats(0.3, 12.0), min_size=8, max_size=8),
+    alpha=st.floats(-1.0, 1.0),
+    a=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+)
+def test_the_node_contractions_keep_the_skewness_and_the_raising(k, shapes, alpha, a):
+    # lowered(alpha) - lowered(-alpha) = -alpha T(a), the skewness tensor
+    # T_ijk = E[s_i s_j s_k] contracted with a; and the connection is M
+    # raised by G, M[i, j] = sum_k a_k Gamma_{ik,j} = (lowered(alpha, e_j) a)_i
+    model = BetaMixtureModel(
+        weights=np.full(k, 1.0 / k),
+        alphas=np.full(k, 2.0),
+        betas=np.full(k, 3.0),
+        quadrature=QuadratureRule.gauss_legendre(16),
+    )
+    xi, a = np.array(shapes[: 2 * k]), np.array(a[: 2 * k])
+    nodes = model.nodes(xi)
+    wp, s = nodes.wp, nodes.s
+    second = betamix._second_derivatives(s, nodes.resp, nodes.u, nodes.curv)
+    lowered_scale, m_scale = _term_scales(wp, s, second, a)
+    skew = np.einsum("n,ni,nj->ij", wp * (s @ a), s, s)
+    gap = nodes.lowered(alpha, a) - nodes.lowered(-alpha, a) + alpha * skew
+    assert np.abs(gap).max() <= 1e-12 * lowered_scale.max()
+    try:
+        connection = nodes.connection(alpha, a)
+    except DualNewtonError:
+        # shapes drawn equal make components equal and the metric singular
+        assert len(set(map(tuple, xi.reshape(k, 2)))) < k
+        return
+    M = np.column_stack([nodes.lowered(alpha, e) @ a for e in np.eye(2 * k)])
+    # the solve's backward error is relative to |connection| |G|
+    scale = m_scale + np.abs(connection) @ np.abs(nodes.G)
+    assert np.abs(connection @ nodes.G - M).max() <= 1e-12 * scale.max()
+
+
+def test_the_mixture_connection_allocates_no_node_tensor():
+    # K's lowered connection and the retraction's Gamma(beta, beta) at the
+    # 64^2 nodes of exp3 peak below four (N, d) arrays; the d^3 symbols
+    # of the (N, d, d) second log-derivatives took 2.4 MB
+    model = paper_mixture(64)
+    point = model.dual_structure(0.5).at(model.generating_point())
+    n, d = point.evaluation.s.shape
+    a = point.solve(np.linspace(-1.0, 1.0, d))
+    tracemalloc.start()
+    try:
+        point.lowered(a)
+        point.quad(np.linspace(0.5, -0.3, d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * d * 8
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(k=st.integers(1, 4), n_nodes=st.integers(16, 4096), seed=st.integers(0, 2**32 - 1))
 def test_second_log_derivatives_have_the_bits_of_the_blockwise_form(k, n_nodes, seed):
     # -s s^T first, then each block as its term minus s_i s_j: every
     # entry, signed zeros included, as the blockwise-then-subtract form
     nodes = _node_pass_draw(k, n_nodes, seed)
     expected = _blockwise_second(nodes.model, nodes.xi, nodes.s, nodes.resp, nodes.u)
-    assert nodes.second.tobytes() == expected.tobytes()
+    second = betamix._second_derivatives(nodes.s, nodes.resp, nodes.u, nodes.curv)
+    assert second.tobytes() == expected.tobytes()
 
 
 def test_second_log_derivative_draws_reach_both_signed_zeros():
@@ -684,6 +770,6 @@ def test_second_log_derivative_draws_reach_both_signed_zeros():
     # other zero product gives +0.0
     nodes = _node_pass_draw(3, 256, 0)
     assert np.any((nodes.resp == 0.0) & (nodes.u[0] < 0.0))
-    second = nodes.second
+    second = betamix._second_derivatives(nodes.s, nodes.resp, nodes.u, nodes.curv)
     zeros = second == 0.0
     assert np.any(zeros & np.signbit(second)) and np.any(zeros & ~np.signbit(second))

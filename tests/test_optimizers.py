@@ -1058,42 +1058,37 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     assert calls == len(applied)
 
 
-def _first_kind_builds(monkeypatch):
-    """The alpha of each first-kind symbol tensor a node pass builds, in
-    order: a read that the pass answers from its own is not a build."""
-    first_kind = betamix._NodePass.first_kind
-    built = []
+def _node_contractions(monkeypatch):
+    """The name and alpha of each connection contraction a node pass
+    makes, in order, with ("trial", None) at the start of each retraction."""
+    made = []
+    for name in ("lowered", "connection"):
+        contract = getattr(betamix._NodePass, name)
 
-    def counted(nodes, alpha):
-        if alpha not in nodes._first:
-            built.append(alpha)
-        return first_kind(nodes, alpha)
+        def counted(nodes, alpha, a, name=name, contract=contract):
+            made.append((name, alpha))
+            return contract(nodes, alpha, a)
 
-    monkeypatch.setattr(betamix._NodePass, "first_kind", counted)
-    return built
+        monkeypatch.setattr(betamix._NodePass, name, counted)
+    retract = opt.second_order_retract
+
+    def trial(*args):
+        made.append(("trial", None))
+        return retract(*args)
+
+    monkeypatch.setattr(opt, "second_order_retract", trial)
+    return made
 
 
-def test_newton_builds_the_mixture_symbols_once_per_iterate_at_alpha_zero(monkeypatch):
-    # at alpha = 0 the primal and dual connections are one tensor, and
-    # the point builds it once for the Hessian and the retraction
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0])
+def test_newton_contracts_the_mixture_connection_once_for_k_and_once_per_trial(
+    monkeypatch, alpha
+):
+    # K lowers the retraction's own connection, and each retraction trial
+    # raises it: one node contraction per step and one per trial, each at
+    # the structure's alpha, never at the dual's
     model, data = gen_dataset(200, 0, quad_nodes=16)
-    built = _first_kind_builds(monkeypatch)
-    tr = opt.dual_newton_run(
-        model.dual_structure(0.0),
-        BetaMixtureNLL(model, data),
-        np.array(MIXTURE_INIT),
-        opt.StopRule(max_iters=3),
-    )
-    assert tr.n_iterations == 3
-    assert built == [0.0] * 3
-
-
-@pytest.mark.parametrize("alpha", [0.5, -1.0])
-def test_newton_builds_only_the_retractions_mixture_symbols(monkeypatch, alpha):
-    # K lowers the retraction's own connection, so away from alpha = 0 a
-    # step builds one tensor too, and never the dual's
-    model, data = gen_dataset(200, 0, quad_nodes=16)
-    built = _first_kind_builds(monkeypatch)
+    made = _node_contractions(monkeypatch)
     tr = opt.dual_newton_run(
         model.dual_structure(alpha),
         BetaMixtureNLL(model, data),
@@ -1101,7 +1096,11 @@ def test_newton_builds_only_the_retractions_mixture_symbols(monkeypatch, alpha):
         opt.StopRule(max_iters=3),
     )
     assert tr.n_iterations == 3
-    assert built == [alpha] * 3
+    names = [name for name, _ in made]
+    assert names[0] == "lowered" and names.count("lowered") == 3
+    pairs = [names[i : i + 2] for i, name in enumerate(names) if name == "trial"]
+    assert pairs == [["trial", "connection"]] * names.count("connection")
+    assert {alpha_made for name, alpha_made in made if name != "trial"} == {alpha}
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0])
