@@ -4,19 +4,20 @@ Conventions used throughout:
 
 * ``structure.at(xi)`` evaluates the geometry once at a point and
   returns a DualPoint, which wraps the model's evaluation at xi.  An
-  evaluation is what a model implements: the SPD Gram matrix ``G``, the
-  solve ``solve(b)`` = G^{-1} b, which checks G once and then never
-  reads it again, and the alpha-connection applied to a vector, raised,
-  ``connection(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)j_ik``, and
-  lowered, ``lowered(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)_{ij,k}``;
-* a run reads the connection only through a point's ``lowered(a)``
-  and ``quad(beta)`` = Gamma(beta, beta)^i; ``structure.gamma(xi)``
-  stacks the full symbols, indexed (i, j, k) = Gamma^k_ij, from the map;
+  evaluation is what a model implements, and all a run reads of it:
+  the SPD Gram matrix ``G``, the solve ``solve(b)`` = G^{-1} b, which
+  checks G once and then never reads it again, the alpha-connection
+  applied to a vector and lowered, for Newton's K,
+  ``lowered(alpha, a)[i, j] = sum_k a_k Gamma^(alpha)_{ij,k}``, and its
+  quadratic form, for the retraction,
+  ``quad(alpha, beta)^j = sum_ik beta_i beta_k Gamma^(alpha)j_ik``;
+* ``structure.gamma(xi)`` gives the full symbols, indexed (i, j, k) =
+  Gamma^k_ij, raised from ``lowered(alpha, e_k)[i, j] = Gamma_{ij,k}``
+  by the point's own solve, so the checks hold ``quad`` to ``lowered``;
 * the Riemannian gradient is stored by its coordinates a = G^{-1} grad f.
 
-A DualPoint may stand in for its structure: at its own xi it answers
-from what it holds, elsewhere it evaluates its structure afresh.  The
-model's evaluation checks a point, and a point each vector it contracts.
+The model's evaluation checks a point, and a point each vector it
+contracts.
 
 The paper poses Newton's equation H^T beta = -a with the dual Hessian
 H[i, j] = d a_j / d xi_i + sum_k a_k GammaDual^j_ik, whose certificate
@@ -76,17 +77,14 @@ class DualStructure:
     def at(self, xi):
         """The geometry at xi, evaluated once."""
         xi = np.array(xi, dtype=float)
-        return DualPoint(self, xi, self.evaluate(xi))
+        return DualPoint(self.alpha, xi, self.evaluate(xi))
 
     def metric(self, xi):
         return self.at(xi).G
 
     def gamma(self, xi):
         """The second-kind symbols at xi; the dual ones are those at -alpha."""
-        point = self.at(xi)
-        # connection(alpha, e_k)[i, j] = Gamma^j_ik, entry (i, k, j) of the symbols
-        connection = point.evaluation.connection
-        return np.stack([connection(self.alpha, e) for e in np.eye(len(point.G))], axis=1)
+        return _symbols(self.at(xi), self.alpha)
 
 
 def _tangent(xi, v):
@@ -100,14 +98,23 @@ def _tangent(xi, v):
     return v
 
 
+def _symbols(point, alpha):
+    """Gamma^k_ij at (i, j, k) for the alpha-connection at a point: the
+    first-kind symbols lowered(alpha, e_k)[i, j] = Gamma_{ij,k}, each
+    (i, j) raised by the point's solve."""
+    n = point.xi.size
+    first = np.stack([point.evaluation.lowered(alpha, e) for e in np.eye(n)], axis=2)
+    return np.array([point.solve(v) for v in first.reshape(n * n, n)]).reshape(n, n, n)
+
+
 @dataclass(eq=False)
 class DualPoint:
-    """The geometry of a DualStructure at one point xi, from the model's
-    evaluation there.  A point holds only what a run reads, ``G``, ``at``,
+    """The geometry of the alpha-connection at one point xi, from the
+    model's evaluation there.  A point holds only what a run reads, ``G``,
     ``solve``, ``lowered`` and ``quad``, and the paper form's ``dual_dot``.
     """
 
-    structure: DualStructure
+    alpha: float
     xi: np.ndarray
     evaluation: object
 
@@ -115,28 +122,21 @@ class DualPoint:
     def G(self):
         return self.evaluation.G
 
-    def at(self, xi):
-        """This point at its own xi, otherwise the structure at xi."""
-        if xi is self.xi or np.array_equal(xi, self.xi):
-            return self
-        return self.structure.at(xi)
-
     def solve(self, b):
         """G^{-1} b, e.g. gradient coordinates, by the model's solve."""
         return self.evaluation.solve(b)
 
     def dual_dot(self, a):
         """M[i, j] = sum_k a_k GammaDual^j_ik."""
-        return self.evaluation.connection(-self.structure.alpha, _tangent(self.xi, a))
+        return np.einsum("k,ikj->ij", _tangent(self.xi, a), _symbols(self, -self.alpha))
 
     def lowered(self, a):
         """L[i, j] = sum_k a_k Gamma_{ij,k} = sum_k (G a)_k Gamma^k_ij."""
-        return self.evaluation.lowered(self.structure.alpha, _tangent(self.xi, a))
+        return self.evaluation.lowered(self.alpha, _tangent(self.xi, a))
 
     def quad(self, beta):
         """Gamma(beta, beta)^j = sum_ik beta_i beta_k Gamma^j_ik."""
-        beta = _tangent(self.xi, beta)
-        return beta @ self.evaluation.connection(self.structure.alpha, beta)
+        return self.evaluation.quad(self.alpha, _tangent(self.xi, beta))
 
 
 def gradient_field(structure, eucl_grad_fn):
@@ -201,17 +201,16 @@ def newton_step(point, hessian, grad, a):
     return solve_general(hess_t, -a), False
 
 
-def second_order_retract(structure, xi, beta):
-    """Quadratic retraction xi + beta - 0.5 Gamma(beta, beta).
+def second_order_retract(point, beta):
+    """Quadratic retraction xi + beta - 0.5 Gamma(beta, beta) from a point.
 
-    Uses the primal connection's symbols.  The formula's point is
-    returned wherever it lands: off the model's chart, the first pass
-    at it raises the model's point check error, and the run loop's
-    guard then halves beta and retries.
+    Uses the primal connection's quadratic form at the point's xi.  The
+    formula's point is returned wherever it lands: off the model's
+    chart, the first pass at it raises the model's point check error,
+    and the run loop's guard then halves beta and retries.
     """
-    xi = np.asarray(xi, dtype=float)
-    bend = structure.at(xi).quad(beta)  # checks beta before xi + beta
-    return xi + beta - 0.5 * bend
+    bend = point.quad(beta)  # checks beta before xi + beta
+    return point.xi + beta - 0.5 * bend
 
 
 def metric_derivatives(metric, xi):

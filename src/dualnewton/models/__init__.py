@@ -1,20 +1,22 @@
 """Statistical models: discrete log-linear, isotropic Gaussian, Beta mixture.
 
 What a model implements is its evaluation at a point, its structure's
-``evaluate(xi)``: the metric ``G``, ``solve(b)`` = G^{-1} b, which
-checks G once and then never reads it again, and the alpha-connection
-applied to a vector, raised, ``connection(alpha, a)``, and lowered by G,
-``lowered(alpha, a)``.  How a model solves is its own: the log-linear
-and mixture passes keep the checked Cholesky factor ``L`` of G.
-``DualStructure.at`` wraps the evaluation in a DualPoint.  The
-log-linear evaluation is the pass over the states, an ``lru_cache`` of
-the last eight points, whose connection needs no third central moment
-tensor, and whose lowered one no solve.  The Beta mixture's is one pass
-over the quadrature nodes (``BetaMixtureModel.nodes``), whose connection,
-lowered and raised, is a sum over the nodes with no symbol tensor.  The
+``evaluate(xi)``, which holds what a run reads: the metric ``G``,
+``solve(b)`` = G^{-1} b, which checks G once and then never reads it
+again, the alpha-connection applied to a vector and lowered by G,
+``lowered(alpha, a)``, for Newton's K, and its quadratic form
+Gamma(beta, beta), ``quad(alpha, beta)``, for the retraction.  How a
+model solves is its own: the log-linear and mixture passes keep the
+checked Cholesky factor ``L`` of G.  ``DualStructure.at`` wraps the
+evaluation in a DualPoint.  The log-linear evaluation is the pass over
+the states, an ``lru_cache`` of the last eight points, whose lowered
+connection needs no solve and whose quadratic form one vector solve, and
+neither the third central moment tensor.  The Beta mixture's is one pass
+over the quadrature nodes (``BetaMixtureModel.nodes``), whose two
+contractions are sums over the nodes with no symbol tensor.  The
 Gaussian's holds the closed-form metric and symbols and solves with the
 roots of its diagonal G.  The full symbols are read as
-``dual_structure(...).gamma(xi)``.
+``dual_structure(...).gamma(xi)``, raised from ``lowered``.
 
 Each model states its domain once, in its point check (``gaussian.check``,
 the mixture's shape check, the log-linear theta check), which every pass

@@ -36,11 +36,12 @@ c = (1 - alpha)/2 and w = wp (s a),
 
     lowered(alpha, a) = B(w) + (c - 1) (s w)^T s,
     B(w) = blockdiag_k(sum_n w_n r_kn (u_kn u_kn^T + C_k)),
-    connection(alpha, a) = M G^{-1},  M = sum_n wp_n t_n s_n^T,
-    t_n = blocks_n a + (c - 1) s_n (s_n . a),
+    quad(alpha, beta) = G^{-1} s^T (wp tau),
+    tau_n = sum_k r_kn ((u_kn . beta_k)^2 + beta_k^T C_k beta_k)
+            + (c - 1) (s_n . beta)^2,
 
-sums of O(N d^2) work over the nodes, with no (N, d, d) array and no
-d^3 tensor.
+sums of O(N d^2) and O(N d) work over the nodes, with no (N, d, d)
+array, no d^3 tensor and one vector solve.
 """
 
 from dataclasses import dataclass, field
@@ -192,28 +193,21 @@ class _NodePass:
             out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] += block
         return out
 
-    def connection(self, alpha, a):
-        """sum_k a_k Gamma^j_ik = (M G^{-1})_ij, M = sum_n wp_n t_n s_n^T
-        (module notes).  t is built coordinate-major, (2K, N), from the
-        component-major rows of the pass, and M contracts it with the
-        scores laid out the same way."""
-        rows = np.ascontiguousarray(self.s.T)
-        t = rows * (-0.5 * (1.0 + alpha) * np.einsum("i,in->n", a, rows))
-        # block k of blocks_n a is r_kn (u_kn proj_kn + bent_k), with
-        # proj = u . a_k and bent = C_k a_k
-        pairs = a.reshape(-1, 2)
+    def quad(self, alpha, beta):
+        """Gamma(beta, beta) = G^{-1} s^T (wp tau) (module notes): tau is
+        beta's quadratic form in the second log-derivatives at each node,
+        plus c (s_n . beta)^2, summed over the component-major rows."""
+        pairs = beta.reshape(-1, 2)
         u_a, u_b = self.u
         proj = u_a * pairs[:, :1]
-        block = u_b * pairs[:, 1:]
-        proj += block
-        bent = np.einsum("kij,kj->ki", self.curv, pairs)
-        for j, u in enumerate(self.u):
-            np.multiply(u, proj, out=block)
-            block += bent[:, j : j + 1]
-            block *= self.resp
-            t[j::2] += block
-        t *= self.wp
-        return cho_solve(self.L, np.einsum("in,jn->ij", rows, t)).T
+        proj += u_b * pairs[:, 1:]
+        proj *= proj
+        proj += np.einsum("ki,kij,kj->k", pairs, self.curv, pairs)[:, None]
+        tau = np.einsum("kn,kn->n", self.resp, proj)
+        sb = np.einsum("ni,i->n", self.s, beta)
+        tau -= 0.5 * (1.0 + alpha) * (sb * sb)
+        tau *= self.wp
+        return cho_solve(self.L, np.einsum("ni,n->i", self.s, tau))
 
 
 @dataclass

@@ -60,8 +60,8 @@ def _christoffel(sigma, alpha):
 
 
 class _Evaluation:
-    """The closed-form geometry at xi: G, the solve against G and the
-    connection, raised and lowered."""
+    """The closed-form geometry at xi: G, the solve against G, the
+    lowered connection and its quadratic form."""
 
     def __init__(self, xi):
         self.xi, self.G = xi, fisher_metric(xi)
@@ -96,9 +96,10 @@ class _Evaluation:
             raise NonFiniteValue("produced a NaN or infinite solution")
         return np.array([x0, x1])
 
-    def connection(self, alpha, a):
+    def quad(self, alpha, beta):
         # xi has passed the metric's check, which gave sigma as this float
-        return np.einsum("k,ikj->ij", a, _christoffel(float(self.xi[1]), alpha))
+        gamma = _christoffel(float(self.xi[1]), alpha)
+        return beta @ np.einsum("k,ikj->ij", beta, gamma)
 
     def lowered(self, alpha, a):
         # sum_k Gamma^k_ij (G a)_k: the symbols lowered by G, contracted with a

@@ -180,14 +180,16 @@ class _Evaluation:
         C = self.C
         return weighted_gram(C, self.p * (C @ a))
 
-    def connection(self, alpha, a):
-        """The alpha-connection applied to a: (1 - alpha)/2 times T raised
-        by G, in O(2^n m^2) without building T, and exactly zero when its
-        coefficient is 0 (the flat connection)."""
+    def quad(self, alpha, beta):
+        """The alpha-connection's quadratic form Gamma(beta, beta):
+        (1 - alpha)/2 times T(beta, beta) = E[(C beta)^2 C] raised by G,
+        one vector solve with no m x m cumulant, and exactly zero when
+        its coefficient is 0 (the flat connection)."""
         coef = 0.5 * (1.0 - alpha)
         if coef == 0.0:
-            return np.zeros_like(self.G)
-        return coef * self.solve(self.cumulant(a)).T
+            return np.zeros_like(beta)
+        C = self.C
+        return coef * self.solve((self.p * (C @ beta) ** 2) @ C)
 
     def lowered(self, alpha, a):
         """The first-kind symbols contracted with a, (1 - alpha)/2 T a: no
@@ -204,10 +206,10 @@ def evaluate(index, theta):
     Its attributes are the log-partition ``lse``, the log-probabilities
     ``log_p``, the probabilities ``p``, the moments ``eta``, the centred
     statistics ``C``, the metric ``G`` and its lower Cholesky factor
-    ``L``; ``solve(b)``, ``cumulant(a)``, ``connection(alpha, a)`` and
-    ``lowered(alpha, a)`` give G^{-1} b, T a and the alpha-connection
-    applied to a, raised and lowered.  A cached point answers from what
-    it already holds.
+    ``L``; ``solve(b)``, ``cumulant(a)``, ``lowered(alpha, a)`` and
+    ``quad(alpha, beta)`` give G^{-1} b, T a, the alpha-connection
+    applied to a and lowered, and its quadratic form Gamma(beta, beta).
+    A cached point answers from what it already holds.
     """
     return _pass(index, _check_theta(index, theta).tobytes())
 

@@ -356,11 +356,9 @@ def dual_newton_run(structure, obj, xi0, stop=None):
     """
 
     def propose(here):
-        # the point stands in for the structure at its xi
         point = here.point
-        xi = point.xi
         try:
-            beta, spd = newton_step(point, obj.hessian(xi), here.grad, here.a)
+            beta, spd = newton_step(point, obj.hessian(point.xi), here.grad, here.a)
         except NumericalError:
             return SINGULAR_HESSIAN
         except DomainError:
@@ -368,7 +366,7 @@ def dual_newton_run(structure, obj, xi0, stop=None):
             return DOMAIN_FAILURE
 
         def trial(t):
-            form = lambda: second_order_retract(point, xi, t * beta)
+            form = lambda: second_order_retract(point, t * beta)
             return _evaluate(structure, obj, form)
 
         return trial, spd

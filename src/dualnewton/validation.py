@@ -154,7 +154,7 @@ def _retraction_check():
     # first-order agreement with the straight line: the gap is O(t^2),
     # so gap/t must vanish as the step shrinks
     t = 1e-4
-    moved = second_order_retract(ds, xi, t * beta)
+    moved = second_order_retract(ds.at(xi), t * beta)
     res = float(np.linalg.norm(moved - xi - t * beta)) / t
     return [_check("retraction_first_order_tangency", res, 1e-3)]
 
@@ -171,7 +171,7 @@ def curvature_gap(structure, objective, xi, beta, h=1e-4):
     point = structure.at(xi)
     a = point.solve(objective.eucl_grad(xi))
     form = objective.hessian(xi) - point.lowered(a)
-    along = lambda t: objective.value(second_order_retract(structure, xi, t * beta))
+    along = lambda t: objective.value(second_order_retract(point, t * beta))
     second = (along(h) - 2.0 * along(0.0) + along(-h)) / h**2
     return abs(beta @ form @ beta - second) / np.linalg.norm(form, 2)
 

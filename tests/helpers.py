@@ -56,9 +56,11 @@ def point_check(n, inside=None):
 @dataclass
 class Evaluation:
     """A model's evaluation at a point from a metric and a connection map,
-    with the checked factor of G taken on first read and every solve
-    against G made with it.  The lowered map is the connection map's
-    symbols lowered by G, sum_k (G a)_k Gamma^k_ij."""
+    ``connection(alpha, a)[i, j] = sum_k a_k Gamma^j_ik``, with the checked
+    factor of G taken on first read and every solve against G made with
+    it.  The lowered map is the connection map's symbols lowered by G,
+    sum_k (G a)_k Gamma^k_ij, and the quadratic form is the map applied
+    to beta and contracted with it, Gamma(beta, beta)."""
 
     G: np.ndarray
     connection: Callable
@@ -76,6 +78,9 @@ class Evaluation:
         # sum_j Gamma^j_ik (G a)_j
         gamma = np.stack([self.connection(alpha, e) for e in np.eye(len(self.G))])
         return gamma @ (self.G @ a)
+
+    def quad(self, alpha, beta):
+        return beta @ self.connection(alpha, beta)
 
 
 def euclidean_structure(n, inside=None):

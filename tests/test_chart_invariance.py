@@ -6,8 +6,8 @@ term d^2 xi / d zeta^2 vanishes, so the run in zeta steps to the image
 of the run in xi's steps, to rounding:
 
     G_zeta = A^T G A,                solve_zeta(v) = A^{-1} solve(A^{-T} v),
-    connection_zeta(alpha, a) = A^T connection(alpha, A a) A^{-T},
     lowered_zeta(alpha, a) = A^T lowered(alpha, A a) A,
+    quad_zeta(alpha, beta) = A^{-1} quad(alpha, A beta),
     grad_zeta f = A^T grad f,        hess_zeta f = A^T hess f A.
 
 The wrappers below take a model's evaluation and its objective into
@@ -51,11 +51,11 @@ class ChartEvaluation:
     def solve(self, v):
         return self.A_inv @ self.evaluation.solve(self.A_inv.T @ v)
 
-    def connection(self, alpha, a):
-        return self.A.T @ self.evaluation.connection(alpha, self.A @ a) @ self.A_inv.T
-
     def lowered(self, alpha, a):
         return self.A.T @ self.evaluation.lowered(alpha, self.A @ a) @ self.A
+
+    def quad(self, alpha, beta):
+        return self.A_inv @ self.evaluation.quad(alpha, self.A @ beta)
 
 
 def chart_structure(structure, A, b):

@@ -310,14 +310,20 @@ TRACE_DIGESTS = {
     ),
     "exp1_n3": (
         RunConfig.defaults("exp1", n=3),
-        "c6b8907e89d61b8c3e021bc4fe6716dd6632387d02bacc71faa7c1891dc0e3a2",
+        "d2819c8603ff66275fadbefcd8464ada30204d828d7342c79ac2173896d2316c",
+    ),
+    # Newton at n = 8, where the log-linear quadratic form of the
+    # retraction contracts 256 states and 36 coordinates
+    "exp1_n8_newton": (
+        RunConfig.defaults("exp1", n=8, methods=("newton",), alphas=(0.0, 0.5)),
+        "c4db902fdc49e979b7540d041f2bfaf903b14a62ad959695a2073cff59856c96",
     ),
     # Newton on the mixture's exact Hessian, 5 steps per alpha
     "exp3_small": (
         RunConfig.defaults(
             "exp3", n_samples=400, quad_nodes=16, methods=("newton", "natgrad")
         ),
-        "7bc76f40f035b68b0fb90f3abc4f93c5077e18d8f99fe3dc16008b635a9b1f7d",
+        "cc72b2d21052d793b17ddb96ab5fe98e83b22dbe5269b36e473df761ece24aa9",
     ),
     # Adam on the mixture: a node pass and a data pass per iteration
     "exp3_adam_small": (

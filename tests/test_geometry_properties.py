@@ -4,14 +4,17 @@ Each model must satisfy the duality identity d_k g_ij = Gamma_{ki,j} +
 GammaDual_{kj,i} within the acceptance tolerances, and its point
 evaluation ``structure.at(xi)`` must reproduce, bit for bit, the
 structure's metric reader.  The full symbols, which the structure's
-``gamma`` stacks from the connection map (the dual ones at -alpha), must
-equal a direct evaluation of the Christoffel symbols: bit for bit where
-the map contracts a tensor (Gaussian, Beta mixture), to rounding where
-the log-linear map contracts the third cumulant over the states.  The
+``gamma`` raises from the lowered map (the dual ones at -alpha), must
+equal an evaluation of the Christoffel symbols that reads neither of a
+run's two contractions: the Gaussian's closed form, the log-linear third
+central moment and the mixture's d^3 node sum of its second
+log-derivatives, each raised by G, to rounding.  What a run reads of the
+Gaussian, ``lowered`` and ``quad``, has the closed form's bits.  The
 contractions a point gives Newton, ``dual_dot``, ``lowered`` and
 ``quad``, must agree to rounding with the same contractions of those
-full symbols.  On the Boltzmann family the analytic Jacobian of the KL
-gradient field is checked against finite differences as well.
+full symbols, which ties a run's ``quad`` to its ``lowered``.  On the
+Boltzmann family the analytic Jacobian of the KL gradient field is
+checked against finite differences as well.
 
 The paper's pairing, a retraction by the alpha-connection and a Newton
 equation posed with its dual, is checked where it bites: at every point
@@ -38,7 +41,7 @@ from dualnewton.geometry import (
     raise_index,
 )
 from dualnewton.linalg import fd_jacobian, spd_factor
-from dualnewton.models import gaussian, loglinear
+from dualnewton.models import betamix, gaussian, loglinear
 from dualnewton.models.betamix import BetaMixtureModel, QuadratureRule
 from dualnewton.models.loglinear import SubsetIndex
 from dualnewton.objectives import (
@@ -91,10 +94,17 @@ def test_gaussian_geometry(alpha, mu, sigma):
     ds = gaussian.dual_structure(alpha)
     xi = np.array([mu, sigma])
     assert duality_residual(ds, xi) < 1e-5
-    # the closed form at the point's sigma, bit for bit
-    assert_point_is_exact(
-        ds, xi, gaussian.fisher_metric, lambda x, a: gaussian._christoffel(float(x[1]), a)
-    )
+    # the symbols, raised from the lowered map by the solve, to rounding
+    # of the closed form at the point's sigma
+    closed = lambda x, a: gaussian._christoffel(float(x[1]), a)
+    assert_point_is_exact(ds, xi, gaussian.fisher_metric, closed, rtol=1e-15)
+    # and what a run reads, bit for bit: the closed form lowered by G and
+    # contracted with a, and its quadratic form in beta
+    point, gamma = ds.at(xi), closed(xi, alpha)
+    a, beta = np.array([0.7, -1.3]), np.array([-0.4, 0.9])
+    assert point.lowered(a).tobytes() == (gamma @ (point.G @ a)).tobytes()
+    quad = beta @ np.einsum("k,ikj->ij", beta, gamma)
+    assert point.quad(beta).tobytes() == quad.tobytes()
 
 
 @settings(max_examples=30, **FIXED)
@@ -176,6 +186,19 @@ MIXTURE = BetaMixtureModel(
 )
 
 
+def mixture_symbols(xi, alpha):
+    """The mixture's symbols as a d^3 tensor: the first-kind node sum
+    Gamma_{ij,k} = sum_n wp_n (second_n + c s_n s_n^T)_ij s_nk, c =
+    (1 - alpha)/2, of the (N, d, d) second log-derivatives at the nodes,
+    raised by G; it reads neither of the pass's contractions."""
+    nodes = MIXTURE.nodes(xi)
+    wp, s = nodes.wp, nodes.s
+    second = betamix._second_derivatives(s, nodes.resp, nodes.u, nodes.curv)
+    second += 0.5 * (1.0 - alpha) * s[:, :, None] * s[:, None, :]
+    first = np.einsum("n,nij,nk->ijk", wp, second, s)
+    return raise_index(first, spd_factor(nodes.G))
+
+
 # Where two components coincide the mixture is not identifiable and its
 # metric singular, so the shapes are drawn from a box around the
 # generating point, (0.8 to 1.25) times each shape, in which the three
@@ -186,9 +209,7 @@ def test_beta_mixture_geometry(alpha, scale):
     ds = MIXTURE.dual_structure(alpha)
     xi = MIXTURE.generating_point() * scale
     assert duality_residual(ds, xi) < 1e-3
-    assert_point_is_exact(
-        ds, xi, MIXTURE.fisher_metric, lambda x, a: MIXTURE.dual_structure(a).gamma(x)
-    )
+    assert_point_is_exact(ds, xi, MIXTURE.fisher_metric, mixture_symbols, rtol=1e-12)
 
 
 @settings(max_examples=6, **FIXED)

@@ -480,13 +480,13 @@ def _reference_second(model, xi):
 def _term_scales(wp, s, second, a):
     """Node sums of absolute terms that bound, for every alpha in [-1, 1]
     and in either form, the node terms of lowered(alpha, a) and of
-    M = connection(alpha, a) G: two sums that cancel differ at the scale
-    of their terms, not of their value."""
+    v = G quad(alpha, a): two sums that cancel differ at the scale of
+    their terms, not of their value."""
     terms = np.abs(second) + 2.0 * np.abs(s)[:, :, None] * np.abs(s)[:, None, :]
     terms *= wp[:, None, None]
     lowered = np.einsum("nij,n->ij", terms, np.abs(s) @ np.abs(a))
-    m = np.einsum("nik,k,nj->ij", terms, np.abs(a), np.abs(s))
-    return lowered, m
+    v = np.einsum("nik,i,k,nj->j", terms, np.abs(a), np.abs(a), np.abs(s))
+    return lowered, v
 
 
 def _assert_lowered_matches_the_symbols(nodes, wp, s, second, alpha, a):
@@ -498,14 +498,14 @@ def _assert_lowered_matches_the_symbols(nodes, wp, s, second, alpha, a):
     assert np.abs(nodes.lowered(alpha, a) - first @ a).max() <= 1e-12 * scale.max()
 
 
-def _assert_connection_matches_the_symbols(nodes, wp, s, second, alpha, a):
-    """The pass's connection(alpha, a) against the same symbols raised by
-    G: an error in M reaches the connection M G^{-1} through |G^{-1}|."""
+def _assert_quad_matches_the_symbols(nodes, wp, s, second, alpha, beta):
+    """The pass's quad(alpha, beta) against the same symbols raised by G:
+    an error in v reaches quad = G^{-1} v through |G^{-1}|."""
     first = _three_operand_first_kind(wp, s, second, alpha)
     L = spd_factor(_three_operand_metric(wp, s))
-    expected = np.einsum("k,ikj->ij", a, raise_index(first, L))
-    scale = _term_scales(wp, s, second, a)[1] @ np.abs(cho_solve(L, np.eye(len(L))))
-    assert np.abs(nodes.connection(alpha, a) - expected).max() <= 1e-12 * scale.max()
+    expected = np.einsum("ikj,i,k->j", raise_index(first, L), beta, beta)
+    scale = np.abs(cho_solve(L, np.eye(len(L)))) @ _term_scales(wp, s, second, beta)[1]
+    assert np.abs(nodes.quad(alpha, beta) - expected).max() <= 1e-12 * scale.max()
 
 
 # Points at the corners of the square, where a component far from the
@@ -556,8 +556,8 @@ def test_component_major_pass_matches_row_major_reference(mixture):
     ref_s, _, _, ref_logp = _reference_scores(model, shapes, points)
     G = np.einsum("ni,nj->ij", ref_s * (w * np.exp(ref_logp))[:, None], ref_s)
     assert model.fisher_metric(shapes).tobytes() == G.tobytes()
-    # the connection contracts the nodes in its own order: the symbols of
-    # the row-major pass, contracted, to rounding
+    # the two contractions sum over the nodes in their own order: the
+    # symbols of the row-major pass, contracted, to rounding
     nodes = model.nodes(shapes)
     wp, s, second = _reference_second(model, shapes)
     a = np.linspace(-1.0, 1.0, model.dim)
@@ -572,9 +572,9 @@ def test_component_major_pass_matches_row_major_reference(mixture):
         _assert_lowered_matches_the_symbols(nodes, wp, s, second, alpha, a)
         if singular:
             with pytest.raises(singular):
-                nodes.connection(alpha, a)
+                nodes.quad(alpha, a)
         else:
-            _assert_connection_matches_the_symbols(nodes, wp, s, second, alpha, a)
+            _assert_quad_matches_the_symbols(nodes, wp, s, second, alpha, a)
 
 
 def test_reference_inputs_reach_ties_and_underflow():
@@ -687,15 +687,16 @@ def _node_pass_draw(k, n_nodes, seed):
 def test_quadrature_contractions_match_the_three_operand_einsums(k, n_nodes, alpha, seed):
     # the metric folds the density weights into one operand before
     # contracting, with the bits of the weighted three-operand sum; the
-    # connection, lowered and raised, is a node contraction that meets
-    # the d^3 symbols of the (N, d, d) second log-derivatives to rounding
+    # lowered connection and its quadratic form are node contractions
+    # that meet the d^3 symbols of the (N, d, d) second log-derivatives
+    # to rounding
     nodes = _node_pass_draw(k, n_nodes, seed)
     wp, s = nodes.wp, nodes.s
     assert nodes.G.tobytes() == _three_operand_metric(wp, s).tobytes()
     second = _blockwise_second(nodes.model, nodes.xi, s, nodes.resp, nodes.u)
     a = np.random.default_rng(seed).normal(size=2 * k)
     _assert_lowered_matches_the_symbols(nodes, wp, s, second, alpha, a)
-    _assert_connection_matches_the_symbols(nodes, wp, s, second, alpha, a)
+    _assert_quad_matches_the_symbols(nodes, wp, s, second, alpha, a)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -707,8 +708,8 @@ def test_quadrature_contractions_match_the_three_operand_einsums(k, n_nodes, alp
 )
 def test_the_node_contractions_keep_the_skewness_and_the_raising(k, shapes, alpha, a):
     # lowered(alpha) - lowered(-alpha) = -alpha T(a), the skewness tensor
-    # T_ijk = E[s_i s_j s_k] contracted with a; and the connection is M
-    # raised by G, M[i, j] = sum_k a_k Gamma_{ik,j} = (lowered(alpha, e_j) a)_i
+    # T_ijk = E[s_i s_j s_k] contracted with a; and the quadratic form is v
+    # raised by G, v_j = sum_ik a_i a_k Gamma_{ik,j} = a^T lowered(alpha, e_j) a
     model = BetaMixtureModel(
         weights=np.full(k, 1.0 / k),
         alphas=np.full(k, 2.0),
@@ -719,20 +720,20 @@ def test_the_node_contractions_keep_the_skewness_and_the_raising(k, shapes, alph
     nodes = model.nodes(xi)
     wp, s = nodes.wp, nodes.s
     second = betamix._second_derivatives(s, nodes.resp, nodes.u, nodes.curv)
-    lowered_scale, m_scale = _term_scales(wp, s, second, a)
+    lowered_scale, v_scale = _term_scales(wp, s, second, a)
     skew = np.einsum("n,ni,nj->ij", wp * (s @ a), s, s)
     gap = nodes.lowered(alpha, a) - nodes.lowered(-alpha, a) + alpha * skew
     assert np.abs(gap).max() <= 1e-12 * lowered_scale.max()
     try:
-        connection = nodes.connection(alpha, a)
+        quad = nodes.quad(alpha, a)
     except DualNewtonError:
         # shapes drawn equal make components equal and the metric singular
         assert len(set(map(tuple, xi.reshape(k, 2)))) < k
         return
-    M = np.column_stack([nodes.lowered(alpha, e) @ a for e in np.eye(2 * k)])
-    # the solve's backward error is relative to |connection| |G|
-    scale = m_scale + np.abs(connection) @ np.abs(nodes.G)
-    assert np.abs(connection @ nodes.G - M).max() <= 1e-12 * scale.max()
+    v = np.array([a @ nodes.lowered(alpha, e) @ a for e in np.eye(2 * k)])
+    # the solve's backward error is relative to |G| |quad|
+    scale = v_scale + np.abs(nodes.G) @ np.abs(quad)
+    assert np.abs(nodes.G @ quad - v).max() <= 1e-12 * scale.max()
 
 
 def test_the_mixture_connection_allocates_no_node_tensor():
@@ -751,6 +752,24 @@ def test_the_mixture_connection_allocates_no_node_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * d * 8
+
+
+def test_the_mixture_quadratic_form_allocates_no_coordinate_array():
+    # Gamma(beta, beta) at the 64^2 nodes of exp3 sums a node vector tau,
+    # built from the component-major (K, N) rows, and solves once: it
+    # peaks below four (K, N) arrays
+    model = paper_mixture(64)
+    point = model.dual_structure(0.5).at(model.generating_point())
+    k, n = point.evaluation.resp.shape
+    beta = np.linspace(0.5, -0.3, model.dim)
+    point.quad(beta)
+    tracemalloc.start()
+    try:
+        point.quad(beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * k * n * 8
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

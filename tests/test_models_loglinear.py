@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,8 +140,8 @@ def test_point_builds_metric_and_third_moment_once(monkeypatch):
         "logsumexp": 1, "spd_factor": 0, "cholesky_lower": 0, "third_central_moment": 0
     }
     # the contractions Newton reads and the structure's full symbols,
-    # stacked from the connection map, all come from the memoized pass
-    # and one checked factor
+    # raised from the lowered map, all come from the memoized pass and
+    # one checked factor
     point.dual_dot(rng.normal(size=len(idx)))
     point.quad(rng.normal(size=len(idx)))
     loglinear.dual_structure(idx, 0.5).gamma(theta)
@@ -149,6 +150,40 @@ def test_point_builds_metric_and_third_moment_once(monkeypatch):
     assert calls == {
         "logsumexp": 1, "spd_factor": 1, "cholesky_lower": 1, "third_central_moment": 0
     }
+
+
+def test_the_quadratic_form_is_one_vector_solve(monkeypatch):
+    # Gamma(beta, beta) at n = 8 is E[(C beta)^2 C] raised by one vector
+    # solve: no m x m cumulant T beta and no m-column solve, so its
+    # allocations peak below four arrays over the 2^n states
+    idx = SubsetIndex.boltzmann(8)
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(-0.25, 0.2, size=len(idx))
+    beta = rng.normal(size=len(idx))
+    point = loglinear.dual_structure(idx, 0.0).at(theta)
+    point.quad(beta)
+    solved, calls = [], {}
+    cho_solve = loglinear.cho_solve
+
+    def recorded(L, b):
+        solved.append(np.shape(b))
+        return cho_solve(L, b)
+
+    monkeypatch.setattr(loglinear, "cho_solve", recorded)
+    count_calls(monkeypatch, calls, "weighted_gram", loglinear)
+    tracemalloc.start()
+    try:
+        point.quad(beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == {"weighted_gram": 0}
+    assert solved == [(len(idx),)]
+    assert peak < 4 * 2**8 * 8
+    # the flat connection's form is exactly zero, with no solve
+    flat = loglinear.dual_structure(idx, 1.0).at(theta).quad(beta)
+    assert np.all(flat == 0.0) and not np.signbit(flat).any()
+    assert solved == [(len(idx),)]
 
 
 def test_scalar_third_moment():

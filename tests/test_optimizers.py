@@ -489,7 +489,7 @@ def test_newton_halves_a_step_whose_retraction_raises(monkeypatch, error):
     tr = opt.dual_newton_run(ds, obj, np.full(len(index), 0.2))
     assert tr.status == opt.CONVERGED
     # the unit step raised while it was formed and was tried again at 1/2
-    first, second = calls[0][2], calls[1][2]
+    first, second = calls[0][1], calls[1][1]
     assert np.array_equal(second, 0.5 * first)
     assert len(calls) == tr.n_iterations + 1
 
@@ -913,7 +913,7 @@ def test_newton_does_not_mutate_inputs():
 
 def test_newton_evaluates_the_quadrature_once_per_iterate(monkeypatch):
     # the metric for the stopping norm, the lowered connection for K and
-    # the connection for the retraction all come from the point built
+    # the quadratic form for the retraction all come from the point built
     # when the iterate was accepted; the Hessian makes no node pass
     model, data = gen_dataset(200, 0, quad_nodes=16)
     nodes = model.nodes
@@ -1016,15 +1016,16 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
     def evaluate(xi):
         check(xi)
 
-        def applying(name):
+        def applying(name, zero):
             def apply(alpha, a):
                 applied.append((xi.tobytes(), name, alpha, np.array(a)))
-                return np.zeros((2, 2))
+                return zero
 
             return apply
 
-        evaluation = Evaluation(np.eye(2), applying("connection"))
-        evaluation.lowered = applying("lowered")
+        evaluation = Evaluation(np.eye(2), None)
+        evaluation.lowered = applying("lowered", np.zeros((2, 2)))
+        evaluation.quad = applying("quad", np.zeros(2))
         return evaluation
 
     # the minimizer (0, 2) lies outside the domain, so every unit step
@@ -1039,15 +1040,15 @@ def test_newton_builds_each_connection_once_per_iterate_across_halvings():
         assert step <= 0.25 * np.linalg.norm(center - p) + 1e-12
     # every map is applied at an iterate's own point, never at a trial,
     # and only at the structure's alpha: the lowered connection once per
-    # proposed step, to the gradient coordinates, and the connection once
-    # per retraction trial, to t beta for t = 1, 1/2, ...; the last
+    # proposed step, to the gradient coordinates, and the quadratic form
+    # once per retraction trial, to t beta for t = 1, 1/2, ...; the last
     # iterate proposes nothing
     calls = 0
     for p, nxt in zip(tr.iterates[:-1], tr.iterates[1:]):
         here = [(name, alpha, a) for x, name, alpha, a in applied if x == p.tobytes()]
         assert {alpha for _, alpha, _ in here} == {0.5}
         lowered = [a for name, _, a in here if name == "lowered"]
-        primal = [a for name, _, a in here if name == "connection"]
+        primal = [a for name, _, a in here if name == "quad"]
         assert len(lowered) == 1
         np.testing.assert_allclose(lowered[0], p - center)
         assert len(primal) >= 3
@@ -1062,7 +1063,7 @@ def _node_contractions(monkeypatch):
     """The name and alpha of each connection contraction a node pass
     makes, in order, with ("trial", None) at the start of each retraction."""
     made = []
-    for name in ("lowered", "connection"):
+    for name in ("lowered", "quad"):
         contract = getattr(betamix._NodePass, name)
 
         def counted(nodes, alpha, a, name=name, contract=contract):
@@ -1085,8 +1086,8 @@ def test_newton_contracts_the_mixture_connection_once_for_k_and_once_per_trial(
     monkeypatch, alpha
 ):
     # K lowers the retraction's own connection, and each retraction trial
-    # raises it: one node contraction per step and one per trial, each at
-    # the structure's alpha, never at the dual's
+    # takes its quadratic form: one node contraction per step and one per
+    # trial, each at the structure's alpha, never at the dual's
     model, data = gen_dataset(200, 0, quad_nodes=16)
     made = _node_contractions(monkeypatch)
     tr = opt.dual_newton_run(
@@ -1099,7 +1100,7 @@ def test_newton_contracts_the_mixture_connection_once_for_k_and_once_per_trial(
     names = [name for name, _ in made]
     assert names[0] == "lowered" and names.count("lowered") == 3
     pairs = [names[i : i + 2] for i, name in enumerate(names) if name == "trial"]
-    assert pairs == [["trial", "connection"]] * names.count("connection")
+    assert pairs == [["trial", "quad"]] * names.count("quad")
     assert {alpha_made for name, alpha_made in made if name != "trial"} == {alpha}
 
 

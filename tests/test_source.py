@@ -174,7 +174,8 @@ def test_a_model_that_factors_g_unchecked_is_found(tmp_path):
 
 # A DualPoint is made in one place, ``DualStructure.at``, around the
 # model's evaluation at xi; a model implements only that evaluation (G,
-# solve(b) and connection(alpha, a)) and never sees the point.
+# solve(b), lowered(alpha, a) and quad(alpha, beta)) and never sees the
+# point.
 def _dual_point_uses(package):
     """module: lines where a module other than geometry constructs a
     DualPoint, or a model imports it."""
@@ -227,13 +228,12 @@ def test_a_model_that_makes_a_dual_point_is_found(tmp_path):
     }
 
 
-# A point holds only what a run reads: its metric, the point at its own
-# xi, the solve against G and Newton's two contractions of the
-# connection, ``lowered`` for K and ``quad`` for the retraction; besides
-# them, only the paper form's ``dual_dot``, which ``dual_hessian_matrix``
-# reads.  The full symbols, which only the structural checks read, are
-# the structure's ``gamma``.
-POINT_SURFACE = {"G", "at", "solve", "lowered", "quad"}
+# A point holds only what a run reads: its metric, the solve against G
+# and Newton's two contractions of the connection, ``lowered`` for K and
+# ``quad`` for the retraction; besides them, only the paper form's
+# ``dual_dot``, which ``dual_hessian_matrix`` reads.  The full symbols,
+# which only the structural checks read, are the structure's ``gamma``.
+POINT_SURFACE = {"G", "solve", "lowered", "quad"}
 PAPER_FORM_POINT = {"dual_dot"}
 
 
@@ -377,6 +377,59 @@ def test_a_point_method_beyond_the_run_reads_is_found(tmp_path):
     # lazy attribute and the assigned property are
     assert _class_methods(module, "DualPoint") == {"G", "_symbols", "gamma", "gamma_dual"}
     assert _class_methods(module, "DualStructure") is None
+
+
+# A model's evaluation implements the connection only as a run reads it:
+# ``lowered`` for Newton's K and ``quad`` for the retraction.  It has no
+# raised ``connection`` matrix, which no run reads; the checks' full
+# symbols are raised from ``lowered`` by the geometry.
+MODEL_EVALUATIONS = {
+    "models/loglinear.py": "_Evaluation",
+    "models/betamix.py": "_NodePass",
+    "models/gaussian.py": "_Evaluation",
+}
+CONTRACTIONS = {"lowered", "quad"}
+
+
+def _evaluation_contractions(package):
+    """module: (the contractions its evaluation class lacks, whether it
+    defines ``connection``) for each model whose evaluation does not
+    define both contractions and no ``connection``."""
+    found = {}
+    for module, name in sorted(MODEL_EVALUATIONS.items()):
+        methods = _class_methods(package / module, name) or set()
+        missing = sorted(CONTRACTIONS - methods)
+        if missing or "connection" in methods:
+            found[module] = (missing, "connection" in methods)
+    return found
+
+
+def test_each_model_evaluation_contracts_the_connection_as_a_run_reads_it():
+    assert _evaluation_contractions(PACKAGE) == {}
+
+
+def test_a_model_evaluation_with_a_raised_connection_is_found(tmp_path):
+    models = tmp_path / "package" / "models"
+    models.mkdir(parents=True)
+    (models / "loglinear.py").write_text(
+        "class _Evaluation:\n"
+        "    def lowered(self, alpha, a):\n        return a\n\n"
+        "    def quad(self, alpha, beta):\n        return beta\n"
+    )
+    # the mixture's pass before the quadratic form replaced the raised map
+    (models / "betamix.py").write_text(
+        "class _NodePass:\n"
+        "    def lowered(self, alpha, a):\n        return a\n\n"
+        "    def connection(self, alpha, a):\n        return a\n"
+    )
+    # an evaluation class of another name is not the model's
+    (models / "gaussian.py").write_text(
+        "class Evaluation:\n    def quad(self, alpha, beta):\n        return beta\n"
+    )
+    assert _evaluation_contractions(tmp_path / "package") == {
+        "models/betamix.py": (["quad"], True),
+        "models/gaussian.py": (["lowered", "quad"], False),
+    }
 
 
 # G's Cholesky factor ``L`` is no part of the evaluation contract: it is
