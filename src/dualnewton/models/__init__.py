@@ -14,8 +14,9 @@ connection needs no solve and whose quadratic form one vector solve, and
 neither the third central moment tensor.  The Beta mixture's is one pass
 over the quadrature nodes (``BetaMixtureModel.nodes``), whose two
 contractions are sums over the nodes with no symbol tensor.  The
-Gaussian's holds the closed-form metric and symbols and solves with the
-roots of its diagonal G.  The full symbols are read as
+Gaussian's holds the closed-form metric, solves with the roots of its
+diagonal G and contracts the connection's three distinct symbols as
+Python floats, with no symbol tensor.  The full symbols are read as
 ``dual_structure(...).gamma(xi)``, raised from ``lowered``.
 
 Each model states its domain once, in its point check (``gaussian.check``,

@@ -10,6 +10,22 @@ with two divisions per entry on them: the bits of ``linalg.cho_solve``
 on G's Cholesky factor, whose diagonal the roots are, at a fraction of
 its cost, for the one right-hand side that every caller of a Gaussian
 point passes.
+
+The alpha-connection has three distinct symbols, -(1 + alpha) / sigma,
+(1 - alpha) / (2 sigma) and -(1 + 2 alpha) / sigma, which ``lowered``
+and ``quad`` read as Python floats; no run builds the (2, 2, 2) tensor
+``_christoffel``, which stays as the tests' closed form.  Both keep the
+bits of the numpy contractions of that tensor.  Each entry of
+``_christoffel(sigma, alpha) @ (G a)`` is one product of a symbol and an
+entry of G a, added to the zero terms from +0.0, so a -0.0 product comes
+out 0.0; ``lowered`` adds it to 0.0.  ``quad`` writes out
+``einsum("k,ikj->ij", beta, gamma)`` as 0.0 + beta_0 Gamma^j_i0 +
+beta_1 Gamma^j_i1, whose zero-symbol terms change no bit of a finite
+beta, and keeps numpy's ``beta @ M``.  Where a product overflows, the
+tensor forms' zero terms give NaN where these give an infinity; either
+way K or the bend is not finite, which a run refuses alike.  With
+``linalg.symmetric_factor``'s 2x2 path, exp2's Newton step makes no
+LAPACK factorization and builds no symbol tensor.
 """
 
 import math
@@ -50,12 +66,25 @@ def fisher_metric(xi):
         return np.array([[math.inf, 0.0], [0.0, math.inf]])
 
 
+def _distinct_symbols(sigma, alpha):
+    """The alpha-connection's three distinct symbols at sigma, as Python
+    floats: Gamma^mu_{mu sigma} = Gamma^mu_{sigma mu}, Gamma^sigma_{mu mu}
+    and Gamma^sigma_{sigma sigma}; every other symbol is zero."""
+    return (
+        -(1.0 + alpha) / sigma,
+        (1.0 - alpha) / (2.0 * sigma),
+        -(1.0 + 2.0 * alpha) / sigma,
+    )
+
+
 def _christoffel(sigma, alpha):
-    # Gamma^k_ij at (i, j, k): the mixed mu-sigma and two diagonal sigma symbols
+    # Gamma^k_ij at (i, j, k), the closed form that the tests hold the
+    # evaluation's contractions to; no run builds it
+    mixed, mu_mu, sigma_sigma = _distinct_symbols(sigma, alpha)
     gamma = np.zeros((2, 2, 2))
-    gamma[0, 1, 0] = gamma[1, 0, 0] = -(1.0 + alpha) / sigma
-    gamma[0, 0, 1] = (1.0 - alpha) / (2.0 * sigma)
-    gamma[1, 1, 1] = -(1.0 + 2.0 * alpha) / sigma
+    gamma[0, 1, 0] = gamma[1, 0, 0] = mixed
+    gamma[0, 0, 1] = mu_mu
+    gamma[1, 1, 1] = sigma_sigma
     return gamma
 
 
@@ -97,13 +126,27 @@ class _Evaluation:
         return np.array([x0, x1])
 
     def quad(self, alpha, beta):
+        """Gamma(beta, beta), with the bits of
+        ``beta @ einsum("k,ikj->ij", beta, _christoffel(sigma, alpha))``
+        (module notes)."""
         # xi has passed the metric's check, which gave sigma as this float
-        gamma = _christoffel(float(self.xi[1]), alpha)
-        return beta @ np.einsum("k,ikj->ij", beta, gamma)
+        mixed, mu_mu, sigma_sigma = _distinct_symbols(self.xi.item(1), alpha)
+        b0, b1 = beta.tolist()
+        m = [
+            [0.0 + b1 * mixed, 0.0 + b0 * mu_mu],
+            [0.0 + b0 * mixed, 0.0 + b1 * sigma_sigma],
+        ]
+        return beta @ np.array(m)
 
     def lowered(self, alpha, a):
-        # sum_k Gamma^k_ij (G a)_k: the symbols lowered by G, contracted with a
-        return _christoffel(float(self.xi[1]), alpha) @ (self.G @ a)
+        """sum_k Gamma^k_ij (G a)_k, with the bits of
+        ``_christoffel(sigma, alpha) @ (G @ a)`` (module notes)."""
+        mixed, mu_mu, sigma_sigma = _distinct_symbols(self.xi.item(1), alpha)
+        a0, a1 = a.tolist()
+        v0 = 0.0 + self.G.item(0, 0) * a0
+        v1 = 0.0 + self.G.item(1, 1) * a1
+        off = 0.0 + mixed * v0
+        return np.array([[0.0 + mu_mu * v1, off], [off, 0.0 + sigma_sigma * v1]])
 
 
 def dual_structure(alpha):

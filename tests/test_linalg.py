@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from dualnewton.linalg import (
     solve_general,
     solve_spd,
     spd_factor,
+    symmetric_factor,
 )
 
 FIXED = dict(derandomize=True, deadline=None, database=None)
@@ -545,6 +547,85 @@ def test_is_spd_is_false_on_a_non_finite_entry(n, seed, bad):
 def test_is_spd_rejects_a_non_square_input(shape):
     with pytest.raises(DimensionMismatch):
         is_spd(np.ones(shape))
+
+
+# ---- symmetric_factor: dpotrf's bits, and potf2's on 2x2 -----------------
+
+def _dpotrf_factor(A):
+    """The reference: dpotrf of the symmetrized A, the whole array it
+    returns, or None where its info is not 0."""
+    factor, info = lapack.dpotrf(0.5 * (A + A.T), lower=1, clean=0)
+    return factor.tobytes() if info == 0 else None
+
+
+def _factor_bytes(A):
+    factor = symmetric_factor(A)
+    return None if factor is None else factor.tobytes()
+
+
+SPECIAL_ENTRIES = [
+    0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-10,
+    0.5, 1.0, 2.0, -1.0, -2.5, 3.0, 1e160, 1e300,
+]
+
+
+def test_the_2x2_factor_is_dpotrfs_on_every_tuple_of_special_entries():
+    # signed zeros, subnormals and entries whose squares and reciprocals
+    # underflow or overflow, in every position: 14^4 matrices, with the
+    # upper entry s01 and the refusals compared too
+    refused = 0
+    for entries in itertools.product(SPECIAL_ENTRIES, repeat=4):
+        A = np.array(entries).reshape(2, 2)
+        expected = _dpotrf_factor(A)
+        assert _factor_bytes(A) == expected, entries
+        refused += expected is None
+    assert 0 < refused < len(SPECIAL_ENTRIES) ** 4
+
+
+def _random_2x2(rng, kind):
+    """A 2x2 matrix with entries over 1e-6..1e6: independent entries, a
+    Gram matrix plus a small asymmetric term, or a symmetric matrix
+    whose determinant is within a few roundings of zero."""
+    if kind == 0:
+        return rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-6, 6, (2, 2))
+    if kind == 1:
+        B = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-6, 6, (2, 1))
+        return B @ B.T + 1e-12 * (B @ B.T).max() * rng.standard_normal((2, 2))
+    p = 10.0 ** rng.uniform(-6, 6)
+    q = rng.standard_normal() * 10.0 ** rng.uniform(-6, 6)
+    r = q * q / p * (1.0 + rng.integers(-4, 5) * linalg.EPS)
+    return np.array([[p, q], [q, r]])
+
+
+def test_the_2x2_factor_is_dpotrfs_on_random_matrices():
+    rng = np.random.default_rng(44)
+    refused = 0
+    for i in range(100_000):
+        A = _random_2x2(rng, i % 3)
+        expected = _dpotrf_factor(A)
+        assert _factor_bytes(A) == expected, A.tolist()
+        refused += expected is None
+    assert 20_000 < refused < 80_000
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.array([[1e308, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 1e308], [1e308, 1.0]]),
+        np.array([[2.0, 0.0, -1e308], [0.0, 2.0, 0.0], [-1e308, 0.0, 2.0]]),
+        np.diag([1.0, 1.0, 1.7e308]),
+    ],
+    ids=["2x2-diagonal", "2x2-off-diagonal", "3x3-off-diagonal", "3x3-diagonal"],
+)
+def test_a_symmetric_part_that_overflows_is_a_non_finite_value(A):
+    # finite entries whose sum in 0.5 (A + A^T) overflows: the named
+    # error, on the 2x2 path and on LAPACK's, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            symmetric_factor(A)
+        assert is_spd(A) is False
 
 
 # ---- cholesky_lower: the bits of the plain column loop -------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -278,10 +279,74 @@ def test_the_closed_form_solve_takes_a_vector_of_two(shape):
 )
 def test_exp2_runs_make_no_python_cholesky(monkeypatch, run):
     # every solve against G reads the roots of the point's diagonal G, and
-    # Newton's descent certificate is LAPACK's
+    # Newton's descent certificate is the 2x2 factor's
     calls = {}
     count_calls(monkeypatch, calls, "cholesky_lower", linalg)
     obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
     tr = run(gaussian.dual_structure(0.0), obj, np.array([0.5, 2.0]))
     assert tr.status == opt.CONVERGED and tr.n_iterations >= 3
     assert calls == {"cholesky_lower": 0}
+
+
+# the connection's alphas: -1, -0.5 and 1 each zero a symbol (-1 and
+# -0.5 to -0.0), 0 is the metric's own connection; and any between
+connection_alphas = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0)
+)
+# a vector's entries: either sign over 1e-6..1e6, and signed zeros
+vector_entries = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-6, 6)
+    ),
+)
+
+
+def _assert_contractions_are_the_tensor_forms(alpha, xi, a, beta):
+    """``lowered`` and ``quad`` at xi, byte for byte, against the numpy
+    contractions of the closed-form tensor that they replace."""
+    point = gaussian.dual_structure(alpha).at(xi)
+    gamma = gaussian._christoffel(float(xi[1]), alpha)
+    assert point.lowered(a).tobytes() == (gamma @ (point.G @ a)).tobytes()
+    quad = beta @ np.einsum("k,ikj->ij", beta, gamma)
+    assert point.quad(beta).tobytes() == quad.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(
+    alpha=connection_alphas,
+    mu=st.floats(-10.0, 10.0),
+    sigma=st.floats(1e-3, 1e3),
+    a=st.lists(vector_entries, min_size=2, max_size=2),
+    beta=st.lists(vector_entries, min_size=2, max_size=2),
+)
+def test_lowered_and_quad_are_the_tensor_contractions_bit_for_bit(
+    alpha, mu, sigma, a, beta
+):
+    _assert_contractions_are_the_tensor_forms(
+        alpha, np.array([mu, sigma]), np.array(a), np.array(beta)
+    )
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_lowered_and_quad_keep_the_tensor_forms_signed_zeros(alpha):
+    # numpy adds each product to +0.0, so a -0.0 product comes out 0.0;
+    # every pair of entries from signed zeros and either sign
+    entries = [0.0, -0.0, 1.3, -0.7]
+    for a, beta in itertools.product(itertools.product(entries, repeat=2), repeat=2):
+        _assert_contractions_are_the_tensor_forms(
+            alpha, np.array([0.3, 1.7]), np.array(a), np.array(beta)
+        )
+
+
+def test_an_exp2_newton_run_builds_no_symbol_tensor_and_calls_no_dpotrf(monkeypatch):
+    # K reads the three symbols through lowered, and its 2x2 factor is
+    # potf2's arithmetic on Python floats; the retraction reads quad
+    calls = {}
+    count_calls(monkeypatch, calls, "_christoffel", gaussian)
+    count_calls(monkeypatch, calls, "dpotrf", linalg.lapack)
+    obj = AlphaDivergenceObjective(2.0, 1.5, 1.3, 0.7)
+    tr = opt.dual_newton_run(gaussian.dual_structure(0.5), obj, np.array([0.5, 2.0]))
+    assert tr.status == opt.CONVERGED and tr.n_iterations >= 3
+    assert calls == {"_christoffel": 0, "dpotrf": 0}
